@@ -32,7 +32,6 @@ from repro.common.config import SystemConfig, VirtualizationConfig, scaled_syste
 from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.workloads import GUPSWorkload, LLMInferenceWorkload, SequentialWorkload
-from repro.workloads.base import vectorization_enabled
 from repro.workloads.multiproc import GuestMixWorkload, contention_pair
 
 BENCH_PATH = Path(__file__).parent / "BENCH_perf.json"
@@ -214,8 +213,7 @@ def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
         "schema": "bench_perf/v3",
         "engines": {"before": "legacy", "after": "batch"},
         "repeats": repeats,
-        "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "vectorized_generation": vectorization_enabled()},
+        "host": {"python": platform.python_version(), "machine": platform.machine()},
         "scenarios": scenarios,
     }
 

@@ -13,12 +13,9 @@ record.  Regenerate the record with::
     PYTHONPATH=src python benchmarks/perf/sweep.py
     PYTHONPATH=src python benchmarks/perf/service_bench.py
 
-Vectorised workload generation (numpy) is optional: the assertions that
-specifically concern the vectorised generators are skipped when numpy is
-absent, while the engine gates run either way (the pure-python fallback
-emits identical instruction sequences).  The sweep host-scaling gate only
-fires when the digest was recorded on a multi-core host (a 1-CPU container
-cannot exhibit host scaling); the sweep *determinism* gate is always on.
+The sweep host-scaling gate only fires when the digest was recorded on a
+multi-core host (a 1-CPU container cannot exhibit host scaling); the sweep
+*determinism* gate is always on.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from benchmarks.perf.kips_harness import (
     VIRTUALIZED_TARGET_SPEEDUP,
     run_scenario,
 )
-from repro.workloads.base import numpy_available, vectorization_enabled
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -379,21 +375,6 @@ def test_lint_digest_is_clean_and_baseline_never_grows():
         f"lint_baseline.json grew from {digest['baseline_size']} to "
         f"{live_size} entries — new violations must be fixed or "
         f"pragma-annotated, never baselined away")
-
-
-def test_vectorized_generation_active():
-    """With numpy installed, the vectorised generators must be the default."""
-    if not numpy_available():
-        pytest.skip("numpy not installed; pure-python generation fallback in use")
-    assert vectorization_enabled(), (
-        "numpy is available but vectorised workload generation is disabled")
-    if BENCH_PATH.exists():
-        recorded = json.loads(BENCH_PATH.read_text())
-        host = recorded.get("host", {})
-        if "vectorized_generation" in host:
-            assert host["vectorized_generation"], (
-                "BENCH_perf.json was recorded without vectorised generation; "
-                "regenerate it with numpy installed")
 
 
 def test_server_soak_digest_attests_exactly_once():

@@ -19,7 +19,6 @@ from repro import Virtuoso, scaled_system_config
 from repro.analysis.reporting import format_table
 from repro.common.config import PageTableConfig
 from repro.workloads import GUPSWorkload
-from repro.workloads.base import vectorization_enabled
 
 DESIGNS = {
     "radix": PageTableConfig(kind="radix", pwc_entries=4, pwc_associativity=4),
@@ -68,8 +67,7 @@ def main() -> None:
         title="Page-table designs on a fragmented system (randacc workload)"))
     print()
     kips = total_simulated / 1000.0 / total_host_seconds if total_host_seconds else 0.0
-    generation = "numpy-vectorised" if vectorization_enabled() else "pure-python"
-    print(f"[{engine} engine, {generation} generation: {total_simulated:,} simulated "
+    print(f"[{engine} engine: {total_simulated:,} simulated "
           f"instructions across {len(DESIGNS)} designs at {kips:,.0f} KIPS]")
 
 

@@ -16,7 +16,6 @@ from repro import Virtuoso, scaled_system_config
 from repro.analysis.reporting import format_table
 from repro.common.config import PageTableConfig
 from repro.workloads import LLMInferenceWorkload
-from repro.workloads.base import vectorization_enabled
 
 
 def run_policy(thp_policy: str, page_table_kind: str = "radix"):
@@ -60,8 +59,7 @@ def main() -> None:
         title="Page-fault latency under different allocation policies (Llama inference)"))
     print()
     kips = total_simulated / 1000.0 / total_host_seconds if total_host_seconds else 0.0
-    generation = "numpy-vectorised" if vectorization_enabled() else "pure-python"
-    print(f"[{engine} engine, {generation} generation: {total_simulated:,} simulated "
+    print(f"[{engine} engine: {total_simulated:,} simulated "
           f"instructions across {len(policies)} policies at {kips:,.0f} KIPS]")
     print()
     print("Reservation-based THP keeps the median low but grows a heavy tail")

@@ -17,7 +17,6 @@ Run with::
 from repro import MultiCoreVirtuoso, scaled_system_config
 from repro.analysis.reporting import format_table
 from repro.workloads import contention_pair
-from repro.workloads.base import vectorization_enabled
 from repro.workloads.hpc import GUPSWorkload
 
 
@@ -63,9 +62,8 @@ def main() -> None:
           "(shared-cache eviction + DRAM row-buffer interference)")
 
     simulated = duo.merged.instructions + duo.merged.kernel_instructions
-    generation = "numpy-vectorised" if vectorization_enabled() else "pure-python"
-    print(f"  {'engine':>22}: {config.simulation.engine} ({generation} generation, "
-          f"{duo_system.num_cores} simulated cores)")
+    print(f"  {'engine':>22}: {config.simulation.engine} "
+          f"({duo_system.num_cores} simulated cores)")
     print(f"  {'host throughput':>22}: {duo.kips:,.0f} KIPS "
           f"({simulated:,} simulated instructions in {duo.host_seconds:.3f} s)")
 

@@ -13,15 +13,13 @@ Run with::
 
 from repro import Virtuoso, scaled_system_config
 from repro.workloads import GraphWorkload, JSONWorkload
-from repro.workloads.base import vectorization_enabled
 
 
 def print_engine_throughput(config, report) -> None:
     """Show which host engine ran the simulation and how fast it went."""
     simulated = report.instructions + report.kernel_instructions
     kips = simulated / 1000.0 / report.host_seconds if report.host_seconds else 0.0
-    generation = "numpy-vectorised" if vectorization_enabled() else "pure-python"
-    print(f"  {'engine':>22}: {config.simulation.engine} ({generation} generation)")
+    print(f"  {'engine':>22}: {config.simulation.engine}")
     print(f"  {'host throughput':>22}: {kips:,.0f} KIPS "
           f"({simulated:,} simulated instructions in {report.host_seconds:.3f} s)")
 

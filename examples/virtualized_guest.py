@@ -18,7 +18,6 @@ Run with::
 from repro.common.addresses import MB
 from repro.common.config import VirtualizationConfig, scaled_system_config
 from repro.core.virtuoso import Virtuoso
-from repro.workloads.base import vectorization_enabled
 from repro.workloads.multiproc import GuestMixWorkload
 
 
@@ -59,9 +58,7 @@ def main() -> None:
 
     simulated = report.instructions + report.kernel_instructions
     kips = simulated / 1000.0 / report.host_seconds if report.host_seconds else 0.0
-    generation = "numpy-vectorised" if vectorization_enabled() else "pure-python"
-    print(f"  {'engine':>22}: {config.simulation.engine} ({generation} generation, "
-          "virtualized mode)")
+    print(f"  {'engine':>22}: {config.simulation.engine} (virtualized mode)")
     print(f"  {'host throughput':>22}: {kips:,.0f} KIPS "
           f"({simulated:,} simulated instructions in {report.host_seconds:.3f} s)")
 

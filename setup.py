@@ -7,10 +7,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    extras_require={
-        # Optional numpy acceleration for the vectorised workload generators
-        # (repro.workloads.base.set_vectorization); the pure-python fallback
-        # emits bit-identical instruction sequences without it.
-        "fast": ["numpy>=1.22"],
-    },
 )

@@ -18,8 +18,8 @@ class DeterministicRNG:
     """A seeded random source with the handful of draws the simulator needs.
 
     Wraps :class:`random.Random` rather than numpy's generator because most
-    draws are scalar and interleaved with Python control flow; numpy arrays
-    are used directly by the workload generators when bulk draws matter.
+    draws are scalar and interleaved with Python control flow, and the
+    simulator depends on nothing outside the standard library.
     """
 
     def __init__(self, seed: int = 0):
@@ -63,10 +63,10 @@ class DeterministicRNG:
         """``count`` uniform floats, drawn from the *same* stream as
         :meth:`random`.
 
-        Bulk helper for the vectorised workload generators: calling
-        ``random_list(n)`` consumes exactly the draws that ``n`` scalar
-        :meth:`random` calls would, so array-building code can hoist its
-        draws without perturbing reproducibility.
+        Bulk helper for the workload generators: calling ``random_list(n)``
+        consumes exactly the draws that ``n`` scalar :meth:`random` calls
+        would, so array-building code can hoist its draws without perturbing
+        reproducibility.
         """
         random = self._random.random
         return [random() for _ in range(count)]

@@ -160,16 +160,6 @@ class InstructionBatch:
             append(instruction)
         return batch
 
-    @classmethod
-    def from_arrays(cls, kinds: List[int], pcs: List[int],
-                    addresses: List[Optional[int]]) -> "InstructionBatch":
-        """Adopt pre-built parallel arrays (the vectorised generators' path)."""
-        batch = cls()
-        batch.kinds = kinds
-        batch.pcs = pcs
-        batch.addresses = addresses
-        return batch
-
     def iter_instructions(self) -> Iterator[Instruction]:
         """Yield equivalent :class:`Instruction` objects (test/debug helper)."""
         for op, pc, address in zip(self.kinds, self.pcs, self.addresses):

@@ -11,7 +11,7 @@ the four properties the experiments depend on (see DESIGN.md §2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
@@ -28,60 +28,9 @@ from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind, VirtualMemoryArea
 
-try:  # numpy is optional: install the `[fast]` extra to vectorise generation.
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI images bundle numpy
-    _np = None
-
 #: Categories used by Fig. 1 and the workload registry.
 LONG_RUNNING = "long_running"
 SHORT_RUNNING = "short_running"
-
-#: Module switch for numpy-backed instruction-array construction.  The
-#: vectorised and pure-python generators emit bit-identical (kind, pc,
-#: address) sequences — RNG draws included — so this only moves host time.
-_VECTORIZE = _np is not None
-
-
-def numpy_available() -> bool:
-    """True when numpy is importable in this environment."""
-    return _np is not None
-
-
-def vectorization_enabled() -> bool:
-    """True when workload generators should build arrays through numpy."""
-    return _VECTORIZE
-
-
-def set_vectorization(enabled: bool) -> bool:
-    """Toggle numpy-backed generation; returns the effective state.
-
-    Requesting ``True`` without numpy installed silently stays on the
-    pure-python fallback (the sequences are identical either way).
-    """
-    global _VECTORIZE
-    _VECTORIZE = bool(enabled) and _np is not None
-    return _VECTORIZE
-
-
-def chunk_arrays(kinds: List[int], pcs: List[int], operands: List[Optional[int]],
-                 batch_size: int) -> Iterator[InstructionBatch]:
-    """Slice fully built parallel arrays into :class:`InstructionBatch` chunks.
-
-    The vectorised generators build whole-run (or whole-segment) arrays in
-    one shot and hand them here; memory stays bounded by the workload's
-    ``memory_operations`` budget, which is figure-scale (tens of thousands),
-    not trace-scale.
-    """
-    total = len(kinds)
-    if total <= batch_size:
-        if total:
-            yield InstructionBatch.from_arrays(kinds, pcs, operands)
-        return
-    for start in range(0, total, batch_size):
-        end = start + batch_size
-        yield InstructionBatch.from_arrays(kinds[start:end], pcs[start:end],
-                                           operands[start:end])
 
 
 class Workload:
@@ -185,16 +134,7 @@ class StreamBuilder:
 
         Produces the exact same (kind, pc, address) sequence — including RNG
         draw order — without allocating an :class:`Instruction` per record.
-        When numpy is available (and :func:`vectorization_enabled`), the
-        arrays are assembled wholesale instead of element by element.
         """
-        if _VECTORIZE:
-            return self._emit_batches_vectorized(addresses, writes, batch_size)
-        return self._emit_batches_scalar(addresses, writes, batch_size)
-
-    def _emit_batches_scalar(self, addresses: Iterable[int],
-                             writes: Optional[Iterable[bool]],
-                             batch_size: int) -> Iterator["InstructionBatch"]:
         write_iter = iter(writes) if writes is not None else None
         rng_random = self.rng.random
         write_fraction = self.write_fraction
@@ -237,49 +177,6 @@ class StreamBuilder:
         if count:
             yield batch
 
-    def _emit_batches_vectorized(self, addresses: Iterable[int],
-                                 writes: Optional[Iterable[bool]],
-                                 batch_size: int) -> Iterator["InstructionBatch"]:
-        """numpy assembly of the :meth:`emit` sequence.
-
-        The write draws are taken from the same RNG stream in the same order
-        as the scalar path (one :meth:`DeterministicRNG.random` per address),
-        then the kinds/pcs/operands columns are built as whole arrays.
-        """
-        np = _np
-        address_list = addresses if isinstance(addresses, list) else list(addresses)
-        n = len(address_list)
-        if n == 0:
-            return
-        compute_per_memory = self.compute_per_memory
-        per_operation = compute_per_memory + 1
-        if writes is not None:
-            write_iter = iter(writes)
-            write_flags = [bool(next(write_iter, False)) for _ in range(n)]
-        else:
-            write_fraction = self.write_fraction
-            write_flags = [draw < write_fraction
-                           for draw in self.rng.random_list(n)]
-
-        kinds = np.empty((n, per_operation), dtype=np.int64)
-        if compute_per_memory > 0:
-            kinds[:, :compute_per_memory] = OP_ALU
-            kinds[:, compute_per_memory - 1] = OP_BRANCH
-        kinds[:, compute_per_memory] = np.where(
-            np.asarray(write_flags, dtype=bool), OP_STORE, OP_LOAD)
-
-        total = n * per_operation
-        cursor = self._pc_cursor
-        pcs = self.pc_base + ((cursor + np.arange(total, dtype=np.int64))
-                              % self.pc_count) * 4
-        self._pc_cursor = cursor + total
-
-        operands = np.full((n, per_operation), None, dtype=object)
-        operands[:, compute_per_memory] = address_list
-
-        yield from chunk_arrays(kinds.reshape(-1).tolist(), pcs.tolist(),
-                                operands.reshape(-1).tolist(), batch_size)
-
 
 def strided_addresses(start: int, count: int, stride: int) -> Iterator[int]:
     """A simple strided address sequence."""
@@ -309,49 +206,27 @@ def cold_hot_addresses(start: int, cold_touches: int, cold_stride: int,
     random re-touches of already-touched offsets after every cold touch,
     precisely to walk into such windows.
 
-    numpy builds the columns wholesale when vectorisation is enabled; all
-    random draws go through the bulk RNG helpers, which are stream-exact
-    with scalar draws — both paths emit the identical sequence.
+    Random draws go through the bulk RNG helpers, which are stream-exact
+    with scalar draws.
     """
     region_stride = region_bytes if interleave_regions > 1 else 0
-
-    def cold_offset_arrays():
-        if _VECTORIZE:
-            index = _np.arange(cold_touches, dtype=_np.int64)
-            return ((index % interleave_regions) * region_stride
-                    + (index // interleave_regions) * cold_stride)
-        return [(index % interleave_regions) * region_stride
-                + (index // interleave_regions) * cold_stride
-                for index in range(cold_touches)]
-
-    cold_offsets = cold_offset_arrays()
+    cold_offsets = [(index % interleave_regions) * region_stride
+                    + (index // interleave_regions) * cold_stride
+                    for index in range(cold_touches)]
     if mix_per_cold > 0 and cold_touches > 0:
         # After cold touch i, re-touch mix_per_cold random already-touched
         # offsets (uniform over touches 0..i).  One float draw per re-touch.
         draws = rng.random_list(cold_touches * mix_per_cold)
-        if _VECTORIZE:
-            reach = _np.repeat(_np.arange(1, cold_touches + 1, dtype=_np.int64),
-                               mix_per_cold)
-            picks = (_np.asarray(draws) * reach).astype(_np.int64)
-            columns = _np.empty((cold_touches, 1 + mix_per_cold), dtype=_np.int64)
-            columns[:, 0] = cold_offsets
-            columns[:, 1:] = _np.asarray(cold_offsets)[picks].reshape(
-                cold_touches, mix_per_cold)
-            cold = (start + columns.reshape(-1)).tolist()
-        else:
-            cold = []
-            cursor = 0
-            for index in range(cold_touches):
-                cold.append(start + cold_offsets[index])
-                for _ in range(mix_per_cold):
-                    pick = int(draws[cursor] * (index + 1))
-                    cursor += 1
-                    cold.append(start + cold_offsets[pick])
+        cold = []
+        cursor = 0
+        for index in range(cold_touches):
+            cold.append(start + cold_offsets[index])
+            for _ in range(mix_per_cold):
+                pick = int(draws[cursor] * (index + 1))
+                cursor += 1
+                cold.append(start + cold_offsets[pick])
     else:
-        if _VECTORIZE:
-            cold = (start + cold_offsets).tolist()
-        else:
-            cold = [start + offset for offset in cold_offsets]
+        cold = [start + offset for offset in cold_offsets]
     hot = [start + draw
            for draw in rng.randint_list(0, max(0, hot_span - 64), hot_operations)]
     return cold + hot
@@ -363,14 +238,8 @@ def span_mapped_addresses(offsets: List[int], span_starts: List[int],
 
     Used when a workload's footprint is split across several VMAs (arena
     layouts with guard gaps between them): offset ``o`` lands at byte
-    ``o % span_bytes`` of span ``o // span_bytes``.  numpy fancy-indexes the
-    whole column when vectorisation is enabled; the fallback emits the
-    identical list.
+    ``o % span_bytes`` of span ``o // span_bytes``.
     """
-    if _VECTORIZE:
-        off = _np.asarray(offsets, dtype=_np.int64)
-        starts = _np.asarray(span_starts, dtype=_np.int64)
-        return (starts[off // span_bytes] + off % span_bytes).tolist()
     return [span_starts[offset // span_bytes] + offset % span_bytes
             for offset in offsets]
 

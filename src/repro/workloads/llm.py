@@ -30,13 +30,7 @@ from repro.core.instructions import (
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
-from repro.workloads.base import (
-    SHORT_RUNNING,
-    Workload,
-    _np,
-    chunk_arrays,
-    vectorization_enabled,
-)
+from repro.workloads.base import SHORT_RUNNING, Workload
 
 
 @dataclass(frozen=True)
@@ -104,12 +98,6 @@ class LLMInferenceWorkload(Workload):
 
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:
-        if vectorization_enabled():
-            return self._instruction_batches_vectorized(batch_size)
-        return self._instruction_batches_scalar(batch_size)
-
-    def _instruction_batches_scalar(self,
-                                    batch_size: int) -> Iterator[InstructionBatch]:
         rng = DeterministicRNG(self.seed)
         rng_randint = rng.randint
         profile = self.profile
@@ -176,71 +164,3 @@ class LLMInferenceWorkload(Workload):
                 count = 0
         if count:
             yield batch
-
-    def _instruction_batches_vectorized(self,
-                                        batch_size: int) -> Iterator[InstructionBatch]:
-        """numpy assembly of the token loop.
-
-        The two bulk segments of every token — the weight stream and the
-        KV-cache growth — have constant kind/PC patterns, so their columns
-        are precomputed once and only the operand columns are rebuilt per
-        token; the 16 activation draws keep using the scalar RNG (same
-        stream as the scalar path).
-        """
-        np = _np
-        rng = DeterministicRNG(self.seed)
-        profile = self.profile
-        weights, kv, activations = self._weights_vma, self._kv_vma, self._activation_vma
-        weight_reads = max(1, int(profile.weight_reads_per_token * self.weight_read_scale))
-        kv_growth = int(profile.kv_cache_bytes_per_token * self.scale)
-        weight_slots = max(1, (weights.size - 64) // 64)
-        activation_span = max(0, activations.size - 64)
-        half_page = PAGE_SIZE_4K // 2
-
-        # Token-invariant columns of the weight segment: (ALU, LOAD) pairs.
-        read_index = np.arange(weight_reads, dtype=np.int64)
-        weight_kinds = np.empty((weight_reads, 2), dtype=np.int64)
-        weight_kinds[:, 0] = OP_ALU
-        weight_kinds[:, 1] = OP_LOAD
-        weight_kinds = weight_kinds.reshape(-1).tolist()
-        weight_pcs = np.empty((weight_reads, 2), dtype=np.int64)
-        weight_pcs[:, 0] = 0x460000 + (read_index % 8) * 4
-        weight_pcs[:, 1] = 0x460100 + (read_index % 8) * 4
-        weight_pcs = weight_pcs.reshape(-1).tolist()
-        read_offsets = read_index * 37
-        activation_pcs = [0x462000 + (write % 4) * 4 for write in range(16)]
-        activation_kinds = [OP_STORE] * 16
-
-        kinds: list = []
-        pcs: list = []
-        operands: list = []
-        kv_offset = 0
-        for token in range(profile.tokens):
-            # Weight stream: only the load-operand column varies with token.
-            slots = (token * weight_reads + read_offsets) % weight_slots
-            weight_operands = np.full((weight_reads, 2), None, dtype=object)
-            weight_operands[:, 1] = (weights.start + slots * 64).tolist()
-            kinds += weight_kinds
-            pcs += weight_pcs
-            operands += weight_operands.reshape(-1).tolist()
-            # KV-cache growth: (STORE, ALU) pairs over fresh half pages.
-            end = min(kv_offset + kv_growth, kv.size - 64)
-            kv_addresses = np.arange(kv.start + kv_offset, kv.start + end,
-                                     half_page, dtype=np.int64)
-            grown = len(kv_addresses)
-            if grown:
-                kv_operands = np.full((grown, 2), None, dtype=object)
-                kv_operands[:, 0] = kv_addresses.tolist()
-                kinds += [OP_STORE, OP_ALU] * grown
-                pcs += [0x461000, 0x461010] * grown
-                operands += kv_operands.reshape(-1).tolist()
-            kv_offset = end
-            # Activation scratch writes (scalar RNG, stream-exact) + branch.
-            kinds += activation_kinds
-            pcs += activation_pcs
-            operands += [activations.start + offset
-                         for offset in rng.randint_list(0, activation_span, 16)]
-            kinds.append(OP_BRANCH)
-            pcs.append(0x463000)
-            operands.append(None)
-        yield from chunk_arrays(kinds, pcs, operands, batch_size)

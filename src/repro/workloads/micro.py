@@ -26,14 +26,7 @@ from repro.core.instructions import (
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
-from repro.workloads.base import (
-    LONG_RUNNING,
-    SHORT_RUNNING,
-    Workload,
-    _np,
-    chunk_arrays,
-    vectorization_enabled,
-)
+from repro.workloads.base import LONG_RUNNING, SHORT_RUNNING, Workload
 
 
 class IntensitySweepWorkload(Workload):
@@ -65,10 +58,8 @@ class IntensitySweepWorkload(Workload):
     def _draw_accesses(self) -> Tuple[List[int], List[bool]]:
         """Run the (inherently serial) RNG/address recurrence once.
 
-        The draw order — fraction draw, conditional random-target draw,
-        write draw, per operation — is exactly the stream the generators
-        consume, so the scalar and vectorised assemblies below see identical
-        addresses and write flags.
+        The draw order is fraction draw, conditional random-target draw,
+        write draw, per operation.
         """
         rng = DeterministicRNG(self.seed)
         rng_random = rng.random
@@ -93,11 +84,6 @@ class IntensitySweepWorkload(Workload):
         compute = max(1, int(6 - 4 * self.intensity))
         compute_pcs = [0x470000 + c * 4 for c in range(compute)]
         addresses, write_flags = self._draw_accesses()
-        if vectorization_enabled():
-            yield from self._assemble_vectorized(addresses, write_flags, compute,
-                                                 compute_pcs, batch_size)
-            return
-
         batch = InstructionBatch()
         kinds, pcs, operands = batch.kinds, batch.pcs, batch.addresses
         count = 0
@@ -117,26 +103,6 @@ class IntensitySweepWorkload(Workload):
                 count = 0
         if count:
             yield batch
-
-    def _assemble_vectorized(self, addresses: List[int], write_flags: List[bool],
-                             compute: int, compute_pcs: List[int],
-                             batch_size: int) -> Iterator[InstructionBatch]:
-        np = _np
-        n = len(addresses)
-        if n == 0:
-            return
-        per_operation = compute + 1
-        kinds = np.empty((n, per_operation), dtype=np.int64)
-        kinds[:, :compute] = OP_ALU
-        kinds[:, compute] = np.where(np.asarray(write_flags, dtype=bool),
-                                     OP_STORE, OP_LOAD)
-        pcs = np.empty((n, per_operation), dtype=np.int64)
-        pcs[:, :compute] = compute_pcs
-        pcs[:, compute] = 0x471000 + (np.arange(n, dtype=np.int64) % 16) * 4
-        operands = np.full((n, per_operation), None, dtype=object)
-        operands[:, compute] = addresses
-        yield from chunk_arrays(kinds.reshape(-1).tolist(), pcs.reshape(-1).tolist(),
-                                operands.reshape(-1).tolist(), batch_size)
 
 
 class KernelFractionMicrobenchmark(Workload):
@@ -193,10 +159,6 @@ class KernelFractionMicrobenchmark(Workload):
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:
         addresses = self._store_addresses()
-        if vectorization_enabled():
-            yield from self._assemble_vectorized(addresses, batch_size)
-            return
-
         batch = InstructionBatch()
         kinds, pcs, operands = batch.kinds, batch.pcs, batch.addresses
         count = 0
@@ -218,22 +180,3 @@ class KernelFractionMicrobenchmark(Workload):
                 count = 0
         if count:
             yield batch
-
-    def _assemble_vectorized(self, addresses: List[int],
-                             batch_size: int) -> Iterator[InstructionBatch]:
-        np = _np
-        n = len(addresses)
-        if n == 0:
-            return
-        kinds = np.empty((n, 3), dtype=np.int64)
-        kinds[:, 0] = OP_ALU
-        kinds[:, 1] = OP_ALU
-        kinds[:, 2] = OP_STORE
-        pcs = np.empty((n, 3), dtype=np.int64)
-        pcs[:, 0] = 0x480000
-        pcs[:, 1] = 0x480004
-        pcs[:, 2] = 0x481000
-        operands = np.full((n, 3), None, dtype=object)
-        operands[:, 2] = addresses
-        yield from chunk_arrays(kinds.reshape(-1).tolist(), pcs.reshape(-1).tolist(),
-                                operands.reshape(-1).tolist(), batch_size)

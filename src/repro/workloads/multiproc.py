@@ -92,8 +92,7 @@ class GuestMixWorkload(Workload):
     guest-physical frames, a hypervisor backing fault); phase 2 performs
     random accesses over the now-warm region, exercising the 2-D translation
     path — nested walks, nested-TLB hits and the batch engine's VPN cache.
-    Generation is numpy-vectorised through :func:`~repro.workloads.base
-    .cold_hot_addresses` (identical sequence on the pure-python fallback).
+    Addresses come from :func:`~repro.workloads.base.cold_hot_addresses`.
 
     ``vma_bytes`` splits the footprint into several contiguous small VMAs
     (an allocator-arena layout): with each VMA smaller than 2 MB the guest's

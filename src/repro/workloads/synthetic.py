@@ -8,7 +8,7 @@ these patterns with realistic VMA layouts.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
@@ -16,13 +16,7 @@ from repro.core.instructions import Instruction
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
-from repro.workloads.base import (
-    LONG_RUNNING,
-    StreamBuilder,
-    Workload,
-    _np,
-    vectorization_enabled,
-)
+from repro.workloads.base import LONG_RUNNING, StreamBuilder, Workload
 
 
 class RandomAccessWorkload(Workload):
@@ -51,17 +45,7 @@ class RandomAccessWorkload(Workload):
         self._vma = kernel.mmap(process, self.footprint_bytes, kind=VMAKind.ANONYMOUS,
                                 name=f"{self.name}-heap")
 
-    def _address_stream(self) -> Iterator[int]:
-        rng = DeterministicRNG(self.seed)
-        vma = self._vma
-        span = vma.size - 64
-        start = vma.start
-        randint = rng.randint
-        for _ in range(self.memory_operations):
-            yield start + randint(0, span)
-
     def _address_list(self) -> List[int]:
-        """Bulk version of :meth:`_address_stream` (same RNG stream)."""
         rng = DeterministicRNG(self.seed)
         vma = self._vma
         start = vma.start
@@ -73,13 +57,10 @@ class RandomAccessWorkload(Workload):
                              self.compute_per_memory, self.write_fraction)
 
     def instructions(self, process: Process) -> Iterator[Instruction]:
-        return self._builder().emit(self._address_stream())
+        return self._builder().emit(self._address_list())
 
     def instruction_batches(self, process: Process, batch_size: int = 4096):
-        if vectorization_enabled():
-            return self._builder().emit_batches(self._address_list(),
-                                                batch_size=batch_size)
-        return self._builder().emit_batches(self._address_stream(), batch_size=batch_size)
+        return self._builder().emit_batches(self._address_list(), batch_size=batch_size)
 
 
 class SequentialWorkload(Workload):
@@ -113,13 +94,6 @@ class SequentialWorkload(Workload):
             yield start + offset
             offset = (offset + stride) % span
 
-    def _address_list(self) -> List[int]:
-        """numpy closed form of the strided walk: offset_i = (i * stride) % span."""
-        vma = self._vma
-        offsets = (_np.arange(self.memory_operations, dtype=_np.int64)
-                   * self.stride) % (vma.size - 64)
-        return (vma.start + offsets).tolist()
-
     def _builder(self) -> StreamBuilder:
         return StreamBuilder(DeterministicRNG(self.seed), self.compute_per_memory,
                              write_fraction=0.2)
@@ -128,9 +102,6 @@ class SequentialWorkload(Workload):
         return self._builder().emit(self._address_stream())
 
     def instruction_batches(self, process: Process, batch_size: int = 4096):
-        if vectorization_enabled():
-            return self._builder().emit_batches(self._address_list(),
-                                                batch_size=batch_size)
         return self._builder().emit_batches(self._address_stream(), batch_size=batch_size)
 
 

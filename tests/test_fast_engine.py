@@ -1,12 +1,10 @@
 """Fast-path invariance tests: the batch engine and the VPN translation
 cache must change *host* throughput only — never a simulated statistic.
 
-Six families:
+Five families:
 
 * batch streams — every array-native ``instruction_batches`` override must
   emit the exact (kind, pc, address) sequence of its ``instructions``;
-* vectorisation — the numpy-backed generators must emit the exact sequence
-  of the pure-python fallback (RNG draws included);
 * engine/cache invariance — legacy vs batch engine and VPN-cache on vs off
   must produce bit-identical reports (cycles, IPC, walks, TLB counters,
   faults, memory-system counters), including the kernel path
@@ -29,7 +27,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.workloads.base as workloads_base
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
 from repro.common.kernelops import KernelRoutineTrace
@@ -56,13 +53,12 @@ from repro.workloads import (
     SequentialWorkload,
     StridedWorkload,
 )
-from repro.workloads.base import numpy_available, set_vectorization
 from tests.conftest import tiny_mimicos_config, tiny_system_config
 
 
 def _guest_mix():
     """The virtualized-guest generator: arena layout + interleaved cold
-    regions + mixed re-touches, all numpy-assembled when available."""
+    regions + mixed re-touches."""
     return GuestMixWorkload(footprint_bytes=2 * MB, vma_bytes=256 << 10,
                             interleave_regions=2, mix_per_cold=2,
                             hot_operations=400, seed=7)
@@ -103,6 +99,7 @@ class TestBatchStreamsMatchInstructionStreams:
     WORKLOADS = [
         lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=3),
         lambda: SequentialWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=4),
+        lambda: StridedWorkload(footprint_bytes=4 * MB, memory_operations=300, seed=12),
         lambda: PointerChaseWorkload(footprint_bytes=4 * MB, memory_operations=400, seed=5),
         lambda: IntensitySweepWorkload(0.6, memory_operations=400, prefault=False, seed=6),
         lambda: KernelFractionMicrobenchmark(0.5, memory_operations=400, seed=8),
@@ -124,49 +121,6 @@ class TestBatchStreamsMatchInstructionStreams:
             got.extend((i.kind, i.pc, i.memory_address)
                        for i in batch.iter_instructions())
         assert got == expected
-
-
-class TestVectorizedGenerationMatchesFallback:
-    """numpy-backed array construction must replay the pure-python path."""
-
-    WORKLOADS = [
-        lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=3),
-        lambda: SequentialWorkload(footprint_bytes=4 * MB, memory_operations=600, seed=4),
-        lambda: StridedWorkload(footprint_bytes=4 * MB, memory_operations=300, seed=12),
-        lambda: PointerChaseWorkload(footprint_bytes=4 * MB, memory_operations=400, seed=5),
-        lambda: IntensitySweepWorkload(0.6, memory_operations=400, prefault=False, seed=6),
-        lambda: KernelFractionMicrobenchmark(0.5, memory_operations=400, seed=8),
-        lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9),
-        _guest_mix,
-    ]
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    @pytest.mark.parametrize("factory", WORKLOADS)
-    def test_vectorized_sequences_identical(self, factory):
-        kernel = MimicOS(tiny_mimicos_config(), PageTableConfig(kind="radix"))
-        process = kernel.create_process("veccheck")
-        workload = factory()
-        workload.setup(kernel, process)
-
-        def sequence(vectorize):
-            set_vectorization(vectorize)
-            try:
-                out = []
-                for batch in workload.instruction_batches(process, batch_size=257):
-                    out.extend(zip(batch.kinds, batch.pcs, batch.addresses))
-                return out
-            finally:
-                set_vectorization(True)
-
-        assert sequence(True) == sequence(False)
-
-    def test_set_vectorization_reports_effective_state(self):
-        original = workloads_base.vectorization_enabled()
-        try:
-            assert set_vectorization(False) is False
-            assert set_vectorization(True) is numpy_available()
-        finally:
-            set_vectorization(original)
 
 
 class TestKernelBatchExpansion:
@@ -245,19 +199,6 @@ class TestEngineInvariance:
                 legacy.details["core"]["breakdown"]["kernel"]
             assert batch.details["core"]["counters"] == legacy.details["core"]["counters"]
             assert_reports_identical(legacy, batch)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_vectorization_on_off_invariance(self):
-        """Vectorised generation must not change a single simulated stat."""
-        factory = lambda: LLMInferenceWorkload("Bagel", scale=0.1, seed=9)
-        try:
-            set_vectorization(True)
-            _, on = run_system(factory)
-            set_vectorization(False)
-            _, off = run_system(factory)
-        finally:
-            set_vectorization(True)
-        assert_reports_identical(on, off)
 
     def test_vpn_cache_on_off_invariance(self):
         for factory in (

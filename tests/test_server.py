@@ -12,10 +12,14 @@ plan's determinism contract.
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -389,3 +393,47 @@ class TestRemoteSweep:
                 report = client.gc(0)
                 assert report["evicted"] == []
                 assert sorted(report["protected_skipped"]) == sorted(keys)
+
+
+# --------------------------------------------------------------------- #
+# Worker start-up cost
+# --------------------------------------------------------------------- #
+#: Runs one sweep job the way a lease worker does: the server module is
+#: already loaded (the fork inherits it), everything else is imported by
+#: the job itself.  Prints the top-level packages the job pulled in.
+WORKER_IMPORT_PROBE = """
+import json
+import sys
+
+import repro.experiments.server as server
+
+payload = {"point": {"name": "import-probe", "workload": "RND",
+                     "workload_kwargs": {"footprint_bytes": 1 << 20,
+                                         "memory_operations": 50,
+                                         "prefault": True, "seed": 1}},
+           "base_seed": 0}
+before = set(sys.modules)
+server._run_sweep_job(payload)
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded)))
+"""
+
+
+class TestWorkerImports:
+    def test_sweep_job_imports_only_stdlib_and_repro(self):
+        """Every forked job pays for each module it imports that the server
+        parent has not; a third-party import there (numpy once cost ~165 ms
+        a job) would dominate a short job's latency."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run([sys.executable, "-c", WORKER_IMPORT_PROBE],
+                                env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout.strip().splitlines()[-1])
+        assert "repro" in loaded
+        foreign = [name for name in loaded
+                   if name != "repro" and name not in sys.stdlib_module_names]
+        assert foreign == [], f"sweep job imported non-stdlib modules: {foreign}"
