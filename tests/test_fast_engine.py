@@ -1,10 +1,12 @@
 """Fast-path invariance tests: the batch engine and the VPN translation
 cache must change *host* throughput only — never a simulated statistic.
 
-Five families:
+Six families:
 
 * batch streams — every array-native ``instruction_batches`` override must
   emit the exact (kind, pc, address) sequence of its ``instructions``;
+* recorded streams — each generator's batch stream must hash to its
+  recorded digest, so no generator's output drifts unseen;
 * engine/cache invariance — legacy vs batch engine and VPN-cache on vs off
   must produce bit-identical reports (cycles, IPC, walks, TLB counters,
   faults, memory-system counters), including the kernel path
@@ -23,6 +25,7 @@ Five families:
   share the L2/LLC/DRAM while keeping L1/TLB state private.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -121,6 +124,46 @@ class TestBatchStreamsMatchInstructionStreams:
             got.extend((i.kind, i.pc, i.memory_address)
                        for i in batch.iter_instructions())
         assert got == expected
+
+
+class TestRecordedGeneratorStreams:
+    """Each generator must keep emitting the stream it was recorded with.
+
+    The digests were recorded when a numpy-vectorised twin of every
+    generator still existed and emitted the same streams, so they pin the
+    pure-python generators to the sequences the recorded benchmark outputs
+    and experiment results were produced from.
+    """
+
+    #: (instruction count, sha256 prefix) per entry of
+    #: ``TestBatchStreamsMatchInstructionStreams.WORKLOADS``, in order.
+    DIGESTS = [
+        (1800, "0048f1bbc616f66a"),
+        (1800, "1b6d3434d11d18e4"),
+        (900, "1c54329d08cc80ee"),
+        (1600, "d327ad72fe006364"),
+        (1600, "307210280489609f"),
+        (1200, "671b940a91a0d6ee"),
+        (9744, "566051d253f277bb"),
+        (5808, "c0fa209a6cfa382e"),
+    ]
+
+    @pytest.mark.parametrize(
+        "factory,recorded",
+        zip(TestBatchStreamsMatchInstructionStreams.WORKLOADS, DIGESTS))
+    def test_stream_matches_recorded_digest(self, factory, recorded):
+        kernel = MimicOS(tiny_mimicos_config(), PageTableConfig(kind="radix"))
+        process = kernel.create_process("digest")
+        workload = factory()
+        workload.setup(kernel, process)
+
+        digest = hashlib.sha256()
+        count = 0
+        for batch in workload.instruction_batches(process, batch_size=257):
+            for entry in zip(batch.kinds, batch.pcs, batch.addresses):
+                digest.update(repr(entry).encode())
+                count += 1
+        assert (count, digest.hexdigest()[:16]) == recorded
 
 
 class TestKernelBatchExpansion:

@@ -28,6 +28,17 @@ class TestDeterministicRNG:
         a, b = DeterministicRNG(1), DeterministicRNG(2)
         assert [a.randint(0, 10 ** 9) for _ in range(5)] != [b.randint(0, 10 ** 9) for _ in range(5)]
 
+    def test_random_list_is_stream_exact(self):
+        bulk, scalar = DeterministicRNG(5), DeterministicRNG(5)
+        assert bulk.random_list(50) == [scalar.random() for _ in range(50)]
+        assert bulk.random() == scalar.random()
+
+    def test_randint_list_is_stream_exact(self):
+        bulk, scalar = DeterministicRNG(6), DeterministicRNG(6)
+        assert bulk.randint_list(3, 900, 50) == [scalar.randint(3, 900)
+                                                 for _ in range(50)]
+        assert bulk.randint(0, 10 ** 9) == scalar.randint(0, 10 ** 9)
+
     def test_fork_is_independent(self):
         parent = DeterministicRNG(7)
         fork_a = parent.fork(1)
