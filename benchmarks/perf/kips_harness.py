@@ -1,18 +1,15 @@
 """KIPS throughput harness: the repo's simulator-performance trajectory.
 
 Measures simulated kilo-instructions per host-second (KIPS) for a fixed set
-of scenarios, once on the ``legacy`` engine (one ``Instruction`` object at a
-time — the pre-fast-path execution model) and once on the ``batch`` engine
-(array-backed chunks + the MMU's VPN translation cache).  Results are
-written to ``benchmarks/perf/BENCH_perf.json`` so the ``perf_smoke`` gate
-can detect host-throughput regressions.
+of scenarios, once with the MMU's VPN translation cache off ("before") and
+once with it on ("after").  Results are written to
+``benchmarks/perf/BENCH_perf.json`` so the ``perf_smoke`` gate can detect
+host-throughput regressions.
 
-Both engines simulate the exact same system: the invariance tests in
+Both runs simulate the exact same system: the invariance tests in
 ``tests/test_fast_engine.py`` assert that every simulated statistic
-(cycles, IPC, TLB/walk/fault counters) is bit-identical between them, so
-KIPS is the only number that moves.  That invariance extends to the
-multi-core scenario (``multicore_contention``), where the engines execute
-the same interleaved chunk schedule.
+(cycles, IPC, TLB/walk/fault counters) is bit-identical with the cache off
+and on, so KIPS is the only number that moves.
 
 Run standalone from the repo root::
 
@@ -31,40 +28,30 @@ from repro.common.addresses import MB
 from repro.common.config import SystemConfig, VirtualizationConfig, scaled_system_config
 from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
+from repro.mmu.extensions import MMUExtensions
 from repro.workloads import GUPSWorkload, LLMInferenceWorkload, SequentialWorkload
 from repro.workloads.multiproc import GuestMixWorkload, contention_pair
 
 BENCH_PATH = Path(__file__).parent / "BENCH_perf.json"
 
-#: Runs per (scenario, engine); the best run is recorded to damp host noise.
+#: Runs per (scenario, cache setting); the best run is recorded to damp host
+#: noise.
 REPEATS = 5
 
 #: Maximum tolerated regression of measured KIPS below the recorded value
 #: before the perf_smoke gate fails (30 % per the perf-trajectory policy).
 REGRESSION_TOLERANCE = 0.30
 
-#: Minimum recorded batch-vs-legacy speedup on the kernel-dominated
-#: fault-heavy scenario (the PR-2 kernel-batch target).
-FAULT_HEAVY_TARGET_SPEEDUP = 2.0
-
-#: Minimum recorded batch-vs-legacy speedup on the multi-core contention
-#: scenario (the PR-3 multi-core batching target).
-MULTICORE_TARGET_SPEEDUP = 1.5
-
-#: Minimum recorded batch-vs-legacy speedup on the virtualized-guest
-#: scenario (the 2-D translation fast path must keep paying off).
-VIRTUALIZED_TARGET_SPEEDUP = 1.5
+#: What the "before" and "after" columns of every record measure.
+ENGINES = {"before": "vpn_cache_off", "after": "vpn_cache_on"}
 
 #: KIPS of the *pre-fast-path* engine (seed tree, before the batch engine,
 #: VPN cache, hot counters and allocation-free memory path existed) measured
-#: on the same host and scenarios when this harness was introduced.  The
-#: in-repo "legacy" engine shares the layer-level optimisations, so these
-#: numbers preserve the true before/after of the fast-path work.
-#: Host-specific; refresh together with BENCH_perf.json.  Scenarios that
-#: postdate the seed engine (``llm_faults``, ``multicore_contention``) have
-#: no entry: their honest baseline is the in-repo legacy engine, and their
-#: recorded ``pre_pr_seed_kips`` / ``speedup_vs_seed`` are ``null`` — never
-#: 0.0, which would read as a throughput regression.
+#: on the same host and scenarios when this harness was introduced — kept
+#: as history of the fast-path work.  Scenarios that postdate the seed
+#: engine have no entry, and their recorded ``pre_pr_seed_kips`` /
+#: ``speedup_vs_seed`` are ``null`` — never 0.0, which would read as a
+#: throughput regression.
 SEED_ENGINE_KIPS: Dict[str, float] = {
     "gups_smoke": 69.5,
     "sequential_stream": 97.1,
@@ -72,17 +59,28 @@ SEED_ENGINE_KIPS: Dict[str, float] = {
 }
 
 
-def perf_config(engine: str, os_mode: str = "imitation",
-                virtualized: bool = False) -> SystemConfig:
+def perf_config(os_mode: str = "imitation", virtualized: bool = False) -> SystemConfig:
     """The small, fixed system configuration every scenario runs on."""
-    config = scaled_system_config(name=f"perf-{engine}",
-                                  physical_memory_bytes=256 * MB,
+    config = scaled_system_config(name="perf", physical_memory_bytes=256 * MB,
                                   fragmentation_target=1.0)
     if virtualized:
         config = config.with_virtualization(VirtualizationConfig(
             enabled=True, guest_memory_bytes=128 * MB, nested_tlb_entries=512))
-    return config.with_simulation(replace(config.simulation, engine=engine,
-                                          os_mode=os_mode))
+    return config.with_simulation(replace(config.simulation, os_mode=os_mode))
+
+
+def simulate(name: str, vpn_cache: bool):
+    """Run one scenario once; returns ``(merged report, VPN-cache fast hits)``."""
+    scenario = SCENARIOS[name]
+    config = perf_config(scenario.os_mode, scenario.virtualized)
+    extensions = MMUExtensions(vpn_translation_cache=vpn_cache)
+    if scenario.cores > 1:
+        system = MultiCoreVirtuoso(config, num_cores=scenario.cores, seed=7,
+                                   mmu_extensions=extensions)
+        report = system.run(scenario.factory()).merged
+        return report, sum(unit.mmu.fast_hits for unit in system.cores)
+    system = Virtuoso(config, seed=7, mmu_extensions=extensions)
+    return system.run(scenario.factory()), system.mmu.fast_hits
 
 
 @dataclass(frozen=True)
@@ -139,21 +137,13 @@ SCENARIOS: Dict[str, Scenario] = {
 }
 
 
-def run_scenario(name: str, engine: str, repeats: int = REPEATS) -> Dict[str, float]:
-    """Run one scenario on one engine; returns the best-of-``repeats`` digest."""
-    scenario = SCENARIOS[name]
-    config = perf_config(engine, scenario.os_mode, scenario.virtualized)
+def run_scenario(name: str, vpn_cache: bool = True,
+                 repeats: int = REPEATS) -> Dict[str, float]:
+    """Run one scenario with the VPN cache off or on; returns the
+    best-of-``repeats`` digest."""
     best = None
     for _ in range(repeats):
-        if scenario.cores > 1:
-            system = MultiCoreVirtuoso(config, num_cores=scenario.cores, seed=7)
-            result = system.run(scenario.factory())
-            report = result.merged
-            fast_hits = sum(unit.mmu.fast_hits for unit in system.cores)
-        else:
-            system = Virtuoso(config, seed=7)
-            report = system.run(scenario.factory())
-            fast_hits = system.mmu.fast_hits
+        report, fast_hits = simulate(name, vpn_cache)
         simulated = report.instructions + report.kernel_instructions
         kips = simulated / 1000.0 / report.host_seconds if report.host_seconds > 0 else 0.0
         if best is None or kips > best["kips"]:
@@ -168,29 +158,20 @@ def run_scenario(name: str, engine: str, repeats: int = REPEATS) -> Dict[str, fl
 
 
 def verify_scenario_parity(name: str) -> bool:
-    """One differential batch-vs-legacy check of a scenario's full report."""
+    """One differential cache-off vs cache-on check of a scenario's report."""
     from repro.validation.parity import diff_stats, flatten_stats
 
-    scenario = SCENARIOS[name]
-    reports = {}
-    for engine in ("legacy", "batch"):
-        config = perf_config(engine, scenario.os_mode, scenario.virtualized)
-        if scenario.cores > 1:
-            system = MultiCoreVirtuoso(config, num_cores=scenario.cores, seed=7)
-            report = system.run(scenario.factory()).merged
-        else:
-            system = Virtuoso(config, seed=7)
-            report = system.run(scenario.factory())
-        reports[engine] = flatten_stats(report)
-    return not diff_stats(reports["legacy"], reports["batch"])
+    uncached, cached = (flatten_stats(simulate(name, vpn_cache)[0])
+                        for vpn_cache in (False, True))
+    return not diff_stats(uncached, cached)
 
 
 def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
-    """Measure every scenario on both engines and assemble the report."""
+    """Measure every scenario with the cache off and on; assemble the report."""
     scenarios: Dict[str, object] = {}
     for name, scenario in SCENARIOS.items():
-        before = run_scenario(name, "legacy", repeats)
-        after = run_scenario(name, "batch", repeats)
+        before = run_scenario(name, vpn_cache=False, repeats=repeats)
+        after = run_scenario(name, vpn_cache=True, repeats=repeats)
         seed_kips = SEED_ENGINE_KIPS.get(name)
         scenarios[name] = {
             "before_kips": before["kips"],
@@ -211,7 +192,7 @@ def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
             scenarios[name]["parity_identical"] = verify_scenario_parity(name)
     return {
         "schema": "bench_perf/v3",
-        "engines": {"before": "legacy", "after": "batch"},
+        "engines": ENGINES,
         "repeats": repeats,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
         "scenarios": scenarios,
@@ -220,13 +201,12 @@ def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
 
 def main() -> None:
     results = measure_all()
-    # Preserve sections other tools own (the sweep digest, the per-backend
-    # parity trajectory) across rewrites.
+    # Preserve the sections other tools own (sweep, backend parity, service,
+    # fuzz, server, lint) across rewrites.
     if BENCH_PATH.exists():
         previous = json.loads(BENCH_PATH.read_text())
-        for owned_elsewhere in ("sweep", "backend_parity"):
-            if owned_elsewhere in previous:
-                results[owned_elsewhere] = previous[owned_elsewhere]
+        for owned_elsewhere, section in previous.items():
+            results.setdefault(owned_elsewhere, section)
     BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {BENCH_PATH}")
     for name, row in results["scenarios"].items():

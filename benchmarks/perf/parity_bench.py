@@ -1,12 +1,14 @@
-"""Per-backend batch-vs-legacy throughput: the whole zoo, not just radix.
+"""Per-backend VPN-cache off-vs-on throughput: the whole zoo, not just radix.
 
-For every registered page-table design this tool (i) verifies the batch and
-legacy engines are bit-identical on a translation-bound scenario via the
-differential parity harness, then (ii) measures KIPS on both engines and
-records the per-backend speedup into ``BENCH_perf.json`` under the
-``"backend_parity"`` key — so the perf trajectory finally covers every
-translation scheme and a backend whose fast path silently stops helping (or
-silently diverges) shows up in the record.
+For every registered page-table design this tool (i) verifies the runs
+with the MMU's VPN translation cache off and on are bit-identical on a
+translation-bound scenario via the differential parity harness, then
+(ii) measures KIPS both ways and records the per-backend speedup into
+``BENCH_perf.json`` under the ``"backend_parity"`` key — so the perf
+trajectory covers every translation scheme and a backend whose fast path
+silently stops helping (or silently diverges) shows up in the record.
+Backends that bypass the VPN cache (``fast_hits`` 0) record only host
+noise around 1.0x.
 
 Run standalone from the repo root::
 
@@ -17,22 +19,23 @@ from __future__ import annotations
 
 import json
 import platform
-from dataclasses import replace
 from typing import Dict
 
 from repro.common.addresses import MB
 from repro.common.config import PageTableConfig, SystemConfig, scaled_system_config
 from repro.core.virtuoso import Virtuoso
+from repro.mmu.extensions import MMUExtensions
 from repro.pagetables.factory import registered_kinds
 from repro.validation.parity import diff_stats, flatten_stats
 from repro.workloads import GUPSWorkload
 
 try:
-    from benchmarks.perf.kips_harness import BENCH_PATH
+    from benchmarks.perf.kips_harness import BENCH_PATH, ENGINES
 except ImportError:  # executed as a script: the module is a sibling file
-    from kips_harness import BENCH_PATH
+    from kips_harness import BENCH_PATH, ENGINES
 
-#: Runs per (backend, engine); the best run is recorded to damp host noise.
+#: Runs per (backend, cache setting); the best run is recorded to damp host
+#: noise.
 REPEATS = 3
 
 #: The translation-bound scenario every backend runs: random access over a
@@ -43,19 +46,23 @@ def scenario_workload() -> GUPSWorkload:
                         prefault=True, seed=1)
 
 
-def backend_config(kind: str, engine: str) -> SystemConfig:
+def backend_config(kind: str) -> SystemConfig:
     config = scaled_system_config(name=f"parity-bench-{kind}",
                                   physical_memory_bytes=256 * MB,
                                   fragmentation_target=1.0)
-    config = config.with_page_table(PageTableConfig(kind=kind))
-    return config.with_simulation(replace(config.simulation, engine=engine))
+    return config.with_page_table(PageTableConfig(kind=kind))
 
 
-def run_backend(kind: str, engine: str, repeats: int = REPEATS) -> Dict[str, object]:
-    """Best-of-``repeats`` KIPS digest for one backend on one engine."""
+def backend_system(kind: str, vpn_cache: bool) -> Virtuoso:
+    return Virtuoso(backend_config(kind), seed=7,
+                    mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+
+
+def run_backend(kind: str, vpn_cache: bool, repeats: int = REPEATS) -> Dict[str, object]:
+    """Best-of-``repeats`` KIPS digest for one backend, VPN cache off or on."""
     best = None
     for _ in range(repeats):
-        system = Virtuoso(backend_config(kind, engine), seed=7)
+        system = backend_system(kind, vpn_cache)
         report = system.run(scenario_workload())
         simulated = report.instructions + report.kernel_instructions
         kips = simulated / 1000.0 / report.host_seconds if report.host_seconds else 0.0
@@ -72,20 +79,18 @@ def run_backend(kind: str, engine: str, repeats: int = REPEATS) -> Dict[str, obj
 
 def verify_parity(kind: str) -> bool:
     """One differential check of the bench scenario for ``kind``."""
-    reports = {}
-    for engine in ("legacy", "batch"):
-        system = Virtuoso(backend_config(kind, engine), seed=7)
-        reports[engine] = flatten_stats(system.run(scenario_workload()))
-    return not diff_stats(reports["legacy"], reports["batch"])
+    uncached, cached = (flatten_stats(backend_system(kind, vpn_cache).run(
+        scenario_workload())) for vpn_cache in (False, True))
+    return not diff_stats(uncached, cached)
 
 
 def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
-    """Verify parity and measure both engines for every registered design."""
+    """Verify parity and measure cache off and on for every registered design."""
     backends: Dict[str, object] = {}
     for kind in registered_kinds():
         identical = verify_parity(kind)
-        before = run_backend(kind, "legacy", repeats)
-        after = run_backend(kind, "batch", repeats)
+        before = run_backend(kind, vpn_cache=False, repeats=repeats)
+        after = run_backend(kind, vpn_cache=True, repeats=repeats)
         backends[kind] = {
             "parity_identical": identical,
             "before_kips": before["kips"],
@@ -98,7 +103,7 @@ def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
         }
     return {
         "schema": "backend_parity/v1",
-        "engines": {"before": "legacy", "after": "batch"},
+        "engines": ENGINES,
         "repeats": repeats,
         "scenario": "gups_prefaulted_8mb_5000ops",
         "host": {"python": platform.python_version(),

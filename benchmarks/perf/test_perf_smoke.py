@@ -1,13 +1,14 @@
 """Always-on perf smoke gate: fail if fast-path KIPS regresses past tolerance.
 
-Three scenarios are gated: GUPS (the application fast path), ``llm_faults``
+Four scenarios are gated: GUPS (the application fast path), ``llm_faults``
 (the kernel-dominated fault-heavy scenario that isolates the array-backed
-MimicOS stream path) and ``multicore_contention`` (two simulated cores
-sharing the LLC/DRAM — the multi-core batching path).  Each compares
-throughput measured on this host against the value recorded in
-``BENCH_perf.json`` and fails when it drops more than
-:data:`~benchmarks.perf.kips_harness.REGRESSION_TOLERANCE` (30 %) below the
-record.  Regenerate the record with::
+MimicOS stream path), ``multicore_contention`` (two simulated cores
+sharing the LLC/DRAM) and ``virtualized_guest`` (2-D translation).  Each
+compares throughput measured on this host with the VPN translation cache
+on against the value recorded in ``BENCH_perf.json`` and fails when it
+drops more than :data:`~benchmarks.perf.kips_harness.REGRESSION_TOLERANCE`
+(30 %) below the record.  The record is scaled onto this host by the
+measured cache-off run.  Regenerate the record with::
 
     PYTHONPATH=src python benchmarks/perf/kips_harness.py
     PYTHONPATH=src python benchmarks/perf/sweep.py
@@ -26,11 +27,9 @@ import pytest
 
 from benchmarks.perf.kips_harness import (
     BENCH_PATH,
-    FAULT_HEAVY_TARGET_SPEEDUP,
-    MULTICORE_TARGET_SPEEDUP,
     REGRESSION_TOLERANCE,
+    REPEATS,
     SEED_ENGINE_KIPS,
-    VIRTUALIZED_TARGET_SPEEDUP,
     run_scenario,
 )
 
@@ -43,144 +42,79 @@ def recorded_bench():
     return json.loads(BENCH_PATH.read_text())
 
 
-def test_gups_kips_no_regression():
-    recorded = recorded_bench()
-    row = recorded["scenarios"]["gups_smoke"]
-    recorded_after = row["after_kips"]
-    recorded_before = row["before_kips"]
-    assert recorded_after > 0 and recorded_before > 0
+def assert_no_regression(name: str, repeats: int = REPEATS) -> None:
+    """Measured cache-on KIPS must stay within tolerance of the record.
 
-    # Normalise the recorded floor by this host's speed: the legacy engine is
-    # a stable workload, so (measured legacy / recorded legacy) scales the
-    # record onto the current machine and the gate only fires on genuine
-    # fast-path regressions, not on running the suite on slower hardware.
-    measured_before = run_scenario("gups_smoke", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / recorded_before)
-
-    measured = run_scenario("gups_smoke", "batch")
-    floor = recorded_after * host_scale * (1.0 - REGRESSION_TOLERANCE)
+    The cache-off run is a stable workload, so (measured cache-off /
+    recorded cache-off) scales the record onto the current machine and the
+    gate only fires on genuine fast-path regressions, not on running the
+    suite on slower hardware.  The cache must also really have engaged.
+    """
+    row = recorded_bench()["scenarios"][name]
+    assert row["after_kips"] > 0 and row["before_kips"] > 0
+    measured_before = run_scenario(name, vpn_cache=False, repeats=2)
+    host_scale = min(1.0, measured_before["kips"] / row["before_kips"])
+    measured = run_scenario(name, vpn_cache=True, repeats=repeats)
+    floor = row["after_kips"] * host_scale * (1.0 - REGRESSION_TOLERANCE)
     assert measured["kips"] >= floor, (
-        f"GUPS smoke KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {recorded_after:.1f} (host scale {host_scale:.2f}), "
+        f"{name} KIPS regressed: measured {measured['kips']:.1f}, "
+        f"recorded {row['after_kips']:.1f} (host scale {host_scale:.2f}), "
         f"floor {floor:.1f} "
         f"(>{REGRESSION_TOLERANCE:.0%} below the BENCH_perf.json record)")
+    assert measured["fast_hits"] > 0, f"VPN translation cache never hit on {name}"
 
 
-def test_fast_engine_beats_legacy_on_gups():
-    """The batch engine must stay meaningfully faster than the legacy engine."""
-    legacy = run_scenario("gups_smoke", "legacy", repeats=2)
-    batch = run_scenario("gups_smoke", "batch", repeats=2)
-    assert batch["fast_hits"] > 0, "VPN translation cache never hit on GUPS smoke"
-    assert batch["kips"] > legacy["kips"], (
-        f"batch engine ({batch['kips']:.1f} KIPS) is not faster than "
-        f"legacy ({legacy['kips']:.1f} KIPS)")
+def test_gups_kips_no_regression():
+    assert_no_regression("gups_smoke")
 
 
-def test_fault_heavy_record_meets_target():
-    """The recorded fault-heavy speedup must meet the kernel-batch target."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("llm_faults")
+def test_vpn_cache_engages_on_gups():
+    """The VPN translation cache must serve hits on GUPS (deterministic)."""
+    measured = run_scenario("gups_smoke", vpn_cache=True, repeats=1)
+    assert measured["fast_hits"] > 0, "VPN translation cache never hit on GUPS smoke"
+
+
+def test_fault_heavy_record_is_kernel_dominated():
+    """The fault-heavy scenario only isolates the kernel path if MimicOS
+    dominates it."""
+    row = recorded_bench()["scenarios"].get("llm_faults")
     assert row is not None, "BENCH_perf.json predates the llm_faults scenario"
-    assert row["speedup"] >= FAULT_HEAVY_TARGET_SPEEDUP, (
-        f"recorded fault-heavy speedup {row['speedup']}x is below the "
-        f"{FAULT_HEAVY_TARGET_SPEEDUP}x kernel-batch target")
-    # The scenario only isolates the kernel path if MimicOS dominates it.
     after = row["after"]
     assert after["kernel_instructions"] > 10 * after["instructions"]
 
 
 def test_fault_heavy_kips_no_regression():
-    """Measured fault-heavy KIPS must stay within tolerance of the record.
-
-    Same host-normalisation as the GUPS gate: the legacy engine scales the
-    record onto this machine so only genuine kernel-batch regressions fire.
-    """
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("llm_faults")
-    if row is None:
-        pytest.skip("BENCH_perf.json predates the llm_faults scenario")
-
-    measured_before = run_scenario("llm_faults", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / row["before_kips"])
-    measured = run_scenario("llm_faults", "batch")
-    floor = row["after_kips"] * host_scale * (1.0 - REGRESSION_TOLERANCE)
-    assert measured["kips"] >= floor, (
-        f"fault-heavy KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {row['after_kips']:.1f} (host scale {host_scale:.2f}), "
-        f"floor {floor:.1f}")
-    assert measured["kips"] > measured_before["kips"], (
-        "batch engine lost to legacy on the kernel-dominated scenario")
+    assert_no_regression("llm_faults")
 
 
-def test_multicore_record_meets_target():
-    """The recorded multi-core contention speedup must meet the target."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("multicore_contention")
+def test_multicore_record_simulates_two_cores():
+    row = recorded_bench()["scenarios"].get("multicore_contention")
     assert row is not None, ("BENCH_perf.json predates the multicore_contention "
                              "scenario; regenerate it with the KIPS harness")
     assert row.get("cores", 1) >= 2, "multicore_contention must simulate >= 2 cores"
-    assert row["speedup"] >= MULTICORE_TARGET_SPEEDUP, (
-        f"recorded multi-core speedup {row['speedup']}x is below the "
-        f"{MULTICORE_TARGET_SPEEDUP}x multi-core batching target")
 
 
 def test_multicore_kips_no_regression():
-    """Measured multi-core KIPS must stay within tolerance of the record."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("multicore_contention")
-    if row is None:
-        pytest.skip("BENCH_perf.json predates the multicore_contention scenario")
-
-    measured_before = run_scenario("multicore_contention", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / row["before_kips"])
-    measured = run_scenario("multicore_contention", "batch", repeats=2)
-    floor = row["after_kips"] * host_scale * (1.0 - REGRESSION_TOLERANCE)
-    assert measured["kips"] >= floor, (
-        f"multi-core KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {row['after_kips']:.1f} (host scale {host_scale:.2f}), "
-        f"floor {floor:.1f}")
-    assert measured["kips"] > measured_before["kips"], (
-        "batch engine lost to legacy on the multi-core scenario")
+    assert_no_regression("multicore_contention", repeats=2)
 
 
-def test_virtualized_record_meets_target():
-    """The recorded virtualized-guest speedup must meet the target, with the
-    engines attested bit-identical on the full report."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("virtualized_guest")
+def test_virtualized_record_is_parity_attested():
+    """The virtualized-guest record must carry the cache-off/on bit-identity
+    attestation on the full report, with both kernels' streams injected."""
+    row = recorded_bench()["scenarios"].get("virtualized_guest")
     assert row is not None, ("BENCH_perf.json predates the virtualized_guest "
                              "scenario; regenerate it with the KIPS harness")
     assert row.get("virtualized") is True
-    assert row["speedup"] >= VIRTUALIZED_TARGET_SPEEDUP, (
-        f"recorded virtualized speedup {row['speedup']}x is below the "
-        f"{VIRTUALIZED_TARGET_SPEEDUP}x target")
     assert row.get("parity_identical") is True, (
-        "virtualized_guest was recorded with diverging engines — run "
+        "virtualized_guest was recorded with a cache-off/on divergence — run "
         "python -m repro.validation.parity --virtualized and fix it")
-    # Both kernels' streams must actually be injected: a virtualised run
-    # without hypervisor work would not be testing the two-level path.
+    # A virtualised run without hypervisor work would not be testing the
+    # two-level path.
     assert row["after"]["kernel_instructions"] > 0
 
 
 def test_virtualized_kips_no_regression():
-    """Measured virtualized-guest KIPS must stay within tolerance of the
-    record (host-normalised through the legacy engine, like the other
-    gates)."""
-    recorded = recorded_bench()
-    row = recorded["scenarios"].get("virtualized_guest")
-    if row is None:
-        pytest.skip("BENCH_perf.json predates the virtualized_guest scenario")
-
-    measured_before = run_scenario("virtualized_guest", "legacy", repeats=2)
-    host_scale = min(1.0, measured_before["kips"] / row["before_kips"])
-    measured = run_scenario("virtualized_guest", "batch", repeats=2)
-    floor = row["after_kips"] * host_scale * (1.0 - REGRESSION_TOLERANCE)
-    assert measured["kips"] >= floor, (
-        f"virtualized KIPS regressed: measured {measured['kips']:.1f}, "
-        f"recorded {row['after_kips']:.1f} (host scale {host_scale:.2f}), "
-        f"floor {floor:.1f}")
-    assert measured["kips"] > measured_before["kips"], (
-        "batch engine lost to legacy on the virtualized scenario")
+    assert_no_regression("virtualized_guest", repeats=2)
 
 
 def test_seed_baselines_are_null_not_zero():
@@ -273,12 +207,13 @@ def test_backend_parity_digest_covers_the_zoo():
     """The per-backend trajectory must cover every design, parity-verified.
 
     The ``backend_parity`` section (written by
-    ``benchmarks/perf/parity_bench.py``) is the record that the batch
-    engine's speedup — and its bit-identity — holds on every translation
-    scheme, not just radix: at least five non-radix designs must carry a
-    batch-vs-legacy entry, every recorded backend must have verified
-    bit-identical engines, and the batch engine must not have been recorded
-    losing to legacy anywhere.
+    ``benchmarks/perf/parity_bench.py``) is the record that the VPN cache's
+    bit-identity holds on every translation scheme, not just radix: at
+    least five non-radix designs must carry a cache-off vs cache-on entry
+    and every recorded backend must have verified bit-identical runs.
+    Where the cache engaged (``fast_hits`` > 0) it must not have been
+    recorded losing to the cache-off run; backends that bypass it record
+    only host noise around 1.0x.
     """
     recorded = recorded_bench()
     digest = recorded.get("backend_parity")
@@ -292,12 +227,13 @@ def test_backend_parity_digest_covers_the_zoo():
         "trajectory must include at least 5 non-radix designs")
     for kind, row in backends.items():
         assert row["parity_identical"] is True, (
-            f"{kind}: recorded engines were NOT bit-identical — run "
+            f"{kind}: recorded cache-off/on runs were NOT bit-identical — run "
             "python -m repro.validation.parity --full and fix the divergence")
         assert row["before_kips"] > 0 and row["after_kips"] > 0
-        assert row["speedup"] >= 1.0, (
-            f"{kind}: batch engine recorded slower than legacy "
-            f"({row['speedup']}x)")
+        if row["fast_hits"] > 0:
+            assert row["speedup"] >= 1.0, (
+                f"{kind}: VPN cache on recorded slower than off "
+                f"({row['speedup']}x)")
 
 
 def test_fuzz_campaign_digest_is_healthy():

@@ -25,7 +25,7 @@ def run_policy(thp_policy: str, page_table_kind: str = "radix"):
     config = config.with_page_table(PageTableConfig(kind=page_table_kind))
     system = Virtuoso(config, seed=11)
     workload = LLMInferenceWorkload("Llama", scale=0.5, weight_read_scale=0.2)
-    return config, system.run(workload)
+    return system.run(workload)
 
 
 def main() -> None:
@@ -36,12 +36,10 @@ def main() -> None:
         ("Utopia RestSeg", "bd", "utopia"),
     ]
     rows = []
-    engine = "?"
     total_simulated = 0
     total_host_seconds = 0.0
     for label, policy, page_table in policies:
-        config, report = run_policy(policy, page_table)
-        engine = config.simulation.engine
+        report = run_policy(policy, page_table)
         total_simulated += report.instructions + report.kernel_instructions
         total_host_seconds += report.host_seconds
         dist = report.fault_latency
@@ -59,7 +57,7 @@ def main() -> None:
         title="Page-fault latency under different allocation policies (Llama inference)"))
     print()
     kips = total_simulated / 1000.0 / total_host_seconds if total_host_seconds else 0.0
-    print(f"[{engine} engine: {total_simulated:,} simulated "
+    print(f"[{total_simulated:,} simulated "
           f"instructions across {len(policies)} policies at {kips:,.0f} KIPS]")
     print()
     print("Reservation-based THP keeps the median low but grows a heavy tail")

@@ -24,7 +24,7 @@ def build_system(num_cores: int):
     config = scaled_system_config(name=f"contention-{num_cores}core",
                                   physical_memory_bytes=1 << 30,
                                   fragmentation_target=1.0)
-    return config, MultiCoreVirtuoso(config, num_cores=num_cores, seed=7)
+    return MultiCoreVirtuoso(config, num_cores=num_cores, seed=7)
 
 
 def main() -> None:
@@ -33,13 +33,13 @@ def main() -> None:
     operations = 6000
     footprint = 256 << 10
 
-    config, solo_system = build_system(1)
+    solo_system = build_system(1)
     solo = solo_system.run([GUPSWorkload(footprint_bytes=footprint,
                                          memory_operations=operations,
                                          prefault=True, seed=1)])
     solo_report = solo.core_reports[0]
 
-    _, duo_system = build_system(2)
+    duo_system = build_system(2)
     duo = duo_system.run(contention_pair(footprint_bytes=footprint,
                                          memory_operations=operations, seed=1))
 
@@ -62,8 +62,7 @@ def main() -> None:
           "(shared-cache eviction + DRAM row-buffer interference)")
 
     simulated = duo.merged.instructions + duo.merged.kernel_instructions
-    print(f"  {'engine':>22}: {config.simulation.engine} "
-          f"({duo_system.num_cores} simulated cores)")
+    print(f"  {'simulated cores':>22}: {duo_system.num_cores}")
     print(f"  {'host throughput':>22}: {duo.kips:,.0f} KIPS "
           f"({simulated:,} simulated instructions in {duo.host_seconds:.3f} s)")
 

@@ -15,11 +15,10 @@ from repro import Virtuoso, scaled_system_config
 from repro.workloads import GraphWorkload, JSONWorkload
 
 
-def print_engine_throughput(config, report) -> None:
-    """Show which host engine ran the simulation and how fast it went."""
+def print_host_throughput(report) -> None:
+    """Show how fast the host simulated the run."""
     simulated = report.instructions + report.kernel_instructions
     kips = simulated / 1000.0 / report.host_seconds if report.host_seconds else 0.0
-    print(f"  {'engine':>22}: {config.simulation.engine}")
     print(f"  {'host throughput':>22}: {kips:,.0f} KIPS "
           f"({simulated:,} simulated instructions in {report.host_seconds:.3f} s)")
 
@@ -34,7 +33,7 @@ def main() -> None:
     report = system.run(bfs)
     for key, value in report.summary().items():
         print(f"  {key:>22}: {value}")
-    print_engine_throughput(config, report)
+    print_host_throughput(report)
 
     print()
     print("== Short-running, allocation-bound workload (JSON deserialisation) ==")
@@ -45,7 +44,7 @@ def main() -> None:
     print(f"  {'fault latency p50':>22}: {report.fault_latency.median:.0f} cycles")
     print(f"  {'fault latency p99':>22}: {report.fault_latency.percentile(0.99):.0f} cycles")
     print(f"  {'MimicOS instructions':>22}: {report.kernel_instructions}")
-    print_engine_throughput(config, report)
+    print_host_throughput(report)
 
 
 if __name__ == "__main__":

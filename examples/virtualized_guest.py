@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Virtualised execution example: a guest MimicOS on a hypervisor MimicOS.
 
-Virtuoso models virtual machines (§6.1 of the paper) as a first-class engine
+Virtuoso models virtual machines (§6.1 of the paper) as a first-class
 mode: ``SystemConfig.virtualization`` spawns two MimicOS instances — the
 guest OS handles the application's page faults against guest-physical
 memory, the hypervisor backs guest RAM lazily with its own page faults —
@@ -58,7 +58,6 @@ def main() -> None:
 
     simulated = report.instructions + report.kernel_instructions
     kips = simulated / 1000.0 / report.host_seconds if report.host_seconds else 0.0
-    print(f"  {'engine':>22}: {config.simulation.engine} (virtualized mode)")
     print(f"  {'host throughput':>22}: {kips:,.0f} KIPS "
           f"({simulated:,} simulated instructions in {report.host_seconds:.3f} s)")
 

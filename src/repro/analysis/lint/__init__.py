@@ -15,8 +15,8 @@ matrix) caught after the fact.  Since PR 10 the rules run over a
   (:mod:`.rules_durability`);
 * **R4 async/fork safety** — nothing blocks the server loop; forked
   workers detach inherited signal plumbing (:mod:`.rules_async`);
-* **R5 parity surface** — report counters exist and engine pairs touch
-  identical whole-program counter sets (:mod:`.rules_parity`);
+* **R5 parity surface** — every counter the report reads is written
+  somewhere (:mod:`.rules_parity`);
 * **R6 seed flow** — RNG constructions derive from the config/point
   seed chain; literal or missing seeds are flagged
   (:mod:`.rules_seeds`);

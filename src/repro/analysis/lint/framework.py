@@ -15,9 +15,8 @@ The framework is name-based but **whole-program**:
 * :class:`RepoIndex` parses every ``*.py`` under a root into
   :class:`ModuleInfo` records — functions with their qualified names,
   every call site as a dotted-name string (``self.rlb.invalidate``),
-  attribute events (``self.version += 1``), class attribute wiring from
-  ``__init__`` (``self.rlb = RangeLookasideBuffer(...)``) and hot-cell
-  counter bindings (``self._c_x = self.counters.hot("x")``).
+  attribute events (``self.version += 1``) and class attribute wiring from
+  ``__init__`` (``self.rlb = RangeLookasideBuffer(...)``).
 * :meth:`RepoIndex.global_graph` resolves calls **across modules**:
   ``from m import f`` / ``import m as alias`` aliasing, ``self.attr.m``
   through ``__init__`` wiring where the attribute's class lives in
@@ -29,7 +28,7 @@ The framework is name-based but **whole-program**:
   those blind spots.  The intra-module :meth:`RepoIndex.call_graph` is
   kept for sensitivity tests and as the documented fallback.
 * every function gets a cached :class:`EffectSummary` (RNG
-  constructions, durable writes, invalidations, counter touches,
+  constructions, durable writes, invalidations,
   resource acquire/release, fork-hygiene calls), and
   :meth:`RepoIndex.transitive_effects` merges summaries over the
   reachable set via one SCC condensation pass — so "does this function,
@@ -54,8 +53,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -180,7 +179,6 @@ class EffectSummary:
 
     invalidation: Optional[int]        #: invalidate/flush/shootdown call or version bump
     cache_invalidation: Optional[int]  #: invalidate/flush call (owned-cache witness)
-    counters: FrozenSet[str]           #: counter names touched (add/hot/hot-cell)
     rng_constructs: Tuple[RNGConstruct, ...]
     journal_appends: Tuple[JournalAppend, ...]
     store_writes: Tuple[int, ...]      #: store.put / atomic_write_* lines
@@ -202,7 +200,6 @@ class TransitiveEffects:
 
     invalidation: Optional[Tuple[GlobalId, int]] = None
     cache_invalidation: Optional[Tuple[GlobalId, int]] = None
-    counters: FrozenSet[str] = frozenset()
     journal_append: Optional[Tuple[GlobalId, int]] = None
     store_write: Optional[Tuple[GlobalId, int]] = None
     wakeup_detach: Optional[Tuple[GlobalId, int]] = None
@@ -240,9 +237,6 @@ class ClassInfo:
     #: the wiring R2 uses to find owned translation caches.  ``K`` may be
     #: defined locally or imported; the global graph resolves both.
     attr_classes: Dict[str, str] = field(default_factory=dict)
-    #: ``self._c_x = self.counters.hot("x")`` in ``__init__`` — the
-    #: hot-cell bindings R5 maps back to counter names.
-    hot_bindings: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -476,22 +470,16 @@ class _ModuleVisitor(ast.NodeVisitor):
                     func.events.append(
                         AttrEvent(kind="assign", dotted=dotted_name(target),
                                   line=node.lineno))
-            # __init__ wiring: self.X = K(...) and hot-cell bindings.
+            # __init__ wiring: self.X = K(...).
             if (func.name == "__init__" and self._class_stack
                     and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Attribute)
                     and isinstance(node.targets[0].value, ast.Name)
                     and node.targets[0].value.id == "self"
                     and isinstance(node.value, ast.Call)):
-                attr = node.targets[0].attr
-                cls = self._class_stack[-1]
-                callee = dotted_name(node.value.func)
                 if isinstance(node.value.func, ast.Name):
-                    cls.attr_classes[attr] = node.value.func.id
-                if (callee.endswith(".hot") and node.value.args
-                        and isinstance(node.value.args[0], ast.Constant)
-                        and isinstance(node.value.args[0].value, str)):
-                    cls.hot_bindings[attr] = node.value.args[0].value
+                    self._class_stack[-1].attr_classes[node.targets[0].attr] = \
+                        node.value.func.id
         self.generic_visit(node)
 
 
@@ -575,31 +563,6 @@ def _rng_constructs(module: ModuleInfo,
             out.append(RNGConstruct(line=node.lineno, callee=tail,
                                     seed_kind=kind, seed_repr=rendered))
     return tuple(out)
-
-
-def _counter_touches(module: ModuleInfo, func: FunctionInfo) -> FrozenSet[str]:
-    """Counter names touched directly: ``.add``/``.hot`` literals plus
-    hot-cell increments mapped through the ``__init__`` bindings."""
-    touched: Set[str] = set()
-    hot: Dict[str, str] = {}
-    if func.class_name and func.class_name in module.classes:
-        hot = module.classes[func.class_name].hot_bindings
-    for node in ast.walk(func.node):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("add", "hot")
-                and node.args and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)):
-            touched.add(node.args[0].value)
-    for event in func.events:
-        # Hot-cell increments: self._c_x[0] += n, with _c_x bound to
-        # counters.hot("x") in __init__.
-        if event.kind in ("augassign", "assign") \
-                and event.dotted.endswith("[]"):
-            parts = event.dotted[:-2].split(".")
-            if len(parts) == 2 and parts[0] == "self" and parts[1] in hot:
-                touched.add(hot[parts[1]])
-    return frozenset(touched)
 
 
 def _resource_events(module: ModuleInfo,
@@ -738,7 +701,6 @@ def summarize_function(module: ModuleInfo, func: FunctionInfo) -> EffectSummary:
     return EffectSummary(
         invalidation=invalidation,
         cache_invalidation=cache_invalidation,
-        counters=_counter_touches(module, func),
         rng_constructs=_rng_constructs(module, func),
         journal_appends=tuple(journal_appends),
         store_writes=tuple(store_writes),
@@ -1066,8 +1028,6 @@ class RepoIndex:
         if effects.cache_invalidation is None \
                 and summary.cache_invalidation is not None:
             effects.cache_invalidation = (gid, summary.cache_invalidation)
-        if summary.counters:
-            effects.counters = effects.counters | summary.counters
         if effects.journal_append is None and summary.journal_appends:
             effects.journal_append = (gid, summary.journal_appends[0].line)
         if effects.store_write is None and summary.store_writes:
@@ -1088,8 +1048,6 @@ class RepoIndex:
             if getattr(target, attr) is None \
                     and getattr(other, attr) is not None:
                 setattr(target, attr, getattr(other, attr))
-        if other.counters:
-            target.counters = target.counters | other.counters
 
     def _compute_transitive(self) -> Dict[GlobalId, TransitiveEffects]:
         graph = self.global_graph()

@@ -1,7 +1,7 @@
 """R1 — determinism: no unseeded randomness or wall-clock reads in the model.
 
 Every experiment in this repo must be a pure function of its
-configuration and seed: the parity lattice diffs two engines
+configuration and seed: the parity lattice diffs two runs
 field-by-field, the fuzzer banks reproducers that must replay
 identically, and the experiment store content-addresses results by
 config hash.  One ``random.random()`` or ``time.time()`` in a

@@ -1,41 +1,18 @@
-"""R5 — parity surface: the report reads real counters, engines stay twins.
+"""R5 — parity surface: every counter the report reads really exists.
 
-The differential harness (PR 4) promises that the legacy per-object
-engine and the batch engine produce bit-identical
-:class:`~repro.core.report.SimulationReport`\\ s.  That promise has two
-static preconditions this rule checks:
-
-* **every counter ``build_report`` reads must exist** — each string
-  literal fetched via ``.get("name")`` inside ``build_report`` must be
-  written somewhere in the tree (a ``counters.add("name")`` /
-  ``counters.hot("name")`` binding, or a key of a dict built by a
-  ``stats()`` / ``latency_breakdown()`` method).  A renamed counter
-  otherwise silently turns a report field into a constant 0 — on *both*
-  engines, which is exactly the shape the dynamic parity oracle cannot
-  see;
-* **engine-paired methods touch identical counters** — for every
-  ``<name>_batch`` method with a ``<name>_stream`` (or bare ``<name>``)
-  partner in the same class, the transitive set of counter names each
-  touches (literal ``.add``/``.hot`` calls plus hot-cell increments
-  mapped through the ``__init__`` bindings) must be equal.  A counter
-  touched by one engine only is a guaranteed future divergence — the
-  class of asymmetry PR 2 hand-audited into ``execute_kernel_batch``.
-  The closure runs over the **whole-program** call graph (cached
-  transitive effect summaries), so a counter bumped three modules away
-  behind an imported helper still counts toward its engine's set —
-  PR 9's intra-module closure silently treated such helpers as
-  counter-free on both sides.
-
-Counters named in ``HOST_ONLY_KEYS`` (the exclusion list
-``repro/validation/parity.py`` already maintains for host-cost fields
-like ``host_seconds``) are exempt from the pairing requirement, as host
-cost legitimately differs between engines.
+The parity oracle diffs reports with the VPN cache off and on, so it
+cannot see a report field that is a constant 0 on both sides.  This rule
+checks the static precondition: each string literal fetched via
+``.get("name")`` inside ``build_report`` must be written somewhere in the
+tree (a ``counters.add("name")`` / ``counters.hot("name")`` binding, or a
+key of a dict built by a ``stats()`` / ``latency_breakdown()`` method).  A
+renamed counter otherwise silently turns a report field into a constant 0.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.lint.framework import (
     Finding,
@@ -43,11 +20,7 @@ from repro.analysis.lint.framework import (
     ModuleInfo,
     RepoIndex,
     Rule,
-    in_scope,
 )
-
-#: Modules whose classes are checked for engine-paired methods.
-PAIR_SCOPE = ("core/", "mmu/", "mimicos/", "memhier/", "workloads/")
 
 #: Functions whose returned dict-literal keys count as counter writers
 #: (the report reads them via ``breakdown.get("frontend")`` etc.).
@@ -64,10 +37,7 @@ def _string_arg(node: ast.Call) -> Optional[str]:
 class ParitySurfaceRule(Rule):
     rule_id = "R5"
     name = "parity-surface"
-    description = ("counters read by build_report must be written somewhere; "
-                   "engine-paired *_batch/*_stream methods must touch "
-                   "identical whole-program counter sets (HOST_ONLY_KEYS "
-                   "exempt)")
+    description = "counters read by build_report must be written somewhere"
 
     def check(self, index: RepoIndex) -> List[Finding]:
         findings: List[Finding] = []
@@ -81,10 +51,9 @@ class ParitySurfaceRule(Rule):
                         symbol=func.qualname, detail=f"orphan:{name}",
                         message=f"build_report reads counter {name!r} but "
                                 f"nothing in the tree ever writes it — the "
-                                f"report field is a constant 0 on both "
-                                f"engines, which the dynamic parity oracle "
-                                f"cannot catch"))
-        findings.extend(self._check_pairs(index))
+                                f"report field is a constant 0 with the "
+                                f"VPN cache off and on, which the dynamic "
+                                f"parity oracle cannot catch"))
         return findings
 
     # -- read/write surface -------------------------------------------- #
@@ -120,50 +89,3 @@ class ParitySurfaceRule(Rule):
                                         and isinstance(key.value, str):
                                     writers.add(key.value)
         return writers
-
-    # -- engine pairing ------------------------------------------------ #
-    def _check_pairs(self, index: RepoIndex) -> List[Finding]:
-        exempt = set(index.find_string_constant("HOST_ONLY_KEYS"))
-        findings: List[Finding] = []
-        for relpath, module in index.modules.items():
-            if not in_scope(relpath, PAIR_SCOPE):
-                continue
-            for cls in module.classes.values():
-                for method in list(cls.methods.values()):
-                    if not method.name.endswith("_batch"):
-                        continue
-                    stem = method.name[:-len("_batch")]
-                    partner = (cls.methods.get(f"{stem}_stream")
-                               or cls.methods.get(stem))
-                    if partner is None:
-                        continue
-                    batch_set = set(index.transitive_effects(
-                        module.relpath, method.qualname).counters)
-                    partner_set = set(index.transitive_effects(
-                        module.relpath, partner.qualname).counters)
-                    diff = sorted((batch_set ^ partner_set) - exempt)
-                    if diff:
-                        only_batch = sorted(
-                            (batch_set - partner_set) - exempt)
-                        only_partner = sorted(
-                            (partner_set - batch_set) - exempt)
-                        describe = []
-                        if only_batch:
-                            describe.append(f"only {method.name}: "
-                                            f"{', '.join(only_batch)}")
-                        if only_partner:
-                            describe.append(f"only {partner.name}: "
-                                            f"{', '.join(only_partner)}")
-                        findings.append(Finding(
-                            rule=self.rule_id, path=module.relpath,
-                            line=method.line,
-                            symbol=method.qualname,
-                            detail="pair:" + ",".join(diff),
-                            message=f"engine pair {method.qualname} / "
-                                    f"{partner.qualname} touch different "
-                                    f"counter sets ({'; '.join(describe)}) — "
-                                    f"the engines will diverge on the parity "
-                                    f"lattice; register genuinely host-only "
-                                    f"counters in HOST_ONLY_KEYS"))
-        return findings
-

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List
 
-from repro.core.instructions import Instruction, InstructionStream
+from repro.core.instructions import Instruction
 
 
 class Frontend:

@@ -225,11 +225,6 @@ class SimulationConfig:
     frontend: str = "trace"  # trace | execution | emulation | memory_only
     instrumentation: str = "online"  # online | offline | reuse_emulation
     max_instructions: Optional[int] = None
-    # Host-side execution engine: "batch" consumes array-backed instruction
-    # chunks through the allocation-free fast path; "legacy" executes one
-    # Instruction object at a time.  Simulated results are identical; the
-    # knob exists for the invariance tests and the KIPS harness baseline.
-    engine: str = "batch"
     # Instructions per chunk handed to CoreModel.execute_batch.
     batch_size: int = 4096
 

@@ -29,7 +29,6 @@ from repro.core.instructions import (
     Instruction,
     InstructionBatch,
     InstructionKind,
-    InstructionStream,
     KernelInstructionBatch,
 )
 from repro.core.instrumentation import InstrumentationTool
@@ -50,7 +49,6 @@ __all__ = [
     "Instruction",
     "InstructionBatch",
     "InstructionKind",
-    "InstructionStream",
     "InstructionStreamChannel",
     "InstrumentationTool",
     "KernelInstructionBatch",

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional
 
 from repro.common.stats import Counter
-from repro.core.instructions import (
-    OP_MAGIC,
-    Instruction,
-    InstructionKind,
-    InstructionStream,
-    KernelInstructionBatch,
-)
+from repro.core.instructions import OP_MAGIC, KernelInstructionBatch
 
 
 @dataclass
@@ -111,11 +105,7 @@ class InstructionStreamChannel:
     instruction is appended to every stream so the consumer knows when to
     switch back to the application stream, mirroring §4.2's execution flow.
 
-    Streams travel in one of two on-channel representations, matching the
-    selected execution engine: per-object :class:`InstructionStream` (legacy)
-    or array-backed :class:`KernelInstructionBatch` (batch).  Both are
-    terminated and counted identically, so channel statistics are engine-
-    invariant.
+    Streams travel as array-backed :class:`KernelInstructionBatch` records.
 
     Every stream carries a *destination core index* (0 in single-core
     systems).  A multi-core coupling tags each handler stream with the core
@@ -129,23 +119,12 @@ class InstructionStreamChannel:
         self._destinations: Deque[int] = deque()
         self.counters = Counter()
 
-    def push(self, stream: InstructionStream, destination: int = 0) -> None:
-        """Producer side: enqueue a kernel instruction stream for one core."""
-        terminated = InstructionStream(name=stream.name)
-        terminated.extend(stream.instructions)
-        terminated.append(Instruction(kind=InstructionKind.MAGIC, is_kernel=True))
-        self._streams.append(terminated)
-        self._destinations.append(destination)
-        self.counters.add("streams")
-        self.counters.add("instructions", len(stream))
-
     def push_batch(self, batch: KernelInstructionBatch, destination: int = 0) -> None:
         """Producer side: enqueue an array-backed kernel batch for one core.
 
         The magic terminator is appended to the batch in place (ownership
         transfers to the channel — producers hand over freshly expanded
-        batches and never reuse them), avoiding the copy the object path
-        pays.
+        batches and never reuse them).
         """
         self.counters.add("streams")
         self.counters.add("instructions", len(batch))
@@ -154,7 +133,7 @@ class InstructionStreamChannel:
         self._destinations.append(destination)
 
     def pop(self):
-        """Consumer side: dequeue the next stream or batch (None if empty)."""
+        """Consumer side: dequeue the next batch (None if empty)."""
         if not self._streams:
             return None
         self._destinations.popleft()

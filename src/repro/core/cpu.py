@@ -13,12 +13,9 @@ experiments measure:
   through the same hierarchy, so kernel work both consumes cycles and
   pollutes the caches / DRAM row buffers.
 
-Two application execution paths exist: :meth:`CoreModel.execute` (one
-:class:`Instruction` object at a time, the compatibility path) and
-:meth:`CoreModel.execute_batch` (array-backed
-:class:`~repro.core.instructions.InstructionBatch` chunks, the fast path the
-orchestrator uses).  Both charge exactly the same cycles and counters, in
-the same order, so simulated results are bit-identical across engines.
+Application instructions run through :meth:`CoreModel.execute_batch`
+(array-backed :class:`~repro.core.instructions.InstructionBatch` chunks);
+injected MimicOS streams run through :meth:`CoreModel.execute_kernel_batch`.
 """
 
 from __future__ import annotations
@@ -34,13 +31,10 @@ from repro.core.instructions import (
     OP_MAGIC,
     OP_REP,
     OP_STORE,
-    Instruction,
     InstructionBatch,
-    InstructionKind,
-    InstructionStream,
     KernelInstructionBatch,
 )
-from repro.memhier.memory_system import MemoryAccessType, MemoryHierarchy, MemoryRequest
+from repro.memhier.memory_system import MemoryHierarchy
 from repro.mmu.mmu import MMU
 
 
@@ -85,49 +79,15 @@ class CoreModel:
     # ------------------------------------------------------------------ #
     # Application execution
     # ------------------------------------------------------------------ #
-    def execute(self, instruction: Instruction) -> float:
-        """Execute one application instruction; returns the cycles it consumed."""
-        consumed = self.config.base_cpi
-        self.breakdown.base_cycles += consumed
-        self.instructions += 1
-        self._c_app_instructions[0] += 1
-
-        if instruction.is_memory and instruction.memory_address is not None:
-            outcome = self.mmu.access_data(instruction.memory_address,
-                                           instruction.is_write, instruction.pc)
-            translation = outcome.translation
-            # Translation is on the critical path; the first cycle overlaps issue.
-            translation_penalty = translation.latency - translation.fault_latency - 1
-            if translation_penalty < 0:
-                # Only a zero-latency translation (nothing to overlap with the
-                # issue cycle) may go below zero; a translation latency smaller
-                # than its own fault component is an accounting bug.
-                assert translation.latency >= translation.fault_latency, (
-                    f"negative translation component for {instruction.memory_address:#x}: "
-                    f"latency={translation.latency} fault_latency={translation.fault_latency}")
-                translation_penalty = 0
-            fault_penalty = translation.fault_latency
-            data_penalty = self._data_penalty(outcome.data_latency, outcome.served_by)
-
-            consumed += translation_penalty + fault_penalty + data_penalty
-            self.breakdown.translation_cycles += translation_penalty
-            self.breakdown.fault_cycles += fault_penalty
-            self.breakdown.data_stall_cycles += data_penalty
-            self._c_memory_instructions[0] += 1
-            if translation.page_fault:
-                self._c_page_fault_instructions[0] += 1
-
-        self.cycles += consumed
-        return consumed
-
     def execute_batch(self, batch: InstructionBatch, limit: Optional[int] = None) -> int:
         """Execute up to ``limit`` instructions from an array-backed batch.
 
-        This is the hot loop of the simulator: state is held in locals and
-        written back exactly where the single-instruction path would observe
-        it (the MMU's fault callback re-enters the core through
-        :meth:`execute_kernel_stream` and reads ``self.cycles``), so results
-        are bit-identical to calling :meth:`execute` per instruction.
+        Every instruction pays the base CPI; a load or store additionally
+        pays its translation latency (the first cycle overlaps issue), its
+        fault latency and the part of its data latency the out-of-order
+        window cannot hide.  State is held in locals and written back before
+        each memory access, because the MMU's fault callback re-enters the
+        core through :meth:`execute_kernel_batch` and reads ``self.cycles``.
         Returns the number of instructions executed.
         """
         kinds = batch.kinds
@@ -174,6 +134,9 @@ class CoreModel:
             translation = outcome.translation
             translation_penalty = translation.latency - translation.fault_latency - 1
             if translation_penalty < 0:
+                # Only a zero-latency translation (nothing to overlap with the
+                # issue cycle) may go below zero; a translation latency smaller
+                # than its own fault component is an accounting bug.
                 assert translation.latency >= translation.fault_latency, (
                     f"negative translation component for {address:#x}: "
                     f"latency={translation.latency} fault_latency={translation.fault_latency}")
@@ -205,92 +168,21 @@ class CoreModel:
         self._c_page_fault_instructions[0] += fault_count
         return count
 
-    def _data_penalty(self, data_latency: int, served_by: str) -> float:
-        """The part of the data-access latency the OoO window cannot hide."""
-        if served_by in ("L1", "none"):
-            return 0.0
-        hidden_fraction = self.config.mlp_factor
-        exposed = max(0, data_latency - 4)
-        return exposed * (1.0 - hidden_fraction)
-
-    def execute_stream(self, stream: InstructionStream) -> float:
-        """Execute a whole application stream; returns cycles consumed."""
-        start = self.cycles
-        for instruction in stream:
-            self.execute(instruction)
-        return self.cycles - start
-
     # ------------------------------------------------------------------ #
     # Kernel (MimicOS) execution
     # ------------------------------------------------------------------ #
-    def execute_kernel_stream(self, stream: InstructionStream) -> float:
-        """Execute an injected MimicOS instruction stream.
+    def execute_kernel_batch(self, batch: KernelInstructionBatch) -> float:
+        """Execute an injected MimicOS batch.
 
         Kernel instructions bypass the application's page table (the kernel
         runs out of the direct map) but share the caches and DRAM, so their
         memory accesses are issued straight into the memory hierarchy with
         the ``KERNEL`` request type.
 
-        The cycles the stream consumed are *returned* but not added to the
+        The cycles the batch consumed are *returned* but not added to the
         core's cycle count here: the MMU reports them back as the fault
-        latency of the triggering access, and :meth:`execute` charges them
-        exactly once on the faulting instruction's critical path.
-        """
-        base_cpi = self.config.base_cpi
-        exposed_fraction = 1.0 - self.config.mlp_factor
-        memory = self.memory
-        access_value = memory.access_value
-        magic = InstructionKind.MAGIC
-        load = InstructionKind.LOAD
-        store = InstructionKind.STORE
-        consumed_total = 0.0
-        kernel_count = 0
-        kernel_cycles = self.breakdown.kernel_cycles
-        for instruction in stream:
-            kind = instruction.kind
-            if kind == magic:
-                self._c_magic_instructions[0] += 1
-                continue
-            if instruction.repeat > 1:
-                # Bulk (rep-prefixed) operation: one cycle per repetition.
-                consumed = float(instruction.repeat)
-            else:
-                consumed = base_cpi
-            address = instruction.memory_address
-            if address is not None and (kind == load or kind == store):
-                is_write = kind == store
-                latency = access_value(address, is_write,
-                                       "kernel_zero" if is_write else "kernel",
-                                       instruction.pc)
-                if not is_write:
-                    served_by = memory.last_served_by
-                    if served_by != "L1" and served_by != "none":
-                        exposed = latency - 4
-                        if exposed > 0:
-                            consumed += exposed * exposed_fraction
-                # Page-zeroing stores stream through the write-combining path:
-                # their cost is carried by the rep-counted zeroing instruction,
-                # while the accesses above still pollute the caches and DRAM
-                # row buffers (the interference the methodology models).
-            consumed_total += consumed
-            kernel_count += 1
-            kernel_cycles += consumed
-        self.kernel_instructions += kernel_count
-        self.breakdown.kernel_cycles = kernel_cycles
-        self._c_kernel_instructions[0] += kernel_count
-        return consumed_total
-
-    def execute_kernel_batch(self, batch: KernelInstructionBatch) -> float:
-        """Execute an injected MimicOS batch (array-backed fast path).
-
-        Mirrors :meth:`execute_kernel_stream` instruction for instruction —
-        same latency charging, same float-accumulation order, same counter
-        increments — over :class:`~repro.core.instructions
-        .KernelInstructionBatch` parallel arrays, so ``kernel_cycles`` and
-        every kernel counter are bit-identical across engines while the hot
-        loop pays no per-instruction object or enum cost.  Like the stream
-        variant, the consumed cycles are returned (charged once by the
-        faulting instruction), not added to ``self.cycles``.
+        latency of the triggering access, and :meth:`execute_batch` charges
+        them exactly once on the faulting instruction's critical path.
         """
         base_cpi = self.config.base_cpi
         exposed_fraction = 1.0 - self.config.mlp_factor
@@ -301,9 +193,8 @@ class CoreModel:
         kernel_cycles = self.breakdown.kernel_cycles
         magic_count = 0
         # Plain compute instructions (no operand) are the overwhelmingly
-        # common case, so they take the first branch; the float-accumulation
-        # order per instruction is unchanged from execute_kernel_stream.
-        # The executed-instruction count is recovered exactly afterwards as
+        # common case, so they take the first branch.  The executed-
+        # instruction count is recovered exactly afterwards as
         # len(batch) - magic_count, saving an integer add per instruction.
         for op, pc, address in zip(batch.kinds, batch.pcs, batch.addresses):
             if address is None:
@@ -320,8 +211,7 @@ class CoreModel:
                     consumed_total += consumed
                     kernel_cycles += consumed
                     continue
-                # Load/store without an operand: charged like plain compute,
-                # exactly as execute_kernel_stream treats it.
+                # Load/store without an operand: charged like plain compute.
                 consumed_total += base_cpi
                 kernel_cycles += base_cpi
                 continue
@@ -336,9 +226,10 @@ class CoreModel:
                         exposed = latency - 4
                         if exposed > 0:
                             consumed += exposed * exposed_fraction
-                # Page-zeroing stores stream through the write-combining path
-                # exactly as in execute_kernel_stream: cost carried by the
-                # rep-counted instruction, accesses still pollute the caches.
+                # Page-zeroing stores stream through the write-combining path:
+                # their cost is carried by the rep-counted zeroing instruction,
+                # while the accesses above still pollute the caches and DRAM
+                # row buffers (the interference the methodology models).
             consumed_total += consumed
             kernel_cycles += consumed
         kernel_count = len(batch.kinds) - magic_count

@@ -1,35 +1,31 @@
 """Instruction representation shared by workload traces and kernel streams.
 
 The simulator is trace-driven: both the application frontends and the
-instrumentation tool produce sequences of :class:`Instruction` records.  An
-instruction is deliberately minimal — a kind, an optional memory operand and
-the PC — because the core model only needs enough to charge issue slots and
-memory latency.
+instrumentation tool produce instruction sequences.  An instruction is
+deliberately minimal — a kind, an optional memory operand and the PC —
+because the core model only needs enough to charge issue slots and memory
+latency.  Sequences travel as parallel arrays:
 
-Three stream representations coexist:
-
-* :class:`InstructionStream` — a list of :class:`Instruction` objects, the
-  compatibility representation used by the legacy engine and by tests that
-  inspect per-instruction metadata (``repeat``, ``is_kernel``, MAGIC).
 * :class:`InstructionBatch` — parallel arrays of opcodes, PCs and memory
-  addresses, used by the application fast path.  Batches avoid one object
+  addresses for application instructions.  Batches avoid one object
   allocation per dynamic instruction, which dominates host time at
   figure-scale instruction budgets; :meth:`CoreModel.execute_batch
   <repro.core.cpu.CoreModel.execute_batch>` consumes them directly.
+  Generators without an array-native override yield :class:`Instruction`
+  objects that :meth:`Workload.instruction_batches
+  <repro.workloads.base.Workload.instruction_batches>` packs into batches.
 * :class:`KernelInstructionBatch` — the kernel-path analogue: the same
   parallel arrays plus the kernel-only ``repeats`` column (``rep``-prefixed
   bulk work such as page zeroing) and MAGIC stream terminators.
   :meth:`CoreModel.execute_kernel_batch
-  <repro.core.cpu.CoreModel.execute_kernel_batch>` consumes them directly;
-  :meth:`KernelInstructionBatch.to_stream` materialises the equivalent
-  :class:`InstructionStream` on demand for legacy-engine and test code.
+  <repro.core.cpu.CoreModel.execute_kernel_batch>` consumes them directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 
 class InstructionKind(str, Enum):
@@ -68,18 +64,12 @@ OP_TO_KIND = {op: kind for kind, op in KIND_TO_OP.items()}
 
 @dataclass(slots=True)
 class Instruction:
-    """One dynamic instruction."""
+    """One dynamic application instruction (object-generator workloads)."""
 
     kind: InstructionKind
     pc: int = 0
-    #: Virtual address for application instructions; physical (kernel-space)
-    #: address for injected MimicOS instructions.
+    #: Virtual address of the memory operand (None for non-memory work).
     memory_address: Optional[int] = None
-    is_kernel: bool = False
-    #: Repeat count for string/bulk operations (``rep stos``-style page
-    #: zeroing): the core charges one cycle per repetition but the stream
-    #: stays compact.
-    repeat: int = 1
 
     @property
     def is_memory(self) -> bool:
@@ -90,33 +80,6 @@ class Instruction:
     def is_write(self) -> bool:
         """True for stores."""
         return self.kind == InstructionKind.STORE
-
-
-@dataclass(slots=True)
-class InstructionStream:
-    """An ordered sequence of instructions with a few convenience accessors."""
-
-    name: str = "stream"
-    instructions: List[Instruction] = field(default_factory=list)
-
-    def append(self, instruction: Instruction) -> None:
-        """Add one instruction to the stream."""
-        self.instructions.append(instruction)
-
-    def extend(self, instructions: Iterable[Instruction]) -> None:
-        """Add many instructions."""
-        self.instructions.extend(instructions)
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
-
-    def __len__(self) -> int:
-        return len(self.instructions)
-
-    @property
-    def memory_instructions(self) -> int:
-        """Number of loads and stores in the stream."""
-        return sum(1 for instruction in self.instructions if instruction.is_memory)
 
 
 class InstructionBatch:
@@ -151,15 +114,6 @@ class InstructionBatch:
         self.pcs.append(instruction.pc)
         self.addresses.append(instruction.memory_address)
 
-    @classmethod
-    def from_instructions(cls, instructions: Iterable[Instruction]) -> "InstructionBatch":
-        """Pack an instruction iterable into one batch."""
-        batch = cls()
-        append = batch.append_instruction
-        for instruction in instructions:
-            append(instruction)
-        return batch
-
     def iter_instructions(self) -> Iterator[Instruction]:
         """Yield equivalent :class:`Instruction` objects (test/debug helper)."""
         for op, pc, address in zip(self.kinds, self.pcs, self.addresses):
@@ -182,7 +136,7 @@ class KernelInstructionBatch:
     instructions are stored as ``OP_REP`` opcodes whose repetition counts
     live, in emission order, in the side list ``rep_values`` — keeping the
     executor's common case (plain compute, repeat 1) free of a repeats
-    column.  Every instruction is implicitly ``is_kernel=True``.
+    column.
     """
 
     __slots__ = ("name", "kinds", "pcs", "addresses", "rep_values")
@@ -213,29 +167,6 @@ class KernelInstructionBatch:
             self.kinds.append(op)
         self.pcs.append(pc)
         self.addresses.append(address)
-
-    def iter_instructions(self) -> Iterator[Instruction]:
-        """Yield equivalent :class:`Instruction` objects (compatibility view)."""
-        rep_iter = iter(self.rep_values)
-        for op, pc, address in zip(self.kinds, self.pcs, self.addresses):
-            if op == OP_REP:
-                yield Instruction(kind=InstructionKind.ALU, pc=pc,
-                                  memory_address=address, is_kernel=True,
-                                  repeat=next(rep_iter))
-            else:
-                yield Instruction(kind=OP_TO_KIND[op], pc=pc, memory_address=address,
-                                  is_kernel=True)
-
-    def to_stream(self) -> InstructionStream:
-        """Materialise the batch as an :class:`InstructionStream`.
-
-        The conversion is performed only when a consumer actually needs
-        per-instruction objects (the legacy engine, tests, debug dumps); the
-        batch engine executes the arrays directly and never pays for it.
-        """
-        stream = InstructionStream(name=self.name)
-        stream.instructions = list(self.iter_instructions())
-        return stream
 
     @property
     def memory_instructions(self) -> int:

@@ -31,7 +31,6 @@ from repro.core.instructions import (
     OP_BRANCH,
     OP_LOAD,
     OP_STORE,
-    InstructionStream,
     KernelInstructionBatch,
 )
 from repro.mimicos.ops import KernelOp, KernelRoutineTrace
@@ -97,9 +96,8 @@ class InstrumentationTool:
     def expand_batch(self, trace: KernelRoutineTrace) -> KernelInstructionBatch:
         """Expand one kernel routine trace into an array-backed batch.
 
-        This is the primary expansion path: the parallel arrays are built
-        directly (no per-instruction objects) and executed as-is by
-        :meth:`CoreModel.execute_kernel_batch
+        The parallel arrays are built directly (no per-instruction objects)
+        and executed as-is by :meth:`CoreModel.execute_kernel_batch
         <repro.core.cpu.CoreModel.execute_kernel_batch>`.
         """
         batch = KernelInstructionBatch(name=trace.routine)
@@ -109,16 +107,6 @@ class InstrumentationTool:
         self.counters.add("routines_instrumented")
         self.counters.add("instructions_generated", len(batch))
         return batch
-
-    def expand(self, trace: KernelRoutineTrace) -> InstructionStream:
-        """Expand one kernel routine trace into an instruction stream.
-
-        Compatibility view over :meth:`expand_batch` for the legacy engine
-        and for tests that inspect per-instruction metadata: the objects are
-        materialised from the arrays only when this method is called, so
-        both paths expand identically by construction.
-        """
-        return self.expand_batch(trace).to_stream()
 
     #: Operations expanded as bulk (rep-prefixed) work: the sampled memory
     #: touches are emitted normally and the compute cost is carried by a

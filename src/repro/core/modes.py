@@ -35,7 +35,6 @@ from repro.core.channels import (
     PageFaultResponse,
 )
 from repro.core.cpu import CoreModel
-from repro.core.instructions import Instruction, InstructionKind, InstructionStream
 from repro.core.instrumentation import InstrumentationTool
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.ops import KernelRoutineTrace
@@ -118,10 +117,6 @@ class OSCoupling:
         self.functional_channel = FunctionalChannel()
         self.instruction_channel = InstructionStreamChannel()
         self.counters = Counter()
-        #: Kernel streams follow the host engine: array-backed batches on the
-        #: fast path, per-object streams on the legacy engine.  Simulated
-        #: statistics are bit-identical either way (see tests/test_fast_engine).
-        self.use_kernel_batches = simulation_config.engine == "batch"
         #: Per-fault latency in cycles (the Fig. 2 / 9 / 16 distributions).
         self.fault_latency = LatencyDistribution()
         #: Core the next kernel stream is routed to (multi-core systems
@@ -234,19 +229,12 @@ class ImitationCoupling(OSCoupling):
     def _execute_trace(self, trace: KernelRoutineTrace, core_index: int) -> float:
         """Expand one kernel trace and execute it on the bound core.
 
-        Engine-selected representation (array-backed batches on the batch
-        engine, per-object streams on legacy), routed through the
-        instruction channel to ``core_index`` exactly as a single-trace
-        fault is; returns the cycles the stream consumed.
+        The batch is routed through the instruction channel to
+        ``core_index``; returns the cycles it consumed.
         """
-        if self.use_kernel_batches:
-            batch = self.instrumentation.expand_batch(trace)
-            self.instruction_channel.push_batch(batch, destination=core_index)
-            return self.core.execute_kernel_batch(
-                self.instruction_channel.pop_for(core_index))
-        stream = self.instrumentation.expand(trace)
-        self.instruction_channel.push(stream, destination=core_index)
-        return self.core.execute_kernel_stream(
+        batch = self.instrumentation.expand_batch(trace)
+        self.instruction_channel.push_batch(batch, destination=core_index)
+        return self.core.execute_kernel_batch(
             self.instruction_channel.pop_for(core_index))
 
     def _post_process_latency(self, latency: int, result) -> int:
@@ -311,11 +299,9 @@ class FullSystemCoupling(ImitationCoupling):
         return trace
 
     def _execute_background(self) -> float:
-        """Inject one background burst through the engine-selected kernel path."""
-        trace = self._background_trace()
-        if self.use_kernel_batches:
-            return self.core.execute_kernel_batch(self.instrumentation.expand_batch(trace))
-        return self.core.execute_kernel_stream(self.instrumentation.expand(trace))
+        """Inject one background burst on the bound core."""
+        return self.core.execute_kernel_batch(
+            self.instrumentation.expand_batch(self._background_trace()))
 
 
 class VirtualizedCoupling(ImitationCoupling):

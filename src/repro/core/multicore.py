@@ -31,14 +31,10 @@ migrated in with the same full flush (`MMU.migrate_in` semantics — there are
 no cross-core shootdowns to rely on).  An optional ``migrate_every`` knob
 rotates the task→core assignment every N rounds to exercise migrations.
 
-Determinism and engine invariance: the schedule is a pure function of the
-task list and configuration, every RNG is explicitly seeded, and the legacy
-engine consumes the *same* ``instruction_batches`` chunks as the batch
-engine (executing them one ``Instruction`` object at a time through
-``CoreModel.execute``), so preemption points are identical and a multi-core
-run produces bit-identical simulated statistics on either engine — the same
-invariant PRs 1–2 maintained for the single-core hot loop, enforced by
-``tests/test_fast_engine.py``.
+Determinism: the schedule is a pure function of the task list and
+configuration and every RNG is explicitly seeded, so a multi-core run is
+bit-identical across repeats and with the VPN translation cache on or off
+(enforced by ``tests/test_fast_engine.py``).
 """
 
 from __future__ import annotations
@@ -80,8 +76,7 @@ class CoreTask:
         self.process = process
         self.name = getattr(workload, "name", str(workload))
         self.limit = limit
-        #: Lazily created chunk iterator (``workload.instruction_batches``);
-        #: both engines consume these chunks so preemption points match.
+        #: Lazily created chunk iterator (``workload.instruction_batches``).
         self.batches = None
         self.executed = 0
         self.done = False
@@ -299,23 +294,10 @@ class MultiCoreVirtuoso:
             task.done = True
         return batch
 
-    def _execute_chunk(self, unit: SimulatedCore, task: CoreTask, batch,
-                       engine: str) -> int:
+    def _execute_chunk(self, unit: SimulatedCore, task: CoreTask, batch) -> int:
         """Run one pulled chunk of ``task`` on ``unit``; returns count run."""
-        if engine == "batch":
-            remaining = None if task.limit is None else task.limit - task.executed
-            executed = unit.core.execute_batch(batch, remaining)
-        else:
-            # Legacy engine over the same chunk boundaries: one Instruction
-            # object at a time, exactly the pre-batch execution model.
-            core = unit.core
-            executed = 0
-            remaining = None if task.limit is None else task.limit - task.executed
-            for instruction in batch.iter_instructions():
-                if remaining is not None and executed >= remaining:
-                    break
-                core.execute(instruction)
-                executed += 1
+        remaining = None if task.limit is None else task.limit - task.executed
+        executed = unit.core.execute_batch(batch, remaining)
         task.executed += executed
         if task.limit is not None and task.executed >= task.limit:
             task.done = True
@@ -352,9 +334,6 @@ class MultiCoreVirtuoso:
         """
         if not workloads:
             raise ValueError("need at least one workload")
-        engine = self.config.simulation.engine
-        if engine not in ("batch", "legacy"):
-            raise ValueError(f"unknown execution engine: {engine!r}")
 
         limit = max_instructions or self.config.simulation.max_instructions
         tasks: List[CoreTask] = []
@@ -402,7 +381,7 @@ class MultiCoreVirtuoso:
                     if batch is None:
                         continue  # just drained; try this core's next task
                     self._context_switch(unit, task)
-                    self._execute_chunk(unit, task, batch, engine)
+                    self._execute_chunk(unit, task, batch)
                     progressed = True
                     break
             rounds += 1

@@ -23,7 +23,6 @@ from repro.common.config import SystemConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
 from repro.core.cpu import CoreModel
-from repro.core.instructions import Instruction, InstructionStream
 from repro.core.modes import FixedLatencyPageTable, OSCoupling, build_coupling
 from repro.core.report import SimulationReport
 from repro.memhier.memory_system import MemoryHierarchy
@@ -58,8 +57,8 @@ def build_virtual_machine(hypervisor: MimicOS, config: SystemConfig,
 
 
 def virtualization_details(vm: VirtualMachine, hypervisor: MimicOS) -> Dict[str, object]:
-    """The virtualisation section of a report's ``details`` (both engines
-    produce it identically, so the parity harness diffs it too)."""
+    """The virtualisation section of a report's ``details`` (the parity
+    harness diffs it like every other section)."""
     return {
         "vm": vm.stats(),
         "hypervisor": hypervisor.stats(),
@@ -198,49 +197,19 @@ class Virtuoso:
         self.activate_process(process)
 
         limit = max_instructions or self.config.simulation.max_instructions
-        engine = self.config.simulation.engine
-        if engine not in ("batch", "legacy"):
-            raise ValueError(f"unknown execution engine: {engine!r}")
+        batch_size = self.config.simulation.batch_size
         start_wall = time.perf_counter()
         executed = 0
-        if engine == "legacy":
-            for instruction in workload.instructions(process):
-                self.core.execute(instruction)
-                executed += 1
-                if limit is not None and executed >= limit:
-                    break
-        else:
-            # Fast path: consume array-backed chunks so the hot loop pays no
-            # per-instruction object or generator overhead.
-            batch_size = self.config.simulation.batch_size
-            for batch in workload.instruction_batches(process, batch_size):
-                remaining = None if limit is None else limit - executed
-                executed += self.core.execute_batch(batch, remaining)
-                if limit is not None and executed >= limit:
-                    break
+        for batch in workload.instruction_batches(process, batch_size):
+            remaining = None if limit is None else limit - executed
+            executed += self.core.execute_batch(batch, remaining)
+            if limit is not None and executed >= limit:
+                break
         host_seconds = time.perf_counter() - start_wall
         self.counters.add("workloads_run")
-        return self._build_report(workload, host_seconds)
-
-    def run_stream(self, process: Process, stream: InstructionStream,
-                   workload_name: str = "stream") -> SimulationReport:
-        """Simulate a pre-built instruction stream (used by the unit benchmarks)."""
-        self.activate_process(process)
-        start_wall = time.perf_counter()
-        self.core.execute_stream(stream)
-        host_seconds = time.perf_counter() - start_wall
-        return self._build_report_named(workload_name, host_seconds)
-
-    # ------------------------------------------------------------------ #
-    # Report assembly
-    # ------------------------------------------------------------------ #
-    def _build_report(self, workload, host_seconds: float) -> SimulationReport:
-        return self._build_report_named(getattr(workload, "name", str(workload)), host_seconds)
-
-    def _build_report_named(self, workload_name: str, host_seconds: float) -> SimulationReport:
-        report = build_report(workload_name, host_seconds, config=self.config,
-                              core=self.core, mmu=self.mmu, tlbs=self.tlbs,
-                              memory=self.memory, kernel=self.kernel,
+        report = build_report(getattr(workload, "name", str(workload)), host_seconds,
+                              config=self.config, core=self.core, mmu=self.mmu,
+                              tlbs=self.tlbs, memory=self.memory, kernel=self.kernel,
                               coupling=self.coupling)
         if self.vm is not None:
             report.details["virtualization"] = virtualization_details(self.vm,

@@ -60,7 +60,6 @@ class SweepPoint:
     page_table_kind: str = "radix"
     thp_policy: str = "linux"
     os_mode: str = "imitation"
-    engine: str = "batch"
     #: Simulated cores (>1 selects the multi-core orchestrator).
     cores: int = 1
     #: Co-running processes (used with ``cores``; needs a scenario name).
@@ -74,7 +73,7 @@ def validate_points(points: Sequence[SweepPoint]) -> None:
     """Fail fast on malformed grids, naming the offending point.
 
     Checks run *before* any worker is spawned: unknown workload/scenario
-    names, unknown page-table kinds and unknown engines would otherwise
+    names and unknown page-table kinds would otherwise
     surface as a deep traceback inside a pool worker; duplicate point
     names are outright dangerous — they silently collide in
     :func:`point_seed` *and* in the content-addressed result store (two
@@ -108,10 +107,6 @@ def validate_points(points: Sequence[SweepPoint]) -> None:
             raise ValueError(
                 f"sweep point {point.name!r}: unknown page-table kind "
                 f"{point.page_table_kind!r}; known: {registered_kinds()}")
-        if point.engine not in ("batch", "legacy"):
-            raise ValueError(
-                f"sweep point {point.name!r}: unknown engine "
-                f"{point.engine!r}; known: ['batch', 'legacy']")
 
 
 def point_seed(point: SweepPoint, base_seed: int = 0) -> int:
@@ -133,8 +128,7 @@ def _build_config(point: SweepPoint) -> SystemConfig:
                                   fragmentation_target=1.0)
     if point.page_table_kind != "radix":
         config = config.with_page_table(PageTableConfig(kind=point.page_table_kind))
-    return config.with_simulation(replace(config.simulation, engine=point.engine,
-                                          os_mode=point.os_mode))
+    return config.with_simulation(replace(config.simulation, os_mode=point.os_mode))
 
 
 #: Host timings below this are clock noise, not a measurement: a KIPS value
@@ -178,7 +172,8 @@ def run_point(point: SweepPoint, base_seed: int = 0) -> Dict[str, object]:
         "name": point.name,
         "seed": seed,
         "workload": point.workload,
-        "engine": point.engine,
+        # Constant: perfbench/expected.json and recorded sweep/service/server sha256s hash it.
+        "engine": "batch",
         "cores": point.cores,
         "simulated_instructions": simulated,
         "kernel_instructions": report.kernel_instructions,

@@ -228,7 +228,7 @@ class VirtualMachine:
 
     def nested_unit_for(self, guest_process: Process,
                         core_index: int = 0) -> NestedTranslationUnit:
-        """The memoised per-(process, core) 2-D unit the engines install.
+        """The memoised per-(process, core) 2-D unit the orchestrators install.
 
         The nested TLB is per-core hardware, so each simulated core gets its
         own unit; memoisation keeps that hardware state alive across

@@ -28,7 +28,7 @@ class MMUExtensions:
     #: Two-dimensional (guest + host) translation for virtualised execution.
     nested_translation: bool = False
     #: Simulator fast path (not modelled hardware): memoise repeat same-page
-    #: L1 TLB hits in a flat VPN cache so the batch engine can skip the full
+    #: L1 TLB hits in a flat VPN cache so the core model can skip the full
     #: TLB-object machinery.  Simulated statistics are bit-identical with the
-    #: cache on or off; the switch exists for the invariance tests.
+    #: cache on or off; off is the reference side of the parity oracle.
     vpn_translation_cache: bool = True

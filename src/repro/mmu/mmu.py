@@ -1,7 +1,8 @@
 """The memory-management unit: translation plus the data access itself.
 
-For every memory operand the core model calls :meth:`MMU.access_data`.  The
-MMU looks up the TLB hierarchy, walks the active translation structure on a
+For every memory operand the core model calls :meth:`MMU.access_data_fast`,
+which falls back to :meth:`MMU.access_data` on a VPN-cache miss.  The MMU
+looks up the TLB hierarchy, walks the active translation structure on a
 miss (paying for the walk's memory accesses through the shared memory
 hierarchy), reports page faults to the OS through a fault callback installed
 by the Virtuoso orchestrator (which runs MimicOS and injects the handler's
@@ -15,7 +16,7 @@ only when the access reaches DRAM.
 Fast path
 ---------
 
-:meth:`MMU.access_data_fast` is the batch engine's entry point.  It consults
+:meth:`MMU.access_data_fast` is the core model's entry point.  It consults
 a flat VPN -> (page base, physical base, page size, L1 TLB slot) cache that
 memoises the most recent L1 data-TLB hits.  A fast hit replays *exactly* the
 side effects the slow path would produce for the same access — L1 probe
@@ -129,8 +130,8 @@ class MMU:
         #: 2-D walk attribution (virtualised mode): the guest-dimension and
         #: host-dimension shares of every nested walk's latency, so
         #: per-backend parity can tell a slow guest table from a slow host
-        #: (extended) table.  Both engines feed these through the same
-        #: ``_walk`` call, so they are engine-invariant by construction.
+        #: (extended) table.  Fast and slow paths feed these through the
+        #: same ``_walk`` call, so the VPN cache cannot move them.
         self.guest_ptw_latency_stats = RunningStats()
         self.host_ptw_latency_stats = RunningStats()
 
@@ -218,8 +219,8 @@ class MMU:
         currently running ``pid``'s address space act (context switches flush
         the TLBs, so other address spaces cannot be resident here).  The TLB
         ``version`` bump performed by the invalidation also keeps the VPN
-        translation cache honest, so both engines observe the unmap
-        identically.
+        translation cache honest, so the fast path observes the unmap
+        exactly as the slow path does.
         """
         if pid != self.pid:
             return
@@ -278,7 +279,7 @@ class MMU:
 
     def access_data_fast(self, virtual_address: int, is_write: bool = False,
                          pc: int = 0) -> MemoryOperationResult:
-        """Allocation-free :meth:`access_data` used by the batch engine.
+        """Allocation-free :meth:`access_data` used by the core model.
 
         Returns a scratch :class:`MemoryOperationResult` that is overwritten
         by the next call — callers must consume it immediately.

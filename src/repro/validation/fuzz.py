@@ -7,7 +7,7 @@ generalises it the way riescue generalises directed page-map testing: a
 varied sizes, THP collapse, forced swap pressure, page migration, and (under
 virtualization) guest collapse and host remaps of guest-RAM backing — as
 :class:`~repro.workloads.schedule.OpSchedule` injections into workload
-execution, runs every scenario on **both** engines across sampled
+execution, runs every scenario with the VPN cache off and on across sampled
 backend × cores × THP/swap/virtualization configurations, and diffs the full
 statistics reports with the PR 4 oracle
 (:func:`repro.validation.parity.flatten_stats` / ``diff_stats``).
@@ -163,7 +163,7 @@ def scenario_key(scenario: FuzzScenario) -> str:
 
 
 def scenario_seed(scenario: FuzzScenario) -> int:
-    """Deterministic simulator seed, identical for both engines.
+    """Deterministic simulator seed, identical for both oracle sides.
 
     Derived from the *config* only, so shrinking the op schedule never
     perturbs the workload's RNG stream — the shrinker removes ops from an
@@ -178,7 +178,7 @@ def scenario_seed(scenario: FuzzScenario) -> int:
 # --------------------------------------------------------------------- #
 # System construction
 # --------------------------------------------------------------------- #
-def build_fuzz_config(config: FuzzConfig, engine: str) -> SystemConfig:
+def build_fuzz_config(config: FuzzConfig) -> SystemConfig:
     """The system one fuzz scenario simulates (parity-sized, sub-second).
 
     Unlike the parity lattice, *every* fuzz system gets host swap capacity
@@ -205,7 +205,7 @@ def build_fuzz_config(config: FuzzConfig, engine: str) -> SystemConfig:
             guest_thp_policy="linux" if config.thp else "never",
             guest_swap_size_bytes=16 * MB,
             nested_tlb_entries=1024))
-    return system.with_simulation(replace(system.simulation, engine=engine))
+    return system
 
 
 class KernelOpExecutor:
@@ -216,8 +216,8 @@ class KernelOpExecutor:
     error — so the shrinker can drop arbitrary subsets and the config
     shrink can turn virtualization off without invalidating the schedule.
     The applied/skipped counters are folded into the diffed statistics, so
-    an engine pair that somehow disagrees about op applicability is itself
-    reported as a divergence.
+    oracle sides that somehow disagree about op applicability are
+    themselves reported as a divergence.
     """
 
     def __init__(self, kernel, fault_handler: Callable, clock: Callable[[], int],
@@ -333,26 +333,28 @@ class KernelOpExecutor:
 # --------------------------------------------------------------------- #
 # Running one scenario (the oracle)
 # --------------------------------------------------------------------- #
-def _run_scenario_engine(scenario: FuzzScenario, engine: str) -> Dict[str, object]:
+def _run_scenario_side(scenario: FuzzScenario, vpn_cache: bool) -> Dict[str, object]:
     # Imports inside the worker entry point, as the service pattern demands.
     from repro.core.multicore import MultiCoreVirtuoso
     from repro.core.virtuoso import Virtuoso
+    from repro.mmu.extensions import MMUExtensions
     from repro.workloads.registry import build_workload
 
-    system_config = build_fuzz_config(scenario.config, engine)
+    system_config = build_fuzz_config(scenario.config)
+    extensions = MMUExtensions(vpn_translation_cache=vpn_cache)
     seed = scenario_seed(scenario)
     registry_name, kwargs, _span = FUZZ_FAMILIES[scenario.config.family]
     wrapped = ScheduledWorkload(build_workload(registry_name, **kwargs),
                                 scenario.schedule)
     if scenario.config.cores > 1:
         system = MultiCoreVirtuoso(system_config, num_cores=scenario.config.cores,
-                                   seed=seed)
+                                   seed=seed, mmu_extensions=extensions)
         executor = KernelOpExecutor.for_system(system)
         wrapped.bind(executor)
         co_name, co_kwargs = CO_RUNNER
         report = system.run([wrapped, build_workload(co_name, **co_kwargs)]).merged
     else:
-        system = Virtuoso(system_config, seed=seed)
+        system = Virtuoso(system_config, seed=seed, mmu_extensions=extensions)
         executor = KernelOpExecutor.for_system(system)
         wrapped.bind(executor)
         report = system.run(wrapped)
@@ -368,28 +370,29 @@ def _crash_signature(error: Exception) -> Dict[str, object]:
 
 def run_fuzz_scenario(raw_scenario: Dict[str, object],
                       max_diffs: int = 120) -> Dict[str, object]:
-    """Run one scenario on both engines and classify: the fuzz oracle.
+    """Run one scenario with the VPN cache off and on and classify: the
+    fuzz oracle.
 
     Takes and returns plain JSON-able dicts so it can serve directly as an
     experiment-service worker.  Outcomes:
 
-    * ``identical`` — both engines ran, all compared fields equal;
+    * ``identical`` — both sides ran, all compared fields equal;
     * ``divergence`` — field mismatch, one-sided crash, or both sides
       crashing *differently*;
-    * ``crash`` — both engines crashed with the same signature (a real bug,
-      but not an engine divergence; classified, never banked).
+    * ``crash`` — both sides crashed with the same signature (a real bug,
+      but not a cache divergence; classified, never banked).
     """
     scenario = FuzzScenario.from_json(raw_scenario)
     start = time.perf_counter()
-    stats: Dict[str, Optional[Dict[str, object]]] = {}
-    crashes: Dict[str, Optional[Dict[str, object]]] = {}
-    for engine in ("legacy", "batch"):
+    stats: Dict[bool, Optional[Dict[str, object]]] = {}
+    crashes: Dict[bool, Optional[Dict[str, object]]] = {}
+    for vpn_cache in (False, True):
         try:
-            stats[engine] = _run_scenario_engine(scenario, engine)
-            crashes[engine] = None
+            stats[vpn_cache] = _run_scenario_side(scenario, vpn_cache)
+            crashes[vpn_cache] = None
         except Exception as error:  # crash/assert: caught and classified
-            stats[engine] = None
-            crashes[engine] = _crash_signature(error)
+            stats[vpn_cache] = None
+            crashes[vpn_cache] = _crash_signature(error)
     digest: Dict[str, object] = {
         "scenario": scenario.to_json(),
         "point": scenario.name,
@@ -399,33 +402,33 @@ def run_fuzz_scenario(raw_scenario: Dict[str, object],
         "diffs": [],
         "host_seconds": round(time.perf_counter() - start, 4),
     }
-    legacy_crash, batch_crash = crashes["legacy"], crashes["batch"]
-    if legacy_crash is not None and batch_crash is not None:
-        if legacy_crash == batch_crash:
+    uncached_crash, cached_crash = crashes[False], crashes[True]
+    if uncached_crash is not None and cached_crash is not None:
+        if uncached_crash == cached_crash:
             digest["outcome"] = "crash"
-            digest["crash"] = legacy_crash
+            digest["crash"] = uncached_crash
         else:
             digest["outcome"] = "divergence"
             digest["divergence"] = {
                 "point": scenario.name, "field": "crash",
-                "legacy_value": legacy_crash, "batch_value": batch_crash,
+                "uncached_value": uncached_crash, "cached_value": cached_crash,
                 "diverging_fields": 1}
         return digest
-    if legacy_crash is not None or batch_crash is not None:
+    if uncached_crash is not None or cached_crash is not None:
         digest["outcome"] = "divergence"
         digest["divergence"] = {
             "point": scenario.name, "field": "crash",
-            "legacy_value": legacy_crash or "ok",
-            "batch_value": batch_crash or "ok",
+            "uncached_value": uncached_crash or "ok",
+            "cached_value": cached_crash or "ok",
             "diverging_fields": 1}
         return digest
-    diffs = diff_stats(stats["legacy"], stats["batch"])
+    diffs = diff_stats(stats[False], stats[True])
     if diffs:
-        field, legacy_value, batch_value = diffs[0]
+        field, uncached_value, cached_value = diffs[0]
         digest["outcome"] = "divergence"
         digest["divergence"] = {
             "point": scenario.name, "field": field,
-            "legacy_value": legacy_value, "batch_value": batch_value,
+            "uncached_value": uncached_value, "cached_value": cached_value,
             "diverging_fields": len(diffs)}
         digest["diffs"] = [list(d) for d in diffs[:max_diffs]]
     return digest
@@ -589,7 +592,7 @@ def shrink_scenario(scenario: FuzzScenario,
 
     First greedily drops ops to a fixpoint, then simplifies config axes
     toward the vanilla point; every candidate is verified with the same
-    both-engine oracle the replay path uses.  ``max_checks`` bounds the
+    cache-off/on oracle the replay path uses.  ``max_checks`` bounds the
     oracle invocations (each is two full simulations).  Returns the shrunk
     scenario and the number of oracle calls spent.
     """
@@ -744,17 +747,17 @@ def format_replay(entry: Dict[str, object], digest: Dict[str, object],
         return "\n".join(lines)
     lines.append(f"verdict:    {digest['outcome'].upper()}")
     if digest["outcome"] == "crash":
-        lines.append(f"  both engines crashed: {digest['crash']}")
+        lines.append(f"  both sides crashed: {digest['crash']}")
         return "\n".join(lines)
     diffs = digest.get("diffs") or []
     divergence = digest["divergence"]
     if not diffs:
-        diffs = [[divergence["field"], divergence["legacy_value"],
-                  divergence["batch_value"]]]
+        diffs = [[divergence["field"], divergence["uncached_value"],
+                  divergence["cached_value"]]]
     lines.append(f"  {divergence['diverging_fields']} diverging fields "
                  f"(showing {min(len(diffs), max_fields)}):")
-    for field, legacy_value, batch_value in diffs[:max_fields]:
-        lines.append(f"    {field}: legacy={legacy_value!r} batch={batch_value!r}")
+    for field, uncached_value, cached_value in diffs[:max_fields]:
+        lines.append(f"    {field}: uncached={uncached_value!r} cached={cached_value!r}")
     return "\n".join(lines)
 
 
@@ -814,7 +817,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validation.fuzz",
         description="Coverage-guided kernel-op scenario fuzzer "
-                    "(batch-vs-legacy differential oracle)")
+                    "(VPN-cache off-vs-on differential oracle)")
     parser.add_argument("--budget", type=int, default=40, metavar="N",
                         help="scenarios to run (default 40)")
     parser.add_argument("--seed", type=int, default=2025,
@@ -886,7 +889,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  {label} {name}")
     for raw in summary["divergences"]:
         print(f"  DIVERGENCE {raw['point']}: {raw['field']} "
-              f"(legacy={raw['legacy_value']!r}, batch={raw['batch_value']!r})")
+              f"(uncached={raw['uncached_value']!r}, cached={raw['cached_value']!r})")
     return 1 if summary["divergences"] else 0
 
 

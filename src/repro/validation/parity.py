@@ -1,10 +1,12 @@
-"""Differential parity matrix: batch vs legacy engine across the whole zoo.
+"""Differential parity matrix: VPN cache off vs on across the whole zoo.
 
-The fast/batch execution engine (PRs 1-3) is only trustworthy if it is
-bit-identical to the legacy per-object engine *everywhere*, not just on the
-radix-centric scenarios the KIPS harness watches.  This module is the
-McKeeman-style differential-testing subsystem that enforces that: it
-enumerates a configuration lattice —
+The MMU's VPN translation cache memoises L1 TLB hits so the hot loop can
+skip the TLB-object machinery; it is only trustworthy if simulated
+statistics are bit-identical with it switched off
+(``MMUExtensions.vpn_translation_cache=False``, the reference) *everywhere*,
+not just on the radix-centric scenarios the KIPS harness watches.  This
+module is the McKeeman-style differential-testing subsystem that enforces
+that: it enumerates a configuration lattice —
 
 * every registered page-table design
   (:func:`repro.pagetables.factory.registered_kinds`),
@@ -20,8 +22,8 @@ enumerates a configuration lattice —
   including host-swap-pressure points where hypervisor reclaim remaps the
   frames backing guest RAM),
 
-— runs each point once per engine under identical seeds, and diffs the full
-statistics report field by field.  A mismatch produces a structured
+— runs each point with the cache off and on under identical seeds, and
+diffs the full statistics report field by field.  A mismatch produces a structured
 :class:`DivergenceRecord` (the configuration, the first diverging counter in
 sorted order and both values) rather than a bare assert, so a failure names
 the exact configuration and statistic to chase.
@@ -34,7 +36,7 @@ Three consumers:
   across host processes by the fault-tolerant experiment service
   (:mod:`repro.experiments.service`; ``--store DIR`` makes the run
   resumable and caches every completed point content-addressed);
-* ``benchmarks/perf/parity_bench.py`` — records per-backend batch-vs-legacy
+* ``benchmarks/perf/parity_bench.py`` — records per-backend cache-on vs off
   speedups into ``BENCH_perf.json`` so the perf trajectory covers every
   design, not just radix.
 """
@@ -58,10 +60,11 @@ from repro.common.config import (
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import LatencyDistribution
 from repro.core.report import SimulationReport
+from repro.mmu.extensions import MMUExtensions
 from repro.pagetables.factory import nested_capable_kinds, registered_kinds
 
-#: Keys whose values legitimately differ between engines (host-side timing
-#: and fast-path diagnostics) and are therefore excluded from the diff.
+#: Keys whose values legitimately differ with the VPN cache off and on
+#: (host-side timing and fast-path diagnostics), excluded from the diff.
 HOST_ONLY_KEYS = ("host_seconds", "fast_path", "kips")
 
 #: Workload families of the lattice: family name -> (registry name, kwargs).
@@ -79,7 +82,7 @@ WORKLOAD_FAMILIES: Dict[str, Tuple[str, Dict[str, object]]] = {
     # 4 KB guest faults, so guest khugepaged collapses the touched 2 MB
     # region *mid-run* and the hot phase then re-touches it — the sequence
     # that turns a missing nested-TLB invalidation into stale 4 KB combined
-    # translations shadowed differently by the two engines.
+    # translations shadowed differently with the VPN cache on.
     "guestmix": ("GuestMix", {"footprint_bytes": 4 * MB, "vma_bytes": 256 << 10,
                               "interleave_regions": 2, "mix_per_cold": 2,
                               "hot_operations": 1500, "seed": 7}),
@@ -98,7 +101,7 @@ VIRTUALIZED_MULTICORE_SCENARIO = ("virtualized_guests",
 
 @dataclass(frozen=True)
 class ParityPoint:
-    """One lattice configuration, compared across both engines.
+    """One lattice configuration, compared with the VPN cache off and on.
 
     ``page_table_kind`` is the native design — or, on virtualised points,
     the *host* (extended/nested) design backing guest RAM, with
@@ -128,20 +131,20 @@ class ParityPoint:
 
 @dataclass
 class DivergenceRecord:
-    """A batch-vs-legacy mismatch: where it happened and what diverged."""
+    """A cache-off vs cache-on mismatch: where it happened and what diverged."""
 
     point: str
     #: First diverging statistic in sorted field order.
     field: str
-    legacy_value: object
-    batch_value: object
+    uncached_value: object
+    cached_value: object
     #: Total number of diverging fields (the first is usually the cause,
     #: the rest downstream fallout).
     diverging_fields: int
 
     def __str__(self) -> str:
         return (f"{self.point}: {self.field} diverged "
-                f"(legacy={self.legacy_value!r}, batch={self.batch_value!r}; "
+                f"(uncached={self.uncached_value!r}, cached={self.cached_value!r}; "
                 f"{self.diverging_fields} fields total)")
 
 
@@ -240,11 +243,11 @@ def sample_lattice(size: int = 40, seed: int = 2025) -> List[ParityPoint]:
 # Running one point
 # --------------------------------------------------------------------- #
 def point_seed(point: ParityPoint) -> int:
-    """Deterministic per-point seed, identical for both engines."""
+    """Deterministic per-point seed, identical for both cache settings."""
     return zlib.crc32(point.name.encode("utf-8")) & 0x7FFFFFFF
 
 
-def build_config(point: ParityPoint, engine: str) -> SystemConfig:
+def build_config(point: ParityPoint) -> SystemConfig:
     """The (small) system configuration one parity point simulates.
 
     Swap pressure is created the way the kernel actually meets it: a small
@@ -285,10 +288,10 @@ def build_config(point: ParityPoint, engine: str) -> SystemConfig:
             # makes a *stale* nested entry reachable at all, which the
             # nested-invalidation sensitivity test depends on.
             nested_tlb_entries=1024))
-    return config.with_simulation(replace(config.simulation, engine=engine))
+    return config
 
 
-def _run_engine(point: ParityPoint, engine: str) -> SimulationReport:
+def _run(point: ParityPoint, vpn_cache: bool) -> SimulationReport:
     # Imports live inside the worker entry point (the pool pattern the
     # sweep runner established) so workers are self-reliant.
     from repro.core.multicore import MultiCoreVirtuoso
@@ -296,15 +299,17 @@ def _run_engine(point: ParityPoint, engine: str) -> SimulationReport:
     from repro.workloads.multiproc import build_multiprocess_scenario
     from repro.workloads.registry import build_workload
 
-    config = build_config(point, engine)
+    config = build_config(point)
     seed = point_seed(point)
+    extensions = MMUExtensions(vpn_translation_cache=vpn_cache)
     if point.cores > 1:
         scenario, kwargs = (VIRTUALIZED_MULTICORE_SCENARIO if point.virtualized
                             else MULTICORE_SCENARIO)
-        system = MultiCoreVirtuoso(config, num_cores=point.cores, seed=seed)
+        system = MultiCoreVirtuoso(config, num_cores=point.cores, seed=seed,
+                                   mmu_extensions=extensions)
         return system.run(build_multiprocess_scenario(scenario, **kwargs)).merged
     workload_name, kwargs = WORKLOAD_FAMILIES[point.family]
-    system = Virtuoso(config, seed=seed)
+    system = Virtuoso(config, seed=seed, mmu_extensions=extensions)
     return system.run(build_workload(workload_name, **kwargs))
 
 
@@ -312,7 +317,7 @@ def flatten_stats(report: SimulationReport) -> Dict[str, object]:
     """Every simulated statistic of a report as a flat ``path -> value`` map.
 
     Host-side values (wall-clock timings, VPN-cache diagnostics) are
-    excluded: they differ between engines by design.
+    excluded: they differ with the VPN cache off and on by design.
     """
     flat: Dict[str, object] = {}
 
@@ -339,33 +344,34 @@ def flatten_stats(report: SimulationReport) -> Dict[str, object]:
     return flat
 
 
-def diff_stats(legacy: Dict[str, object],
-               batch: Dict[str, object]) -> List[Tuple[str, object, object]]:
+def diff_stats(uncached: Dict[str, object],
+               cached: Dict[str, object]) -> List[Tuple[str, object, object]]:
     """Fields whose values differ, in sorted field order."""
-    return [(field, legacy.get(field), batch.get(field))
-            for field in sorted(set(legacy) | set(batch))
-            if legacy.get(field) != batch.get(field)]
+    return [(field, uncached.get(field), cached.get(field))
+            for field in sorted(set(uncached) | set(cached))
+            if uncached.get(field) != cached.get(field)]
 
 
 def run_parity_point(point: ParityPoint) -> Dict[str, object]:
-    """Run one point on both engines and diff; returns a picklable digest."""
+    """Run one point with the VPN cache off and on and diff; returns a
+    picklable digest."""
     start = time.perf_counter()
-    legacy = flatten_stats(_run_engine(point, "legacy"))
-    batch = flatten_stats(_run_engine(point, "batch"))
-    diffs = diff_stats(legacy, batch)
+    uncached = flatten_stats(_run(point, vpn_cache=False))
+    cached = flatten_stats(_run(point, vpn_cache=True))
+    diffs = diff_stats(uncached, cached)
     digest: Dict[str, object] = {
         "point": point.name,
         "config": asdict(point),
         "identical": not diffs,
-        "fields_compared": len(set(legacy) | set(batch)),
+        "fields_compared": len(set(uncached) | set(cached)),
         "host_seconds": round(time.perf_counter() - start, 4),
         "divergence": None,
     }
     if diffs:
-        field, legacy_value, batch_value = diffs[0]
+        field, uncached_value, cached_value = diffs[0]
         digest["divergence"] = asdict(DivergenceRecord(
-            point=point.name, field=field, legacy_value=legacy_value,
-            batch_value=batch_value, diverging_fields=len(diffs)))
+            point=point.name, field=field, uncached_value=uncached_value,
+            cached_value=cached_value, diverging_fields=len(diffs)))
     return digest
 
 
@@ -442,7 +448,7 @@ def run_matrix(points: Sequence[ParityPoint],
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validation.parity",
-        description="Differential batch-vs-legacy parity across the page-table zoo")
+        description="Differential VPN-cache off-vs-on parity across the page-table zoo")
     parser.add_argument("--full", action="store_true",
                         help="run the full lattice (default: the tier-1 sample)")
     parser.add_argument("--virtualized", action="store_true",

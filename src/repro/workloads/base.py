@@ -2,8 +2,8 @@
 
 A workload owns two things: the address-space layout it needs (``setup``
 creates its VMAs through MimicOS's ``mmap``) and the dynamic instruction
-stream it executes (``instructions`` yields
-:class:`~repro.core.instructions.Instruction` records).  Workloads are
+stream it executes (``instruction_batches`` yields array-backed
+:class:`~repro.core.instructions.InstructionBatch` chunks).  Workloads are
 synthetic but carry the memory-behaviour signature of the paper's benchmark
 suites: footprint, access irregularity, VMA layout and allocation pattern —
 the four properties the experiments depend on (see DESIGN.md §2).
@@ -22,7 +22,6 @@ from repro.core.instructions import (
     OP_STORE,
     Instruction,
     InstructionBatch,
-    InstructionKind,
 )
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
@@ -47,18 +46,20 @@ class Workload:
         raise NotImplementedError
 
     def instructions(self, process: Process) -> Iterator[Instruction]:
-        """Yield the workload's dynamic instruction stream."""
+        """Yield the dynamic instruction stream as :class:`Instruction` objects.
+
+        Only workloads that keep the default :meth:`instruction_batches`
+        implement this; array-native workloads override that instead.
+        """
         raise NotImplementedError
 
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:
         """Yield the instruction stream packed into array-backed batches.
 
-        The default implementation packs :meth:`instructions`, so every
-        workload works with the batch engine unmodified; hot workloads
-        override this to build the arrays directly and skip per-instruction
-        object allocation.  Overrides must produce the exact same (kind, pc,
-        address) sequence as :meth:`instructions`.
+        The default implementation packs :meth:`instructions`; hot
+        workloads override this to build the arrays directly and skip
+        per-instruction object allocation.
         """
         batch = InstructionBatch()
         append = batch.append_instruction
@@ -106,34 +107,15 @@ class StreamBuilder:
         self.pc_count = pc_count
         self._pc_cursor = 0
 
-    def _next_pc(self) -> int:
-        pc = self.pc_base + (self._pc_cursor % self.pc_count) * 4
-        self._pc_cursor += 1
-        return pc
-
-    def emit(self, addresses: Iterable[int],
-             writes: Optional[Iterable[bool]] = None) -> Iterator[Instruction]:
-        """Yield an instruction stream touching ``addresses`` in order."""
-        write_iter = iter(writes) if writes is not None else None
-        for address in addresses:
-            for index in range(self.compute_per_memory):
-                kind = InstructionKind.BRANCH if index == self.compute_per_memory - 1 \
-                    else InstructionKind.ALU
-                yield Instruction(kind=kind, pc=self._next_pc())
-            if write_iter is not None:
-                is_write = next(write_iter, False)
-            else:
-                is_write = self.rng.random() < self.write_fraction
-            kind = InstructionKind.STORE if is_write else InstructionKind.LOAD
-            yield Instruction(kind=kind, pc=self._next_pc(), memory_address=address)
-
     def emit_batches(self, addresses: Iterable[int],
                      writes: Optional[Iterable[bool]] = None,
-                     batch_size: int = 4096) -> Iterator["InstructionBatch"]:
-        """Array-backed equivalent of :meth:`emit`.
+                     batch_size: int = 4096) -> Iterator[InstructionBatch]:
+        """Yield batches touching ``addresses`` in order.
 
-        Produces the exact same (kind, pc, address) sequence — including RNG
-        draw order — without allocating an :class:`Instruction` per record.
+        Every memory access is preceded by ``compute_per_memory``
+        non-memory instructions (the last one a branch).  A store or load
+        is chosen from ``writes`` when given, else by one RNG draw against
+        ``write_fraction``.
         """
         write_iter = iter(writes) if writes is not None else None
         rng_random = self.rng.random

@@ -24,7 +24,6 @@ from repro.core.instructions import (
     OP_BRANCH,
     OP_LOAD,
     OP_STORE,
-    Instruction,
     InstructionBatch,
 )
 from repro.mimicos.kernel import MimicOS
@@ -89,12 +88,6 @@ class LLMInferenceWorkload(Workload):
                                    name=f"{self.name}-kv-cache")
         self._activation_vma = kernel.mmap(process, activation_bytes, kind=VMAKind.ANONYMOUS,
                                            name=f"{self.name}-activations")
-
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        # The batch generator is the single source of the token loop; the
-        # object stream is derived from it so the two can never diverge.
-        for batch in self.instruction_batches(process):
-            yield from batch.iter_instructions()
 
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:

@@ -20,7 +20,6 @@ from repro.core.instructions import (
     OP_ALU,
     OP_LOAD,
     OP_STORE,
-    Instruction,
     InstructionBatch,
 )
 from repro.mimicos.kernel import MimicOS
@@ -49,11 +48,6 @@ class IntensitySweepWorkload(Workload):
     def setup(self, kernel: MimicOS, process: Process) -> None:
         self._vma = kernel.mmap(process, self.footprint_bytes, kind=VMAKind.ANONYMOUS,
                                 name=f"{self.name}-heap")
-
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        # Derived from the batch generator so the two paths cannot diverge.
-        for batch in self.instruction_batches(process):
-            yield from batch.iter_instructions()
 
     def _draw_accesses(self) -> Tuple[List[int], List[bool]]:
         """Run the (inherently serial) RNG/address recurrence once.
@@ -132,11 +126,6 @@ class KernelFractionMicrobenchmark(Workload):
     def setup(self, kernel: MimicOS, process: Process) -> None:
         self._vma = kernel.mmap(process, self.footprint_bytes, kind=VMAKind.ANONYMOUS,
                                 name=f"{self.name}-heap")
-
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        # Derived from the batch generator so the two paths cannot diverge.
-        for batch in self.instruction_batches(process):
-            yield from batch.iter_instructions()
 
     def _store_addresses(self) -> List[int]:
         """The serial fresh-page walk (one RNG draw per operation)."""

@@ -27,11 +27,10 @@ seed, so scenarios are exactly reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, List
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
-from repro.core.instructions import Instruction
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
@@ -91,7 +90,7 @@ class GuestMixWorkload(Workload):
     system each touch drives the guest fault handler and, for unbacked
     guest-physical frames, a hypervisor backing fault); phase 2 performs
     random accesses over the now-warm region, exercising the 2-D translation
-    path — nested walks, nested-TLB hits and the batch engine's VPN cache.
+    path — nested walks, nested-TLB hits and the MMU's VPN cache.
     Addresses come from :func:`~repro.workloads.base.cold_hot_addresses`.
 
     ``vma_bytes`` splits the footprint into several contiguous small VMAs
@@ -161,9 +160,6 @@ class GuestMixWorkload(Workload):
     def _builder(self) -> StreamBuilder:
         return StreamBuilder(DeterministicRNG(self.seed).fork(1),
                              self.compute_per_memory, self.write_fraction)
-
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        return self._builder().emit(self._address_list())
 
     def instruction_batches(self, process: Process, batch_size: int = 4096):
         return self._builder().emit_batches(self._address_list(),

@@ -1,23 +1,19 @@
 """Kernel-op schedule injection: run OS work at exact instruction offsets.
 
-The scenario fuzzer (:mod:`repro.validation.fuzz`) stresses the engines with
-random kernel-op interleavings — mmap/munmap, THP collapse, forced reclaim,
-page migration, host remaps under virtualization — injected *mid-workload*.
-For the differential oracle to be meaningful, an op scheduled at offset ``k``
-must run after exactly ``k`` executed instructions on **both** engines, even
-though the legacy engine pulls one :class:`Instruction` at a time while the
-batch engine consumes array chunks.
+The scenario fuzzer (:mod:`repro.validation.fuzz`) stresses the simulator
+with random kernel-op interleavings — mmap/munmap, THP collapse, forced
+reclaim, page migration, host remaps under virtualization — injected
+*mid-workload*.  For the differential oracle to be meaningful, an op
+scheduled at offset ``k`` must run after exactly ``k`` executed
+instructions, whatever the VPN-cache setting.
 
-:class:`ScheduledWorkload` achieves that with generator laziness: both entry
-points drain the *same* ``base.instructions()`` iterator (so the underlying
-address sequence and RNG draws are identical), and the batch packer cuts a
-chunk boundary at every op offset.  Because the generator only resumes after
-the engine has executed the previous chunk, the op fires with exactly the
-scheduled number of instructions retired — the same point at which the
-legacy loop, which resumes the generator between single instructions,
-applies it.  Ops scheduled past the end of the stream fire after the final
-instruction has executed (the engine's ``for`` loop resumes the generator
-once more before ``StopIteration``).
+:class:`ScheduledWorkload` achieves that with generator laziness: it
+re-packs the base workload's batches into ``batch_size`` chunks and cuts an
+extra chunk boundary at every op offset.  Because the generator only
+resumes after the core has executed the previous chunk, the op fires with
+exactly the scheduled number of instructions retired.  Ops scheduled past
+the end of the stream fire after the final instruction has executed (the
+run loop resumes the generator once more before ``StopIteration``).
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
 
-from repro.core.instructions import Instruction, InstructionBatch
+from repro.core.instructions import InstructionBatch
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.workloads.base import Workload
@@ -82,10 +78,9 @@ class ScheduledWorkload(Workload):
 
     The executor (anything with an ``apply(spec, process)`` method — in practice the
     fuzzer's :class:`~repro.validation.fuzz.KernelOpExecutor`) is bound after
-    the system is built, because ops need live kernel/MMU handles.  Both
-    iteration paths are built from ``base.instructions()``, so wrapping never
-    changes the instruction sequence — only *when* the kernel mutates state
-    relative to it, and that identically for both engines.
+    the system is built, because ops need live kernel/MMU handles.  Wrapping
+    never changes the instruction sequence — only *when* the kernel mutates
+    state relative to it.
     """
 
     def __init__(self, base: Workload, schedule: OpSchedule):
@@ -117,44 +112,39 @@ class ScheduledWorkload(Workload):
                 "ScheduledWorkload has no executor bound; call bind() before running")
         self.executor.apply(spec, process)
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        pending = self._pending()
-        executed = 0
-        for instruction in self.base.instructions(process):
-            while pending and pending[0].offset <= executed:
-                self._apply(pending.popleft(), process)
-            yield instruction
-            executed += 1
-        # Trailing ops: the engine resumes the generator once more after the
-        # last instruction retires, so these run post-stream, pre-report.
-        while pending:
-            self._apply(pending.popleft(), process)
-
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:
         pending = self._pending()
         batch = InstructionBatch()
-        in_batch = 0
         executed = 0
-        for instruction in self.base.instructions(process):
-            if pending and pending[0].offset <= executed:
-                if in_batch:
-                    # Cut the chunk so everything before the op executes
-                    # first; the generator resumes (and fires the op) only
-                    # after the engine ran this chunk.
+        for source in self.base.instruction_batches(process, batch_size):
+            start, end = 0, len(source)
+            while start < end:
+                if pending and pending[0].offset <= executed:
+                    if len(batch):
+                        # Cut the chunk so everything before the op executes
+                        # first; the generator resumes (and fires the op)
+                        # only after the core ran this chunk.
+                        yield batch
+                        batch = InstructionBatch()
+                    while pending and pending[0].offset <= executed:
+                        self._apply(pending.popleft(), process)
+                # Copy up to the next cut: a full chunk, the end of the
+                # source batch or the next op's offset.
+                stop = min(end, start + batch_size - len(batch))
+                if pending:
+                    stop = min(stop, start + pending[0].offset - executed)
+                batch.kinds += source.kinds[start:stop]
+                batch.pcs += source.pcs[start:stop]
+                batch.addresses += source.addresses[start:stop]
+                executed += stop - start
+                start = stop
+                if len(batch) >= batch_size:
                     yield batch
                     batch = InstructionBatch()
-                    in_batch = 0
-                while pending and pending[0].offset <= executed:
-                    self._apply(pending.popleft(), process)
-            batch.append_instruction(instruction)
-            in_batch += 1
-            executed += 1
-            if in_batch >= batch_size:
-                yield batch
-                batch = InstructionBatch()
-                in_batch = 0
-        if in_batch:
+        if len(batch):
             yield batch
+        # Trailing ops: the run loop resumes the generator once more after
+        # the last instruction retires, so these run post-stream, pre-report.
         while pending:
             self._apply(pending.popleft(), process)

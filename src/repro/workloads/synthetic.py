@@ -12,7 +12,6 @@ from typing import Iterator, List
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
-from repro.core.instructions import Instruction
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
@@ -56,9 +55,6 @@ class RandomAccessWorkload(Workload):
         return StreamBuilder(DeterministicRNG(self.seed).fork(1),
                              self.compute_per_memory, self.write_fraction)
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        return self._builder().emit(self._address_list())
-
     def instruction_batches(self, process: Process, batch_size: int = 4096):
         return self._builder().emit_batches(self._address_list(), batch_size=batch_size)
 
@@ -97,9 +93,6 @@ class SequentialWorkload(Workload):
     def _builder(self) -> StreamBuilder:
         return StreamBuilder(DeterministicRNG(self.seed), self.compute_per_memory,
                              write_fraction=0.2)
-
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        return self._builder().emit(self._address_stream())
 
     def instruction_batches(self, process: Process, batch_size: int = 4096):
         return self._builder().emit_batches(self._address_stream(), batch_size=batch_size)
@@ -151,9 +144,6 @@ class PointerChaseWorkload(Workload):
     def _builder(self) -> StreamBuilder:
         return StreamBuilder(DeterministicRNG(self.seed).fork(1),
                              self.compute_per_memory, write_fraction=0.05)
-
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        return self._builder().emit(self._address_stream())
 
     def instruction_batches(self, process: Process, batch_size: int = 4096):
         return self._builder().emit_batches(self._address_stream(), batch_size=batch_size)

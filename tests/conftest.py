@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.common.addresses import MB
@@ -16,6 +19,7 @@ from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mimicos.buddy import BuddyAllocator
 from repro.mimicos.kernel import MimicOS
+from repro.validation.parity import HOST_ONLY_KEYS, flatten_stats
 
 
 TINY_MEMORY_BYTES = 256 * MB
@@ -97,3 +101,22 @@ class FlatMemory:
 def flat_memory() -> FlatMemory:
     """Constant-latency memory stub."""
     return FlatMemory()
+
+
+def report_digest(report) -> str:
+    """sha256 of every simulated statistic of a report, host-only values
+    dropped (the digest ``perfbench`` records)."""
+    host_only = set(HOST_ONLY_KEYS)
+    flat = {path: value for path, value in flatten_stats(report).items()
+            if host_only.isdisjoint(path.split("."))}
+    encoded = json.dumps(flat, sort_keys=True, separators=(",", ":"), default=repr)
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def assert_report_digest(report, recorded: str) -> None:
+    """``report`` must hash to ``recorded``, and one perturbed counter must
+    move the digest (so the pin is not vacuous)."""
+    assert report_digest(report) == recorded
+    report.page_walks += 1
+    assert report_digest(report) != recorded
+    report.page_walks -= 1

@@ -1,23 +1,8 @@
-"""R5 negative fixtures: symmetric engine pair, HOST_ONLY_KEYS exemption."""
-
-HOST_ONLY_KEYS = ("host_seconds",)
+"""R5 negative fixture: every counter the report reads is written."""
 
 
-class Engine:
-    def __init__(self, counters):
-        self.counters = counters
-        self._c_steps = self.counters.hot("steps")
-
-    def execute(self, ops):
-        for _ in ops:
-            self._c_steps[0] += 1
-            self.counters.add("ops_retired")
-
-    def execute_batch(self, ops):
-        self._c_steps[0] += len(ops)
-        self.counters.add("ops_retired")
-        # Host-only cost counter: exempt from the pairing requirement.
-        self.counters.add("host_seconds")
+def retire(counters):
+    counters.add("ops_retired")
 
 
 def build_report(counters):

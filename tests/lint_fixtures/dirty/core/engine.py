@@ -1,19 +1,4 @@
-"""R5 positive fixtures: asymmetric engine pair and an orphan report read."""
-
-
-class Engine:
-    def __init__(self, counters):
-        self.counters = counters
-        self._c_steps = self.counters.hot("steps")
-
-    def execute(self, ops):
-        for _ in ops:
-            self._c_steps[0] += 1
-            self.counters.add("ops_retired")
-
-    def execute_batch(self, ops):
-        # BUG SHAPE: never touches ops_retired — the engines diverge.
-        self._c_steps[0] += len(ops)
+"""R5 positive fixture: an orphan report read."""
 
 
 def build_report(counters):

@@ -12,7 +12,17 @@ from repro.core.channels import (
     PageFaultResponse,
 )
 from repro.core.cpu import CoreModel
-from repro.core.instructions import Instruction, InstructionKind, InstructionStream
+from repro.core.instructions import (
+    OP_ALU,
+    OP_LOAD,
+    OP_MAGIC,
+    OP_REP,
+    OP_STORE,
+    Instruction,
+    InstructionBatch,
+    InstructionKind,
+    KernelInstructionBatch,
+)
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.modes import (
     EmulationCoupling,
@@ -39,13 +49,14 @@ class TestInstructions:
         assert store.is_memory and store.is_write
         assert not alu.is_memory
 
-    def test_stream_accounting(self):
-        stream = InstructionStream("s")
-        stream.append(Instruction(InstructionKind.ALU))
-        stream.extend([Instruction(InstructionKind.LOAD, memory_address=0x0),
-                       Instruction(InstructionKind.STORE, memory_address=0x40)])
-        assert len(stream) == 3
-        assert stream.memory_instructions == 2
+    def test_batch_accounting(self):
+        batch = InstructionBatch()
+        batch.append(OP_ALU, 0)
+        batch.append_instruction(Instruction(InstructionKind.LOAD, memory_address=0x0))
+        batch.append(OP_STORE, 0, 0x40)
+        assert len(batch) == 3
+        assert batch.kinds == [OP_ALU, OP_LOAD, OP_STORE]
+        assert batch.memory_instructions == 2
 
 
 class TestKernelTrace:
@@ -91,11 +102,11 @@ class TestChannels:
 
     def test_instruction_channel_appends_magic_terminator(self):
         channel = InstructionStreamChannel()
-        stream = InstructionStream("pf")
-        stream.append(Instruction(InstructionKind.ALU))
-        channel.push(stream)
+        batch = KernelInstructionBatch("pf")
+        batch.append(OP_ALU, 0)
+        channel.push_batch(batch)
         delivered = channel.pop()
-        assert delivered.instructions[-1].kind == InstructionKind.MAGIC
+        assert delivered.kinds[-1] == OP_MAGIC
         assert channel.total_instructions == 1
         assert channel.pop() is None
 
@@ -107,7 +118,7 @@ class TestInstrumentation:
         small.new_op("buddy_alloc", work_units=1)
         large = KernelRoutineTrace("f")
         large.new_op("buddy_alloc", work_units=50)
-        assert len(tool.expand(large)) > len(tool.expand(small))
+        assert len(tool.expand_batch(large)) > len(tool.expand_batch(small))
 
     def test_memory_touches_become_memory_instructions(self):
         tool = InstrumentationTool()
@@ -115,33 +126,34 @@ class TestInstrumentation:
         op = trace.new_op("pt_update", work_units=2)
         op.touch(0x1000, is_write=True)
         op.touch(0x2000, is_write=False)
-        stream = tool.expand(trace)
-        memory_ops = [i for i in stream if i.is_memory]
-        assert len(memory_ops) == 2
-        assert {i.memory_address for i in memory_ops} == {0x1000, 0x2000}
-        assert all(i.is_kernel for i in stream)
+        batch = tool.expand_batch(trace)
+        memory_ops = [(op, address) for op, address in zip(batch.kinds, batch.addresses)
+                      if op in (OP_LOAD, OP_STORE)]
+        assert memory_ops == [(OP_STORE, 0x1000), (OP_LOAD, 0x2000)]
+        assert batch.memory_instructions == 2
 
     def test_bulk_zeroing_stays_compact_but_expensive(self):
         tool = InstrumentationTool()
         trace = KernelRoutineTrace("f")
         op = trace.new_op("zero_page", work_units=32768)
         op.touch(0x1000, is_write=True)
-        stream = tool.expand(trace)
-        assert len(stream) < 100
-        assert any(i.repeat >= 32768 for i in stream)
+        batch = tool.expand_batch(trace)
+        assert len(batch) < 100
+        assert OP_REP in batch.kinds
+        assert any(repeat >= 32768 for repeat in batch.rep_values)
 
     def test_pathological_op_capped(self):
         tool = InstrumentationTool()
         trace = KernelRoutineTrace("f")
         trace.new_op("ech_resize", work_units=10 ** 6)
-        stream = tool.expand(trace)
-        assert len(stream) <= tool.MAX_COMPUTE_PER_OP + 10
+        batch = tool.expand_batch(trace)
+        assert len(batch) <= tool.MAX_COMPUTE_PER_OP + 10
 
     def test_full_system_factor_inflates_streams(self):
         trace = KernelRoutineTrace("f")
         trace.new_op("buddy_alloc", work_units=10)
-        normal = InstrumentationTool().expand(trace)
-        inflated = InstrumentationTool(full_system_factor=3.0).expand(trace)
+        normal = InstrumentationTool().expand_batch(trace)
+        inflated = InstrumentationTool(full_system_factor=3.0).expand_batch(trace)
         assert len(inflated) > len(normal)
 
     def test_memory_overhead_factors(self):
@@ -164,36 +176,51 @@ def build_core(config=None):
     return core, mmu, table, memory
 
 
+def execute_one(core, op, address=None):
+    """Execute one application instruction; returns the cycles it consumed."""
+    batch = InstructionBatch()
+    batch.append(op, 0, address)
+    before = core.cycles
+    assert core.execute_batch(batch) == 1
+    return core.cycles - before
+
+
+def kernel_batch(*instructions):
+    """A kernel batch from (op, address, repeat) triples."""
+    batch = KernelInstructionBatch("k")
+    for op, address, repeat in instructions:
+        batch.append(op, 0, address, repeat=repeat)
+    return batch
+
+
 class TestCoreModel:
     def test_non_memory_instruction_costs_base_cpi(self):
         core, _, _, _ = build_core()
-        consumed = core.execute(Instruction(InstructionKind.ALU))
+        consumed = execute_one(core, OP_ALU)
         assert consumed == pytest.approx(core.config.base_cpi)
         assert core.instructions == 1
 
     def test_memory_instruction_adds_stalls(self):
         core, _, table, _ = build_core()
         table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        consumed = core.execute(Instruction(InstructionKind.LOAD, memory_address=0x1000))
+        consumed = execute_one(core, OP_LOAD, 0x1000)
         assert consumed > core.config.base_cpi
         assert core.breakdown.translation_cycles > 0
 
     def test_ipc_decreases_with_memory_intensity(self):
         compute_core, _, _, _ = build_core()
         for _ in range(200):
-            compute_core.execute(Instruction(InstructionKind.ALU))
+            execute_one(compute_core, OP_ALU)
         memory_core, _, table, _ = build_core()
         for index in range(200):
             address = 0x1000 + index * PAGE_SIZE_4K
             table.insert(address, 0xA000 + index * PAGE_SIZE_4K, PAGE_SIZE_4K)
-            memory_core.execute(Instruction(InstructionKind.LOAD, memory_address=address))
+            execute_one(memory_core, OP_LOAD, address)
         assert memory_core.ipc < compute_core.ipc
 
-    def test_kernel_stream_does_not_advance_core_cycles(self):
+    def test_kernel_batch_does_not_advance_core_cycles(self):
         core, _, _, _ = build_core()
-        stream = InstructionStream("k")
-        stream.extend([Instruction(InstructionKind.ALU, is_kernel=True) for _ in range(10)])
-        consumed = core.execute_kernel_stream(stream)
+        consumed = core.execute_kernel_batch(kernel_batch(*[(OP_ALU, None, 1)] * 10))
         assert consumed > 0
         assert core.cycles == 0
         assert core.kernel_instructions == 10
@@ -201,16 +228,12 @@ class TestCoreModel:
 
     def test_kernel_memory_accesses_pollute_caches(self):
         core, _, _, memory = build_core()
-        stream = InstructionStream("k")
-        stream.append(Instruction(InstructionKind.STORE, memory_address=0x9000, is_kernel=True))
-        core.execute_kernel_stream(stream)
+        core.execute_kernel_batch(kernel_batch((OP_STORE, 0x9000, 1)))
         assert memory.counters.get("requests_kernel_zero") == 1
 
     def test_repeat_instruction_charges_per_iteration(self):
         core, _, _, _ = build_core()
-        stream = InstructionStream("k")
-        stream.append(Instruction(InstructionKind.ALU, is_kernel=True, repeat=1000))
-        consumed = core.execute_kernel_stream(stream)
+        consumed = core.execute_kernel_batch(kernel_batch((OP_ALU, None, 1000)))
         assert consumed >= 1000
 
     def test_page_fault_latency_charged_once(self):
@@ -221,7 +244,7 @@ class TestCoreModel:
             return 700, True
 
         mmu.set_fault_callback(fault)
-        core.execute(Instruction(InstructionKind.LOAD, memory_address=0x3000))
+        execute_one(core, OP_LOAD, 0x3000)
         assert core.breakdown.fault_cycles == pytest.approx(700)
         assert core.cycles > 700
 

@@ -101,12 +101,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="bad-kind.*quantum"):
             validate_points(points)
 
-    def test_unknown_engine(self):
-        points = [SweepPoint(name="bad-engine", workload="RND",
-                             engine="warp")]
-        with pytest.raises(ValueError, match="bad-engine.*warp"):
-            validate_points(points)
-
     def test_duplicate_names_rejected(self):
         points = [SweepPoint(name="twin", workload="RND"),
                   SweepPoint(name="twin", workload="Bagel")]

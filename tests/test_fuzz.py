@@ -104,8 +104,10 @@ class TestScheduledWorkload:
     def test_instruction_sequence_is_unchanged_by_wrapping(self):
         wrapped = ScheduledWorkload(_FlatWorkload(), self._schedule())
         wrapped.bind(_Recorder())
-        assert ([i.pc for i in wrapped.instructions(None)]
-                == [i.pc for i in _FlatWorkload().instructions(None)])
+        assert ([pc for batch in wrapped.instruction_batches(None, batch_size=16)
+                 for pc in batch.pcs]
+                == [pc for batch in _FlatWorkload().instruction_batches(None)
+                    for pc in batch.pcs])
 
     def test_batch_boundaries_cut_exactly_at_op_offsets(self):
         recorder = _Recorder()
@@ -128,26 +130,19 @@ class TestScheduledWorkload:
             "touch", "collapse", "reclaim", "migrate"]
         assert fired_after == [10, 10, 37, 100]
 
-    def test_legacy_iteration_fires_ops_at_the_same_offsets(self):
-        recorder = _Recorder()
+    def test_chunks_stay_batch_size_long_between_op_offsets(self):
         wrapped = ScheduledWorkload(_FlatWorkload(), self._schedule())
-        wrapped.bind(recorder)
-        fired_after = []
-        emitted = 0
-        iterator = wrapped.instructions(None)
-        for instruction in iterator:
-            while len(fired_after) < len(recorder.applied):
-                fired_after.append(emitted)
-            emitted += 1
-        while len(fired_after) < len(recorder.applied):
-            fired_after.append(emitted)
-        assert fired_after == [10, 10, 37, 100]
+        wrapped.bind(_Recorder())
+        sizes = [len(batch)
+                 for batch in wrapped.instruction_batches(None, batch_size=16)]
+        # Extra cuts at offsets 10 and 37 only; full 16-long chunks elsewhere.
+        assert sizes == [10, 16, 11, 16, 16, 16, 15]
 
     def test_unbound_executor_is_an_error(self):
         wrapped = ScheduledWorkload(_FlatWorkload(),
                                     OpSchedule(ops=(KernelOpSpec("mmap", 0, {}),)))
         with pytest.raises(RuntimeError, match="no executor bound"):
-            list(wrapped.instructions(None))
+            list(wrapped.instruction_batches(None))
 
 
 # --------------------------------------------------------------------- #
@@ -238,8 +233,8 @@ class TestOracle:
         assert digest["divergence"] is None
 
     def test_crash_is_classified_not_raised(self, monkeypatch):
-        monkeypatch.setattr(fuzz, "_run_scenario_engine",
-                            lambda scenario, engine: (_ for _ in ()).throw(
+        monkeypatch.setattr(fuzz, "_run_scenario_side",
+                            lambda scenario, vpn_cache: (_ for _ in ()).throw(
                                 AssertionError("injected fault")))
         scenario = generate_scenarios(1, seed=2)[0][0]
         digest = run_fuzz_scenario(scenario.to_json())
@@ -248,21 +243,21 @@ class TestOracle:
                                    "message": "injected fault"}
 
     def test_one_sided_crash_is_a_divergence(self, monkeypatch):
-        real = fuzz._run_scenario_engine
+        real = fuzz._run_scenario_side
 
-        def broken(scenario, engine):
-            if engine == "batch":
-                raise RuntimeError("batch only")
-            return real(scenario, engine)
+        def broken(scenario, vpn_cache):
+            if vpn_cache:
+                raise RuntimeError("cached side only")
+            return real(scenario, vpn_cache)
 
-        monkeypatch.setattr(fuzz, "_run_scenario_engine", broken)
+        monkeypatch.setattr(fuzz, "_run_scenario_side", broken)
         scenario = FuzzScenario(config=FuzzConfig(),
                                 schedule=OpSchedule(ops=(
                                     KernelOpSpec("mmap", 0, {"pages": 4}),)))
         digest = run_fuzz_scenario(scenario.to_json())
         assert digest["outcome"] == "divergence"
         assert digest["divergence"]["field"] == "crash"
-        assert digest["divergence"]["legacy_value"] == "ok"
+        assert digest["divergence"]["uncached_value"] == "ok"
 
 
 # --------------------------------------------------------------------- #

@@ -4,26 +4,26 @@ Four families:
 
 * sampled parity matrix — a seeded ~40-point subset of the full lattice
   (every page-table design x workload family x cores x THP/swap toggles)
-  must be bit-identical between the batch and legacy engines;
+  must be bit-identical with the VPN translation cache off and on;
 * harness sensitivity — with the kernel's TLB-shootdown wiring disabled the
   harness must *detect* a divergence (a differential harness that cannot
   catch the bug it was built for is worthless);
 * stale-translation regression — swapping a page out must make the next
-  access fault identically on both engines (the kernel-initiated shootdown
-  keeps the TLBs and the VPN translation cache honest);
+  access fault with the VPN cache off and on, reproducing the statistics
+  recorded when a per-object reference engine still ran (the
+  kernel-initiated shootdown keeps the TLBs and the VPN cache honest);
 * zoo smoke — every factory-registered design survives a
   fault-allocate-translate-remove cycle, and the fallback page-table-frame
   allocator can never alias simulated physical memory.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.common.addresses import FALLBACK_FRAME_BASE, GB, MB, PAGE_SIZE_4K, align_down, page_number
 from repro.common.config import PageTableConfig
-from repro.core.virtuoso import Virtuoso
+from repro.core.virtuoso import Virtuoso, build_report
 from repro.mimicos.kernel import MimicOS
+from repro.mmu.extensions import MMUExtensions
 from repro.pagetables.base import _BumpFrameAllocator
 from repro.pagetables.factory import build_page_table, registered_kinds
 from repro.validation.parity import (
@@ -36,7 +36,12 @@ from repro.validation.parity import (
     sample_lattice,
     virtualized_lattice,
 )
-from tests.conftest import FlatMemory, tiny_mimicos_config, tiny_system_config
+from tests.conftest import (
+    FlatMemory,
+    assert_report_digest,
+    tiny_mimicos_config,
+    tiny_system_config,
+)
 
 #: Size of the always-on sampled subset (the full lattice is the CLI's job).
 SAMPLE_SIZE = 40
@@ -90,21 +95,21 @@ class TestLattice:
 
 
 class TestSampledParityMatrix:
-    """The always-on gate: no engine divergence anywhere in the sample."""
+    """The always-on gate: no cache divergence anywhere in the sample."""
 
     @pytest.mark.parametrize("point", sample_lattice(SAMPLE_SIZE),
                              ids=lambda point: point.name)
     def test_point_is_engine_invariant(self, point):
         digest = run_parity_point(point)
         record = divergence_of(digest)
-        assert record is None, f"engine divergence: {record}"
+        assert record is None, f"VPN-cache divergence: {record}"
         assert digest["fields_compared"] > 50  # a real report, not a stub
 
 
 class TestHarnessSensitivity:
     def test_detects_divergence_when_shootdown_disabled(self, monkeypatch):
         """Re-create the pre-fix tree (no kernel TLB shootdowns) and demand
-        the harness flags the engine divergence it used to hide."""
+        the harness flags the cache divergence it used to hide."""
         monkeypatch.setattr(MimicOS, "register_tlb_listener",
                             lambda self, listener: None)
         digest = run_parity_point(ParityPoint("radix", "llm", thp=True))
@@ -115,16 +120,16 @@ class TestHarnessSensitivity:
         assert record.field
         # The record is structured: configuration, counter and both values.
         assert record.point == "radix/llm/c1/thp=on/swap=off"
-        assert record.legacy_value != record.batch_value
+        assert record.uncached_value != record.cached_value
         assert "diverged" in str(record)
 
     def test_detects_divergence_when_nested_invalidation_disabled(self, monkeypatch):
         """Re-create the pre-fix nested path (stale nested-TLB entries
         survive guest collapses and hypervisor remaps) and demand the
-        virtualised guest-collapse point flags the engine divergence: a
+        virtualised guest-collapse point flags the cache divergence: a
         stale nested entry re-fills a 4 KB combined translation that the
-        legacy TLB probe order and the batch VPN cache's whole-region 2 MB
-        entries then shadow differently."""
+        TLB probe order and the VPN cache's whole-region 2 MB entries then
+        shadow differently."""
         from repro.mmu.mmu import MMU
         from repro.mmu.nested import NestedTranslationUnit
 
@@ -139,7 +144,7 @@ class TestHarnessSensitivity:
         assert record is not None, (
             "parity harness failed to detect the stale nested-TLB divergence")
         assert record.point == point.name
-        assert record.legacy_value != record.batch_value
+        assert record.uncached_value != record.cached_value
 
 
 def _swap_out_page(system: Virtuoso, pid: int, virtual_base: int) -> None:
@@ -152,49 +157,48 @@ def _swap_out_page(system: Virtuoso, pid: int, virtual_base: int) -> None:
 
 
 class TestSwapOutStaleTranslationRegression:
-    """A swapped-out page must fault on its next access — on both engines."""
+    """A swapped-out page must fault on its next access, cache off or on."""
 
-    def run_engine(self, engine: str):
-        config = tiny_system_config()
-        config = config.with_simulation(replace(config.simulation, engine=engine))
-        system = Virtuoso(config, seed=7)
+    #: Report digest of the sequence, recorded when a per-object reference
+    #: engine still ran beside the batch engine (both produced it).
+    RECORDED_DIGEST = "163b3b741d5b5b1dd46dd2d8b8f47231c2b90476a2f871f7a83d5791e2f1240a"
+
+    def run(self, vpn_cache: bool):
+        system = Virtuoso(tiny_system_config(), seed=7,
+                          mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
         process = system.create_process("swap-victim")
         vma = system.kernel.mmap(process, 1 * MB)
         system.activate_process(process)
         address = vma.start + 0x1000
 
-        access = (system.mmu.access_data_fast if engine == "batch"
-                  else system.mmu.access_data)
+        access = system.mmu.access_data_fast
         # Fault the page in, then touch it twice more: the second touch is an
-        # L1 TLB hit, which on the batch engine records a VPN-cache entry and
+        # L1 TLB hit, which with the cache on records a VPN-cache entry and
         # the third is served by the fast path.
         assert access(address).translation.page_fault
         access(address)
         access(address)
-        if engine == "batch":
-            assert system.mmu.fast_hits > 0
+        assert (system.mmu.fast_hits > 0) == vpn_cache
 
         _swap_out_page(system, process.pid, align_down(address, PAGE_SIZE_4K))
 
         outcome = access(address)
         return system, outcome
 
-    def test_next_access_faults_identically_on_both_engines(self):
-        legacy_system, legacy_outcome = self.run_engine("legacy")
-        batch_system, batch_outcome = self.run_engine("batch")
+    @pytest.mark.parametrize("vpn_cache", [False, True])
+    def test_next_access_faults_and_matches_recorded_digest(self, vpn_cache):
+        system, outcome = self.run(vpn_cache)
 
         # The unmapped page faults again (major: it comes back from swap).
-        assert legacy_outcome.translation.page_fault
-        assert batch_outcome.translation.page_fault
-        assert legacy_system.kernel.swap.counters.get("swap_ins") == 1
-        assert batch_system.kernel.swap.counters.get("swap_ins") == 1
+        assert outcome.translation.page_fault
+        assert system.kernel.swap.counters.get("swap_ins") == 1
 
-        # And every simulated statistic of the sequence is engine-invariant.
-        assert legacy_system.mmu.counters.as_dict() == \
-            batch_system.mmu.counters.as_dict()
-        assert legacy_system.tlbs.stats() == batch_system.tlbs.stats()
-        assert legacy_system.coupling.counters.as_dict() == \
-            batch_system.coupling.counters.as_dict()
+        # And every simulated statistic of the sequence is the recorded one.
+        report = build_report("swap-victim", 0.0, config=system.config,
+                              core=system.core, mmu=system.mmu, tlbs=system.tlbs,
+                              memory=system.memory, kernel=system.kernel,
+                              coupling=system.coupling)
+        assert_report_digest(report, self.RECORDED_DIGEST)
 
     def test_shootdown_reaches_only_the_matching_context(self):
         """The per-core IPI filter: a shootdown for another pid must leave

@@ -1,4 +1,4 @@
-"""End-to-end tests for virtualized execution as a first-class engine mode.
+"""End-to-end tests for virtualized execution as a first-class mode.
 
 Four families:
 
@@ -6,12 +6,14 @@ Four families:
   over the hypervisor, routes application faults through the guest and
   guest-RAM backing faults through the hypervisor, and injects *both*
   kernels' instruction streams into the faulting core;
-* engine invariance — virtualized runs are bit-identical between the batch
-  and legacy engines, on one core and on the multi-core orchestrator;
+* VPN-cache invariance — virtualized runs with the cache off and on both
+  reproduce the report digests recorded when a per-object reference engine
+  still ran beside the batch engine, on one core and on the multi-core
+  orchestrator;
 * hypervisor-remap staleness regression — after the hypervisor swaps out a
   frame backing guest RAM, the next guest access must fault and re-walk
-  (host swap-in) identically on both engines instead of translating through
-  the stale nested-TLB / TLB / VPN-cache entries.  This test fails if the
+  (host swap-in) identically with the VPN cache off and on instead of
+  translating through the stale nested-TLB / TLB / VPN-cache entries.  This test fails if the
   two-level shootdown wiring (``MMU.invalidate_nested_translations`` /
   ``NestedTranslationUnit.invalidate``) is removed;
 * 2-D accounting — the guest and host walk dimensions are attributed
@@ -27,19 +29,23 @@ from repro.common.addresses import MB, PAGE_SIZE_4K, align_down, page_number
 from repro.common.config import VirtualizationConfig
 from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
+from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
-from repro.validation.parity import diff_stats, flatten_stats
 from repro.workloads.multiproc import GuestMixWorkload, virtualized_guests
-from tests.conftest import tiny_system_config
+from tests.conftest import assert_report_digest, tiny_system_config
+
+#: Report digests recorded when a per-object reference engine still ran
+#: beside the batch engine (both engines produced them).
+SINGLE_CORE_DIGEST = "a79c129b7360def3c454d844158315685ea0d8086381e95e73f1411a90ceb52e"
+MULTICORE_DIGEST = "9dc35ece1010aa3cf9a0a02775410ee7652d0465fe32e4732fbffec43694c4a0"
 
 
-def virtualized_config(engine: str = "batch", **virt_overrides):
+def virtualized_config(**virt_overrides):
     defaults = dict(enabled=True, guest_memory_bytes=128 * MB,
                     nested_tlb_entries=256)
     defaults.update(virt_overrides)
     config = tiny_system_config()
-    config = config.with_virtualization(VirtualizationConfig(**defaults))
-    return config.with_simulation(replace(config.simulation, engine=engine))
+    return config.with_virtualization(VirtualizationConfig(**defaults))
 
 
 class TestVirtualizedConstruction:
@@ -82,32 +88,24 @@ class TestVirtualizedConstruction:
 
 
 class TestVirtualizedEngineInvariance:
-    def run_engine(self, engine: str):
-        system = Virtuoso(virtualized_config(engine), seed=7)
+    @pytest.mark.parametrize("vpn_cache", [False, True])
+    def test_single_core_bit_identical(self, vpn_cache):
+        system = Virtuoso(virtualized_config(), seed=7,
+                          mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
         report = system.run(GuestMixWorkload(footprint_bytes=2 * MB,
                                              hot_operations=600, seed=3))
-        return system, report
+        assert_report_digest(report, SINGLE_CORE_DIGEST)
+        # The fast path really engaged when on, and stayed out when off.
+        assert (system.mmu.fast_hits > 0) == vpn_cache
 
-    def test_single_core_bit_identical(self):
-        _, legacy = self.run_engine("legacy")
-        batch_system, batch = self.run_engine("batch")
-        assert batch_system.mmu.fast_hits > 0  # the fast path really engaged
-        diffs = diff_stats(flatten_stats(legacy), flatten_stats(batch))
-        assert not diffs, f"virtualized engine divergence: {diffs[:3]}"
-
-    def test_multicore_bit_identical(self):
-        def run(engine):
-            system = MultiCoreVirtuoso(virtualized_config(engine), num_cores=2,
-                                       seed=7)
-            result = system.run(virtualized_guests(count=2,
-                                                   footprint_bytes=1 * MB,
-                                                   hot_operations=300, seed=3))
-            return result.merged
-
-        legacy = run("legacy")
-        batch = run("batch")
-        diffs = diff_stats(flatten_stats(legacy), flatten_stats(batch))
-        assert not diffs, f"virtualized multicore divergence: {diffs[:3]}"
+    @pytest.mark.parametrize("vpn_cache", [False, True])
+    def test_multicore_bit_identical(self, vpn_cache):
+        system = MultiCoreVirtuoso(
+            virtualized_config(), num_cores=2, seed=7,
+            mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+        result = system.run(virtualized_guests(count=2, footprint_bytes=1 * MB,
+                                               hot_operations=300, seed=3))
+        assert_report_digest(result.merged, MULTICORE_DIGEST)
 
 
 def _hypervisor_swap_out_backing(system: Virtuoso, process, address: int) -> int:
@@ -133,22 +131,21 @@ def _hypervisor_swap_out_backing(system: Virtuoso, process, address: int) -> int
 
 
 class TestHypervisorRemapStalenessRegression:
-    """A host remap must invalidate combined translations on both engines."""
+    """A host remap must invalidate combined translations, cache off or on."""
 
-    def run_engine(self, engine: str):
-        system = Virtuoso(virtualized_config(engine), seed=7)
+    def run(self, vpn_cache: bool):
+        system = Virtuoso(virtualized_config(), seed=7,
+                          mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
         process = system.create_process("guest-app")
         vma = system.kernel.mmap(process, 1 * MB)
         system.activate_process(process)
         address = vma.start + 0x1000
 
-        access = (system.mmu.access_data_fast if engine == "batch"
-                  else system.mmu.access_data)
+        access = system.mmu.access_data_fast
         assert access(address).translation.page_fault  # fault both levels in
         access(address)
         access(address)
-        if engine == "batch":
-            assert system.mmu.fast_hits > 0
+        assert (system.mmu.fast_hits > 0) == vpn_cache
 
         swapped = _hypervisor_swap_out_backing(system, process, address)
         assert swapped > 0
@@ -156,14 +153,14 @@ class TestHypervisorRemapStalenessRegression:
         outcome = access(address)
         return system, outcome
 
-    def test_next_access_refaults_identically_on_both_engines(self):
-        legacy_system, legacy_outcome = self.run_engine("legacy")
-        batch_system, batch_outcome = self.run_engine("batch")
+    def test_next_access_refaults_identically_with_cache_off_and_on(self):
+        uncached_system, uncached_outcome = self.run(vpn_cache=False)
+        cached_system, cached_outcome = self.run(vpn_cache=True)
 
         # The guest translation is intact, so the re-fault is an EPT
         # violation resolved purely by the hypervisor: a host swap-in.
-        for system, outcome in ((legacy_system, legacy_outcome),
-                                (batch_system, batch_outcome)):
+        for system, outcome in ((uncached_system, uncached_outcome),
+                                (cached_system, cached_outcome)):
             assert outcome.translation.page_fault, (
                 "access after hypervisor remap translated through a stale "
                 "combined mapping instead of re-faulting")
@@ -171,14 +168,14 @@ class TestHypervisorRemapStalenessRegression:
             assert system.hypervisor.swap.counters.get("swap_ins") >= 1
             assert system.mmu.counters.get("nested_shootdowns") == 1
 
-        # And the whole sequence is engine-invariant, statistic by statistic.
-        assert legacy_system.mmu.counters.as_dict() == \
-            batch_system.mmu.counters.as_dict()
-        assert legacy_system.tlbs.stats() == batch_system.tlbs.stats()
-        assert legacy_system.mmu.nested_unit.stats() == \
-            batch_system.mmu.nested_unit.stats()
-        assert legacy_system.coupling.counters.as_dict() == \
-            batch_system.coupling.counters.as_dict()
+        # And the whole sequence is cache-invariant, statistic by statistic.
+        assert uncached_system.mmu.counters.as_dict() == \
+            cached_system.mmu.counters.as_dict()
+        assert uncached_system.tlbs.stats() == cached_system.tlbs.stats()
+        assert uncached_system.mmu.nested_unit.stats() == \
+            cached_system.mmu.nested_unit.stats()
+        assert uncached_system.coupling.counters.as_dict() == \
+            cached_system.coupling.counters.as_dict()
 
     def test_stale_translation_survives_if_wiring_removed(self, monkeypatch):
         """Documents the failure mode: without the nested shootdown the next
@@ -186,7 +183,7 @@ class TestHypervisorRemapStalenessRegression:
         is exactly what the regression test above would catch)."""
         monkeypatch.setattr(MMU, "invalidate_nested_translations",
                             lambda self: None)
-        system, outcome = self.run_engine("batch")
+        system, outcome = self.run(vpn_cache=True)
         assert not outcome.translation.page_fault
         assert system.hypervisor.swap.counters.get("swap_ins") == 0
 

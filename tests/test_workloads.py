@@ -36,11 +36,11 @@ def kernel_and_process():
 def materialise(workload, kernel, process, limit=50_000):
     workload.setup(kernel, process)
     instructions = []
-    for instruction in workload.instructions(process):
-        instructions.append(instruction)
+    for batch in workload.instruction_batches(process):
+        instructions.extend(batch.iter_instructions())
         if len(instructions) >= limit:
             break
-    return instructions
+    return instructions[:limit]
 
 
 class TestRegistry:
