@@ -202,7 +202,7 @@ def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
 def main() -> None:
     results = measure_all()
     # Preserve the sections other tools own (sweep, backend parity, service,
-    # fuzz, server, lint) across rewrites.
+    # fuzz, server, lint, prefault) across rewrites.
     if BENCH_PATH.exists():
         previous = json.loads(BENCH_PATH.read_text())
         for owned_elsewhere, section in previous.items():

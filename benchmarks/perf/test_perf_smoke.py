@@ -13,6 +13,7 @@ measured cache-off run.  Regenerate the record with::
     PYTHONPATH=src python benchmarks/perf/kips_harness.py
     PYTHONPATH=src python benchmarks/perf/sweep.py
     PYTHONPATH=src python benchmarks/perf/service_bench.py
+    PYTHONPATH=src python benchmarks/perf/prefault_bench.py
 
 The sweep host-scaling gate only fires when the digest was recorded on a
 multi-core host (a 1-CPU container cannot exhibit host scaling); the sweep
@@ -167,6 +168,25 @@ def test_sweep_host_scaling_meets_target():
     assert scaling is not None and scaling >= digest["scaling_target"], (
         f"2-worker sweep scaling {scaling}x is below the "
         f"{digest['scaling_target']}x near-linear target")
+
+
+def test_prefault_record_is_faster_and_state_identical():
+    """The recorded trace-free prefault must not be slower than the
+    recording fault path, and must have left identical kernel state.
+
+    The ``prefault`` section is written by
+    ``benchmarks/perf/prefault_bench.py``.
+    """
+    digest = recorded_bench().get("prefault")
+    if digest is None:
+        pytest.skip("no prefault digest recorded yet; run "
+                    "benchmarks/perf/prefault_bench.py")
+    for kind, row in digest["backends"].items():
+        assert row["state_identical"] is True, kind
+        assert row["faults"] > 0, kind
+    assert digest["total"]["speedup"] >= 1.0, (
+        f"prefault with a DiscardedTrace recorded slower than the recording "
+        f"fault path ({digest['total']['speedup']}x)")
 
 
 def test_service_fault_tolerance_recorded():

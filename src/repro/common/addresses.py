@@ -71,7 +71,8 @@ def is_power_of_two(value: int) -> bool:
 
 def align_down(address: Address, alignment: int) -> Address:
     """Round ``address`` down to a multiple of ``alignment``."""
-    if not is_power_of_two(alignment):
+    # is_power_of_two, inlined: this sits on the fault and lookup paths.
+    if alignment <= 0 or alignment & (alignment - 1):
         raise ValueError(f"alignment must be a power of two, got {alignment}")
     return address & ~(alignment - 1)
 

@@ -50,6 +50,10 @@ class KernelRoutineTrace:
     are resolved by the SSD model, not by executing instructions).
     """
 
+    #: False only for :class:`DiscardedTrace`; lets a routine skip loops
+    #: whose sole effect is the ops they record.
+    recording = True
+
     routine: str
     ops: List[KernelOp] = field(default_factory=list)
     disk_latency_cycles: int = 0
@@ -89,6 +93,50 @@ class KernelRoutineTrace:
     def op_names(self) -> List[str]:
         """Names of the operations in order (useful for tests and debugging)."""
         return [op.name for op in self.ops]
+
+
+class _DiscardedOp(KernelOp):
+    """The one shared op a :class:`DiscardedTrace` hands out.
+
+    ``touch`` records nothing and ``work_units`` ignores assignment, so
+    ``op.work_units += n`` in a routine leaves the singleton unchanged.
+    """
+
+    @property
+    def work_units(self) -> int:
+        return 0
+
+    @work_units.setter
+    def work_units(self, value: int) -> None:
+        pass
+
+    def touch(self, address: int, is_write: bool = False) -> None:
+        pass
+
+
+_DISCARDED_OP = _DiscardedOp(name="discarded")
+
+
+class DiscardedTrace(KernelRoutineTrace):
+    """A trace that records no kernel work, for routines run only for their
+    side effects (e.g. pre-faulting before the measured region).
+
+    Routines still evaluate every ``touch(...)`` argument they pass, so
+    :meth:`KernelAddressSpace.entry_address` reserves the same regions in
+    the same order as under a recording trace; only the op records are
+    dropped.  ``disk_latency_cycles`` still accumulates.
+    """
+
+    recording = False
+
+    def add(self, op: KernelOp) -> "DiscardedTrace":
+        return self
+
+    def new_op(self, name: str, work_units: int = 1) -> KernelOp:
+        return _DISCARDED_OP
+
+    def extend(self, other: KernelRoutineTrace) -> None:
+        self.disk_latency_cycles += other.disk_latency_cycles
 
 
 class KernelAddressSpace:

@@ -52,6 +52,7 @@ from repro.core.report import SimulationReport
 from repro.core.virtuoso import (
     build_report,
     build_virtual_machine,
+    prefault_pages,
     resolve_mmu_extensions,
     virtualization_details,
 )
@@ -243,17 +244,9 @@ class MultiCoreVirtuoso:
         return process
 
     def prefault(self, process: Process, addresses) -> int:
-        """Install translations functionally, charging no simulated time."""
-        handler = (self.vm.handle_guest_page_fault if self.vm is not None
-                   else self.kernel.handle_page_fault)
-        faults = 0
-        for address in addresses:
-            if process.page_table.lookup(address) is None:
-                if handler(process.pid, address).segfault:
-                    raise RuntimeError(f"prefault segfaulted at {address:#x}")
-                faults += 1
-        self.counters.add("prefaulted_pages", faults)
-        return faults
+        """Install translations functionally, charging no simulated time
+        (see :func:`~repro.core.virtuoso.prefault_pages`)."""
+        return prefault_pages(self, process, addresses)
 
     # ------------------------------------------------------------------ #
     # Scheduling

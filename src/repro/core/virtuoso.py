@@ -28,6 +28,7 @@ from repro.core.report import SimulationReport
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mimicos.hypervisor import VirtualMachine
 from repro.mimicos.kernel import MimicOS
+from repro.mimicos.ops import DiscardedTrace
 from repro.mimicos.process import Process
 from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
@@ -63,6 +64,35 @@ def virtualization_details(vm: VirtualMachine, hypervisor: MimicOS) -> Dict[str,
         "vm": vm.stats(),
         "hypervisor": hypervisor.stats(),
     }
+
+
+def prefault_pages(system, process: Process, addresses: Iterable[int]) -> int:
+    """Fault in every unmapped page of ``addresses`` before the measured region.
+
+    Mirrors the paper's methodology of warming the page cache / address
+    space so experiments that study address translation are not dominated
+    by cold faults.  ``system`` is a :class:`Virtuoso` or a
+    ``MultiCoreVirtuoso``; in virtualised mode its VM handler installs both
+    dimensions (the guest translation and the host frame backing it).
+
+    The faults run with a :class:`~repro.mimicos.ops.DiscardedTrace`: set-up
+    charges no simulated time, so the kernel work is never recorded.  Every
+    allocator, page-table, residency and kernel-address side effect is the
+    same as under a recording trace.  Counts the faults in the system's
+    ``prefaulted_pages`` counter and returns them; raises ``RuntimeError``
+    if an address segfaults.
+    """
+    handler = (system.vm.handle_guest_page_fault if system.vm is not None
+               else system.kernel.handle_page_fault)
+    trace = DiscardedTrace("prefault")
+    faults = 0
+    for address in addresses:
+        if process.page_table.lookup(address) is None:
+            if handler(process.pid, address, 0, trace).segfault:
+                raise RuntimeError(f"prefault segfaulted at {address:#x}")
+            faults += 1
+    system.counters.add("prefaulted_pages", faults)
+    return faults
 
 
 class Virtuoso:
@@ -163,23 +193,9 @@ class Virtuoso:
     def prefault(self, process: Process, addresses: Iterable[int]) -> int:
         """Install translations for ``addresses`` without charging simulation time.
 
-        Mirrors the paper's methodology of warming the page cache / address
-        space before the measured region so experiments that study address
-        translation are not dominated by cold faults.  Returns the number of
-        faults taken.
+        See :func:`prefault_pages`.  Returns the number of faults taken.
         """
-        # In virtualised mode the VM handler installs both dimensions: the
-        # guest translation and the host frame backing the guest frame.
-        handler = (self.vm.handle_guest_page_fault if self.vm is not None
-                   else self.kernel.handle_page_fault)
-        faults = 0
-        for address in addresses:
-            if process.page_table.lookup(address) is None:
-                if handler(process.pid, address).segfault:
-                    raise RuntimeError(f"prefault segfaulted at {address:#x}")
-                faults += 1
-        self.counters.add("prefaulted_pages", faults)
-        return faults
+        return prefault_pages(self, process, addresses)
 
     # ------------------------------------------------------------------ #
     # Main run loop

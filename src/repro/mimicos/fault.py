@@ -17,6 +17,12 @@ Every step appends :class:`~repro.mimicos.ops.KernelOp` records, so the
 fault's *latency is not a constant*: it depends on the allocator state, the
 policy, the page size, zeroing, PT update depth and any disk I/O — exactly
 the variability Figs. 2, 15 and 16 measure.
+
+A caller that wants only the fault's side effects (pre-faulting before the
+measured region) passes a :class:`~repro.mimicos.ops.DiscardedTrace`.  The
+handler then takes the same path and leaves the same allocator, page-table,
+residency and kernel-address state; it just records no ops, and it skips the
+zero-page and bookkeeping loops, whose only effect is the touches they record.
 """
 
 from __future__ import annotations
@@ -90,10 +96,15 @@ class PageFaultHandler:
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
-    def handle(self, process: Process, virtual_address: int,
-               now_cycles: int = 0) -> PageFaultResult:
-        """Handle one page fault for ``process`` at ``virtual_address``."""
-        result = PageFaultResult(virtual_address=virtual_address)
+    def handle(self, process: Process, virtual_address: int, now_cycles: int = 0,
+               trace: Optional[KernelRoutineTrace] = None) -> PageFaultResult:
+        """Handle one page fault for ``process`` at ``virtual_address``.
+
+        The kernel work is recorded into ``trace`` (default: a fresh
+        ``do_page_fault`` trace), which becomes ``result.trace``.
+        """
+        result = (PageFaultResult(virtual_address=virtual_address) if trace is None
+                  else PageFaultResult(virtual_address=virtual_address, trace=trace))
         trace = result.trace
         trace.new_op("fault_entry", work_units=12)
         self.counters.add("page_faults")
@@ -261,22 +272,26 @@ class PageFaultHandler:
                       virtual_address: int, physical_base: int, page_size: int,
                       zeroing_bytes: int, result: PageFaultResult) -> None:
         trace = result.trace
-        if zeroing_bytes > 0:
-            zeroing_cycles = max(1, zeroing_bytes // self.zeroing_bytes_per_cycle)
-            zero_op = trace.new_op("zero_page", work_units=zeroing_cycles)
-            # Touch a strided sample of the zeroed region (cap the number of
-            # recorded addresses; the work units carry the full cost).
-            stride = max(64, zeroing_bytes // 32)
-            for offset in range(0, zeroing_bytes, stride):
-                zero_op.touch(physical_base + offset, is_write=True)
+        # The zero-page and bookkeeping touches are pure arithmetic on
+        # ``physical_base`` (no kernel-address region is reserved), so a
+        # trace that records nothing can skip the loops outright.
+        if trace.recording:
+            if zeroing_bytes > 0:
+                zeroing_cycles = max(1, zeroing_bytes // self.zeroing_bytes_per_cycle)
+                zero_op = trace.new_op("zero_page", work_units=zeroing_cycles)
+                # Touch a strided sample of the zeroed region (cap the number of
+                # recorded addresses; the work units carry the full cost).
+                stride = max(64, zeroing_bytes // 32)
+                for offset in range(0, zeroing_bytes, stride):
+                    zero_op.touch(physical_base + offset, is_write=True)
 
-        # Bookkeeping every anonymous/file fault performs regardless of the
-        # allocation path: reverse-map insertion, LRU list linkage, memory
-        # cgroup charging and the PTE lock round trip.
-        bookkeeping = trace.new_op("fault_bookkeeping", work_units=120)
-        for index in range(8):
-            bookkeeping.touch(0xFFFF_8D00_0000_0000 + (physical_base >> 12) * 64 + index * 8,
-                              is_write=index % 2 == 0)
+            # Bookkeeping every anonymous/file fault performs regardless of the
+            # allocation path: reverse-map insertion, LRU list linkage, memory
+            # cgroup charging and the PTE lock round trip.
+            bookkeeping = trace.new_op("fault_bookkeeping", work_units=120)
+            for index in range(8):
+                bookkeeping.touch(0xFFFF_8D00_0000_0000 + (physical_base >> 12) * 64
+                                  + index * 8, is_write=index % 2 == 0)
 
         if process.page_table is not None:
             virtual_base = align_down(virtual_address, page_size)

@@ -131,8 +131,9 @@ class VirtualMachine:
         """mmap() inside the guest."""
         return self.guest.mmap(process, size, **kwargs)
 
-    def handle_guest_page_fault(self, pid: int, guest_virtual: int,
-                                now_cycles: int = 0) -> NestedFaultResult:
+    def handle_guest_page_fault(self, pid: int, guest_virtual: int, now_cycles: int = 0,
+                                trace: Optional[KernelRoutineTrace] = None
+                                ) -> NestedFaultResult:
         """Handle a guest fault, propagating to the hypervisor when needed.
 
         Two shapes, mirroring hardware virtualisation:
@@ -148,15 +149,19 @@ class VirtualMachine:
           for this offset) — the guest kernel is *not* involved; only the
           hypervisor's fault runs, re-backing the page (a swap-in when host
           reclaim pushed it out).
+
+        ``trace``, when given, receives the kernel work of both the guest
+        and the host fault (e.g. a ``DiscardedTrace`` when pre-faulting);
+        by default each fault records its own trace.
         """
         self.counters.add("guest_page_faults")
         process = self.guest.processes.get(pid)
         mapping = (process.page_table.lookup(guest_virtual)
                    if process is not None and process.page_table is not None else None)
         if mapping is not None:
-            return self._handle_ept_violation(guest_virtual, mapping, now_cycles)
+            return self._handle_ept_violation(guest_virtual, mapping, now_cycles, trace)
 
-        guest_result = self.guest.handle_page_fault(pid, guest_virtual, now_cycles)
+        guest_result = self.guest.handle_page_fault(pid, guest_virtual, now_cycles, trace)
         if guest_result.segfault:
             return NestedFaultResult(guest=guest_result)
 
@@ -180,11 +185,13 @@ class VirtualMachine:
         if self.host_process.page_table.lookup(host_virtual) is None:
             self.counters.add("hypervisor_backing_faults")
             host_result = self.host.handle_page_fault(self.host_process.pid, host_virtual,
-                                                      now_cycles)
+                                                      now_cycles, trace)
         return NestedFaultResult(guest=guest_result, host=host_result)
 
     def _handle_ept_violation(self, guest_virtual: int, mapping: Tuple[int, int],
-                              now_cycles: int) -> NestedFaultResult:
+                              now_cycles: int,
+                              trace: Optional[KernelRoutineTrace] = None
+                              ) -> NestedFaultResult:
         """Back (or re-back) the host page under an intact guest translation.
 
         The guest-side result is a synthetic no-work record (an EPT
@@ -204,7 +211,7 @@ class VirtualMachine:
         if self.host_process.page_table.lookup(host_virtual) is None:
             self.counters.add("hypervisor_backing_faults")
             host_result = self.host.handle_page_fault(self.host_process.pid, host_virtual,
-                                                      now_cycles)
+                                                      now_cycles, trace)
         return NestedFaultResult(guest=guest_result, host=host_result)
 
     # ------------------------------------------------------------------ #

@@ -242,15 +242,19 @@ class MimicOS:
     # ------------------------------------------------------------------ #
     # Page faults
     # ------------------------------------------------------------------ #
-    def handle_page_fault(self, pid: int, virtual_address: int,
-                          now_cycles: int = 0) -> PageFaultResult:
-        """Handle a page fault reported by the simulator's MMU model."""
+    def handle_page_fault(self, pid: int, virtual_address: int, now_cycles: int = 0,
+                          trace: Optional[KernelRoutineTrace] = None) -> PageFaultResult:
+        """Handle a page fault reported by the simulator's MMU model.
+
+        ``trace`` receives the fault's kernel work (see
+        :meth:`PageFaultHandler.handle`); the default records a fresh trace.
+        """
         process = self.processes.get(pid)
         if process is None:
             raise KeyError(f"unknown pid {pid}")
         self.counters.add("page_fault_requests")
 
-        result = self.fault_handler.handle(process, virtual_address, now_cycles)
+        result = self.fault_handler.handle(process, virtual_address, now_cycles, trace)
 
         if not result.segfault:
             self._record_residency(pid, result)

@@ -7,6 +7,11 @@ cycle through the kernel).  MimicOS modules import them from here, keeping
 the kernel-facing name the paper uses.
 """
 
-from repro.common.kernelops import KernelAddressSpace, KernelOp, KernelRoutineTrace
+from repro.common.kernelops import (
+    DiscardedTrace,
+    KernelAddressSpace,
+    KernelOp,
+    KernelRoutineTrace,
+)
 
-__all__ = ["KernelAddressSpace", "KernelOp", "KernelRoutineTrace"]
+__all__ = ["DiscardedTrace", "KernelAddressSpace", "KernelOp", "KernelRoutineTrace"]

@@ -216,11 +216,14 @@ class PageTableBase:
         return sum(m.page_size for m in self._mappings.values())
 
     def _find_mapping(self, virtual_address: int) -> Optional[TranslationMapping]:
+        # Only insert() and remove() write _mappings and both keep
+        # _size_counts in step, so a size with no live mapping cannot match.
+        size_counts = self._size_counts
         for page_size in self.SUPPORTED_PAGE_SIZES:
-            base = align_down(virtual_address, page_size)
-            mapping = self._mappings.get(base)
-            if mapping is not None and mapping.page_size == page_size:
-                return mapping
+            if page_size in size_counts:
+                mapping = self._mappings.get(virtual_address & -page_size)
+                if mapping is not None and mapping.page_size == page_size:
+                    return mapping
         return None
 
     # ------------------------------------------------------------------ #

@@ -57,6 +57,11 @@ class TestAlignment:
         with pytest.raises(ValueError):
             align_up(100, 12)
 
+    @pytest.mark.parametrize("alignment", [0, -1, -0x1000, 3, 12, 0x1001])
+    def test_align_down_rejects_bad_alignments(self, alignment):
+        with pytest.raises(ValueError):
+            align_down(0x12345, alignment)
+
     def test_is_aligned(self):
         assert is_aligned(0x2000, 0x1000)
         assert not is_aligned(0x2001, 0x1000)
