@@ -1,36 +1,24 @@
-"""R4 — async/fork safety: never block the loop, always detach the fork.
+"""R4 — async safety: never block the event loop.
 
 The PR 8 server multiplexes every client onto one asyncio event loop:
 a single synchronous ``time.sleep`` or ``subprocess.run`` inside an
 ``async def`` stalls every connection, heartbeat deadline and drain ack
 at once — a failure mode invisible in unit tests and fatal in a soak.
-And the same PR's hardest bugs were fork hygiene: a forked worker
-inherits the server's asyncio signal plumbing (the wakeup fd is the
-*parent's* self-pipe, so a reclaim SIGTERM aimed at the worker would
-ghost-drain the server) and the listening socket (an orphan worker
-keeps the port bound after a SIGKILL, blocking the restart).  The
-``_lease_entry`` helper restores ``SIG_DFL`` dispositions, detaches the
-wakeup fd and closes the inherited listen fd before doing any work.
 
-Two checks over the experiments package:
-
-* **no blocking calls in coroutines** — ``time.sleep``, the synchronous
-  ``subprocess`` family and ``os.system`` are flagged inside ``async
-  def`` bodies (nested synchronous ``def``s are excluded: they execute
-  wherever they are *called*, e.g. in an executor);
-* **fork-entry hygiene** — in any module that imports :mod:`asyncio`,
-  every function handed to ``multiprocessing.Process(target=...)`` must
-  (transitively, intra-module) call ``signal.set_wakeup_fd`` and
-  restore handlers via ``signal.signal`` before running work.
+One check over the experiments package: ``time.sleep``, the synchronous
+``subprocess`` family and ``os.system`` are flagged inside ``async def``
+bodies (nested synchronous ``def``s are excluded: they execute wherever
+they are *called*, e.g. in an executor).  Fork-entry hygiene — the
+worker detaching the parent's wakeup fd, signal handlers and listening
+socket — is R10's, checked over the whole program.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.lint.framework import (
     Finding,
-    FunctionInfo,
     ModuleInfo,
     RepoIndex,
     Rule,
@@ -55,22 +43,16 @@ BLOCKING_CALLS = {
 
 class AsyncSafetyRule(Rule):
     rule_id = "R4"
-    name = "async-fork-safety"
-    description = ("no blocking calls inside async def; fork targets in "
-                   "asyncio modules must restore signal handlers and detach "
-                   "the wakeup fd")
+    name = "async-safety"
+    description = "no blocking calls inside async def"
 
     def check(self, index: RepoIndex) -> List[Finding]:
         findings: List[Finding] = []
         for relpath, module in index.modules.items():
-            if not in_scope(relpath, SCOPE):
-                continue
-            findings.extend(self._check_blocking(module))
-            if "asyncio" in module.imports:
-                findings.extend(self._check_fork_targets(index, module))
+            if in_scope(relpath, SCOPE):
+                findings.extend(self._check_blocking(module))
         return findings
 
-    # -- blocking calls in coroutines ---------------------------------- #
     def _check_blocking(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
         for func in module.functions.values():
@@ -89,56 +71,3 @@ class AsyncSafetyRule(Rule):
                                 f"loop; use the asyncio equivalent or an "
                                 f"executor"))
         return findings
-
-    # -- fork-entry hygiene -------------------------------------------- #
-    def _fork_targets(self, module: ModuleInfo) -> List[str]:
-        """Names of module functions used as ``Process(target=...)``."""
-        import ast
-        targets: List[str] = []
-        for func in module.functions.values():
-            for node in ast.walk(func.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = node.func
-                name = (callee.attr if isinstance(callee, ast.Attribute)
-                        else callee.id if isinstance(callee, ast.Name)
-                        else "")
-                if name != "Process":
-                    continue
-                for keyword in node.keywords:
-                    if (keyword.arg == "target"
-                            and isinstance(keyword.value, ast.Name)
-                            and keyword.value.id in module.functions):
-                        targets.append(keyword.value.id)
-        return targets
-
-    def _check_fork_targets(self, index: RepoIndex,
-                            module: ModuleInfo) -> List[Finding]:
-        findings: List[Finding] = []
-        for target in sorted(set(self._fork_targets(module))):
-            func = module.functions[target]
-            missing = [requirement for requirement, predicate in (
-                ("signal.set_wakeup_fd", _calls("signal.set_wakeup_fd")),
-                ("signal.signal", _calls("signal.signal")),
-            ) if index.reaches(module.relpath, target, predicate) is None]
-            if missing:
-                findings.append(Finding(
-                    rule=self.rule_id, path=module.relpath,
-                    line=func.line, symbol=func.qualname,
-                    detail="fork-hygiene:" + ",".join(missing),
-                    message=f"fork target {func.qualname} in an asyncio "
-                            f"module never calls {' / '.join(missing)} — "
-                            f"the worker inherits the server's signal "
-                            f"wakeup fd and handlers, so a SIGTERM aimed at "
-                            f"it ghost-drains the parent (the PR 8 lease-"
-                            f"reclaim bug class)"))
-        return findings
-
-
-def _calls(origin_name: str):
-    def predicate(func: FunctionInfo) -> Optional[int]:
-        for call in func.calls:
-            if call.dotted == origin_name:
-                return call.line
-        return None
-    return predicate

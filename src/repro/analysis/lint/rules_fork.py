@@ -1,14 +1,13 @@
 """R10 — fork/exec hygiene, whole-program: every fork entry detaches.
 
-R4 checks fork hygiene one module at a time: a ``Process(target=f)``
-where ``f`` lives in the same file must detach the inherited wakeup fd
-and reset signal dispositions.  That check goes blind the moment the
-entry function delegates — ``Process(target=entry)`` in one module,
-``entry`` importing its hygiene helper from another — which is exactly
-how PR 8's worker entry is structured (``_lease_entry`` detaching the
-parent's asyncio self-pipe and closing the inherited listening fd).
-This rule re-runs the same contract over the **whole-program** call
-graph:
+A forked worker inherits its parent's signal plumbing and open
+descriptors.  The repo's one fork entry (``_attempt_entry`` in
+``experiments/runner.py``, which the asyncio server forks through)
+detaches the parent's asyncio self-pipe and closes the inherited
+listening fd; a per-module check would miss an entry that delegates its
+hygiene to a helper in another module, or a ``Process`` site in a module
+that does not import asyncio.  This rule checks the contract over the
+**whole-program** call graph:
 
 * resolve every ``multiprocessing.Process(target=…)`` site's target —
   a bare function, an imported name, or a ``self.``-method — to its

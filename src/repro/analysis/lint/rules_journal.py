@@ -15,9 +15,10 @@ Two checks, scoped to ``experiments/``:
 * **ordering** — any function that journals a ``job_completed`` event
   must contain a result-store write (``store.put`` / ``atomic_write_*``)
   on an earlier line of the same function body.  The repo deliberately
-  keeps commit points single-function (``ExperimentService._commit``,
-  ``ExperimentServer._complete``), so same-body line order is the
-  honest static approximation of "store first";
+  keeps its one commit point single-function (``JobRunner.commit`` in
+  ``experiments/runner.py``, under both the service and the server), so
+  same-body line order is the honest static approximation of "store
+  first";
 * **failure-path journaling** — in any module that journals at all,
   every failure-exit function (``fail``/``quarantine``/``requeue`` by
   name) must reach a journal append in the whole-program graph.  A

@@ -1,22 +1,21 @@
 """Experiment orchestration: durable, cached, fault-tolerant sweeps.
 
-:mod:`repro.experiments.sweep` fans a grid of simulation configurations
-across ``multiprocessing`` workers with deterministic per-config RNG
-seeding and merges the resulting reports.
-:mod:`repro.experiments.service` is the fault-tolerant layer underneath:
-a journaled job queue, a content-addressed result store
-(:mod:`repro.experiments.store`), supervised workers with per-job
-timeouts and retry/backoff/quarantine, and a deterministic fault-
-injection harness (:mod:`repro.experiments.faultinject`) that proves a
-crashed, hung or killed-and-resumed sweep still produces a digest
-byte-identical to a straight-line run.
+:mod:`repro.experiments.sweep` describes a grid of simulation
+configurations with deterministic per-config RNG seeding and merges the
+resulting reports.  :mod:`repro.experiments.service` runs such grids on a
+journaled job queue and a content-addressed result store
+(:mod:`repro.experiments.store`); :mod:`repro.experiments.server` serves
+the same jobs to many clients.  Both fork every job through one
+supervisor (:mod:`repro.experiments.runner`: timeouts, heartbeat leases,
+retry/backoff/quarantine), and a deterministic fault-injection harness
+(:mod:`repro.experiments.faultinject`) proves a crashed, hung or
+killed-and-resumed sweep still produces a byte-identical digest.
 """
 
 from repro.experiments.faultinject import FaultAction, FaultPlan, TransientFault
 from repro.experiments.store import Journal, ResultStore, content_key
 from repro.experiments.sweep import (
     SweepPoint,
-    fan_out,
     kips_value,
     merge_point_digests,
     point_seed,
@@ -53,7 +52,6 @@ __all__ = [
     "TransientFault",
     "content_key",
     "demo_grid",
-    "fan_out",
     "kips_value",
     "merge_point_digests",
     "point_seed",

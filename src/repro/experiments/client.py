@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import protocol
 from repro.experiments.faultinject import NetworkFaultPlan
+from repro.experiments.runner import new_counters
 
 #: How long a client keeps retrying through connection failures — this is
 #: what rides out a server SIGKILL + restart window.
@@ -340,13 +341,9 @@ class RemoteService:
     def execute(self, worker, jobs: Sequence) -> Dict[str, object]:
         counters: Dict[str, object] = {
             "jobs": len(jobs), "mode": "remote",
-            "cache_hits": 0, "cache_misses": 0, "executed": 0,
-            "retries": 0, "crashes": 0, "timeouts": 0,
-            "transient_failures": 0, "errors": 0,
-            "quarantined": 0, "stragglers": 0,
+            "cache_hits": 0, "cache_misses": 0, **new_counters(),
             "resumed_interrupted": 0, "journal_corrupt_lines": 0,
-            "store_corrupt_objects": 0, "lease_reclaims": 0,
-            "resubmits": 0,
+            "store_corrupt_objects": 0, "resubmits": 0,
         }
         client = self.client
         if self.workers is None:
@@ -415,8 +412,10 @@ class RemoteService:
                     "backoff_schedule": list(
                         response.get("backoff_schedule", [])),
                     "straggler": False}
-            elif status == "failed":
-                failure = dict(response.get("failure") or {})
+            else:  # failed (quarantined) or cancelled
+                failure = dict(response.get("failure")
+                               or {"attempts": 0, "reason": status,
+                                   "traceback": None})
                 failure.setdefault("name", job.name)
                 failure.setdefault("key", job.key)
                 failed.append(failure)
@@ -425,14 +424,6 @@ class RemoteService:
                     "attempts": int(failure.get("attempts", 0)),
                     "cache_hit": False, "backoff_schedule": [],
                     "straggler": False}
-            else:  # cancelled
-                failed.append({"name": job.name, "key": job.key,
-                               "attempts": 0, "reason": "cancelled",
-                               "traceback": None})
-                counters["quarantined"] += 1
-                details[job.name] = {"attempts": 0, "cache_hit": False,
-                                     "backoff_schedule": [],
-                                     "straggler": False}
 
         total = len(jobs)
         counters["cache_hit_rate"] = (round(counters["cache_hits"] / total, 4)

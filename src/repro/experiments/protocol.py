@@ -50,6 +50,13 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
+from repro.experiments.runner import (  # noqa: F401  (re-exported)
+    JOB_DONE,
+    JOB_FAILED,
+    JOB_LEASED,
+    JOB_QUEUED,
+)
+
 #: Version tag exchanged in the ``hello`` handshake.  Bump on any
 #: incompatible frame-schema change; the server rejects mismatches with
 #: a structured error so a stale client fails fast and loud.
@@ -76,11 +83,8 @@ ERROR_UNKNOWN_VERB = "unknown_verb"
 ERROR_PROTOCOL = "protocol"
 ERROR_BAD_REQUEST = "bad_request"
 
-#: Job states reported by ``status``/``result``.
-JOB_QUEUED = "queued"
-JOB_LEASED = "leased"
-JOB_DONE = "done"
-JOB_FAILED = "failed"
+#: Job states reported by ``status``/``result``: the job runner's four,
+#: plus the server-only ``cancelled``.
 JOB_CANCELLED = "cancelled"
 
 

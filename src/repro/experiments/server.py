@@ -15,7 +15,9 @@ hoped-for:
   lease held by a supervised worker process that heartbeats by touching
   a per-lease file; an owner that dies (crash) or goes silent (no
   heartbeat inside ``lease_seconds``) is killed and its job re-queued
-  with the PR 6 bounded-retry + exponential-backoff machinery;
+  with bounded retries and exponential backoff.  Workers, leases and
+  retries are the job runner's (:mod:`repro.experiments.runner`), the
+  same core the in-process service runs on;
 * **admission control and backpressure** — the queue is bounded; an
   over-limit submit gets a structured ``retry_after`` rejection instead
   of hanging, and a draining server rejects admissions outright;
@@ -55,24 +57,22 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import multiprocessing
 import os
 import signal
 import statistics
-import sys
 import threading
 import time
-import traceback
-from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from repro.experiments import protocol
-from repro.experiments.faultinject import (
-    FaultPlan,
-    NetworkFaultPlan,
-    TransientFault,
+from repro.experiments.faultinject import FaultPlan, NetworkFaultPlan
+from repro.experiments.runner import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    DEFAULT_LEASE_SECONDS,
+    JobRunner,
+    Task,
+    new_counters,
 )
 from repro.experiments.store import (
     Journal,
@@ -84,12 +84,6 @@ from repro.experiments.store import (
 
 #: Supervisor poll interval of the scheduler loop.
 POLL_SECONDS = 0.01
-
-#: Default lease: a worker silent for this long is presumed dead.
-DEFAULT_LEASE_SECONDS = 2.0
-
-#: Default worker heartbeat period (must be well under the lease).
-DEFAULT_HEARTBEAT_INTERVAL = 0.2
 
 #: Default bound on queued + leased jobs (admission control).
 DEFAULT_QUEUE_LIMIT = 64
@@ -129,6 +123,12 @@ JOB_KINDS = {
 }
 
 
+def _run_job(item) -> Dict[str, object]:
+    """The lease worker's job function: dispatch ``(kind, payload)``."""
+    kind, payload = item
+    return JOB_KINDS[kind](payload)
+
+
 def server_job_key(kind: str, payload: Dict[str, object]) -> str:
     """Content address of a server job: kind-tagged hash of the payload."""
     return content_key({"schema": f"server_job/{kind}/v1",
@@ -136,106 +136,22 @@ def server_job_key(kind: str, payload: Dict[str, object]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Lease worker process
-# --------------------------------------------------------------------- #
-def _heartbeat_loop(path: str, interval: float,
-                    stop: threading.Event) -> None:
-    while not stop.wait(interval):
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
-
-
-def _lease_entry(kind: str, payload: Dict[str, object], name: str,
-                 attempt: int, fault_plan: Optional[FaultPlan],
-                 net_plan: Optional[NetworkFaultPlan],
-                 heartbeat_path: str, result_path: str,
-                 heartbeat_interval: float,
-                 listen_fd: Optional[int] = None) -> None:
-    """Worker-process entry: heartbeat while running one job attempt.
-
-    The heartbeat runs on a daemon thread (the simulation itself holds
-    the GIL, but the interpreter's switch interval keeps the thread
-    beating); a ``drop_heartbeat`` fault suppresses the thread entirely
-    and stalls the work — a silent owner the supervisor must reclaim.
-    The outcome file is written atomically, so the supervisor never
-    reads a torn result and an abrupt death leaves no file at all.
-    """
-    # The fork inherited the server's asyncio signal plumbing: the wakeup
-    # fd is the *parent's* self-pipe, so a SIGTERM delivered to this
-    # worker (e.g. a lease-reclaim kill) would write the signal number
-    # into the parent's pipe and trigger a spurious drain on the server.
-    # Detach the pipe and restore default dispositions so signals aimed
-    # at the worker stay in the worker.
-    try:
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-    except (ValueError, OSError):
-        pass
-    if listen_fd is not None:
-        # The fork inherited the server's listening socket; a worker that
-        # outlives a SIGKILLed server would otherwise keep the port bound
-        # and block the restarted server's bind.
-        try:
-            os.close(listen_fd)
-        except OSError:
-            pass
-    stop = threading.Event()
-    silence = (net_plan.heartbeat_drop(name, attempt)
-               if net_plan is not None else None)
-    if silence is None:
-        threading.Thread(target=_heartbeat_loop,
-                         args=(heartbeat_path, heartbeat_interval, stop),
-                         daemon=True).start()
-    try:
-        if silence is not None:
-            time.sleep(silence.stall_seconds)
-        if fault_plan is not None:
-            fault_plan.apply(name, attempt)
-        digest = JOB_KINDS[kind](payload)
-        outcome: Dict[str, object] = {"status": "ok", "digest": digest}
-    except TransientFault:
-        outcome = {"status": "transient", "traceback": traceback.format_exc()}
-    except BaseException:  # noqa: BLE001 - every worker failure is reported
-        outcome = {"status": "error", "traceback": traceback.format_exc()}
-    finally:
-        stop.set()
-    tmp = f"{result_path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(outcome, handle)
-    os.replace(tmp, result_path)
-
-
-# --------------------------------------------------------------------- #
 # In-memory job table
 # --------------------------------------------------------------------- #
-@dataclass
-class ServerJob:
-    key: str
-    kind: str
-    name: str
-    payload: Dict[str, object]
-    status: str = protocol.JOB_QUEUED
-    attempt: int = 0
-    eligible_at: float = 0.0
-    backoff_schedule: List[float] = field(default_factory=list)
+@dataclass(eq=False)
+class ServerJob(Task):
+    """A runner task plus the server's view: kind, subscribers, waiters.
+
+    ``item`` is the ``(kind, payload)`` pair :func:`_run_job` executes.
+    """
+
+    kind: str = "unknown"
     submitters: Set[str] = field(default_factory=set)
-    digest: Optional[Dict[str, object]] = None
-    failure: Optional[Dict[str, object]] = None
     cached: bool = False
-    reclaims: int = 0
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
 
-
-@dataclass
-class _Lease:
-    job: ServerJob
-    process: multiprocessing.Process
-    heartbeat_path: Path
-    result_path: Path
-    started: float
+    def store_meta(self) -> Dict[str, object]:
+        return {"name": self.name, "kind": self.kind}
 
 
 class ExperimentServer:
@@ -249,7 +165,6 @@ class ExperimentServer:
                  heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                  retries: int = 2,
                  backoff: float = 0.25,
-                 backoff_cap: float = 8.0,
                  job_timeout: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  net_fault_plan: Optional[NetworkFaultPlan] = None,
@@ -269,19 +184,10 @@ class ExperimentServer:
         self.workers = max(1, workers if workers is not None
                            else (os.cpu_count() or 1))
         self.queue_limit = queue_limit
-        self.lease_seconds = lease_seconds
-        self.heartbeat_interval = heartbeat_interval
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.job_timeout = job_timeout
-        self.fault_plan = fault_plan
         self.net_plan = net_fault_plan
         self.gc_budget_bytes = gc_budget_bytes
 
         self.jobs: Dict[str, ServerJob] = {}
-        self.queue: Deque[str] = deque()
-        self.leases: Dict[str, _Lease] = {}
         self.draining = False
         self.counters: Dict[str, int] = {
             "connections": 0, "disconnects": 0, "garbage_frames": 0,
@@ -289,18 +195,20 @@ class ExperimentServer:
             "injected_disconnects": 0,
             "submits": 0, "accepted": 0, "duplicates": 0, "cache_hits": 0,
             "rejected_backpressure": 0, "rejected_draining": 0,
-            "executed": 0, "retries": 0, "crashes": 0, "timeouts": 0,
-            "transient_failures": 0, "errors": 0, "lease_reclaims": 0,
-            "quarantined": 0, "cancelled": 0, "gc_evicted": 0,
+            **new_counters(), "cancelled": 0, "gc_evicted": 0,
         }
-        self._durations: List[float] = []
+        self.runner = JobRunner(
+            _run_job, self.workers, self.store.root / "scratch",
+            self.counters, store=self.store, journal=self.journal,
+            timeout=job_timeout, retries=retries, backoff=backoff,
+            fault_plan=fault_plan, net_plan=net_fault_plan,
+            lease_seconds=lease_seconds,
+            heartbeat_interval=heartbeat_interval)
         self._send_frames: Dict[str, int] = {}
-        self._scratch = self.store.root / "scratch"
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._drain_holds = 0
-        self._listen_fd: Optional[int] = None
         #: Set once the listening socket is bound (cross-thread startup).
         self.ready = threading.Event()
 
@@ -309,7 +217,7 @@ class ExperimentServer:
     # ----------------------------------------------------------------- #
     @property
     def in_flight(self) -> int:
-        return len(self.queue) + len(self.leases)
+        return len(self.runner.queue) + len(self.runner.running)
 
     @property
     def address(self) -> str:
@@ -319,8 +227,8 @@ class ExperimentServer:
         """Stop admissions; the scheduler exits once every lease lands."""
         if not self.draining:
             self.draining = True
-            self._journal({"event": "drain_started",
-                           "in_flight": self.in_flight})
+            self.journal.append({"event": "drain_started",
+                                 "in_flight": self.in_flight})
 
     def request_stop(self) -> None:
         """Immediate shutdown (tests): leases are killed, segment stays open."""
@@ -336,21 +244,20 @@ class ExperimentServer:
             self._loop.add_signal_handler(signal.SIGINT, self.begin_drain)
         except (NotImplementedError, RuntimeError):
             pass  # non-main thread (tests): no signal handlers
-        self._scratch.mkdir(parents=True, exist_ok=True)
         server = await asyncio.start_server(
             self._on_client, self.host, self.port,
             limit=protocol.MAX_FRAME_BYTES)
         self.port = server.sockets[0].getsockname()[1]
-        self._listen_fd = server.sockets[0].fileno()
+        self.runner.listen_fd = server.sockets[0].fileno()
         prior_records, corrupt = self.journal.replay()
         prior_completed = sum(1 for r in prior_records
                               if r.get("event") == "job_completed")
-        self._journal({"event": "server_started", "pid": os.getpid(),
-                       "workers": self.workers,
-                       "queue_limit": self.queue_limit,
-                       "lease_seconds": self.lease_seconds,
-                       "prior_completed": prior_completed,
-                       "journal_corrupt_lines": corrupt})
+        self.journal.append({"event": "server_started", "pid": os.getpid(),
+                             "workers": self.workers,
+                             "queue_limit": self.queue_limit,
+                             "lease_seconds": self.runner.lease_seconds,
+                             "prior_completed": prior_completed,
+                             "journal_corrupt_lines": corrupt})
         if self.gc_budget_bytes is not None:
             self._run_gc(self.gc_budget_bytes, dry_run=False)
         if ready_file is not None:
@@ -384,180 +291,33 @@ class ExperimentServer:
             if handlers:
                 await asyncio.wait(handlers, timeout=5.0)
             await asyncio.gather(scheduler, return_exceptions=True)
-            for lease in list(self.leases.values()):
-                self._kill(lease.process)
-            drained_clean = self.draining and not self.leases and not self.queue
-            if drained_clean:
-                self._journal({"event": "server_drained",
-                               "completed": self.counters["executed"],
-                               "quarantined": self.counters["quarantined"]})
+            in_flight = self.in_flight
+            self.runner.stop()
+            if self.draining and not in_flight:
+                self.journal.append({
+                    "event": "server_drained",
+                    "completed": self.counters["executed"],
+                    "quarantined": self.counters["quarantined"]})
             else:
-                self._journal({"event": "server_stopped",
-                               "in_flight": self.in_flight})
+                self.journal.append({"event": "server_stopped",
+                                     "in_flight": in_flight})
             self.journal.close()
 
     def run(self, ready_file: Optional[os.PathLike] = None) -> None:
         asyncio.run(self.serve(ready_file=ready_file))
 
     # ----------------------------------------------------------------- #
-    # Scheduler: leases, heartbeats, reclaim, retry/backoff
+    # Scheduler: the job runner's loop
     # ----------------------------------------------------------------- #
     async def _scheduler(self) -> None:
         while True:
-            now = time.monotonic()
-            self._reap_leases(now)
-            self._launch_eligible(now)
-            if self.draining and not self.queue and not self.leases:
+            for job in self.runner.step(time.monotonic()):
+                job.done_event.set()
+            if self.draining and not self.runner.busy:
                 break
             await asyncio.sleep(POLL_SECONDS)
         assert self._stop is not None
         self._stop.set()
-
-    def _launch_eligible(self, now: float) -> None:
-        if not self.queue or len(self.leases) >= self.workers:
-            return
-        deferred: List[str] = []
-        while self.queue and len(self.leases) < self.workers:
-            key = self.queue.popleft()
-            job = self.jobs[key]
-            if job.status == protocol.JOB_CANCELLED:
-                continue
-            if job.eligible_at > now:
-                deferred.append(key)
-                continue
-            self._start_lease(job, now)
-        # Backoff-deferred jobs keep their queue position (front, in order).
-        for key in reversed(deferred):
-            self.queue.appendleft(key)
-
-    def _start_lease(self, job: ServerJob, now: float) -> None:
-        job.attempt += 1
-        job.status = protocol.JOB_LEASED
-        heartbeat = self._scratch / f"{job.key[:16]}.a{job.attempt}.hb"
-        result = self._scratch / f"{job.key[:16]}.a{job.attempt}.json"
-        for path in (result, heartbeat):
-            if path.exists():
-                path.unlink()
-        heartbeat.touch()
-        process = multiprocessing.Process(
-            target=_lease_entry,
-            args=(job.kind, job.payload, job.name, job.attempt,
-                  self.fault_plan, self.net_plan, str(heartbeat),
-                  str(result), self.heartbeat_interval, self._listen_fd))
-        process.daemon = True
-        process.start()
-        self._journal({"event": "attempt_started", "key": job.key,
-                       "name": job.name, "attempt": job.attempt,
-                       "pid": process.pid})
-        self.leases[job.key] = _Lease(job=job, process=process,
-                                      heartbeat_path=heartbeat,
-                                      result_path=result, started=now)
-
-    def _reap_leases(self, now: float) -> None:
-        for key in list(self.leases):
-            lease = self.leases[key]
-            process = lease.process
-            if process.is_alive():
-                if (self.job_timeout is not None
-                        and now - lease.started > self.job_timeout):
-                    self._kill(process)
-                    del self.leases[key]
-                    self.counters["timeouts"] += 1
-                    self._fail(lease.job, "timeout", None)
-                    continue
-                if self._heartbeat_stale(lease):
-                    self._kill(process)
-                    del self.leases[key]
-                    self.counters["lease_reclaims"] += 1
-                    self._journal({"event": "lease_reclaimed",
-                                   "key": key, "name": lease.job.name,
-                                   "attempt": lease.job.attempt,
-                                   "silent_seconds": round(
-                                       self._silence_seconds(lease), 3)})
-                    lease.job.reclaims += 1
-                    self._fail(lease.job, "lease_reclaim", None)
-                    continue
-                continue
-            process.join()
-            del self.leases[key]
-            outcome = self._read_result(lease.result_path)
-            if outcome is None:
-                self.counters["crashes"] += 1
-                self._fail(lease.job, "crash",
-                           f"worker exited with code {process.exitcode} "
-                           f"before reporting a result")
-            elif outcome.get("status") == "ok":
-                self._durations.append(now - lease.started)
-                self._complete(lease.job, outcome["digest"])
-            else:
-                reason = ("transient" if outcome.get("status") == "transient"
-                          else "error")
-                counter = ("transient_failures" if reason == "transient"
-                           else "errors")
-                self.counters[counter] += 1
-                self._fail(lease.job, reason, outcome.get("traceback"))
-
-    def _silence_seconds(self, lease: _Lease) -> float:
-        try:
-            last_beat = os.stat(lease.heartbeat_path).st_mtime
-        except OSError:
-            return float("inf")
-        return time.time() - last_beat
-
-    def _heartbeat_stale(self, lease: _Lease) -> bool:
-        return self._silence_seconds(lease) > self.lease_seconds
-
-    def _complete(self, job: ServerJob, digest: Dict[str, object]) -> None:
-        self.store.put(job.key, digest, meta={"name": job.name,
-                                              "kind": job.kind})
-        self._journal({"event": "job_completed", "key": job.key,
-                       "name": job.name})
-        job.digest = digest
-        job.status = protocol.JOB_DONE
-        job.done_event.set()
-        self.counters["executed"] += 1
-
-    def _fail(self, job: ServerJob, reason: str,
-              trace: Optional[str]) -> None:
-        self._journal({"event": "attempt_failed", "key": job.key,
-                       "name": job.name, "attempt": job.attempt,
-                       "reason": reason})
-        if job.attempt > self.retries:
-            job.status = protocol.JOB_FAILED
-            job.failure = {"name": job.name, "key": job.key,
-                           "attempts": job.attempt, "reason": reason,
-                           "traceback": trace}
-            job.done_event.set()
-            self.counters["quarantined"] += 1
-            self._journal({"event": "job_quarantined", "key": job.key,
-                           "name": job.name, "reason": reason})
-            return
-        delay = min(self.backoff * (2.0 ** (job.attempt - 1)),
-                    self.backoff_cap)
-        job.backoff_schedule.append(round(delay, 6))
-        job.eligible_at = time.monotonic() + delay
-        job.status = protocol.JOB_QUEUED
-        self.queue.append(job.key)
-        self.counters["retries"] += 1
-
-    @staticmethod
-    def _kill(process: multiprocessing.Process) -> None:
-        process.terminate()
-        process.join(0.5)
-        if process.is_alive():
-            process.kill()
-            process.join()
-
-    @staticmethod
-    def _read_result(path: Path) -> Optional[Dict[str, object]]:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    def _journal(self, record: Dict[str, object]) -> None:
-        self.journal.append(record)
 
     # ----------------------------------------------------------------- #
     # Connection handling
@@ -668,14 +428,14 @@ class ExperimentServer:
         return protocol.ok_response(
             rid, version=protocol.PROTOCOL_VERSION,
             workers=self.workers, queue_limit=self.queue_limit,
-            lease_seconds=self.lease_seconds,
+            lease_seconds=self.runner.lease_seconds,
             store=str(self.store.root), draining=self.draining,
             kinds=sorted(JOB_KINDS))
 
     def _retry_after(self) -> float:
         """Structured backpressure hint: how long the queue needs to move."""
-        per_job = (statistics.median(self._durations)
-                   if self._durations else 0.25)
+        durations = self.runner.durations
+        per_job = statistics.median(durations) if durations else 0.25
         estimate = per_job * max(1, self.in_flight - self.workers + 1) \
             / self.workers
         return round(min(max(estimate, RETRY_AFTER_FLOOR), RETRY_AFTER_CAP), 3)
@@ -705,16 +465,9 @@ class ExperimentServer:
         if job is not None and job.status == protocol.JOB_DONE:
             return protocol.ok_response(rid, status="cached", key=key)
 
-        hit = self.store.get(key)
-        if hit is not None:
-            job = ServerJob(key=key, kind=kind, name=name, payload=payload,
-                            status=protocol.JOB_DONE, digest=hit["digest"],
-                            cached=True)
+        job = self._serve_from_store(key, name, kind)
+        if job is not None:
             job.submitters.add(client)
-            job.done_event.set()
-            self.jobs[key] = job
-            self.counters["cache_hits"] += 1
-            self._journal({"event": "cache_hit", "key": key, "name": name})
             return protocol.ok_response(rid, status="cached", key=key)
 
         if self.draining:
@@ -727,14 +480,30 @@ class ExperimentServer:
                 retry_after=self._retry_after(),
                 in_flight=self.in_flight, queue_limit=self.queue_limit)
 
-        job = ServerJob(key=key, kind=kind, name=name, payload=payload)
+        job = ServerJob(key=key, name=name, item=(kind, payload), kind=kind)
         job.submitters.add(client)
         self.jobs[key] = job
-        self.queue.append(key)
+        self.runner.submit(job)
         self.counters["accepted"] += 1
-        self._journal({"event": "job_submitted", "key": key, "name": name,
-                       "kind": kind, "client": client})
+        self.journal.append({"event": "job_submitted", "key": key,
+                             "name": name, "kind": kind, "client": client})
         return protocol.ok_response(rid, status="accepted", key=key)
+
+    def _serve_from_store(self, key: str, name: str,
+                          kind: str = "unknown") -> Optional[ServerJob]:
+        """A done job for a key the store holds (``None`` on a miss)."""
+        hit = self.store.get(key)
+        if hit is None:
+            return None
+        job = ServerJob(key=key, name=name, kind=kind,
+                        status=protocol.JOB_DONE, digest=hit["digest"],
+                        cached=True)
+        job.done_event.set()
+        self.jobs[key] = job
+        self.counters["cache_hits"] += 1
+        self.journal.append({"event": "cache_hit", "key": key,
+                             "name": name})
+        return job
 
     def _job_public_state(self, job: ServerJob) -> Dict[str, object]:
         return {"key": job.key, "name": job.name, "status": job.status,
@@ -752,8 +521,8 @@ class ExperimentServer:
                                                key=str(key))
             return protocol.ok_response(rid, job=self._job_public_state(job))
         return protocol.ok_response(
-            rid, counters=dict(self.counters), queued=len(self.queue),
-            leased=len(self.leases), jobs=len(self.jobs),
+            rid, counters=dict(self.counters), queued=len(self.runner.queue),
+            leased=len(self.runner.running), jobs=len(self.jobs),
             draining=self.draining, workers=self.workers,
             queue_limit=self.queue_limit,
             store=self.store.stats())
@@ -762,23 +531,12 @@ class ExperimentServer:
                              message: Dict[str, object]) -> Dict[str, object]:
         key = str(message.get("key", ""))
         wait_seconds = float(message.get("wait_seconds", 0.0))
-        job = self.jobs.get(key)
+        job = self.jobs.get(key) or self._serve_from_store(key, key[:16])
         if job is None:
-            hit = self.store.get(key)
-            if hit is None:
-                # The restart-recovery signal: this server has never seen
-                # the job — the client resubmits.
-                return protocol.error_response(rid,
-                                               protocol.ERROR_UNKNOWN_KEY,
-                                               key=key)
-            job = ServerJob(key=key, kind="unknown", name=key[:16],
-                            payload={}, status=protocol.JOB_DONE,
-                            digest=hit["digest"], cached=True)
-            job.done_event.set()
-            self.jobs[key] = job
-            self.counters["cache_hits"] += 1
-            self._journal({"event": "cache_hit", "key": key,
-                           "name": job.name})
+            # The restart-recovery signal: this server has never seen the
+            # job — the client resubmits.
+            return protocol.error_response(rid, protocol.ERROR_UNKNOWN_KEY,
+                                           key=key)
         if (job.status in (protocol.JOB_QUEUED, protocol.JOB_LEASED)
                 and wait_seconds > 0):
             try:
@@ -810,14 +568,11 @@ class ExperimentServer:
                                            key=key)
         if job.status == protocol.JOB_QUEUED:
             job.status = protocol.JOB_CANCELLED
-            try:
-                self.queue.remove(key)
-            except ValueError:
-                pass
+            self.runner.queue.remove(job)
             job.done_event.set()
             self.counters["cancelled"] += 1
-            self._journal({"event": "job_cancelled", "key": key,
-                           "name": job.name})
+            self.journal.append({"event": "job_cancelled", "key": key,
+                                 "name": job.name})
             return protocol.ok_response(rid, status="cancelled", key=key)
         # Leased/done jobs are left to land: their result is cacheable and
         # other subscribers may still want it.
@@ -856,10 +611,10 @@ class ExperimentServer:
         report = self.store.gc(budget_bytes, dry_run=dry_run, protect=protect)
         if not dry_run:
             self.counters["gc_evicted"] += len(report["evicted"])
-        self._journal({"event": "gc_pass", "dry_run": dry_run,
-                       "budget_bytes": budget_bytes,
-                       "evicted": len(report["evicted"]),
-                       "evicted_bytes": report["evicted_bytes"]})
+        self.journal.append({"event": "gc_pass", "dry_run": dry_run,
+                             "budget_bytes": budget_bytes,
+                             "evicted": len(report["evicted"]),
+                             "evicted_bytes": report["evicted_bytes"]})
         return report
 
 
@@ -906,18 +661,12 @@ class ServerThread:
 # --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
-def _load_net_plan(path: Optional[str]) -> Optional[NetworkFaultPlan]:
+def _load_plan(plan_class, path: Optional[str]):
+    """A :class:`FaultPlan` or :class:`NetworkFaultPlan` from a JSON file."""
     if not path:
         return None
     with open(path, "r", encoding="utf-8") as handle:
-        return NetworkFaultPlan.from_json(handle.read())
-
-
-def _load_fault_plan(path: Optional[str]) -> Optional[FaultPlan]:
-    if not path:
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return FaultPlan.from_json(handle.read())
+        return plan_class.from_json(handle.read())
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -927,8 +676,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lease_seconds=args.lease, heartbeat_interval=args.heartbeat_interval,
         retries=args.retries, backoff=args.backoff,
         job_timeout=args.job_timeout,
-        fault_plan=_load_fault_plan(args.fault_plan),
-        net_fault_plan=_load_net_plan(args.net_fault_plan),
+        fault_plan=_load_plan(FaultPlan, args.fault_plan),
+        net_fault_plan=_load_plan(NetworkFaultPlan, args.net_fault_plan),
         fsync=not args.no_fsync,
         gc_budget_bytes=(args.gc_budget_mb * 1024 * 1024
                          if args.gc_budget_mb is not None else None))

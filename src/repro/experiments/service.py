@@ -1,9 +1,9 @@
-"""Fault-tolerant experiment service: durable, cached, supervised fan-out.
+"""Fault-tolerant experiment service: durable, cached, supervised sweeps.
 
-The one-shot ``pool.map`` sweep runner loses every already-computed point
-when a single worker hangs or dies.  This module grows it into a durable
-service shared by every host-parallel path in the repo (sweeps, the
-parity lattice, the perf benches):
+A one-shot sweep loses every already-computed point when a single worker
+hangs or dies.  This module is the durable service shared by every
+host-parallel path in the repo (sweeps, the parity lattice, the fuzzer,
+the perf benches):
 
 * every job is **content-addressed** (:func:`repro.experiments.store
   .content_key` over the point configuration + base seed), journaled to
@@ -12,31 +12,32 @@ parity lattice, the perf benches):
   sweep, figure or parity slice reuses every already-computed point and
   a killed host resumes from the journal and finishes with a digest
   byte-identical to a straight-line run;
-* execution is **supervised**: each job runs in its own worker process
-  with a per-job wall-clock timeout, bounded retries with exponential
-  backoff, and straggler detection; a worker crash (``os._exit``), hang
-  (timeout-killed) or transient exception costs one attempt, never the
-  sweep;
+* execution is **supervised** by the job runner
+  (:mod:`repro.experiments.runner`, shared with the server): each job
+  attempt runs in its own worker process under a per-job wall-clock
+  timeout and a heartbeat lease, with bounded retries, exponential
+  backoff and straggler detection; a worker crash (``os._exit``), hang
+  (timeout-killed), silence (lease-reclaimed) or transient exception
+  costs one attempt, never the sweep;
 * degraded modes are graceful: a job that exhausts its retries is
   **quarantined** — its name, reason and traceback are recorded under
   ``failed_points`` in the digest while every other point completes;
 * determinism is preserved: job identity (and therefore the per-point
   crc32 seed) never depends on scheduling, results are merged in
   submission order, and the ``simulated_sha256`` fingerprint of a
-  faulted, resumed, or cached run equals the fault-free ``workers=1``
-  run exactly.
+  faulted, resumed, or cache-served run equals the fault-free
+  ``workers=1`` run exactly.
 
-Three execution modes, chosen from the configured features:
+Two execution modes, chosen from the inputs:
 
 ========== =====================================================
-fan-out    no store/journal/timeout/faults: the classic
-           order-preserving ``pool.map`` path (or inline for one
-           worker) — the fast path ``run_sweep`` uses by default.
-inline     durable but sequential and fault-free: per-job
-           store/journal commits in the parent (the kill-and-
-           resume baseline).
-supervised any of timeout / fault plan / durable parallelism:
-           one supervised worker process per job.
+inline     at most one worker slot is usable (``min(workers,
+           cache misses) <= 1``) and neither a timeout nor a fault
+           plan is set: jobs run in this process, one after the
+           other, with per-job store/journal commits (the
+           kill-and-resume baseline).
+supervised everything else: one supervised worker process per job
+           attempt, at most ``workers`` at a time.
 ========== =====================================================
 
 CLI::
@@ -54,22 +55,22 @@ straight-line run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import multiprocessing
 import os
 import signal
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
-import traceback
-from dataclasses import asdict, dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.common.addresses import MB
-from repro.experiments.faultinject import FaultPlan, TransientFault
+from repro.experiments.faultinject import FaultPlan
+from repro.experiments.runner import JOB_DONE, JobRunner, Task, new_counters
 from repro.experiments.store import (
     Journal,
     ResultStore,
@@ -79,12 +80,10 @@ from repro.experiments.store import (
 )
 from repro.experiments.sweep import (
     SweepPoint,
-    fan_out,
     merge_point_digests,
     run_point,  # noqa: F401  (re-exported for service clients)
     simulated_fingerprint,
     validate_points,
-    _worker,
 )
 
 #: Supervisor poll interval while worker processes run.
@@ -92,11 +91,6 @@ POLL_SECONDS = 0.005
 
 #: Content-address schema tag for sweep jobs (bump on digest layout change).
 SWEEP_JOB_SCHEMA = "sweep_point/v1"
-
-#: A running job this many times slower than the median completed job (and
-#: past the absolute floor) is flagged as a straggler.
-STRAGGLER_FACTOR = 4.0
-STRAGGLER_FLOOR_SECONDS = 0.25
 
 
 @dataclass
@@ -109,64 +103,19 @@ class Job:
     item: object
 
 
-@dataclass
-class _JobState:
-    job: Job
-    attempt: int = 1
-    eligible_at: float = 0.0
-    backoff_schedule: List[float] = field(default_factory=list)
-    last_reason: Optional[str] = None
-    last_traceback: Optional[str] = None
-    straggler: bool = False
-
-
-def _supervised_entry(worker: Callable[[object], Dict[str, object]],
-                      item: object, name: str, attempt: int,
-                      fault_plan: Optional[FaultPlan],
-                      result_path: str) -> None:
-    """Worker-process entry: run one job attempt and commit its outcome.
-
-    The outcome file is written atomically (temp + ``os.replace``), so
-    the supervisor never reads a torn result; an injected crash exits
-    before any file appears, which the supervisor reads as a crash.
-    """
-    # The fork inherits whatever signal plumbing the supervising process
-    # had installed (the soak harness runs this service inside the async
-    # server's process tree): detach any wakeup fd and restore default
-    # dispositions so a timeout-kill aimed at this worker never writes
-    # into a parent's self-pipe.
-    try:
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-    except (ValueError, OSError):
-        pass
-    try:
-        if fault_plan is not None:
-            fault_plan.apply(name, attempt)
-        digest = worker(item)
-        payload: Dict[str, object] = {"status": "ok", "digest": digest}
-    except TransientFault:
-        payload = {"status": "transient", "traceback": traceback.format_exc()}
-    except BaseException:  # noqa: BLE001 - any worker failure must be reported
-        payload = {"status": "error", "traceback": traceback.format_exc()}
-    tmp = f"{result_path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, result_path)
-
-
 class ExperimentService:
-    """Durable, supervised executor for content-addressed job grids."""
+    """Durable, supervised executor for content-addressed job grids.
+
+    Durable means a ``store`` was given: the journal then lives at
+    ``store/journal.jsonl`` and attempt scratch files under
+    ``store/scratch``.
+    """
 
     def __init__(self, workers: Optional[int] = None,
                  store: Optional[object] = None,
-                 journal: Optional[object] = None,
                  timeout: Optional[float] = None,
                  retries: int = 2,
                  backoff: float = 0.25,
-                 backoff_cap: float = 8.0,
-                 straggler_factor: float = STRAGGLER_FACTOR,
                  fault_plan: Optional[FaultPlan] = None,
                  fsync: bool = True) -> None:
         self.workers = max(1, workers if workers is not None
@@ -174,31 +123,12 @@ class ExperimentService:
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
-        if journal is None and store is not None:
-            journal = Journal(store.journal_path, fsync=fsync)
-        elif journal is not None and not isinstance(journal, Journal):
-            journal = Journal(journal, fsync=fsync)
-        self.journal = journal
+        self.journal = (Journal(store.journal_path, fsync=fsync)
+                        if store is not None else None)
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.straggler_factor = straggler_factor
         self.fault_plan = fault_plan
-
-    # ----------------------------------------------------------------- #
-    # Mode selection
-    # ----------------------------------------------------------------- #
-    @property
-    def durable(self) -> bool:
-        return self.store is not None or self.journal is not None
-
-    def _mode(self) -> str:
-        if self.fault_plan is not None or self.timeout is not None:
-            return "supervised"
-        if not self.durable:
-            return "fan_out"
-        return "inline" if self.workers == 1 else "supervised"
 
     # ----------------------------------------------------------------- #
     # Execution
@@ -212,62 +142,59 @@ class ExperimentService:
         carries ``results`` in submission order (``None`` for quarantined
         jobs), ``failed_points``, service counters and per-job details.
         """
-        mode = self._mode()
         counters: Dict[str, object] = {
-            "jobs": len(jobs), "mode": mode,
-            "cache_hits": 0, "cache_misses": 0, "executed": 0,
-            "retries": 0, "crashes": 0, "timeouts": 0,
-            "transient_failures": 0, "errors": 0,
-            "quarantined": 0, "stragglers": 0,
+            "jobs": len(jobs), "mode": None,
+            "cache_hits": 0, "cache_misses": 0, **new_counters(),
             "resumed_interrupted": 0, "journal_corrupt_lines": 0,
             "store_corrupt_objects": 0,
         }
         self._replay_for_resume(jobs, counters)
+        tasks = [Task(job.key, job.name, job.item) for job in jobs]
+        misses: List[Task] = []
+        for task in tasks:
+            hit = self.store.get(task.key) if self.store is not None else None
+            if hit is None:
+                misses.append(task)
+            else:
+                task.status, task.digest = JOB_DONE, hit["digest"]
+        counters["cache_hits"] = len(tasks) - len(misses)
+        counters["cache_misses"] = len(misses)
+        supervised = (min(self.workers, len(misses)) > 1
+                      or self.timeout is not None
+                      or self.fault_plan is not None)
+        counters["mode"] = "supervised" if supervised else "inline"
         self._journal({"event": "run_started", "jobs": len(jobs),
-                       "mode": mode, "workers": self.workers})
+                       "mode": counters["mode"], "workers": self.workers})
+        for task in tasks:
+            if task.status == JOB_DONE:
+                self._journal({"event": "cache_hit", "key": task.key,
+                               "name": task.name})
+
+        with self._scratch(supervised and bool(misses)) as scratch:
+            runner = JobRunner(worker, self.workers, scratch, counters,
+                               store=self.store, journal=self.journal,
+                               timeout=self.timeout, retries=self.retries,
+                               backoff=self.backoff,
+                               fault_plan=self.fault_plan)
+            for task in misses:
+                if scratch is None:
+                    runner.run_inline(task)
+                else:
+                    runner.submit(task)
+            while runner.busy:
+                runner.step(time.monotonic())
+                if runner.busy:
+                    time.sleep(POLL_SECONDS)
 
         results: List[Optional[Dict[str, object]]] = [None] * len(jobs)
         details: Dict[str, Dict[str, object]] = {}
-        misses: List[Job] = []
-        for job in jobs:
-            hit = self.store.get(job.key) if self.store is not None else None
-            if hit is not None:
-                results[job.index] = hit["digest"]
-                counters["cache_hits"] += 1
-                details[job.name] = {"attempts": 0, "cache_hit": True,
-                                     "backoff_schedule": [], "straggler": False}
-                self._journal({"event": "cache_hit", "key": job.key,
-                               "name": job.name})
-            else:
-                counters["cache_misses"] += 1
-                misses.append(job)
-
-        failed: List[Dict[str, object]] = []
-        if misses:
-            if mode == "fan_out":
-                outputs = fan_out(worker, [job.item for job in misses],
-                                  workers=self.workers)
-                for job, digest in zip(misses, outputs):
-                    results[job.index] = digest
-                    counters["executed"] += 1
-                    details[job.name] = {"attempts": 1, "cache_hit": False,
-                                         "backoff_schedule": [],
-                                         "straggler": False}
-            elif mode == "inline":
-                for job in misses:
-                    self._journal({"event": "attempt_started", "key": job.key,
-                                   "name": job.name, "attempt": 1})
-                    digest = worker(job.item)
-                    self._commit(job, digest)
-                    results[job.index] = digest
-                    counters["executed"] += 1
-                    details[job.name] = {"attempts": 1, "cache_hit": False,
-                                         "backoff_schedule": [],
-                                         "straggler": False}
-            else:
-                self._run_supervised(worker, misses, results, failed,
-                                     counters, details)
-
+        for job, task in zip(jobs, tasks):
+            results[job.index] = task.digest
+            details[job.name] = {"attempts": task.attempt,
+                                 "cache_hit": task.attempt == 0,
+                                 "backoff_schedule": list(task.backoff_schedule),
+                                 "straggler": task.straggler}
+        failed = [task.failure for task in tasks if task.failure is not None]
         if self.store is not None:
             counters["store_corrupt_objects"] = self.store.corrupt_objects
         total = len(jobs)
@@ -279,152 +206,20 @@ class ExperimentService:
         return {"results": results, "failed_points": failed,
                 "counters": counters, "job_details": details}
 
-    # ----------------------------------------------------------------- #
-    # Supervised execution: per-job processes, timeout, retry, backoff
-    # ----------------------------------------------------------------- #
-    def _run_supervised(self, worker, misses: List[Job],
-                        results: List[Optional[Dict[str, object]]],
-                        failed: List[Dict[str, object]],
-                        counters: Dict[str, object],
-                        details: Dict[str, Dict[str, object]]) -> None:
-        scratch_root = (self.store.root / "scratch" if self.store is not None
-                        else Path(tempfile.mkdtemp(prefix="repro-service-")))
-        scratch_root.mkdir(parents=True, exist_ok=True)
-        pending: List[_JobState] = [_JobState(job) for job in misses]
-        running: Dict[str, Dict[str, object]] = {}
-        durations: List[float] = []
-
-        def finish(state: _JobState, digest: Dict[str, object]) -> None:
-            self._commit(state.job, digest)
-            results[state.job.index] = digest
-            counters["executed"] += 1
-            details[state.job.name] = {
-                "attempts": state.attempt, "cache_hit": False,
-                "backoff_schedule": list(state.backoff_schedule),
-                "straggler": state.straggler}
-
-        def fail(state: _JobState, reason: str,
-                 trace: Optional[str], now: float) -> None:
-            counter_key = {"crash": "crashes", "timeout": "timeouts",
-                           "transient": "transient_failures"}.get(reason,
-                                                                  "errors")
-            counters[counter_key] += 1
-            state.last_reason, state.last_traceback = reason, trace
-            self._journal({"event": "attempt_failed", "key": state.job.key,
-                           "name": state.job.name, "attempt": state.attempt,
-                           "reason": reason})
-            if state.attempt > self.retries:
-                counters["quarantined"] += 1
-                entry = {"name": state.job.name, "key": state.job.key,
-                         "attempts": state.attempt, "reason": reason,
-                         "traceback": trace}
-                failed.append(entry)
-                details[state.job.name] = {
-                    "attempts": state.attempt, "cache_hit": False,
-                    "backoff_schedule": list(state.backoff_schedule),
-                    "straggler": state.straggler}
-                self._journal({"event": "job_quarantined", "key": state.job.key,
-                               "name": state.job.name, "reason": reason})
-                return
-            delay = min(self.backoff * (2.0 ** (state.attempt - 1)),
-                        self.backoff_cap)
-            state.backoff_schedule.append(round(delay, 6))
-            state.attempt += 1
-            state.eligible_at = now + delay
-            counters["retries"] += 1
-            pending.append(state)
-
-        while pending or running:
-            now = time.monotonic()
-            # Launch every eligible pending job while worker slots remain.
-            launchable = [s for s in pending if s.eligible_at <= now]
-            while launchable and len(running) < self.workers:
-                state = launchable.pop(0)
-                pending.remove(state)
-                result_path = scratch_root / (f"{state.job.key[:16]}"
-                                              f".a{state.attempt}.json")
-                if result_path.exists():
-                    result_path.unlink()
-                process = multiprocessing.Process(
-                    target=_supervised_entry,
-                    args=(worker, state.job.item, state.job.name,
-                          state.attempt, self.fault_plan, str(result_path)))
-                process.daemon = True
-                process.start()
-                self._journal({"event": "attempt_started",
-                               "key": state.job.key, "name": state.job.name,
-                               "attempt": state.attempt, "pid": process.pid})
-                running[state.job.name] = {
-                    "state": state, "process": process, "started": now,
-                    "result_path": result_path}
-
-            # Poll the running set for completions, timeouts and stragglers.
-            for name in list(running):
-                entry = running[name]
-                state: _JobState = entry["state"]
-                process: multiprocessing.Process = entry["process"]
-                elapsed = now - entry["started"]
-                if process.is_alive():
-                    if self.timeout is not None and elapsed > self.timeout:
-                        self._kill(process)
-                        del running[name]
-                        fail(state, "timeout", None, time.monotonic())
-                        continue
-                    if (not state.straggler and len(durations) >= 3):
-                        median = statistics.median(durations)
-                        if elapsed > max(self.straggler_factor * median,
-                                         STRAGGLER_FLOOR_SECONDS):
-                            state.straggler = True
-                            counters["stragglers"] += 1
-                            self._journal({"event": "straggler",
-                                           "name": name,
-                                           "elapsed": round(elapsed, 3)})
-                    continue
-                process.join()
-                del running[name]
-                outcome = self._read_result(entry["result_path"])
-                if outcome is None:
-                    reason = ("crash" if process.exitcode != 0 else "lost")
-                    trace = (f"worker exited with code {process.exitcode} "
-                             f"before reporting a result")
-                    fail(state, reason, trace, time.monotonic())
-                elif outcome.get("status") == "ok":
-                    durations.append(elapsed)
-                    finish(state, outcome["digest"])
-                else:
-                    reason = ("transient" if outcome.get("status") == "transient"
-                              else "error")
-                    fail(state, reason, outcome.get("traceback"),
-                         time.monotonic())
-
-            if pending or running:
-                time.sleep(POLL_SECONDS)
-
-    @staticmethod
-    def _kill(process: multiprocessing.Process) -> None:
-        process.terminate()
-        process.join(0.5)
-        if process.is_alive():
-            process.kill()
-            process.join()
-
-    @staticmethod
-    def _read_result(path: Path) -> Optional[Dict[str, object]]:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
+    @contextlib.contextmanager
+    def _scratch(self, needed: bool) -> Iterator[Optional[Path]]:
+        """Attempt scratch space: the store's, or a temp dir removed after."""
+        if not needed:
+            yield None
+        elif self.store is not None:
+            yield self.store.root / "scratch"
+        else:
+            with tempfile.TemporaryDirectory(prefix="repro-service-") as temp:
+                yield Path(temp)
 
     # ----------------------------------------------------------------- #
     # Durability plumbing
     # ----------------------------------------------------------------- #
-    def _commit(self, job: Job, digest: Dict[str, object]) -> None:
-        if self.store is not None:
-            self.store.put(job.key, digest, meta={"name": job.name})
-        self._journal({"event": "job_completed", "key": job.key,
-                       "name": job.name})
-
     def _journal(self, record: Dict[str, object]) -> None:
         if self.journal is not None:
             self.journal.append(record)
@@ -436,14 +231,11 @@ class ExperimentService:
             return
         records, corrupt = self.journal.replay()
         counters["journal_corrupt_lines"] = corrupt
-        if not records:
-            return
-        started = {r.get("key") for r in records
-                   if r.get("event") == "attempt_started"}
-        finished = {r.get("key") for r in records
-                    if r.get("event") in ("job_completed", "job_quarantined")}
-        current = {job.key for job in jobs}
-        counters["resumed_interrupted"] = len((started - finished) & current)
+        keys = _keys_by_event(records)
+        interrupted = keys["attempt_started"] - keys["job_completed"] \
+            - keys["job_quarantined"]
+        counters["resumed_interrupted"] = len(
+            interrupted & {job.key for job in jobs})
 
     def close(self) -> None:
         if self.journal is not None:
@@ -569,6 +361,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if digest["failed_points"] else 0
 
 
+def _keys_by_event(records: Sequence[Dict[str, object]]
+                   ) -> Dict[str, Set[str]]:
+    """The job keys each journal event was recorded for."""
+    keys: Dict[str, Set[str]] = defaultdict(set)
+    for record in records:
+        if record.get("key") is not None:
+            keys[str(record.get("event"))].add(str(record["key"]))
+    return keys
+
+
 def journal_progress(records: Sequence[Dict[str, object]]) -> Dict[str, int]:
     """Per-key lifecycle rollup of a journal: where every job stands.
 
@@ -576,38 +378,17 @@ def journal_progress(records: Sequence[Dict[str, object]]) -> Dict[str, int]:
     reached a terminal event (completed / quarantined / cancelled) —
     after a crash these are exactly the jobs a resume will re-run.
     """
-    submitted: set = set()
-    started: set = set()
-    completed: set = set()
-    quarantined: set = set()
-    cancelled: set = set()
-    cache_hits: set = set()
-    for record in records:
-        key = record.get("key")
-        if key is None:
-            continue
-        event = record.get("event")
-        if event == "job_submitted":
-            submitted.add(key)
-        elif event == "attempt_started":
-            started.add(key)
-        elif event == "job_completed":
-            completed.add(key)
-        elif event == "job_quarantined":
-            quarantined.add(key)
-        elif event == "job_cancelled":
-            cancelled.add(key)
-        elif event == "cache_hit":
-            cache_hits.add(key)
-    seen = submitted | started
-    in_flight = seen - completed - quarantined - cancelled
+    keys = _keys_by_event(records)
+    terminal = (keys["job_completed"] | keys["job_quarantined"]
+                | keys["job_cancelled"])
+    seen = keys["job_submitted"] | keys["attempt_started"]
     return {
-        "keys": len(seen | completed | quarantined | cancelled | cache_hits),
-        "completed": len(completed),
-        "quarantined": len(quarantined),
-        "cancelled": len(cancelled),
-        "cache_hits": len(cache_hits),
-        "in_flight": len(in_flight),
+        "keys": len(seen | terminal | keys["cache_hit"]),
+        "completed": len(keys["job_completed"]),
+        "quarantined": len(keys["job_quarantined"]),
+        "cancelled": len(keys["job_cancelled"]),
+        "cache_hits": len(keys["cache_hit"]),
+        "in_flight": len(seen - terminal),
     }
 
 
@@ -651,12 +432,22 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count_completed(journal_path: Path) -> int:
+def count_completed(journal_path: Path) -> int:
+    """``job_completed`` records in a journal, across all its segments."""
     if not journal_path.exists():
         return 0
     journal = Journal(journal_path)
     records, _ = journal.replay()
     return sum(1 for r in records if r.get("event") == "job_completed")
+
+
+def src_env() -> Dict[str, str]:
+    """This environment with this source tree first on ``PYTHONPATH``."""
+    src_root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def _cmd_kill_resume_smoke(args: argparse.Namespace) -> int:
@@ -666,10 +457,7 @@ def _cmd_kill_resume_smoke(args: argparse.Namespace) -> int:
     points = demo_grid(args.points, memory_operations=args.demo_ops)
     baseline = run_sweep(points, workers=1)
     want = baseline["simulated_sha256"]
-    src_root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = src_env()
 
     for round_index in range(1, args.rounds + 1):
         store_root = Path(args.store) if args.store else Path(
@@ -686,7 +474,7 @@ def _cmd_kill_resume_smoke(args: argparse.Namespace) -> int:
         deadline = time.monotonic() + 120.0
         completed = 0
         while child.poll() is None and time.monotonic() < deadline:
-            completed = _count_completed(journal_path)
+            completed = count_completed(journal_path)
             if 1 <= completed < len(points):
                 break
             time.sleep(0.003)

@@ -40,7 +40,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.faultinject import NetworkFaultPlan
 from repro.experiments.store import Journal, atomic_write_text
-from repro.experiments.service import demo_grid, journal_progress
+from repro.experiments.service import (
+    count_completed,
+    demo_grid,
+    journal_progress,
+    src_env,
+)
 
 #: Lease/heartbeat timing of the soak servers: tight enough that a
 #: silent-owner reclaim costs ~a second, loose enough that a healthy
@@ -53,15 +58,6 @@ SOAK_HEARTBEAT_INTERVAL = 0.1
 SOAK_STALL_SECONDS = 60.0
 
 
-def _src_env() -> Dict[str, str]:
-    src_root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_root)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
-
-
 def _spawn_server(store_root: Path, ready_file: Path, plan_file: Path,
                   port: int = 0) -> subprocess.Popen:
     ready_file.unlink(missing_ok=True)
@@ -72,7 +68,7 @@ def _spawn_server(store_root: Path, ready_file: Path, plan_file: Path,
                "--heartbeat-interval", str(SOAK_HEARTBEAT_INTERVAL),
                "--retries", "2", "--backoff", "0.05", "--no-fsync",
                "--net-fault-plan", str(plan_file)]
-    return subprocess.Popen(command, env=_src_env(),
+    return subprocess.Popen(command, env=src_env(),
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
 
@@ -91,20 +87,6 @@ def _await_ready(ready_file: Path, proc: subprocess.Popen,
                 pass  # torn write: retry
         time.sleep(0.02)
     raise RuntimeError("soak server never wrote its ready file")
-
-
-def _count_completions(journal_path: Path) -> int:
-    if not journal_path.exists():
-        return 0
-    count = 0
-    try:
-        with open(journal_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if '"job_completed"' in line:
-                    count += 1
-    except OSError:
-        return 0
-    return count
 
 
 def _client_slices(points: Sequence, clients: int) -> List[List]:
@@ -232,7 +214,7 @@ def run_soak(clients: int = 4, points: int = 8, demo_ops: int = 3000,
     for _ in range(kills):
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
-            done = _count_completions(journal_path)
+            done = count_completed(journal_path)
             if done >= 1 and any(t.is_alive() for t in threads):
                 break
             if not any(t.is_alive() for t in threads):

@@ -3,7 +3,7 @@
 A sweep is a list of :class:`SweepPoint` descriptions — each one names a
 workload (by registry name, so points are picklable) and the system knobs it
 runs under.  :func:`run_sweep` executes every point, either inline
-(``workers=1``, the sequential baseline) or on a ``multiprocessing`` pool,
+(``workers=1``, the sequential baseline) or in supervised worker processes,
 and merges the per-point report digests into one sweep digest.
 
 Determinism rules (the part that makes host parallelism safe):
@@ -14,25 +14,23 @@ Determinism rules (the part that makes host parallelism safe):
   count cannot influence any simulated statistic;
 * each point builds its whole system inside the worker, so no simulator
   state crosses process boundaries — only the input :class:`SweepPoint` and
-  the output digest dict travel (both plain picklable data);
-* results are collected with ``pool.map``, which preserves submission
-  order, so the merged digest is byte-identical no matter how many workers
-  ran it or how they were scheduled.
+  the output digest dict travel (both plain data);
+* results are merged by job index in submission order, whatever order the
+  workers finished in, so the merged digest is byte-identical no matter
+  how many workers ran it or how they were scheduled.
 
 ``tests/test_fast_engine.py`` and the perf smoke gate assert the
 workers=1 vs workers=N digests are identical.
 
 Execution is delegated to the fault-tolerant experiment service
-(:mod:`repro.experiments.service`): the default path is the classic
-ephemeral fan-out, and the same grid gains durability (content-addressed
-result caching, journaled kill-and-resume, per-job timeouts, bounded
-retries with backoff, quarantine of jobs that exhaust their retries)
-when run through :func:`repro.experiments.service.run_resilient_sweep`.
+(:mod:`repro.experiments.service`), which supervises every multi-worker
+run (bounded retries, backoff, quarantine); run through
+:func:`repro.experiments.service.run_resilient_sweep` the same grid also
+gains content-addressed result caching and journaled kill-and-resume.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import zlib
@@ -74,7 +72,7 @@ def validate_points(points: Sequence[SweepPoint]) -> None:
 
     Checks run *before* any worker is spawned: unknown workload/scenario
     names and unknown page-table kinds would otherwise
-    surface as a deep traceback inside a pool worker; duplicate point
+    surface as a deep traceback inside a worker process; duplicate point
     names are outright dangerous — they silently collide in
     :func:`point_seed` *and* in the content-addressed result store (two
     different configs sharing a name still hash differently in the store,
@@ -146,8 +144,8 @@ def kips_value(instructions: int, host_seconds: float) -> float:
 
 def run_point(point: SweepPoint, base_seed: int = 0) -> Dict[str, object]:
     """Build and run one sweep point; returns a picklable report digest."""
-    # Imports stay inside the worker entry point so a spawn-context pool
-    # (or a future worker without the parent's module state) is self-reliant.
+    # Imports stay inside the worker entry point so a worker without the
+    # parent's module state is self-reliant.
     from repro.core.multicore import MultiCoreVirtuoso
     from repro.core.virtuoso import Virtuoso
     from repro.workloads.multiproc import build_multiprocess_scenario
@@ -227,44 +225,20 @@ def simulated_fingerprint(digests: Sequence[Dict[str, object]]) -> str:
     return content_key(simulated_digest(digests))
 
 
-def fan_out(worker, items: Sequence[object],
-            workers: Optional[int] = None) -> List[object]:
-    """Map ``worker`` over ``items`` inline or on a ``multiprocessing`` pool.
-
-    The shared fan-out primitive of the host-parallel runners (this sweep
-    module and the differential parity matrix in
-    :mod:`repro.validation.parity`): ``workers=1`` runs inline, ``workers>1``
-    uses a pool with ``pool.map`` (order-preserving, so results are
-    byte-identical for any worker count as long as ``worker`` is
-    deterministic in its item).  ``worker`` must be a module-level function
-    and every item picklable.
-    """
-    if workers is None:
-        workers = max(1, os.cpu_count() or 1)
-    # Never spin more pool processes than there are items, and run a
-    # single-item (or single-worker) fan-out inline: a 1-item list with
-    # workers=8 used to pay for a full pool it could not use.
-    workers = max(1, min(workers, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(worker, items, chunksize=1)
-
-
 def run_sweep(points: Sequence[SweepPoint], workers: Optional[int] = None,
               base_seed: int = 0,
               service: Optional[object] = None) -> Dict[str, object]:
     """Run every point through the experiment service; return the digest.
 
-    ``workers=1`` runs inline (no pool — the sequential wall-clock
-    baseline); ``workers>1`` fans the grid over a ``multiprocessing`` pool.
-    The default uses every host core.  Simulated statistics are identical
-    for any worker count (see the module determinism rules).
+    ``workers=1`` (or a one-point grid) runs inline — the sequential
+    wall-clock baseline; ``workers>1`` runs each point in a supervised
+    worker process, at most ``workers`` at a time.  The default uses every
+    host core.  Simulated statistics are identical for any worker count
+    (see the module determinism rules).
 
     Execution is delegated to an
     :class:`~repro.experiments.service.ExperimentService` — by default an
-    ephemeral one (no store, no journal: exactly the classic fan-out), but
-    passing ``service`` (or using
+    ephemeral one (no store, no journal), but passing ``service`` (or using
     :func:`~repro.experiments.service.run_resilient_sweep`) adds content-
     addressed result caching, journaled resume, per-job timeouts and
     retry/quarantine semantics without changing a single simulated

@@ -890,7 +890,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for raw in summary["divergences"]:
         print(f"  DIVERGENCE {raw['point']}: {raw['field']} "
               f"(uncached={raw['uncached_value']!r}, cached={raw['cached_value']!r})")
-    return 1 if summary["divergences"] else 0
+    return 1 if summary["divergences"] or summary["quarantined"] else 0
 
 
 if __name__ == "__main__":

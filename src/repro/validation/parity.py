@@ -413,6 +413,8 @@ def run_matrix(points: Sequence[ParityPoint],
     resumes from its journal, re-running only the missing points.  With
     ``server`` (``host:port``) execution targets a running
     :mod:`repro.experiments.server` instead — same summary, shared store.
+    A point whose worker fails every attempt is quarantined: it is left
+    out of ``points`` and listed under ``failed_points``.
     """
     from repro.experiments.service import ExperimentService, Job
 
@@ -439,6 +441,7 @@ def run_matrix(points: Sequence[ParityPoint],
         "points": len(digests),
         "identical": sum(1 for d in digests if d["identical"]),
         "divergences": divergences,
+        "failed_points": outcome["failed_points"],
         "wall_seconds": round(wall_seconds, 4),
         "service": outcome["counters"],
         "results": digests,
@@ -514,7 +517,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"identical in {summary['wall_seconds']:.1f}s ({scope}{cached})")
     for raw in summary["divergences"]:
         print(f"  DIVERGENCE {DivergenceRecord(**raw)}")
-    return 1 if summary["divergences"] else 0
+    for entry in summary["failed_points"]:
+        print(f"  QUARANTINED {entry['name']} after {entry['attempts']} "
+              f"attempts ({entry['reason']})")
+    return 1 if summary["divergences"] or summary["failed_points"] else 0
 
 
 if __name__ == "__main__":

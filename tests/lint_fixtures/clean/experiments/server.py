@@ -1,4 +1,4 @@
-"""R4 negative fixtures: async-native waits and a hygienic fork target."""
+"""R4 negative fixture (async-native waits) and R10's hygienic fork target."""
 
 import asyncio
 import signal

@@ -1,4 +1,4 @@
-"""R4 positive fixtures: a blocked loop and an unhygienic fork target."""
+"""R4 positive fixture (a blocked loop) and R10's unhygienic fork target."""
 
 import asyncio
 import time

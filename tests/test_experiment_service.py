@@ -6,24 +6,26 @@ the ``simulated_sha256`` byte-identity fingerprint: a crashed, hung,
 flaky, killed-and-resumed or cache-served sweep must compute *exactly*
 the simulation a fault-free ``workers=1`` straight-line run computes.
 
-Also covers the satellite hardening: ``fan_out`` pool capping and
-single-item short-circuit, eager ``SweepPoint`` validation, the
-sub-resolution ``host_seconds`` division guards, and corruption recovery
-in both the journal (truncated line) and the object store.
+Also covers the choice between the inline and supervised modes, the
+removal of every attempt's scratch files, eager ``SweepPoint``
+validation, the sub-resolution ``host_seconds`` division guards, and
+corruption recovery in both the journal (truncated line) and the object
+store.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.common.addresses import MB
-from repro.experiments import sweep as sweep_module
 from repro.experiments.faultinject import FaultAction, FaultPlan, TransientFault
 from repro.experiments.service import (
     demo_grid,
@@ -33,7 +35,6 @@ from repro.experiments.service import (
 from repro.experiments.store import Journal, ResultStore, content_key
 from repro.experiments.sweep import (
     SweepPoint,
-    fan_out,
     kips_value,
     merge_point_digests,
     run_sweep,
@@ -56,29 +57,73 @@ def straight_line():
 
 
 # --------------------------------------------------------------------- #
-# Satellite: fan_out sizing
+# Mode selection: inline vs supervised
 # --------------------------------------------------------------------- #
-class TestFanOut:
-    def test_single_item_short_circuits_inline(self, monkeypatch):
-        def forbidden_pool(*_args, **_kwargs):
-            raise AssertionError("a 1-item fan-out must not spin a pool")
+class TestModeSelection:
+    @pytest.mark.parametrize("points, workers", [(1, 8), (3, 1)])
+    def test_one_usable_slot_runs_inline(self, monkeypatch, points,
+                                         workers):
+        def forbidden_process(*_args, **_kwargs):
+            raise AssertionError("an inline run must not fork a worker")
 
-        monkeypatch.setattr(sweep_module.multiprocessing, "Pool",
-                            forbidden_pool)
-        assert fan_out(len, ["abc"], workers=8) == [3]
+        monkeypatch.setattr(multiprocessing, "Process", forbidden_process)
+        digest = run_sweep(tiny_grid(points), workers=workers)
+        assert digest["service"]["mode"] == "inline"
+        assert digest["service"]["executed"] == points
 
-    def test_pool_size_capped_at_item_count(self, monkeypatch):
-        seen = {}
-        real_pool = sweep_module.multiprocessing.Pool
+    @pytest.mark.parametrize("points, workers", [(2, 8), (4, 2)])
+    def test_supervised_run_caps_live_workers(self, monkeypatch, points,
+                                              workers, straight_line):
+        live, peak = set(), [0]
+        real_process = multiprocessing.Process
 
-        def capturing_pool(processes=None):
-            seen["processes"] = processes
-            return real_pool(processes=processes)
+        class CountingProcess(real_process):
+            def start(self):
+                super().start()
+                live.add(self)
+                peak[0] = max(peak[0], len(live))
 
-        monkeypatch.setattr(sweep_module.multiprocessing, "Pool",
-                            capturing_pool)
-        assert fan_out(len, ["ab", "cde"], workers=8) == [2, 3]
-        assert seen["processes"] == 2
+            def join(self, timeout=None):
+                super().join(timeout)
+                if not self.is_alive():
+                    live.discard(self)
+
+        monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
+        digest = run_sweep(tiny_grid(points), workers=workers)
+        assert digest["service"]["mode"] == "supervised"
+        assert peak[0] == min(workers, points)
+        assert not live
+        if points == len(straight_line["points"]):
+            assert (digest["simulated_sha256"]
+                    == straight_line["simulated_sha256"])
+
+    def test_timeout_alone_selects_supervised(self, tmp_path):
+        digest = run_resilient_sweep(tiny_grid(1), store_root=tmp_path,
+                                     workers=1, timeout=30.0)
+        assert digest["service"]["mode"] == "supervised"
+
+
+# --------------------------------------------------------------------- #
+# Per-attempt scratch files are removed
+# --------------------------------------------------------------------- #
+class TestScratchCleanup:
+    def test_faulted_durable_run_leaves_scratch_empty(self, tmp_path):
+        plan = FaultPlan(actions=[FaultAction("svc-0", 1, "crash"),
+                                  FaultAction("svc-1", 1, "hang",
+                                              hang_seconds=30.0),
+                                  FaultAction("svc-2", 1, "flaky")])
+        digest = run_resilient_sweep(tiny_grid(), store_root=tmp_path,
+                                     workers=2, timeout=0.75, retries=2,
+                                     backoff=0.01, fault_plan=plan)
+        assert digest["failed_points"] == []
+        assert list((tmp_path / "scratch").iterdir()) == []
+
+    def test_non_durable_supervised_run_leaves_no_temp_dir(self, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        digest = run_resilient_sweep(tiny_grid(2), workers=2, timeout=30.0)
+        assert digest["service"]["mode"] == "supervised"
+        assert list(tmp_path.glob("repro-service-*")) == []
 
 
 # --------------------------------------------------------------------- #

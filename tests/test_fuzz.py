@@ -290,6 +290,20 @@ class TestSensitivityProof:
             assert fuzz.replay_entry(entry)["outcome"] == "identical"
 
 
+class TestCLIExitCode:
+    def test_quarantined_scenario_fails_the_campaign(self, monkeypatch):
+        """A scenario whose worker died on every attempt has no verdict;
+        the campaign must not pass on the rest."""
+        summary = {"scenarios": 2, "identical": 1, "divergences": [],
+                   "crashes": [], "quarantined": 1, "wall_seconds": 0.1,
+                   "coverage": {"op_pair_backend": 1, "op_axis": 1},
+                   "reproducers": []}
+        monkeypatch.setattr(fuzz, "run_fuzz", lambda **_kwargs: summary)
+        assert fuzz.main(["--budget", "2", "--no-bank"]) == 1
+        monkeypatch.setitem(summary, "quarantined", 0)
+        assert fuzz.main(["--budget", "2", "--no-bank"]) == 0
+
+
 # --------------------------------------------------------------------- #
 # Acceptance: determinism and SIGKILL resume
 # --------------------------------------------------------------------- #

@@ -17,6 +17,8 @@ Four families:
   allocator can never alias simulated physical memory.
 """
 
+import json
+
 import pytest
 
 from repro.common.addresses import FALLBACK_FRAME_BASE, GB, MB, PAGE_SIZE_4K, align_down, page_number
@@ -26,6 +28,7 @@ from repro.mimicos.kernel import MimicOS
 from repro.mmu.extensions import MMUExtensions
 from repro.pagetables.base import _BumpFrameAllocator
 from repro.pagetables.factory import build_page_table, registered_kinds
+from repro.validation import parity as parity_module
 from repro.validation.parity import (
     MIN_VIRTUALIZED_SAMPLE,
     DivergenceRecord,
@@ -104,6 +107,28 @@ class TestSampledParityMatrix:
         record = divergence_of(digest)
         assert record is None, f"VPN-cache divergence: {record}"
         assert digest["fields_compared"] > 50  # a real report, not a stub
+
+
+class TestQuarantinedPoints:
+    def test_point_failing_in_the_worker_fails_the_cli(self, monkeypatch,
+                                                       tmp_path):
+        """A point whose worker raises on every attempt is quarantined:
+        it is reported under ``failed_points`` and the CLI exits 1 even
+        though no point diverged."""
+        good = ParityPoint("radix", "gups")
+        bad = ParityPoint("no-such-design", "gups")
+        monkeypatch.setattr(parity_module, "sample_lattice",
+                            lambda _size, _seed: [good, bad])
+        out = tmp_path / "summary.json"
+        code = parity_module.main(["--workers", "2", "--json", str(out)])
+        summary = json.loads(out.read_text())
+        assert code == 1
+        assert summary["divergences"] == []
+        assert summary["identical"] == summary["points"] == 1
+        [failed] = summary["failed_points"]
+        assert failed["name"] == bad.name
+        assert failed["reason"] == "error"
+        assert "no-such-design" in failed["traceback"]
 
 
 class TestHarnessSensitivity:

@@ -266,6 +266,24 @@ class TestServerBasics:
         assert active_journal_keys(server.store.journal_path) == set()
         assert key in server.store
 
+    def test_drained_server_leaves_no_scratch_files(self, tmp_path):
+        points = net_grid(2)
+        plan = FaultPlan(actions=[FaultAction(job=points[0].name, attempt=1,
+                                              kind="crash")])
+        server = ExperimentServer(tmp_path, workers=1, backoff=0.05,
+                                  fault_plan=plan, fsync=False)
+        harness = ServerThread(server).start()
+        with ExperimentClient(harness.address) as client:
+            keys = [submit_point(client, point) for point in points]
+            for key in keys:
+                assert client.result(key, wait_seconds=30.0)["status"] == "done"
+            assert client.drain(hold_seconds=60.0)["drained"] is True
+        harness.stop()
+        assert server.counters["crashes"] == 1
+        leftovers = [path.name for path in (tmp_path / "scratch").iterdir()
+                     if path.suffix in (".hb", ".json")]
+        assert leftovers == []
+
     def test_garbage_frames_and_unknown_verbs_are_survivable(self, tmp_path):
         server = ExperimentServer(tmp_path, workers=1, fsync=False)
         with ServerThread(server) as harness:
