@@ -216,6 +216,7 @@ class Cache:
             if not line.valid:
                 return line
         if self.replacement == "lru":
+            # Stamps, not repro.common.lru: fills reuse the clock, so ties go by way order.
             # First line with the minimum stamp (same tie-break as min()).
             victim = lines[0]
             best = victim.lru_stamp

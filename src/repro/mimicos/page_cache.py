@@ -9,10 +9,10 @@ fault cost, so the cache supports explicit pre-population too.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.common.addresses import PAGE_SIZE_4K
+from repro.common.lru import LRU
 from repro.common.stats import Counter
 from repro.mimicos.ops import KernelAddressSpace, KernelRoutineTrace
 
@@ -31,7 +31,8 @@ class PageCache:
             raise ValueError("page cache capacity must be positive")
         self.capacity_pages = max(1, capacity_bytes // PAGE_SIZE_4K)
         self.kernel_space = kernel_space
-        self._pages: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
+        #: (file id, page index) -> True, least recently used first.
+        self._pages = LRU(self.capacity_pages)
         self.counters = Counter()
 
     def lookup(self, file_id: int, page_index: int,
@@ -56,10 +57,8 @@ class PageCache:
         if key in self._pages:
             self._pages.move_to_end(key)
             return
-        if len(self._pages) >= self.capacity_pages:
-            self._pages.popitem(last=False)
+        if self._pages.put(key, True) is not None:
             self.counters.add("evictions")
-        self._pages[key] = True
         self.counters.add("insertions")
         if trace is not None:
             op = trace.new_op("page_cache_insert", work_units=2)

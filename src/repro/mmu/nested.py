@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K
+from repro.common.lru import LRU
 from repro.common.stats import Counter
 from repro.pagetables.base import MemoryInterface, PageTableBase, WalkResult
 
@@ -60,11 +61,9 @@ class _NestedTLB:
     """A small cache of guest-virtual -> host-physical translations."""
 
     def __init__(self, entries: int = 64, latency: int = 2):
-        self.entries = entries
         self.latency = latency
-        self._store: Dict[int, Tuple[int, int]] = {}
-        self._lru: Dict[int, int] = {}
-        self._clock = 0
+        #: Faulting 4 KB VPN -> (host physical base, page size), LRU order.
+        self._store = LRU(entries)
         #: Bumped whenever the cached contents change (fill, invalidate,
         #: flush), mirroring :class:`repro.mmu.tlb.TLB.version`.
         self.version = 0
@@ -73,23 +72,15 @@ class _NestedTLB:
         return len(self._store)
 
     def lookup(self, guest_virtual: int) -> Optional[Tuple[int, int]]:
-        self._clock += 1
         vpn = guest_virtual // PAGE_SIZE_4K
         entry = self._store.get(vpn)
         if entry is not None:
-            self._lru[vpn] = self._clock
+            self._store.move_to_end(vpn)
         return entry
 
     def fill(self, guest_virtual: int, host_physical: int, page_size: int) -> None:
-        self._clock += 1
         self.version += 1
-        vpn = guest_virtual // PAGE_SIZE_4K
-        if vpn not in self._store and len(self._store) >= self.entries:
-            victim = min(self._lru, key=self._lru.get)
-            self._store.pop(victim, None)
-            self._lru.pop(victim, None)
-        self._store[vpn] = (host_physical, page_size)
-        self._lru[vpn] = self._clock
+        self._store.put(guest_virtual // PAGE_SIZE_4K, (host_physical, page_size))
 
     def invalidate(self, guest_virtual: int) -> bool:
         """Drop every entry whose combined page covers ``guest_virtual``.
@@ -108,7 +99,6 @@ class _NestedTLB:
             return False
         for vpn in victims:
             del self._store[vpn]
-            self._lru.pop(vpn, None)
         self.version += 1
         return True
 
@@ -117,7 +107,6 @@ class _NestedTLB:
         if not self._store:
             return False
         self._store.clear()
-        self._lru.clear()
         self.version += 1
         return True
 

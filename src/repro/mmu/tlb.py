@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.config import TLBConfig
+from repro.common.lru import LRU
 from repro.common.stats import Counter
 
 
@@ -38,9 +39,8 @@ class TLB:
         self.page_sizes = tuple(config.page_sizes)
         self.num_sets = config.sets
         self.associativity = config.associativity
-        #: One dict per set: vpn tag -> (physical base, page size, lru stamp)
-        self._sets: List[Dict[int, Tuple[int, int, int]]] = [dict() for _ in range(self.num_sets)]
-        self._clock = 0
+        #: One LRU per set: (vpn tag, page size) -> (physical base, page size)
+        self._sets: List[LRU] = [LRU(self.associativity) for _ in range(self.num_sets)]
         self.counters = Counter()
         #: Bumped whenever the TLB's *contents* change (fill, invalidate,
         #: flush).  The MMU's VPN translation cache watches this to detect
@@ -62,7 +62,6 @@ class TLB:
 
     def lookup(self, virtual_address: int) -> Optional[Tuple[int, int]]:
         """Return (physical base, page size) on a hit, None on a miss."""
-        self._clock += 1
         self._c_lookups[0] += 1
         for page_size in self.page_sizes:
             vpn = virtual_address // page_size
@@ -70,10 +69,9 @@ class TLB:
             key = (vpn, page_size)
             entry = entries.get(key)
             if entry is not None:
-                physical_base, size, _ = entry
-                entries[key] = (physical_base, size, self._clock)
+                entries.move_to_end(key)
                 self._c_hits[0] += 1
-                return physical_base, size
+                return entry
         self._c_misses[0] += 1
         return None
 
@@ -81,16 +79,10 @@ class TLB:
         """Insert a translation (LRU replacement within the set)."""
         if not self.supports(page_size):
             return
-        self._clock += 1
         self.version += 1
         set_index, tag = self._index_and_tag(virtual_address, page_size)
-        entries = self._sets[set_index]
-        key = (tag, page_size)
-        if key not in entries and len(entries) >= self.associativity:
-            victim = min(entries, key=lambda k: entries[k][2])
-            del entries[victim]
+        if self._sets[set_index].put((tag, page_size), (physical_base, page_size)) is not None:
             self._c_evictions[0] += 1
-        entries[key] = (physical_base, page_size, self._clock)
         self._c_fills[0] += 1
 
     def invalidate(self, virtual_address: int) -> None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import GB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_down, align_up
+from repro.common.lru import RangeCache
 from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
@@ -52,43 +53,6 @@ class _VMARange:
         return self.midgard_start + (virtual_address - self.virtual_start)
 
 
-class _VMALookasideBuffer:
-    """A VLB level: a small fully-associative cache of VMA ranges."""
-
-    def __init__(self, entries: int, latency: int):
-        self.entries = entries
-        self.latency = latency
-        self._ranges: Dict[int, _VMARange] = {}
-        self._lru: Dict[int, int] = {}
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, virtual_address: int) -> Optional[_VMARange]:
-        self._clock += 1
-        for key, entry in self._ranges.items():
-            if entry.contains(virtual_address):
-                self._lru[key] = self._clock
-                self.hits += 1
-                return entry
-        self.misses += 1
-        return None
-
-    def fill(self, entry: _VMARange) -> None:
-        self._clock += 1
-        key = entry.virtual_start
-        if key not in self._ranges and len(self._ranges) >= self.entries:
-            victim = min(self._lru, key=self._lru.get)
-            self._ranges.pop(victim, None)
-            self._lru.pop(victim, None)
-        self._ranges[key] = entry
-        self._lru[key] = self._clock
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class MidgardTranslation(PageTableBase):
     """Midgard two-level translation: VMA frontend + deep radix backend."""
 
@@ -105,8 +69,8 @@ class MidgardTranslation(PageTableBase):
                  vma_tree_base: Optional[int] = None,
                  backend_table_base: Optional[int] = None):
         super().__init__(frame_allocator)
-        self.l1_vlb = _VMALookasideBuffer(l1_vlb_entries, l1_vlb_latency)
-        self.l2_vlb = _VMALookasideBuffer(l2_vlb_entries, l2_vlb_latency)
+        self.l1_vlb = RangeCache(l1_vlb_entries, l1_vlb_latency)
+        self.l2_vlb = RangeCache(l2_vlb_entries, l2_vlb_latency)
         self.backend_levels = backend_levels
         self.vma_tree_base = (vma_tree_base if vma_tree_base is not None
                               else self.frame_allocator(None))

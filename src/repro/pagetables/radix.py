@@ -24,6 +24,7 @@ from repro.common.addresses import (
     PAGE_SIZE_4K,
     split_vpn_radix,
 )
+from repro.common.lru import LRU
 from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
@@ -52,8 +53,7 @@ class PageWalkCache:
         self.coverage_shift = coverage_shift
         self.num_sets = entries // associativity
         self.associativity = associativity
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._clock = 0
+        self._sets: List[LRU] = [LRU(associativity) for _ in range(self.num_sets)]
         self.counters = Counter()
 
     def _set_index(self, tag: int) -> int:
@@ -63,9 +63,8 @@ class PageWalkCache:
         """True on hit (the walker may skip the covered levels)."""
         tag = virtual_address >> self.coverage_shift
         entries = self._sets[self._set_index(tag)]
-        self._clock += 1
         if tag in entries:
-            entries[tag] = self._clock
+            entries.move_to_end(tag)
             self.counters.add("hits")
             return True
         self.counters.add("misses")
@@ -74,15 +73,7 @@ class PageWalkCache:
     def fill(self, virtual_address: int) -> None:
         """Insert the partial translation for ``virtual_address``."""
         tag = virtual_address >> self.coverage_shift
-        entries = self._sets[self._set_index(tag)]
-        self._clock += 1
-        if tag in entries:
-            entries[tag] = self._clock
-            return
-        if len(entries) >= self.associativity:
-            victim = min(entries, key=entries.get)
-            del entries[victim]
-        entries[tag] = self._clock
+        self._sets[self._set_index(tag)].put(tag, True)
 
     def invalidate(self, virtual_address: int) -> None:
         """Drop the entry covering ``virtual_address`` if present."""

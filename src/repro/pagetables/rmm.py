@@ -18,9 +18,10 @@ fragmented corners of the address space fall back to a normal walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K, align_down
+from repro.common.lru import RangeCache
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
@@ -55,49 +56,13 @@ class VirtualRange:
         return self.virtual_end - self.virtual_start
 
 
-class RangeLookasideBuffer:
+class RangeLookasideBuffer(RangeCache):
     """The RLB: a small fully-associative cache of ranges (64 entries, 9 cycles)."""
-
-    def __init__(self, entries: int = 64, latency: int = 9):
-        self.entries = entries
-        self.latency = latency
-        self._ranges: Dict[int, VirtualRange] = {}
-        self._lru: Dict[int, int] = {}
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, virtual_address: int) -> Optional[VirtualRange]:
-        """Return the cached range covering ``virtual_address`` (if any)."""
-        self._clock += 1
-        for key, candidate in self._ranges.items():
-            if candidate.contains(virtual_address):
-                self._lru[key] = self._clock
-                self.hits += 1
-                return candidate
-        self.misses += 1
-        return None
-
-    def fill(self, entry: VirtualRange) -> None:
-        """Insert a range, evicting the least recently used one when full."""
-        self._clock += 1
-        key = entry.virtual_start
-        if key not in self._ranges and len(self._ranges) >= self.entries:
-            victim = min(self._lru, key=self._lru.get)
-            self._ranges.pop(victim, None)
-            self._lru.pop(victim, None)
-        self._ranges[key] = entry
-        self._lru[key] = self._clock
 
     def invalidate(self, virtual_start: int) -> None:
         """Drop the cached range starting at ``virtual_start`` (range shootdown)."""
         if self._ranges.pop(virtual_start, None) is not None:
-            self._lru.pop(virtual_start, None)
-
-    def hit_rate(self) -> float:
-        """RLB hit fraction."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+            del self._recency[virtual_start]
 
 
 class RangeMemoryMapping(PageTableBase):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, align_down
+from repro.common.lru import LRU
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
@@ -48,31 +49,21 @@ class _SmallCache:
     """A tiny fully-associative LRU cache used for the SF and TAR caches."""
 
     def __init__(self, entries: int, latency: int):
-        self.entries = entries
         self.latency = latency
-        self._store: Dict[int, int] = {}
-        self._clock = 0
+        self._store = LRU(entries)
         self.hits = 0
         self.misses = 0
 
     def lookup(self, key: int) -> bool:
-        self._clock += 1
         if key in self._store:
-            self._store[key] = self._clock
+            self._store.move_to_end(key)
             self.hits += 1
             return True
         self.misses += 1
         return False
 
     def fill(self, key: int) -> None:
-        self._clock += 1
-        if key in self._store:
-            self._store[key] = self._clock
-            return
-        if len(self._store) >= self.entries:
-            victim = min(self._store, key=self._store.get)
-            del self._store[victim]
-        self._store[key] = self._clock
+        self._store.put(key, True)
 
 
 @dataclass

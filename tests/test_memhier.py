@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheConfig, DRAMConfig, PrefetcherConfig
+from repro.common.lru import LRU
 from repro.memhier.cache import Cache
 from repro.memhier.dram import DRAMModel
 from repro.memhier.memory_system import (
@@ -50,6 +51,36 @@ class TestCache:
         cache.access(5 * 64 * cache.num_sets)  # evicts the LRU (line 1)
         assert cache.probe(0)
         assert not cache.probe(1 * 64 * cache.num_sets)
+
+    def test_lru_stamp_tie_breaks_by_way_order(self):
+        """A prefetch fill does not advance the clock, so it can share a
+        stamp with a demand line; the tie then goes to the lower way, not
+        to the least recently touched line.  This is why the cache keeps
+        stamps instead of the recency-ordered LRU the TLBs use."""
+        cache = small_cache(size=4 * 64, assoc=4)  # one set of 4 ways
+        a, x, y, z, b, e = (index * 64 for index in range(6))
+        for line in (a, x, y, z):
+            cache.access(line)
+        cache.invalidate(a)   # frees way 0
+        cache.fill(b)         # prefetch into way 0, after z's demand access
+        cache.access(x)
+        cache.access(y)
+        ways = cache._sets[0]
+        assert ways[0].lru_stamp == ways[3].lru_stamp   # b and z tie
+
+        # Pure recency would evict z: it was touched before b was filled.
+        recency = LRU(4)
+        for line in (a, x, y, z):
+            recency.put(line, None)
+        recency.pop(a)
+        recency.put(b, None)
+        recency.move_to_end(x)
+        recency.move_to_end(y)
+        assert recency.peek_victim() == z
+
+        cache.access(e)
+        assert not cache.probe(b)   # the tie went to the lower way
+        assert cache.probe(z)
 
     def test_srrip_eviction(self):
         cache = small_cache(replacement="srrip", size=4 * 64, assoc=4)

@@ -172,6 +172,23 @@ class TestHarnessSensitivity:
         assert record.uncached_value != record.cached_value
 
 
+class TestOverlappingRangeDigest:
+    """RMM's RLB holds overlapping eager-paging ranges on this point, so a
+    few lookups match more than one cached range.  The recorded report pins
+    the RLB's first-inserted scan order: the oldest matching range answers,
+    and a recency-order scan moves the digest."""
+
+    POINT = ParityPoint("rmm", "llm", thp=True)
+    #: Recorded while the RLB still kept its own clock and LRU stamps.
+    RECORDED_DIGEST = "ccce81a39721b7d4dd71fe64ee31109b2659466dc1c74156ac66bbaf01c9f571"
+
+    @pytest.mark.parametrize("vpn_cache", [False, True])
+    def test_report_matches_recorded_digest(self, vpn_cache):
+        assert self.POINT.name == "rmm/llm/c1/thp=on/swap=off"
+        assert_report_digest(parity_module._run(self.POINT, vpn_cache),
+                             self.RECORDED_DIGEST)
+
+
 def _swap_out_page(system: Virtuoso, pid: int, virtual_base: int) -> None:
     """Do exactly what kswapd reclaim does to one resident 4 KB page:
     swap it out, unmap it and shoot the translation down."""

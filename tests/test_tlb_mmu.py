@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
+from repro.common.addresses import MB, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
+from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
@@ -13,7 +14,9 @@ from repro.mmu.tlb import TLB, TLBHierarchy
 from repro.mmu.tlb_prefetch import SequentialTLBPrefetcher
 from repro.mmu.victima import VictimaCacheTLB
 from repro.pagetables.radix import RadixPageTable
-from tests.conftest import FlatMemory
+from repro.validation.parity import ParityPoint, build_config, point_seed
+from repro.workloads.registry import build_workload
+from tests.conftest import FlatMemory, assert_report_digest
 
 
 def make_tlb(entries=16, associativity=4, latency=1, page_sizes=(PAGE_SIZE_4K,)):
@@ -258,6 +261,26 @@ class TestMMUExtensions:
         victima.store_victim(0x1000, 0xA000, PAGE_SIZE_4K)
         entry, _ = victima.lookup(0x1000)
         assert entry == (0xA000, PAGE_SIZE_4K)
+
+
+class TestVictimaRecordedDigest:
+    """A Victima run: every L2-TLB fill into a full set first hands the
+    entry the set is about to evict to Victima, so the report pins which
+    entry the L2 TLB's LRU names as its victim."""
+
+    #: Recorded while the L2 TLB still kept its own clock and LRU stamps.
+    RECORDED_DIGEST = "cfec7633908e4ee50f9e0d839b220aa1885ca313ed042492c2558c6074d6b026"
+
+    @pytest.mark.parametrize("vpn_cache", [False, True])
+    def test_gups_report_matches_recorded_digest(self, vpn_cache):
+        point = ParityPoint("radix", "gups", thp=False)
+        system = Virtuoso(build_config(point), seed=point_seed(point),
+                          mmu_extensions=MMUExtensions(victima=True,
+                                                       vpn_translation_cache=vpn_cache))
+        report = system.run(build_workload("RND", footprint_bytes=2 * MB,
+                                           memory_operations=3000, prefault=True, seed=3))
+        assert system.mmu.counters.get("victima_hits") > 1000
+        assert_report_digest(report, self.RECORDED_DIGEST)
 
 
 class TestNestedTranslation:
