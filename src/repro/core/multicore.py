@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import SystemConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
+from repro.common.weak import WeakCallback
 from repro.core.cpu import CoreModel
 from repro.core.modes import FixedLatencyPageTable, OSCoupling, build_coupling
 from repro.core.report import SimulationReport
@@ -191,11 +193,13 @@ class MultiCoreVirtuoso:
         # Kernel-visible time is the leading core's clock: co-running cores
         # share wall time, so SSD channel queues and swap aging must not see
         # one core's future as another core's past.  (With one core this is
-        # exactly the single-core clock.)
-        cores = self.cores
-        self.coupling.set_clock(lambda: max(unit.core.cycles for unit in cores))
+        # exactly the single-core clock.)  Callbacks from owned parts back
+        # up hold their owner weakly (see repro.common.weak), so a dropped
+        # system is freed at once.
+        self.coupling.set_clock(WeakCallback(self._system_clock))
+        route_fault = WeakCallback(self._route_fault)
         for unit in self.cores:
-            unit.mmu.set_fault_callback(self._fault_router(unit))
+            unit.mmu.set_fault_callback(partial(route_fault, unit.index))
             # Kernel unmaps/remaps broadcast a TLB shootdown to every core;
             # each MMU acts only when it currently runs the target address
             # space (the IPI filter real kernels apply).  In virtualised
@@ -206,8 +210,7 @@ class MultiCoreVirtuoso:
             self.kernel.register_tlb_listener(unit.mmu.invalidate_translation)
             if self.vm is not None:
                 self.vm.register_nested_invalidation_listener(
-                    lambda host_virtual, mmu=unit.mmu:
-                        mmu.invalidate_nested_translations())
+                    unit.mmu.on_nested_shootdown)
 
         #: Emulation-mode fixed-latency wrappers, keyed by pid.
         self._emulation_wrappers: Dict[int, FixedLatencyPageTable] = {}
@@ -216,14 +219,14 @@ class MultiCoreVirtuoso:
             # config.mimicos describes the hypervisor in virtualised mode.
             (self.hypervisor or self.kernel).fragment_memory()
 
-    def _fault_router(self, unit: SimulatedCore):
-        coupling = self.coupling
+    def _system_clock(self) -> int:
+        return max(unit.core.cycles for unit in self.cores)
 
-        def route(pid: int, virtual_address: int):
-            coupling.bind_core(unit.core, unit.index)
-            return coupling.handle_page_fault(pid, virtual_address)
-
-        return route
+    def _route_fault(self, core_index: int, pid: int, virtual_address: int):
+        """Core ``core_index``'s fault callback: run the fault on that core."""
+        unit = self.cores[core_index]
+        self.coupling.bind_core(unit.core, unit.index)
+        return self.coupling.handle_page_fault(pid, virtual_address)
 
     # ------------------------------------------------------------------ #
     # Address-space setup

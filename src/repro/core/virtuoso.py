@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Optional
 from repro.common.config import SystemConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
+from repro.common.weak import WeakCallback
 from repro.core.cpu import CoreModel
 from repro.core.modes import FixedLatencyPageTable, OSCoupling, build_coupling
 from repro.core.report import SimulationReport
@@ -131,7 +132,9 @@ class Virtuoso:
         self.core = CoreModel(config.core, self.mmu, self.memory)
         self.coupling: OSCoupling = build_coupling(config.simulation, self.kernel,
                                                    self.core, vm=self.vm)
-        self.mmu.set_fault_callback(self.coupling.handle_page_fault)
+        # Callbacks from owned parts back up hold their owner weakly (see
+        # repro.common.weak), so a dropped system is freed at once.
+        self.mmu.set_fault_callback(WeakCallback(self.coupling.handle_page_fault))
         # Kernel unmaps/remaps (reclaim, khugepaged, THP promotion, munmap,
         # restrictive-mapping evictions) shoot stale translations out of the
         # TLBs, exactly as the IPI-based shootdown does on real hardware.
@@ -140,8 +143,7 @@ class Virtuoso:
         # nested (combined-mapping) invalidation through the VM.
         self.kernel.register_tlb_listener(self.mmu.invalidate_translation)
         if self.vm is not None:
-            self.vm.register_nested_invalidation_listener(
-                lambda host_virtual: self.mmu.invalidate_nested_translations())
+            self.vm.register_nested_invalidation_listener(self.mmu.on_nested_shootdown)
 
         #: Emulation-mode fixed-latency wrappers, keyed by pid.
         self._emulation_wrappers: Dict[int, FixedLatencyPageTable] = {}

@@ -26,26 +26,24 @@ class CacheAccessResult:
     evicted_dirty: bool = False
 
 
-class _CacheLine:
-    """One cache line's bookkeeping (tag, dirty bit, replacement state)."""
-
-    __slots__ = ("tag", "valid", "dirty", "lru_stamp", "rrpv", "request_type")
-
-    def __init__(self) -> None:
-        self.tag = 0
-        self.valid = False
-        self.dirty = False
-        self.lru_stamp = 0
-        self.rrpv = 3
-        self.request_type = "data"
-
-
 class Cache:
     """A single set-associative cache level.
 
     Parameters come from :class:`repro.common.config.CacheConfig`.  The
     replacement policy is either true LRU or SRRIP (re-reference interval
     prediction, the paper's L2/L3 policy).
+
+    State is a handful of plain lists per set, each indexed by way, so
+    building a cache allocates a few containers per set instead of one
+    object per line:
+
+    * ``_way_maps[s]``: block -> way of the valid lines (the hit probe),
+      where a block is ``address // line_size``;
+    * ``_blocks[s]``: the block held by each way, ``None`` when invalid;
+    * ``_dirty[s]`` / ``_types[s]``: dirty bit and filling request class;
+    * ``_meta[s]``: the replacement state, the LRU stamp or the SRRIP
+      RRPV minus the set's age offset ``_age[s]`` (aging every line is
+      one add to the offset).
     """
 
     SRRIP_MAX_RRPV = 3
@@ -59,17 +57,8 @@ class Cache:
         self.num_sets = config.sets
         self.associativity = config.associativity
         self.replacement = config.replacement
-        self._sets: List[List[_CacheLine]] = [
-            [_CacheLine() for _ in range(self.associativity)] for _ in range(self.num_sets)
-        ]
-        #: Per-set tag -> line index of the *valid* lines, kept in lockstep
-        #: with ``_sets`` so the hit path is a dict probe instead of an
-        #: associativity-wide scan (16-way at L2/L3).  Replacement decisions
-        #: still walk the ordered line list, so hit/miss/eviction statistics
-        #: are unchanged.
-        self._tag_maps: List[Dict[int, _CacheLine]] = [
-            {} for _ in range(self.num_sets)
-        ]
+        self._lru = config.replacement == "lru"
+        self._clear_sets()
         self._access_clock = 0
         self.counters = Counter()
         #: request_type -> (accesses, hits, misses) hot counter cells;
@@ -79,16 +68,18 @@ class Cache:
         self._fill_cells: Dict[str, List[int]] = {}
         self._pollution_cells: Dict[str, List[int]] = {}
         self._c_evictions = self.counters.hot("evictions")
-        #: Identity of the line displaced by the most recent miss-fill.
+        #: Block of the line displaced by the most recent miss-fill.
         self.last_evicted_tag: Optional[int] = None
         self.last_evicted_dirty = False
 
-    # ------------------------------------------------------------------ #
-    # Address helpers
-    # ------------------------------------------------------------------ #
-    def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        block = address // self.line_size
-        return block % self.num_sets, block // self.num_sets
+    def _clear_sets(self) -> None:
+        sets, ways = range(self.num_sets), self.associativity
+        self._way_maps: List[Dict[int, int]] = [{} for _ in sets]
+        self._blocks: List[List[Optional[int]]] = [[None] * ways for _ in sets]
+        self._dirty: List[List[bool]] = [[False] * ways for _ in sets]
+        self._types: List[List[Optional[str]]] = [[None] * ways for _ in sets]
+        self._meta: List[List[int]] = [[0] * ways for _ in sets]
+        self._age: List[int] = [0] * self.num_sets
 
     def _cells_for(self, request_type: str) -> Tuple[List[int], List[int], List[int]]:
         cells = (self.counters.hot("accesses_" + request_type),
@@ -110,23 +101,24 @@ class Cache:
         self._access_clock += 1
         block = address // self.line_size
         set_index = block % self.num_sets
-        tag = block // self.num_sets
 
         cells = self._type_cells.get(request_type)
         if cells is None:
             cells = self._cells_for(request_type)
         cells[0][0] += 1
-        line = self._tag_maps[set_index].get(tag)
-        if line is not None:
+        way = self._way_maps[set_index].get(block)
+        if way is not None:
             cells[1][0] += 1
-            line.lru_stamp = self._access_clock
-            line.rrpv = 0
+            if self._lru:
+                self._meta[set_index][way] = self._access_clock
+            else:
+                self._meta[set_index][way] = -self._age[set_index]
             if is_write:
-                line.dirty = True
+                self._dirty[set_index][way] = True
             return True
 
         cells[2][0] += 1
-        self._fill(set_index, tag, is_write, request_type)
+        self._fill(set_index, block, is_write, request_type)
         return False
 
     def access(self, address: int, is_write: bool = False,
@@ -144,56 +136,58 @@ class Cache:
 
     def probe(self, address: int) -> bool:
         """Return True if ``address`` is present without disturbing state."""
-        set_index, tag = self._index_and_tag(address)
-        return tag in self._tag_maps[set_index]
+        block = address // self.line_size
+        return block in self._way_maps[block % self.num_sets]
 
     def fill(self, address: int, request_type: str = "prefetch") -> None:
         """Insert a line without counting it as a demand access (prefetch fill)."""
-        set_index, tag = self._index_and_tag(address)
-        if tag in self._tag_maps[set_index]:
+        block = address // self.line_size
+        set_index = block % self.num_sets
+        if block in self._way_maps[set_index]:
             return
         cell = self._fill_cells.get(request_type)
         if cell is None:
             cell = self._fill_cells[request_type] = \
                 self.counters.hot("fills_" + request_type)
         cell[0] += 1
-        self._fill(set_index, tag, is_write=False, request_type=request_type)
+        self._fill(set_index, block, False, request_type)
 
     def invalidate(self, address: int) -> bool:
         """Invalidate the line holding ``address``; returns True if it was present."""
-        set_index, tag = self._index_and_tag(address)
-        line = self._tag_maps[set_index].pop(tag, None)
-        if line is not None:
-            line.valid = False
-            self.counters.add("invalidations")
-            return True
-        return False
+        block = address // self.line_size
+        set_index = block % self.num_sets
+        way = self._way_maps[set_index].pop(block, None)
+        if way is None:
+            return False
+        self._blocks[set_index][way] = None
+        self.counters.add("invalidations")
+        return True
 
     def flush(self) -> None:
         """Invalidate every line (used between simulation regions)."""
-        for lines in self._sets:
-            for line in lines:
-                line.valid = False
-                line.dirty = False
-        for tag_map in self._tag_maps:
-            tag_map.clear()
+        self._clear_sets()
 
     # ------------------------------------------------------------------ #
     # Replacement
     # ------------------------------------------------------------------ #
-    def _fill(self, set_index: int, tag: int, is_write: bool,
+    def _fill(self, set_index: int, block: int, is_write: bool,
               request_type: str) -> None:
-        lines = self._sets[set_index]
-        tag_map = self._tag_maps[set_index]
-        victim = self._choose_victim(lines)
-        evicted_tag: Optional[int] = None
-        evicted_dirty = False
-        if victim.valid:
-            del tag_map[victim.tag]
-            evicted_tag = victim.tag * self.num_sets + set_index
-            evicted_dirty = victim.dirty
+        way_map = self._way_maps[set_index]
+        blocks = self._blocks[set_index]
+        meta = self._meta[set_index]
+        types = self._types[set_index]
+        if len(way_map) < self.associativity:
+            way = blocks.index(None)      # the first invalid way
+            self.last_evicted_tag = None
+            self.last_evicted_dirty = False
+        else:
+            way = self._choose_victim(set_index)
+            evicted = blocks[way]
+            del way_map[evicted]
+            self.last_evicted_tag = evicted
+            self.last_evicted_dirty = self._dirty[set_index][way]
             self._c_evictions[0] += 1
-            if victim.request_type != request_type:
+            if types[way] != request_type:
                 # A fill from one request class displaced another class's data:
                 # this is the cache-pollution effect the paper highlights.
                 cell = self._pollution_cells.get(request_type)
@@ -201,39 +195,26 @@ class Cache:
                     cell = self._pollution_cells[request_type] = \
                         self.counters.hot("pollution_evictions_by_" + request_type)
                 cell[0] += 1
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = is_write
-        victim.lru_stamp = self._access_clock
-        victim.rrpv = self.SRRIP_INSERT_RRPV
-        victim.request_type = request_type
-        tag_map[tag] = victim
-        self.last_evicted_tag = evicted_tag
-        self.last_evicted_dirty = evicted_dirty
+        way_map[block] = way
+        blocks[way] = block
+        self._dirty[set_index][way] = is_write
+        types[way] = request_type
+        if self._lru:
+            meta[way] = self._access_clock
+        else:
+            meta[way] = self.SRRIP_INSERT_RRPV - self._age[set_index]
 
-    def _choose_victim(self, lines: List[_CacheLine]) -> _CacheLine:
-        for line in lines:
-            if not line.valid:
-                return line
-        if self.replacement == "lru":
+    def _choose_victim(self, set_index: int) -> int:
+        """The way a miss-fill evicts from a full set (one C-level pass)."""
+        meta = self._meta[set_index]
+        if self._lru:
             # Stamps, not repro.common.lru: fills reuse the clock, so ties go by way order.
-            # First line with the minimum stamp (same tie-break as min()).
-            victim = lines[0]
-            best = victim.lru_stamp
-            for line in lines:
-                stamp = line.lru_stamp
-                if stamp < best:
-                    best = stamp
-                    victim = line
-            return victim
-        # SRRIP: evict a line with the maximum re-reference interval,
-        # aging all lines until one is found.
-        while True:
-            for line in lines:
-                if line.rrpv >= self.SRRIP_MAX_RRPV:
-                    return line
-            for line in lines:
-                line.rrpv += 1
+            return meta.index(min(meta))
+        # SRRIP: aging every line until one reaches the maximum RRPV, then
+        # taking the first such line, is one offset update and a first-max.
+        top = max(meta)
+        self._age[set_index] = self.SRRIP_MAX_RRPV - top
+        return meta.index(top)
 
     # ------------------------------------------------------------------ #
     # Statistics

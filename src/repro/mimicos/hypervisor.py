@@ -20,6 +20,7 @@ from repro.common.addresses import PAGE_SIZE_4K, align_down
 from repro.common.config import MimicOSConfig, PageTableConfig, VirtualizationConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
+from repro.common.weak import weak_listener
 from repro.mimicos.fault import PageFaultResult
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.ops import KernelRoutineTrace
@@ -219,8 +220,7 @@ class VirtualMachine:
     # ------------------------------------------------------------------ #
     def guest_physical_to_host_virtual(self, guest_physical: int) -> int:
         """Map a guest-physical address into the hypervisor's guest-RAM VMA."""
-        offset = guest_physical % self.guest_ram_vma.size
-        return self.guest_ram_vma.start + align_down(offset, PAGE_SIZE_4K)
+        return _host_virtual(self.guest_ram_vma, guest_physical)
 
     def nested_translation_unit(self, guest_process: Process) -> NestedTranslationUnit:
         """Build the 2-D translation unit for ``guest_process`` (guest PT + EPT).
@@ -258,10 +258,11 @@ class VirtualMachine:
         """Register a ``(host_virtual) -> None`` nested-shootdown callback.
 
         The orchestrator registers one per simulated core (its MMU's
-        :meth:`~repro.mmu.mmu.MMU.invalidate_nested_translations`), fired
+        :meth:`~repro.mmu.mmu.MMU.on_nested_shootdown`), fired
         whenever the hypervisor remaps a frame backing this VM's guest RAM.
+        A bound-method listener is held weakly, like a TLB listener.
         """
-        self._nested_listeners.append(listener)
+        self._nested_listeners.append(weak_listener(listener))
 
     def _on_host_shootdown(self, pid: int, host_virtual: int) -> None:
         """Host kernel remapped a page; propagate if it backs guest RAM.
@@ -290,24 +291,28 @@ class VirtualMachine:
         return self.counters.as_dict()
 
 
+def _host_virtual(guest_ram_vma: VirtualMemoryArea, guest_physical: int) -> int:
+    offset = guest_physical % guest_ram_vma.size
+    return guest_ram_vma.start + align_down(offset, PAGE_SIZE_4K)
+
+
 class _HostBackingPageTable:
     """Adapter presenting the hypervisor's backing as a guest-physical -> host table.
 
     The nested walker hands it guest-physical addresses; it rebases them into
-    the guest-RAM VMA and walks the hypervisor's real page table.
+    the guest-RAM VMA and walks the hypervisor's real page table.  It keeps
+    the VMA and the table, not the VM that owns it, so it closes no cycle.
     """
 
     replaces_tlbs = False
     overrides_allocation = False
 
     def __init__(self, vm: VirtualMachine):
-        self.vm = vm
+        self.guest_ram_vma = vm.guest_ram_vma
         self.inner = vm.host_process.page_table
 
     def walk(self, guest_physical: int, memory):
-        host_virtual = self.vm.guest_physical_to_host_virtual(guest_physical)
-        return self.inner.walk(host_virtual, memory)
+        return self.inner.walk(_host_virtual(self.guest_ram_vma, guest_physical), memory)
 
     def lookup(self, guest_physical: int):
-        host_virtual = self.vm.guest_physical_to_host_virtual(guest_physical)
-        return self.inner.lookup(host_virtual)
+        return self.inner.lookup(_host_virtual(self.guest_ram_vma, guest_physical))

@@ -24,6 +24,7 @@ from repro.common.addresses import GB, MB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_dow
 from repro.common.config import MimicOSConfig, PageTableConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, LatencyDistribution
+from repro.common.weak import WeakCallback, weak_listener
 from repro.mimicos.buddy import ORDER_2M, BuddyAllocator
 from repro.mimicos.fault import PageFaultHandler, PageFaultResult
 from repro.mimicos.fragmentation import FragmentationController
@@ -82,14 +83,17 @@ class MimicOS:
         #: promotion, munmap, restrictive-mapping eviction — must announce
         #: the page here so no core keeps a stale translation.
         self._tlb_listeners: List[Callable[[int, int], None]] = []
-        self.khugepaged = Khugepaged(self.buddy, tlb_shootdown=self.tlb_shootdown)
+        # The parts below call back up into the kernel weakly, so a dropped
+        # kernel is freed at once instead of waiting for the cyclic GC.
+        self.khugepaged = Khugepaged(self.buddy,
+                                     tlb_shootdown=WeakCallback(self.tlb_shootdown))
         self.fragmentation = FragmentationController(self.buddy, self.rng.fork(1))
         self.fault_handler = PageFaultHandler(
             buddy=self.buddy, slab=self.slab, hugetlbfs=self.hugetlbfs,
             page_cache=self.page_cache, swap=self.swap, thp_policy=self.thp_policy,
             khugepaged=self.khugepaged,
             zeroing_bytes_per_cycle=config.zeroing_bytes_per_cycle,
-            tlb_shootdown=self.tlb_shootdown)
+            tlb_shootdown=WeakCallback(self.tlb_shootdown))
 
         self.khugepaged_interval_faults = khugepaged_interval_faults
         self._faults_since_khugepaged = 0
@@ -194,8 +198,10 @@ class MimicOS:
         The orchestrator registers one listener per simulated core (its
         MMU's :meth:`~repro.mmu.mmu.MMU.invalidate_translation`); a listener
         ignores shootdowns for address spaces it is not currently running.
+        A bound-method listener is held weakly and skipped once its owner is
+        freed (see :mod:`repro.common.weak`).
         """
-        self._tlb_listeners.append(listener)
+        self._tlb_listeners.append(weak_listener(listener))
 
     def tlb_shootdown(self, pid: int, virtual_address: int) -> None:
         """Announce that the translation covering ``virtual_address`` died."""

@@ -231,6 +231,11 @@ class MMU:
             # nested TLB caches for this guest-virtual page.
             self.nested_unit.invalidate(virtual_address)
 
+    def on_nested_shootdown(self, host_virtual: int) -> None:
+        """The VM's nested-shootdown listener: whichever host page moved,
+        every combined translation is suspect, so this drops them all."""
+        self.invalidate_nested_translations()
+
     def invalidate_nested_translations(self) -> None:
         """Host-side (EPT) remap shootdown for this core.
 

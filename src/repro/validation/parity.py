@@ -320,28 +320,30 @@ def flatten_stats(report: SimulationReport) -> Dict[str, object]:
     excluded: they differ with the VPN cache off and on by design.
     """
     flat: Dict[str, object] = {}
-
-    def visit(node: object, prefix: str) -> None:
-        if isinstance(node, LatencyDistribution):
-            # Compare the distribution sample-exactly, as JSON-able scalars.
-            visit({"count": node.count, "total": node.total,
-                   "samples": list(node.samples)}, prefix)
-        elif isinstance(node, dict):
-            for key, value in node.items():
-                if key in HOST_ONLY_KEYS:
-                    continue
-                visit(value, f"{prefix}{key}.")
-        elif isinstance(node, (list, tuple)):
-            for index, value in enumerate(node):
-                visit(value, f"{prefix}{index}.")
-        else:
-            flat[prefix[:-1]] = node
-
     top = {field: value for field, value in vars(report).items()
            if field not in ("details", "workload", "config_name") + tuple(HOST_ONLY_KEYS)}
-    visit(top, "report.")
-    visit(report.details, "details.")
+    _flatten_into(flat, top, "report.")
+    _flatten_into(flat, report.details, "details.")
     return flat
+
+
+def _flatten_into(flat: Dict[str, object], node: object, prefix: str) -> None:
+    # A module-level function, not a closure: a self-recursive closure is a
+    # reference cycle that would pin ``flat`` until the cyclic GC ran.
+    if isinstance(node, LatencyDistribution):
+        # Compare the distribution sample-exactly, as JSON-able scalars.
+        _flatten_into(flat, {"count": node.count, "total": node.total,
+                             "samples": list(node.samples)}, prefix)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key in HOST_ONLY_KEYS:
+                continue
+            _flatten_into(flat, value, f"{prefix}{key}.")
+    elif isinstance(node, (list, tuple)):
+        for index, value in enumerate(node):
+            _flatten_into(flat, value, f"{prefix}{index}.")
+    else:
+        flat[prefix[:-1]] = node
 
 
 def diff_stats(uncached: Dict[str, object],

@@ -65,8 +65,9 @@ class TestCache:
         cache.fill(b)         # prefetch into way 0, after z's demand access
         cache.access(x)
         cache.access(y)
-        ways = cache._sets[0]
-        assert ways[0].lru_stamp == ways[3].lru_stamp   # b and z tie
+        assert cache._blocks[0][0] == b // 64 and cache._blocks[0][3] == z // 64
+        stamps = cache._meta[0]
+        assert stamps[0] == stamps[3]   # b and z tie
 
         # Pure recency would evict z: it was touched before b was filled.
         recency = LRU(4)
@@ -132,7 +133,9 @@ class TestCache:
         cache = small_cache(size=16 * 64, assoc=4)
         for address in addresses:
             cache.access(address)
-        resident = sum(1 for lines in cache._sets for line in lines if line.valid)
+        resident = sum(1 for blocks in cache._blocks for block in blocks
+                       if block is not None)
+        assert resident == sum(len(way_map) for way_map in cache._way_maps)
         assert resident <= 16
         assert cache.hits() + cache.misses() == len(addresses)
 
