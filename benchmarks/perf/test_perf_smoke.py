@@ -14,6 +14,7 @@ measured cache-off run.  Regenerate the record with::
     PYTHONPATH=src python benchmarks/perf/sweep.py
     PYTHONPATH=src python benchmarks/perf/service_bench.py
     PYTHONPATH=src python benchmarks/perf/prefault_bench.py
+    PYTHONPATH=src python benchmarks/perf/memhier_bench.py
 
 The sweep host-scaling gate only fires when the digest was recorded on a
 multi-core host (a 1-CPU container cannot exhibit host scaling); the sweep
@@ -187,6 +188,27 @@ def test_prefault_record_is_faster_and_state_identical():
     assert digest["total"]["speedup"] >= 1.0, (
         f"prefault with a DiscardedTrace recorded slower than the recording "
         f"fault path ({digest['total']['speedup']}x)")
+
+
+def test_memhier_mix_counters_match_record():
+    """One pass of each recorded memory-hierarchy mix must leave exactly the
+    counters the record holds (no timing is checked here).
+
+    The ``memhier`` section is written by
+    ``benchmarks/perf/memhier_bench.py``; both of its sides were refused
+    unless their counters agreed, so a changed digest means the access path
+    no longer simulates what it did.
+    """
+    from benchmarks.perf.memhier_bench import MIXES, mix_digest
+
+    digest = recorded_bench().get("memhier")
+    if digest is None:
+        pytest.skip("no memhier digest recorded yet; run "
+                    "benchmarks/perf/memhier_bench.py")
+    assert set(digest["mixes"]) == set(MIXES)
+    for name, row in digest["mixes"].items():
+        assert mix_digest(name) == row["stats_sha256"], (
+            f"memhier mix {name}: the hierarchy's counters changed")
 
 
 def test_service_fault_tolerance_recorded():

@@ -97,6 +97,9 @@ class Cache:
 
         The access latency is always ``self.latency`` for this level; the
         memory hierarchy adds the next level's latency on a miss.
+        :meth:`repro.memhier.memory_system.MemoryHierarchy.access_value`
+        writes this path out in place for its L1, so a change here must be
+        made there too (``tests/test_cache_oracle.py`` checks both).
         """
         self._access_clock += 1
         block = address // self.line_size

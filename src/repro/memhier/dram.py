@@ -11,7 +11,7 @@ plus a latency that reflects open-page locality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import Counter
@@ -27,16 +27,6 @@ class DRAMAccessResult:
     channel: int
     bank: int
     row: int
-
-
-class _Bank:
-    """Row-buffer state of one DRAM bank."""
-
-    __slots__ = ("open_row", "open_row_owner")
-
-    def __init__(self) -> None:
-        self.open_row: Optional[int] = None
-        self.open_row_owner: str = "none"
 
 
 class DRAMModel:
@@ -56,11 +46,19 @@ class DRAMModel:
         self.banks_per_channel = config.ranks_per_channel * config.banks_per_rank
         self.row_size = config.row_size_bytes
         self.page_policy = config.page_policy
-        self._banks: Dict[Tuple[int, int], _Bank] = {
-            (channel, bank): _Bank()
-            for channel in range(self.num_channels)
-            for bank in range(self.banks_per_channel)
-        }
+        self._lines_per_row = self.row_size // self.LINE_SIZE
+        #: Only an open-page policy keeps a row open after an access, so
+        #: under any other policy every access is a row miss.
+        self._open_page = config.page_policy == "open"
+        self._row_hit_latency = config.row_hit_latency
+        self._row_miss_latency = config.row_miss_latency
+        self._row_conflict_latency = config.row_conflict_latency
+        #: Row-buffer state per bank, indexed ``channel * banks_per_channel
+        #: + bank``: the open row (None when closed) and the request class
+        #: that opened it.
+        banks = self.num_channels * self.banks_per_channel
+        self._open_rows: List[Optional[int]] = [None] * banks
+        self._row_owners: List[str] = ["none"] * banks
         self.counters = Counter()
         self._c_accesses = self.counters.hot("accesses")
         self._c_row_misses = self.counters.hot("row_misses")
@@ -100,8 +98,16 @@ class DRAMModel:
         attributed (e.g. conflicts *caused by* page-table accesses, the metric
         of Figs. 14 and 21).
         """
-        channel, bank, row = self.map_address(address)
-        state = self._banks[(channel, bank)]
+        # map_address, written out: channel, then bank, then row.
+        line = address // self.LINE_SIZE
+        channels = self.num_channels
+        channel = line % channels
+        line //= channels
+        banks = self.banks_per_channel
+        bank = line % banks
+        row = line // banks // self._lines_per_row
+        index = channel * banks + bank
+        open_row = self._open_rows[index]
 
         cells = self._type_cells.get(request_type)
         if cells is None:
@@ -117,34 +123,32 @@ class DRAMModel:
 
         row_hit = False
         row_conflict = False
-        if self.page_policy == "closed" or state.open_row is None:
-            latency = self.config.row_miss_latency
+        if open_row is None:
+            latency = self._row_miss_latency
             self._c_row_misses[0] += 1
-        elif state.open_row == row:
-            latency = self.config.row_hit_latency
+        elif open_row == row:
+            latency = self._row_hit_latency
             row_hit = True
             self._c_row_hits[0] += 1
             cells[1][0] += 1
         else:
-            latency = self.config.row_conflict_latency
+            latency = self._row_conflict_latency
             row_conflict = True
             self._c_row_conflicts[0] += 1
             cells[2][0] += 1
             # Attribute the conflict to the request class that caused the row
             # to be closed *and* the one whose row was evicted.
             cells[3][0] += 1
-            victim_cell = self._victim_cells.get(state.open_row_owner)
+            owner = self._row_owners[index]
+            victim_cell = self._victim_cells.get(owner)
             if victim_cell is None:
-                victim_cell = self._victim_cells[state.open_row_owner] = \
-                    self.counters.hot("row_conflicts_victim_" + state.open_row_owner)
+                victim_cell = self._victim_cells[owner] = \
+                    self.counters.hot("row_conflicts_victim_" + owner)
             victim_cell[0] += 1
 
-        if self.page_policy == "open":
-            state.open_row = row
-            state.open_row_owner = request_type
-        else:
-            state.open_row = None
-            state.open_row_owner = "none"
+        if self._open_page:
+            self._open_rows[index] = row
+            self._row_owners[index] = request_type
 
         self.last_row_hit = row_hit
         self.last_row_conflict = row_conflict

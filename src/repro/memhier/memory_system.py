@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheConfig, DRAMConfig, PrefetcherConfig, SystemConfig
 from repro.common.stats import Counter
 from repro.memhier.cache import Cache
 from repro.memhier.dram import DRAMModel
-from repro.memhier.prefetcher import NullPrefetcher, build_prefetcher
+from repro.memhier.prefetcher import Prefetcher, build_prefetcher
 
 
 class MemoryAccessType(str, Enum):
@@ -53,6 +53,10 @@ class MemoryAccessOutcome:
     row_conflict: bool = False
 
 
+#: A request type's hot cells, built on its first access (see ``_routes``).
+_Route = Tuple[List[int], List[int], List[int], List[int], bool]
+
+
 class MemoryHierarchy:
     """Three cache levels backed by DRAM, with per-level prefetchers.
 
@@ -69,23 +73,31 @@ class MemoryHierarchy:
                  dram_config: DRAMConfig,
                  l1_prefetcher: Optional[PrefetcherConfig] = None,
                  l2_prefetcher: Optional[PrefetcherConfig] = None):
-        self.l1 = Cache(l1_config)
-        self.l2 = Cache(l2_config)
-        self.l3 = Cache(l3_config)
-        self.dram = DRAMModel(dram_config)
-        self.l1_prefetcher = build_prefetcher(l1_prefetcher, l1_config.line_size)
-        self.l2_prefetcher = build_prefetcher(l2_prefetcher, l2_config.line_size)
+        l1, l2 = Cache(l1_config), Cache(l2_config)
+        self._wire(l1, build_prefetcher(l1_prefetcher, l1), l2,
+                   build_prefetcher(l2_prefetcher, l2), Cache(l3_config),
+                   DRAMModel(dram_config))
+
+    def _wire(self, l1: Cache, l1_prefetcher: Optional[Prefetcher], l2: Cache,
+              l2_prefetcher: Optional[Prefetcher], l3: Cache, dram: DRAMModel) -> None:
+        self.l1 = l1
+        self.l2 = l2
+        self.l3 = l3
+        self.dram = dram
+        #: Each prefetcher fills the cache it is attached to; None: no prefetcher.
+        self.l1_prefetcher = l1_prefetcher
+        self.l2_prefetcher = l2_prefetcher
         self.counters = Counter()
         self._c_requests = self.counters.hot("requests")
         self._c_l1_prefetches = self.counters.hot("l1_prefetches")
         self._c_l2_prefetches = self.counters.hot("l2_prefetches")
-        #: request-type string -> hot cell for ``requests_<type>``.
-        self._req_cells: Dict[str, List[int]] = {}
+        #: request-type string -> (``requests_<type>`` cell, the L1's
+        #: ``accesses_<type>``/``hits_<type>``/``misses_<type>`` cells,
+        #: whether the type trains the prefetchers); one lookup per access.
+        self._routes: Dict[str, _Route] = {}
         #: Outcome details of the most recent :meth:`access_value` call.
         self.last_served_by = "none"
         self.last_row_conflict = False
-        self._l1_prefetch_active = not isinstance(self.l1_prefetcher, NullPrefetcher)
-        self._l2_prefetch_active = not isinstance(self.l2_prefetcher, NullPrefetcher)
 
     @classmethod
     def from_system_config(cls, config: SystemConfig) -> "MemoryHierarchy":
@@ -106,25 +118,30 @@ class MemoryHierarchy:
 
         The view is a complete :class:`MemoryHierarchy` (the access path is
         unchanged), but ``l2``/``l3``/``dram`` — and the L2 prefetcher, which
-        belongs to the shared L2 — *alias the shared hierarchy's objects*, so
+        belongs to the shared L2 — *are the shared hierarchy's objects*, so
         co-running cores pollute each other's shared cache levels and contend
         on the DRAM row buffers exactly as the single-hierarchy model would
-        charge one core.  The L1 cache, the L1 prefetcher and the request
-        counters are private, giving per-core attribution; ``last_served_by``
-        / ``last_row_conflict`` are per-view, so each core reads its own
-        outcome even though the levels are shared.
+        charge one core.  Only the L1 cache and the L1 prefetcher are built;
+        they and the request counters are private, giving per-core
+        attribution; ``last_served_by`` / ``last_row_conflict`` are per-view,
+        so each core reads its own outcome even though the levels are shared.
         """
-        view = cls.from_system_config(config)
-        view.l2 = shared.l2
-        view.l3 = shared.l3
-        view.dram = shared.dram
-        view.l2_prefetcher = shared.l2_prefetcher
-        view._l2_prefetch_active = shared._l2_prefetch_active
+        view = cls.__new__(cls)
+        l1 = Cache(config.l1d_cache)
+        view._wire(l1, build_prefetcher(config.l1_prefetcher, l1), shared.l2,
+                   shared.l2_prefetcher, shared.l3, shared.dram)
         return view
 
     # ------------------------------------------------------------------ #
     # Access path
     # ------------------------------------------------------------------ #
+    def _route(self, access_type: str) -> _Route:
+        accesses, hits, misses = self.l1._cells_for(access_type)   # the cells access_bool uses
+        route = self._routes[access_type] = (
+            self.counters.hot("requests_" + access_type), accesses, hits, misses,
+            access_type != "prefetch")
+        return route
+
     def access_value(self, address: int, is_write: bool = False,
                      access_type: str = "data", pc: int = 0) -> int:
         """Allocation-free access: returns the total latency of the request.
@@ -134,29 +151,53 @@ class MemoryHierarchy:
         row-buffer conflict are left in :attr:`last_served_by` /
         :attr:`last_row_conflict`; every counter a :meth:`access` call would
         bump is bumped identically here.
+
+        The L1 lookup is :meth:`Cache.access_bool` written out in place
+        (same clock, stamp, dirty bit and counter cells), so an L1 hit costs
+        this one call plus the prefetchers' training; a miss fills the L1
+        through :meth:`Cache._fill` and goes on to L2, L3 and DRAM.
+        Prefetch requests do not train the prefetchers, and an L3 hit
+        trains neither.
         """
-        cell = self._req_cells.get(access_type)
-        if cell is None:
-            cell = self._req_cells[access_type] = self.counters.hot("requests_" + access_type)
+        route = self._routes.get(access_type)
+        if route is None:
+            route = self._route(access_type)
+        requests, accesses, hits, misses, trains = route
         self._c_requests[0] += 1
-        cell[0] += 1
+        requests[0] += 1
 
         l1 = self.l1
-        latency = l1.latency
-        if l1.access_bool(address, is_write, access_type):
+        clock = l1._access_clock = l1._access_clock + 1
+        block = address // l1.line_size
+        set_index = block % l1.num_sets
+        accesses[0] += 1
+        way = l1._way_maps[set_index].get(block)
+        if way is not None:
+            hits[0] += 1
+            if l1._lru:
+                l1._meta[set_index][way] = clock
+            else:
+                l1._meta[set_index][way] = -l1._age[set_index]
+            if is_write:
+                l1._dirty[set_index][way] = True
             self.last_served_by = "L1"
             self.last_row_conflict = False
-            if access_type != "prefetch":
-                self._observe_prefetchers(address, pc, level=1)
-            return latency
+            if trains:
+                if self.l1_prefetcher is not None:
+                    self._c_l1_prefetches[0] += self.l1_prefetcher.train(address, pc)
+                if self.l2_prefetcher is not None:
+                    self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
+            return l1.latency
+        misses[0] += 1
+        l1._fill(set_index, block, is_write, access_type)
 
         l2 = self.l2
-        latency += l2.latency
+        latency = l1.latency + l2.latency
         if l2.access_bool(address, is_write, access_type):
             self.last_served_by = "L2"
             self.last_row_conflict = False
-            if access_type != "prefetch":
-                self._observe_prefetchers(address, pc, level=2)
+            if trains and self.l2_prefetcher is not None:
+                self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
             return latency
 
         l3 = self.l3
@@ -169,8 +210,8 @@ class MemoryHierarchy:
         latency += self.dram.access_value(address, access_type)
         self.last_served_by = "DRAM"
         self.last_row_conflict = self.dram.last_row_conflict
-        if access_type != "prefetch":
-            self._observe_prefetchers(address, pc, level=2)
+        if trains and self.l2_prefetcher is not None:
+            self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
         return latency
 
     def access(self, request: MemoryRequest) -> MemoryAccessOutcome:
@@ -189,21 +230,6 @@ class MemoryHierarchy:
         type_value = access_type.value if isinstance(access_type, MemoryAccessType) \
             else str(access_type)
         return self.access_value(address, is_write, type_value, pc)
-
-    def _observe_prefetchers(self, address: int, pc: int, level: int) -> None:
-        """Train the prefetchers on a demand access and issue prefetch fills."""
-        if level == 1 and self._l1_prefetch_active:
-            for candidate in self.l1_prefetcher.observe(address, pc):
-                if candidate < 0:
-                    continue
-                self._c_l1_prefetches[0] += 1
-                self.l1.fill(candidate, request_type="prefetch")
-        if self._l2_prefetch_active:
-            for candidate in self.l2_prefetcher.observe(address, pc):
-                if candidate < 0:
-                    continue
-                self._c_l2_prefetches[0] += 1
-                self.l2.fill(candidate, request_type="prefetch")
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -1,11 +1,17 @@
 """Hardware data prefetchers attached to cache levels.
 
 Two prefetchers from Table 4 are modelled: an IP-stride prefetcher on the L1
-data cache and a stream prefetcher on the L2.  Prefetchers only generate
-candidate addresses; the memory hierarchy decides whether a prefetch fill
-actually happens and charges no latency for it (prefetch traffic still
-perturbs cache contents and DRAM row-buffer state, which is the effect the
-row-buffer-conflict experiments care about).
+data cache and a stream prefetcher on the L2.  Each prefetcher is attached
+to the cache it fills: one :meth:`Prefetcher.train` call per demand access
+updates its table and issues the prefetch fills itself.  Prefetches charge
+no latency (prefetch traffic still perturbs cache contents and DRAM
+row-buffer state, which is the effect the row-buffer-conflict experiments
+care about).
+
+A candidate counts as issued whether or not its line is already present;
+candidates below address 0 are dropped uncounted.  A present line is
+skipped with an inline way-map test, so only lines that are really missing
+pay for a :meth:`repro.memhier.cache.Cache.fill`.
 """
 
 from __future__ import annotations
@@ -13,60 +19,67 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.common.config import PrefetcherConfig
+from repro.memhier.cache import Cache
 
 
 class Prefetcher:
-    """Interface: observe a demand access, emit prefetch candidate addresses."""
+    """Interface: train on a demand access and fill the attached cache."""
 
-    def observe(self, address: int, pc: int) -> List[int]:
-        """Return a list of addresses to prefetch after this demand access."""
+    def __init__(self, config: PrefetcherConfig, cache: Cache):
+        self.degree = config.degree
+        self.table_entries = config.table_entries
+        self.cache = cache
+
+    def train(self, address: int, pc: int) -> int:
+        """Observe one demand access, fill missing candidate lines into the
+        attached cache and return the number of candidates issued."""
         raise NotImplementedError
-
-
-class NullPrefetcher(Prefetcher):
-    """No prefetching."""
-
-    def observe(self, address: int, pc: int) -> List[int]:
-        return []
 
 
 class IPStridePrefetcher(Prefetcher):
     """Classic instruction-pointer-indexed stride prefetcher.
 
     Tracks the last address and stride per load PC; after two accesses with a
-    stable stride, prefetches ``degree`` lines ahead along that stride.
+    stable stride, prefetches ``degree`` strides ahead.
     """
 
-    def __init__(self, config: PrefetcherConfig, line_size: int = 64):
-        self.degree = config.degree
-        self.table_entries = config.table_entries
-        self.line_size = line_size
+    def __init__(self, config: PrefetcherConfig, cache: Cache):
+        super().__init__(config, cache)
         #: pc -> [last_address, stride, confidence] (a list, not a dict: the
-        #: observe path runs once per demand access at every cache level).
+        #: training path runs once per demand access at every cache level).
         self._table: Dict[int, List[int]] = {}
 
-    def observe(self, address: int, pc: int) -> List[int]:
+    def train(self, address: int, pc: int) -> int:
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.table_entries:
                 # Evict the oldest entry (FIFO over insertion order).
                 self._table.pop(next(iter(self._table)))
             self._table[pc] = [address, 0, 0]
-            return []
+            return 0
         stride = address - entry[0]
-        prefetches: List[int] = []
+        issued = 0
         if stride != 0 and stride == entry[1]:
             confidence = entry[2] + 1
             if confidence > 3:
                 confidence = 3
             entry[2] = confidence
             if confidence >= 2:
-                prefetches = [address + stride * i for i in range(1, self.degree + 1)]
+                cache = self.cache
+                way_maps, sets, line_size = cache._way_maps, cache.num_sets, cache.line_size
+                for candidate in range(address + stride, address + stride * (self.degree + 1),
+                                       stride):
+                    if candidate < 0:
+                        break   # a descending run: the rest are below zero too
+                    issued += 1
+                    block = candidate // line_size
+                    if block not in way_maps[block % sets]:
+                        cache.fill(candidate)
         else:
             entry[2] = 0
         entry[1] = stride
         entry[0] = address
-        return prefetches
+        return issued
 
 
 class StreamPrefetcher(Prefetcher):
@@ -78,22 +91,22 @@ class StreamPrefetcher(Prefetcher):
 
     REGION_SIZE = 4096
 
-    def __init__(self, config: PrefetcherConfig, line_size: int = 64):
-        self.degree = config.degree
-        self.table_entries = config.table_entries
-        self.line_size = line_size
+    def __init__(self, config: PrefetcherConfig, cache: Cache):
+        super().__init__(config, cache)
         #: region -> [last_line, trained] (list entries; see IPStridePrefetcher).
         self._streams: Dict[int, List[int]] = {}
 
-    def observe(self, address: int, pc: int) -> List[int]:
+    def train(self, address: int, pc: int) -> int:
+        cache = self.cache
+        line_size = cache.line_size
         region = address // self.REGION_SIZE
-        line = address // self.line_size
+        line = address // line_size
         stream = self._streams.get(region)
         if stream is None:
             if len(self._streams) >= self.table_entries:
                 self._streams.pop(next(iter(self._streams)))
             self._streams[region] = [line, 0]
-            return []
+            return 0
         last_line = stream[0]
         direction = 1 if line >= last_line else -1
         delta = line - last_line
@@ -101,17 +114,26 @@ class StreamPrefetcher(Prefetcher):
             trained = stream[1] + 1
             stream[1] = 3 if trained > 3 else trained
         stream[0] = line
-        if stream[1] >= 1:
-            return [(line + direction * i) * self.line_size for i in range(1, self.degree + 1)]
-        return []
+        if stream[1] < 1:
+            return 0
+        issued = 0
+        way_maps, sets = cache._way_maps, cache.num_sets
+        for block in range(line + direction, line + direction * (self.degree + 1), direction):
+            if block < 0:
+                break   # a descending stream: the rest are below zero too
+            issued += 1
+            if block not in way_maps[block % sets]:
+                cache.fill(block * line_size)
+        return issued
 
 
-def build_prefetcher(config: Optional[PrefetcherConfig], line_size: int = 64) -> Prefetcher:
-    """Factory mapping a :class:`PrefetcherConfig` to a prefetcher instance."""
+def build_prefetcher(config: Optional[PrefetcherConfig], cache: Cache) -> Optional[Prefetcher]:
+    """The prefetcher a :class:`PrefetcherConfig` attaches to ``cache``, or
+    None for no prefetching."""
     if config is None or config.kind == "none":
-        return NullPrefetcher()
+        return None
     if config.kind == "ip_stride":
-        return IPStridePrefetcher(config, line_size)
+        return IPStridePrefetcher(config, cache)
     if config.kind == "stream":
-        return StreamPrefetcher(config, line_size)
+        return StreamPrefetcher(config, cache)
     raise ValueError(f"unknown prefetcher kind: {config.kind}")

@@ -14,7 +14,6 @@ from repro.memhier.memory_system import (
 )
 from repro.memhier.prefetcher import (
     IPStridePrefetcher,
-    NullPrefetcher,
     StreamPrefetcher,
     build_prefetcher,
 )
@@ -141,37 +140,67 @@ class TestCache:
 
 
 class TestPrefetchers:
+    """Each prefetcher trains on a demand access and fills its own cache;
+    ``train`` returns the candidates issued, present lines included."""
+
     def test_null_prefetcher(self):
-        assert NullPrefetcher().observe(0x1000, 0x400) == []
+        cache = small_cache()
+        assert build_prefetcher(None, cache) is None
+        assert build_prefetcher(PrefetcherConfig("none"), cache) is None
 
     def test_ip_stride_detects_stride(self):
-        prefetcher = IPStridePrefetcher(PrefetcherConfig("ip_stride", degree=2))
+        cache = small_cache()
+        prefetcher = IPStridePrefetcher(PrefetcherConfig("ip_stride", degree=2), cache)
         pc = 0x400
-        assert prefetcher.observe(0x1000, pc) == []
-        assert prefetcher.observe(0x1040, pc) == []
-        assert prefetcher.observe(0x1080, pc) == []
-        candidates = prefetcher.observe(0x10C0, pc)
-        assert candidates == [0x1100, 0x1140]
+        assert prefetcher.train(0x1000, pc) == 0
+        assert prefetcher.train(0x1040, pc) == 0
+        assert prefetcher.train(0x1080, pc) == 0
+        assert prefetcher.train(0x10C0, pc) == 2
+        assert cache.probe(0x1100) and cache.probe(0x1140)
+        assert cache.counters.get("fills_prefetch") == 2
+        assert cache.accesses() == 0
+        # 0x1140 is already present: it counts as issued but is not refilled.
+        assert prefetcher.train(0x1100, pc) == 2
+        assert cache.probe(0x1180)
+        assert cache.counters.get("fills_prefetch") == 3
 
     def test_ip_stride_resets_on_irregular_pattern(self):
-        prefetcher = IPStridePrefetcher(PrefetcherConfig("ip_stride", degree=1))
+        cache = small_cache()
+        prefetcher = IPStridePrefetcher(PrefetcherConfig("ip_stride", degree=1), cache)
         pc = 0x400
-        prefetcher.observe(0x1000, pc)
-        prefetcher.observe(0x1040, pc)
-        assert prefetcher.observe(0x9000, pc) == []
+        prefetcher.train(0x1000, pc)
+        prefetcher.train(0x1040, pc)
+        assert prefetcher.train(0x9000, pc) == 0
+        assert cache.counters.get("fills_prefetch") == 0
 
     def test_stream_prefetcher_trains_within_region(self):
-        prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=2))
-        assert prefetcher.observe(0x2000, 0) == []
-        candidates = prefetcher.observe(0x2040, 0)
-        assert 0x2080 in candidates
+        cache = small_cache()
+        prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=2), cache)
+        assert prefetcher.train(0x2000, 0) == 0
+        assert prefetcher.train(0x2040, 0) == 2
+        assert cache.probe(0x2080) and cache.probe(0x20C0)
+        assert cache.counters.get("fills_prefetch") == 2
+
+    @pytest.mark.parametrize("kind, addresses", [
+        ("ip_stride", (0x100, 0xC0, 0x80, 0x40)),   # candidates 0x0 and -0x40
+        ("stream", (0x80, 0x40)),                    # candidate lines 0 and -1
+    ])
+    def test_negative_candidate_near_zero_is_dropped_uncounted(self, kind, addresses):
+        cache = small_cache()
+        prefetcher = build_prefetcher(PrefetcherConfig(kind, degree=2), cache)
+        issued = [prefetcher.train(address, 0x400) for address in addresses]
+        assert issued[-1] == 1
+        assert cache.probe(0x0)
+        assert cache.counters.get("fills_prefetch") == 1
 
     def test_build_prefetcher_factory(self):
-        assert isinstance(build_prefetcher(None), NullPrefetcher)
-        assert isinstance(build_prefetcher(PrefetcherConfig("ip_stride")), IPStridePrefetcher)
-        assert isinstance(build_prefetcher(PrefetcherConfig("stream")), StreamPrefetcher)
+        cache = small_cache()
+        stride = build_prefetcher(PrefetcherConfig("ip_stride"), cache)
+        stream = build_prefetcher(PrefetcherConfig("stream"), cache)
+        assert isinstance(stride, IPStridePrefetcher) and stride.cache is cache
+        assert isinstance(stream, StreamPrefetcher) and stream.cache is cache
         with pytest.raises(ValueError):
-            build_prefetcher(PrefetcherConfig("magic"))
+            build_prefetcher(PrefetcherConfig("magic"), cache)
 
 
 class TestDRAM:
@@ -274,3 +303,25 @@ class TestMemoryHierarchy:
     def test_from_system_config(self, system_config):
         hierarchy = MemoryHierarchy.from_system_config(system_config)
         assert hierarchy.l1.config.size_bytes == system_config.l1d_cache.size_bytes
+
+    def test_per_core_view_builds_only_its_l1(self, system_config, monkeypatch):
+        shared = MemoryHierarchy.from_system_config(system_config)
+        built = []
+        build_cache = Cache.__init__
+
+        def counting_cache(cache, config):
+            built.append(config.name)
+            build_cache(cache, config)
+
+        def no_dram(dram, config):
+            raise AssertionError("a per-core view must not build a DRAM model")
+
+        monkeypatch.setattr(Cache, "__init__", counting_cache)
+        monkeypatch.setattr(DRAMModel, "__init__", no_dram)
+        view = MemoryHierarchy.per_core_view(shared, system_config)
+        assert built == [system_config.l1d_cache.name]
+        assert view.l2 is shared.l2 and view.l3 is shared.l3 and view.dram is shared.dram
+        assert view.l2_prefetcher is shared.l2_prefetcher
+        assert view.l1 is not shared.l1
+        assert view.l1_prefetcher is not shared.l1_prefetcher
+        assert view.l1_prefetcher.cache is view.l1
