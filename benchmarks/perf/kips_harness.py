@@ -26,7 +26,6 @@ from typing import Callable, Dict
 
 from repro.common.addresses import MB
 from repro.common.config import SystemConfig, VirtualizationConfig, scaled_system_config
-from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.mmu.extensions import MMUExtensions
 from repro.workloads import GUPSWorkload, LLMInferenceWorkload, SequentialWorkload
@@ -73,14 +72,13 @@ def simulate(name: str, vpn_cache: bool):
     """Run one scenario once; returns ``(merged report, VPN-cache fast hits)``."""
     scenario = SCENARIOS[name]
     config = perf_config(scenario.os_mode, scenario.virtualized)
-    extensions = MMUExtensions(vpn_translation_cache=vpn_cache)
+    system = Virtuoso(config, seed=7, num_cores=scenario.cores,
+                      mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
     if scenario.cores > 1:
-        system = MultiCoreVirtuoso(config, num_cores=scenario.cores, seed=7,
-                                   mmu_extensions=extensions)
-        report = system.run(scenario.factory()).merged
-        return report, sum(unit.mmu.fast_hits for unit in system.cores)
-    system = Virtuoso(config, seed=7, mmu_extensions=extensions)
-    return system.run(scenario.factory()), system.mmu.fast_hits
+        report = system.run_tasks(scenario.factory()).merged
+    else:
+        report = system.run(scenario.factory())
+    return report, sum(unit.mmu.fast_hits for unit in system.cores)
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,8 @@ class Scenario:
     """One KIPS scenario: a workload factory plus the system it runs on.
 
     ``factory`` returns a *fresh* workload (workloads keep per-run VMA
-    state) — or, when ``cores > 1``, a fresh *list* of workloads co-run on
-    a :class:`~repro.core.multicore.MultiCoreVirtuoso` with that many
+    state) — or, when ``cores > 1``, a fresh *list* of workloads co-run
+    through :meth:`~repro.core.virtuoso.Virtuoso.run_tasks` on that many
     simulated cores sharing the L2/LLC/DRAM and one MimicOS.
     """
 

@@ -2,19 +2,19 @@
 """Multi-core example: two processes contending on the shared LLC and DRAM.
 
 Runs a cache-hostile random-access (GUPS) workload twice: first alone on a
-single-core system, then co-running with a second GUPS process on a two-core
-``MultiCoreVirtuoso`` — private L1s and TLBs per core, shared L2/LLC/DRAM,
-one MimicOS arbitrating every core's page faults.  The solo-vs-corun
-comparison shows the interference the multi-programmed model exposes: the
-co-runners evict each other's LLC lines and disturb each other's DRAM row
-buffers, so each core's IPC drops below the solo run's.
+single-core system, then co-running with a second GUPS process on a
+two-core ``Virtuoso(num_cores=2)`` — private L1s and TLBs per core, shared
+L2/LLC/DRAM, one MimicOS arbitrating every core's page faults.  The
+solo-vs-corun comparison shows the interference the multi-programmed model
+exposes: the co-runners evict each other's LLC lines and disturb each
+other's DRAM row buffers, so each core's IPC drops below the solo run's.
 
 Run with::
 
     python examples/multicore_contention.py
 """
 
-from repro import MultiCoreVirtuoso, scaled_system_config
+from repro import Virtuoso, scaled_system_config
 from repro.analysis.reporting import format_table
 from repro.workloads import contention_pair
 from repro.workloads.hpc import GUPSWorkload
@@ -24,7 +24,7 @@ def build_system(num_cores: int):
     config = scaled_system_config(name=f"contention-{num_cores}core",
                                   physical_memory_bytes=1 << 30,
                                   fragmentation_target=1.0)
-    return MultiCoreVirtuoso(config, num_cores=num_cores, seed=7)
+    return Virtuoso(config, num_cores=num_cores, seed=7)
 
 
 def main() -> None:
@@ -33,15 +33,13 @@ def main() -> None:
     operations = 6000
     footprint = 256 << 10
 
-    solo_system = build_system(1)
-    solo = solo_system.run([GUPSWorkload(footprint_bytes=footprint,
-                                         memory_operations=operations,
-                                         prefault=True, seed=1)])
-    solo_report = solo.core_reports[0]
+    solo_report = build_system(1).run(GUPSWorkload(footprint_bytes=footprint,
+                                                   memory_operations=operations,
+                                                   prefault=True, seed=1))
 
     duo_system = build_system(2)
-    duo = duo_system.run(contention_pair(footprint_bytes=footprint,
-                                         memory_operations=operations, seed=1))
+    duo = duo_system.run_tasks(contention_pair(footprint_bytes=footprint,
+                                               memory_operations=operations, seed=1))
 
     rows = [["solo (1 core)", 0, round(solo_report.ipc, 3),
              solo_report.llc_misses, solo_report.dram_accesses,

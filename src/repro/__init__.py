@@ -37,9 +37,8 @@ from repro.common.config import (
     real_system_reference_config,
     scaled_system_config,
 )
-from repro.core.multicore import MultiCoreRunResult, MultiCoreVirtuoso
 from repro.core.report import SimulationReport
-from repro.core.virtuoso import Virtuoso
+from repro.core.virtuoso import MultiCoreRunResult, Virtuoso
 from repro.mimicos.kernel import MimicOS
 
 __version__ = "1.0.0"
@@ -49,7 +48,6 @@ __all__ = [
     "MimicOS",
     "MimicOSConfig",
     "MultiCoreRunResult",
-    "MultiCoreVirtuoso",
     "PageTableConfig",
     "SimulationConfig",
     "SimulationReport",

@@ -33,14 +33,12 @@ from repro.core.instructions import (
 )
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.modes import EmulationCoupling, FullSystemCoupling, ImitationCoupling, OSCoupling
-from repro.core.multicore import MultiCoreRunResult, MultiCoreVirtuoso, SimulatedCore
 from repro.core.report import SimulationReport
-from repro.core.virtuoso import Virtuoso
+from repro.core.virtuoso import MultiCoreRunResult, SimulatedCore, Virtuoso
 
 __all__ = [
     "CoreModel",
     "MultiCoreRunResult",
-    "MultiCoreVirtuoso",
     "SimulatedCore",
     "EmulationCoupling",
     "FullSystemCoupling",

@@ -52,9 +52,9 @@ class ExecutionBreakdown:
 class CoreModel:
     """A single simulated core executing application and kernel streams.
 
-    ``core_index`` identifies the core inside a multi-core system (see
-    :class:`~repro.core.multicore.MultiCoreVirtuoso`); single-core systems
-    leave it at 0.  Each core owns its pipeline state (cycles, instruction
+    ``core_index`` identifies the core inside a system of several cores
+    (see :class:`~repro.core.virtuoso.Virtuoso`); the first core is 0.
+    Each core owns its pipeline state (cycles, instruction
     counts, stall breakdown) and issues memory traffic through its own
     (possibly per-core) MMU and memory-hierarchy view.
     """

@@ -119,14 +119,15 @@ class OSCoupling:
         self.counters = Counter()
         #: Per-fault latency in cycles (the Fig. 2 / 9 / 16 distributions).
         self.fault_latency = LatencyDistribution()
-        #: Core the next kernel stream is routed to (multi-core systems
-        #: rebind this to the faulting core before dispatching the fault).
+        #: Core the next kernel stream is routed to (Virtuoso rebinds this
+        #: to the faulting core before dispatching the fault).
         self._active_core_index = 0
         #: Clock the kernel sees for time-dependent state (SSD channel
-        #: queues, swap aging).  Defaults to the active core's cycles; a
-        #: multi-core orchestrator installs a global clock instead, because
-        #: shared SSD queue state driven by divergent per-core clocks would
-        #: charge one core's future as another core's queueing delay.
+        #: queues, swap aging).  Defaults to the active core's cycles;
+        #: Virtuoso installs its system clock (the leading core's cycles),
+        #: because shared SSD queue state driven by divergent per-core
+        #: clocks would charge one core's future as another core's
+        #: queueing delay.
         self._clock: Optional[Callable[[], float]] = None
 
     def set_clock(self, clock: Callable[[], float]) -> None:
@@ -141,11 +142,11 @@ class OSCoupling:
     def bind_core(self, core: CoreModel, core_index: int = 0) -> None:
         """Route subsequent kernel work to ``core``.
 
-        A multi-core orchestrator calls this from each core's fault callback
-        before delegating to :meth:`handle_page_fault`, so the handler's
+        Virtuoso calls this from each core's fault callback before
+        delegating to :meth:`handle_page_fault`, so the handler's
         instruction stream executes on — and its latency is charged to — the
-        core whose access actually faulted.  Single-core systems never
-        rebind; the core passed at construction stays active.
+        core whose access actually faulted.  With one core it rebinds the
+        core passed at construction.
         """
         self.core = core
         self._active_core_index = core_index

@@ -1,23 +1,53 @@
-"""The Virtuoso orchestrator: build a system, run a workload, report results.
+"""The Virtuoso orchestrator: build a system, run workloads, report results.
 
-``Virtuoso`` assembles every model described by a
-:class:`~repro.common.config.SystemConfig` — the memory hierarchy, the TLB
-hierarchy and MMU, MimicOS, the SSD, the OS coupling for the chosen mode —
-wires the page-fault path together, and exposes a small API the examples and
-benchmarks use:
+``Virtuoso`` assembles every model a
+:class:`~repro.common.config.SystemConfig` describes for ``num_cores``
+simulated cores, wires the page-fault path together, and exposes the API
+the examples and benchmarks use: :meth:`~Virtuoso.create_process` /
+:meth:`~Virtuoso.map_workload` set up an address space,
+:meth:`~Virtuoso.prefault` warms it without charging simulated time (the
+paper's page-cache-warming methodology), :meth:`~Virtuoso.run` executes one
+workload on core 0 and returns a :class:`~repro.core.report.SimulationReport`,
+and :meth:`~Virtuoso.run_tasks` co-runs several and returns a
+:class:`MultiCoreRunResult`.
 
-* :meth:`create_process` / :meth:`map_workload` — set up an address space;
-* :meth:`prefault` — touch pages functionally before the measured region
-  (the paper's page-cache-warming methodology);
-* :meth:`run` — execute a workload trace on the core model and return a
-  :class:`~repro.core.report.SimulationReport`.
+Every core is a :class:`SimulatedCore` with its own
+:class:`~repro.core.cpu.CoreModel`, L1 cache and L1 prefetcher, TLB
+hierarchy and :class:`~repro.mmu.mmu.MMU` (with its own VPN translation
+cache).  Core 0 owns the full
+:class:`~repro.memhier.memory_system.MemoryHierarchy`; every other core gets
+a :meth:`~repro.memhier.memory_system.MemoryHierarchy.per_core_view`
+aliasing the shared L2, LLC, DRAM and L2 prefetcher, so co-runners pollute
+each other's shared levels and contend on the DRAM row buffers.  One
+MimicOS (in virtualised mode the guest kernel over a hypervisor) handles
+every core's faults through one coupling, rebound to the faulting core
+first (``bind_core``), so the handler's instruction stream executes on —
+and pollutes the private state of — the core whose access faulted.
+
+Scheduling: both run methods drive one chunk loop.  Each scheduling round
+visits the cores in index order and runs one ``execute_batch`` chunk of the
+core's next runnable task.  :meth:`~Virtuoso.run_tasks` admits its tasks
+through the MimicOS run queue and puts task *i* on core *i* mod N.  A core
+with several tasks round-robins between them, with a full context switch
+(MimicOS bookkeeping, then ``MMU.set_context`` with a TLB flush) whenever
+the incoming process differs from the current one or last ran on another
+core (there are no cross-core shootdowns to rely on); ``migrate_every``
+rotates the task→core assignment to exercise migrations.
+:meth:`~Virtuoso.run` switches its one process in with
+:meth:`~Virtuoso.activate_process` (the flush alone), so a single workload
+adds no scheduler bookkeeping to the kernel's statistics.
+
+The schedule is a pure function of the task list and configuration and
+every RNG is explicitly seeded, so a run is bit-identical across repeats
+and with the VPN translation cache on or off (``tests/test_fast_engine.py``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.config import SystemConfig
 from repro.common.rng import DeterministicRNG
@@ -37,113 +67,162 @@ from repro.mmu.tlb import TLBHierarchy
 from repro.storage.ssd import SSDModel
 
 
-def resolve_mmu_extensions(config: SystemConfig,
-                           mmu_extensions: Optional[MMUExtensions]) -> MMUExtensions:
-    """The MMU extension set a system runs with.
+class CoreTask:
+    """One workload bound to one process, scheduled in chunks on a core."""
 
-    Virtualised systems force ``nested_translation`` on: the 2-D walk *is*
-    the translation hardware of a virtualised core, not an optional add-on.
-    """
-    extensions = mmu_extensions or MMUExtensions()
-    if config.virtualization.enabled and not extensions.nested_translation:
-        extensions = replace(extensions, nested_translation=True)
-    return extensions
+    __slots__ = ("workload", "process", "name", "limit", "batches", "executed",
+                 "done")
 
-
-def build_virtual_machine(hypervisor: MimicOS, config: SystemConfig,
-                          rng: DeterministicRNG) -> VirtualMachine:
-    """Spawn the guest MimicOS over ``hypervisor`` per the system config."""
-    return VirtualMachine.from_virtualization_config(
-        hypervisor, config.virtualization, name=f"{config.name}-vm",
-        rng=rng.fork(5))
+    def __init__(self, workload, process: Process, limit: Optional[int]):
+        self.workload = workload
+        self.process = process
+        self.name = getattr(workload, "name", str(workload))
+        self.limit = limit
+        #: Lazily created chunk iterator (``workload.instruction_batches``).
+        self.batches = None
+        self.executed = 0
+        self.done = False
 
 
-def virtualization_details(vm: VirtualMachine, hypervisor: MimicOS) -> Dict[str, object]:
-    """The virtualisation section of a report's ``details`` (the parity
-    harness diffs it like every other section)."""
-    return {
-        "vm": vm.stats(),
-        "hypervisor": hypervisor.stats(),
-    }
+class SimulatedCore:
+    """One simulated core: private pipeline, L1, TLBs and MMU."""
+
+    __slots__ = ("index", "core", "mmu", "tlbs", "memory", "tasks", "_cursor",
+                 "current_pid", "task_names")
+
+    def __init__(self, index: int, core: CoreModel, mmu: MMU,
+                 tlbs: TLBHierarchy, memory: MemoryHierarchy):
+        self.index = index
+        self.core = core
+        self.mmu = mmu
+        self.tlbs = tlbs
+        self.memory = memory
+        #: Pid switched in on this core (None until a task is, and after
+        #: create_process re-points the MMU without a switch).
+        self.current_pid: Optional[int] = None
+        self.clear_tasks()
+
+    def clear_tasks(self) -> None:
+        """Forget the previous run's tasks (its counters stay cumulative)."""
+        self.tasks: List[CoreTask] = []
+        self.task_names: List[str] = []
+        self._cursor = 0
+
+    def next_task(self) -> Optional[CoreTask]:
+        """Round-robin over this core's unfinished tasks (None when drained)."""
+        count = len(self.tasks)
+        for offset in range(count):
+            task = self.tasks[(self._cursor + offset) % count]
+            if not task.done:
+                self._cursor = (self._cursor + offset + 1) % count
+                return task
+        return None
 
 
-def prefault_pages(system, process: Process, addresses: Iterable[int]) -> int:
-    """Fault in every unmapped page of ``addresses`` before the measured region.
+@dataclass
+class MultiCoreRunResult:
+    """Outcome of one :meth:`Virtuoso.run_tasks`: per-core reports plus a
+    system merge."""
 
-    Mirrors the paper's methodology of warming the page cache / address
-    space so experiments that study address translation are not dominated
-    by cold faults.  ``system`` is a :class:`Virtuoso` or a
-    ``MultiCoreVirtuoso``; in virtualised mode its VM handler installs both
-    dimensions (the guest translation and the host frame backing it).
+    #: One report per core, built like a :meth:`Virtuoso.run` report.
+    #: Pipeline/TLB/MMU/stall fields are core-local; fault-latency,
+    #: major-fault, swap and DRAM fields are system-wide (shared kernel /
+    #: DRAM), identical in every per-core report.
+    core_reports: List[SimulationReport] = field(default_factory=list)
+    #: System-wide merge: additive core-local fields summed, shared fields
+    #: taken once, derived metrics recomputed over the totals.
+    merged: SimulationReport = None
+    host_seconds: float = 0.0
 
-    The faults run with a :class:`~repro.mimicos.ops.DiscardedTrace`: set-up
-    charges no simulated time, so the kernel work is never recorded.  Every
-    allocator, page-table, residency and kernel-address side effect is the
-    same as under a recording trace.  Counts the faults in the system's
-    ``prefaulted_pages`` counter and returns them; raises ``RuntimeError``
-    if an address segfaults.
-    """
-    handler = (system.vm.handle_guest_page_fault if system.vm is not None
-               else system.kernel.handle_page_fault)
-    trace = DiscardedTrace("prefault")
-    faults = 0
-    for address in addresses:
-        if process.page_table.lookup(address) is None:
-            if handler(process.pid, address, 0, trace).segfault:
-                raise RuntimeError(f"prefault segfaulted at {address:#x}")
-            faults += 1
-    system.counters.add("prefaulted_pages", faults)
-    return faults
+    @property
+    def kips(self) -> float:
+        """Simulated kilo-instructions (app + kernel) per host second."""
+        simulated = self.merged.instructions + self.merged.kernel_instructions
+        if self.host_seconds <= 0:
+            return 0.0
+        return simulated / 1000.0 / self.host_seconds
 
 
 class Virtuoso:
-    """One fully assembled simulated system."""
+    """One fully assembled simulated system of ``num_cores`` cores.
+
+    ``memory``, ``mmu``, ``core`` and ``tlbs`` name core 0's parts.
+    """
 
     def __init__(self, config: SystemConfig, seed: int = 0,
-                 mmu_extensions: Optional[MMUExtensions] = None):
+                 mmu_extensions: Optional[MMUExtensions] = None,
+                 num_cores: int = 1):
+        if num_cores < 1:
+            raise ValueError("num_cores must be at least 1")
         self.config = config
+        self.num_cores = num_cores
         self.rng = DeterministicRNG(seed)
         self.counters = Counter()
 
-        # Hardware models.
-        self.memory = MemoryHierarchy.from_system_config(config)
-        self.tlbs = TLBHierarchy(config.l1i_tlb, config.l1d_tlb_4k,
-                                 config.l1d_tlb_2m, config.l2_tlb)
-        self.mmu = MMU(self.tlbs, self.memory,
-                       resolve_mmu_extensions(config, mmu_extensions))
-
         # Storage and the OS.  In virtualised mode the system-level MimicOS
         # config describes the *hypervisor*; the guest kernel — the OS the
-        # application and every process-facing API below sees — is spawned
-        # on top of it through the VirtualMachine.
+        # application, the run queue and every process-facing API below
+        # sees — is spawned on top of it through the VirtualMachine.
         self.ssd = SSDModel(config.ssd, config.core.frequency_ghz)
         self.hypervisor: Optional[MimicOS] = None
         self.vm: Optional[VirtualMachine] = None
+        extensions = mmu_extensions or MMUExtensions()
         if config.virtualization.enabled:
             self.hypervisor = MimicOS(config.mimicos, config.page_table, ssd=self.ssd,
                                       rng=self.rng.fork(3))
-            self.vm = build_virtual_machine(self.hypervisor, config, self.rng)
+            self.vm = VirtualMachine.from_virtualization_config(
+                self.hypervisor, config.virtualization, name=f"{config.name}-vm",
+                rng=self.rng.fork(5))
             self.kernel = self.vm.guest
+            # The 2-D walk *is* the translation hardware of a virtualised
+            # core, not an optional add-on.
+            extensions = replace(extensions, nested_translation=True)
         else:
             self.kernel = MimicOS(config.mimicos, config.page_table, ssd=self.ssd,
                                   rng=self.rng.fork(3))
 
-        # Core model and the OS coupling.
-        self.core = CoreModel(config.core, self.mmu, self.memory)
+        # Hardware models: core 0's hierarchy owns the shared L2/LLC/DRAM;
+        # every other core gets a private-L1 view aliasing those levels.
+        self.memory = MemoryHierarchy.from_system_config(config)
+        self.cores: List[SimulatedCore] = []
+        for index in range(num_cores):
+            memory = self.memory if index == 0 else \
+                MemoryHierarchy.per_core_view(self.memory, config)
+            tlbs = TLBHierarchy(config.l1i_tlb, config.l1d_tlb_4k,
+                                config.l1d_tlb_2m, config.l2_tlb)
+            mmu = MMU(tlbs, memory, extensions, core_index=index)
+            core = CoreModel(config.core, mmu, memory, core_index=index)
+            self.cores.append(SimulatedCore(index, core, mmu, tlbs, memory))
+        first = self.cores[0]
+        self.core, self.mmu, self.tlbs = first.core, first.mmu, first.tlbs
+
+        # One coupling / one kernel arbitrate faults from every core; each
+        # core's fault callback rebinds the coupling to itself first, so the
+        # handler stream is routed to (and executed on) the faulting core.
         self.coupling: OSCoupling = build_coupling(config.simulation, self.kernel,
                                                    self.core, vm=self.vm)
-        # Callbacks from owned parts back up hold their owner weakly (see
-        # repro.common.weak), so a dropped system is freed at once.
-        self.mmu.set_fault_callback(WeakCallback(self.coupling.handle_page_fault))
-        # Kernel unmaps/remaps (reclaim, khugepaged, THP promotion, munmap,
-        # restrictive-mapping evictions) shoot stale translations out of the
-        # TLBs, exactly as the IPI-based shootdown does on real hardware.
-        # In virtualised mode this is the *guest* kernel's shootdown; the
-        # hypervisor's remaps of guest-RAM backing additionally broadcast a
-        # nested (combined-mapping) invalidation through the VM.
-        self.kernel.register_tlb_listener(self.mmu.invalidate_translation)
-        if self.vm is not None:
-            self.vm.register_nested_invalidation_listener(self.mmu.on_nested_shootdown)
+        # Kernel-visible time is the leading core's clock: co-running cores
+        # share wall time, so SSD channel queues and swap aging must not see
+        # one core's future as another core's past.  Callbacks from owned
+        # parts back up hold their owner weakly (see repro.common.weak), so
+        # a dropped system is freed at once.
+        self.coupling.set_clock(WeakCallback(self._system_clock))
+        handle_fault = WeakCallback(self._handle_page_fault)
+        for unit in self.cores:
+            unit.mmu.set_fault_callback(partial(handle_fault, unit.index))
+            # Kernel unmaps/remaps (reclaim, khugepaged, THP promotion,
+            # munmap, restrictive-mapping evictions) broadcast a TLB
+            # shootdown to every core; each MMU acts only when it currently
+            # runs the target address space (the IPI filter real kernels
+            # apply).  In virtualised mode this is the guest kernel's
+            # shootdown; hypervisor remaps of guest-RAM backing broadcast a
+            # nested invalidation to every core on top (no pid filter —
+            # combined mappings are suspect on every core running any guest
+            # context).
+            self.kernel.register_tlb_listener(unit.mmu.invalidate_translation)
+            if self.vm is not None:
+                self.vm.register_nested_invalidation_listener(
+                    unit.mmu.on_nested_shootdown)
 
         #: Emulation-mode fixed-latency wrappers, keyed by pid.
         self._emulation_wrappers: Dict[int, FixedLatencyPageTable] = {}
@@ -152,35 +231,54 @@ class Virtuoso:
             # config.mimicos describes the hypervisor in virtualised mode.
             (self.hypervisor or self.kernel).fragment_memory()
 
+    def _system_clock(self) -> int:
+        return max(unit.core.cycles for unit in self.cores)
+
+    def _handle_page_fault(self, core_index: int, pid: int, virtual_address: int):
+        """Core ``core_index``'s fault callback: run the fault on that core."""
+        unit = self.cores[core_index]
+        self.coupling.bind_core(unit.core, unit.index)
+        return self.coupling.handle_page_fault(pid, virtual_address)
+
     # ------------------------------------------------------------------ #
     # Address-space setup
     # ------------------------------------------------------------------ #
     def create_process(self, name: str = "") -> Process:
-        """Create a process and point the MMU at its address space.
+        """Create a process and point core 0's MMU at its address space.
 
         In virtualised mode the process lives inside the guest OS and the
-        MMU additionally receives the process's 2-D translation unit.
+        MMU additionally receives the process's 2-D translation unit.  The
+        process is switched in (with a TLB flush) when it is scheduled.
         """
         if self.vm is not None:
             process = self.vm.create_guest_process(name)
-            self.mmu.set_nested_unit(self.vm.nested_unit_for(process))
-            self.mmu.set_context(process.pid, process.page_table)
-            return process
-        process = self.kernel.create_process(name)
-        page_table = process.page_table
-        if self.config.simulation.os_mode == "emulation" and not page_table.replaces_tlbs:
-            page_table = FixedLatencyPageTable(page_table,
-                                               self.config.simulation.fixed_ptw_latency)
-            self._emulation_wrappers[process.pid] = page_table
-        self.mmu.set_context(process.pid, page_table)
+        else:
+            process = self.kernel.create_process(name)
+            page_table = process.page_table
+            if (self.config.simulation.os_mode == "emulation"
+                    and not page_table.replaces_tlbs):
+                self._emulation_wrappers[process.pid] = FixedLatencyPageTable(
+                    page_table, self.config.simulation.fixed_ptw_latency)
+        self._set_context(self.cores[0], process, flush_tlbs=False)
         return process
 
-    def activate_process(self, process: Process) -> None:
-        """Switch the MMU to ``process`` (flushing the TLBs, as on a context switch)."""
+    def _set_context(self, unit: SimulatedCore, process: Process,
+                     flush_tlbs: bool) -> None:
+        """Point ``unit``'s MMU at ``process``.  A flush also drops the
+        core's VPN translation cache and, in virtualised mode, the nested
+        TLB of the incoming 2-D unit (untagged-TLB semantics).  Only a
+        flushing switch makes ``process`` current on the core; after a bare
+        re-point no process is, so the next scheduled task switches in."""
         if self.vm is not None:
-            self.mmu.set_nested_unit(self.vm.nested_unit_for(process))
+            unit.mmu.set_nested_unit(self.vm.nested_unit_for(process, unit.index))
         page_table = self._emulation_wrappers.get(process.pid, process.page_table)
-        self.mmu.set_context(process.pid, page_table, flush_tlbs=True)
+        unit.mmu.set_context(process.pid, page_table, flush_tlbs=flush_tlbs)
+        unit.current_pid = process.pid if flush_tlbs else None
+
+    def activate_process(self, process: Process) -> None:
+        """Switch core 0 to ``process`` (flushing the TLBs, as on a context
+        switch) without the kernel's scheduler bookkeeping."""
+        self._set_context(self.cores[0], process, flush_tlbs=True)
 
     def map_workload(self, workload, process: Optional[Process] = None) -> Process:
         """Create (if needed) a process and let the workload build its VMAs."""
@@ -193,46 +291,265 @@ class Virtuoso:
     # Pre-faulting (warm-up)
     # ------------------------------------------------------------------ #
     def prefault(self, process: Process, addresses: Iterable[int]) -> int:
-        """Install translations for ``addresses`` without charging simulation time.
+        """Fault in every unmapped page of ``addresses`` before the measured region.
 
-        See :func:`prefault_pages`.  Returns the number of faults taken.
+        Mirrors the paper's methodology of warming the page cache / address
+        space so experiments that study address translation are not
+        dominated by cold faults; in virtualised mode the VM handler
+        installs both dimensions (the guest translation and the host frame
+        backing it).
+
+        The faults run with a :class:`~repro.mimicos.ops.DiscardedTrace`:
+        set-up charges no simulated time, so the kernel work is never
+        recorded.  Every allocator, page-table, residency and kernel-address
+        side effect is the same as under a recording trace.  Counts the
+        faults in the ``prefaulted_pages`` counter and returns them; raises
+        ``RuntimeError`` if an address segfaults.
         """
-        return prefault_pages(self, process, addresses)
+        handler = (self.vm.handle_guest_page_fault if self.vm is not None
+                   else self.kernel.handle_page_fault)
+        trace = DiscardedTrace("prefault")
+        faults = 0
+        for address in addresses:
+            if process.page_table.lookup(address) is None:
+                if handler(process.pid, address, 0, trace).segfault:
+                    raise RuntimeError(f"prefault segfaulted at {address:#x}")
+                faults += 1
+        self.counters.add("prefaulted_pages", faults)
+        return faults
 
-    # ------------------------------------------------------------------ #
-    # Main run loop
-    # ------------------------------------------------------------------ #
-    def run(self, workload, process: Optional[Process] = None,
-            max_instructions: Optional[int] = None,
-            setup: bool = True) -> SimulationReport:
-        """Simulate ``workload`` and return the collected report."""
+    def _admit(self, workload, process: Optional[Process], setup: bool,
+               max_instructions: Optional[int]) -> CoreTask:
+        """Create (if needed), set up and prefault one task's process."""
         if process is None:
-            process = self.create_process(workload.name)
+            process = self.create_process(getattr(workload, "name", ""))
         if setup:
             workload.setup(self.kernel, process)
         if getattr(workload, "prefault", False):
             self.prefault(process, workload.prefault_addresses(process))
-        self.activate_process(process)
+        return CoreTask(workload, process,
+                        max_instructions or self.config.simulation.max_instructions)
 
-        limit = max_instructions or self.config.simulation.max_instructions
+    def _assign(self, tasks: Sequence[CoreTask]) -> None:
+        """Start a run: empty every core's task list, then deal ``tasks``
+        out round-robin (task *i* on core *i* mod N)."""
+        for unit in self.cores:
+            unit.clear_tasks()
+        for position, task in enumerate(tasks):
+            unit = self.cores[position % self.num_cores]
+            unit.tasks.append(task)
+            unit.task_names.append(task.name)
+
+    # ------------------------------------------------------------------ #
+    # Running
+    # ------------------------------------------------------------------ #
+    def run(self, workload, process: Optional[Process] = None,
+            max_instructions: Optional[int] = None,
+            setup: bool = True) -> SimulationReport:
+        """Simulate ``workload`` on core 0 and return that core's report."""
+        task = self._admit(workload, process, setup, max_instructions)
+        self._assign([task])
+        self.activate_process(task.process)
+        host_seconds = self._run_chunks(None)
+        self.counters.add("workloads_run")
+        report = self._core_report(self.cores[0], host_seconds)
+        if self.vm is not None:
+            report.details["virtualization"] = self._virtualization_details()
+        return report
+
+    def run_tasks(self, workloads: Sequence[object],
+                  processes: Optional[Sequence[Process]] = None,
+                  max_instructions: Optional[int] = None,
+                  setup: bool = True,
+                  migrate_every: Optional[int] = None) -> MultiCoreRunResult:
+        """Co-run ``workloads`` (task *i* on core *i* mod N) and report.
+
+        ``max_instructions`` bounds each task individually (falling back to
+        ``SimulationConfig.max_instructions``).  ``migrate_every`` rotates
+        the task→core assignment every that-many scheduling rounds; the
+        default (None) keeps static affinity.
+        """
+        if not workloads:
+            raise ValueError("need at least one workload")
+        task_by_pid: Dict[int, CoreTask] = {}
+        for position, workload in enumerate(workloads):
+            task = self._admit(workload,
+                               None if processes is None else processes[position],
+                               setup, max_instructions)
+            task_by_pid[task.process.pid] = task
+            self.kernel.enqueue_runnable(task.process.pid)
+
+        # Drain the kernel run queue (FIFO) onto the cores round-robin —
+        # the submission-order affinity the chunk interleaving preserves.
+        tasks: List[CoreTask] = []
+        process = self.kernel.next_runnable()
+        while process is not None:
+            tasks.append(task_by_pid[process.pid])
+            process = self.kernel.next_runnable()
+        self._assign(tasks)
+
+        host_seconds = self._run_chunks(migrate_every)
+        self.counters.add("workloads_run", len(tasks))
+        core_reports = [self._core_report(unit, host_seconds) for unit in self.cores]
+        return MultiCoreRunResult(core_reports=core_reports,
+                                  merged=self._merge_reports(core_reports, host_seconds),
+                                  host_seconds=host_seconds)
+
+    def _run_chunks(self, migrate_every: Optional[int]) -> float:
+        """The chunk loop: run every assigned task to completion, one chunk
+        per core per scheduling round; returns the host seconds it took."""
         batch_size = self.config.simulation.batch_size
         start_wall = time.perf_counter()
-        executed = 0
-        for batch in workload.instruction_batches(process, batch_size):
-            remaining = None if limit is None else limit - executed
-            executed += self.core.execute_batch(batch, remaining)
-            if limit is not None and executed >= limit:
+        rounds = 0
+        while True:
+            if migrate_every and rounds and rounds % migrate_every == 0:
+                self._rotate_assignment(1)
+            progressed = False
+            for unit in self.cores:
+                while True:
+                    task = unit.next_task()
+                    if task is None:
+                        break
+                    batch = self._next_chunk(task, batch_size)
+                    if batch is None:
+                        continue  # just drained; try this core's next task
+                    self._context_switch(unit, task)
+                    self._execute_chunk(unit, task, batch)
+                    progressed = True
+                    break
+            rounds += 1
+            if not progressed:
                 break
         host_seconds = time.perf_counter() - start_wall
-        self.counters.add("workloads_run")
-        report = build_report(getattr(workload, "name", str(workload)), host_seconds,
-                              config=self.config, core=self.core, mmu=self.mmu,
-                              tlbs=self.tlbs, memory=self.memory, kernel=self.kernel,
-                              coupling=self.coupling)
+        self.counters.add("scheduling_rounds", rounds)
+        return host_seconds
+
+    def _context_switch(self, unit: SimulatedCore, task: CoreTask) -> None:
+        """Switch ``task`` in on ``unit`` if it is not already current.
+
+        A switch is needed when the core runs a different process, or when
+        the incoming process last ran on another core (migration).  Both
+        take the full path: MimicOS bookkeeping plus ``set_context`` with a
+        TLB flush, which also drops the core's VPN translation cache.  A
+        process :meth:`activate_process` switched in has never been
+        scheduled (``last_core`` is None) and stays current.
+        """
+        process = task.process
+        if (unit.current_pid == process.pid
+                and process.last_core in (None, unit.index)):
+            return
+        self.kernel.context_switch(unit.index, process)
+        self._set_context(unit, process, flush_tlbs=True)
+        self.counters.add("context_switches")
+
+    def _next_chunk(self, task: CoreTask, batch_size: int):
+        """Pull the task's next chunk; marks it done (and returns None) when
+        the stream is exhausted.  Chunk generation draws only workload RNG
+        state, so pulling before the context switch cannot perturb simulated
+        statistics — it just lets the scheduler skip switching in a task
+        that has no work left."""
+        if task.batches is None:
+            task.batches = task.workload.instruction_batches(task.process,
+                                                             batch_size)
+        batch = next(task.batches, None)
+        if batch is None:
+            task.done = True
+        return batch
+
+    def _execute_chunk(self, unit: SimulatedCore, task: CoreTask, batch) -> None:
+        """Run one pulled chunk of ``task`` on ``unit``."""
+        remaining = None if task.limit is None else task.limit - task.executed
+        task.executed += unit.core.execute_batch(batch, remaining)
+        if task.limit is not None and task.executed >= task.limit:
+            task.done = True
+
+    def _rotate_assignment(self, rotation: int) -> None:
+        """Shift every task one core to the right (the migration policy)."""
+        all_tasks: List[CoreTask] = []
+        for unit in self.cores:
+            all_tasks.extend(unit.tasks)
+            unit.tasks = []
+        for position, task in enumerate(all_tasks):
+            target = self.cores[(position + rotation) % self.num_cores]
+            target.tasks.append(task)
+            # Per-core reports list every task that ran on the core, so a
+            # migrated-in workload is attributed to its new core too.
+            if task.name not in target.task_names:
+                target.task_names.append(task.name)
+
+    # ------------------------------------------------------------------ #
+    # Report assembly
+    # ------------------------------------------------------------------ #
+    def _core_report(self, unit: SimulatedCore, host_seconds: float) -> SimulationReport:
+        name = "+".join(unit.task_names) if unit.task_names else "idle"
+        return build_report(name, host_seconds, config=self.config, core=unit.core,
+                            mmu=unit.mmu, tlbs=unit.tlbs, memory=unit.memory,
+                            kernel=self.kernel, coupling=self.coupling)
+
+    def _virtualization_details(self) -> Dict[str, object]:
+        """The virtualisation section of a report's ``details`` (the parity
+        harness diffs it like every other section)."""
+        return {"vm": self.vm.stats(), "hypervisor": self.hypervisor.stats()}
+
+    def _merge_reports(self, core_reports: List[SimulationReport],
+                       host_seconds: float) -> SimulationReport:
+        def total(name: str):
+            return sum(getattr(report, name) for report in core_reports)
+
+        instructions, cycles = total("instructions"), total("cycles")
+        walks, ptw_latency = total("page_walks"), total("total_ptw_latency")
+        shared = core_reports[0]  # system-wide fields are identical per core
+        merged = SimulationReport(
+            workload="+".join(name for unit in self.cores
+                              for name in unit.task_names),
+            config_name=self.config.name,
+            os_mode=self.config.simulation.os_mode,
+            instructions=instructions,
+            kernel_instructions=total("kernel_instructions"),
+            cycles=cycles,
+            ipc=instructions / cycles if cycles else 0.0,
+            l2_tlb_misses=total("l2_tlb_misses"),
+            page_walks=walks,
+            average_ptw_latency=ptw_latency / walks if walks else 0.0,
+            total_ptw_latency=ptw_latency,
+            total_translation_latency=total("total_translation_latency"),
+            frontend_translation_cycles=total("frontend_translation_cycles"),
+            backend_translation_cycles=total("backend_translation_cycles"),
+            page_faults=total("page_faults"),
+            major_faults=shared.major_faults,
+            fault_latency=shared.fault_latency,
+            total_fault_latency=shared.total_fault_latency,
+            swapped_pages=shared.swapped_pages,
+            swap_cycles=shared.swap_cycles,
+            dram_accesses=shared.dram_accesses,
+            dram_row_conflicts=shared.dram_row_conflicts,
+            dram_row_conflicts_translation=shared.dram_row_conflicts_translation,
+            llc_misses=shared.llc_misses,
+            translation_stall_cycles=total("translation_stall_cycles"),
+            fault_stall_cycles=total("fault_stall_cycles"),
+            data_stall_cycles=total("data_stall_cycles"),
+            host_seconds=host_seconds,
+        )
+        merged.details = {
+            "cores": [
+                {"core": unit.core.stats(), "mmu": unit.mmu.stats(),
+                 "tlbs": unit.tlbs.stats(),
+                 "l1": unit.memory.l1.stats(),
+                 "hierarchy": unit.memory.counters.as_dict()}
+                for unit in self.cores
+            ],
+            "shared_memory": {
+                "l2": self.memory.l2.stats(),
+                "l3": self.memory.l3.stats(),
+                "dram": self.memory.dram.stats(),
+            },
+            "kernel": self.kernel.stats(),
+            "coupling": self.coupling.stats(),
+            "scheduler": self.counters.as_dict(),
+        }
         if self.vm is not None:
-            report.details["virtualization"] = virtualization_details(self.vm,
-                                                                      self.hypervisor)
-        return report
+            merged.details["virtualization"] = self._virtualization_details()
+        return merged
 
 
 def build_report(workload_name: str, host_seconds: float, *, config: SystemConfig,
@@ -241,13 +558,11 @@ def build_report(workload_name: str, host_seconds: float, *, config: SystemConfi
                  coupling: OSCoupling) -> SimulationReport:
     """Assemble a :class:`SimulationReport` from one core's component set.
 
-    Shared by :class:`Virtuoso` (whose single core owns every component) and
-    the multi-core orchestrator's per-core reports, where ``core``/``mmu``/
-    ``tlbs``/``memory`` are that core's private models while ``kernel``,
-    ``coupling`` and the L2/LLC/DRAM levels behind ``memory`` are system-wide
-    — so in a multi-core system the fault-latency distribution, major-fault
-    count, swap and DRAM fields of a per-core report describe the whole
-    machine, not one core.
+    ``core``/``mmu``/``tlbs``/``memory`` are that core's private models
+    while ``kernel``, ``coupling`` and the L2/LLC/DRAM levels behind
+    ``memory`` are system-wide — so in a multi-core system the
+    fault-latency distribution, major-fault count, swap and DRAM fields of
+    a per-core report describe the whole machine, not one core.
     """
     mmu_counters = mmu.counters.as_dict()
     dram = memory.dram

@@ -146,7 +146,6 @@ def run_point(point: SweepPoint, base_seed: int = 0) -> Dict[str, object]:
     """Build and run one sweep point; returns a picklable report digest."""
     # Imports stay inside the worker entry point so a worker without the
     # parent's module state is self-reliant.
-    from repro.core.multicore import MultiCoreVirtuoso
     from repro.core.virtuoso import Virtuoso
     from repro.workloads.multiproc import build_multiprocess_scenario
     from repro.workloads.registry import build_workload
@@ -154,15 +153,14 @@ def run_point(point: SweepPoint, base_seed: int = 0) -> Dict[str, object]:
     seed = point_seed(point, base_seed)
     config = _build_config(point)
     start = time.perf_counter()
+    system = Virtuoso(config, seed=seed, num_cores=point.cores)
     if point.cores > 1 or point.processes > 1:
         workloads = build_multiprocess_scenario(point.workload,
                                                 **point.workload_kwargs)
-        system = MultiCoreVirtuoso(config, num_cores=point.cores, seed=seed)
-        result = system.run(workloads, max_instructions=point.max_instructions)
-        report = result.merged
+        report = system.run_tasks(workloads,
+                                  max_instructions=point.max_instructions).merged
     else:
         workload = build_workload(point.workload, **point.workload_kwargs)
-        system = Virtuoso(config, seed=seed)
         report = system.run(workload, max_instructions=point.max_instructions)
     host_seconds = time.perf_counter() - start
     simulated = report.instructions + report.kernel_instructions

@@ -232,21 +232,22 @@ class KernelOpExecutor:
 
     @classmethod
     def for_system(cls, system) -> "KernelOpExecutor":
-        """Build an executor over a :class:`Virtuoso` or ``MultiCoreVirtuoso``."""
-        vm = getattr(system, "vm", None)
-        fault_handler = (vm.handle_guest_page_fault if vm is not None
+        """Build an executor over a :class:`~repro.core.virtuoso.Virtuoso`.
+
+        The closures hold the system's parts, not the system: the executor
+        lives as long as the workload it is bound to, which the system's
+        task lists keep alive.
+        """
+        fault_handler = (system.vm.handle_guest_page_fault if system.vm is not None
                          else system.kernel.handle_page_fault)
-        cores = getattr(system, "cores", None)
-        if cores is not None:  # multi-core orchestrator
-            clock = lambda: int(max(unit.core.cycles for unit in cores))
-            migrate = None
-        else:
-            clock = lambda: int(system.core.cycles)
-            migrate = lambda: system.mmu.migrate_in(system.mmu.pid,
-                                                    system.mmu.page_table)
+        cores = [unit.core for unit in system.cores]
+        clock = lambda: int(max(core.cycles for core in cores))
+        migrate = None
+        if system.num_cores == 1:
+            mmu = system.mmu
+            migrate = lambda: mmu.migrate_in(mmu.pid, mmu.page_table)
         return cls(system.kernel, fault_handler, clock,
-                   hypervisor=getattr(system, "hypervisor", None),
-                   migrate=migrate)
+                   hypervisor=system.hypervisor, migrate=migrate)
 
     def _count(self, spec: KernelOpSpec, applied: bool) -> bool:
         bucket = "applied" if applied else "skipped"
@@ -335,28 +336,22 @@ class KernelOpExecutor:
 # --------------------------------------------------------------------- #
 def _run_scenario_side(scenario: FuzzScenario, vpn_cache: bool) -> Dict[str, object]:
     # Imports inside the worker entry point, as the service pattern demands.
-    from repro.core.multicore import MultiCoreVirtuoso
     from repro.core.virtuoso import Virtuoso
     from repro.mmu.extensions import MMUExtensions
     from repro.workloads.registry import build_workload
 
-    system_config = build_fuzz_config(scenario.config)
-    extensions = MMUExtensions(vpn_translation_cache=vpn_cache)
-    seed = scenario_seed(scenario)
+    system = Virtuoso(build_fuzz_config(scenario.config), seed=scenario_seed(scenario),
+                      num_cores=scenario.config.cores,
+                      mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
     registry_name, kwargs, _span = FUZZ_FAMILIES[scenario.config.family]
     wrapped = ScheduledWorkload(build_workload(registry_name, **kwargs),
                                 scenario.schedule)
+    executor = KernelOpExecutor.for_system(system)
+    wrapped.bind(executor)
     if scenario.config.cores > 1:
-        system = MultiCoreVirtuoso(system_config, num_cores=scenario.config.cores,
-                                   seed=seed, mmu_extensions=extensions)
-        executor = KernelOpExecutor.for_system(system)
-        wrapped.bind(executor)
         co_name, co_kwargs = CO_RUNNER
-        report = system.run([wrapped, build_workload(co_name, **co_kwargs)]).merged
+        report = system.run_tasks([wrapped, build_workload(co_name, **co_kwargs)]).merged
     else:
-        system = Virtuoso(system_config, seed=seed, mmu_extensions=extensions)
-        executor = KernelOpExecutor.for_system(system)
-        wrapped.bind(executor)
         report = system.run(wrapped)
     stats = flatten_stats(report)
     for key in sorted(executor.counts):

@@ -294,22 +294,19 @@ def build_config(point: ParityPoint) -> SystemConfig:
 def _run(point: ParityPoint, vpn_cache: bool) -> SimulationReport:
     # Imports live inside the worker entry point (the pool pattern the
     # sweep runner established) so workers are self-reliant.
-    from repro.core.multicore import MultiCoreVirtuoso
     from repro.core.virtuoso import Virtuoso
     from repro.workloads.multiproc import build_multiprocess_scenario
     from repro.workloads.registry import build_workload
 
     config = build_config(point)
     seed = point_seed(point)
-    extensions = MMUExtensions(vpn_translation_cache=vpn_cache)
+    system = Virtuoso(config, seed=seed, num_cores=point.cores,
+                      mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
     if point.cores > 1:
         scenario, kwargs = (VIRTUALIZED_MULTICORE_SCENARIO if point.virtualized
                             else MULTICORE_SCENARIO)
-        system = MultiCoreVirtuoso(config, num_cores=point.cores, seed=seed,
-                                   mmu_extensions=extensions)
-        return system.run(build_multiprocess_scenario(scenario, **kwargs)).merged
+        return system.run_tasks(build_multiprocess_scenario(scenario, **kwargs)).merged
     workload_name, kwargs = WORKLOAD_FAMILIES[point.family]
-    system = Virtuoso(config, seed=seed, mmu_extensions=extensions)
     return system.run(build_workload(workload_name, **kwargs))
 
 

@@ -1,7 +1,8 @@
-"""Multi-process scenario builders for the multi-core orchestrator.
+"""Multi-process scenario builders for co-scheduled runs.
 
-A *scenario* is a list of fresh workloads meant to be co-scheduled on a
-:class:`~repro.core.multicore.MultiCoreVirtuoso` — one process per entry —
+A *scenario* is a list of fresh workloads meant to be co-scheduled by
+:meth:`Virtuoso.run_tasks <repro.core.virtuoso.Virtuoso.run_tasks>` — one
+process per entry —
 chosen so the co-runners stress a specific shared resource:
 
 * :func:`contention_pair` — two GUPS-style random-access processes whose

@@ -15,12 +15,12 @@ Five families:
 * invalidation — ``activate_process``, TLB flushes, core migration and
   page-table unmaps must invalidate the VPN cache so no stale fast hit can
   occur;
-* multi-core — a one-core one-task ``MultiCoreVirtuoso`` run must be
-  bit-identical to ``Virtuoso.run``; interleaved single- and two-core runs
-  must reproduce their recorded digests with the cache off and on,
-  fault-heavy full-system runs included; N-core runs must be deterministic
-  across repeats and genuinely share the L2/LLC/DRAM while keeping L1/TLB
-  state private.
+* multi-core — a one-task ``Virtuoso.run_tasks`` must be bit-identical
+  to ``Virtuoso.run`` bar the scheduler's context switch; interleaved
+  single- and two-core runs must reproduce their recorded digests with the
+  cache off and on, fault-heavy full-system runs included; N-core runs must
+  be deterministic across repeats and genuinely share the L2/LLC/DRAM while
+  keeping L1/TLB state private.
 """
 
 import hashlib
@@ -35,7 +35,6 @@ from repro.core.channels import InstructionStreamChannel
 from repro.core.cpu import CoreModel
 from repro.core.instructions import OP_LOAD, OP_MAGIC, InstructionBatch
 from repro.core.instrumentation import InstrumentationTool
-from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mimicos.kernel import MimicOS
@@ -43,6 +42,7 @@ from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU, MemoryOperationResult, TranslationResult
 from repro.mmu.tlb import TLBHierarchy
 from repro.pagetables.radix import RadixPageTable
+from repro.validation.parity import flatten_stats
 from repro.common.config import PageTableConfig
 from repro.workloads import (
     GUPSWorkload,
@@ -416,14 +416,20 @@ class TestMultiCoreInvariance:
     """Multi-core batching must never move a simulated statistic."""
 
     def test_single_core_single_task_matches_virtuoso(self):
-        """num_cores=1 with one task is exactly a Virtuoso run."""
+        """A one-task run_tasks is exactly a run, apart from the one context
+        switch the scheduler books, which run never does."""
         factory = lambda: GUPSWorkload(footprint_bytes=4 * MB,
                                        memory_operations=1200, seed=5)
-        virtuoso = Virtuoso(multicore_config(), seed=7)
-        single = virtuoso.run(factory())
-        system = MultiCoreVirtuoso(multicore_config(), num_cores=1, seed=7)
-        result = system.run([factory()])
-        assert_reports_identical(single, result.core_reports[0])
+        single = Virtuoso(multicore_config(), seed=7).run(factory())
+        scheduled = Virtuoso(multicore_config(), seed=7).run_tasks(
+            [factory()]).core_reports[0]
+        switches = "details.kernel.kernel.context_switches"
+        single_stats = flatten_stats(single)
+        scheduled_stats = flatten_stats(scheduled)
+        assert switches not in single_stats
+        assert scheduled_stats.pop(switches) == 1
+        assert single_stats == scheduled_stats
+        assert_reports_identical(single, scheduled)
 
     @pytest.mark.parametrize("os_mode", ["imitation", "full_system"])
     def test_interleaved_matches_recorded_digest(self, os_mode):
@@ -434,18 +440,18 @@ class TestMultiCoreInvariance:
                      "fault_heavy": fault_heavy_workloads}
         for name, factory in factories.items():
             for extensions in CACHE_SIDES:
-                result = MultiCoreVirtuoso(multicore_config(os_mode=os_mode),
-                                           num_cores=1, seed=7,
-                                           mmu_extensions=extensions).run(factory())
+                result = Virtuoso(multicore_config(os_mode=os_mode),
+                                  num_cores=1, seed=7,
+                                  mmu_extensions=extensions).run_tasks(factory())
                 assert result.merged.instructions > 0
                 assert_report_digest(result.merged, INTERLEAVED_DIGESTS[os_mode, name])
 
     def test_two_core_matches_recorded_digest(self):
         """Cache invariance holds with cores genuinely sharing L2/LLC/DRAM."""
         for extensions in CACHE_SIDES:
-            result = MultiCoreVirtuoso(multicore_config(), num_cores=2, seed=7,
-                                       mmu_extensions=extensions).run(
-                                           two_process_workloads())
+            result = Virtuoso(multicore_config(), num_cores=2, seed=7,
+                              mmu_extensions=extensions).run_tasks(
+                                  two_process_workloads())
             assert_report_digest(result.merged, TWO_CORE_DIGEST)
 
     @pytest.mark.parametrize("migrate_every", [None, 2])
@@ -453,10 +459,10 @@ class TestMultiCoreInvariance:
         """Repeated N-core runs (with and without the migration policy)
         must be bit-identical."""
         def run_once():
-            system = MultiCoreVirtuoso(multicore_config(batch_size=512),
-                                       num_cores=2, seed=7)
-            return system.run(two_process_workloads(),
-                              migrate_every=migrate_every)
+            system = Virtuoso(multicore_config(batch_size=512),
+                              num_cores=2, seed=7)
+            return system.run_tasks(two_process_workloads(),
+                                    migrate_every=migrate_every)
         first, second = run_once(), run_once()
         assert_merged_reports_identical(first.merged, second.merged)
         for a, b in zip(first.core_reports, second.core_reports):
@@ -464,7 +470,7 @@ class TestMultiCoreInvariance:
                 assert getattr(a, field) == getattr(b, field), field
 
     def test_shared_levels_are_shared_and_l1_private(self):
-        system = MultiCoreVirtuoso(multicore_config(), num_cores=2, seed=7)
+        system = Virtuoso(multicore_config(), num_cores=2, seed=7)
         first, second = system.cores
         assert first.memory.l2 is second.memory.l2
         assert first.memory.l3 is second.memory.l3
@@ -472,7 +478,7 @@ class TestMultiCoreInvariance:
         assert first.memory.l1 is not second.memory.l1
         assert first.tlbs is not second.tlbs
         assert first.mmu is not second.mmu
-        result = system.run(two_process_workloads())
+        result = system.run_tasks(two_process_workloads())
         # Both cores executed and issued traffic through their own L1s.
         for report in result.core_reports:
             assert report.instructions > 0
@@ -483,12 +489,12 @@ class TestMultiCoreInvariance:
         """Co-running two cache-hostile processes on shared LLC/DRAM must
         cost more than running one alone (the contention the multi-core
         model exists to expose)."""
-        solo = MultiCoreVirtuoso(multicore_config(), num_cores=1, seed=7)
-        solo_result = solo.run([GUPSWorkload(footprint_bytes=4 * MB,
-                                             memory_operations=2500,
-                                             prefault=True, seed=5)])
-        duo = MultiCoreVirtuoso(multicore_config(), num_cores=2, seed=7)
-        duo_result = duo.run([
+        solo = Virtuoso(multicore_config(), num_cores=1, seed=7)
+        solo_result = solo.run_tasks([GUPSWorkload(footprint_bytes=4 * MB,
+                                                   memory_operations=2500,
+                                                   prefault=True, seed=5)])
+        duo = Virtuoso(multicore_config(), num_cores=2, seed=7)
+        duo_result = duo.run_tasks([
             GUPSWorkload(footprint_bytes=4 * MB, memory_operations=2500,
                          prefault=True, seed=5),
             GUPSWorkload(footprint_bytes=4 * MB, memory_operations=2500,
@@ -519,8 +525,8 @@ class TestMultiCoreInvariance:
         """Fault-driven kernel work must execute on the faulting core: with
         one fault-taking process per core, both cores accumulate kernel
         instructions and the channel's routing assertions stay silent."""
-        system = MultiCoreVirtuoso(multicore_config(), num_cores=2, seed=7)
-        result = system.run(fault_heavy_workloads())
+        system = Virtuoso(multicore_config(), num_cores=2, seed=7)
+        result = system.run_tasks(fault_heavy_workloads())
         for report in result.core_reports:
             assert report.kernel_instructions > 0
         total = sum(r.kernel_instructions for r in result.core_reports)
@@ -533,9 +539,9 @@ class TestMultiCoreContextSwitches:
     translation cache must never leak across processes or cores."""
 
     def test_interleaving_context_switches_flush_tlbs(self):
-        system = MultiCoreVirtuoso(multicore_config(batch_size=512),
-                                   num_cores=1, seed=7)
-        result = system.run(two_process_workloads())
+        system = Virtuoso(multicore_config(batch_size=512),
+                          num_cores=1, seed=7)
+        result = system.run_tasks(two_process_workloads())
         kernel_counters = result.merged.details["kernel"]["kernel"]
         switches = kernel_counters.get("context_switches", 0)
         assert switches > 2, "chunk interleaving should context-switch repeatedly"
@@ -547,10 +553,10 @@ class TestMultiCoreContextSwitches:
     def test_context_switch_invalidates_vpn_cache(self):
         """After a run leaves VPN-cache entries behind, switching another
         process in must drop them (set_context clears the per-core cache)."""
-        system = MultiCoreVirtuoso(multicore_config(), num_cores=1, seed=7)
-        system.run([SequentialWorkload(footprint_bytes=1 * MB,
-                                       memory_operations=800, prefault=True,
-                                       seed=2)])
+        system = Virtuoso(multicore_config(), num_cores=1, seed=7)
+        system.run_tasks([SequentialWorkload(footprint_bytes=1 * MB,
+                                             memory_operations=800, prefault=True,
+                                             seed=2)])
         unit = system.cores[0]
         assert unit.mmu.fast_hits > 0
         other = system.create_process("other")
@@ -561,11 +567,11 @@ class TestMultiCoreContextSwitches:
     def test_migrate_in_flushes_tlbs_and_vpn_cache(self):
         """MMU.migrate_in must behave exactly like a flushing set_context:
         no TLB entry and no VPN-cache entry survives the migration."""
-        system = MultiCoreVirtuoso(multicore_config(), num_cores=2, seed=7)
+        system = Virtuoso(multicore_config(), num_cores=2, seed=7)
         workload = SequentialWorkload(footprint_bytes=1 * MB,
                                       memory_operations=800, prefault=True,
                                       seed=2)
-        result = system.run([workload])
+        result = system.run_tasks([workload])
         source = system.cores[0]
         target = system.cores[1]
         process = source.tasks[0].process
@@ -581,9 +587,9 @@ class TestMultiCoreContextSwitches:
         """Rotating assignment migrates processes across cores; the kernel
         counts the migrations and results stay deterministic."""
         def run_once():
-            system = MultiCoreVirtuoso(multicore_config(batch_size=256),
-                                       num_cores=2, seed=7)
-            result = system.run(two_process_workloads(), migrate_every=2)
+            system = Virtuoso(multicore_config(batch_size=256),
+                              num_cores=2, seed=7)
+            result = system.run_tasks(two_process_workloads(), migrate_every=2)
             return system, result
         system, result = run_once()
         kernel_counters = result.merged.details["kernel"]["kernel"]
@@ -593,12 +599,51 @@ class TestMultiCoreContextSwitches:
         _, again = run_once()
         assert_merged_reports_identical(result.merged, again.merged)
 
+    def test_consecutive_runs_name_only_their_own_workloads(self):
+        """Each run starts with empty per-core task lists: a report never
+        names a workload an earlier run on the same system ran."""
+        def rnd():
+            return GUPSWorkload(footprint_bytes=1 * MB, memory_operations=300, seed=1)
+
+        def stream():
+            return SequentialWorkload(footprint_bytes=1 * MB, memory_operations=300,
+                                      seed=2)
+
+        system = Virtuoso(multicore_config(), seed=7)
+        assert system.run(rnd()).workload == "RND"
+        assert system.run(stream()).workload == "STREAM"
+        assert [task.name for task in system.cores[0].tasks] == ["STREAM"]
+
+        system = Virtuoso(multicore_config(), num_cores=2, seed=7)
+        first = system.run_tasks([rnd()])
+        second = system.run_tasks([stream(), rnd()])
+        assert first.merged.workload == "RND"
+        assert [report.workload for report in first.core_reports] == ["RND", "idle"]
+        assert second.merged.workload == "STREAM+RND"
+        assert [report.workload for report in second.core_reports] == ["STREAM", "RND"]
+        # Counters stay cumulative across runs.
+        assert second.merged.instructions > first.merged.instructions
+
+    def test_create_process_between_runs_forces_a_full_switch(self):
+        """create_process points core 0's MMU at the new process, so a task
+        of the process core 0 ran before must be switched back in."""
+        system = Virtuoso(multicore_config(), seed=7)
+        first = system.create_process("first")
+        system.run_tasks([GUPSWorkload(footprint_bytes=1 * MB, memory_operations=300,
+                                       seed=1)], processes=[first])
+        system.create_process("second")
+        system.run_tasks([SequentialWorkload(footprint_bytes=1 * MB,
+                                             memory_operations=300, seed=2)],
+                         processes=[first])
+        assert system.mmu.pid == first.pid
+        assert system.kernel.counters.get("context_switches") == 2
+
     def test_run_queue_drives_assignment(self):
         """Tasks are admitted through the MimicOS run queue and land on
         cores round-robin in FIFO order."""
-        system = MultiCoreVirtuoso(multicore_config(), num_cores=2, seed=7)
+        system = Virtuoso(multicore_config(), num_cores=2, seed=7)
         workloads = two_process_workloads()
-        result = system.run(workloads)
+        result = system.run_tasks(workloads)
         assert len(system.cores[0].tasks) == 1
         assert len(system.cores[1].tasks) == 1
         assert system.cores[0].tasks[0].name == workloads[0].name

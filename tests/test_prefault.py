@@ -22,7 +22,6 @@ from repro.common.addresses import (
     align_down,
 )
 from repro.common.config import PageTableConfig
-from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.mimicos.ops import DiscardedTrace, KernelRoutineTrace
 from repro.pagetables.base import PageTableBase
@@ -101,7 +100,7 @@ def single_core(config, make_workload, prefault):
 
 
 def two_core(prefault):
-    system = MultiCoreVirtuoso(tiny_system_config(), num_cores=2, seed=11)
+    system = Virtuoso(tiny_system_config(), num_cores=2, seed=11)
     workloads = [gups(), bfs()]
     processes = []
     for workload in workloads:
@@ -110,7 +109,7 @@ def two_core(prefault):
         assert prefault(system, process, workload.prefault_addresses(process)) > 0
         processes.append(process)
     state = system_state(system)
-    result = system.run(workloads, processes=processes, setup=False)
+    result = system.run_tasks(workloads, processes=processes, setup=False)
     return state, [report_digest(report) for report in result.core_reports]
 
 

@@ -27,7 +27,6 @@ import pytest
 
 from repro.common.addresses import MB, PAGE_SIZE_4K, align_down, page_number
 from repro.common.config import VirtualizationConfig
-from repro.core.multicore import MultiCoreVirtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
@@ -100,11 +99,11 @@ class TestVirtualizedEngineInvariance:
 
     @pytest.mark.parametrize("vpn_cache", [False, True])
     def test_multicore_bit_identical(self, vpn_cache):
-        system = MultiCoreVirtuoso(
+        system = Virtuoso(
             virtualized_config(), num_cores=2, seed=7,
             mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
-        result = system.run(virtualized_guests(count=2, footprint_bytes=1 * MB,
-                                               hot_operations=300, seed=3))
+        result = system.run_tasks(virtualized_guests(count=2, footprint_bytes=1 * MB,
+                                                     hot_operations=300, seed=3))
         assert_report_digest(result.merged, MULTICORE_DIGEST)
 
 
