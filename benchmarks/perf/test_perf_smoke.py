@@ -15,6 +15,7 @@ measured cache-off run.  Regenerate the record with::
     PYTHONPATH=src python benchmarks/perf/service_bench.py
     PYTHONPATH=src python benchmarks/perf/prefault_bench.py
     PYTHONPATH=src python benchmarks/perf/memhier_bench.py
+    PYTHONPATH=src python benchmarks/perf/translation_bench.py
 
 The sweep host-scaling gate only fires when the digest was recorded on a
 multi-core host (a 1-CPU container cannot exhibit host scaling); the sweep
@@ -209,6 +210,37 @@ def test_memhier_mix_counters_match_record():
     for name, row in digest["mixes"].items():
         assert mix_digest(name) == row["stats_sha256"], (
             f"memhier mix {name}: the hierarchy's counters changed")
+
+
+def test_translation_counters_match_record():
+    """One pass of each recorded translation mix and of each backend's
+    walks must leave exactly the counters the record holds (no timing is
+    checked here).
+
+    The ``translation`` section is written by
+    ``benchmarks/perf/translation_bench.py``, which refuses a side whose
+    counters differ from the other side's record, so a changed digest
+    means the translation path no longer simulates what it did.
+    """
+    from benchmarks.perf.translation_bench import (
+        MIXES,
+        WALK_BACKENDS,
+        mix_digest,
+        walk_digest,
+    )
+
+    digest = recorded_bench().get("translation")
+    if digest is None:
+        pytest.skip("no translation digest recorded yet; run "
+                    "benchmarks/perf/translation_bench.py")
+    assert set(digest["mixes"]) == set(MIXES)
+    assert set(digest["walks"]) == set(WALK_BACKENDS)
+    for name, row in digest["mixes"].items():
+        assert mix_digest(name) == row["stats_sha256"], (
+            f"translation mix {name}: the MMU's or the caches' counters changed")
+    for kind, row in digest["walks"].items():
+        assert walk_digest(kind) == row["stats_sha256"], (
+            f"{kind} walks: the page table's or the caches' counters changed")
 
 
 def test_service_fault_tolerance_recorded():

@@ -174,8 +174,12 @@ class RunningStats:
         delta = value - self.mean
         self.mean += delta / self.count
         self._m2 += delta * (value - self.mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        # On a tie the value already held stays (an int and an equal float
+        # print differently in reports).
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     @property
     def variance(self) -> float:

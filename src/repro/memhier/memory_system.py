@@ -34,6 +34,11 @@ class MemoryAccessType(str, Enum):
     SWAP = "swap"
 
 
+#: Request type -> its string, built once.  A member and its string are
+#: equal and hash alike, so a string argument finds itself here too.
+_TYPE_VALUES: Dict[str, str] = {member: member.value for member in MemoryAccessType}
+
+
 @dataclass(slots=True)
 class MemoryRequest:
     """A single memory request travelling down the hierarchy."""
@@ -227,8 +232,9 @@ class MemoryHierarchy:
                        access_type: MemoryAccessType = MemoryAccessType.DATA,
                        pc: int = 0) -> int:
         """Convenience wrapper returning only the latency of an access."""
-        type_value = access_type.value if isinstance(access_type, MemoryAccessType) \
-            else str(access_type)
+        type_value = _TYPE_VALUES.get(access_type)
+        if type_value is None:
+            type_value = str(access_type)
         return self.access_value(address, is_write, type_value, pc)
 
     # ------------------------------------------------------------------ #

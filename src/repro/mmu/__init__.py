@@ -6,15 +6,15 @@ structure on a miss (paying for the walk's memory accesses), invokes the OS
 — through Virtuoso's functional channel — on a page fault, and finally
 issues the data access itself.  Optional extensions from the VirTool toolset
 (TLB prefetching, a software-managed in-memory TLB, Victima-style storage of
-TLB entries in the data caches, page-size prediction and nested translation
-for virtualised guests) can be switched on per experiment.
+TLB entries in the data caches and nested translation for virtualised
+guests) can be switched on per experiment.
 """
 
 from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU, MemoryOperationResult, TranslationResult
 from repro.mmu.nested import NestedTranslationUnit
 from repro.mmu.pom_tlb import PartOfMemoryTLB
-from repro.mmu.tlb import TLB, TLBHierarchy, TLBLookupResult
+from repro.mmu.tlb import TLB, TLBHierarchy
 from repro.mmu.tlb_prefetch import SequentialTLBPrefetcher
 from repro.mmu.victima import VictimaCacheTLB
 
@@ -27,7 +27,6 @@ __all__ = [
     "SequentialTLBPrefetcher",
     "TLB",
     "TLBHierarchy",
-    "TLBLookupResult",
     "TranslationResult",
     "VictimaCacheTLB",
 ]

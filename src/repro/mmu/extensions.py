@@ -22,9 +22,6 @@ class MMUExtensions:
     #: Store L2-TLB victims in the L2 data cache and probe them before walking
     #: (Victima).
     victima: bool = False
-    #: Predict the page size before probing the split L1 TLBs
-    #: (superpage-friendly TLB design).
-    page_size_prediction: bool = False
     #: Two-dimensional (guest + host) translation for virtualised execution.
     nested_translation: bool = False
     #: Simulator fast path (not modelled hardware): memoise repeat same-page

@@ -1,13 +1,15 @@
 """The memory-management unit: translation plus the data access itself.
 
-For every memory operand the core model calls :meth:`MMU.access_data_fast`,
-which falls back to :meth:`MMU.access_data` on a VPN-cache miss.  The MMU
-looks up the TLB hierarchy, walks the active translation structure on a
-miss (paying for the walk's memory accesses through the shared memory
-hierarchy), reports page faults to the OS through a fault callback installed
-by the Virtuoso orchestrator (which runs MimicOS and injects the handler's
-instruction stream, returning the fault's latency), retries the walk, and
-finally performs the data access.
+For every memory operand the core model calls :meth:`MMU.access_data_fast`.
+On a VPN-cache miss it falls straight into the one translation path,
+:meth:`MMU._access`, which instruction fetches share: it looks up the TLB
+hierarchy, walks the active translation structure on a miss (paying for the
+walk's memory accesses through the shared memory hierarchy), reports page
+faults to the OS through a fault callback installed by the Virtuoso
+orchestrator (which runs MimicOS and injects the handler's instruction
+stream, returning the fault's latency), retries the walk, and finally
+performs the data access.  :meth:`MMU.access_data` is the same path with
+the result copied out of the scratch objects.
 
 Schemes that replace the TLBs (Midgard, VBI) follow their own path: a cheap
 frontend translation before the access and a backend translation charged
@@ -26,23 +28,29 @@ with the cache enabled or disabled.  The cache is strictly invalidated
 whenever its replay could diverge: on :meth:`set_context`, on any TLB
 content change (fill, invalidate, flush — tracked through the TLBs'
 ``version`` counters) and on any page-table mutation (tracked through the
-page table's ``version``).
-Results are returned in per-MMU scratch objects, so the hot loop performs no
-allocation at all.
+page table's ``version``).  A 2 MB record covers the whole huge page, which
+presumes the kernel's shootdown contract: no 4 KB translation stays in the
+L1 TLB under a live 2 MB mapping (MimicOS shoots down every page it
+unmaps).  Without shootdowns the 4 KB TLB, probed first, would answer for
+its pages and the replay would not; the parity harness's shootdown
+sensitivity tests rely on that divergence.
+Results are returned in per-MMU scratch objects, and neither a TLB lookup
+nor a TLB fill builds a result object, so a translation allocates nothing
+beyond the walk's ``WalkResult`` and the TLB keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, align_down
+from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.stats import Counter, RunningStats
 from repro.memhier.memory_system import MemoryAccessType, MemoryHierarchy, MemoryRequest
 from repro.mmu.extensions import MMUExtensions
 from repro.mmu.nested import NestedTranslationUnit
 from repro.mmu.pom_tlb import PartOfMemoryTLB
-from repro.mmu.tlb import TLBHierarchy, TLBLookupResult
+from repro.mmu.tlb import TLBHierarchy
 from repro.mmu.tlb_prefetch import SequentialTLBPrefetcher
 from repro.mmu.victima import VictimaCacheTLB
 from repro.pagetables.base import PageTableBase
@@ -264,24 +272,12 @@ class MMU:
     # ------------------------------------------------------------------ #
     def access_data(self, virtual_address: int, is_write: bool = False,
                     pc: int = 0) -> MemoryOperationResult:
-        """Translate ``virtual_address`` and perform the data access."""
-        if self.page_table is None:
-            raise RuntimeError("MMU has no page table; call set_context() first")
-        self._c_data_accesses[0] += 1
+        """Translate ``virtual_address`` and perform the data access.
 
-        if self.page_table.replaces_tlbs:
-            return self._access_intermediate_scheme(virtual_address, is_write, pc)
-
-        translation = self._translate(virtual_address)
-        if translation.segfault:
-            return MemoryOperationResult(translation=translation,
-                                         total_latency=translation.latency)
-
-        memory = self.memory
-        data_latency = memory.access_value(translation.physical_address, is_write, "data", pc)
-        return MemoryOperationResult(translation=translation, data_latency=data_latency,
-                                     served_by=memory.last_served_by,
-                                     total_latency=translation.latency + data_latency)
+        Runs :meth:`access_data_fast` and copies its result out of the
+        scratch objects, so the caller may keep it.
+        """
+        return self._fresh(self.access_data_fast(virtual_address, is_write, pc))
 
     def access_data_fast(self, virtual_address: int, is_write: bool = False,
                          pc: int = 0) -> MemoryOperationResult:
@@ -345,108 +341,143 @@ class MMU:
                     operation.served_by = memory.last_served_by
                     operation.total_latency = latency + data_latency
                     return operation
-        return self.access_data(virtual_address, is_write, pc)
+        page_table = self.page_table
+        if page_table is None:
+            raise RuntimeError("MMU has no page table; call set_context() first")
+        self._c_data_accesses[0] += 1
+        if page_table.replaces_tlbs:
+            return self._access_intermediate_scheme(virtual_address, is_write, pc)
+        return self._access(virtual_address, is_write, pc, False)
 
     def access_instruction(self, virtual_address: int, pc: int = 0) -> MemoryOperationResult:
         """Instruction-fetch translation and access (used per fetched line)."""
         if self.page_table is None:
             raise RuntimeError("MMU has no page table; call set_context() first")
         self._c_instruction_accesses[0] += 1
-        translation = self._translate(virtual_address, instruction=True)
-        if translation.segfault:
-            return MemoryOperationResult(translation=translation,
-                                         total_latency=translation.latency)
-        memory = self.memory
-        data_latency = memory.access_value(translation.physical_address, False,
-                                           "instruction", pc)
-        return MemoryOperationResult(translation=translation, data_latency=data_latency,
-                                     served_by=memory.last_served_by,
-                                     total_latency=translation.latency + data_latency)
+        return self._fresh(self._access(virtual_address, False, pc, True))
+
+    def _fresh(self, operation: MemoryOperationResult) -> MemoryOperationResult:
+        """``operation``, copied if it is the scratch result."""
+        if operation is not self._scratch_op:
+            return operation
+        return MemoryOperationResult(replace(operation.translation), operation.data_latency,
+                                     operation.served_by, operation.total_latency)
 
     # ------------------------------------------------------------------ #
     # Conventional (TLB + walk) translation
     # ------------------------------------------------------------------ #
-    def _translate(self, virtual_address: int, instruction: bool = False) -> TranslationResult:
-        result = TranslationResult(virtual_address=virtual_address)
-        lookup = (self.tlbs.lookup_instruction(virtual_address) if instruction
-                  else self.tlbs.lookup_data(virtual_address))
-        result.latency += lookup.latency
+    def _access(self, virtual_address: int, is_write: bool, pc: int,
+                instruction: bool) -> MemoryOperationResult:
+        """The translation path: TLBs, walk and faults, then the access itself.
 
-        if lookup.hit:
-            result.tlb_hit = True
-            result.tlb_level = lookup.level
-            result.page_size = lookup.page_size
-            result.physical_address = (lookup.physical_base
-                                       + virtual_address % lookup.page_size)
+        The outcome stays in locals until the translation is done — the
+        fault callback runs MimicOS, which may use the MMU again — and is
+        then written into the scratch result objects.
+        """
+        tlbs = self.tlbs
+        entry = tlbs.lookup(virtual_address, instruction)
+        latency = tlbs.last_latency
+        level = tlbs.last_level
+        walked = page_fault = segfault = False
+        walk_latency = walk_accesses = fault_latency = 0
+        if entry is not None:
+            physical_base, page_size = entry
             self._c_tlb_hits[0] += 1
-            self.translation_latency_stats.add(result.latency)
-            if not instruction and lookup.level == "L1":
-                self._note_l1_data_hit(virtual_address, lookup)
-            return result
+            self.translation_latency_stats.add(latency)
+            if level == "L1":
+                self._note_l1_data_hit(virtual_address, physical_base, page_size)
+        else:
+            self._c_tlb_misses[0] += 1
+            if self.victima is not None or self.pom_tlb is not None:
+                entry, probe_latency = self._probe_before_walk(virtual_address)
+                latency += probe_latency
+            if entry is not None:
+                physical_base, page_size = entry
+            else:
+                walked = True
+                walk = self._walk(virtual_address)
+                walk_latency = walk.latency
+                walk_accesses = walk.memory_accesses
+                latency += walk_latency
+                if not walk.found:
+                    page_fault = True
+                    fault_latency, handled = self._raise_page_fault(virtual_address)
+                    latency += fault_latency
+                    if handled:
+                        walk = self._walk(virtual_address)
+                        walk_latency += walk.latency
+                        walk_accesses += walk.memory_accesses
+                        latency += walk.latency
+                    segfault = not walk.found
+                physical_base = walk.physical_base
+                page_size = walk.page_size
+            if segfault:
+                self.counters.add("segfaults")
+            else:
+                self._fill_tlbs(virtual_address, physical_base, page_size, instruction)
+            self.translation_latency_stats.add(latency)
 
-        self._c_tlb_misses[0] += 1
+        translation = self._scratch_translation
+        translation.virtual_address = virtual_address
+        translation.latency = latency
+        translation.tlb_hit = level != "miss"
+        translation.tlb_level = level
+        translation.walked = walked
+        translation.walk_latency = walk_latency
+        translation.walk_memory_accesses = walk_accesses
+        translation.page_fault = page_fault
+        translation.fault_latency = fault_latency
+        translation.segfault = segfault
+        translation.frontend_latency = 0
+        translation.backend_latency = 0
+        operation = self._scratch_op
+        if segfault:
+            translation.physical_address = 0
+            translation.page_size = PAGE_SIZE_4K
+            operation.data_latency = 0
+            operation.served_by = "none"
+            operation.total_latency = latency
+            return operation
+        physical_address = physical_base + virtual_address % page_size
+        translation.physical_address = physical_address
+        translation.page_size = page_size
+        memory = self.memory
+        data_latency = memory.access_value(physical_address, is_write,
+                                           "instruction" if instruction else "data", pc)
+        operation.data_latency = data_latency
+        operation.served_by = memory.last_served_by
+        operation.total_latency = latency + data_latency
+        return operation
 
-        # Optional structures probed before the walk.
+    def _probe_before_walk(self, virtual_address: int) -> Tuple[Optional[Tuple[int, int]], int]:
+        """Victima, then the POM-TLB: the hit's (physical base, page size)
+        or None, and the latency of the probes."""
+        latency = 0
         if self.victima is not None:
-            entry, latency = self.victima.lookup(virtual_address)
-            result.latency += latency
+            entry, probe_latency = self.victima.lookup(virtual_address)
+            latency += probe_latency
             if entry is not None:
-                physical_base, page_size = entry
-                self._finish_walk_hit(result, virtual_address, physical_base, page_size,
-                                      instruction)
                 self.counters.add("victima_hits")
-                return result
+                return entry, latency
         if self.pom_tlb is not None:
-            entry, latency = self.pom_tlb.lookup(virtual_address, self.memory)
-            result.latency += latency
+            entry, probe_latency = self.pom_tlb.lookup(virtual_address, self.memory)
+            latency += probe_latency
             if entry is not None:
-                physical_base, page_size = entry
-                self._finish_walk_hit(result, virtual_address, physical_base, page_size,
-                                      instruction)
                 self.counters.add("pom_tlb_hits")
-                return result
-
-        walk = self._walk(virtual_address)
-        result.walked = True
-        result.walk_latency += walk.latency
-        result.walk_memory_accesses += walk.memory_accesses
-        result.latency += walk.latency
-
-        if not walk.found:
-            fault_latency, handled = self._raise_page_fault(virtual_address)
-            result.page_fault = True
-            result.fault_latency = fault_latency
-            result.latency += fault_latency
-            if not handled:
-                result.segfault = True
-                self.counters.add("segfaults")
-                self.translation_latency_stats.add(result.latency)
-                return result
-            walk = self._walk(virtual_address)
-            result.walk_latency += walk.latency
-            result.walk_memory_accesses += walk.memory_accesses
-            result.latency += walk.latency
-            if not walk.found:
-                result.segfault = True
-                self.counters.add("segfaults")
-                self.translation_latency_stats.add(result.latency)
-                return result
-
-        self._finish_walk_hit(result, virtual_address, walk.physical_base, walk.page_size,
-                              instruction)
-        return result
+                return entry, latency
+        return None, latency
 
     # ------------------------------------------------------------------ #
     # VPN translation cache maintenance
     # ------------------------------------------------------------------ #
-    def _note_l1_data_hit(self, virtual_address: int, lookup: TLBLookupResult) -> None:
+    def _note_l1_data_hit(self, virtual_address: int, physical_base: int,
+                          page_size: int) -> None:
         """Memoise an L1 data-TLB hit so repeat accesses take the fast path."""
         if not self.vpn_cache_enabled:
             return
         source = self._vpn_pt_source
         if source is None:
             return
-        page_size = lookup.page_size
         if page_size == PAGE_SIZE_4K:
             tlb = self._l1d_4k
             is_2m = False
@@ -473,7 +504,7 @@ class MMU:
         if key not in entries:
             return
         cache[vpn if is_2m else virtual_address >> 12] = \
-            (vpn * page_size, lookup.physical_base, page_size, is_2m, entries, key)
+            (vpn * page_size, physical_base, page_size, is_2m, entries, key)
 
     def fast_path_stats(self) -> Dict[str, int]:
         """Diagnostics for the VPN translation cache (not simulated state)."""
@@ -504,21 +535,13 @@ class MMU:
         self.ptw_latency_stats.add(walk.latency)
         return walk
 
-    def _finish_walk_hit(self, result: TranslationResult, virtual_address: int,
-                         physical_base: int, page_size: int, instruction: bool) -> None:
-        result.page_size = page_size
-        result.physical_address = physical_base + (virtual_address
-                                                   - align_down(virtual_address, page_size))
-        self._fill_tlbs(virtual_address, physical_base, page_size, instruction)
-        self.translation_latency_stats.add(result.latency)
-
     def _fill_tlbs(self, virtual_address: int, physical_base: int, page_size: int,
                    instruction: bool) -> None:
         if self.victima is not None:
             # Capture the entry that the L2 TLB is about to evict (peeked
             # whenever the set is full, even if the fill refreshes a key).
-            set_index, _ = self.tlbs.l2._index_and_tag(virtual_address, page_size)
-            entries = self.tlbs.l2._sets[set_index]
+            l2 = self.tlbs.l2
+            entries = l2._sets[virtual_address // page_size % l2.num_sets]
             victim_key = entries.peek_victim()
             if victim_key is not None:
                 victim_base, victim_size = entries[victim_key]

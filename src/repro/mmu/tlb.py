@@ -9,24 +9,12 @@ of the validation metrics of Fig. 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.config import TLBConfig
 from repro.common.lru import LRU
 from repro.common.stats import Counter
-
-
-@dataclass(slots=True)
-class TLBLookupResult:
-    """Outcome of a TLB hierarchy lookup."""
-
-    hit: bool
-    latency: int
-    level: str = "miss"
-    physical_base: int = 0
-    page_size: int = PAGE_SIZE_4K
 
 
 class TLB:
@@ -52,14 +40,6 @@ class TLB:
         self._c_fills = self.counters.hot("fills")
         self._c_evictions = self.counters.hot("evictions")
 
-    def _index_and_tag(self, virtual_address: int, page_size: int) -> Tuple[int, int]:
-        vpn = virtual_address // page_size
-        return vpn % self.num_sets, vpn
-
-    def supports(self, page_size: int) -> bool:
-        """True if this TLB can hold translations of ``page_size``."""
-        return page_size in self.page_sizes
-
     def lookup(self, virtual_address: int) -> Optional[Tuple[int, int]]:
         """Return (physical base, page size) on a hit, None on a miss."""
         self._c_lookups[0] += 1
@@ -76,20 +56,24 @@ class TLB:
         return None
 
     def fill(self, virtual_address: int, physical_base: int, page_size: int) -> None:
-        """Insert a translation (LRU replacement within the set)."""
-        if not self.supports(page_size):
+        """Insert a translation (LRU replacement within the set).
+
+        A translation of a page size this TLB does not hold is ignored.
+        """
+        if page_size not in self.page_sizes:
             return
         self.version += 1
-        set_index, tag = self._index_and_tag(virtual_address, page_size)
-        if self._sets[set_index].put((tag, page_size), (physical_base, page_size)) is not None:
+        vpn = virtual_address // page_size
+        if self._sets[vpn % self.num_sets].put((vpn, page_size),
+                                               (physical_base, page_size)) is not None:
             self._c_evictions[0] += 1
         self._c_fills[0] += 1
 
     def invalidate(self, virtual_address: int) -> None:
         """Drop any translation covering ``virtual_address`` (TLB shootdown)."""
         for page_size in self.page_sizes:
-            set_index, tag = self._index_and_tag(virtual_address, page_size)
-            if self._sets[set_index].pop((tag, page_size), None) is not None:
+            vpn = virtual_address // page_size
+            if self._sets[vpn % self.num_sets].pop((vpn, page_size), None) is not None:
                 self.version += 1
                 self.counters.add("invalidations")
 
@@ -133,50 +117,54 @@ class TLBHierarchy:
         self._c_data_lookups = self.counters.hot("data_lookups")
         self._c_instruction_lookups = self.counters.hot("instruction_lookups")
         self._c_l2_misses = self.counters.hot("l2_misses")
+        #: The L1 TLBs one lookup probes: the instruction TLB, or both data
+        #: TLBs (4 KB first; they are probed in parallel, so the 4 KB TLB's
+        #: latency is the L1 latency).
+        self._l1_instruction = (self.l1i,)
+        self._l1_data = (self.l1d_4k, self.l1d_2m)
+        #: The L1 data TLB a translation of each page size is filled into;
+        #: 1 GB translations live only in the L2 TLB, as on real cores.
+        self._l1_data_by_size = {PAGE_SIZE_4K: self.l1d_4k, PAGE_SIZE_2M: self.l1d_2m}
+        #: Outcome of the most recent :meth:`lookup`: the level that
+        #: answered ("L1", "L1I", "L2" or "miss") and the lookup latency.
+        self.last_level = "miss"
+        self.last_latency = 0
 
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
-    def lookup_data(self, virtual_address: int) -> TLBLookupResult:
-        """L1 data TLBs (both page sizes probed in parallel), then the L2 TLB."""
-        self._c_data_lookups[0] += 1
-        latency = self.l1d_4k.latency
+    def lookup(self, virtual_address: int,
+               instruction: bool = False) -> Optional[Tuple[int, int]]:
+        """Probe the L1 TLB(s), then the unified L2 TLB.
 
-        for l1 in (self.l1d_4k, self.l1d_2m):
-            entry = l1.lookup(virtual_address)
+        Returns the (physical base, page size) of the hit, or None, and
+        leaves the level and the latency in :attr:`last_level` and
+        :attr:`last_latency`.  An L2 hit is copied into the L1 TLB that
+        holds its page size.
+        """
+        if instruction:
+            self._c_instruction_lookups[0] += 1
+            l1_tlbs, level = self._l1_instruction, "L1I"
+        else:
+            self._c_data_lookups[0] += 1
+            l1_tlbs, level = self._l1_data, "L1"
+        latency = l1_tlbs[0].latency
+        for tlb in l1_tlbs:
+            entry = tlb.lookup(virtual_address)
             if entry is not None:
-                physical_base, page_size = entry
-                return TLBLookupResult(hit=True, latency=latency, level="L1",
-                                       physical_base=physical_base, page_size=page_size)
-
-        latency += self.l2.latency
-        entry = self.l2.lookup(virtual_address)
-        if entry is not None:
-            physical_base, page_size = entry
-            self._fill_l1(virtual_address, physical_base, page_size)
-            return TLBLookupResult(hit=True, latency=latency, level="L2",
-                                   physical_base=physical_base, page_size=page_size)
-        self._c_l2_misses[0] += 1
-        return TLBLookupResult(hit=False, latency=latency)
-
-    def lookup_instruction(self, virtual_address: int) -> TLBLookupResult:
-        """L1 instruction TLB, then the unified L2 TLB."""
-        self._c_instruction_lookups[0] += 1
-        latency = self.l1i.latency
-        entry = self.l1i.lookup(virtual_address)
-        if entry is not None:
-            physical_base, page_size = entry
-            return TLBLookupResult(hit=True, latency=latency, level="L1I",
-                                   physical_base=physical_base, page_size=page_size)
-        latency += self.l2.latency
-        entry = self.l2.lookup(virtual_address)
-        if entry is not None:
-            physical_base, page_size = entry
-            self.l1i.fill(virtual_address, physical_base, page_size)
-            return TLBLookupResult(hit=True, latency=latency, level="L2",
-                                   physical_base=physical_base, page_size=page_size)
-        self._c_l2_misses[0] += 1
-        return TLBLookupResult(hit=False, latency=latency)
+                self.last_level = level
+                self.last_latency = latency
+                return entry
+        l2 = self.l2
+        self.last_latency = latency + l2.latency
+        entry = l2.lookup(virtual_address)
+        if entry is None:
+            self._c_l2_misses[0] += 1
+            self.last_level = "miss"
+            return None
+        self.last_level = "L2"
+        self._fill_l1(virtual_address, entry[0], entry[1], instruction)
+        return entry
 
     # ------------------------------------------------------------------ #
     # Fills / invalidations
@@ -185,17 +173,16 @@ class TLBHierarchy:
              instruction: bool = False) -> None:
         """Install a translation after a successful walk."""
         self.l2.fill(virtual_address, physical_base, page_size)
+        self._fill_l1(virtual_address, physical_base, page_size, instruction)
+
+    def _fill_l1(self, virtual_address: int, physical_base: int, page_size: int,
+                 instruction: bool) -> None:
         if instruction:
             self.l1i.fill(virtual_address, physical_base, page_size)
-        else:
-            self._fill_l1(virtual_address, physical_base, page_size)
-
-    def _fill_l1(self, virtual_address: int, physical_base: int, page_size: int) -> None:
-        if page_size == PAGE_SIZE_4K:
-            self.l1d_4k.fill(virtual_address, physical_base, page_size)
-        elif page_size == PAGE_SIZE_2M:
-            self.l1d_2m.fill(virtual_address, physical_base, page_size)
-        # 1 GB translations live only in the L2 TLB, as on real cores.
+            return
+        tlb = self._l1_data_by_size.get(page_size)
+        if tlb is not None:
+            tlb.fill(virtual_address, physical_base, page_size)
 
     def invalidate(self, virtual_address: int) -> None:
         """Shoot down any entry covering ``virtual_address``."""

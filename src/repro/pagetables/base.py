@@ -45,7 +45,7 @@ class TranslationMapping:
         return self.physical_base + (virtual_address - self.virtual_base)
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkResult:
     """Outcome of a hardware walk of the translation structure."""
 

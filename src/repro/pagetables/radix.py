@@ -34,6 +34,10 @@ from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMap
 PTE_SIZE = 8
 #: Entries per 4 KB page-table node.
 ENTRIES_PER_NODE = 512
+#: Right shift of each level's index in a virtual address, root (PGD) first,
+#: and the mask of one index (:func:`~repro.common.addresses.split_vpn_radix`).
+_INDEX_SHIFTS = (39, 30, 21, 12)
+_INDEX_MASK = ENTRIES_PER_NODE - 1
 
 
 class PageWalkCache:
@@ -55,30 +59,34 @@ class PageWalkCache:
         self.associativity = associativity
         self._sets: List[LRU] = [LRU(associativity) for _ in range(self.num_sets)]
         self.counters = Counter()
-
-    def _set_index(self, tag: int) -> int:
-        return tag % self.num_sets
+        self._c_hits = self.counters.hot("hits")
+        self._c_misses = self.counters.hot("misses")
 
     def lookup(self, virtual_address: int) -> bool:
         """True on hit (the walker may skip the covered levels)."""
         tag = virtual_address >> self.coverage_shift
-        entries = self._sets[self._set_index(tag)]
+        entries = self._sets[tag % self.num_sets]
         if tag in entries:
             entries.move_to_end(tag)
-            self.counters.add("hits")
+            self._c_hits[0] += 1
             return True
-        self.counters.add("misses")
+        self._c_misses[0] += 1
         return False
 
     def fill(self, virtual_address: int) -> None:
-        """Insert the partial translation for ``virtual_address``."""
+        """Insert the partial translation for ``virtual_address``; a cached
+        one becomes the most recently used."""
         tag = virtual_address >> self.coverage_shift
-        self._sets[self._set_index(tag)].put(tag, True)
+        entries = self._sets[tag % self.num_sets]
+        if tag in entries:
+            entries.move_to_end(tag)
+        else:
+            entries.put(tag, True)
 
     def invalidate(self, virtual_address: int) -> None:
         """Drop the entry covering ``virtual_address`` if present."""
         tag = virtual_address >> self.coverage_shift
-        self._sets[self._set_index(tag)].pop(tag, None)
+        self._sets[tag % self.num_sets].pop(tag, None)
 
     def hit_rate(self) -> float:
         """Hit fraction over all lookups."""
@@ -125,6 +133,10 @@ class RadixPageTable(PageTableBase):
                                      pwc_latency, coverage_shift=39)
         #: Number of page-table frames allocated (root excluded).
         self.allocated_frames = 0
+        self._c_walks = self.counters.hot("walks")
+        self._c_walk_hits = self.counters.hot("walk_hits")
+        self._c_walk_faults = self.counters.hot("walk_faults")
+        self._c_walk_memory_accesses = self.counters.hot("walk_memory_accesses")
 
     # ------------------------------------------------------------------ #
     # Software updates
@@ -179,9 +191,7 @@ class RadixPageTable(PageTableBase):
     # ------------------------------------------------------------------ #
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """Walk the tree, consulting the PWCs to skip upper levels."""
-        indices = split_vpn_radix(virtual_address)
-        self.counters.add("walks")
-
+        self._c_walks[0] += 1
         latency = 0
         start_depth = 0
         if self.enable_pwcs:
@@ -196,49 +206,38 @@ class RadixPageTable(PageTableBase):
 
         # Re-descend functionally to the node where the walk resumes.
         node = self._root
-        valid_depth = 0
-        for depth in range(start_depth):
-            child = node.children.get(indices[depth])
+        depth = 0
+        while depth < start_depth:
+            child = node.children.get(virtual_address >> _INDEX_SHIFTS[depth] & _INDEX_MASK)
             if child is None:
                 break
             node = child
-            valid_depth += 1
-        start_depth = valid_depth
+            depth += 1
 
         accesses = 0
-        depth = start_depth
         while depth < 4:
-            index = indices[depth]
-            latency += memory.access_address(node.entry_address(index), False,
+            index = virtual_address >> _INDEX_SHIFTS[depth] & _INDEX_MASK
+            latency += memory.access_address(node.physical_base + index * PTE_SIZE, False,
                                              MemoryAccessType.PTW)
             accesses += 1
             leaf = node.leaf_entries.get(index)
             if leaf is not None:
-                physical_base, page_size = leaf
-                self._fill_pwcs(virtual_address, depth + 1)
-                self.counters.add("walk_hits")
-                self.counters.add("walk_memory_accesses", accesses)
-                return WalkResult(found=True, latency=latency, memory_accesses=accesses,
-                                  physical_base=physical_base, page_size=page_size,
-                                  backend_latency=latency)
-            child = node.children.get(index)
-            if child is None:
-                self.counters.add("walk_faults")
-                self.counters.add("walk_memory_accesses", accesses)
-                return WalkResult(found=False, latency=latency, memory_accesses=accesses,
-                                  backend_latency=latency)
-            node = child
+                if self.enable_pwcs:
+                    self._fill_pwcs(virtual_address, depth + 1)
+                self._c_walk_hits[0] += 1
+                self._c_walk_memory_accesses[0] += accesses
+                return WalkResult(True, latency, accesses, leaf[0], leaf[1], 0, latency)
+            node = node.children.get(index)
+            if node is None:
+                break
             depth += 1
 
-        # Descended through all four levels without finding a leaf: fault.
-        self.counters.add("walk_faults")
-        self.counters.add("walk_memory_accesses", accesses)
-        return WalkResult(found=False, latency=latency, memory_accesses=accesses,
-                          backend_latency=latency)
+        # A missing child, or all four levels descended without a leaf: fault.
+        self._c_walk_faults[0] += 1
+        self._c_walk_memory_accesses[0] += accesses
+        return WalkResult(False, latency, accesses, 0, PAGE_SIZE_4K, 0, latency)
 
     def _fill_pwcs(self, virtual_address: int, resolved_depth: int) -> None:
-        if not self.enable_pwcs:
-            return
         if resolved_depth >= 2:
             self.pwc_pgd.fill(virtual_address)
         if resolved_depth >= 3:

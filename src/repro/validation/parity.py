@@ -44,6 +44,7 @@ Three consumers:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import time
 import zlib
@@ -343,6 +344,17 @@ def _flatten_into(flat: Dict[str, object], node: object, prefix: str) -> None:
         flat[prefix[:-1]] = node
 
 
+def stats_sha256(flat: Dict[str, object]) -> str:
+    """sha256 of flattened statistics, every path through a host-only key
+    dropped: the digest ``perfbench`` and the tests record, comparable
+    across commits."""
+    host_only = set(HOST_ONLY_KEYS)
+    kept = {path: value for path, value in flat.items()
+            if host_only.isdisjoint(path.split("."))}
+    encoded = json.dumps(kept, sort_keys=True, separators=(",", ":"), default=repr)
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
 def diff_stats(uncached: Dict[str, object],
                cached: Dict[str, object]) -> List[Tuple[str, object, object]]:
     """Fields whose values differ, in sorted field order."""
@@ -353,7 +365,9 @@ def diff_stats(uncached: Dict[str, object],
 
 def run_parity_point(point: ParityPoint) -> Dict[str, object]:
     """Run one point with the VPN cache off and on and diff; returns a
-    picklable digest."""
+    picklable digest.  Its ``stats_sha256`` hashes the cached side's
+    statistics, so two commits' ``--json`` summaries compare point by
+    point."""
     start = time.perf_counter()
     uncached = flatten_stats(_run(point, vpn_cache=False))
     cached = flatten_stats(_run(point, vpn_cache=True))
@@ -363,6 +377,7 @@ def run_parity_point(point: ParityPoint) -> Dict[str, object]:
         "config": asdict(point),
         "identical": not diffs,
         "fields_compared": len(set(uncached) | set(cached)),
+        "stats_sha256": stats_sha256(cached),
         "host_seconds": round(time.perf_counter() - start, 4),
         "divergence": None,
     }
@@ -387,7 +402,7 @@ def divergence_of(digest: Dict[str, object]) -> Optional[DivergenceRecord]:
 # --------------------------------------------------------------------- #
 #: Content-address schema tag for parity jobs in the experiment service's
 #: result store (bump when the parity digest layout changes).
-PARITY_JOB_SCHEMA = "parity_point/v1"
+PARITY_JOB_SCHEMA = "parity_point/v2"
 
 
 def parity_job_key(point: ParityPoint) -> str:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
 
 from repro.common.addresses import MB
@@ -19,7 +16,7 @@ from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mimicos.buddy import BuddyAllocator
 from repro.mimicos.kernel import MimicOS
-from repro.validation.parity import HOST_ONLY_KEYS, flatten_stats
+from repro.validation.parity import flatten_stats, stats_sha256
 
 
 TINY_MEMORY_BYTES = 256 * MB
@@ -106,11 +103,7 @@ def flat_memory() -> FlatMemory:
 def report_digest(report) -> str:
     """sha256 of every simulated statistic of a report, host-only values
     dropped (the digest ``perfbench`` records)."""
-    host_only = set(HOST_ONLY_KEYS)
-    flat = {path: value for path, value in flatten_stats(report).items()
-            if host_only.isdisjoint(path.split("."))}
-    encoded = json.dumps(flat, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return stats_sha256(flatten_stats(report))
 
 
 def assert_report_digest(report, recorded: str) -> None:

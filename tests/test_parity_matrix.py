@@ -131,6 +131,34 @@ class TestQuarantinedPoints:
         assert "no-such-design" in failed["traceback"]
 
 
+class TestStatsDigest:
+    """``stats_sha256`` lets two commits' ``--full --json`` summaries be
+    compared point by point."""
+
+    POINT = ParityPoint("radix", "gups")
+
+    def test_one_point_hashes_alike_on_two_runs(self):
+        first = run_parity_point(self.POINT)["stats_sha256"]
+        assert len(first) == 64
+        assert run_parity_point(self.POINT)["stats_sha256"] == first
+
+    def test_hash_moves_with_a_perturbed_reported_stat(self, monkeypatch):
+        clean = run_parity_point(self.POINT)["stats_sha256"]
+        import repro.core.virtuoso as virtuoso
+
+        original = virtuoso.build_report
+
+        def perturbed(*args, **kwargs):
+            report = original(*args, **kwargs)
+            report.page_walks += 1
+            return report
+
+        monkeypatch.setattr(virtuoso, "build_report", perturbed)
+        digest = run_parity_point(self.POINT)
+        assert digest["identical"]   # both sides moved alike
+        assert digest["stats_sha256"] != clean
+
+
 class TestHarnessSensitivity:
     def test_detects_divergence_when_shootdown_disabled(self, monkeypatch):
         """Re-create the pre-fix tree (no kernel TLB shootdowns) and demand

@@ -85,43 +85,46 @@ class TestTLBHierarchy:
     def test_fill_then_l1_hit(self):
         hierarchy = make_hierarchy()
         hierarchy.fill(0x1000, 0xA000, PAGE_SIZE_4K)
-        result = hierarchy.lookup_data(0x1000)
-        assert result.hit and result.level == "L1"
+        assert hierarchy.lookup(0x1000) == (0xA000, PAGE_SIZE_4K)
+        assert hierarchy.last_level == "L1"
 
     def test_l2_hit_promotes_to_l1(self):
         hierarchy = make_hierarchy()
         hierarchy.l2.fill(0x1000, 0xA000, PAGE_SIZE_4K)
-        first = hierarchy.lookup_data(0x1000)
-        second = hierarchy.lookup_data(0x1000)
-        assert first.level == "L2" and second.level == "L1"
+        hierarchy.lookup(0x1000)
+        first = hierarchy.last_level
+        hierarchy.lookup(0x1000)
+        assert first == "L2" and hierarchy.last_level == "L1"
 
     def test_miss_counts_l2_misses(self):
         hierarchy = make_hierarchy()
-        assert not hierarchy.lookup_data(0x5000).hit
+        assert hierarchy.lookup(0x5000) is None
+        assert hierarchy.last_level == "miss"
         assert hierarchy.l2_misses() == 1
 
     def test_huge_page_goes_to_2m_l1(self):
         hierarchy = make_hierarchy()
         hierarchy.fill(0x20_0000, 0xB0_0000, PAGE_SIZE_2M)
-        result = hierarchy.lookup_data(0x20_0000 + 0x1234)
-        assert result.hit and result.page_size == PAGE_SIZE_2M
+        assert hierarchy.lookup(0x20_0000 + 0x1234) == (0xB0_0000, PAGE_SIZE_2M)
+        assert hierarchy.last_level == "L1"
 
     def test_gigabyte_translations_live_in_l2_only(self):
         hierarchy = make_hierarchy()
         hierarchy.fill(0x4000_0000, 0x8000_0000, PAGE_SIZE_1G)
-        result = hierarchy.lookup_data(0x4000_0000 + 999)
-        assert result.hit and result.level == "L2"
+        assert hierarchy.lookup(0x4000_0000 + 999) is not None
+        assert hierarchy.last_level == "L2"
 
     def test_instruction_path(self):
         hierarchy = make_hierarchy()
         hierarchy.fill(0x400000, 0xC00000, PAGE_SIZE_4K, instruction=True)
-        assert hierarchy.lookup_instruction(0x400000).hit
+        assert hierarchy.lookup(0x400000, instruction=True) is not None
+        assert hierarchy.last_level == "L1I"
 
     def test_latency_accumulates_on_l2_hit(self):
         hierarchy = make_hierarchy()
         hierarchy.l2.fill(0x1000, 0xA000, PAGE_SIZE_4K)
-        result = hierarchy.lookup_data(0x1000)
-        assert result.latency == hierarchy.l1d_4k.latency + hierarchy.l2.latency
+        hierarchy.lookup(0x1000)
+        assert hierarchy.last_latency == hierarchy.l1d_4k.latency + hierarchy.l2.latency
 
 
 class TestMMU:
