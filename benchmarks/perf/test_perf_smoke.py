@@ -16,6 +16,7 @@ measured cache-off run.  Regenerate the record with::
     PYTHONPATH=src python benchmarks/perf/prefault_bench.py
     PYTHONPATH=src python benchmarks/perf/memhier_bench.py
     PYTHONPATH=src python benchmarks/perf/translation_bench.py
+    PYTHONPATH=src python benchmarks/perf/kernel_bench.py
 
 The sweep host-scaling gate only fires when the digest was recorded on a
 multi-core host (a 1-CPU container cannot exhibit host scaling); the sweep
@@ -241,6 +242,28 @@ def test_translation_counters_match_record():
     for kind, row in digest["walks"].items():
         assert walk_digest(kind) == row["stats_sha256"], (
             f"{kind} walks: the page table's or the caches' counters changed")
+
+
+def test_kernel_stream_counters_match_record():
+    """Expanding and executing each recorded set of MimicOS handler traces
+    must leave exactly the counters the record holds (no timing is checked
+    here).
+
+    The ``kernel_stream`` section is written by
+    ``benchmarks/perf/kernel_bench.py``, which refuses a side whose
+    counters differ from the other side's record, so a changed digest
+    means the kernel stream no longer simulates what it did.
+    """
+    from benchmarks.perf.kernel_bench import TRACE_SETS, trace_set_digest
+
+    digest = recorded_bench().get("kernel_stream")
+    if digest is None:
+        pytest.skip("no kernel_stream digest recorded yet; run "
+                    "benchmarks/perf/kernel_bench.py")
+    assert set(digest["sets"]) == set(TRACE_SETS)
+    for name, row in digest["sets"].items():
+        assert trace_set_digest(name) == row["stats_sha256"], (
+            f"kernel trace set {name}: the stream's cycles or counters changed")
 
 
 def test_service_fault_tolerance_recorded():

@@ -9,6 +9,8 @@ page fault really is turned into a request message, handled by MimicOS, and
 answered with a response plus an injected instruction stream.  This keeps
 the methodology observable (the channel statistics are what Fig. 11/12's
 overhead analysis is based on) and lets tests exercise the protocol.
+Injected streams travel as run-length
+:class:`~repro.core.instructions.KernelInstructionBatch` records.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ class InstructionStreamChannel:
     instruction is appended to every stream so the consumer knows when to
     switch back to the application stream, mirroring §4.2's execution flow.
 
-    Streams travel as array-backed :class:`KernelInstructionBatch` records.
+    Streams travel as run-length :class:`KernelInstructionBatch` records;
+    the ``instructions`` counter counts instructions, not records.
 
     Every stream carries a *destination core index* (0 in single-core
     systems).  A multi-core coupling tags each handler stream with the core
@@ -120,7 +123,7 @@ class InstructionStreamChannel:
         self.counters = Counter()
 
     def push_batch(self, batch: KernelInstructionBatch, destination: int = 0) -> None:
-        """Producer side: enqueue an array-backed kernel batch for one core.
+        """Producer side: enqueue a run-length kernel batch for one core.
 
         The magic terminator is appended to the batch in place (ownership
         transfers to the channel — producers hand over freshly expanded

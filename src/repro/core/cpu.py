@@ -15,20 +15,22 @@ experiments measure:
 
 Application instructions run through :meth:`CoreModel.execute_batch`
 (array-backed :class:`~repro.core.instructions.InstructionBatch` chunks);
-injected MimicOS streams run through :meth:`CoreModel.execute_kernel_batch`.
+injected MimicOS streams, run-length
+:class:`~repro.core.instructions.KernelInstructionBatch` records, through
+:meth:`CoreModel.execute_kernel_batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Optional
 
 from repro.common.config import CoreConfig
 from repro.common.stats import Counter
 from repro.core.instructions import (
-    OP_BRANCH,
+    OP_ALU,
     OP_LOAD,
-    OP_MAGIC,
     OP_REP,
     OP_STORE,
     InstructionBatch,
@@ -177,7 +179,11 @@ class CoreModel:
         Kernel instructions bypass the application's page table (the kernel
         runs out of the direct map) but share the caches and DRAM, so their
         memory accesses are issued straight into the memory hierarchy with
-        the ``KERNEL`` request type.
+        the ``KERNEL`` request type and the record's PC.
+
+        A compute run of ``n`` adds ``base_cpi`` ``n`` times, in order, to
+        both accumulators: ``n * base_cpi`` would round differently, and
+        the float sums are part of every report.
 
         The cycles the batch consumed are *returned* but not added to the
         core's cycle count here: the MMU reports them back as the fault
@@ -188,56 +194,43 @@ class CoreModel:
         exposed_fraction = 1.0 - self.config.mlp_factor
         memory = self.memory
         access_value = memory.access_value
-        rep_iter = iter(batch.rep_values)
         consumed_total = 0.0
         kernel_cycles = self.breakdown.kernel_cycles
         magic_count = 0
-        # Plain compute instructions (no operand) are the overwhelmingly
-        # common case, so they take the first branch.  The executed-
-        # instruction count is recovered exactly afterwards as
-        # len(batch) - magic_count, saving an integer add per instruction.
-        for op, pc, address in zip(batch.kinds, batch.pcs, batch.addresses):
-            if address is None:
-                if op <= OP_BRANCH:
+        for op, value, pc in zip(batch.kinds, batch.values, batch.pcs):
+            if op == OP_ALU:
+                for _ in repeat(None, value):
                     consumed_total += base_cpi
                     kernel_cycles += base_cpi
-                    continue
-                if op == OP_MAGIC:
-                    magic_count += 1
-                    continue
-                if op == OP_REP:
-                    # Bulk (rep-prefixed) work: one cycle per repetition.
-                    consumed = float(next(rep_iter))
-                    consumed_total += consumed
-                    kernel_cycles += consumed
-                    continue
-                # Load/store without an operand: charged like plain compute.
+            elif op == OP_LOAD:
+                consumed = base_cpi
+                latency = access_value(value, False, "kernel", pc)
+                served_by = memory.last_served_by
+                if served_by != "L1" and served_by != "none":
+                    exposed = latency - 4
+                    if exposed > 0:
+                        consumed += exposed * exposed_fraction
+                consumed_total += consumed
+                kernel_cycles += consumed
+            elif op == OP_STORE:
+                # Page-zeroing stores stream through the write-combining
+                # path: the rep-counted zeroing instruction carries their
+                # cost; the access still pollutes the caches and DRAM.
+                access_value(value, True, "kernel_zero", pc)
                 consumed_total += base_cpi
                 kernel_cycles += base_cpi
-                continue
-            consumed = base_cpi
-            if op == OP_LOAD or op == OP_STORE:
-                is_write = op == OP_STORE
-                latency = access_value(address, is_write,
-                                       "kernel_zero" if is_write else "kernel", pc)
-                if not is_write:
-                    served_by = memory.last_served_by
-                    if served_by != "L1" and served_by != "none":
-                        exposed = latency - 4
-                        if exposed > 0:
-                            consumed += exposed * exposed_fraction
-                # Page-zeroing stores stream through the write-combining path:
-                # their cost is carried by the rep-counted zeroing instruction,
-                # while the accesses above still pollute the caches and DRAM
-                # row buffers (the interference the methodology models).
-            consumed_total += consumed
-            kernel_cycles += consumed
-        kernel_count = len(batch.kinds) - magic_count
+            elif op == OP_REP:
+                # Bulk (rep-prefixed) work: one cycle per repetition.
+                consumed = float(value)
+                consumed_total += consumed
+                kernel_cycles += consumed
+            else:  # OP_MAGIC
+                magic_count += 1
+        kernel_count = len(batch) - magic_count
         self.kernel_instructions += kernel_count
         self.breakdown.kernel_cycles = kernel_cycles
         self._c_kernel_instructions[0] += kernel_count
-        if magic_count:
-            self._c_magic_instructions[0] += magic_count
+        self._c_magic_instructions[0] += magic_count
         return consumed_total
 
     # ------------------------------------------------------------------ #

@@ -14,11 +14,11 @@ latency.  Sequences travel as parallel arrays:
   Generators without an array-native override yield :class:`Instruction`
   objects that :meth:`Workload.instruction_batches
   <repro.workloads.base.Workload.instruction_batches>` packs into batches.
-* :class:`KernelInstructionBatch` — the kernel-path analogue: the same
-  parallel arrays plus the kernel-only ``repeats`` column (``rep``-prefixed
-  bulk work such as page zeroing) and MAGIC stream terminators.
+* :class:`KernelInstructionBatch` — the kernel-path analogue as run-length
+  records: one per load or store, one per run of plain compute, one per
+  ``rep``-prefixed bulk instruction (page zeroing) and MAGIC terminators.
   :meth:`CoreModel.execute_kernel_batch
-  <repro.core.cpu.CoreModel.execute_kernel_batch>` consumes them directly.
+  <repro.core.cpu.CoreModel.execute_kernel_batch>` walks the records.
 """
 
 from __future__ import annotations
@@ -127,49 +127,58 @@ class InstructionBatch:
 
 
 class KernelInstructionBatch:
-    """A MimicOS instruction stream stored as parallel arrays.
+    """A MimicOS instruction stream stored as run-length records.
 
-    The kernel analogue of :class:`InstructionBatch`: ``kinds[i]`` is an
-    ``OP_*`` opcode (including ``OP_MAGIC`` terminators), ``pcs[i]`` the
-    synthetic kernel PC and ``addresses[i]`` the kernel-space memory operand
-    (``None`` for compute/magic slots).  Rep-prefixed bulk compute
-    instructions are stored as ``OP_REP`` opcodes whose repetition counts
-    live, in emission order, in the side list ``rep_values`` — keeping the
-    executor's common case (plain compute, repeat 1) free of a repeats
-    column.
+    Most kernel instructions are plain compute, which needs no PC or
+    operand, so the stream keeps one record per *run* of them.  Records sit
+    in program order in parallel lists; ``kinds[i]`` says what
+    ``values[i]`` holds:
+
+    * ``OP_LOAD``/``OP_STORE`` -- the address; ``pcs[i]`` is the PC the
+      prefetchers train on (0 in every other record);
+    * ``OP_ALU`` -- the length of a run of ALU/branch instructions;
+    * ``OP_REP`` -- the repeat count of one rep-prefixed bulk instruction;
+    * ``OP_MAGIC`` -- nothing; it terminates the stream.
+
+    ``len(batch)`` counts instructions, not records: a run counts its
+    length, a REP or MAGIC record one.
     """
 
-    __slots__ = ("name", "kinds", "pcs", "addresses", "rep_values")
+    __slots__ = ("name", "kinds", "values", "pcs", "instructions")
 
     def __init__(self, name: str = "kernel") -> None:
         self.name = name
         self.kinds: List[int] = []
+        self.values: List[int] = []
         self.pcs: List[int] = []
-        self.addresses: List[Optional[int]] = []
-        self.rep_values: List[int] = []
+        self.instructions = 0
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self.instructions
 
     def append(self, op: int, pc: int, address: Optional[int] = None,
                repeat: int = 1) -> None:
         """Add one kernel instruction given its integer opcode.
 
-        A ``repeat`` greater than one turns the instruction into an
-        ``OP_REP`` bulk-compute record; only operand-less ALU work may carry
-        a repeat count (the instrumentation never repeats memory accesses).
+        Exactly the loads and stores carry an ``address``; a ``repeat`` above
+        one makes an ALU/branch instruction an ``OP_REP`` record.  Anything
+        else raises ``ValueError``.
         """
-        if repeat > 1:
-            assert address is None, "repeat counts are compute-only"
-            self.kinds.append(OP_REP)
-            self.rep_values.append(repeat)
+        is_memory = op == OP_LOAD or op == OP_STORE
+        if is_memory != (address is not None) or not OP_ALU <= op <= OP_MAGIC:
+            raise ValueError(f"malformed kernel instruction {op} with operand {address!r}")
+        if repeat != 1 and op > OP_BRANCH:
+            raise ValueError(f"repeat counts are compute-only, not for opcode {op}")
+        if op <= OP_BRANCH:
+            op, value, pc = (OP_REP, repeat, 0) if repeat > 1 else (OP_ALU, 1, 0)
         else:
-            self.kinds.append(op)
+            value, pc = (address, pc) if is_memory else (0, 0)
+        self.kinds.append(op)
+        self.values.append(value)
         self.pcs.append(pc)
-        self.addresses.append(address)
+        self.instructions += 1
 
     @property
     def memory_instructions(self) -> int:
         """Number of loads and stores in the batch."""
-        return sum(1 for op, address in zip(self.kinds, self.addresses)
-                   if address is not None and (op == OP_LOAD or op == OP_STORE))
+        return self.kinds.count(OP_LOAD) + self.kinds.count(OP_STORE)

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 from repro.common.stats import Counter
 from repro.core.instructions import (
     OP_ALU,
-    OP_BRANCH,
     OP_LOAD,
     OP_STORE,
     KernelInstructionBatch,
@@ -78,7 +77,9 @@ class InstrumentationTool:
 
     #: Synthetic PC base for kernel instructions (distinct from user PCs).
     KERNEL_PC_BASE = 0xFFFF_FFFF_8100_0000
-    #: Ceiling on individually emitted compute instructions per kernel op.
+    #: Compute per kernel op charged at the base CPI; the rest is one REP
+    #: instruction charged a cycle per repeat.  It no longer bounds stream
+    #: size (a run is one record); the digests depend on that charging.
     MAX_COMPUTE_PER_OP = 8192
 
     def __init__(self, mode: str = "online", full_system_factor: float = 1.0):
@@ -94,10 +95,9 @@ class InstrumentationTool:
     # Expansion
     # ------------------------------------------------------------------ #
     def expand_batch(self, trace: KernelRoutineTrace) -> KernelInstructionBatch:
-        """Expand one kernel routine trace into an array-backed batch.
-
-        The parallel arrays are built directly (no per-instruction objects)
-        and executed as-is by :meth:`CoreModel.execute_kernel_batch
+        """Expand one kernel routine trace into a run-length batch (see
+        :class:`~repro.core.instructions.KernelInstructionBatch`), executed
+        as-is by :meth:`CoreModel.execute_kernel_batch
         <repro.core.cpu.CoreModel.execute_kernel_batch>`.
         """
         batch = KernelInstructionBatch(name=trace.routine)
@@ -110,11 +110,13 @@ class InstrumentationTool:
 
     #: Operations expanded as bulk (rep-prefixed) work: the sampled memory
     #: touches are emitted normally and the compute cost is carried by a
-    #: single repeat-counted instruction, keeping streams compact even for
-    #: multi-megabyte page zeroing.
+    #: single repeat-counted instruction, charged one cycle per repeat.
     _BULK_OPERATIONS = {"zero_page"}
 
     def _expand_op(self, op: KernelOp, batch: KernelInstructionBatch, pc: int) -> int:
+        """Append one op's records and return the next op's PC: touch ``i``
+        gets PC ``pc + 4 * i``, and of the compute runs only the one after
+        the last touch advances the next op's start."""
         if op.name in self._BULK_OPERATIONS:
             return self._expand_bulk_op(op, batch, pc)
         mix = _OPERATION_MIXES.get(op.name, _DEFAULT_MIX)
@@ -123,9 +125,8 @@ class InstrumentationTool:
                               * self.full_system_factor))
         branch_count = int(round(op.work_units * mix.branch_per_work_unit
                                  * self.full_system_factor))
-        # Keep pathological single operations (e.g. a hash-table resize over a
-        # huge table) from exploding the stream: past the cap the remaining
-        # compute is folded into one repeat-counted instruction below.
+        # Past the cap, the op's remaining compute is one repeat-counted
+        # instruction below, charged a cycle per repeat.
         bulk_remainder = 0
         if alu_count + branch_count > self.MAX_COMPUTE_PER_OP:
             bulk_remainder = alu_count + branch_count - self.MAX_COMPUTE_PER_OP
@@ -133,59 +134,49 @@ class InstrumentationTool:
             alu_count = int(alu_count * scale)
             branch_count = int(branch_count * scale)
 
-        memory_touches = op.memory_touches
-        # Interleave ALU/branch instructions with the memory accesses so the
-        # injected stream looks like real kernel code rather than a burst.
+        # Interleave compute runs with the memory accesses so the injected
+        # stream looks like real kernel code rather than a burst.
         total_compute = alu_count + branch_count
-        touches = len(memory_touches)
-        compute_per_touch = total_compute // (touches + 1) if touches else total_compute
-
-        emitted_compute = 0
-        for address, is_write in memory_touches:
-            emitted_compute += self._emit_compute(batch, pc, compute_per_touch,
-                                                  branch_count, alu_count, emitted_compute)
-            batch.append(OP_STORE if is_write else OP_LOAD, pc, address)
-            pc += 4
-        remaining = total_compute - emitted_compute
-        self._emit_compute(batch, pc, remaining, branch_count, alu_count, emitted_compute)
+        touches = op.memory_touches
+        run = max(0, total_compute // (len(touches) + 1)) if touches else 0
+        pc = self._emit_touches(batch, touches, pc, run)
+        remaining = total_compute - run * len(touches)
+        self._emit_compute(batch, remaining)
         if bulk_remainder > 0:
             batch.append(OP_ALU, pc, repeat=bulk_remainder)
         return pc + 4 * max(0, remaining)
 
     def _expand_bulk_op(self, op: KernelOp, batch: KernelInstructionBatch, pc: int) -> int:
         """Expand a bulk operation (page zeroing) into touches + one rep instruction."""
-        touches = op.memory_touches
-        count = len(touches)
-        if count:
-            # Whole-column extends instead of per-touch appends.
-            batch.kinds += [OP_STORE if is_write else OP_LOAD for _, is_write in touches]
-            batch.pcs += range(pc, pc + 4 * count, 4)
-            batch.addresses += [address for address, _ in touches]
-            pc += 4 * count
-        repeat = max(1, int(op.work_units * self.full_system_factor))
-        batch.append(OP_ALU, pc, repeat=repeat)
+        pc = self._emit_touches(batch, op.memory_touches, pc, 0)
+        batch.append(OP_ALU, pc, repeat=max(1, int(op.work_units * self.full_system_factor)))
         return pc + 4
 
-    def _emit_compute(self, batch: KernelInstructionBatch, pc: int, count: int,
-                      branch_count: int, alu_count: int, already_emitted: int) -> int:
-        if count <= 0:
-            return 0
-        # Sprinkle branches proportionally through the compute instructions:
-        # a branch lands wherever (already_emitted + index) % interval == 0,
-        # written as one preallocated ALU block with a strided branch overlay.
-        total = alu_count + branch_count
-        branch_active = branch_count > 0 and total > 0
-        kinds_block = [OP_ALU] * count
-        if branch_active:
-            interval = max(1, total // max(1, branch_count))
-            first = (-already_emitted) % interval
-            if first < count:
-                branch_slots = len(range(first, count, interval))
-                kinds_block[first::interval] = [OP_BRANCH] * branch_slots
-        batch.kinds += kinds_block
-        batch.pcs += range(pc, pc + 4 * count, 4)
-        batch.addresses += [None] * count
-        return count
+    @staticmethod
+    def _emit_touches(batch: KernelInstructionBatch, touches, pc: int, run: int) -> int:
+        """Append each touch at the next PC slot, after a compute run of
+        ``run`` instructions (none if zero); returns the next PC."""
+        kinds, values, pcs = batch.kinds, batch.values, batch.pcs
+        for address, is_write in touches:
+            if run:
+                kinds.append(OP_ALU)
+                values.append(run)
+                pcs.append(0)
+            kinds.append(OP_STORE if is_write else OP_LOAD)
+            values.append(address)
+            pcs.append(pc)
+            pc += 4
+        batch.instructions += len(touches) * (run + 1)
+        return pc
+
+    @staticmethod
+    def _emit_compute(batch: KernelInstructionBatch, count: int) -> None:
+        """Append one run of ``count`` compute instructions (none if zero)."""
+        if count > 0:
+            batch.kinds.append(OP_ALU)
+            batch.values.append(count)
+            batch.pcs.append(0)
+            batch.instructions += count
 
     # ------------------------------------------------------------------ #
     # Host-cost accounting (used by the Fig. 11 overhead model)

@@ -58,6 +58,35 @@ class TestInstructions:
         assert batch.kinds == [OP_ALU, OP_LOAD, OP_STORE]
         assert batch.memory_instructions == 2
 
+    def test_kernel_batch_counts_instructions_not_records(self):
+        batch = kernel_batch((OP_ALU, None, 1), (OP_LOAD, 0x40, 1), (OP_ALU, None, 7))
+        assert (len(batch), len(batch.kinds)) == (3, 3)
+        assert batch.kinds == [OP_ALU, OP_LOAD, OP_REP]
+        assert batch.values == [1, 0x40, 7]
+        assert batch.pcs == [0, 0, 0]
+
+    @pytest.mark.parametrize("op", [OP_ALU, OP_MAGIC, OP_REP])
+    def test_kernel_batch_rejects_operand_on_non_memory_op(self, op):
+        batch = KernelInstructionBatch("k")
+        with pytest.raises(ValueError, match="malformed"):
+            batch.append(op, 0, 0x40)
+        assert (len(batch), batch.kinds) == (0, [])
+
+    @pytest.mark.parametrize("op", [OP_LOAD, OP_STORE])
+    def test_kernel_batch_rejects_memory_op_without_operand(self, op):
+        batch = KernelInstructionBatch("k")
+        with pytest.raises(ValueError, match="malformed"):
+            batch.append(op, 0)
+        assert (len(batch), batch.kinds) == (0, [])
+
+    @pytest.mark.parametrize("op, address", [(OP_LOAD, 0x40), (OP_STORE, 0x40),
+                                             (OP_MAGIC, None)])
+    def test_kernel_batch_rejects_repeat_on_non_compute_op(self, op, address):
+        batch = KernelInstructionBatch("k")
+        with pytest.raises(ValueError, match="compute-only"):
+            batch.append(op, 0, address, repeat=4)
+        assert (len(batch), batch.kinds) == (0, [])
+
 
 class TestKernelTrace:
     def test_trace_accumulates_ops(self):
@@ -127,7 +156,7 @@ class TestInstrumentation:
         op.touch(0x1000, is_write=True)
         op.touch(0x2000, is_write=False)
         batch = tool.expand_batch(trace)
-        memory_ops = [(op, address) for op, address in zip(batch.kinds, batch.addresses)
+        memory_ops = [(op, address) for op, address in zip(batch.kinds, batch.values)
                       if op in (OP_LOAD, OP_STORE)]
         assert memory_ops == [(OP_STORE, 0x1000), (OP_LOAD, 0x2000)]
         assert batch.memory_instructions == 2
@@ -140,7 +169,8 @@ class TestInstrumentation:
         batch = tool.expand_batch(trace)
         assert len(batch) < 100
         assert OP_REP in batch.kinds
-        assert any(repeat >= 32768 for repeat in batch.rep_values)
+        assert any(repeat >= 32768 for kind, repeat in zip(batch.kinds, batch.values)
+                   if kind == OP_REP)
 
     def test_pathological_op_capped(self):
         tool = InstrumentationTool()
@@ -186,7 +216,7 @@ def execute_one(core, op, address=None):
 
 
 def kernel_batch(*instructions):
-    """A kernel batch from (op, address, repeat) triples."""
+    """A kernel batch from (op, address, repeat) triples, one record each."""
     batch = KernelInstructionBatch("k")
     for op, address, repeat in instructions:
         batch.append(op, 0, address, repeat=repeat)

@@ -33,7 +33,7 @@ from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
 from repro.common.kernelops import KernelRoutineTrace
 from repro.core.channels import InstructionStreamChannel
 from repro.core.cpu import CoreModel
-from repro.core.instructions import OP_LOAD, OP_MAGIC, InstructionBatch
+from repro.core.instructions import OP_LOAD, OP_MAGIC, OP_REP, InstructionBatch
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
@@ -172,7 +172,8 @@ class TestKernelBatchExpansion:
         batch = tool.expand_batch(self.make_trace())
         assert tool.stats()["instructions_generated"] == len(batch)
         assert tool.stats()["routines_instrumented"] == 1
-        assert any(repeat >= 4096 for repeat in batch.rep_values)
+        assert any(repeat >= 4096 for kind, repeat in zip(batch.kinds, batch.values)
+                   if kind == OP_REP)
 
     def test_channel_batch_terminator_and_counts(self):
         channel = InstructionStreamChannel()
