@@ -7,8 +7,9 @@ experiment service — and records a digest under the ``"fuzz"`` key of
 
 * the two runs' worker-count-independent summaries must be identical (the
   campaign is a pure function of ``(seed, budget, max_ops)``);
-* a healthy build must report **zero** divergences and zero crashes;
-* the banked regression corpus must replay clean (no re-divergence, no
+* a healthy build must report **zero** translation-check violations and
+  zero crashes;
+* the banked regression corpus must replay clean (no violation, no
   unreadable entries);
 * coverage over (op-pair × backend) and (op × config-axis) is recorded so a
   generator regression that collapses exploration shows up as a number.
@@ -68,7 +69,7 @@ def measure_fuzz() -> Dict[str, object]:
     wall_seconds = time.perf_counter() - start
 
     digest = {
-        "schema": "fuzz_digest/v1",
+        "schema": "fuzz_digest/v2",
         "seed": FUZZ_SEED,
         "budget": FUZZ_BUDGET,
         "max_ops": FUZZ_MAX_OPS,
@@ -76,8 +77,8 @@ def measure_fuzz() -> Dict[str, object]:
         "python": platform.python_version(),
         "deterministic_across_workers": deterministic,
         "scenarios": single["scenarios"],
-        "identical": single["identical"],
-        "divergences": len(single["divergences"]),
+        "clean": single["clean"],
+        "violations": len(single["violations"]),
         "crashes": len(single["crashes"]),
         "quarantined": single["quarantined"],
         "coverage": single["coverage"],
@@ -90,10 +91,10 @@ def measure_fuzz() -> Dict[str, object]:
         raise AssertionError(
             "fixed-seed fuzz campaign differed between workers=1 and "
             "workers=2 — the campaign must be a pure function of the seed")
-    if single["divergences"] or single["crashes"]:
+    if single["violations"] or single["crashes"]:
         raise AssertionError(
-            "healthy build diverged under fuzzing: "
-            f"divergences={len(single['divergences'])} "
+            "healthy build failed under fuzzing: "
+            f"violations={len(single['violations'])} "
             f"crashes={len(single['crashes'])} "
             f"reproducers={single['reproducers']}")
     return digest
@@ -107,8 +108,8 @@ def main() -> None:
     print(f"wrote fuzz digest to {BENCH_PATH}")
     coverage = digest["coverage"]
     print(f"  {digest['scenarios']} scenarios @ seed {digest['seed']}: "
-          f"{digest['identical']} identical, {digest['divergences']} "
-          f"divergent, {digest['crashes']} crashed")
+          f"{digest['clean']} clean, {digest['violations']} "
+          f"violating, {digest['crashes']} crashed")
     print(f"  coverage: {coverage['op_pair_backend']} op-pair x backend, "
           f"{coverage['op_axis']} op x config-axis")
     print(f"  deterministic across worker counts: "

@@ -1,15 +1,10 @@
 """KIPS throughput harness: the repo's simulator-performance trajectory.
 
 Measures simulated kilo-instructions per host-second (KIPS) for a fixed set
-of scenarios, once with the MMU's VPN translation cache off ("before") and
-once with it on ("after").  Results are written to
-``benchmarks/perf/BENCH_perf.json`` so the ``perf_smoke`` gate can detect
-host-throughput regressions.
-
-Both runs simulate the exact same system: the invariance tests in
-``tests/test_fast_engine.py`` assert that every simulated statistic
-(cycles, IPC, TLB/walk/fault counters) is bit-identical with the cache off
-and on, so KIPS is the only number that moves.
+of scenarios and writes them to ``benchmarks/perf/BENCH_perf.json``, with
+the host-speed calibration the ``perf_smoke`` gate scales the record by
+and each scenario's ``stats_sha256``, so the gate can also tell that a
+scenario still simulates what it simulated when it was recorded.
 
 Run standalone from the repo root::
 
@@ -20,6 +15,7 @@ from __future__ import annotations
 
 import json
 import platform
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict
@@ -27,25 +23,24 @@ from typing import Callable, Dict
 from repro.common.addresses import MB
 from repro.common.config import SystemConfig, VirtualizationConfig, scaled_system_config
 from repro.core.virtuoso import Virtuoso
-from repro.mmu.extensions import MMUExtensions
+from repro.validation.parity import flatten_stats, stats_sha256
 from repro.workloads import GUPSWorkload, LLMInferenceWorkload, SequentialWorkload
 from repro.workloads.multiproc import GuestMixWorkload, contention_pair
 
 BENCH_PATH = Path(__file__).parent / "BENCH_perf.json"
 
-#: Runs per (scenario, cache setting); the best run is recorded to damp host
-#: noise.
+#: Runs per scenario; the best run is recorded to damp host noise.
 REPEATS = 5
 
 #: Maximum tolerated regression of measured KIPS below the recorded value
 #: before the perf_smoke gate fails (30 % per the perf-trajectory policy).
 REGRESSION_TOLERANCE = 0.30
 
-#: What the "before" and "after" columns of every record measure.
-ENGINES = {"before": "vpn_cache_off", "after": "vpn_cache_on"}
+#: Steps of the fixed pure-Python calibration loop (about 0.1 s).
+CALIBRATION_STEPS = 1_000_000
 
 #: KIPS of the *pre-fast-path* engine (seed tree, before the batch engine,
-#: VPN cache, hot counters and allocation-free memory path existed) measured
+#: hot counters and allocation-free memory path existed) measured
 #: on the same host and scenarios when this harness was introduced — kept
 #: as history of the fast-path work.  Scenarios that postdate the seed
 #: engine have no entry, and their recorded ``pre_pr_seed_kips`` /
@@ -68,17 +63,28 @@ def perf_config(os_mode: str = "imitation", virtualized: bool = False) -> System
     return config.with_simulation(replace(config.simulation, os_mode=os_mode))
 
 
-def simulate(name: str, vpn_cache: bool):
-    """Run one scenario once; returns ``(merged report, VPN-cache fast hits)``."""
+def calibration_s() -> float:
+    """Best-of-three host seconds of a fixed pure-Python loop that runs none
+    of the simulator: the host-speed probe the record is scaled by."""
+    best = None
+    for _ in range(3):
+        start = time.perf_counter()
+        value = 0
+        for index in range(CALIBRATION_STEPS):
+            value = (value * 31 + index) & 0xFFFFFFFF
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return round(best, 4)
+
+
+def simulate(name: str):
+    """Run one scenario once; returns its merged report."""
     scenario = SCENARIOS[name]
     config = perf_config(scenario.os_mode, scenario.virtualized)
-    system = Virtuoso(config, seed=7, num_cores=scenario.cores,
-                      mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+    system = Virtuoso(config, seed=7, num_cores=scenario.cores)
     if scenario.cores > 1:
-        report = system.run_tasks(scenario.factory()).merged
-    else:
-        report = system.run(scenario.factory())
-    return report, sum(unit.mmu.fast_hits for unit in system.cores)
+        return system.run_tasks(scenario.factory()).merged
+    return system.run(scenario.factory())
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ SCENARIOS: Dict[str, Scenario] = {
     "gups_smoke": Scenario(lambda: GUPSWorkload(footprint_bytes=8 * MB,
                                                 memory_operations=5000,
                                                 prefault=True, seed=1)),
-    # Streaming sequential access: prefetcher- and fast-path-friendly.
+    # Streaming sequential access: prefetcher- and L1-TLB-hit-friendly.
     "sequential_stream": Scenario(lambda: SequentialWorkload(footprint_bytes=8 * MB,
                                                              memory_operations=8000,
                                                              prefault=True, seed=2)),
@@ -127,7 +133,7 @@ SCENARIOS: Dict[str, Scenario] = {
     # A guest process over the hypervisor: cold faults run *both* kernels'
     # handler streams (guest fault + hypervisor backing fault), the hot
     # phase random-accesses the warm footprint through 2-D translation —
-    # nested walks, nested TLB and the VPN cache over combined mappings.
+    # nested walks, the nested TLB and L1 TLB hits on combined mappings.
     "virtualized_guest": Scenario(lambda: GuestMixWorkload(footprint_bytes=8 * MB,
                                                            hot_operations=5000,
                                                            seed=1),
@@ -135,13 +141,11 @@ SCENARIOS: Dict[str, Scenario] = {
 }
 
 
-def run_scenario(name: str, vpn_cache: bool = True,
-                 repeats: int = REPEATS) -> Dict[str, float]:
-    """Run one scenario with the VPN cache off or on; returns the
-    best-of-``repeats`` digest."""
+def run_scenario(name: str, repeats: int = REPEATS) -> Dict[str, object]:
+    """Run one scenario ``repeats`` times; returns the best run's digest."""
     best = None
     for _ in range(repeats):
-        report, fast_hits = simulate(name, vpn_cache)
+        report = simulate(name)
         simulated = report.instructions + report.kernel_instructions
         kips = simulated / 1000.0 / report.host_seconds if report.host_seconds > 0 else 0.0
         if best is None or kips > best["kips"]:
@@ -150,66 +154,47 @@ def run_scenario(name: str, vpn_cache: bool = True,
                 "instructions": report.instructions,
                 "kernel_instructions": report.kernel_instructions,
                 "host_seconds": round(report.host_seconds, 4),
-                "fast_hits": fast_hits,
+                "stats_sha256": stats_sha256(flatten_stats(report)),
             }
     return best
 
 
-def verify_scenario_parity(name: str) -> bool:
-    """One differential cache-off vs cache-on check of a scenario's report."""
-    from repro.validation.parity import diff_stats, flatten_stats
-
-    uncached, cached = (flatten_stats(simulate(name, vpn_cache)[0])
-                        for vpn_cache in (False, True))
-    return not diff_stats(uncached, cached)
-
-
 def measure_all(repeats: int = REPEATS) -> Dict[str, object]:
-    """Measure every scenario with the cache off and on; assemble the report."""
+    """Measure every scenario; assemble the report."""
     scenarios: Dict[str, object] = {}
     for name, scenario in SCENARIOS.items():
-        before = run_scenario(name, vpn_cache=False, repeats=repeats)
-        after = run_scenario(name, vpn_cache=True, repeats=repeats)
+        row = run_scenario(name, repeats=repeats)
         seed_kips = SEED_ENGINE_KIPS.get(name)
-        scenarios[name] = {
-            "before_kips": before["kips"],
-            "after_kips": after["kips"],
-            "speedup": round(after["kips"] / before["kips"], 2) if before["kips"] else 0.0,
+        row.update({
             "pre_pr_seed_kips": seed_kips,
-            "speedup_vs_seed": round(after["kips"] / seed_kips, 2) if seed_kips else None,
-            "simulated_instructions": after["instructions"] + after["kernel_instructions"],
-            "fast_hits": after["fast_hits"],
+            "speedup_vs_seed": round(row["kips"] / seed_kips, 2) if seed_kips else None,
+            "simulated_instructions": row["instructions"] + row["kernel_instructions"],
             "cores": scenario.cores,
             "virtualized": scenario.virtualized,
-            "before": before,
-            "after": after,
-        }
-        if scenario.virtualized:
-            # The acceptance record for the virtualised mode carries its own
-            # bit-identity attestation next to the speedup.
-            scenarios[name]["parity_identical"] = verify_scenario_parity(name)
+        })
+        scenarios[name] = row
     return {
-        "schema": "bench_perf/v3",
-        "engines": ENGINES,
+        "schema": "bench_perf/v4",
         "repeats": repeats,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
+        "calibration_s": calibration_s(),
         "scenarios": scenarios,
     }
 
 
 def main() -> None:
     results = measure_all()
-    # Preserve the sections other tools own (sweep, backend parity, service,
-    # fuzz, server, lint, prefault) across rewrites.
+    # Preserve the sections other tools own (sweep, service, fuzz, server,
+    # lint, prefault, memhier, translation, kernel_stream) across rewrites.
     if BENCH_PATH.exists():
         previous = json.loads(BENCH_PATH.read_text())
         for owned_elsewhere, section in previous.items():
             results.setdefault(owned_elsewhere, section)
     BENCH_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {BENCH_PATH}")
+    print(f"  calibration loop: {results['calibration_s']:.4f} s")
     for name, row in results["scenarios"].items():
-        print(f"  {name}: {row['before_kips']:.1f} -> {row['after_kips']:.1f} KIPS "
-              f"({row['speedup']}x)")
+        print(f"  {name}: {row['kips']:.1f} KIPS")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ matrix) caught after the fact.  Since PR 10 the rules run over a
 * **R1 determinism** — no unseeded randomness; no wall clocks in the
   simulated machine (:mod:`.rules_determinism`);
 * **R2 invalidation** — mapping mutations reach a shootdown/invalidate/
-  version bump anywhere in the program, or every caller provably does
+  flush anywhere in the program, or every caller provably does
   (:mod:`.rules_invalidation`);
 * **R3 durability** — durable writes go tmp + ``os.replace`` + fsync
   (:mod:`.rules_durability`);

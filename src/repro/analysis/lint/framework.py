@@ -15,7 +15,7 @@ The framework is name-based but **whole-program**:
 * :class:`RepoIndex` parses every ``*.py`` under a root into
   :class:`ModuleInfo` records — functions with their qualified names,
   every call site as a dotted-name string (``self.rlb.invalidate``),
-  attribute events (``self.version += 1``) and class attribute wiring from
+  attribute assignments (``self.rlb = ...``) and class attribute wiring from
   ``__init__`` (``self.rlb = RangeLookasideBuffer(...)``).
 * :meth:`RepoIndex.global_graph` resolves calls **across modules**:
   ``from m import f`` / ``import m as alias`` aliasing, ``self.attr.m``
@@ -133,10 +133,10 @@ class CallSite:
 
 @dataclass(frozen=True)
 class AttrEvent:
-    """An attribute mutation (``self.version += 1``, ``self.rlb = ...``)."""
+    """An attribute assignment (``self.rlb = ...``)."""
 
-    kind: str     #: ``"augassign"`` or ``"assign"``
-    dotted: str   #: dotted target, e.g. ``"self.version"``
+    kind: str     #: ``"assign"``
+    dotted: str   #: dotted target, e.g. ``"self.rlb"``
     line: int
 
 
@@ -427,14 +427,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                 CallSite(dotted=dotted, tail=tail, line=node.lineno))
         self.generic_visit(node)
 
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if self._func_stack and isinstance(node.target,
-                                           (ast.Attribute, ast.Subscript)):
-            self._func_stack[-1].events.append(
-                AttrEvent(kind="augassign", dotted=dotted_name(node.target),
-                          line=node.lineno))
-        self.generic_visit(node)
-
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         # Dataclass-style class attributes: `vmas: VMAManager = field(...)`
         # at class level wires the attribute's class exactly like a
@@ -674,13 +666,6 @@ def summarize_function(module: ModuleInfo, func: FunctionInfo) -> EffectSummary:
         if call.tail in ("atomic_write_json", "atomic_write_text") \
                 or (call.tail == "put" and "store" in call.dotted):
             store_writes.append(call.line)
-    for event in func.events:
-        # The versioned-invalidation contract: the VPN translation cache
-        # (and the nested units) watch `<structure>.version`.
-        if invalidation is None and event.kind == "augassign" \
-                and event.dotted.endswith(".version"):
-            invalidation = event.line
-
     # Journal appends need the call node's argument subtree for the event
     # strings; list `.append` noise is excluded by requiring a journal-ish
     # receiver (or the `_journal` indirection helper).

@@ -23,9 +23,8 @@ cache is the owner's job, full stop.
 
 **Broadcast check** (``mimicos``, ``mmu``): any mutating-named function
 must reach *some* invalidation — a call whose name matches
-``tlb_shootdown``/``invalidate*``/``flush*``, or a version bump
-(``….version += 1``, the contract the MMU's VPN translation cache
-watches) — anywhere in the whole-program graph, **or** be provably
+``tlb_shootdown``/``invalidate*``/``flush*`` — anywhere in the
+whole-program graph, **or** be provably
 covered by its callers: a mutator with no witness of its own passes iff
 it has at least one in-tree caller and *every* caller (transitively) is
 covered.  This replaces PR 9's caller-holds-contract pragmas with

@@ -1,7 +1,7 @@
 """R5 — parity surface: every counter the report reads really exists.
 
-The parity oracle diffs reports with the VPN cache off and on, so it
-cannot see a report field that is a constant 0 on both sides.  This rule
+A recorded report digest pins a report field that is a constant 0 just
+as well as a live one, so no digest shows the field is dead.  This rule
 checks the static precondition: each string literal fetched via
 ``.get("name")`` inside ``build_report`` must be written somewhere in the
 tree (a ``counters.add("name")`` / ``counters.hot("name")`` binding, or a
@@ -51,9 +51,8 @@ class ParitySurfaceRule(Rule):
                         symbol=func.qualname, detail=f"orphan:{name}",
                         message=f"build_report reads counter {name!r} but "
                                 f"nothing in the tree ever writes it — the "
-                                f"report field is a constant 0 with the "
-                                f"VPN cache off and on, which the dynamic "
-                                f"parity oracle cannot catch"))
+                                f"report field is a constant 0, which no "
+                                f"recorded digest can catch"))
         return findings
 
     # -- read/write surface -------------------------------------------- #

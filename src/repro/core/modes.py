@@ -72,11 +72,6 @@ class FixedLatencyPageTable(PageTableBase):
     def translate_functional(self, virtual_address):
         return self.inner.translate_functional(virtual_address)
 
-    def version_source(self):
-        # The kernel mutates the wrapped table directly, so its version
-        # counter is the one that tracks mutations.
-        return self.inner.version_source()
-
     def mapped_pages(self):
         return self.inner.mapped_pages()
 

@@ -13,8 +13,7 @@ and :meth:`~Virtuoso.run_tasks` co-runs several and returns a
 
 Every core is a :class:`SimulatedCore` with its own
 :class:`~repro.core.cpu.CoreModel`, L1 cache and L1 prefetcher, TLB
-hierarchy and :class:`~repro.mmu.mmu.MMU` (with its own VPN translation
-cache).  Core 0 owns the full
+hierarchy and :class:`~repro.mmu.mmu.MMU`.  Core 0 owns the full
 :class:`~repro.memhier.memory_system.MemoryHierarchy`; every other core gets
 a :meth:`~repro.memhier.memory_system.MemoryHierarchy.per_core_view`
 aliasing the shared L2, LLC, DRAM and L2 prefetcher, so co-runners pollute
@@ -39,7 +38,7 @@ adds no scheduler bookkeeping to the kernel's statistics.
 
 The schedule is a pure function of the task list and configuration and
 every RNG is explicitly seeded, so a run is bit-identical across repeats
-and with the VPN translation cache on or off (``tests/test_fast_engine.py``).
+(``tests/test_fast_engine.py``).
 """
 
 from __future__ import annotations
@@ -264,9 +263,9 @@ class Virtuoso:
 
     def _set_context(self, unit: SimulatedCore, process: Process,
                      flush_tlbs: bool) -> None:
-        """Point ``unit``'s MMU at ``process``.  A flush also drops the
-        core's VPN translation cache and, in virtualised mode, the nested
-        TLB of the incoming 2-D unit (untagged-TLB semantics).  Only a
+        """Point ``unit``'s MMU at ``process``.  A flush drops the core's
+        TLBs and, in virtualised mode, the nested TLB of the incoming 2-D
+        unit (untagged-TLB semantics).  Only a
         flushing switch makes ``process`` current on the core; after a bare
         re-point no process is, so the next scheduled task switches in."""
         if self.vm is not None:
@@ -430,7 +429,7 @@ class Virtuoso:
         A switch is needed when the core runs a different process, or when
         the incoming process last ran on another core (migration).  Both
         take the full path: MimicOS bookkeeping plus ``set_context`` with a
-        TLB flush, which also drops the core's VPN translation cache.  A
+        TLB flush.  A
         process :meth:`activate_process` switched in has never been
         scheduled (``last_core`` is None) and stays current.
         """

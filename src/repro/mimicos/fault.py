@@ -235,7 +235,7 @@ class PageFaultHandler:
         if vma.is_anonymous:
             try:
                 return self.thp_policy.on_anonymous_fault(process.pid, virtual_address,
-                                                          vma, trace)
+                                                          vma, trace, process.page_table)
             except OutOfMemoryError:
                 result.segfault = True
                 self.counters.add("oom_faults")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_4K, align_down
+from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.config import MimicOSConfig, PageTableConfig, VirtualizationConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
@@ -264,13 +264,14 @@ class VirtualMachine:
         """
         self._nested_listeners.append(weak_listener(listener))
 
-    def _on_host_shootdown(self, pid: int, host_virtual: int) -> None:
+    def _on_host_shootdown(self, pid: int, host_virtual: int,
+                           size: int = PAGE_SIZE_4K) -> None:
         """Host kernel remapped a page; propagate if it backs guest RAM.
 
         Only shootdowns of the VMM process's guest-RAM mapping matter: they
         change the guest-physical -> host-physical dimension, so every
         combined (guest-virtual -> host-physical) translation cached by a
-        nested TLB, an L1/L2 TLB or the VPN translation cache may be stale.
+        nested TLB or an L1/L2 TLB may be stale.
         The memoised nested units are flushed here (covers units not
         currently installed on any core); the registered listeners flush the
         per-core TLB state on top.
@@ -278,7 +279,7 @@ class VirtualMachine:
         if pid != self.host_process.pid:
             return
         vma = self.guest_ram_vma
-        if not (vma.start <= host_virtual < vma.end):
+        if not (vma.start < host_virtual + size and host_virtual < vma.end):
             return
         self.counters.add("nested_shootdowns")
         for unit in self._nested_units.values():
@@ -292,8 +293,10 @@ class VirtualMachine:
 
 
 def _host_virtual(guest_ram_vma: VirtualMemoryArea, guest_physical: int) -> int:
-    offset = guest_physical % guest_ram_vma.size
-    return guest_ram_vma.start + align_down(offset, PAGE_SIZE_4K)
+    # Plain arithmetic: this runs once per nested walk and host lookup.
+    start = guest_ram_vma.start
+    offset = guest_physical % (guest_ram_vma.end - start)
+    return start + offset - offset % PAGE_SIZE_4K
 
 
 class _HostBackingPageTable:

@@ -18,6 +18,7 @@ the relevant OS routines" knob of §4.1.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.addresses import GB, MB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_down, page_number
@@ -144,6 +145,9 @@ class MimicOS:
             frame_allocator=self.slab.allocate_pt_frame,
             physical_memory_bytes=self.config.physical_memory_bytes,
             restseg_base_address=self._restseg_base)
+        # A structure whose removal also unmaps what it translated beyond
+        # the removed mapping (RMM's ranges) announces that extent here.
+        process.page_table.shootdown = partial(WeakCallback(self.tlb_shootdown), pid)
         self.processes[pid] = process
         self.counters.add("processes_created")
         return process
@@ -179,7 +183,7 @@ class MimicOS:
                 if mapping is not None:
                     physical, size = mapping
                     process.page_table.remove(address)
-                    self.tlb_shootdown(process.pid, align_down(address, size))
+                    self.tlb_shootdown(process.pid, align_down(address, size), size)
                     self._release_frame(process.pid, align_down(address, size))
                     removed += 1
                     address += size
@@ -192,8 +196,8 @@ class MimicOS:
     # ------------------------------------------------------------------ #
     # TLB shootdowns (kernel -> hardware invalidation)
     # ------------------------------------------------------------------ #
-    def register_tlb_listener(self, listener: Callable[[int, int], None]) -> None:
-        """Register a hardware invalidation callback ``(pid, vaddr) -> None``.
+    def register_tlb_listener(self, listener: Callable[[int, int, int], None]) -> None:
+        """Register a hardware invalidation callback ``(pid, vaddr, size) -> None``.
 
         The orchestrator registers one listener per simulated core (its
         MMU's :meth:`~repro.mmu.mmu.MMU.invalidate_translation`); a listener
@@ -203,10 +207,12 @@ class MimicOS:
         """
         self._tlb_listeners.append(weak_listener(listener))
 
-    def tlb_shootdown(self, pid: int, virtual_address: int) -> None:
-        """Announce that the translation covering ``virtual_address`` died."""
+    def tlb_shootdown(self, pid: int, virtual_address: int,
+                      size: int = PAGE_SIZE_4K) -> None:
+        """Announce that the translations of the ``size`` bytes at
+        ``virtual_address`` died (the page's size when a whole mapping goes)."""
         for listener in self._tlb_listeners:
-            listener(pid, virtual_address)
+            listener(pid, virtual_address, size)
 
     # ------------------------------------------------------------------ #
     # Scheduling (the run queue the multi-core orchestrator drives)
@@ -330,7 +336,8 @@ class MimicOS:
             process = self.processes.get(pid)
             if process is None or process.page_table is None:
                 continue
-            if process.page_table.lookup(virtual_base) is None:
+            mapping = process.page_table.lookup(virtual_base)
+            if mapping is None:
                 continue  # already unmapped behind the residency list's back
             pages = size // PAGE_SIZE_4K
             swapped = 0
@@ -341,7 +348,9 @@ class MimicOS:
                                    now_cycles, trace)
                 swapped += 1
             process.page_table.remove(virtual_base, trace)
-            self.tlb_shootdown(pid, virtual_base)
+            # The live mapping may be larger than the residency record says
+            # (khugepaged collapsed the page since): shoot all of it down.
+            self.tlb_shootdown(pid, align_down(virtual_base, mapping[1]), mapping[1])
             if from_buddy:
                 self._release_frame(pid, virtual_base, physical)
             self.counters.add("reclaimed_pages", swapped)
@@ -377,7 +386,8 @@ class MimicOS:
             process = self.processes.get(pid)
             if process is None or process.page_table is None:
                 continue
-            if process.page_table.lookup(virtual_base) is None:
+            mapping = process.page_table.lookup(virtual_base)
+            if mapping is None:
                 continue  # already unmapped (e.g. evicted by a restrictive mapping)
             if not reclaim_op_added:
                 trace.new_op("kswapd_shrink_lists", work_units=64)
@@ -393,7 +403,9 @@ class MimicOS:
                 trace.disk_latency_cycles += latency
                 swapped += 1
             process.page_table.remove(virtual_base, trace)
-            self.tlb_shootdown(pid, virtual_base)
+            # The live mapping may be larger than the residency record says
+            # (khugepaged collapsed the page since): shoot all of it down.
+            self.tlb_shootdown(pid, align_down(virtual_base, mapping[1]), mapping[1])
             if from_buddy:
                 self._release_frame(pid, virtual_base, physical)
             result.swapped_out_pages += swapped

@@ -56,8 +56,10 @@ class THPPolicyBase:
         self.counters = Counter()
 
     def on_anonymous_fault(self, pid: int, vaddr: int, vma: VirtualMemoryArea,
-                           trace: Optional[KernelRoutineTrace] = None) -> THPAllocation:
-        """Decide the backing page for a 4 KB anonymous fault at ``vaddr``."""
+                           trace: Optional[KernelRoutineTrace] = None,
+                           page_table=None) -> THPAllocation:
+        """Decide the backing page for a 4 KB anonymous fault at ``vaddr``
+        in the address space ``page_table`` translates."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -95,7 +97,8 @@ class BuddyOnlyPolicy(THPPolicyBase):
     name = "bd"
 
     def on_anonymous_fault(self, pid: int, vaddr: int, vma: VirtualMemoryArea,
-                           trace: Optional[KernelRoutineTrace] = None) -> THPAllocation:
+                           trace: Optional[KernelRoutineTrace] = None,
+                           page_table=None) -> THPAllocation:
         return self._allocate_small(trace)
 
 
@@ -109,17 +112,23 @@ class LinuxTHPPolicy(THPPolicyBase):
     """Linux-like THP: allocate a 2 MB page on fault when cheaply possible.
 
     A huge page is used when the faulting 2 MB-aligned region lies entirely
-    inside the VMA and the buddy allocator has a free 2 MB block; otherwise a
-    4 KB page is allocated and khugepaged is asked to collapse the region
-    later.  Huge-page faults pay 2 MB of zeroing — the long tail of Fig. 2's
-    THP-enabled distribution.
+    inside the VMA, nothing in it is mapped yet, and the buddy allocator has
+    a free 2 MB block; otherwise a 4 KB page is allocated and khugepaged is
+    asked to collapse the region later.  Huge-page faults pay 2 MB of
+    zeroing — the long tail of Fig. 2's THP-enabled distribution.
     """
 
     name = "linux"
 
     def on_anonymous_fault(self, pid: int, vaddr: int, vma: VirtualMemoryArea,
-                           trace: Optional[KernelRoutineTrace] = None) -> THPAllocation:
-        if self._region_fits_vma(vaddr, vma):
+                           trace: Optional[KernelRoutineTrace] = None,
+                           page_table=None) -> THPAllocation:
+        # Like Linux's pmd_none test: a huge page never goes over live
+        # smaller mappings (a swapped-in page, say), which would leave both
+        # translations in the table.
+        if self._region_fits_vma(vaddr, vma) and not (
+                page_table is not None
+                and page_table.maps_any(align_down(vaddr, PAGE_SIZE_2M), PAGE_SIZE_2M)):
             huge = self._try_allocate_huge(trace)
             if huge is not None:
                 self.counters.add("thp_faults")
@@ -172,7 +181,8 @@ class ReservationTHPPolicy(THPPolicyBase):
         self._reservations: Dict[Tuple[int, int], _Reservation] = {}
 
     def on_anonymous_fault(self, pid: int, vaddr: int, vma: VirtualMemoryArea,
-                           trace: Optional[KernelRoutineTrace] = None) -> THPAllocation:
+                           trace: Optional[KernelRoutineTrace] = None,
+                           page_table=None) -> THPAllocation:
         region_va = align_down(vaddr, PAGE_SIZE_2M)
         offset = (vaddr - region_va) // PAGE_SIZE_4K
 

@@ -24,8 +24,3 @@ class MMUExtensions:
     victima: bool = False
     #: Two-dimensional (guest + host) translation for virtualised execution.
     nested_translation: bool = False
-    #: Simulator fast path (not modelled hardware): memoise repeat same-page
-    #: L1 TLB hits in a flat VPN cache so the core model can skip the full
-    #: TLB-object machinery.  Simulated statistics are bit-identical with the
-    #: cache on or off; off is the reference side of the parity oracle.
-    vpn_translation_cache: bool = True

@@ -1,9 +1,9 @@
 """The memory-management unit: translation plus the data access itself.
 
 For every memory operand the core model calls :meth:`MMU.access_data_fast`.
-On a VPN-cache miss it falls straight into the one translation path,
-:meth:`MMU._access`, which instruction fetches share: it looks up the TLB
-hierarchy, walks the active translation structure on a miss (paying for the
+Unless the L1 data TLB hits, it falls straight into the one translation
+path, :meth:`MMU._access`, which instruction fetches share: it looks up the
+TLB hierarchy, walks the active translation structure on a miss (paying for the
 walk's memory accesses through the shared memory hierarchy), reports page
 faults to the OS through a fault callback installed by the Virtuoso
 orchestrator (which runs MimicOS and injects the handler's instruction
@@ -15,25 +15,20 @@ Schemes that replace the TLBs (Midgard, VBI) follow their own path: a cheap
 frontend translation before the access and a backend translation charged
 only when the access reaches DRAM.
 
-Fast path
----------
+L1 data-TLB hit
+---------------
 
-:meth:`MMU.access_data_fast` is the core model's entry point.  It consults
-a flat VPN -> (page base, physical base, page size, L1 TLB slot) cache that
-memoises the most recent L1 data-TLB hits.  A fast hit replays *exactly* the
-side effects the slow path would produce for the same access — moving the
-L1 TLB slot to the most-recent end of its set, every counter, the
-translation-latency sample — so simulated statistics are bit-identical
-with the cache enabled or disabled.  The cache is strictly invalidated
-whenever its replay could diverge: on :meth:`set_context`, on any TLB
-content change (fill, invalidate, flush — tracked through the TLBs'
-``version`` counters) and on any page-table mutation (tracked through the
-page table's ``version``).  A 2 MB record covers the whole huge page, which
-presumes the kernel's shootdown contract: no 4 KB translation stays in the
-L1 TLB under a live 2 MB mapping (MimicOS shoots down every page it
-unmaps).  Without shootdowns the 4 KB TLB, probed first, would answer for
-its pages and the replay would not; the parity harness's shootdown
-sensitivity tests rely on that divergence.
+:meth:`MMU.access_data_fast` is the core model's entry point.  It writes
+the L1 data-TLB hit out in place, as the memory hierarchy does for the L1
+data cache: it peeks the 4 KB L1 data TLB, then the 2 MB one, without
+counting anything; on a hit it applies exactly the counters, the LRU move
+and the latency sample that :meth:`TLBHierarchy.lookup` and
+:meth:`MMU._access` would apply, and performs the data access.  On a miss
+it falls into :meth:`MMU._access` unchanged.  Every translation a TLB
+serves is therefore one the TLB really holds, so the kernel's shootdowns
+(:meth:`MMU.invalidate_translation`) are the only thing keeping cached
+translations coherent; :func:`repro.validation.invariants.check_translations`
+checks that they do.
 Results are returned in per-MMU scratch objects, and neither a TLB lookup
 nor a TLB fill builds a result object, so a translation allocates nothing
 beyond the walk's ``WalkResult`` and the TLB keys.
@@ -44,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K
+from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import Counter, RunningStats
 from repro.memhier.memory_system import MemoryAccessType, MemoryHierarchy, MemoryRequest
 from repro.mmu.extensions import MMUExtensions
@@ -57,9 +52,6 @@ from repro.pagetables.base import PageTableBase
 
 #: Signature of the page-fault callback: (pid, virtual address) -> (latency, handled).
 FaultCallback = Callable[[int, int], Tuple[int, bool]]
-
-#: Safety bound on the VPN cache (covers far more than the L1 TLBs' reach).
-_VPN_CACHE_MAX_ENTRIES = 65536
 
 
 @dataclass(slots=True)
@@ -119,9 +111,9 @@ class MMU:
     """The per-core MMU model.
 
     Each simulated core owns one MMU, which in turn owns that core's private
-    TLB hierarchy, VPN translation cache and translation context (pid + page
-    table) — so in a multi-core system every core translates against its own
-    context while the page tables themselves are shared kernel state.
+    TLB hierarchy and translation context (pid + page table) — so in a
+    multi-core system every core translates against its own context while
+    the page tables themselves are shared kernel state.
     ``core_index`` identifies the owning core (0 in single-core systems).
     """
 
@@ -139,8 +131,7 @@ class MMU:
         #: 2-D walk attribution (virtualised mode): the guest-dimension and
         #: host-dimension shares of every nested walk's latency, so
         #: per-backend parity can tell a slow guest table from a slow host
-        #: (extended) table.  Fast and slow paths feed these through the
-        #: same ``_walk`` call, so the VPN cache cannot move them.
+        #: (extended) table.
         self.guest_ptw_latency_stats = RunningStats()
         self.host_ptw_latency_stats = RunningStats()
 
@@ -161,23 +152,16 @@ class MMU:
         self._c_page_walks = self.counters.hot("page_walks")
         self._c_ptw_memory_accesses = self.counters.hot("ptw_memory_accesses")
 
-        # Fast-path state: the flat VPN translation cache and the version
-        # snapshots its entries are valid against.
-        self.vpn_cache_enabled = self.extensions.vpn_translation_cache
+        # The L1 data TLBs the in-place hit peeks: (page size, sets, set
+        # count, hit in the 2 MB TLB) in probe order, 4 KB TLB first.
         self._l1d_4k = tlb_hierarchy.l1d_4k
         self._l1d_2m = tlb_hierarchy.l1d_2m
         self._l1_latency = tlb_hierarchy.l1d_4k.latency
-        self._vpn_cache: Dict[int, tuple] = {}
-        #: 2M-page entries keyed at 2M granularity (one record covers the
-        #: whole huge page, so THP workloads warm up after a single miss).
-        self._vpn_cache_2m: Dict[int, tuple] = {}
-        self._vpn_pt_source: Optional[PageTableBase] = None
-        self._vpn_pt_version = -1
-        self._vpn_tlb_version = -1
-        #: Cumulative fast-path hits (diagnostics; not a simulated statistic).
-        self.fast_hits = 0
+        self._l1d_probes = tuple((page_size, tlb._sets, tlb.num_sets, tlb is self._l1d_2m)
+                                 for tlb in (self._l1d_4k, self._l1d_2m)
+                                 for page_size in tlb.page_sizes)
 
-        # Scratch result objects reused by the allocation-free fast path.
+        # Scratch result objects reused by the allocation-free access path.
         self._scratch_translation = TranslationResult(0)
         self._scratch_op = MemoryOperationResult(translation=self._scratch_translation)
 
@@ -189,13 +173,8 @@ class MMU:
         """Switch the MMU to another process's address space."""
         self.pid = pid
         self.page_table = page_table
-        self._vpn_cache.clear()
-        self._vpn_cache_2m.clear()
-        self._vpn_pt_source = None if page_table is None else page_table.version_source()
-        self._vpn_pt_version = -1
-        self._vpn_tlb_version = -1
         if flush_tlbs:
-            self.tlbs.flush()
+            self._flush_translations()
             # Without VPID/EPT tagging a context switch also loses the
             # combined (guest-virtual -> host-physical) translations.
             if self.nested_unit is not None:
@@ -208,8 +187,7 @@ class MMU:
         the migration semantics explicit: a process that last ran on another
         core must never observe this core's stale TLB contents (this model
         has no cross-core shootdowns, so a resident translation here may
-        predate unmaps performed while the process ran elsewhere), and the
-        per-core VPN translation cache is dropped with the context.
+        predate unmaps performed while the process ran elsewhere).
         """
         self.set_context(pid, page_table, flush_tlbs=True)
 
@@ -217,8 +195,10 @@ class MMU:
         """Install the OS page-fault entry point (wired up by Virtuoso)."""
         self.fault_callback = callback
 
-    def invalidate_translation(self, pid: int, virtual_address: int) -> None:
-        """Kernel-initiated TLB shootdown for one page of ``pid``.
+    def invalidate_translation(self, pid: int, virtual_address: int,
+                               size: int = PAGE_SIZE_4K) -> None:
+        """Kernel-initiated TLB shootdown of the ``size`` bytes of ``pid``'s
+        address space at ``virtual_address``: one page, or an RMM range.
 
         Called (through :meth:`repro.mimicos.kernel.MimicOS.tlb_shootdown`)
         whenever the kernel unmaps or remaps a page outside the normal
@@ -226,18 +206,23 @@ class MMU:
         munmap, restrictive-mapping evictions — so no stale translation
         survives in this core's TLBs.  Like a real IPI shootdown, only cores
         currently running ``pid``'s address space act (context switches flush
-        the TLBs, so other address spaces cannot be resident here).  The TLB
-        ``version`` bump performed by the invalidation also keeps the VPN
-        translation cache honest, so the fast path observes the unmap
-        exactly as the slow path does.
+        the TLBs, so other address spaces cannot be resident here).  The
+        POM-TLB and Victima, which hold translations past the TLBs, drop
+        theirs too.  Every entry overlapping the extent goes: a combined
+        translation of a guest huge page backed by smaller host pages is
+        held as several smaller entries.
         """
         if pid != self.pid:
             return
-        self.tlbs.invalidate(virtual_address)
+        self.tlbs.invalidate(virtual_address, size)
+        if self.pom_tlb is not None:
+            self.pom_tlb.invalidate(virtual_address, size)
+        if self.victima is not None:
+            self.victima.invalidate(virtual_address, size)
         if self.nested_unit is not None:
             # A guest-side remap also kills the combined translation the
             # nested TLB caches for this guest-virtual page.
-            self.nested_unit.invalidate(virtual_address)
+            self.nested_unit.invalidate(virtual_address, size)
 
     def on_nested_shootdown(self, host_virtual: int) -> None:
         """The VM's nested-shootdown listener: whichever host page moved,
@@ -251,17 +236,25 @@ class MMU:
         swap-out, restrictive-mapping eviction, host khugepaged collapse):
         the guest-physical -> host-physical dimension changed without naming
         any guest-virtual address, so every *combined* translation this core
-        holds is suspect — the nested TLB, the L1/L2 TLBs (filled with
-        host-physical bases by nested walks) and, through the TLB version
-        bump, the VPN translation cache are all dropped, exactly as an
-        INVEPT-triggered combined-mapping flush behaves on real hardware.
-        No-op on cores not running a virtualised context.
+        holds is suspect — the nested TLB and the L1/L2 TLBs, POM-TLB and
+        Victima (filled with host-physical bases by nested walks) are all
+        dropped, exactly as an INVEPT-triggered combined-mapping flush
+        behaves on real hardware.  No-op on cores not running a virtualised
+        context.
         """
         if self.nested_unit is None:
             return
         self.nested_unit.flush()
-        self.tlbs.flush()
+        self._flush_translations()
         self.counters.add("nested_shootdowns")
+
+    def _flush_translations(self) -> None:
+        """Drop every translation this core caches outside the nested unit."""
+        self.tlbs.flush()
+        if self.pom_tlb is not None:
+            self.pom_tlb.flush()
+        if self.victima is not None:
+            self.victima.flush()
 
     def set_nested_unit(self, nested_unit: Optional[NestedTranslationUnit]) -> None:
         """Enable two-dimensional translation through ``nested_unit``."""
@@ -286,68 +279,67 @@ class MMU:
         Returns a scratch :class:`MemoryOperationResult` that is overwritten
         by the next call — callers must consume it immediately.
         """
-        cache = self._vpn_cache
-        cache_2m = self._vpn_cache_2m
-        if cache or cache_2m:
-            if (self._vpn_pt_source.version != self._vpn_pt_version
-                    or self._l1d_4k.version + self._l1d_2m.version != self._vpn_tlb_version):
-                cache.clear()
-                cache_2m.clear()
-            else:
-                entry = cache.get(virtual_address >> 12)
-                if entry is None and cache_2m:
-                    entry = cache_2m.get(virtual_address >> 21)
-                if entry is not None:
-                    # Replay the exact side effects of the slow path's L1 hit.
-                    page_base, physical_base, page_size, is_2m, entries, key = entry
-                    entries.move_to_end(key)
-                    l1_4k = self._l1d_4k
-                    l1_4k._c_lookups[0] += 1
-                    if is_2m:
-                        l1_4k._c_misses[0] += 1
-                        l1_2m = self._l1d_2m
-                        l1_2m._c_lookups[0] += 1
-                        l1_2m._c_hits[0] += 1
-                    else:
-                        l1_4k._c_hits[0] += 1
-                    self.tlbs._c_data_lookups[0] += 1
-                    self._c_data_accesses[0] += 1
-                    self._c_tlb_hits[0] += 1
-                    latency = self._l1_latency
-                    self.translation_latency_stats.add(latency)
-
-                    physical_address = physical_base + (virtual_address - page_base)
-                    memory = self.memory
-                    data_latency = memory.access_value(physical_address, is_write, "data", pc)
-                    self.fast_hits += 1
-
-                    translation = self._scratch_translation
-                    translation.virtual_address = virtual_address
-                    translation.physical_address = physical_address
-                    translation.latency = latency
-                    translation.tlb_hit = True
-                    translation.tlb_level = "L1"
-                    translation.walked = False
-                    translation.walk_latency = 0
-                    translation.walk_memory_accesses = 0
-                    translation.page_fault = False
-                    translation.fault_latency = 0
-                    translation.segfault = False
-                    translation.frontend_latency = 0
-                    translation.backend_latency = 0
-                    translation.page_size = page_size
-                    operation = self._scratch_op
-                    operation.data_latency = data_latency
-                    operation.served_by = memory.last_served_by
-                    operation.total_latency = latency + data_latency
-                    return operation
         page_table = self.page_table
         if page_table is None:
             raise RuntimeError("MMU has no page table; call set_context() first")
         self._c_data_accesses[0] += 1
         if page_table.replaces_tlbs:
             return self._access_intermediate_scheme(virtual_address, is_write, pc)
+        # The L1 data-TLB hit, written out: what TLBHierarchy.lookup and
+        # _access do for it, and nothing is counted until an entry is found.
+        for page_size, sets, num_sets, in_2m_tlb in self._l1d_probes:
+            vpn = virtual_address // page_size
+            key = (vpn, page_size)
+            entries = sets[vpn % num_sets]
+            entry = entries.get(key)
+            if entry is None:
+                continue
+            entries.move_to_end(key)
+            l1_4k = self._l1d_4k
+            l1_4k._c_lookups[0] += 1
+            if in_2m_tlb:
+                l1_4k._c_misses[0] += 1
+                l1_2m = self._l1d_2m
+                l1_2m._c_lookups[0] += 1
+                l1_2m._c_hits[0] += 1
+            else:
+                l1_4k._c_hits[0] += 1
+            self.tlbs._c_data_lookups[0] += 1
+            self._c_tlb_hits[0] += 1
+            latency = self._l1_latency
+            self.translation_latency_stats.add(latency)
+
+            physical_base, page_size = entry
+            physical_address = physical_base + virtual_address % page_size
+            memory = self.memory
+            data_latency = memory.access_value(physical_address, is_write, "data", pc)
+            translation = self._scratch_translation
+            translation.virtual_address = virtual_address
+            translation.physical_address = physical_address
+            translation.latency = latency
+            translation.tlb_hit = True
+            translation.tlb_level = "L1"
+            translation.walked = False
+            translation.walk_latency = 0
+            translation.walk_memory_accesses = 0
+            translation.page_fault = False
+            translation.fault_latency = 0
+            translation.segfault = False
+            translation.frontend_latency = 0
+            translation.backend_latency = 0
+            translation.page_size = page_size
+            operation = self._scratch_op
+            operation.data_latency = data_latency
+            operation.served_by = memory.last_served_by
+            operation.total_latency = latency + data_latency
+            return operation
         return self._access(virtual_address, is_write, pc, False)
+
+    @property
+    def fast_hits(self) -> int:
+        """L1 data-TLB hits: the accesses the in-place hit of
+        :meth:`access_data_fast` served (diagnostics for host profiling)."""
+        return self._l1d_4k.counters.get("hits") + self._l1d_2m.counters.get("hits")
 
     def access_instruction(self, virtual_address: int, pc: int = 0) -> MemoryOperationResult:
         """Instruction-fetch translation and access (used per fetched line)."""
@@ -384,8 +376,6 @@ class MMU:
             physical_base, page_size = entry
             self._c_tlb_hits[0] += 1
             self.translation_latency_stats.add(latency)
-            if level == "L1":
-                self._note_l1_data_hit(virtual_address, physical_base, page_size)
         else:
             self._c_tlb_misses[0] += 1
             if self.victima is not None or self.pom_tlb is not None:
@@ -468,54 +458,6 @@ class MMU:
         return None, latency
 
     # ------------------------------------------------------------------ #
-    # VPN translation cache maintenance
-    # ------------------------------------------------------------------ #
-    def _note_l1_data_hit(self, virtual_address: int, physical_base: int,
-                          page_size: int) -> None:
-        """Memoise an L1 data-TLB hit so repeat accesses take the fast path."""
-        if not self.vpn_cache_enabled:
-            return
-        source = self._vpn_pt_source
-        if source is None:
-            return
-        if page_size == PAGE_SIZE_4K:
-            tlb = self._l1d_4k
-            is_2m = False
-        elif page_size == PAGE_SIZE_2M:
-            tlb = self._l1d_2m
-            is_2m = True
-        else:
-            return
-
-        pt_version = source.version
-        tlb_version = self._l1d_4k.version + self._l1d_2m.version
-        cache = self._vpn_cache_2m if is_2m else self._vpn_cache
-        if pt_version != self._vpn_pt_version or tlb_version != self._vpn_tlb_version:
-            self._vpn_cache.clear()
-            self._vpn_cache_2m.clear()
-            self._vpn_pt_version = pt_version
-            self._vpn_tlb_version = tlb_version
-        elif len(cache) >= _VPN_CACHE_MAX_ENTRIES:
-            cache.clear()
-
-        vpn = virtual_address // page_size
-        key = (vpn, page_size)
-        entries = tlb._sets[vpn % tlb.num_sets]
-        if key not in entries:
-            return
-        cache[vpn if is_2m else virtual_address >> 12] = \
-            (vpn * page_size, physical_base, page_size, is_2m, entries, key)
-
-    def fast_path_stats(self) -> Dict[str, int]:
-        """Diagnostics for the VPN translation cache (not simulated state)."""
-        return {
-            "enabled": int(self.vpn_cache_enabled),
-            "entries": len(self._vpn_cache) + len(self._vpn_cache_2m),
-            "fast_hits": self.fast_hits,
-            "core_index": self.core_index,
-        }
-
-    # ------------------------------------------------------------------ #
     # Walks, fills and faults
     # ------------------------------------------------------------------ #
     def _walk(self, virtual_address: int):
@@ -548,7 +490,7 @@ class MMU:
                 self.victima.store_victim(victim_key[0] * victim_size, victim_base, victim_size)
         self.tlbs.fill(virtual_address, physical_base, page_size, instruction=instruction)
         if self.pom_tlb is not None:
-            self.pom_tlb.fill(virtual_address, physical_base, self.memory)
+            self.pom_tlb.fill(virtual_address, physical_base, self.memory, page_size)
         if self.tlb_prefetcher is not None and self.page_table is not None:
             self.tlb_prefetcher.on_fill(virtual_address, page_size, self.page_table,
                                         self.tlbs, self.memory)
@@ -643,7 +585,6 @@ class MMU:
             "total_ptw_latency": self.total_ptw_latency(),
             "avg_translation_latency": self.translation_latency_stats.mean,
             "page_table": self.page_table.stats() if self.page_table is not None else {},
-            "fast_path": self.fast_path_stats(),
         }
         if self.nested_unit is not None:
             # 2-D attribution: which dimension of the nested walk cost what.

@@ -25,8 +25,8 @@ dimension:
   mapping evictions, host khugepaged collapse) change the guest-physical ->
   host-physical mapping without naming any guest-virtual address — those
   broadcast :meth:`NestedTranslationUnit.flush`, the INVEPT-style
-  version-based whole-unit invalidation (real hardware likewise flushes all
-  combined mappings on an EPT modification).
+  whole-unit invalidation (real hardware likewise flushes all combined
+  mappings on an EPT modification).
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class _NestedTLB:
         self.latency = latency
         #: Faulting 4 KB VPN -> (host physical base, page size), LRU order.
         self._store = LRU(entries)
-        #: Bumped whenever the cached contents change (fill, invalidate,
-        #: flush), mirroring :class:`repro.mmu.tlb.TLB.version`.
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._store)
@@ -79,11 +76,11 @@ class _NestedTLB:
         return entry
 
     def fill(self, guest_virtual: int, host_physical: int, page_size: int) -> None:
-        self.version += 1
         self._store.put(guest_virtual // PAGE_SIZE_4K, (host_physical, page_size))
 
-    def invalidate(self, guest_virtual: int) -> bool:
-        """Drop every entry whose combined page covers ``guest_virtual``.
+    def invalidate(self, guest_virtual: int, size: int = PAGE_SIZE_4K) -> bool:
+        """Drop every entry whose combined page overlaps the ``size`` bytes
+        at ``guest_virtual``.
 
         Entries are keyed by the *faulting* 4 KB VPN, so one combined 2 MB
         translation can occupy many slots — one per subpage that walked.  A
@@ -92,14 +89,15 @@ class _NestedTLB:
         and leaving the sibling-keyed copies alive would keep serving the
         dead translation (the scenario fuzzer caught exactly that).
         """
+        start = guest_virtual - guest_virtual % PAGE_SIZE_4K
+        end = start + max(size, PAGE_SIZE_4K)
         victims = [vpn for vpn, (_host, page_size) in self._store.items()
-                   if (vpn * PAGE_SIZE_4K) // page_size * page_size
-                   <= guest_virtual < (vpn * PAGE_SIZE_4K) // page_size * page_size + page_size]
+                   if (vpn * PAGE_SIZE_4K) // page_size * page_size < end
+                   and start < (vpn * PAGE_SIZE_4K) // page_size * page_size + page_size]
         if not victims:
             return False
         for vpn in victims:
             del self._store[vpn]
-        self.version += 1
         return True
 
     def flush(self) -> bool:
@@ -107,7 +105,6 @@ class _NestedTLB:
         if not self._store:
             return False
         self._store.clear()
-        self.version += 1
         return True
 
 
@@ -184,9 +181,10 @@ class NestedTranslationUnit:
     # ------------------------------------------------------------------ #
     # Invalidation (see the module docstring for who calls what)
     # ------------------------------------------------------------------ #
-    def invalidate(self, guest_virtual: int) -> None:
-        """Guest-side shootdown: drop the cached entry for ``guest_virtual``."""
-        if self.nested_tlb.invalidate(guest_virtual):
+    def invalidate(self, guest_virtual: int, size: int = PAGE_SIZE_4K) -> None:
+        """Guest-side shootdown: drop the cached entries of the ``size``
+        bytes at ``guest_virtual``."""
+        if self.nested_tlb.invalidate(guest_virtual, size):
             self.counters.add("nested_tlb_invalidations")
 
     def flush(self) -> None:

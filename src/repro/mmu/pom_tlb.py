@@ -6,6 +6,10 @@ memory access (usually an LLC or DRAM access to the table); a miss adds that
 access on top of the walk.  Because the table is orders of magnitude larger
 than the on-chip TLBs, most walks are avoided for workloads whose hot set
 exceeds the L2 TLB reach.
+
+Entries are 4 KB translations, one per slot; a huge page is held as the
+4 KB pieces that walked.  The table is software-managed, so a shootdown
+(:meth:`PartOfMemoryTLB.invalidate`) scans it for every piece of the page.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ class PartOfMemoryTLB:
     def __init__(self, entries: int = 1 << 20, base_address: int = 1 << 44):
         self.entries = entries
         self.base_address = base_address
-        self._table: Dict[int, Tuple[int, int]] = {}
+        #: Slot -> (virtual address, 4 KB frame, page base, page size).
+        self._table: Dict[int, Tuple[int, int, int, int]] = {}
         self.counters = Counter()
 
     def _slot(self, virtual_address: int) -> int:
@@ -46,12 +51,33 @@ class PartOfMemoryTLB:
         self.counters.add("misses")
         return None, latency
 
-    def fill(self, virtual_address: int, physical_base: int, memory) -> None:
-        """Install a translation (one memory write to the table)."""
+    def fill(self, virtual_address: int, physical_base: int, memory,
+             page_size: int = PAGE_SIZE_4K) -> None:
+        """Install the 4 KB piece of the page (``physical_base``,
+        ``page_size``) that ``virtual_address`` falls in (one memory write
+        to the table)."""
         slot = self._slot(virtual_address)
-        self._table[slot] = (virtual_address, physical_base)
+        offset = virtual_address % page_size
+        frame = physical_base + offset - offset % PAGE_SIZE_4K
+        self._table[slot] = (virtual_address, frame, virtual_address - offset, page_size)
         memory.access_address(self._slot_address(slot), True, MemoryAccessType.PTW)
         self.counters.add("fills")
+
+    def invalidate(self, virtual_address: int, size: int = PAGE_SIZE_4K) -> None:
+        """Drop every entry whose page overlaps the ``size`` bytes at
+        ``virtual_address`` (shootdown)."""
+        end = virtual_address + size
+        stale = [slot for slot, (_, _, page_base, page_size) in self._table.items()
+                 if page_base < end and virtual_address < page_base + page_size]
+        for slot in stale:
+            del self._table[slot]
+        if stale:
+            self.counters.add("invalidations")
+
+    def flush(self) -> None:
+        """Drop every entry (context switch without ASIDs)."""
+        self._table.clear()
+        self.counters.add("flushes")
 
     def hit_rate(self) -> float:
         """Hit fraction over all probes."""

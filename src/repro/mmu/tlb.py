@@ -30,10 +30,6 @@ class TLB:
         #: One LRU per set: (vpn tag, page size) -> (physical base, page size)
         self._sets: List[LRU] = [LRU(self.associativity) for _ in range(self.num_sets)]
         self.counters = Counter()
-        #: Bumped whenever the TLB's *contents* change (fill, invalidate,
-        #: flush).  The MMU's VPN translation cache watches this to detect
-        #: that a cached L1 hit may no longer replay identically.
-        self.version = 0
         self._c_lookups = self.counters.hot("lookups")
         self._c_hits = self.counters.hot("hits")
         self._c_misses = self.counters.hot("misses")
@@ -62,26 +58,32 @@ class TLB:
         """
         if page_size not in self.page_sizes:
             return
-        self.version += 1
         vpn = virtual_address // page_size
         if self._sets[vpn % self.num_sets].put((vpn, page_size),
                                                (physical_base, page_size)) is not None:
             self._c_evictions[0] += 1
         self._c_fills[0] += 1
 
-    def invalidate(self, virtual_address: int) -> None:
-        """Drop any translation covering ``virtual_address`` (TLB shootdown)."""
-        for page_size in self.page_sizes:
-            vpn = virtual_address // page_size
-            if self._sets[vpn % self.num_sets].pop((vpn, page_size), None) is not None:
-                self.version += 1
+    def invalidate(self, virtual_address: int, size: int = PAGE_SIZE_4K) -> None:
+        """Drop every translation overlapping the ``size`` bytes at
+        ``virtual_address`` (TLB shootdown)."""
+        if size <= PAGE_SIZE_4K:
+            for page_size in self.page_sizes:
+                vpn = virtual_address // page_size
+                if self._sets[vpn % self.num_sets].pop((vpn, page_size), None) is not None:
+                    self.counters.add("invalidations")
+            return
+        end = virtual_address + size
+        for entries in self._sets:
+            for key in [(vpn, page_size) for vpn, page_size in entries
+                        if vpn * page_size < end and virtual_address < (vpn + 1) * page_size]:
+                del entries[key]
                 self.counters.add("invalidations")
 
     def flush(self) -> None:
         """Invalidate every entry (context switch without ASIDs)."""
         for entries in self._sets:
             entries.clear()
-        self.version += 1
         self.counters.add("flushes")
 
     def hits(self) -> int:
@@ -184,10 +186,11 @@ class TLBHierarchy:
         if tlb is not None:
             tlb.fill(virtual_address, physical_base, page_size)
 
-    def invalidate(self, virtual_address: int) -> None:
-        """Shoot down any entry covering ``virtual_address``."""
+    def invalidate(self, virtual_address: int, size: int = PAGE_SIZE_4K) -> None:
+        """Shoot down every entry overlapping the ``size`` bytes at
+        ``virtual_address``."""
         for tlb in (self.l1i, self.l1d_4k, self.l1d_2m, self.l2):
-            tlb.invalidate(virtual_address)
+            tlb.invalidate(virtual_address, size)
 
     def flush(self) -> None:
         """Flush the whole hierarchy."""

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_4K
+from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
+
+_PAGE_SIZES = (PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G)
 
 
 class VictimaCacheTLB:
@@ -46,13 +48,27 @@ class VictimaCacheTLB:
         if not result.hit:
             self.counters.add("cache_misses")
             return None, latency
-        for page_size in (PAGE_SIZE_4K, 2 << 20, 1 << 30):
+        for page_size in _PAGE_SIZES:
             entry = self._entries.get((virtual_address // page_size, page_size))
             if entry is not None:
                 self.counters.add("hits")
                 return entry, latency
         self.counters.add("stale_lines")
         return None, latency
+
+    def invalidate(self, virtual_address: int, size: int = PAGE_SIZE_4K) -> None:
+        """Drop every stored translation overlapping the ``size`` bytes at
+        ``virtual_address`` (shootdown)."""
+        end = virtual_address + size
+        for key in [(vpn, page_size) for vpn, page_size in self._entries
+                    if vpn * page_size < end and virtual_address < (vpn + 1) * page_size]:
+            del self._entries[key]
+            self.counters.add("invalidations")
+
+    def flush(self) -> None:
+        """Drop every stored translation (context switch without ASIDs)."""
+        self._entries.clear()
+        self.counters.add("flushes")
 
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""

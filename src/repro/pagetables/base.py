@@ -132,9 +132,11 @@ class PageTableBase:
         #: sizes that still have at least one installed mapping (and stop
         #: probing a size once its last mapping is removed).
         self._size_counts: Dict[int, int] = {}
-        #: Bumped on every insert/remove; the MMU's VPN translation cache
-        #: watches this so any page-table mutation invalidates it.
-        self.version = 0
+        #: ``(virtual address, size) -> None``: the owning kernel's TLB
+        #: shootdown for this address space.  A structure whose removal
+        #: unmaps more than the removed mapping (RMM's ranges) announces the
+        #: extra extent through it.
+        self.shootdown: Optional[Callable[[int, int], None]] = None
 
     # ------------------------------------------------------------------ #
     # Software (MimicOS) interface
@@ -155,7 +157,6 @@ class PageTableBase:
                 self._size_counts.pop(previous.page_size, None)
         self._mappings[virtual_base] = TranslationMapping(virtual_base, physical_base, page_size)
         self._size_counts[page_size] = self._size_counts.get(page_size, 0) + 1
-        self.version += 1
         self.counters.add("insertions")
         self._insert_structure(virtual_base, physical_base, page_size, trace)
 
@@ -171,7 +172,6 @@ class PageTableBase:
             self._size_counts[mapping.page_size] = remaining
         else:
             self._size_counts.pop(mapping.page_size, None)
-        self.version += 1
         self.counters.add("removals")
         self._remove_structure(mapping, trace)
         return True
@@ -194,14 +194,15 @@ class PageTableBase:
             return None
         return mapping.translate(virtual_address)
 
-    def version_source(self) -> "PageTableBase":
-        """Object whose :attr:`version` reflects this table's mutations.
-
-        Delegating wrappers (e.g. the emulation mode's fixed-latency
-        decorator) override this to return the wrapped table, because the
-        kernel mutates the inner structure directly.
-        """
-        return self
+    def maps_any(self, start: int, size: int) -> bool:
+        """True if a live mapping overlaps the ``size`` bytes at ``start``."""
+        for page_size in self.active_page_sizes():
+            first = start - start % page_size
+            for base in range(first, start + size, page_size):
+                mapping = self._mappings.get(base)
+                if mapping is not None and mapping.page_size == page_size:
+                    return True
+        return False
 
     def active_page_sizes(self) -> Tuple[int, ...]:
         """Page sizes with at least one live mapping, largest first."""

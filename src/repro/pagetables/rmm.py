@@ -146,9 +146,13 @@ class RangeMemoryMapping(PageTableBase):
             self._ranges = [r for r in self._ranges
                             if not r.contains(mapping.virtual_base)]
             # A dropped range must leave the RLB too, or the hardware keeps
-            # translating through it after the OS tore it down.
+            # translating through it after the OS tore it down; and the TLBs
+            # hold 4 KB translations of every page it covered.
             for entry in dead:
                 self.rlb.invalidate(entry.virtual_start)
+                if self.shootdown is not None:
+                    self.shootdown(entry.virtual_start,
+                                   entry.virtual_end - entry.virtual_start)
 
     def lookup(self, virtual_address: int) -> Optional[Tuple[int, int]]:
         """Functional lookup: consult both the base mappings and the ranges."""

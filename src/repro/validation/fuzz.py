@@ -1,22 +1,22 @@
-"""Coverage-guided kernel-op scenario fuzzer with the parity harness as oracle.
+"""Coverage-guided kernel-op scenario fuzzer, checked against the live page table.
 
-The PR 4/5 parity lattice proved differential testing is this repo's best
-bug-finder, but a fixed lattice only visits hand-picked points.  This module
-generalises it the way riescue generalises directed page-map testing: a
-*seeded* generator emits random kernel-op interleavings — mmap/munmap at
-varied sizes, THP collapse, forced swap pressure, page migration, and (under
-virtualization) guest collapse and host remaps of guest-RAM backing — as
-:class:`~repro.workloads.schedule.OpSchedule` injections into workload
-execution, runs every scenario with the VPN cache off and on across sampled
-backend × cores × THP/swap/virtualization configurations, and diffs the full
-statistics reports with the PR 4 oracle
-(:func:`repro.validation.parity.flatten_stats` / ``diff_stats``).
+A fixed lattice only visits hand-picked points.  This module generalises
+the parity lattice the way riescue generalises directed page-map testing:
+a *seeded* generator emits random kernel-op interleavings — mmap/munmap at
+varied sizes, THP collapse, forced swap pressure, page migration, and
+(under virtualization) guest collapse and host remaps of guest-RAM
+backing — as :class:`~repro.workloads.schedule.OpSchedule` injections into
+workload execution over sampled backend × cores × THP/swap/virtualization
+configurations.  Each scenario is simulated once, with
+:func:`repro.validation.invariants.check_translations` run after every
+kernel op and every page fault, so a stale translation is reported at the
+op or fault right after the mutation that left it.
 
 * **Coverage** is tracked over (consecutive op-pair × backend) and
   (op × config-axis) combinations; each scenario is chosen as the most
   novel of a seeded candidate pool, so the fuzzer provably explores the
   interaction space the lattice misses.
-* **Divergences and crashes** are classified; any divergence is shrunk by
+* **Violations and crashes** are classified; any violation is shrunk by
   delta-debugging — first over the op schedule, then over config axes —
   to a minimal reproducer, serialised as JSON and banked into
   ``tests/fuzz_corpus/`` (:mod:`repro.validation.corpus`), which tier-1
@@ -43,6 +43,7 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MethodType
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
@@ -53,14 +54,19 @@ from repro.common.config import (
     scaled_system_config,
 )
 from repro.common.rng import DeterministicRNG
+from repro.common.weak import WeakCallback
 from repro.pagetables.factory import nested_capable_kinds, registered_kinds
 from repro.validation import corpus
-from repro.validation.parity import diff_stats, flatten_stats
+from repro.validation.invariants import (
+    TranslationIncoherence,
+    check_after_faults,
+    check_translations,
+)
 from repro.workloads.schedule import KernelOpSpec, OpSchedule, ScheduledWorkload
 
 #: Content-address schema for fuzz jobs in the experiment-service store
 #: (bump when the scenario or digest layout changes incompatibly).
-FUZZ_JOB_SCHEMA = "fuzz_scenario/v1"
+FUZZ_JOB_SCHEMA = "fuzz_scenario/v2"
 
 #: The kernel ops the generator draws from.  ``migrate`` is single-core
 #: only (multi-core migration is the orchestrator's own axis) and
@@ -163,7 +169,7 @@ def scenario_key(scenario: FuzzScenario) -> str:
 
 
 def scenario_seed(scenario: FuzzScenario) -> int:
-    """Deterministic simulator seed, identical for both oracle sides.
+    """Deterministic simulator seed.
 
     Derived from the *config* only, so shrinking the op schedule never
     perturbs the workload's RNG stream — the shrinker removes ops from an
@@ -215,28 +221,29 @@ class KernelOpExecutor:
     no hypervisor, multi-core migrate) it is a counted no-op, never an
     error — so the shrinker can drop arbitrary subsets and the config
     shrink can turn virtualization off without invalidating the schedule.
-    The applied/skipped counters are folded into the diffed statistics, so
-    oracle sides that somehow disagree about op applicability are
-    themselves reported as a divergence.
+    ``check`` runs after every op.
     """
 
     def __init__(self, kernel, fault_handler: Callable, clock: Callable[[], int],
-                 hypervisor=None, migrate: Optional[Callable[[], None]] = None):
+                 hypervisor=None, migrate: Optional[Callable[[], None]] = None,
+                 check: Optional[Callable[[], object]] = None):
         self.kernel = kernel
         self.fault_handler = fault_handler
         self.clock = clock
         self.hypervisor = hypervisor
         self.migrate = migrate
+        self.check = check
         self.arena: List[object] = []
         self.counts: Dict[str, int] = {}
 
     @classmethod
     def for_system(cls, system) -> "KernelOpExecutor":
-        """Build an executor over a :class:`~repro.core.virtuoso.Virtuoso`.
+        """Build an executor over a :class:`~repro.core.virtuoso.Virtuoso`
+        that checks the system's translations after every op.
 
-        The closures hold the system's parts, not the system: the executor
-        lives as long as the workload it is bound to, which the system's
-        task lists keep alive.
+        The closures hold the system's parts, and the check holds the
+        system weakly: the executor lives as long as the workload it is
+        bound to, which the system's task lists keep alive.
         """
         fault_handler = (system.vm.handle_guest_page_fault if system.vm is not None
                          else system.kernel.handle_page_fault)
@@ -247,7 +254,8 @@ class KernelOpExecutor:
             mmu = system.mmu
             migrate = lambda: mmu.migrate_in(mmu.pid, mmu.page_table)
         return cls(system.kernel, fault_handler, clock,
-                   hypervisor=system.hypervisor, migrate=migrate)
+                   hypervisor=system.hypervisor, migrate=migrate,
+                   check=WeakCallback(MethodType(check_translations, system)))
 
     def _count(self, spec: KernelOpSpec, applied: bool) -> bool:
         bucket = "applied" if applied else "skipped"
@@ -259,7 +267,10 @@ class KernelOpExecutor:
         handler = getattr(self, f"_op_{spec.op}", None)
         if handler is None:
             raise ValueError(f"unknown kernel op {spec.op!r}")
-        return self._count(spec, handler(spec.params, process))
+        applied = self._count(spec, handler(spec.params, process))
+        if self.check is not None:
+            self.check()
+        return applied
 
     # -- individual ops ------------------------------------------------ #
     def _op_mmap(self, params: Dict[str, int], process) -> bool:
@@ -332,17 +343,18 @@ class KernelOpExecutor:
 
 
 # --------------------------------------------------------------------- #
-# Running one scenario (the oracle)
+# Running one scenario
 # --------------------------------------------------------------------- #
-def _run_scenario_side(scenario: FuzzScenario, vpn_cache: bool) -> Dict[str, object]:
+def _run_scenario(scenario: FuzzScenario) -> Dict[str, int]:
+    """Simulate ``scenario``, checking translations after every op and
+    every fault; returns the applied/skipped op counts."""
     # Imports inside the worker entry point, as the service pattern demands.
     from repro.core.virtuoso import Virtuoso
-    from repro.mmu.extensions import MMUExtensions
     from repro.workloads.registry import build_workload
 
     system = Virtuoso(build_fuzz_config(scenario.config), seed=scenario_seed(scenario),
-                      num_cores=scenario.config.cores,
-                      mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+                      num_cores=scenario.config.cores)
+    check_after_faults(system)
     registry_name, kwargs, _span = FUZZ_FAMILIES[scenario.config.family]
     wrapped = ScheduledWorkload(build_workload(registry_name, **kwargs),
                                 scenario.schedule)
@@ -350,82 +362,49 @@ def _run_scenario_side(scenario: FuzzScenario, vpn_cache: bool) -> Dict[str, obj
     wrapped.bind(executor)
     if scenario.config.cores > 1:
         co_name, co_kwargs = CO_RUNNER
-        report = system.run_tasks([wrapped, build_workload(co_name, **co_kwargs)]).merged
+        system.run_tasks([wrapped, build_workload(co_name, **co_kwargs)])
     else:
-        report = system.run(wrapped)
-    stats = flatten_stats(report)
-    for key in sorted(executor.counts):
-        stats[f"kernel_ops.{key}"] = executor.counts[key]
-    return stats
+        system.run(wrapped)
+    check_translations(system)
+    return dict(sorted(executor.counts.items()))
 
 
 def _crash_signature(error: Exception) -> Dict[str, object]:
     return {"type": type(error).__name__, "message": str(error)[:300]}
 
 
-def run_fuzz_scenario(raw_scenario: Dict[str, object],
-                      max_diffs: int = 120) -> Dict[str, object]:
-    """Run one scenario with the VPN cache off and on and classify: the
-    fuzz oracle.
+def run_fuzz_scenario(raw_scenario: Dict[str, object]) -> Dict[str, object]:
+    """Run one scenario and classify it: the fuzz oracle.
 
     Takes and returns plain JSON-able dicts so it can serve directly as an
     experiment-service worker.  Outcomes:
 
-    * ``identical`` — both sides ran, all compared fields equal;
-    * ``divergence`` — field mismatch, one-sided crash, or both sides
-      crashing *differently*;
-    * ``crash`` — both sides crashed with the same signature (a real bug,
-      but not a cache divergence; classified, never banked).
+    * ``clean`` — the run finished and every translation check passed;
+    * ``violation`` — a check found a stale translation (``violation``
+      names the core, structure, address, cached and live translation);
+    * ``crash`` — the simulation raised (a real bug, classified, never
+      banked).
     """
     scenario = FuzzScenario.from_json(raw_scenario)
     start = time.perf_counter()
-    stats: Dict[bool, Optional[Dict[str, object]]] = {}
-    crashes: Dict[bool, Optional[Dict[str, object]]] = {}
-    for vpn_cache in (False, True):
-        try:
-            stats[vpn_cache] = _run_scenario_side(scenario, vpn_cache)
-            crashes[vpn_cache] = None
-        except Exception as error:  # crash/assert: caught and classified
-            stats[vpn_cache] = None
-            crashes[vpn_cache] = _crash_signature(error)
     digest: Dict[str, object] = {
         "scenario": scenario.to_json(),
         "point": scenario.name,
-        "outcome": "identical",
-        "divergence": None,
+        "outcome": "clean",
+        "violation": None,
         "crash": None,
-        "diffs": [],
-        "host_seconds": round(time.perf_counter() - start, 4),
+        "kernel_ops": {},
+        "host_seconds": 0.0,
     }
-    uncached_crash, cached_crash = crashes[False], crashes[True]
-    if uncached_crash is not None and cached_crash is not None:
-        if uncached_crash == cached_crash:
-            digest["outcome"] = "crash"
-            digest["crash"] = uncached_crash
-        else:
-            digest["outcome"] = "divergence"
-            digest["divergence"] = {
-                "point": scenario.name, "field": "crash",
-                "uncached_value": uncached_crash, "cached_value": cached_crash,
-                "diverging_fields": 1}
-        return digest
-    if uncached_crash is not None or cached_crash is not None:
-        digest["outcome"] = "divergence"
-        digest["divergence"] = {
-            "point": scenario.name, "field": "crash",
-            "uncached_value": uncached_crash or "ok",
-            "cached_value": cached_crash or "ok",
-            "diverging_fields": 1}
-        return digest
-    diffs = diff_stats(stats[False], stats[True])
-    if diffs:
-        field, uncached_value, cached_value = diffs[0]
-        digest["outcome"] = "divergence"
-        digest["divergence"] = {
-            "point": scenario.name, "field": field,
-            "uncached_value": uncached_value, "cached_value": cached_value,
-            "diverging_fields": len(diffs)}
-        digest["diffs"] = [list(d) for d in diffs[:max_diffs]]
+    try:
+        digest["kernel_ops"] = _run_scenario(scenario)
+    except TranslationIncoherence as violation:
+        digest["outcome"] = "violation"
+        digest["violation"] = dict(violation.as_dict(), point=scenario.name)
+    except Exception as error:  # crash/assert: caught and classified
+        digest["outcome"] = "crash"
+        digest["crash"] = _crash_signature(error)
+    digest["host_seconds"] = round(time.perf_counter() - start, 4)
     return digest
 
 
@@ -581,18 +560,18 @@ _AXIS_SHRINKS: List[Callable[[FuzzConfig], FuzzConfig]] = [
 
 
 def shrink_scenario(scenario: FuzzScenario,
-                    diverges: Optional[Callable[[FuzzScenario], bool]] = None,
+                    fails: Optional[Callable[[FuzzScenario], bool]] = None,
                     max_checks: int = 60) -> Tuple[FuzzScenario, int]:
-    """Delta-debug ``scenario`` to a minimal still-diverging reproducer.
+    """Delta-debug ``scenario`` to a minimal reproducer that still fails.
 
     First greedily drops ops to a fixpoint, then simplifies config axes
     toward the vanilla point; every candidate is verified with the same
-    cache-off/on oracle the replay path uses.  ``max_checks`` bounds the
-    oracle invocations (each is two full simulations).  Returns the shrunk
-    scenario and the number of oracle calls spent.
+    oracle the replay path uses.  ``max_checks`` bounds the oracle
+    invocations (each is one simulation).  Returns the shrunk scenario and
+    the number of oracle calls spent.
     """
-    if diverges is None:
-        diverges = lambda s: run_fuzz_scenario(s.to_json())["outcome"] == "divergence"
+    if fails is None:
+        fails = lambda s: run_fuzz_scenario(s.to_json())["outcome"] == "violation"
     checks = 0
 
     def check(candidate: FuzzScenario) -> bool:
@@ -600,7 +579,7 @@ def shrink_scenario(scenario: FuzzScenario,
         if checks >= max_checks:
             return False
         checks += 1
-        return diverges(candidate)
+        return fails(candidate)
 
     ops = list(scenario.schedule.ops)
     changed = True
@@ -663,25 +642,25 @@ def run_fuzz(budget: int, seed: int, workers: Optional[int] = None,
         with ExperimentService(workers=workers, store=store_root) as service:
             outcome = service.execute(run_fuzz_scenario, jobs)
 
-    divergent: List[Tuple[int, Dict[str, object]]] = []
+    failing: List[Tuple[int, Dict[str, object]]] = []
     crashes: List[Dict[str, object]] = []
     quarantined = 0
-    identical = 0
+    clean = 0
     for index, digest in enumerate(outcome["results"]):
         if digest is None:  # worker died hard; the service quarantined it
             quarantined += 1
             continue
-        if digest["outcome"] == "identical":
-            identical += 1
+        if digest["outcome"] == "clean":
+            clean += 1
         elif digest["outcome"] == "crash":
             crashes.append({"scenario_index": index, "point": digest["point"],
                             "crash": digest["crash"]})
         else:
-            divergent.append((index, digest))
+            failing.append((index, digest))
 
     reproducers: List[str] = []
     shrink_checks = 0
-    for index, digest in divergent:
+    for index, digest in failing:
         scenario = FuzzScenario.from_json(digest["scenario"])
         shrunk = scenario
         if shrink:
@@ -693,8 +672,8 @@ def run_fuzz(budget: int, seed: int, workers: Optional[int] = None,
                       "scenario_index": index, "point": digest["point"]},
             "scenario": shrunk.to_json(),
             "rng_state": generated[index][1],
-            "divergence": (run_fuzz_scenario(shrunk.to_json())["divergence"]
-                           if shrink else digest["divergence"]),
+            "violation": (run_fuzz_scenario(shrunk.to_json())["violation"]
+                          if shrink else digest["violation"]),
         }
         if bank:
             path = corpus.save_entry(entry, corpus_dir)
@@ -708,8 +687,8 @@ def run_fuzz(budget: int, seed: int, workers: Optional[int] = None,
         "budget": budget,
         "max_ops": max_ops,
         "scenarios": len(jobs),
-        "identical": identical,
-        "divergences": [digest["divergence"] for _i, digest in divergent],
+        "clean": clean,
+        "violations": [digest["violation"] for _i, digest in failing],
         "crashes": crashes,
         "quarantined": quarantined,
         "coverage": coverage.stats(),
@@ -728,37 +707,26 @@ def replay_entry(entry: Dict[str, object]) -> Dict[str, object]:
     return run_fuzz_scenario(dict(entry["scenario"]))
 
 
-def format_replay(entry: Dict[str, object], digest: Dict[str, object],
-                  max_fields: int = 40) -> str:
-    """Human-readable field-by-field replay verdict (``parity --repro``)."""
+def format_replay(entry: Dict[str, object], digest: Dict[str, object]) -> str:
+    """Human-readable replay verdict (``parity --repro``)."""
     scenario = FuzzScenario.from_json(entry["scenario"])
     lines = [f"reproducer: {scenario.name}",
              f"config:     {json.dumps(scenario.config.to_json(), sort_keys=True)}"]
     for spec in scenario.schedule.sorted_ops():
         lines.append(f"  op @{spec.offset:>6}: {spec.op} "
                      f"{json.dumps(spec.params, sort_keys=True)}")
-    if digest["outcome"] == "identical":
-        lines.append("verdict:    IDENTICAL (the bug this entry captured is fixed/absent)")
-        return "\n".join(lines)
     lines.append(f"verdict:    {digest['outcome'].upper()}")
-    if digest["outcome"] == "crash":
-        lines.append(f"  both sides crashed: {digest['crash']}")
-        return "\n".join(lines)
-    diffs = digest.get("diffs") or []
-    divergence = digest["divergence"]
-    if not diffs:
-        diffs = [[divergence["field"], divergence["uncached_value"],
-                  divergence["cached_value"]]]
-    lines.append(f"  {divergence['diverging_fields']} diverging fields "
-                 f"(showing {min(len(diffs), max_fields)}):")
-    for field, uncached_value, cached_value in diffs[:max_fields]:
-        lines.append(f"    {field}: uncached={uncached_value!r} cached={cached_value!r}")
+    if digest["outcome"] == "violation":
+        lines.append(f"  {digest['violation']['message']}")
+    elif digest["outcome"] == "crash":
+        lines.append(f"  crashed: {digest['crash']}")
     return "\n".join(lines)
 
 
 def replay_corpus(corpus_dir: Optional[Path] = None,
                   verbose: bool = False) -> Dict[str, object]:
-    """Replay every banked reproducer; the tier-1 regression sweep."""
+    """Replay every banked reproducer; the tier-1 regression sweep.  An
+    entry passes when it runs without a crash and every check stays clean."""
     entries, skipped = corpus.load_corpus(corpus_dir)
     failures: List[Dict[str, object]] = []
     for path, entry in entries:
@@ -766,10 +734,10 @@ def replay_corpus(corpus_dir: Optional[Path] = None,
         if verbose:
             print(f"--- {path.name}")
             print(format_replay(entry, digest))
-        if digest["outcome"] != "identical":
+        if digest["outcome"] != "clean":
             failures.append({"entry": path.name,
                              "outcome": digest["outcome"],
-                             "divergence": digest["divergence"],
+                             "violation": digest["violation"],
                              "crash": digest["crash"]})
     return {"entries": len(entries), "skipped": skipped, "failures": failures}
 
@@ -780,7 +748,7 @@ def replay_corpus(corpus_dir: Optional[Path] = None,
 def apply_sensitivity_toggle(name: str) -> Callable[[], None]:
     """Deliberately break one invalidation path process-wide; returns undo.
 
-    The same known-bug toggles the parity harness sensitivity tests use:
+    The same known-bug toggles the parity sensitivity tests use:
     ``shootdown`` unhooks kernel TLB shootdowns from the MMU, ``nested``
     no-ops the INVEPT-style nested invalidations.  For fuzzer self-tests
     only — the toggle corrupts every system built until undone.
@@ -812,7 +780,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validation.fuzz",
         description="Coverage-guided kernel-op scenario fuzzer "
-                    "(VPN-cache off-vs-on differential oracle)")
+                    "(translations checked after every op and fault)")
     parser.add_argument("--budget", type=int, default=40, metavar="N",
                         help="scenarios to run (default 40)")
     parser.add_argument("--seed", type=int, default=2025,
@@ -833,7 +801,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--no-bank", action="store_true",
                         help="do not write shrunk reproducers to the corpus")
     parser.add_argument("--no-shrink", action="store_true",
-                        help="bank raw divergent scenarios without shrinking")
+                        help="bank raw violating scenarios without shrinking")
     parser.add_argument("--replay-corpus", action="store_true",
                         help="replay every banked reproducer and exit")
     parser.add_argument("--break", dest="break_toggle", type=str, default=None,
@@ -872,8 +840,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         atomic_write_json(args.json, summary)
     coverage = summary["coverage"]
-    print(f"fuzz: {summary['identical']}/{summary['scenarios']} identical, "
-          f"{len(summary['divergences'])} divergent, "
+    print(f"fuzz: {summary['clean']}/{summary['scenarios']} clean, "
+          f"{len(summary['violations'])} violating, "
           f"{len(summary['crashes'])} crashing, "
           f"{summary['quarantined']} quarantined "
           f"in {summary['wall_seconds']:.1f}s "
@@ -882,10 +850,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     label = "reproducer (not banked)" if args.no_bank else "banked"
     for name in summary["reproducers"]:
         print(f"  {label} {name}")
-    for raw in summary["divergences"]:
-        print(f"  DIVERGENCE {raw['point']}: {raw['field']} "
-              f"(uncached={raw['uncached_value']!r}, cached={raw['cached_value']!r})")
-    return 1 if summary["divergences"] or summary["quarantined"] else 0
+    for violation in summary["violations"]:
+        print(f"  VIOLATION {violation['point']}: {violation['message']}")
+    return 1 if summary["violations"] or summary["quarantined"] else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,6 @@
-"""Differential parity matrix: VPN cache off vs on across the whole zoo.
+"""Parity lattice: every design x workload x toggle, checked two ways.
 
-The MMU's VPN translation cache memoises L1 TLB hits so the hot loop can
-skip the TLB-object machinery; it is only trustworthy if simulated
-statistics are bit-identical with it switched off
-(``MMUExtensions.vpn_translation_cache=False``, the reference) *everywhere*,
-not just on the radix-centric scenarios the KIPS harness watches.  This
-module is the McKeeman-style differential-testing subsystem that enforces
-that: it enumerates a configuration lattice —
+This module enumerates a configuration lattice —
 
 * every registered page-table design
   (:func:`repro.pagetables.factory.registered_kinds`),
@@ -22,23 +16,30 @@ that: it enumerates a configuration lattice —
   including host-swap-pressure points where hypervisor reclaim remaps the
   frames backing guest RAM),
 
-— runs each point with the cache off and on under identical seeds, and
-diffs the full statistics report field by field.  A mismatch produces a structured
-:class:`DivergenceRecord` (the configuration, the first diverging counter in
-sorted order and both values) rather than a bare assert, so a failure names
-the exact configuration and statistic to chase.
+— and simulates each point once, checked two ways:
+
+* **coherence** — :func:`repro.validation.invariants.check_translations`
+  runs after every page fault and at the end of the point, so a stale
+  translation is reported (core, structure, address, cached vs live) at
+  the first fault after the mutation that left it behind;
+* **regression** — the point's ``stats_sha256`` must equal its entry in
+  the checked-in record ``tests/parity_record.json``.  After a deliberate
+  change of simulated behaviour, rebuild the record from a full run::
+
+      PYTHONPATH=src python -m repro.validation.parity --full --json full.json
+      PYTHONPATH=src python -c "from repro.validation.parity import \\
+          write_record; write_record('full.json')"
 
 Three consumers:
 
 * ``tests/test_parity_matrix.py`` — an always-on tier-1 sampler over a
-  seeded ~40-point subset of the lattice (kept well under 30 s);
+  seeded ~40-point subset of the lattice;
 * ``python -m repro.validation.parity --full`` — the full matrix, fanned
   across host processes by the fault-tolerant experiment service
   (:mod:`repro.experiments.service`; ``--store DIR`` makes the run
   resumable and caches every completed point content-addressed);
-* ``benchmarks/perf/parity_bench.py`` — records per-backend cache-on vs off
-  speedups into ``BENCH_perf.json`` so the perf trajectory covers every
-  design, not just radix.
+* ``python -m repro.validation.parity --repro FILE`` — replays one banked
+  fuzz-corpus reproducer.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import json
 import time
 import zlib
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.addresses import MB
@@ -61,12 +63,19 @@ from repro.common.config import (
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import LatencyDistribution
 from repro.core.report import SimulationReport
-from repro.mmu.extensions import MMUExtensions
 from repro.pagetables.factory import nested_capable_kinds, registered_kinds
+from repro.validation.invariants import (
+    TranslationIncoherence,
+    check_after_faults,
+    check_translations,
+)
 
-#: Keys whose values legitimately differ with the VPN cache off and on
-#: (host-side timing and fast-path diagnostics), excluded from the diff.
-HOST_ONLY_KEYS = ("host_seconds", "fast_path", "kips")
+#: Host-side report keys (wall-clock timing), excluded from the digest.
+HOST_ONLY_KEYS = ("host_seconds", "kips")
+
+#: The checked-in per-point record (point name -> ``stats_sha256``), kept
+#: with the fuzz corpus, the other regression record tier-1 replays.
+RECORD_PATH = Path(__file__).resolve().parents[3] / "tests" / "parity_record.json"
 
 #: Workload families of the lattice: family name -> (registry name, kwargs).
 #: Sizes are deliberately small — a parity point must answer in a few
@@ -82,8 +91,8 @@ WORKLOAD_FAMILIES: Dict[str, Tuple[str, Dict[str, object]]] = {
     # Guest-collapse family (virtualised points): small-arena layout forces
     # 4 KB guest faults, so guest khugepaged collapses the touched 2 MB
     # region *mid-run* and the hot phase then re-touches it — the sequence
-    # that turns a missing nested-TLB invalidation into stale 4 KB combined
-    # translations shadowed differently with the VPN cache on.
+    # that turns a missing nested-TLB invalidation into stale combined
+    # translations.
     "guestmix": ("GuestMix", {"footprint_bytes": 4 * MB, "vma_bytes": 256 << 10,
                               "interleave_regions": 2, "mix_per_cold": 2,
                               "hot_operations": 1500, "seed": 7}),
@@ -102,7 +111,7 @@ VIRTUALIZED_MULTICORE_SCENARIO = ("virtualized_guests",
 
 @dataclass(frozen=True)
 class ParityPoint:
-    """One lattice configuration, compared with the VPN cache off and on.
+    """One lattice configuration.
 
     ``page_table_kind`` is the native design — or, on virtualised points,
     the *host* (extended/nested) design backing guest RAM, with
@@ -128,25 +137,6 @@ class ParityPoint:
         if self.virtualized:
             name += f"/virt=guest:{self.guest_kind}"
         return name
-
-
-@dataclass
-class DivergenceRecord:
-    """A cache-off vs cache-on mismatch: where it happened and what diverged."""
-
-    point: str
-    #: First diverging statistic in sorted field order.
-    field: str
-    uncached_value: object
-    cached_value: object
-    #: Total number of diverging fields (the first is usually the cause,
-    #: the rest downstream fallout).
-    diverging_fields: int
-
-    def __str__(self) -> str:
-        return (f"{self.point}: {self.field} diverged "
-                f"(uncached={self.uncached_value!r}, cached={self.cached_value!r}; "
-                f"{self.diverging_fields} fields total)")
 
 
 # --------------------------------------------------------------------- #
@@ -244,7 +234,7 @@ def sample_lattice(size: int = 40, seed: int = 2025) -> List[ParityPoint]:
 # Running one point
 # --------------------------------------------------------------------- #
 def point_seed(point: ParityPoint) -> int:
-    """Deterministic per-point seed, identical for both cache settings."""
+    """Deterministic per-point seed."""
     return zlib.crc32(point.name.encode("utf-8")) & 0x7FFFFFFF
 
 
@@ -292,7 +282,9 @@ def build_config(point: ParityPoint) -> SystemConfig:
     return config
 
 
-def _run(point: ParityPoint, vpn_cache: bool) -> SimulationReport:
+def _run(point: ParityPoint) -> SimulationReport:
+    """Simulate ``point``, checking translations after every page fault
+    and at the end; raises :class:`TranslationIncoherence` on a stale one."""
     # Imports live inside the worker entry point (the pool pattern the
     # sweep runner established) so workers are self-reliant.
     from repro.core.virtuoso import Virtuoso
@@ -301,21 +293,24 @@ def _run(point: ParityPoint, vpn_cache: bool) -> SimulationReport:
 
     config = build_config(point)
     seed = point_seed(point)
-    system = Virtuoso(config, seed=seed, num_cores=point.cores,
-                      mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+    system = Virtuoso(config, seed=seed, num_cores=point.cores)
+    check_after_faults(system)
     if point.cores > 1:
         scenario, kwargs = (VIRTUALIZED_MULTICORE_SCENARIO if point.virtualized
                             else MULTICORE_SCENARIO)
-        return system.run_tasks(build_multiprocess_scenario(scenario, **kwargs)).merged
-    workload_name, kwargs = WORKLOAD_FAMILIES[point.family]
-    return system.run(build_workload(workload_name, **kwargs))
+        report = system.run_tasks(build_multiprocess_scenario(scenario, **kwargs)).merged
+    else:
+        workload_name, kwargs = WORKLOAD_FAMILIES[point.family]
+        report = system.run(build_workload(workload_name, **kwargs))
+    check_translations(system)
+    return report
 
 
 def flatten_stats(report: SimulationReport) -> Dict[str, object]:
     """Every simulated statistic of a report as a flat ``path -> value`` map.
 
-    Host-side values (wall-clock timings, VPN-cache diagnostics) are
-    excluded: they differ with the VPN cache off and on by design.
+    Host-side values (wall-clock timings) are excluded: they differ from
+    run to run.
     """
     flat: Dict[str, object] = {}
     top = {field: value for field, value in vars(report).items()
@@ -355,46 +350,53 @@ def stats_sha256(flat: Dict[str, object]) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def diff_stats(uncached: Dict[str, object],
-               cached: Dict[str, object]) -> List[Tuple[str, object, object]]:
-    """Fields whose values differ, in sorted field order."""
-    return [(field, uncached.get(field), cached.get(field))
-            for field in sorted(set(uncached) | set(cached))
-            if uncached.get(field) != cached.get(field)]
-
-
 def run_parity_point(point: ParityPoint) -> Dict[str, object]:
-    """Run one point with the VPN cache off and on and diff; returns a
-    picklable digest.  Its ``stats_sha256`` hashes the cached side's
-    statistics, so two commits' ``--json`` summaries compare point by
-    point."""
+    """Simulate one point; returns a picklable digest.
+
+    ``stats_sha256`` hashes the point's statistics (None when the
+    translation check tripped, which ``violation`` then describes).
+    """
     start = time.perf_counter()
-    uncached = flatten_stats(_run(point, vpn_cache=False))
-    cached = flatten_stats(_run(point, vpn_cache=True))
-    diffs = diff_stats(uncached, cached)
     digest: Dict[str, object] = {
         "point": point.name,
         "config": asdict(point),
-        "identical": not diffs,
-        "fields_compared": len(set(uncached) | set(cached)),
-        "stats_sha256": stats_sha256(cached),
-        "host_seconds": round(time.perf_counter() - start, 4),
-        "divergence": None,
+        "fields": 0,
+        "stats_sha256": None,
+        "violation": None,
+        "host_seconds": 0.0,
     }
-    if diffs:
-        field, uncached_value, cached_value = diffs[0]
-        digest["divergence"] = asdict(DivergenceRecord(
-            point=point.name, field=field, uncached_value=uncached_value,
-            cached_value=cached_value, diverging_fields=len(diffs)))
+    try:
+        flat = flatten_stats(_run(point))
+    except TranslationIncoherence as violation:
+        digest["violation"] = dict(violation.as_dict(), point=point.name)
+    else:
+        digest["fields"] = len(flat)
+        digest["stats_sha256"] = stats_sha256(flat)
+    digest["host_seconds"] = round(time.perf_counter() - start, 4)
     return digest
 
 
-def divergence_of(digest: Dict[str, object]) -> Optional[DivergenceRecord]:
-    """Rehydrate the digest's divergence record (None when identical)."""
-    raw = digest.get("divergence")
-    if raw is None:
+def load_record(path: Path = RECORD_PATH) -> Dict[str, str]:
+    """The checked-in record: point name -> ``stats_sha256``."""
+    return json.loads(Path(path).read_text())["points"]
+
+
+def write_record(summary_path: str, path: Path = RECORD_PATH) -> None:
+    """Rebuild the record from a ``--full --json`` summary."""
+    results = json.loads(Path(summary_path).read_text())["results"]
+    points = {digest["point"]: digest["stats_sha256"] for digest in results}
+    Path(path).write_text(json.dumps({"schema": "parity_record/v1", "points": points},
+                                     indent=1, sort_keys=True) + "\n")
+
+
+def record_mismatch(digest: Dict[str, object],
+                    record: Dict[str, str]) -> Optional[Dict[str, object]]:
+    """How a clean digest differs from the record (None if it matches)."""
+    recorded = record.get(digest["point"])
+    if digest["violation"] is not None or digest["stats_sha256"] == recorded:
         return None
-    return DivergenceRecord(**raw)
+    return {"point": digest["point"], "recorded": recorded,
+            "measured": digest["stats_sha256"]}
 
 
 # --------------------------------------------------------------------- #
@@ -402,7 +404,7 @@ def divergence_of(digest: Dict[str, object]) -> Optional[DivergenceRecord]:
 # --------------------------------------------------------------------- #
 #: Content-address schema tag for parity jobs in the experiment service's
 #: result store (bump when the parity digest layout changes).
-PARITY_JOB_SCHEMA = "parity_point/v2"
+PARITY_JOB_SCHEMA = "parity_point/v3"
 
 
 def parity_job_key(point: ParityPoint) -> str:
@@ -420,7 +422,7 @@ def run_matrix(points: Sequence[ParityPoint],
 
     Execution rides the fault-tolerant experiment service
     (:class:`~repro.experiments.service.ExperimentService`): points are
-    picklable, each worker builds both systems itself, and results are
+    picklable, each worker builds its system itself, and results are
     merged in submission order, so the summary is byte-identical for any
     worker count.  With ``store_root`` every completed point lands
     content-addressed in a result store and a killed ``--full`` run
@@ -428,7 +430,9 @@ def run_matrix(points: Sequence[ParityPoint],
     ``server`` (``host:port``) execution targets a running
     :mod:`repro.experiments.server` instead — same summary, shared store.
     A point whose worker fails every attempt is quarantined: it is left
-    out of ``points`` and listed under ``failed_points``.
+    out of ``points`` and listed under ``failed_points``.  Every clean
+    point's digest is compared with the checked-in record here, so a
+    cached result is judged against the record in force.
     """
     from repro.experiments.service import ExperimentService, Job
 
@@ -449,12 +453,16 @@ def run_matrix(points: Sequence[ParityPoint],
             outcome = service.execute(run_parity_point, jobs)
     wall_seconds = time.perf_counter() - start
     digests = [d for d in outcome["results"] if d is not None]
-    divergences = [d["divergence"] for d in digests if d["divergence"] is not None]
+    record = load_record()
+    mismatches = [m for m in (record_mismatch(d, record) for d in digests)
+                  if m is not None]
+    violations = [d["violation"] for d in digests if d["violation"] is not None]
     return {
-        "schema": "parity_matrix/v1",
+        "schema": "parity_matrix/v2",
         "points": len(digests),
-        "identical": sum(1 for d in digests if d["identical"]),
-        "divergences": divergences,
+        "matching": len(digests) - len(mismatches) - len(violations),
+        "mismatches": mismatches,
+        "violations": violations,
         "failed_points": outcome["failed_points"],
         "wall_seconds": round(wall_seconds, 4),
         "service": outcome["counters"],
@@ -465,7 +473,8 @@ def run_matrix(points: Sequence[ParityPoint],
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.validation.parity",
-        description="Differential VPN-cache off-vs-on parity across the page-table zoo")
+        description="Simulate the page-table zoo's configuration lattice, checking "
+                    "translations and the per-point record")
     parser.add_argument("--full", action="store_true",
                         help="run the full lattice (default: the tier-1 sample)")
     parser.add_argument("--virtualized", action="store_true",
@@ -490,12 +499,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--json", type=str, default=None, metavar="PATH",
                         help="write the full summary as JSON to PATH")
     parser.add_argument("--repro", type=str, default=None, metavar="FILE",
-                        help="replay one banked fuzz-corpus reproducer with a "
-                             "verbose field-by-field diff and exit")
+                        help="replay one banked fuzz-corpus reproducer and exit")
     args = parser.parse_args(argv)
 
     if args.repro:
-        # Shares the fuzzer's oracle/replay path (the exact code the shrinker
+        # Shares the fuzzer's replay path (the exact code the shrinker
         # verified the entry with), so a repro never drifts from the fuzzer.
         from repro.validation import corpus
         from repro.validation.fuzz import format_replay, replay_entry
@@ -507,7 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.json, "w") as handle:
                 json.dump(digest, handle, indent=2)
                 handle.write("\n")
-        return 0 if digest["outcome"] == "identical" else 1
+        return 0 if digest["outcome"] == "clean" else 1
 
     if args.virtualized:
         points = virtualized_lattice()
@@ -527,14 +535,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     service = summary["service"]
     cached = (f", {service['cache_hits']} cached" if service["cache_hits"]
               else "")
-    print(f"parity matrix: {summary['identical']}/{summary['points']} points "
-          f"identical in {summary['wall_seconds']:.1f}s ({scope}{cached})")
-    for raw in summary["divergences"]:
-        print(f"  DIVERGENCE {DivergenceRecord(**raw)}")
+    print(f"parity matrix: {summary['matching']}/{summary['points']} points "
+          f"clean and matching the record in {summary['wall_seconds']:.1f}s "
+          f"({scope}{cached})")
+    for mismatch in summary["mismatches"]:
+        print(f"  MISMATCH {mismatch['point']}: recorded {mismatch['recorded']}, "
+              f"measured {mismatch['measured']}")
+    for violation in summary["violations"]:
+        print(f"  VIOLATION {violation['point']}: {violation['message']}")
     for entry in summary["failed_points"]:
         print(f"  QUARANTINED {entry['name']} after {entry['attempts']} "
               f"attempts ({entry['reason']})")
-    return 1 if summary["divergences"] or summary["failed_points"] else 0
+    return 1 if (summary["mismatches"] or summary["violations"]
+                 or summary["failed_points"]) else 0
 
 
 if __name__ == "__main__":

@@ -177,7 +177,7 @@ def cold_hot_addresses(start: int, cold_touches: int, cold_stride: int,
     virtualised system each drives the guest handler *and* usually a
     hypervisor backing fault), then perform ``hot_operations`` uniform random
     accesses over the first ``hot_span`` bytes of the touched region (warm
-    2-D translation: nested-TLB and VPN-cache territory).
+    2-D translation: nested-TLB territory).
 
     ``interleave_regions`` > 1 deals the cold touches round-robin across
     that many ``region_bytes``-sized regions (touch *i* lands in region

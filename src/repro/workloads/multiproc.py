@@ -18,8 +18,8 @@ chosen so the co-runners stress a specific shared resource:
 * :func:`virtualized_guests` — guest processes for a *virtualised* system
   (``SystemConfig.virtualization.enabled``): each co-runner cold-faults its
   footprint (guest handler + hypervisor backing fault per page) and then
-  hammers the warm region with random accesses (2-D translation, nested-TLB
-  and VPN-cache territory).
+  hammers the warm region with random accesses (2-D translation and
+  nested-TLB territory).
 
 Builders return *fresh* workload objects (workloads keep per-run VMA and
 RNG state) and derive each co-runner's seed deterministically from the base
@@ -91,7 +91,8 @@ class GuestMixWorkload(Workload):
     system each touch drives the guest fault handler and, for unbacked
     guest-physical frames, a hypervisor backing fault); phase 2 performs
     random accesses over the now-warm region, exercising the 2-D translation
-    path — nested walks, nested-TLB hits and the MMU's VPN cache.
+    path — nested walks, nested-TLB hits and L1 TLB hits on combined
+    translations.
     Addresses come from :func:`~repro.workloads.base.cold_hot_addresses`.
 
     ``vma_bytes`` splits the footprint into several contiguous small VMAs

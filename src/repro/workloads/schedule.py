@@ -3,9 +3,8 @@
 The scenario fuzzer (:mod:`repro.validation.fuzz`) stresses the simulator
 with random kernel-op interleavings — mmap/munmap, THP collapse, forced
 reclaim, page migration, host remaps under virtualization — injected
-*mid-workload*.  For the differential oracle to be meaningful, an op
-scheduled at offset ``k`` must run after exactly ``k`` executed
-instructions, whatever the VPN-cache setting.
+*mid-workload*.  For a reproducer to replay, an op scheduled at offset
+``k`` must run after exactly ``k`` executed instructions, every time.
 
 :class:`ScheduledWorkload` achieves that with generator laziness: it
 re-packs the base workload's batches into ``batch_size`` chunks and cuts an

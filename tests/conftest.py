@@ -1,4 +1,5 @@
-"""Shared fixtures: small, fast system configurations for unit tests."""
+"""Shared fixtures: small, fast system configurations for unit tests, and
+the probe the translation-check sensitivity tests share."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mimicos.buddy import BuddyAllocator
 from repro.mimicos.kernel import MimicOS
+from repro.mmu.mmu import MMU
+from repro.validation import invariants
 from repro.validation.parity import flatten_stats, stats_sha256
 
 
@@ -113,3 +116,44 @@ def assert_report_digest(report, recorded: str) -> None:
     report.page_walks += 1
     assert report_digest(report) != recorded
     report.page_walks -= 1
+
+
+def trip_after_first_stale_mutation(monkeypatch, run):
+    """Run ``run()`` with every kernel shootdown followed by a silent
+    coherence probe; returns (violation, number of harness checks up to the
+    first incoherent state, number of harness checks in all).
+
+    The probe runs right after each shootdown (of the guest or the host
+    kernel) and only records the first moment a cached translation went
+    stale; the harness's own checks are counted through ``check_mmu``.
+    """
+    mmus, checks, stale_at = [], [], []
+    real_init = MMU.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        mmus.append(self)
+
+    real_check = invariants.check_mmu
+
+    def counted_check(mmu):
+        checks.append(mmu.core_index)
+        return real_check(mmu)
+
+    real_shootdown = MimicOS.tlb_shootdown
+
+    def shootdown(self, *args):
+        real_shootdown(self, *args)
+        if not stale_at:
+            try:
+                for mmu in mmus:
+                    real_check(mmu)
+            except invariants.TranslationIncoherence:
+                stale_at.append(len(checks))
+
+    monkeypatch.setattr(MMU, "__init__", init)
+    monkeypatch.setattr(invariants, "check_mmu", counted_check)
+    monkeypatch.setattr(MimicOS, "tlb_shootdown", shootdown)
+    violation = run()
+    assert stale_at, "no mutation ever left a stale translation"
+    return violation, stale_at[0], len(checks)

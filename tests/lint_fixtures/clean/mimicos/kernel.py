@@ -1,10 +1,9 @@
-"""R2 broadcast-check negative fixtures: shootdown call and version bump."""
+"""R2 broadcast-check negative fixtures: direct and transitive shootdowns."""
 
 
 class Kernel:
     def __init__(self):
         self.mappings = {}
-        self.version = 0
 
     def tlb_shootdown(self, vma):
         pass
@@ -14,9 +13,8 @@ class Kernel:
         self.tlb_shootdown(vma)
 
     def remove_page(self, vpn):
-        # The versioned-invalidation contract the VPN cache watches.
         self.mappings.pop(vpn, None)
-        self.version += 1
+        self.tlb_shootdown(vpn)
 
     def reclaim(self, count):
         # Transitive witness: reaches the shootdown through remove_page.

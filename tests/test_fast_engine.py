@@ -1,26 +1,24 @@
-"""Fast-path invariance tests: the batch hot loop and the VPN translation
-cache must change *host* throughput only — never a simulated statistic.
+"""Fast-path invariance tests: the batch hot loop and the in-place L1
+data-TLB hit must change *host* throughput only — never a simulated
+statistic.
 
-Five families:
+Four families:
 
 * recorded streams — each generator's batch stream must hash to its
   recorded digest, so no generator's output drifts unseen;
-* VPN-cache invariance — runs with the cache off and on must both
-  reproduce the report digests recorded when a per-object reference engine
-  still ran beside the batch engine (the two engines agreed on every one),
-  fault-heavy kernel paths (``kernel_cycles``, ``kernel_instructions``,
-  coupling/channel counters) included;
+* recorded reports — runs must reproduce the report digests recorded when
+  a per-object reference engine still ran beside the batch engine (the two
+  engines agreed on every one), fault-heavy kernel paths
+  (``kernel_cycles``, ``kernel_instructions``, coupling/channel counters)
+  included;
 * kernel batches — ``InstrumentationTool.expand_batch`` counts what it
   emits and the channel terminates every batch;
-* invalidation — ``activate_process``, TLB flushes, core migration and
-  page-table unmaps must invalidate the VPN cache so no stale fast hit can
-  occur;
 * multi-core — a one-task ``Virtuoso.run_tasks`` must be bit-identical
   to ``Virtuoso.run`` bar the scheduler's context switch; interleaved
-  single- and two-core runs must reproduce their recorded digests with the
-  cache off and on, fault-heavy full-system runs included; N-core runs must
-  be deterministic across repeats and genuinely share the L2/LLC/DRAM while
-  keeping L1/TLB state private.
+  single- and two-core runs must reproduce their recorded digests,
+  fault-heavy full-system runs included; N-core runs must be deterministic
+  across repeats and genuinely share the L2/LLC/DRAM while keeping L1/TLB
+  state private, and context switches and migrations must flush the TLBs.
 """
 
 import hashlib
@@ -28,20 +26,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.common.addresses import MB, PAGE_SIZE_4K
-from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
+from repro.common.addresses import MB
 from repro.common.kernelops import KernelRoutineTrace
 from repro.core.channels import InstructionStreamChannel
 from repro.core.cpu import CoreModel
 from repro.core.instructions import OP_LOAD, OP_MAGIC, OP_REP, InstructionBatch
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.virtuoso import Virtuoso
-from repro.memhier.memory_system import MemoryHierarchy
 from repro.mimicos.kernel import MimicOS
-from repro.mmu.extensions import MMUExtensions
-from repro.mmu.mmu import MMU, MemoryOperationResult, TranslationResult
-from repro.mmu.tlb import TLBHierarchy
-from repro.pagetables.radix import RadixPageTable
+from repro.mmu.mmu import MemoryOperationResult, TranslationResult
+from repro.validation.invariants import check_translations
 from repro.validation.parity import flatten_stats
 from repro.common.config import PageTableConfig
 from repro.workloads import (
@@ -74,10 +68,10 @@ REPORT_FIELDS = [
 ]
 
 
-def run_system(workload_factory, extensions=None, seed=7, os_mode="imitation"):
+def run_system(workload_factory, seed=7, os_mode="imitation"):
     config = tiny_system_config()
     config = config.with_simulation(replace(config.simulation, os_mode=os_mode))
-    system = Virtuoso(config, seed=seed, mmu_extensions=extensions)
+    system = Virtuoso(config, seed=seed)
     report = system.run(workload_factory())
     return system, report
 
@@ -210,17 +204,12 @@ INTERLEAVED_DIGESTS = {
 GUPS_DIGEST = "12c2a8c4911704d4c43d0b475234a1d4ebd55e87fb9a828942feec4cce63a8aa"
 TWO_CORE_DIGEST = "7678c995464b1a17743796a24425083c7bcf237a49837c02a8e0365806d030f4"
 
-#: The two oracle sides: the VPN translation cache off (reference) and on.
-CACHE_SIDES = (MMUExtensions(vpn_translation_cache=False), MMUExtensions())
-
-
 class TestEngineInvariance:
     def test_gups_matches_recorded_digest(self):
-        factory = lambda: GUPSWorkload(footprint_bytes=4 * MB,
-                                       memory_operations=1200, seed=5)
-        for extensions in CACHE_SIDES:
-            system, report = run_system(factory, extensions=extensions)
-            assert_report_digest(report, GUPS_DIGEST)
+        system, report = run_system(lambda: GUPSWorkload(footprint_bytes=4 * MB,
+                                                         memory_operations=1200, seed=5))
+        assert_report_digest(report, GUPS_DIGEST)
+        # The in-place L1 data-TLB hit served accesses.
         assert system.mmu.fast_hits > 0
 
     @pytest.mark.parametrize("os_mode", ["imitation", "full_system"])
@@ -232,23 +221,9 @@ class TestEngineInvariance:
                                                           seed=8),
         }
         for name, factory in factories.items():
-            for extensions in CACHE_SIDES:
-                _, report = run_system(factory, extensions=extensions, os_mode=os_mode)
-                assert report.kernel_instructions > 0
-                assert_report_digest(report, FAULT_HEAVY_DIGESTS[os_mode, name])
-
-    def test_vpn_cache_on_off_invariance(self):
-        for factory in (
-            lambda: SequentialWorkload(footprint_bytes=4 * MB,
-                                       memory_operations=2000, prefault=True, seed=2),
-            lambda: GUPSWorkload(footprint_bytes=4 * MB, memory_operations=1200, seed=5),
-        ):
-            on_system, on_report = run_system(factory, extensions=MMUExtensions())
-            off_system, off_report = run_system(
-                factory, extensions=MMUExtensions(vpn_translation_cache=False))
-            assert_reports_identical(on_report, off_report)
-            assert on_system.mmu.fast_hits > 0
-            assert off_system.mmu.fast_hits == 0
+            _, report = run_system(factory, os_mode=os_mode)
+            assert report.kernel_instructions > 0
+            assert_report_digest(report, FAULT_HEAVY_DIGESTS[os_mode, name])
 
     def test_max_instructions_exact_with_batches(self):
         factory = lambda: SequentialWorkload(footprint_bytes=4 * MB,
@@ -257,80 +232,6 @@ class TestEngineInvariance:
         system = Virtuoso(config, seed=7)
         report = system.run(factory(), max_instructions=777)
         assert report.instructions == 777
-
-
-class TestVPNCacheInvalidation:
-    def make_mmu(self):
-        memory = MemoryHierarchy(
-            l1_config=CacheConfig("L1", 4 * 1024, 4, 2),
-            l2_config=CacheConfig("L2", 16 * 1024, 4, 8),
-            l3_config=CacheConfig("L3", 64 * 1024, 8, 20),
-            dram_config=DRAMConfig(capacity_bytes=1 << 30),
-        )
-        tlbs = TLBHierarchy(
-            l1i=TLBConfig("L1I", 16, 4, 1),
-            l1d_4k=TLBConfig("L1D4K", 16, 4, 1),
-            l1d_2m=TLBConfig("L1D2M", 8, 4, 1, page_sizes=(2 << 20,)),
-            l2=TLBConfig("L2", 64, 8, 8, page_sizes=(PAGE_SIZE_4K, 2 << 20)),
-        )
-        mmu = MMU(tlbs, memory)
-        table = RadixPageTable()
-        mmu.set_context(pid=1, page_table=table)
-        return mmu, table
-
-    def warm(self, mmu, address):
-        """Walk + fill, then an L1 hit that records the VPN cache entry."""
-        mmu.access_data_fast(address)          # miss -> walk -> fill
-        mmu.access_data_fast(address)          # L1 hit -> recorded
-        hits_before = mmu.fast_hits
-        mmu.access_data_fast(address)          # fast hit
-        assert mmu.fast_hits == hits_before + 1
-        assert mmu.fast_path_stats()["entries"] > 0
-
-    def test_tlb_flush_invalidates(self):
-        mmu, table = self.make_mmu()
-        table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        self.warm(mmu, 0x1000)
-        mmu.tlbs.flush()
-        hits = mmu.fast_hits
-        result = mmu.access_data_fast(0x1040)
-        assert mmu.fast_hits == hits            # took the slow path
-        assert result.translation.walked        # TLBs were empty again
-        assert result.translation.physical_address == 0xA040
-
-    def test_page_table_unmap_invalidates(self):
-        mmu, table = self.make_mmu()
-        table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        self.warm(mmu, 0x1000)
-        table.remove(0x1000)
-        hits = mmu.fast_hits
-        mmu.access_data_fast(0x1000)
-        assert mmu.fast_hits == hits            # fast path declined to answer
-        # Any page-table mutation (insert included) must also invalidate.
-        self.warm(mmu, 0x1000)                  # re-warm via the (stale) TLB entry
-        table.insert(0x9000, 0xB000, PAGE_SIZE_4K)
-        hits = mmu.fast_hits
-        mmu.access_data_fast(0x1000)
-        assert mmu.fast_hits == hits
-
-    def test_set_context_and_activate_process_invalidate(self):
-        mmu, table = self.make_mmu()
-        table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        self.warm(mmu, 0x1000)
-        other = RadixPageTable()
-        mmu.set_context(pid=2, page_table=other, flush_tlbs=True)
-        assert mmu.fast_path_stats()["entries"] == 0
-
-        config = tiny_system_config()
-        system = Virtuoso(config, seed=7)
-        first = system.create_process("a")
-        workload = SequentialWorkload(footprint_bytes=1 * MB,
-                                      memory_operations=500, prefault=True)
-        system.run(workload, process=first)
-        assert system.mmu.fast_hits > 0
-        second = system.create_process("b")
-        system.activate_process(second)
-        assert system.mmu.fast_path_stats()["entries"] == 0
 
 
 def load_batch(address):
@@ -391,23 +292,10 @@ def fault_heavy_workloads():
     ]
 
 
-def _strip_host_diagnostics(core_details):
-    """Drop the VPN-cache diagnostics (host-side by design) so only
-    simulated statistics are compared."""
-    stripped = []
-    for entry in core_details:
-        entry = dict(entry)
-        entry["mmu"] = {key: value for key, value in entry["mmu"].items()
-                        if key != "fast_path"}
-        stripped.append(entry)
-    return stripped
-
-
 def assert_merged_reports_identical(first, second):
     for field in REPORT_FIELDS:
         assert getattr(first, field) == getattr(second, field), field
-    assert _strip_host_diagnostics(first.details["cores"]) == \
-        _strip_host_diagnostics(second.details["cores"])
+    assert first.details["cores"] == second.details["cores"]
     assert first.details["shared_memory"] == second.details["shared_memory"]
     assert first.details["coupling"] == second.details["coupling"]
     assert first.details["kernel"] == second.details["kernel"]
@@ -435,25 +323,22 @@ class TestMultiCoreInvariance:
     @pytest.mark.parametrize("os_mode", ["imitation", "full_system"])
     def test_interleaved_matches_recorded_digest(self, os_mode):
         """A single-core multi-process run interleaved in chunks must
-        reproduce its recorded statistics with the VPN cache off and on,
-        fault-heavy full-system runs included."""
+        reproduce its recorded statistics, fault-heavy full-system runs
+        included."""
         factories = {"two_process": two_process_workloads,
                      "fault_heavy": fault_heavy_workloads}
         for name, factory in factories.items():
-            for extensions in CACHE_SIDES:
-                result = Virtuoso(multicore_config(os_mode=os_mode),
-                                  num_cores=1, seed=7,
-                                  mmu_extensions=extensions).run_tasks(factory())
-                assert result.merged.instructions > 0
-                assert_report_digest(result.merged, INTERLEAVED_DIGESTS[os_mode, name])
+            result = Virtuoso(multicore_config(os_mode=os_mode),
+                              num_cores=1, seed=7).run_tasks(factory())
+            assert result.merged.instructions > 0
+            assert_report_digest(result.merged, INTERLEAVED_DIGESTS[os_mode, name])
 
     def test_two_core_matches_recorded_digest(self):
-        """Cache invariance holds with cores genuinely sharing L2/LLC/DRAM."""
-        for extensions in CACHE_SIDES:
-            result = Virtuoso(multicore_config(), num_cores=2, seed=7,
-                              mmu_extensions=extensions).run_tasks(
-                                  two_process_workloads())
-            assert_report_digest(result.merged, TWO_CORE_DIGEST)
+        """The recorded statistics hold with cores genuinely sharing
+        L2/LLC/DRAM."""
+        result = Virtuoso(multicore_config(), num_cores=2, seed=7).run_tasks(
+            two_process_workloads())
+        assert_report_digest(result.merged, TWO_CORE_DIGEST)
 
     @pytest.mark.parametrize("migrate_every", [None, 2])
     def test_multicore_runs_deterministic(self, migrate_every):
@@ -536,8 +421,8 @@ class TestMultiCoreInvariance:
 
 
 class TestMultiCoreContextSwitches:
-    """Context-switch and migration correctness: TLBs and the VPN
-    translation cache must never leak across processes or cores."""
+    """Context-switch and migration correctness: TLB contents must never
+    leak across processes or cores."""
 
     def test_interleaving_context_switches_flush_tlbs(self):
         system = Virtuoso(multicore_config(batch_size=512),
@@ -551,9 +436,10 @@ class TestMultiCoreContextSwitches:
         assert unit.tlbs.l1d_4k.counters.get("flushes") == switches
         assert unit.tlbs.l2.counters.get("flushes") == switches
 
-    def test_context_switch_invalidates_vpn_cache(self):
-        """After a run leaves VPN-cache entries behind, switching another
-        process in must drop them (set_context clears the per-core cache)."""
+    def test_context_switch_leaves_no_translation_of_the_old_process(self):
+        """After a run leaves TLB entries behind, switching another process
+        in must drop them: the check against the new process's (empty)
+        page table stays clean."""
         system = Virtuoso(multicore_config(), num_cores=1, seed=7)
         system.run_tasks([SequentialWorkload(footprint_bytes=1 * MB,
                                              memory_operations=800, prefault=True,
@@ -563,11 +449,11 @@ class TestMultiCoreContextSwitches:
         other = system.create_process("other")
         system.kernel.context_switch(unit.index, other)
         unit.mmu.set_context(other.pid, other.page_table, flush_tlbs=True)
-        assert unit.mmu.fast_path_stats()["entries"] == 0
+        assert check_translations(system) == 0
 
-    def test_migrate_in_flushes_tlbs_and_vpn_cache(self):
+    def test_migrate_in_flushes_tlbs(self):
         """MMU.migrate_in must behave exactly like a flushing set_context:
-        no TLB entry and no VPN-cache entry survives the migration."""
+        no TLB entry survives the migration."""
         system = Virtuoso(multicore_config(), num_cores=2, seed=7)
         workload = SequentialWorkload(footprint_bytes=1 * MB,
                                       memory_operations=800, prefault=True,
@@ -580,7 +466,10 @@ class TestMultiCoreContextSwitches:
         assert source.mmu.fast_hits > 0
         # Warm the target core with the same process, then migrate in.
         target.mmu.migrate_in(process.pid, process.page_table)
-        assert target.mmu.fast_path_stats()["entries"] == 0
+        assert not any(entries for tlb in (target.tlbs.l1i, target.tlbs.l1d_4k,
+                                           target.tlbs.l1d_2m, target.tlbs.l2)
+                       for entries in tlb._sets)
+        check_translations(system)
         assert target.tlbs.l1d_4k.counters.get("flushes") >= 1
         assert target.mmu.pid == process.pid
 

@@ -1,7 +1,8 @@
 """The scenario fuzzer: generation, injection, oracle, shrinking, acceptance.
 
 The heavyweight acceptance proofs live here too: a deliberately broken
-invalidation path must be *found* by a seeded budget-bounded fuzz run,
+invalidation path must be *found* by a seeded budget-bounded fuzz run —
+the translation check trips at the first op or fault after the mutation —
 *shrunk* to a minimal reproducer, and the banked entry must fail under the
 broken build and pass under the fixed one; a fixed-seed campaign must be
 deterministic across worker counts and resumable through the experiment
@@ -24,6 +25,7 @@ from repro.common.rng import DeterministicRNG
 from repro.core.instructions import Instruction, InstructionKind
 from repro.mimicos.kernel import MimicOS
 from repro.validation import corpus, fuzz
+from repro.validation.invariants import TranslationIncoherence
 from repro.validation.fuzz import (
     CoverageMap,
     FuzzConfig,
@@ -35,6 +37,7 @@ from repro.validation.fuzz import (
 )
 from repro.workloads.base import Workload
 from repro.workloads.schedule import KernelOpSpec, OpSchedule, ScheduledWorkload
+from tests.conftest import trip_after_first_stale_mutation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -195,8 +198,8 @@ class TestShrinker:
             config=FuzzConfig(backend="vbi", family="mix", cores=2,
                               thp=False, swap=True),
             schedule=OpSchedule(ops=ops))
-        diverges = lambda s: any(spec.op == "reclaim" for spec in s.schedule.ops)
-        shrunk, checks = shrink_scenario(scenario, diverges=diverges)
+        fails = lambda s: any(spec.op == "reclaim" for spec in s.schedule.ops)
+        shrunk, checks = shrink_scenario(scenario, fails=fails)
         assert [spec.op for spec in shrunk.schedule.ops] == ["reclaim"]
         assert shrunk.config == FuzzConfig()  # every axis shrank to vanilla
         assert 0 < checks <= 60
@@ -206,11 +209,11 @@ class TestShrinker:
         scenario = FuzzScenario(config=FuzzConfig(), schedule=OpSchedule(ops=ops))
         calls = []
 
-        def diverges(candidate):
+        def fails(candidate):
             calls.append(candidate)
             return True
 
-        shrunk, checks = shrink_scenario(scenario, diverges=diverges, max_checks=5)
+        shrunk, checks = shrink_scenario(scenario, fails=fails, max_checks=5)
         assert checks == 5
         assert len(calls) == 5
         assert len(shrunk.schedule.ops) < len(ops)
@@ -220,7 +223,7 @@ class TestShrinker:
 # The oracle end to end (healthy build)
 # --------------------------------------------------------------------- #
 class TestOracle:
-    def test_scheduled_kernel_ops_stay_engine_identical(self):
+    def test_scheduled_kernel_ops_keep_translations_coherent(self):
         ops = (KernelOpSpec("mmap", 40, {"pages": 96}),
                KernelOpSpec("touch", 150, {"slot": 0, "pages": 32, "stride": 1}),
                KernelOpSpec("collapse", 500, {"regions": 4}),
@@ -229,12 +232,13 @@ class TestOracle:
                KernelOpSpec("migrate", 1200, {}))
         scenario = FuzzScenario(config=FuzzConfig(), schedule=OpSchedule(ops=ops))
         digest = run_fuzz_scenario(scenario.to_json())
-        assert digest["outcome"] == "identical", digest["divergence"]
-        assert digest["divergence"] is None
+        assert digest["outcome"] == "clean", digest["violation"]
+        assert digest["violation"] is None and digest["crash"] is None
+        assert digest["kernel_ops"]["reclaim.applied"] == 1
 
     def test_crash_is_classified_not_raised(self, monkeypatch):
-        monkeypatch.setattr(fuzz, "_run_scenario_side",
-                            lambda scenario, vpn_cache: (_ for _ in ()).throw(
+        monkeypatch.setattr(fuzz, "_run_scenario",
+                            lambda scenario: (_ for _ in ()).throw(
                                 AssertionError("injected fault")))
         scenario = generate_scenarios(1, seed=2)[0][0]
         digest = run_fuzz_scenario(scenario.to_json())
@@ -242,22 +246,16 @@ class TestOracle:
         assert digest["crash"] == {"type": "AssertionError",
                                    "message": "injected fault"}
 
-    def test_one_sided_crash_is_a_divergence(self, monkeypatch):
-        real = fuzz._run_scenario_side
-
-        def broken(scenario, vpn_cache):
-            if vpn_cache:
-                raise RuntimeError("cached side only")
-            return real(scenario, vpn_cache)
-
-        monkeypatch.setattr(fuzz, "_run_scenario_side", broken)
-        scenario = FuzzScenario(config=FuzzConfig(),
-                                schedule=OpSchedule(ops=(
-                                    KernelOpSpec("mmap", 0, {"pages": 4}),)))
+    def test_violation_is_classified_with_the_entry(self, monkeypatch):
+        violation = TranslationIncoherence(1, "l2", 0x7000, (0xA000, 4096), None)
+        monkeypatch.setattr(fuzz, "_run_scenario",
+                            lambda scenario: (_ for _ in ()).throw(violation))
+        scenario = generate_scenarios(1, seed=2)[0][0]
         digest = run_fuzz_scenario(scenario.to_json())
-        assert digest["outcome"] == "divergence"
-        assert digest["divergence"]["field"] == "crash"
-        assert digest["divergence"]["uncached_value"] == "ok"
+        assert digest["outcome"] == "violation"
+        assert digest["crash"] is None
+        assert digest["violation"] == dict(violation.as_dict(), point=scenario.name)
+        assert digest["violation"]["live"] is None
 
 
 # --------------------------------------------------------------------- #
@@ -267,34 +265,62 @@ class TestSensitivityProof:
     def test_broken_shootdown_is_found_shrunk_and_banked(self, monkeypatch, tmp_path):
         """With kernel TLB shootdowns deliberately unhooked (the PR 4
         harness-sensitivity toggle), a seeded budget-bounded fuzz run must
-        find the divergence, shrink it to <= 8 ops, and bank a reproducer
-        that fails under the broken build and passes under the fixed one."""
+        find the stale translation, shrink it to <= 8 ops, and bank a
+        reproducer that fails under the broken build and passes under the
+        fixed one."""
         monkeypatch.setattr(MimicOS, "register_tlb_listener",
                             lambda self, listener: None)
         summary = fuzz.run_fuzz(budget=6, seed=2025, workers=2,
                                 corpus_dir=tmp_path, bank=True)
-        assert summary["divergences"], (
-            "fuzzer failed to find the stale-TLB divergence within budget")
+        assert summary["violations"], (
+            "fuzzer failed to find the stale TLB entry within budget")
         assert summary["reproducers"]
         entries, skipped = corpus.load_corpus(tmp_path)
         assert skipped == 0
         assert len(entries) == len(set(summary["reproducers"]))
         for _path, entry in entries:
             assert len(entry["scenario"]["ops"]) <= 8
-            assert entry["divergence"] is not None
+            assert entry["violation"] is not None
             assert entry["rng_state"]  # generator cursor at schedule start
             # Still under the broken build: the reproducer must fail.
-            assert fuzz.replay_entry(entry)["outcome"] == "divergence"
+            assert fuzz.replay_entry(entry)["outcome"] == "violation"
         monkeypatch.undo()  # back to the fixed build
         for _path, entry in entries:
-            assert fuzz.replay_entry(entry)["outcome"] == "identical"
+            assert fuzz.replay_entry(entry)["outcome"] == "clean"
+
+    #: A virtualised scenario whose ops unmap guest pages and remap the
+    #: host frames backing guest RAM.
+    PROBE = FuzzScenario(
+        config=FuzzConfig(backend="radix", family="gups", virtualized=True),
+        schedule=OpSchedule(ops=(
+            KernelOpSpec("mmap", 10, {"pages": 64}),
+            KernelOpSpec("touch", 50, {"slot": 0, "pages": 48, "stride": 1}),
+            KernelOpSpec("munmap", 300, {"slot": 0}),
+            KernelOpSpec("host_remap", 500, {"pages": 16}))))
+
+    @pytest.mark.parametrize("toggle", ["shootdown", "nested"])
+    def test_break_probe_trips_at_the_first_check_after_the_mutation(
+            self, monkeypatch, toggle):
+        """``fuzz --break shootdown|nested``: the check must trip at the
+        first op or fault after the first mutation that left a stale
+        translation behind, and the healthy build runs the probe clean."""
+        assert run_fuzz_scenario(self.PROBE.to_json())["outcome"] == "clean"
+        undo = fuzz.apply_sensitivity_toggle(toggle)
+        try:
+            violation, stale_at, checks = trip_after_first_stale_mutation(
+                monkeypatch, lambda: run_fuzz_scenario(self.PROBE.to_json())["violation"])
+        finally:
+            undo()
+        assert violation is not None, f"--break {toggle} went unnoticed"
+        assert checks == stale_at + 1
+        assert violation["point"] == self.PROBE.name
 
 
 class TestCLIExitCode:
     def test_quarantined_scenario_fails_the_campaign(self, monkeypatch):
         """A scenario whose worker died on every attempt has no verdict;
         the campaign must not pass on the rest."""
-        summary = {"scenarios": 2, "identical": 1, "divergences": [],
+        summary = {"scenarios": 2, "clean": 1, "violations": [],
                    "crashes": [], "quarantined": 1, "wall_seconds": 0.1,
                    "coverage": {"op_pair_backend": 1, "op_axis": 1},
                    "reproducers": []}

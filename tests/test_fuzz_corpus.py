@@ -2,8 +2,8 @@
 
 Two jobs live here:
 
-* replay every committed reproducer in ``tests/fuzz_corpus/`` through the
-  differential oracle — each fuzzer catch stays fixed forever;
+* replay every committed reproducer in ``tests/fuzz_corpus/`` with the
+  translation check on — each fuzzer catch stays fixed forever;
 * prove the corpus layer's durability contract: atomic banking (no torn or
   leftover tmp files), content-hash dedupe, and tolerant loading that turns
   corrupt entries into :class:`CorpusWarning` skips instead of tier-1 crashes.
@@ -45,12 +45,12 @@ class TestBankedCorpusReplays:
         assert list(DEFAULT_CORPUS_DIR.glob("*.json")), \
             "the seed corpus should ship at least one banked reproducer"
 
-    def test_corpus_replays_identical_on_healthy_build(self):
+    def test_corpus_replays_clean_on_healthy_build(self):
         report = replay_corpus()
         assert report["skipped"] == 0, "committed corpus entries must all load"
         assert report["entries"] >= 1
         assert report["failures"] == [], (
-            "banked reproducers re-diverged: " + json.dumps(report["failures"]))
+            "banked reproducers fail again: " + json.dumps(report["failures"]))
 
     def test_committed_entries_are_minimal_and_provenanced(self):
         entries, skipped = load_corpus()
@@ -58,7 +58,10 @@ class TestBankedCorpusReplays:
         for path, entry in entries:
             scenario = FuzzScenario.from_json(entry["scenario"])
             assert len(scenario.schedule) <= 8, f"{path.name}: not shrunk"
-            assert "divergence" in entry, f"{path.name}: missing oracle record"
+            # Entries banked before the translation check carry the
+            # VPN-cache off/on divergence that found them.
+            assert "violation" in entry or "divergence" in entry, \
+                f"{path.name}: missing oracle record"
             assert "found" in entry, f"{path.name}: missing provenance"
             assert path.stem == entry_name(entry), \
                 f"{path.name}: filename drifted from its content hash"

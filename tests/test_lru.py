@@ -2,10 +2,10 @@
 
 Every translation-side cache replaces entries through
 :class:`repro.common.lru.LRU`.  The parity lattice cannot catch a mistake
-in that primitive: the VPN cache off and on share it.  So this file keeps
-a reference model of the semantics the caches had before the port — a
-clock, a stamp per entry and a ``min`` victim scan, with range caches
-scanned in first-inserted order — and drives it and each ported structure
+in that primitive: its record was made with the same primitive.  So this
+file keeps a reference model of the semantics the caches had before the
+port — a clock, a stamp per entry and a ``min`` victim scan, with range
+caches scanned in first-inserted order — and drives it and each ported structure
 through the same Hypothesis sequences of lookup, fill, invalidate and
 flush.  Hit/miss results, eviction counts and final contents (in recency
 order) must agree step by step.

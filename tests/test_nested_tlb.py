@@ -1,9 +1,8 @@
 """Unit tests for the nested (2-D) translation unit and its nested TLB.
 
 Covers the fill/lookup/invalidate/flush surface the two-level shootdown
-wiring depends on, the LRU and version semantics (which mirror the regular
-TLBs so the VPN translation cache stays honest), and the split guest/host
-latency accounting of the 2-D walk.
+wiring depends on, the LRU semantics, and the split guest/host latency
+accounting of the 2-D walk.
 """
 
 import pytest
@@ -68,23 +67,19 @@ class TestNestedTLB:
         assert tlb.flush() is False              # nothing left to drop
         assert tlb.lookup(0x1000) is None and tlb.lookup(0x2000) is None
 
-    def test_version_bumps_on_every_content_change(self):
-        tlb = _NestedTLB(entries=4)
-        v0 = tlb.version
-        tlb.fill(0x1000, 0xA000, PAGE_SIZE_4K)
-        v1 = tlb.version
-        assert v1 > v0
-        tlb.invalidate(0x1000)
-        v2 = tlb.version
-        assert v2 > v1
-        tlb.fill(0x2000, 0xB000, PAGE_SIZE_4K)
-        tlb.flush()
-        assert tlb.version > v2
-        # Lookups (hit or miss) are not content changes.
-        before = tlb.version
-        tlb.lookup(0x2000)
-        assert tlb.version == before
-
+    def test_invalidating_an_extent_drops_every_overlapping_entry(self):
+        """A guest huge page backed by smaller host pages is cached as
+        several smaller combined entries; shooting the huge page down must
+        drop all of them and nothing outside it."""
+        tlb = _NestedTLB(entries=8)
+        for index in range(3):
+            tlb.fill(0x20_0000 + index * PAGE_SIZE_4K, 0xA0_0000 + index * PAGE_SIZE_4K,
+                     PAGE_SIZE_4K)
+        tlb.fill(0x40_0000, 0xB0_0000, PAGE_SIZE_4K)
+        assert tlb.invalidate(0x20_0000, 2 << 20) is True
+        assert all(tlb.lookup(0x20_0000 + index * PAGE_SIZE_4K) is None
+                   for index in range(3))
+        assert tlb.lookup(0x40_0000) is not None
 
 class TestNestedTranslationUnit:
     def _unit(self):

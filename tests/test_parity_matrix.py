@@ -1,17 +1,19 @@
-"""Tier-1 differential parity sampler plus the page-table-zoo smoke tests.
+"""Tier-1 parity sampler plus the page-table-zoo smoke tests.
 
-Four families:
+Five families:
 
 * sampled parity matrix — a seeded ~40-point subset of the full lattice
   (every page-table design x workload family x cores x THP/swap toggles)
-  must be bit-identical with the VPN translation cache off and on;
-* harness sensitivity — with the kernel's TLB-shootdown wiring disabled the
-  harness must *detect* a divergence (a differential harness that cannot
-  catch the bug it was built for is worthless);
+  must run with every translation check clean and reproduce its
+  checked-in ``stats_sha256`` record;
+* the record — it covers exactly the lattice, and the CLI fails on a
+  record mismatch or a check violation;
+* harness sensitivity — with the kernel's TLB-shootdown wiring (or the
+  nested invalidation) disabled, the translation check must trip at the
+  first check after the mutation that left a stale entry, naming it;
 * stale-translation regression — swapping a page out must make the next
-  access fault with the VPN cache off and on, reproducing the statistics
-  recorded when a per-object reference engine still ran (the
-  kernel-initiated shootdown keeps the TLBs and the VPN cache honest);
+  access fault, reproducing the statistics recorded when a per-object
+  reference engine still ran;
 * zoo smoke — every factory-registered design survives a
   fault-allocate-translate-remove cycle, and the fallback page-table-frame
   allocator can never alias simulated physical memory.
@@ -25,16 +27,16 @@ from repro.common.addresses import FALLBACK_FRAME_BASE, GB, MB, PAGE_SIZE_4K, al
 from repro.common.config import PageTableConfig
 from repro.core.virtuoso import Virtuoso, build_report
 from repro.mimicos.kernel import MimicOS
-from repro.mmu.extensions import MMUExtensions
+from repro.mmu.mmu import MMU
 from repro.pagetables.base import _BumpFrameAllocator
 from repro.pagetables.factory import build_page_table, registered_kinds
 from repro.validation import parity as parity_module
 from repro.validation.parity import (
     MIN_VIRTUALIZED_SAMPLE,
-    DivergenceRecord,
     ParityPoint,
-    divergence_of,
     full_lattice,
+    load_record,
+    record_mismatch,
     run_parity_point,
     sample_lattice,
     virtualized_lattice,
@@ -44,6 +46,7 @@ from tests.conftest import (
     assert_report_digest,
     tiny_mimicos_config,
     tiny_system_config,
+    trip_after_first_stale_mutation,
 )
 
 #: Size of the always-on sampled subset (the full lattice is the CLI's job).
@@ -98,15 +101,61 @@ class TestLattice:
 
 
 class TestSampledParityMatrix:
-    """The always-on gate: no cache divergence anywhere in the sample."""
+    """The always-on gate: every sampled point checks clean and matches
+    its record."""
 
     @pytest.mark.parametrize("point", sample_lattice(SAMPLE_SIZE),
                              ids=lambda point: point.name)
-    def test_point_is_engine_invariant(self, point):
+    def test_point_is_coherent_and_matches_record(self, point):
         digest = run_parity_point(point)
-        record = divergence_of(digest)
-        assert record is None, f"VPN-cache divergence: {record}"
-        assert digest["fields_compared"] > 50  # a real report, not a stub
+        assert digest["violation"] is None, digest["violation"]
+        assert record_mismatch(digest, load_record()) is None
+        assert digest["fields"] > 50  # a real report, not a stub
+
+
+class TestRecord:
+    def test_record_covers_exactly_the_lattice(self):
+        record = load_record()
+        assert sorted(record) == sorted(point.name for point in full_lattice())
+        assert all(len(sha) == 64 for sha in record.values())
+
+    def test_record_is_rebuilt_from_a_full_summary(self, tmp_path):
+        summary = tmp_path / "full.json"
+        summary.write_text(json.dumps({"results": [
+            {"point": "b/gups", "stats_sha256": "2" * 64},
+            {"point": "a/gups", "stats_sha256": "1" * 64}]}))
+        record = tmp_path / "record.json"
+        parity_module.write_record(str(summary), record)
+        assert load_record(record) == {"a/gups": "1" * 64, "b/gups": "2" * 64}
+        assert json.loads(record.read_text())["schema"] == "parity_record/v1"
+
+    def test_cli_fails_on_a_record_mismatch(self, monkeypatch, tmp_path):
+        point = ParityPoint("radix", "gups")
+        monkeypatch.setattr(parity_module, "sample_lattice",
+                            lambda _size, _seed: [point])
+        monkeypatch.setattr(parity_module, "load_record",
+                            lambda: {point.name: "0" * 64})
+        out = tmp_path / "summary.json"
+        assert parity_module.main(["--workers", "1", "--json", str(out)]) == 1
+        summary = json.loads(out.read_text())
+        [mismatch] = summary["mismatches"]
+        assert mismatch["point"] == point.name
+        assert mismatch["recorded"] == "0" * 64
+        assert mismatch["measured"] == load_record()[point.name]
+        assert summary["matching"] == 0 and summary["violations"] == []
+
+    def test_cli_fails_on_a_check_violation(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(MimicOS, "register_tlb_listener",
+                            lambda self, listener: None)
+        point = ParityPoint("radix", "llm")
+        monkeypatch.setattr(parity_module, "sample_lattice",
+                            lambda _size, _seed: [point])
+        out = tmp_path / "summary.json"
+        assert parity_module.main(["--workers", "1", "--json", str(out)]) == 1
+        summary = json.loads(out.read_text())
+        [violation] = summary["violations"]
+        assert violation["point"] == point.name
+        assert summary["mismatches"] == [] and summary["matching"] == 0
 
 
 class TestQuarantinedPoints:
@@ -123,8 +172,8 @@ class TestQuarantinedPoints:
         code = parity_module.main(["--workers", "2", "--json", str(out)])
         summary = json.loads(out.read_text())
         assert code == 1
-        assert summary["divergences"] == []
-        assert summary["identical"] == summary["points"] == 1
+        assert summary["mismatches"] == [] and summary["violations"] == []
+        assert summary["matching"] == summary["points"] == 1
         [failed] = summary["failed_points"]
         assert failed["name"] == bad.name
         assert failed["reason"] == "error"
@@ -155,49 +204,50 @@ class TestStatsDigest:
 
         monkeypatch.setattr(virtuoso, "build_report", perturbed)
         digest = run_parity_point(self.POINT)
-        assert digest["identical"]   # both sides moved alike
         assert digest["stats_sha256"] != clean
+        # ...and the record catches it.
+        assert record_mismatch(digest, load_record()) == {
+            "point": self.POINT.name, "recorded": clean,
+            "measured": digest["stats_sha256"]}
 
 
 class TestHarnessSensitivity:
-    def test_detects_divergence_when_shootdown_disabled(self, monkeypatch):
-        """Re-create the pre-fix tree (no kernel TLB shootdowns) and demand
-        the harness flags the cache divergence it used to hide."""
+    def test_trips_when_shootdown_disabled(self, monkeypatch):
+        """Re-create the pre-fix tree (no kernel TLB shootdowns): the check
+        must trip at the first check after the first unmap it missed,
+        naming the stale entry."""
         monkeypatch.setattr(MimicOS, "register_tlb_listener",
                             lambda self, listener: None)
-        digest = run_parity_point(ParityPoint("radix", "llm", thp=True))
-        record = divergence_of(digest)
-        assert record is not None, (
-            "parity harness failed to detect the stale-TLB divergence")
-        assert record.diverging_fields > 0
-        assert record.field
-        # The record is structured: configuration, counter and both values.
-        assert record.point == "radix/llm/c1/thp=on/swap=off"
-        assert record.uncached_value != record.cached_value
-        assert "diverged" in str(record)
+        point = ParityPoint("radix", "llm", thp=True)
+        violation, stale_at, checks = trip_after_first_stale_mutation(
+            monkeypatch, lambda: run_parity_point(point)["violation"])
+        assert violation is not None, "the check missed the stale TLB entry"
+        assert checks == stale_at + 1
+        assert violation["point"] == "radix/llm/c1/thp=on/swap=off"
+        assert violation["core"] == 0
+        assert violation["structure"] in ("l1i", "l1d_4k", "l1d_2m", "l2")
+        assert violation["cached"] != violation["live"]
+        assert f"{violation['virtual_address']:#x}" in violation["message"]
 
-    def test_detects_divergence_when_nested_invalidation_disabled(self, monkeypatch):
+    def test_trips_when_nested_invalidation_disabled(self, monkeypatch):
         """Re-create the pre-fix nested path (stale nested-TLB entries
-        survive guest collapses and hypervisor remaps) and demand the
-        virtualised guest-collapse point flags the cache divergence: a
-        stale nested entry re-fills a 4 KB combined translation that the
-        TLB probe order and the VPN cache's whole-region 2 MB entries then
-        shadow differently."""
-        from repro.mmu.mmu import MMU
+        survive guest collapses and hypervisor remaps): the check must trip
+        at the first check after the remap, on the virtualised
+        guest-collapse point."""
         from repro.mmu.nested import NestedTranslationUnit
 
         monkeypatch.setattr(NestedTranslationUnit, "invalidate",
-                            lambda self, guest_virtual: None)
+                            lambda self, guest_virtual, size=0: None)
         monkeypatch.setattr(NestedTranslationUnit, "flush", lambda self: None)
         monkeypatch.setattr(MMU, "invalidate_nested_translations",
                             lambda self: None)
         point = ParityPoint("radix", "guestmix", virtualized=True)
-        digest = run_parity_point(point)
-        record = divergence_of(digest)
-        assert record is not None, (
-            "parity harness failed to detect the stale nested-TLB divergence")
-        assert record.point == point.name
-        assert record.uncached_value != record.cached_value
+        violation, stale_at, checks = trip_after_first_stale_mutation(
+            monkeypatch, lambda: run_parity_point(point)["violation"])
+        assert violation is not None, "the check missed the stale nested entry"
+        assert checks == stale_at + 1
+        assert violation["point"] == point.name
+        assert violation["cached"] != violation["live"]
 
 
 class TestOverlappingRangeDigest:
@@ -210,11 +260,9 @@ class TestOverlappingRangeDigest:
     #: Recorded while the RLB still kept its own clock and LRU stamps.
     RECORDED_DIGEST = "ccce81a39721b7d4dd71fe64ee31109b2659466dc1c74156ac66bbaf01c9f571"
 
-    @pytest.mark.parametrize("vpn_cache", [False, True])
-    def test_report_matches_recorded_digest(self, vpn_cache):
+    def test_report_matches_recorded_digest(self):
         assert self.POINT.name == "rmm/llm/c1/thp=on/swap=off"
-        assert_report_digest(parity_module._run(self.POINT, vpn_cache),
-                             self.RECORDED_DIGEST)
+        assert_report_digest(parity_module._run(self.POINT), self.RECORDED_DIGEST)
 
 
 def _swap_out_page(system: Virtuoso, pid: int, virtual_base: int) -> None:
@@ -227,37 +275,34 @@ def _swap_out_page(system: Virtuoso, pid: int, virtual_base: int) -> None:
 
 
 class TestSwapOutStaleTranslationRegression:
-    """A swapped-out page must fault on its next access, cache off or on."""
+    """A swapped-out page must fault on its next access."""
 
     #: Report digest of the sequence, recorded when a per-object reference
     #: engine still ran beside the batch engine (both produced it).
     RECORDED_DIGEST = "163b3b741d5b5b1dd46dd2d8b8f47231c2b90476a2f871f7a83d5791e2f1240a"
 
-    def run(self, vpn_cache: bool):
-        system = Virtuoso(tiny_system_config(), seed=7,
-                          mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+    def run(self):
+        system = Virtuoso(tiny_system_config(), seed=7)
         process = system.create_process("swap-victim")
         vma = system.kernel.mmap(process, 1 * MB)
         system.activate_process(process)
         address = vma.start + 0x1000
 
         access = system.mmu.access_data_fast
-        # Fault the page in, then touch it twice more: the second touch is an
-        # L1 TLB hit, which with the cache on records a VPN-cache entry and
-        # the third is served by the fast path.
+        # Fault the page in, then touch it twice more: both are in-place
+        # L1 data-TLB hits.
         assert access(address).translation.page_fault
         access(address)
         access(address)
-        assert (system.mmu.fast_hits > 0) == vpn_cache
+        assert system.mmu.fast_hits == 2
 
         _swap_out_page(system, process.pid, align_down(address, PAGE_SIZE_4K))
 
         outcome = access(address)
         return system, outcome
 
-    @pytest.mark.parametrize("vpn_cache", [False, True])
-    def test_next_access_faults_and_matches_recorded_digest(self, vpn_cache):
-        system, outcome = self.run(vpn_cache)
+    def test_next_access_faults_and_matches_recorded_digest(self):
+        system, outcome = self.run()
 
         # The unmapped page faults again (major: it comes back from swap).
         assert outcome.translation.page_fault

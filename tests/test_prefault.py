@@ -60,7 +60,7 @@ def kernel_state(kernel) -> dict:
                            for base, m in process.page_table._mappings.items()]
                      for pid, process in kernel.processes.items()
                      if process.page_table is not None},
-        "page_tables": {pid: (process.page_table.version, process.page_table.stats())
+        "page_tables": {pid: process.page_table.stats()
                         for pid, process in kernel.processes.items()
                         if process.page_table is not None},
         "free_lists": {order: list(blocks) for order, blocks in buddy._free_lists.items()},

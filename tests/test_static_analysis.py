@@ -85,7 +85,7 @@ def test_r2_owned_cache_and_broadcast_positives():
 
 
 def test_r2_clean_tree_accepts_all_witness_shapes():
-    # Direct call, transitive call, version bump, and cache rebuild.
+    # Direct call, transitive call and cache rebuild.
     findings, _ = lint_tree(CLEAN, InvalidationRule)
     assert findings == []
 

@@ -17,6 +17,7 @@ from repro.common.weak import weak_listener
 from repro.core import virtuoso
 from repro.core.virtuoso import Virtuoso
 from repro.mimicos import kernel as kernel_module
+from repro.validation import invariants
 from repro.validation.parity import ParityPoint, _run, flatten_stats
 from tests.conftest import tiny_system_config
 
@@ -56,14 +57,15 @@ def repro_garbage(action):
 
 @pytest.mark.parametrize("point", POINTS, ids=lambda point: point.name)
 def test_finished_system_is_freed_on_drop(point):
-    assert repro_garbage(lambda: flatten_stats(_run(point, vpn_cache=True))) == []
+    """``_run`` wraps every fault callback in the translation check."""
+    assert repro_garbage(lambda: flatten_stats(_run(point))) == []
 
 
 def test_one_strong_listener_makes_a_system_cyclic(monkeypatch):
     """Sensitivity: registering the VM's host-shootdown listener strongly
     closes the host kernel -> VM -> host kernel cycle, and the check sees it."""
     monkeypatch.setattr(kernel_module, "weak_listener", lambda listener: listener)
-    garbage = repro_garbage(lambda: _run(POINTS[3], vpn_cache=True))
+    garbage = repro_garbage(lambda: _run(POINTS[3]))
     assert "VirtualMachine" in garbage and "MimicOS" in garbage
 
 
@@ -71,12 +73,20 @@ def test_one_strong_fault_callback_makes_a_system_cyclic(monkeypatch):
     """Sensitivity: a strong MMU fault callback closes the MMU -> coupling
     -> core -> MMU cycle of a plain single-core system."""
     monkeypatch.setattr(virtuoso, "WeakCallback", lambda method: method)
-    garbage = repro_garbage(lambda: _run(POINTS[0], vpn_cache=True))
+    garbage = repro_garbage(lambda: _run(POINTS[0]))
     assert "MMU" in garbage and "CoreModel" in garbage
 
 
+def test_a_strong_translation_check_makes_a_system_cyclic(monkeypatch):
+    """Sensitivity: a checked fault callback holding the system strongly
+    closes the MMU -> callback -> system -> MMU cycle."""
+    monkeypatch.setattr(invariants, "WeakCallback", lambda method: method)
+    garbage = repro_garbage(lambda: _run(POINTS[0]))
+    assert "Virtuoso" in garbage and "MMU" in garbage
+
+
 def test_flatten_stats_leaves_no_cyclic_garbage():
-    report = _run(POINTS[0], vpn_cache=True)
+    report = _run(POINTS[0])
     assert cyclic_garbage(lambda: flatten_stats(report)) == []
 
 

@@ -73,6 +73,21 @@ class TestTLB:
         tlb.flush()
         assert tlb.lookup(0x1000) is None
 
+    def test_invalidating_an_extent_drops_every_overlapping_entry(self):
+        tlb = make_tlb(entries=64, associativity=8,
+                       page_sizes=(PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G))
+        for index in range(4):
+            tlb.fill(0x20_0000 + index * PAGE_SIZE_4K, 0xA000 + index * PAGE_SIZE_4K,
+                     PAGE_SIZE_4K)
+        tlb.fill(0x40_0000, 0x80_0000, PAGE_SIZE_2M)
+        tlb.fill(0x1000, 0xB000, PAGE_SIZE_4K)
+        tlb.invalidate(0x20_0000, PAGE_SIZE_2M)
+        assert all(tlb.lookup(0x20_0000 + index * PAGE_SIZE_4K) is None
+                   for index in range(4))
+        assert tlb.lookup(0x40_0000) == (0x80_0000, PAGE_SIZE_2M)
+        assert tlb.lookup(0x1000) == (0xB000, PAGE_SIZE_4K)
+        assert tlb.counters.get("invalidations") == 4
+
     def test_miss_rate(self):
         tlb = make_tlb()
         tlb.lookup(0)
@@ -125,6 +140,39 @@ class TestTLBHierarchy:
         hierarchy.l2.fill(0x1000, 0xA000, PAGE_SIZE_4K)
         hierarchy.lookup(0x1000)
         assert hierarchy.last_latency == hierarchy.l1d_4k.latency + hierarchy.l2.latency
+
+
+class TestInPlaceL1Hit:
+    """``access_data_fast`` writes the L1 data-TLB hit out in place; it must
+    leave exactly what ``TLBHierarchy.lookup`` plus ``MMU._access`` leave."""
+
+    @staticmethod
+    def warmed(address, size):
+        mmu = MMU(make_hierarchy(), make_memory())
+        table = RadixPageTable()
+        mmu.set_context(1, table)
+        table.insert(address, 0x4000_0000, size)
+        for offset in (0, 0x40, 0x1040):
+            mmu.access_data(address + offset)
+        return mmu
+
+    @pytest.mark.parametrize("size", [PAGE_SIZE_4K, PAGE_SIZE_2M])
+    def test_matches_the_lookup_path(self, size):
+        address = 0x7F00_0020_0000
+        in_place, reference = self.warmed(address, size), self.warmed(address, size)
+        hits = in_place.fast_hits
+        got = in_place.access_data(address + 0x80, True, 7)
+        assert in_place.fast_hits == hits + 1
+        reference._c_data_accesses[0] += 1
+        want = reference._fresh(reference._access(address + 0x80, True, 7, False))
+        assert got == want
+        assert got.translation.tlb_level == "L1"
+        assert got.translation.page_size == size
+        assert in_place.stats() == reference.stats()
+        assert in_place.memory.stats() == reference.memory.stats()
+        for name in ("l1d_4k", "l1d_2m", "l2"):
+            assert [list(entries) for entries in getattr(in_place.tlbs, name)._sets] == \
+                [list(entries) for entries in getattr(reference.tlbs, name)._sets]
 
 
 class TestMMU:
@@ -266,6 +314,80 @@ class TestMMUExtensions:
         assert entry == (0xA000, PAGE_SIZE_4K)
 
 
+def remap(mmu, table, virtual_address, physical_address):
+    """What MimicOS does to move a page: unmap, shoot down, map again."""
+    table.remove(virtual_address)
+    mmu.invalidate_translation(1, virtual_address)
+    table.insert(virtual_address, physical_address, PAGE_SIZE_4K)
+
+
+class TestTranslationsPastTheTLBsAreShotDown:
+    """The POM-TLB and Victima hold translations the TLBs no longer do, so
+    a shootdown and a flushing context switch must reach them too."""
+
+    def test_pom_tlb_forgets_a_remapped_page(self):
+        memory = make_memory()
+        mmu = MMU(make_hierarchy(), memory, MMUExtensions(pom_tlb=True))
+        table = RadixPageTable()
+        mmu.set_context(1, table)
+        table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
+        mmu.access_data(0x1000)
+        remap(mmu, table, 0x1000, 0xB000)
+        result = mmu.access_data(0x1040)
+        assert result.translation.physical_address == 0xB040
+        assert mmu.counters.get("pom_tlb_hits") == 0
+
+    def test_victima_forgets_a_remapped_page(self):
+        memory = make_memory()
+        mmu = MMU(make_hierarchy(), memory, MMUExtensions(victima=True))
+        table = RadixPageTable()
+        mmu.set_context(1, table)
+        # Pages whose VPNs share the L2 TLB's (8-set) and the L1 TLB's
+        # (4-set) set with 0x1000, enough to push it out of both.
+        pages = [0x1000 + index * 8 * PAGE_SIZE_4K for index in range(10)]
+        for page in pages:
+            table.insert(page, 0xA000 + (page - 0x1000), PAGE_SIZE_4K)
+            mmu.access_data(page)
+        assert mmu.tlbs.l2.lookup(0x1000) is None
+        assert mmu.victima.lookup(0x1000)[0] == (0xA000, PAGE_SIZE_4K)
+        remap(mmu, table, 0x1000, 0xB000)
+        result = mmu.access_data(0x1040)
+        assert result.translation.physical_address == 0xB040
+        assert mmu.counters.get("victima_hits") == 0
+
+    def test_victima_shootdown_of_a_huge_page_drops_its_pieces(self):
+        victima = VictimaCacheTLB(make_memory().l2)
+        victima.store_victim(0x20_1000, 0xA000, PAGE_SIZE_4K)
+        victima.store_victim(0x20_0000, 0x40_0000, PAGE_SIZE_2M)
+        victima.store_victim(0x60_0000, 0xB000, PAGE_SIZE_4K)
+        victima.invalidate(0x20_0000, PAGE_SIZE_2M)
+        assert set(victima._entries) == {(0x60_0000 // PAGE_SIZE_4K, PAGE_SIZE_4K)}
+
+    def test_flushing_context_switch_empties_both(self):
+        memory = make_memory()
+        mmu = MMU(make_hierarchy(), memory, MMUExtensions(pom_tlb=True, victima=True))
+        table = RadixPageTable()
+        mmu.set_context(1, table)
+        for index in range(80):
+            table.insert(index * PAGE_SIZE_4K, 0x10_0000 + index * PAGE_SIZE_4K, PAGE_SIZE_4K)
+            mmu.access_data(index * PAGE_SIZE_4K)
+        assert mmu.pom_tlb._table and mmu.victima._entries
+        mmu.set_context(2, RadixPageTable(), flush_tlbs=True)
+        assert not mmu.pom_tlb._table and not mmu.victima._entries
+
+    def test_pom_tlb_holds_the_4k_piece_of_a_huge_page(self):
+        memory = make_memory()
+        mmu = MMU(make_hierarchy(), memory, MMUExtensions(pom_tlb=True))
+        table = RadixPageTable()
+        mmu.set_context(1, table)
+        table.insert(0x20_0000, 0x40_0000, PAGE_SIZE_2M)
+        mmu.access_data(0x20_5123)
+        mmu.tlbs.flush()
+        result = mmu.access_data(0x20_5123)
+        assert mmu.counters.get("pom_tlb_hits") == 1
+        assert result.translation.physical_address == 0x40_5123
+
+
 class TestVictimaRecordedDigest:
     """A Victima run: every L2-TLB fill into a full set first hands the
     entry the set is about to evict to Victima, so the report pins which
@@ -274,12 +396,10 @@ class TestVictimaRecordedDigest:
     #: Recorded while the L2 TLB still kept its own clock and LRU stamps.
     RECORDED_DIGEST = "cfec7633908e4ee50f9e0d839b220aa1885ca313ed042492c2558c6074d6b026"
 
-    @pytest.mark.parametrize("vpn_cache", [False, True])
-    def test_gups_report_matches_recorded_digest(self, vpn_cache):
+    def test_gups_report_matches_recorded_digest(self):
         point = ParityPoint("radix", "gups", thp=False)
         system = Virtuoso(build_config(point), seed=point_seed(point),
-                          mmu_extensions=MMUExtensions(victima=True,
-                                                       vpn_translation_cache=vpn_cache))
+                          mmu_extensions=MMUExtensions(victima=True))
         report = system.run(build_workload("RND", footprint_bytes=2 * MB,
                                            memory_operations=3000, prefault=True, seed=3))
         assert system.mmu.counters.get("victima_hits") > 1000

@@ -20,13 +20,15 @@ promise, written with lists and dicts only (no :mod:`repro.common.lru`):
 Seeded streams of data and instruction accesses, 4 KB/2 MB/1 GB inserts,
 removals, ``invalidate_translation`` shootdowns, flushes and faults through
 a stub callback drive it and a real ``MMU`` through ``access_data``,
-``access_data_fast`` and ``access_instruction``.  Each stream runs as it
-is, leaving stale TLB entries behind, and keeping MimicOS's shootdown
-contract; the VPN cache runs off for both and on for the second (its 2 MB
-records presume the contract).  Every ``TranslationResult`` field, the data
-latency and serving level, and at the end ``mmu.stats()`` (minus the
-host-only ``fast_path``), the PWC counters, the TLB contents in recency
-order and ``memory.stats()`` must agree.  The data caches are the real
+``access_data_fast`` (whose L1 data-TLB hit is written out in place) and
+``access_instruction``.  Each stream runs as it is, leaving stale TLB
+entries behind, and keeping MimicOS's shootdown contract.  Every
+``TranslationResult`` field, the data latency and serving level, and at
+the end ``mmu.stats()``, the PWC counters, the TLB contents in recency
+order and ``memory.stats()`` must agree.  After every step the
+translation check (:func:`repro.validation.invariants.check_mmu`) must
+trip exactly when some reference TLB entry differs from the reference
+table's mapping.  The data caches are the real
 ``MemoryHierarchy`` on both sides: ``test_cache_oracle.py`` checks them,
 and sharing them here checks the address, type and order of every request.
 """
@@ -38,10 +40,10 @@ import pytest
 from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
 from repro.memhier.memory_system import MemoryHierarchy
-from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
 from repro.mmu.tlb import TLBHierarchy
 from repro.pagetables.radix import PageWalkCache, RadixPageTable
+from repro.validation.invariants import TranslationIncoherence, check_mmu
 
 PID = 1
 FRAME_BASE = 1 << 40
@@ -440,9 +442,8 @@ def stream(seed):
     return ops
 
 
-def build_mmu(geometry, vpn_cache):
-    mmu = MMU(TLBHierarchy(**geometry), make_memory(),
-              MMUExtensions(vpn_translation_cache=vpn_cache))
+def build_mmu(geometry):
+    mmu = MMU(TLBHierarchy(**geometry), make_memory())
     table = RadixPageTable(BumpFrames(), pwc_entries=PWC["entries"],
                            pwc_associativity=PWC["associativity"],
                            pwc_latency=PWC["latency"])
@@ -460,7 +461,34 @@ def outcome(operation):
             operation.total_latency)
 
 
-def divergence(geometry_name, seed, vpn_cache, shootdowns):
+def reference_incoherent(reference):
+    """Does some reference TLB entry differ from the reference table?
+    The table is read as ``PageTableBase.lookup`` reads it, smallest
+    page size first."""
+    for tlb in reference.tlbs:
+        for entries in tlb.sets:
+            for (vpn, page_size), (physical_base, _) in entries:
+                base = vpn * page_size
+                for size in (PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G):
+                    live = reference.table.mappings.get(base - base % size)
+                    if live is not None and live[1] == size:
+                        break
+                else:
+                    return True
+                if live[0] + base % size != physical_base or size < page_size:
+                    return True
+    return False
+
+
+def check_trips(mmu):
+    try:
+        check_mmu(mmu)
+    except TranslationIncoherence:
+        return True
+    return False
+
+
+def divergence(geometry_name, seed, shootdowns):
     """The first step on which the MMU and the reference disagree, or None.
 
     With ``shootdowns`` the stream keeps MimicOS's contract: every removed
@@ -469,7 +497,7 @@ def divergence(geometry_name, seed, vpn_cache, shootdowns):
     removals and overlapping inserts leave stale TLB entries behind.
     """
     geometry = GEOMETRIES[geometry_name]
-    mmu, table = build_mmu(geometry, vpn_cache)
+    mmu, table = build_mmu(geometry)
     reference = ReferenceMMU(geometry, fault_callback)
 
     def unmap(address):
@@ -512,8 +540,9 @@ def divergence(geometry_name, seed, vpn_cache, shootdowns):
         else:
             mmu.set_context(PID, table, flush_tlbs=True)
             reference.flush()
+        if check_trips(mmu) != reference_incoherent(reference):
+            return step, op, "translation check", reference_incoherent(reference)
     got_stats = mmu.stats()
-    del got_stats["fast_path"]
     got_stats["counters"] = nonzero(got_stats["counters"])
     got_stats["tlbs"] = {name: nonzero(counts) for name, counts in got_stats["tlbs"].items()}
     got_stats["page_table"] = nonzero(got_stats["page_table"])
@@ -539,35 +568,33 @@ def divergence(geometry_name, seed, vpn_cache, shootdowns):
     return None
 
 
-#: (VPN cache, shootdown contract) of every checked run.  With the VPN
-#: cache on, only streams that keep the contract are checked: see
-#: ``test_vpn_cache_2m_records_need_the_shootdown_contract``.
-RUNS = {"vpn_cache_off-stale_tlbs": (False, False),
-        "vpn_cache_off-shootdowns": (False, True),
-        "vpn_cache_on-shootdowns": (True, True)}
+#: Whether each checked run keeps the shootdown contract.
+RUNS = {"stale_tlbs": False, "shootdowns": True}
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_translation_path_matches_reference(geometry, seed, run):
-    assert divergence(geometry, seed, *RUNS[run]) is None
+    assert divergence(geometry, seed, RUNS[run]) is None
 
 
-def test_vpn_cache_2m_records_need_the_shootdown_contract():
-    """Without shootdowns a 4 KB translation can stay in the L1 4 KB TLB
-    under a live 2 MB mapping.  The 4 KB TLB, probed first, answers for its
-    page there, but the VPN cache's 2 MB record, which covers the whole huge
-    page, answers with the 2 MB translation (the ``mmu`` module docstring
-    states the contract).  The parity harness's shootdown-sensitivity tests
-    rely on this divergence, so it is pinned here."""
-    found = [divergence(geometry, seed, True, False)
-             for geometry in GEOMETRIES for seed in SEEDS]
-    found = [record for record in found if record is not None]
-    assert found
-    for step, op, got, want in found:
-        assert got[4] == want[4] == "L1"
-        assert (got[13], want[13]) == (PAGE_SIZE_2M, PAGE_SIZE_4K)
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_stale_streams_leave_entries_the_check_finds(geometry):
+    """Without shootdowns the streams do leave stale entries behind, so the
+    check's agreement with the reference is not vacuous."""
+    tripped = 0
+    for seed in SEEDS:
+        mmu, table = build_mmu(GEOMETRIES[geometry])
+        for op in stream(seed):
+            if op[0] in ("data", "fast", "instruction"):
+                mmu.access_data(op[1], op[2], op[3])
+            elif op[0] == "insert":
+                table.insert(op[1], physical_for(op[1], op[2]), op[2])
+            elif op[0] == "remove":
+                table.remove(op[1])
+            tripped += check_trips(mmu)
+    assert tripped
 
 
 def test_streams_exercise_every_outcome():
@@ -575,7 +602,7 @@ def test_streams_exercise_every_outcome():
     handled faults and segfaults, and PWC hits at every level."""
     levels, sizes, faults, segfaults, fast_hits = set(), set(), 0, 0, 0
     for seed in SEEDS:
-        mmu, table = build_mmu(GEOMETRIES["split"], vpn_cache=True)
+        mmu, table = build_mmu(GEOMETRIES["split"])
         for op in stream(seed):
             if op[0] in ("data", "fast", "instruction"):
                 result = (mmu.access_instruction(op[1], op[3]) if op[0] == "instruction"
@@ -637,7 +664,7 @@ def _no_l1_fill_after_l2_hit(monkeypatch):
 #: Each break, and the runs it must fail in.  The L2 TLB's probe order
 #: only shows while a stale 4 KB translation and a 2 MB one of the same
 #: address are both in the L2 TLB, which the shootdown contract prevents.
-BREAKS = [(_probe_2m_before_4k_in_l2, "vpn_cache_off-stale_tlbs")] + [
+BREAKS = [(_probe_2m_before_4k_in_l2, "stale_tlbs")] + [
     (break_path, run) for break_path in (_pwc_fill_without_refresh, _no_l1_fill_after_l2_hit)
     for run in sorted(RUNS)]
 
@@ -646,4 +673,4 @@ BREAKS = [(_probe_2m_before_4k_in_l2, "vpn_cache_off-stale_tlbs")] + [
                          ids=[f"{path.__name__.strip('_')}-{run}" for path, run in BREAKS])
 def test_oracle_catches_a_broken_translation_path(monkeypatch, break_path, run):
     break_path(monkeypatch)
-    assert any(divergence("split", seed, *RUNS[run]) is not None for seed in SEEDS)
+    assert any(divergence("split", seed, RUNS[run]) is not None for seed in SEEDS)

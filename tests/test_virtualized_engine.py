@@ -6,16 +6,15 @@ Four families:
   over the hypervisor, routes application faults through the guest and
   guest-RAM backing faults through the hypervisor, and injects *both*
   kernels' instruction streams into the faulting core;
-* VPN-cache invariance — virtualized runs with the cache off and on both
-  reproduce the report digests recorded when a per-object reference engine
-  still ran beside the batch engine, on one core and on the multi-core
-  orchestrator;
+* recorded reports — virtualized runs reproduce the report digests
+  recorded when a per-object reference engine still ran beside the batch
+  engine, on one core and on the multi-core orchestrator;
 * hypervisor-remap staleness regression — after the hypervisor swaps out a
   frame backing guest RAM, the next guest access must fault and re-walk
-  (host swap-in) identically with the VPN cache off and on instead of
-  translating through the stale nested-TLB / TLB / VPN-cache entries.  This test fails if the
-  two-level shootdown wiring (``MMU.invalidate_nested_translations`` /
-  ``NestedTranslationUnit.invalidate``) is removed;
+  (host swap-in) instead of translating through the stale nested-TLB / TLB
+  entries, and the translation check must see the stale entries when the
+  two-level shootdown wiring (``MMU.invalidate_nested_translations``) is
+  removed;
 * 2-D accounting — the guest and host walk dimensions are attributed
   separately (``_NestedWalkAdapter`` no longer reports the combined 2-D
   latency as backend time).
@@ -28,8 +27,8 @@ import pytest
 from repro.common.addresses import MB, PAGE_SIZE_4K, align_down, page_number
 from repro.common.config import VirtualizationConfig
 from repro.core.virtuoso import Virtuoso
-from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
+from repro.validation.invariants import TranslationIncoherence, check_translations
 from repro.workloads.multiproc import GuestMixWorkload, virtualized_guests
 from tests.conftest import assert_report_digest, tiny_system_config
 
@@ -87,21 +86,16 @@ class TestVirtualizedConstruction:
 
 
 class TestVirtualizedEngineInvariance:
-    @pytest.mark.parametrize("vpn_cache", [False, True])
-    def test_single_core_bit_identical(self, vpn_cache):
-        system = Virtuoso(virtualized_config(), seed=7,
-                          mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+    def test_single_core_bit_identical(self):
+        system = Virtuoso(virtualized_config(), seed=7)
         report = system.run(GuestMixWorkload(footprint_bytes=2 * MB,
                                              hot_operations=600, seed=3))
         assert_report_digest(report, SINGLE_CORE_DIGEST)
-        # The fast path really engaged when on, and stayed out when off.
-        assert (system.mmu.fast_hits > 0) == vpn_cache
+        # The in-place L1 data-TLB hit served combined translations.
+        assert system.mmu.fast_hits > 0
 
-    @pytest.mark.parametrize("vpn_cache", [False, True])
-    def test_multicore_bit_identical(self, vpn_cache):
-        system = Virtuoso(
-            virtualized_config(), num_cores=2, seed=7,
-            mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+    def test_multicore_bit_identical(self):
+        system = Virtuoso(virtualized_config(), num_cores=2, seed=7)
         result = system.run_tasks(virtualized_guests(count=2, footprint_bytes=1 * MB,
                                                      hot_operations=300, seed=3))
         assert_report_digest(result.merged, MULTICORE_DIGEST)
@@ -130,11 +124,10 @@ def _hypervisor_swap_out_backing(system: Virtuoso, process, address: int) -> int
 
 
 class TestHypervisorRemapStalenessRegression:
-    """A host remap must invalidate combined translations, cache off or on."""
+    """A host remap must invalidate combined translations."""
 
-    def run(self, vpn_cache: bool):
-        system = Virtuoso(virtualized_config(), seed=7,
-                          mmu_extensions=MMUExtensions(vpn_translation_cache=vpn_cache))
+    def run(self):
+        system = Virtuoso(virtualized_config(), seed=7)
         process = system.create_process("guest-app")
         vma = system.kernel.mmap(process, 1 * MB)
         system.activate_process(process)
@@ -144,7 +137,7 @@ class TestHypervisorRemapStalenessRegression:
         assert access(address).translation.page_fault  # fault both levels in
         access(address)
         access(address)
-        assert (system.mmu.fast_hits > 0) == vpn_cache
+        assert system.mmu.fast_hits == 2
 
         swapped = _hypervisor_swap_out_backing(system, process, address)
         assert swapped > 0
@@ -152,29 +145,17 @@ class TestHypervisorRemapStalenessRegression:
         outcome = access(address)
         return system, outcome
 
-    def test_next_access_refaults_identically_with_cache_off_and_on(self):
-        uncached_system, uncached_outcome = self.run(vpn_cache=False)
-        cached_system, cached_outcome = self.run(vpn_cache=True)
-
+    def test_next_access_refaults(self):
+        system, outcome = self.run()
         # The guest translation is intact, so the re-fault is an EPT
         # violation resolved purely by the hypervisor: a host swap-in.
-        for system, outcome in ((uncached_system, uncached_outcome),
-                                (cached_system, cached_outcome)):
-            assert outcome.translation.page_fault, (
-                "access after hypervisor remap translated through a stale "
-                "combined mapping instead of re-faulting")
-            assert system.vm.counters.get("ept_violations") == 1
-            assert system.hypervisor.swap.counters.get("swap_ins") >= 1
-            assert system.mmu.counters.get("nested_shootdowns") == 1
-
-        # And the whole sequence is cache-invariant, statistic by statistic.
-        assert uncached_system.mmu.counters.as_dict() == \
-            cached_system.mmu.counters.as_dict()
-        assert uncached_system.tlbs.stats() == cached_system.tlbs.stats()
-        assert uncached_system.mmu.nested_unit.stats() == \
-            cached_system.mmu.nested_unit.stats()
-        assert uncached_system.coupling.counters.as_dict() == \
-            cached_system.coupling.counters.as_dict()
+        assert outcome.translation.page_fault, (
+            "access after hypervisor remap translated through a stale "
+            "combined mapping instead of re-faulting")
+        assert system.vm.counters.get("ept_violations") == 1
+        assert system.hypervisor.swap.counters.get("swap_ins") >= 1
+        assert system.mmu.counters.get("nested_shootdowns") == 1
+        check_translations(system)
 
     def test_stale_translation_survives_if_wiring_removed(self, monkeypatch):
         """Documents the failure mode: without the nested shootdown the next
@@ -182,9 +163,11 @@ class TestHypervisorRemapStalenessRegression:
         is exactly what the regression test above would catch)."""
         monkeypatch.setattr(MMU, "invalidate_nested_translations",
                             lambda self: None)
-        system, outcome = self.run(vpn_cache=True)
+        system, outcome = self.run()
         assert not outcome.translation.page_fault
         assert system.hypervisor.swap.counters.get("swap_ins") == 0
+        with pytest.raises(TranslationIncoherence, match="cached as"):
+            check_translations(system)
 
 
 class TestTwoDimensionalAccounting:
