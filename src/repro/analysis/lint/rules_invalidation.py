@@ -37,7 +37,7 @@ callers at all (an entry point) must carry its own witness.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.lint.framework import (
     CACHE_INVALIDATION_TAIL_RE,

@@ -89,10 +89,6 @@ class DeterministicRNG:
         """Log-normally distributed float."""
         return self._random.lognormvariate(mu, sigma)
 
-    def pareto(self, alpha: float) -> float:
-        """Pareto-distributed float (heavy tail, used for VMA/footprint sizes)."""
-        return self._random.paretovariate(alpha)
-
     def choice(self, items: Sequence[T]) -> T:
         """Pick one element uniformly."""
         return self._random.choice(items)

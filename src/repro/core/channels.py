@@ -16,8 +16,8 @@ Injected streams travel as run-length
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from dataclasses import dataclass
+from typing import Deque, Dict
 
 from repro.common.stats import Counter
 from repro.core.instructions import OP_MAGIC, KernelInstructionBatch
@@ -45,16 +45,6 @@ class PageFaultResponse:
     disk_latency_cycles: int = 0
     #: Signal to the simulator to restart the page-table walk.
     restart_walk: bool = True
-
-
-@dataclass
-class MmapRequest:
-    """Functional-channel message for an mmap system call."""
-
-    pid: int
-    size: int
-    kind: str = "anonymous"
-    sequence: int = 0
 
 
 class FunctionalChannel:
@@ -88,11 +78,6 @@ class FunctionalChannel:
     def receive_response(self, sequence: int):
         """Simulator side: collect the response for ``sequence`` (None if pending)."""
         return self._responses.pop(sequence, None)
-
-    @property
-    def pending_requests(self) -> int:
-        """Requests posted but not yet consumed by the kernel."""
-        return len(self._requests)
 
     def stats(self) -> Dict[str, int]:
         """Message counts."""
@@ -158,11 +143,6 @@ class InstructionStreamChannel:
                 f"kernel stream routed to core {destination} but popped by "
                 f"core {core_index}")
         return self._streams.popleft()
-
-    @property
-    def pending_streams(self) -> int:
-        """Streams waiting to be consumed."""
-        return len(self._streams)
 
     @property
     def total_instructions(self) -> int:

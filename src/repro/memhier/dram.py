@@ -198,10 +198,6 @@ class DRAMModel:
         """Raw counter snapshot."""
         return self.counters.as_dict()
 
-    def reset_stats(self) -> None:
-        """Clear statistics but keep row-buffer state."""
-        self.counters.reset()
-
     def __repr__(self) -> str:
         return (f"DRAMModel({self.capacity // (1024 ** 3)}GB, "
                 f"{self.num_channels}ch x {self.banks_per_channel}banks, "

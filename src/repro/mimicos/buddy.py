@@ -16,11 +16,11 @@ memory allocation — the core observation of Fig. 2 in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import Counter
-from repro.mimicos.ops import KernelAddressSpace, KernelOp, KernelRoutineTrace
+from repro.mimicos.ops import KernelAddressSpace, KernelRoutineTrace
 
 #: Order of a 2 MB block (2 MB / 4 KB = 2**9).
 ORDER_2M = 9
@@ -218,10 +218,6 @@ class BuddyAllocator:
     def usage(self) -> float:
         """Fraction of physical memory in use (drives the swap threshold)."""
         return self.used_bytes / self.total_bytes
-
-    def free_blocks(self, order: int) -> int:
-        """Number of free blocks at exactly ``order``."""
-        return len(self._free_lists[order])
 
     def has_block(self, order: int) -> bool:
         """True if a block of at least ``order`` can be allocated without failing."""

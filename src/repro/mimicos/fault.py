@@ -28,7 +28,7 @@ zero-page and bookkeeping loops, whose only effect is the touches they record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.common.addresses import (
     PAGE_SIZE_1G,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
 from repro.mimicos.buddy import ORDER_2M, BuddyAllocator, OutOfMemoryError

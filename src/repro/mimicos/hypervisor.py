@@ -13,10 +13,10 @@ The hardware side of that 2-D walk is modelled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_4K
+from repro.common.addresses import PAGE_SIZE_4K, align_down
 from repro.common.config import MimicOSConfig, PageTableConfig, VirtualizationConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
@@ -27,7 +27,6 @@ from repro.mimicos.ops import KernelRoutineTrace
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind, VirtualMemoryArea
 from repro.mmu.nested import NestedTranslationUnit
-from repro.storage.ssd import SSDModel
 
 
 @dataclass
@@ -293,10 +292,8 @@ class VirtualMachine:
 
 
 def _host_virtual(guest_ram_vma: VirtualMemoryArea, guest_physical: int) -> int:
-    # Plain arithmetic: this runs once per nested walk and host lookup.
-    start = guest_ram_vma.start
-    offset = guest_physical % (guest_ram_vma.end - start)
-    return start + offset - offset % PAGE_SIZE_4K
+    offset = guest_physical % guest_ram_vma.size
+    return guest_ram_vma.start + align_down(offset, PAGE_SIZE_4K)
 
 
 class _HostBackingPageTable:

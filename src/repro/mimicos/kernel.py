@@ -21,12 +21,12 @@ from collections import OrderedDict, deque
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.common.addresses import GB, MB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_down, page_number
+from repro.common.addresses import MB, PAGE_SIZE_4K, align_down, page_number
 from repro.common.config import MimicOSConfig, PageTableConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, LatencyDistribution
 from repro.common.weak import WeakCallback, weak_listener
-from repro.mimicos.buddy import ORDER_2M, BuddyAllocator
+from repro.mimicos.buddy import BuddyAllocator
 from repro.mimicos.fault import PageFaultHandler, PageFaultResult
 from repro.mimicos.fragmentation import FragmentationController
 from repro.mimicos.hugetlbfs import HugeTLBFS
@@ -339,21 +339,8 @@ class MimicOS:
             mapping = process.page_table.lookup(virtual_base)
             if mapping is None:
                 continue  # already unmapped behind the residency list's back
-            pages = size // PAGE_SIZE_4K
-            swapped = 0
-            for index in range(pages):
-                if self.swap.free_slots <= 0:
-                    break
-                self.swap.swap_out(pid, page_number(virtual_base) + index,
-                                   now_cycles, trace)
-                swapped += 1
-            process.page_table.remove(virtual_base, trace)
-            # The live mapping may be larger than the residency record says
-            # (khugepaged collapsed the page since): shoot all of it down.
-            self.tlb_shootdown(pid, align_down(virtual_base, mapping[1]), mapping[1])
-            if from_buddy:
-                self._release_frame(pid, virtual_base, physical)
-            self.counters.add("reclaimed_pages", swapped)
+            self._swap_out_mapping(process, virtual_base, physical, size, from_buddy,
+                                   mapping[1], now_cycles, trace)
             self.counters.add("forced_reclaims")
             reclaimed += 1
         return reclaimed
@@ -392,24 +379,34 @@ class MimicOS:
             if not reclaim_op_added:
                 trace.new_op("kswapd_shrink_lists", work_units=64)
                 reclaim_op_added = True
-            pages = size // PAGE_SIZE_4K
-            swapped = 0
-            for index in range(pages):
-                if self.swap.free_slots <= 0:
-                    break
-                latency = self.swap.swap_out(pid, page_number(virtual_base) + index,
-                                             now_cycles, trace)
-                result.disk_latency_cycles += latency
-                trace.disk_latency_cycles += latency
-                swapped += 1
-            process.page_table.remove(virtual_base, trace)
-            # The live mapping may be larger than the residency record says
-            # (khugepaged collapsed the page since): shoot all of it down.
-            self.tlb_shootdown(pid, align_down(virtual_base, mapping[1]), mapping[1])
-            if from_buddy:
-                self._release_frame(pid, virtual_base, physical)
+            swapped, latency = self._swap_out_mapping(process, virtual_base, physical, size,
+                                                      from_buddy, mapping[1], now_cycles,
+                                                      trace)
+            result.disk_latency_cycles += latency
+            trace.disk_latency_cycles += latency
             result.swapped_out_pages += swapped
-            self.counters.add("reclaimed_pages", swapped)
+
+    def _swap_out_mapping(self, process: Process, virtual_base: int, physical: int,
+                          size: int, from_buddy: bool, live_size: int, now_cycles: int,
+                          trace: KernelRoutineTrace) -> Tuple[int, int]:
+        """Swap out the 4 KB subpages of one resident mapping while slots
+        last, unmap it, shoot it down and release its frame; returns the
+        pages swapped and their disk latency."""
+        swapped = latency = 0
+        for index in range(size // PAGE_SIZE_4K):
+            if self.swap.free_slots <= 0:
+                break
+            latency += self.swap.swap_out(process.pid, page_number(virtual_base) + index,
+                                          now_cycles, trace)
+            swapped += 1
+        process.page_table.remove(virtual_base, trace)
+        # The live mapping may be larger than the residency record says
+        # (khugepaged collapsed the page since): shoot all of it down.
+        self.tlb_shootdown(process.pid, align_down(virtual_base, live_size), live_size)
+        if from_buddy:
+            self._release_frame(process.pid, virtual_base, physical)
+        self.counters.add("reclaimed_pages", swapped)
+        return swapped, latency
 
     def _release_frame(self, pid: int, virtual_base: int,
                        physical_base: Optional[int] = None) -> None:
@@ -433,10 +430,6 @@ class MimicOS:
     def memory_usage(self) -> float:
         """Fraction of user physical memory currently allocated."""
         return self.buddy.usage
-
-    def resident_pages(self) -> int:
-        """Number of resident (tracked) user mappings."""
-        return len(self._resident)
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Aggregated counter snapshot of every kernel module."""

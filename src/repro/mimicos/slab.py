@@ -114,10 +114,6 @@ class SlabAllocator:
         """Allocate a 4 KB page-table frame (the hottest slab in the fault path)."""
         return self.cache("pt_frame", PAGE_SIZE_4K).allocate(trace)
 
-    def free_pt_frame(self, address: int, trace: Optional[KernelRoutineTrace] = None) -> None:
-        """Free a page-table frame."""
-        self.cache("pt_frame", PAGE_SIZE_4K).free(address, trace)
-
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-cache counter snapshot."""
         return {name: cache.stats() for name, cache in self._caches.items()}

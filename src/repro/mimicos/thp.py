@@ -24,7 +24,7 @@ from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, align_down
 from repro.common.config import MimicOSConfig
 from repro.common.stats import Counter
 from repro.mimicos.buddy import ORDER_2M, BuddyAllocator, OutOfMemoryError
-from repro.mimicos.ops import KernelOp, KernelRoutineTrace
+from repro.mimicos.ops import KernelRoutineTrace
 from repro.mimicos.vma import VirtualMemoryArea
 
 
@@ -125,9 +125,10 @@ class LinuxTHPPolicy(THPPolicyBase):
                            page_table=None) -> THPAllocation:
         # Like Linux's pmd_none test: a huge page never goes over live
         # smaller mappings (a swapped-in page, say), which would leave both
-        # translations in the table.
+        # translations in the table.  The buddy is asked first, so a
+        # fragmented run, which gets no huge page anyway, skips the probe.
         if self._region_fits_vma(vaddr, vma) and not (
-                page_table is not None
+                page_table is not None and self.buddy.has_block(ORDER_2M)
                 and page_table.maps_any(align_down(vaddr, PAGE_SIZE_2M), PAGE_SIZE_2M)):
             huge = self._try_allocate_huge(trace)
             if huge is not None:

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import Counter, RunningStats
-from repro.memhier.memory_system import MemoryAccessType, MemoryHierarchy, MemoryRequest
+from repro.memhier.memory_system import MemoryHierarchy
 from repro.mmu.extensions import MMUExtensions
 from repro.mmu.nested import NestedTranslationUnit
 from repro.mmu.pom_tlb import PartOfMemoryTLB
@@ -161,9 +161,13 @@ class MMU:
                                  for tlb in (self._l1d_4k, self._l1d_2m)
                                  for page_size in tlb.page_sizes)
 
-        # Scratch result objects reused by the allocation-free access path.
+        # Scratch result objects reused by the allocation-free access path;
+        # the in-place hit has its own, whose constant fields stay set.
         self._scratch_translation = TranslationResult(0)
         self._scratch_op = MemoryOperationResult(translation=self._scratch_translation)
+        self._hit_translation = TranslationResult(0, latency=self._l1_latency,
+                                                  tlb_hit=True, tlb_level="L1")
+        self._hit_op = MemoryOperationResult(translation=self._hit_translation)
 
     # ------------------------------------------------------------------ #
     # Context management
@@ -313,22 +317,11 @@ class MMU:
             physical_address = physical_base + virtual_address % page_size
             memory = self.memory
             data_latency = memory.access_value(physical_address, is_write, "data", pc)
-            translation = self._scratch_translation
+            translation = self._hit_translation
             translation.virtual_address = virtual_address
             translation.physical_address = physical_address
-            translation.latency = latency
-            translation.tlb_hit = True
-            translation.tlb_level = "L1"
-            translation.walked = False
-            translation.walk_latency = 0
-            translation.walk_memory_accesses = 0
-            translation.page_fault = False
-            translation.fault_latency = 0
-            translation.segfault = False
-            translation.frontend_latency = 0
-            translation.backend_latency = 0
             translation.page_size = page_size
-            operation = self._scratch_op
+            operation = self._hit_op
             operation.data_latency = data_latency
             operation.served_by = memory.last_served_by
             operation.total_latency = latency + data_latency
@@ -349,8 +342,8 @@ class MMU:
         return self._fresh(self._access(virtual_address, False, pc, True))
 
     def _fresh(self, operation: MemoryOperationResult) -> MemoryOperationResult:
-        """``operation``, copied if it is the scratch result."""
-        if operation is not self._scratch_op:
+        """``operation``, copied if it is a scratch result."""
+        if operation is not self._scratch_op and operation is not self._hit_op:
             return operation
         return MemoryOperationResult(replace(operation.translation), operation.data_latency,
                                      operation.served_by, operation.total_latency)

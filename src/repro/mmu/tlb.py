@@ -65,20 +65,19 @@ class TLB:
         self._c_fills[0] += 1
 
     def invalidate(self, virtual_address: int, size: int = PAGE_SIZE_4K) -> None:
-        """Drop every translation overlapping the ``size`` bytes at
-        ``virtual_address`` (TLB shootdown)."""
-        if size <= PAGE_SIZE_4K:
-            for page_size in self.page_sizes:
-                vpn = virtual_address // page_size
-                if self._sets[vpn % self.num_sets].pop((vpn, page_size), None) is not None:
+        """Drop every translation overlapping the ``size`` bytes from the
+        4 KB page of ``virtual_address`` on (TLB shootdown).  Only the sets
+        that can hold one are read: one set per page size for one page."""
+        start = virtual_address - virtual_address % PAGE_SIZE_4K
+        end = start + max(size, PAGE_SIZE_4K)
+        for page_size in self.page_sizes:
+            first, last = start // page_size, (end - 1) // page_size
+            for vpn in range(first, min(last, first + self.num_sets - 1) + 1):
+                entries = self._sets[vpn % self.num_sets]
+                for key in [tag for tag in entries
+                            if tag[1] == page_size and first <= tag[0] <= last]:
+                    del entries[key]
                     self.counters.add("invalidations")
-            return
-        end = virtual_address + size
-        for entries in self._sets:
-            for key in [(vpn, page_size) for vpn, page_size in entries
-                        if vpn * page_size < end and virtual_address < (vpn + 1) * page_size]:
-                del entries[key]
-                self.counters.add("invalidations")
 
     def flush(self) -> None:
         """Invalidate every entry (context switch without ASIDs)."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import Counter
 
 

@@ -12,9 +12,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.stats import Counter
-from repro.memhier.memory_system import MemoryAccessType
-
-_PAGE_SIZES = (PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G)
 
 
 class VictimaCacheTLB:
@@ -48,7 +45,7 @@ class VictimaCacheTLB:
         if not result.hit:
             self.counters.add("cache_misses")
             return None, latency
-        for page_size in _PAGE_SIZES:
+        for page_size in (PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G):
             entry = self._entries.get((virtual_address // page_size, page_size))
             if entry is not None:
                 self.counters.add("hits")

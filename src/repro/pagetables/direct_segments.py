@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.common.addresses import PAGE_SIZE_4K, align_down
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
     FaultAllocation,

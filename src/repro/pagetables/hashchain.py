@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_4K
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping, WalkResult

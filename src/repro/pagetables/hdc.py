@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_4K
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping, WalkResult

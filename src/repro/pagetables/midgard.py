@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import GB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_down, align_up
 from repro.common.lru import RangeCache
-from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
@@ -232,7 +231,3 @@ class MidgardTranslation(PageTableBase):
     def latency_breakdown(self) -> Dict[str, int]:
         """Frontend/backend translation cycles (the Fig. 17 metric)."""
         return {"frontend": self.frontend_cycles, "backend": self.backend_cycles}
-
-    def vlb_hit_rates(self) -> Dict[str, float]:
-        """Hit rates of the two VMA lookaside buffers."""
-        return {"l1_vlb": self.l1_vlb.hit_rate(), "l2_vlb": self.l2_vlb.hit_rate()}

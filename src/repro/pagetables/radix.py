@@ -251,11 +251,3 @@ class RadixPageTable(PageTableBase):
     def page_table_frames(self) -> int:
         """Number of interior/leaf page-table frames allocated (root excluded)."""
         return self.allocated_frames
-
-    def pwc_stats(self) -> Dict[str, float]:
-        """Hit rates of the three page-walk caches."""
-        return {
-            "pwc_pmd_hit_rate": self.pwc_pmd.hit_rate(),
-            "pwc_pud_hit_rate": self.pwc_pud.hit_rate(),
-            "pwc_pgd_hit_rate": self.pwc_pgd.hit_rate(),
-        }

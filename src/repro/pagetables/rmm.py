@@ -95,15 +95,20 @@ class RangeMemoryMapping(PageTableBase):
 
         The block is bounded by (i) the eager-paging maximum order, (ii) the
         largest free block the buddy allocator has (fragmentation!), and
-        (iii) the portion of the VMA after the faulting page.
+        (iii) the portion of the VMA after the faulting page that no live
+        range or mapping covers yet: a page covered twice would translate to
+        two frames.
         """
         fault_page = align_down(virtual_address, PAGE_SIZE_4K)
-        remaining_vma_bytes = vma.end - fault_page
+        limit = min([vma.end] + [r.virtual_start for r in self._ranges
+                                 if r.virtual_start > fault_page])
 
         order = min(self.eager_paging_max_order, buddy.max_order)
         while order > 0:
             block_bytes = PAGE_SIZE_4K << order
-            if block_bytes <= remaining_vma_bytes and buddy.has_block(order):
+            if (block_bytes <= limit - fault_page and buddy.has_block(order)
+                    and not self.maps_any(fault_page + PAGE_SIZE_4K,
+                                          block_bytes - PAGE_SIZE_4K)):
                 break
             order -= 1
 
@@ -222,9 +227,3 @@ class RangeMemoryMapping(PageTableBase):
     def range_count(self) -> int:
         """Number of live eager-paging ranges."""
         return len(self._ranges)
-
-    def average_range_bytes(self) -> float:
-        """Mean size of the live ranges."""
-        if not self._ranges:
-            return 0.0
-        return sum(r.size for r in self._ranges) / len(self._ranges)

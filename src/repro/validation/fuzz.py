@@ -41,7 +41,7 @@ import argparse
 import json
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import MethodType
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -62,6 +62,7 @@ from repro.validation.invariants import (
     check_after_faults,
     check_translations,
 )
+from repro.validation.parity import WORKLOAD_FAMILIES
 from repro.workloads.schedule import KernelOpSpec, OpSchedule, ScheduledWorkload
 
 #: Content-address schema for fuzz jobs in the experiment-service store
@@ -80,16 +81,13 @@ OP_KINDS = ("mmap", "touch", "munmap", "remap", "collapse", "reclaim",
 #: at least one, otherwise it cannot catch staleness bugs.
 MUTATOR_OPS = ("munmap", "remap", "collapse", "reclaim", "migrate", "host_remap")
 
-#: Workload families (registry name, kwargs, approximate instruction count).
-#: Same behaviour classes as the parity lattice: translation-bound GUPS,
-#: allocation/fault-bound LLM, and the collapse-prone small-arena mix.
+#: Workload families (registry name, kwargs, approximate instruction count):
+#: the parity lattice's translation-bound GUPS, allocation/fault-bound LLM
+#: and collapse-prone small-arena mix.
 FUZZ_FAMILIES: Dict[str, Tuple[str, Dict[str, object], int]] = {
-    "gups": ("RND", {"footprint_bytes": 2 * MB, "memory_operations": 500,
-                     "prefault": True, "seed": 3}, 1400),
-    "llm": ("Bagel", {"scale": 0.04, "seed": 9}, 2500),
-    "mix": ("GuestMix", {"footprint_bytes": 4 * MB, "vma_bytes": 256 << 10,
-                         "interleave_regions": 2, "mix_per_cold": 2,
-                         "hot_operations": 1500, "seed": 7}, 8000),
+    "gups": (*WORKLOAD_FAMILIES["gups"], 1400),
+    "llm": (*WORKLOAD_FAMILIES["llm"], 2500),
+    "mix": (*WORKLOAD_FAMILIES["guestmix"], 8000),
 }
 
 #: Co-runner of the cores=2 axis (the scheduled workload rides core 0).
@@ -124,16 +122,11 @@ class FuzzConfig:
         return items
 
     def to_json(self) -> Dict[str, object]:
-        return {"backend": self.backend, "family": self.family,
-                "cores": self.cores, "thp": self.thp, "swap": self.swap,
-                "virtualized": self.virtualized, "guest_kind": self.guest_kind}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, raw: Dict[str, object]) -> "FuzzConfig":
-        return cls(backend=str(raw["backend"]), family=str(raw["family"]),
-                   cores=int(raw["cores"]), thp=bool(raw["thp"]),
-                   swap=bool(raw["swap"]), virtualized=bool(raw["virtualized"]),
-                   guest_kind=str(raw.get("guest_kind", "radix")))
+        return cls(**raw)
 
 
 @dataclass(frozen=True)
@@ -225,8 +218,8 @@ class KernelOpExecutor:
     """
 
     def __init__(self, kernel, fault_handler: Callable, clock: Callable[[], int],
-                 hypervisor=None, migrate: Optional[Callable[[], None]] = None,
-                 check: Optional[Callable[[], object]] = None):
+                 check: Callable[[], object], hypervisor=None,
+                 migrate: Optional[Callable[[], None]] = None):
         self.kernel = kernel
         self.fault_handler = fault_handler
         self.clock = clock
@@ -254,8 +247,8 @@ class KernelOpExecutor:
             mmu = system.mmu
             migrate = lambda: mmu.migrate_in(mmu.pid, mmu.page_table)
         return cls(system.kernel, fault_handler, clock,
-                   hypervisor=system.hypervisor, migrate=migrate,
-                   check=WeakCallback(MethodType(check_translations, system)))
+                   WeakCallback(MethodType(check_translations, system)),
+                   hypervisor=system.hypervisor, migrate=migrate)
 
     def _count(self, spec: KernelOpSpec, applied: bool) -> bool:
         bucket = "applied" if applied else "skipped"
@@ -268,8 +261,7 @@ class KernelOpExecutor:
         if handler is None:
             raise ValueError(f"unknown kernel op {spec.op!r}")
         applied = self._count(spec, handler(spec.params, process))
-        if self.check is not None:
-            self.check()
+        self.check()
         return applied
 
     # -- individual ops ------------------------------------------------ #

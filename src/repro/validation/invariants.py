@@ -20,10 +20,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.weak import WeakCallback
 
-#: Address -> (physical address, page size), or None where unmapped.
-Translate = Callable[[int], Optional[Tuple[int, int]]]
-
-
 class TranslationIncoherence(AssertionError):
     """A cached translation that differs from the live one."""
 
@@ -43,7 +39,7 @@ class TranslationIncoherence(AssertionError):
                 "message": str(self)}
 
 
-def _translator(mmu) -> Translate:
+def _translator(mmu) -> Callable[[int], Optional[Tuple[int, int]]]:
     """The live translation of ``mmu``'s current context: its page table,
     or for a nested unit the guest table and then the host table, with the
     arithmetic of :meth:`repro.mmu.nested.NestedTranslationUnit.walk`."""

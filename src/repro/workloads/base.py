@@ -25,7 +25,6 @@ from repro.core.instructions import (
 )
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
-from repro.mimicos.vma import VMAKind, VirtualMemoryArea
 
 #: Categories used by Fig. 1 and the workload registry.
 LONG_RUNNING = "long_running"
@@ -160,12 +159,6 @@ class StreamBuilder:
             yield batch
 
 
-def strided_addresses(start: int, count: int, stride: int) -> Iterator[int]:
-    """A simple strided address sequence."""
-    for index in range(count):
-        yield start + index * stride
-
-
 def cold_hot_addresses(start: int, cold_touches: int, cold_stride: int,
                        hot_operations: int, hot_span: int,
                        rng: DeterministicRNG, interleave_regions: int = 1,
@@ -224,13 +217,3 @@ def span_mapped_addresses(offsets: List[int], span_starts: List[int],
     """
     return [span_starts[offset // span_bytes] + offset % span_bytes
             for offset in offsets]
-
-
-def page_touch_addresses(vma: VirtualMemoryArea, page_size: int = PAGE_SIZE_4K,
-                         touches_per_page: int = 1) -> Iterator[int]:
-    """Touch every page of a VMA (the allocation-dominated access pattern)."""
-    address = vma.start
-    while address < vma.end:
-        for touch in range(touches_per_page):
-            yield address + touch * 64
-        address += page_size

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Iterator, List
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
-from repro.common.rng import DeterministicRNG
 from repro.core.instructions import Instruction, InstructionKind
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process

@@ -9,8 +9,10 @@ Two families:
   a checked run's statistics exactly those of an unchecked one;
 * the defects — each shootdown the check showed missing: an RMM range torn
   down by removing one of its pages, a guest huge page whose combined
-  translations the TLBs hold as 4 KB pieces, and a huge-page fault over a
-  region that already holds a small mapping.
+  translations the TLBs hold as 4 KB pieces; and each page the check found
+  translated twice: a huge-page fault over a region that already holds a
+  small mapping, and an RMM eager range grown over a live range or a
+  mapped page.
 """
 
 import pytest
@@ -162,6 +164,35 @@ class TestShootdownsTheCheckFoundMissing:
         assert table.lookup(addresses[3]) is None
         check_translations(system)
         assert system.mmu.access_data(addresses[3]).translation.page_fault
+
+    def test_rmm_eager_range_stops_at_the_next_live_range(self):
+        """Two ranges over one page would translate it to two frames: the
+        walk answers from whichever range the RLB holds, the functional
+        lookup from the oldest."""
+        kernel = MimicOS(tiny_mimicos_config(), PageTableConfig(kind="rmm"))
+        process = kernel.create_process("app")
+        vma = kernel.mmap(process, 1 * MB)
+        table = process.page_table
+        later = vma.start + 16 * PAGE_SIZE_4K
+        kernel.handle_page_fault(process.pid, later)
+        kernel.handle_page_fault(process.pid, vma.start)
+        first = table.covering_range(vma.start)
+        assert first.virtual_end == later
+        assert table.covering_range(later).virtual_start == later
+
+    def test_rmm_eager_range_stops_before_a_mapped_page(self):
+        """A page swapped back in is mapped on its own, outside any range;
+        a later range must not cover it with a second frame."""
+        kernel = MimicOS(tiny_mimicos_config(), PageTableConfig(kind="rmm"))
+        process = kernel.create_process("app")
+        vma = kernel.mmap(process, 1 * MB)
+        table = process.page_table
+        swapped_in = vma.start + 5 * PAGE_SIZE_4K
+        table.insert(swapped_in, 0x30_0000, PAGE_SIZE_4K)
+        kernel.handle_page_fault(process.pid, vma.start)
+        assert table.covering_range(vma.start).virtual_end <= swapped_in
+        assert table.covering_range(swapped_in) is None
+        assert table.lookup(swapped_in) == (0x30_0000, PAGE_SIZE_4K)
 
     def test_guest_huge_page_shootdown_drops_its_4k_combined_pieces(self):
         """A guest 2 MB page backed by 4 KB host pages is cached as 4 KB

@@ -251,14 +251,15 @@ class TestHarnessSensitivity:
 
 
 class TestOverlappingRangeDigest:
-    """RMM's RLB holds overlapping eager-paging ranges on this point, so a
-    few lookups match more than one cached range.  The recorded report pins
-    the RLB's first-inserted scan order: the oldest matching range answers,
-    and a recency-order scan moves the digest."""
+    """RMM's eager paging used to grow a block over the next live range on
+    this point, so a few RLB lookups matched two ranges that translate one
+    page to two frames.  A block now stops at the next live range or mapped
+    page; the recorded report pins that."""
 
     POINT = ParityPoint("rmm", "llm", thp=True)
-    #: Recorded while the RLB still kept its own clock and LRU stamps.
-    RECORDED_DIGEST = "ccce81a39721b7d4dd71fe64ee31109b2659466dc1c74156ac66bbaf01c9f571"
+    #: Recorded when eager blocks stopped overlapping live ranges (the
+    #: report with overlaps was ccce81a3...).
+    RECORDED_DIGEST = "fe38ddf3a815df7850948b267ffcebef52ff6ce49b341caf94be0643c6029270"
 
     def test_report_matches_recorded_digest(self):
         assert self.POINT.name == "rmm/llm/c1/thp=on/swap=off"
