@@ -8,24 +8,34 @@ and removes every attempt's scratch files.  A result is stored before its
 ``job_completed`` journal record; a failed attempt is journaled, then
 retried after an exponential backoff or quarantined.
 
-Imports stay to the standard library, ``faultinject`` and ``store``, so
-the server that forks from here loads nothing a job does not need.
+Both loops wait on the running attempts' process sentinels, so a worker
+is reaped, and the next task launched, as soon as it exits; their tick
+only drives the timeout, lease and straggler checks and retry backoff.
+
+Before it forks an attempt the runner imports the task's ``modules`` in
+this process, so the fork and every later one inherit them instead of
+each importing them again before its job starts.  The server names there
+the modules its job kind imports (``repro.workloads`` for a sweep point),
+so they load at the first fork of that kind, not at start-up, and never
+for a kind the server does not run.  The runner's own imports stay to the
+standard library, ``faultinject`` and ``store``.
 """
 
 from __future__ import annotations
 
+import bisect
+import importlib
 import json
 import multiprocessing
 import os
 import signal
-import statistics
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.experiments.faultinject import (
     FaultPlan,
@@ -70,6 +80,8 @@ class Task:
     name: str
     #: The argument the job function is called with in the worker.
     item: object = None
+    #: Modules the job imports, loaded before its first fork (see module doc).
+    modules: Tuple[str, ...] = ()
     status: str = JOB_QUEUED
     #: Number of the latest attempt (0 before the first launch).
     attempt: int = 0
@@ -212,14 +224,37 @@ class JobRunner:
         self.heartbeat_interval = heartbeat_interval
         #: The server's listening fd, closed in every forked worker.
         self.listen_fd: Optional[int] = None
+        #: Called with each attempt's process sentinel at launch, and again
+        #: at reap before the process is closed: a closed sentinel's number
+        #: is reused by the next pipe, so a stale watch would miss its exit.
+        self.watch: Optional[Callable[[int], None]] = None
+        self.unwatch: Optional[Callable[[int], None]] = None
         self.queue: Deque[Task] = deque()
         self.running: List[_Attempt] = []
-        #: Wall-clock seconds of every successful attempt.
+        #: Wall-clock seconds of every successful attempt, kept sorted.
         self.durations: List[float] = []
 
     @property
     def busy(self) -> bool:
         return bool(self.queue or self.running)
+
+    @property
+    def sentinels(self) -> List[int]:
+        """Fds that become readable when a running attempt's worker exits."""
+        return [attempt.process.sentinel for attempt in self.running]
+
+    def record_duration(self, seconds: float) -> None:
+        bisect.insort(self.durations, seconds)
+
+    def median_duration(self) -> Optional[float]:
+        """Median successful attempt, ``None`` before the first one."""
+        count = len(self.durations)
+        if not count:
+            return None
+        mid = count // 2
+        if count % 2:
+            return self.durations[mid]
+        return (self.durations[mid - 1] + self.durations[mid]) / 2
 
     def submit(self, task: Task) -> None:
         task.status = JOB_QUEUED
@@ -243,10 +278,10 @@ class JobRunner:
             if outcome is None:
                 continue
             self.running.remove(attempt)
-            attempt.discard_files()
+            self._release(attempt)
             task = attempt.task
             if outcome["status"] == "ok":
-                self.durations.append(now - attempt.started)
+                self.record_duration(now - attempt.started)
                 self.commit(task, outcome["digest"])
             else:
                 self._fail(task, outcome["status"], outcome.get("traceback"))
@@ -267,8 +302,15 @@ class JobRunner:
         """Kill every running attempt and remove its scratch files."""
         for attempt in self.running:
             attempt.kill()
-            attempt.discard_files()
+            self._release(attempt)
         self.running.clear()
+
+    def _release(self, attempt: _Attempt) -> None:
+        """Unwatch a dead attempt, unlink its files and close its process."""
+        if self.unwatch is not None:
+            self.unwatch(attempt.process.sentinel)
+        attempt.discard_files()
+        attempt.process.close()
 
     def commit(self, task: Task, digest: Dict[str, object]) -> None:
         """Make a result durable: store first, then journal completion."""
@@ -306,6 +348,8 @@ class JobRunner:
             self.journal.append(record)
 
     def _launch(self, task: Task, now: float) -> None:
+        for name in task.modules:
+            importlib.import_module(name)
         task.attempt += 1
         task.status = JOB_LEASED
         stem = f"{self.scratch / task.key[:16]}.a{task.attempt}"
@@ -319,6 +363,8 @@ class JobRunner:
                   str(result), self.heartbeat_interval, self.listen_fd),
             daemon=True)
         process.start()
+        if self.watch is not None:
+            self.watch(process.sentinel)
         self._journal({"event": "attempt_started", "key": task.key,
                        "name": task.name, "attempt": task.attempt,
                        "pid": process.pid})
@@ -355,8 +401,7 @@ class JobRunner:
             return {"status": "lease_reclaim"}
         if (not task.straggler and len(self.durations) >= 3
                 and elapsed > STRAGGLER_FLOOR_SECONDS
-                and elapsed > STRAGGLER_FACTOR
-                * statistics.median(self.durations)):
+                and elapsed > STRAGGLER_FACTOR * self.median_duration()):
             task.straggler = True
             self.counters["stragglers"] += 1
             self._journal({"event": "straggler", "name": task.name,

@@ -59,11 +59,10 @@ import asyncio
 import json
 import os
 import signal
-import statistics
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.experiments import protocol
 from repro.experiments.faultinject import FaultPlan, NetworkFaultPlan
@@ -82,7 +81,8 @@ from repro.experiments.store import (
     content_key,
 )
 
-#: Supervisor poll interval of the scheduler loop.
+#: Tick of the scheduler's timeout, lease and straggler checks; a submit,
+#: a drain or a worker's exit wakes it at once.
 POLL_SECONDS = 0.01
 
 #: Default bound on queued + leased jobs (admission control).
@@ -115,18 +115,32 @@ def _run_fuzz_job(payload: Dict[str, object]) -> Dict[str, object]:
     return run_fuzz_scenario(payload["scenario"])
 
 
-#: kind name -> module-level worker callable (runs in a lease process).
+class JobKind(NamedTuple):
+    """A module-level worker callable (it runs in a lease process) and the
+    modules it imports, which the server loads before the kind's first
+    fork so that every fork inherits them."""
+
+    run: Callable[[Dict[str, object]], Dict[str, object]]
+    modules: Tuple[str, ...]
+
+
+#: kind name -> how to run it.
 JOB_KINDS = {
-    "sweep_point": _run_sweep_job,
-    "parity_point": _run_parity_job,
-    "fuzz_scenario": _run_fuzz_job,
+    "sweep_point": JobKind(_run_sweep_job, (
+        "repro.experiments.sweep", "repro.workloads.multiproc",
+        "repro.workloads.registry")),
+    "parity_point": JobKind(_run_parity_job, (
+        "repro.validation.parity", "repro.workloads.multiproc",
+        "repro.workloads.registry")),
+    "fuzz_scenario": JobKind(_run_fuzz_job, (
+        "repro.validation.fuzz", "repro.workloads.registry")),
 }
 
 
 def _run_job(item) -> Dict[str, object]:
     """The lease worker's job function: dispatch ``(kind, payload)``."""
     kind, payload = item
-    return JOB_KINDS[kind](payload)
+    return JOB_KINDS[kind].run(payload)
 
 
 def server_job_key(kind: str, payload: Dict[str, object]) -> str:
@@ -209,6 +223,8 @@ class ExperimentServer:
         self._stop: Optional[asyncio.Event] = None
         self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._drain_holds = 0
+        #: Set by whatever the scheduler must act on before its next tick.
+        self._wake = asyncio.Event()
         #: Set once the listening socket is bound (cross-thread startup).
         self.ready = threading.Event()
 
@@ -229,6 +245,7 @@ class ExperimentServer:
             self.draining = True
             self.journal.append({"event": "drain_started",
                                  "in_flight": self.in_flight})
+            self._wake.set()
 
     def request_stop(self) -> None:
         """Immediate shutdown (tests): leases are killed, segment stays open."""
@@ -249,6 +266,9 @@ class ExperimentServer:
             limit=protocol.MAX_FRAME_BYTES)
         self.port = server.sockets[0].getsockname()[1]
         self.runner.listen_fd = server.sockets[0].fileno()
+        loop = self._loop
+        self.runner.watch = lambda fd: loop.add_reader(fd, self._wake.set)
+        self.runner.unwatch = loop.remove_reader
         prior_records, corrupt = self.journal.replay()
         prior_completed = sum(1 for r in prior_records
                               if r.get("event") == "job_completed")
@@ -311,11 +331,15 @@ class ExperimentServer:
     # ----------------------------------------------------------------- #
     async def _scheduler(self) -> None:
         while True:
+            self._wake.clear()
             for job in self.runner.step(time.monotonic()):
                 job.done_event.set()
             if self.draining and not self.runner.busy:
                 break
-            await asyncio.sleep(POLL_SECONDS)
+            try:
+                await asyncio.wait_for(self._wake.wait(), POLL_SECONDS)
+            except asyncio.TimeoutError:
+                pass
         assert self._stop is not None
         self._stop.set()
 
@@ -434,8 +458,8 @@ class ExperimentServer:
 
     def _retry_after(self) -> float:
         """Structured backpressure hint: how long the queue needs to move."""
-        durations = self.runner.durations
-        per_job = statistics.median(durations) if durations else 0.25
+        median = self.runner.median_duration()
+        per_job = 0.25 if median is None else median
         estimate = per_job * max(1, self.in_flight - self.workers + 1) \
             / self.workers
         return round(min(max(estimate, RETRY_AFTER_FLOOR), RETRY_AFTER_CAP), 3)
@@ -480,13 +504,15 @@ class ExperimentServer:
                 retry_after=self._retry_after(),
                 in_flight=self.in_flight, queue_limit=self.queue_limit)
 
-        job = ServerJob(key=key, name=name, item=(kind, payload), kind=kind)
+        job = ServerJob(key=key, name=name, item=(kind, payload),
+                        modules=JOB_KINDS[kind].modules, kind=kind)
         job.submitters.add(client)
         self.jobs[key] = job
         self.runner.submit(job)
         self.counters["accepted"] += 1
         self.journal.append({"event": "job_submitted", "key": key,
                              "name": name, "kind": kind, "client": client})
+        self._wake.set()
         return protocol.ok_response(rid, status="accepted", key=key)
 
     def _serve_from_store(self, key: str, name: str,

@@ -57,6 +57,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -86,7 +87,8 @@ from repro.experiments.sweep import (
     validate_points,
 )
 
-#: Supervisor poll interval while worker processes run.
+#: Tick of the supervisor's timeout, lease and straggler checks while
+#: worker processes run; a worker's exit wakes it at once.
 POLL_SECONDS = 0.005
 
 #: Content-address schema tag for sweep jobs (bump on digest layout change).
@@ -184,7 +186,8 @@ class ExperimentService:
             while runner.busy:
                 runner.step(time.monotonic())
                 if runner.busy:
-                    time.sleep(POLL_SECONDS)
+                    multiprocessing.connection.wait(runner.sentinels,
+                                                    POLL_SECONDS)
 
         results: List[Optional[Dict[str, object]]] = [None] * len(jobs)
         details: Dict[str, Dict[str, object]] = {}

@@ -7,10 +7,11 @@ flaky, killed-and-resumed or cache-served sweep must compute *exactly*
 the simulation a fault-free ``workers=1`` straight-line run computes.
 
 Also covers the choice between the inline and supervised modes, the
-removal of every attempt's scratch files, eager ``SweepPoint``
-validation, the sub-resolution ``host_seconds`` division guards, and
-corruption recovery in both the journal (truncated line) and the object
-store.
+removal of every attempt's scratch files, a supervisor woken by worker
+exits rather than by its tick, the job runner's running median, eager
+``SweepPoint`` validation, the sub-resolution ``host_seconds`` division
+guards, and corruption recovery in both the journal (truncated line) and
+the object store.
 """
 
 from __future__ import annotations
@@ -18,15 +19,20 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import random
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.common.addresses import MB
+from repro.experiments import service as service_module
 from repro.experiments.faultinject import FaultAction, FaultPlan, TransientFault
+from repro.experiments.runner import JobRunner, new_counters
 from repro.experiments.service import (
     demo_grid,
     run_resilient_sweep,
@@ -106,6 +112,32 @@ class TestModeSelection:
 # --------------------------------------------------------------------- #
 # Per-attempt scratch files are removed
 # --------------------------------------------------------------------- #
+class TestSupervisorWakeUp:
+    def test_worker_exit_wakes_the_supervisor(self, monkeypatch):
+        """With a tick no run survives, only the workers' exits can move a
+        supervised sweep along."""
+        monkeypatch.setattr(service_module, "POLL_SECONDS", 30.0)
+        start = time.monotonic()
+        digest = run_sweep(tiny_grid(6), workers=2)
+        assert time.monotonic() - start < 20.0
+        assert digest["service"]["mode"] == "supervised"
+        assert digest["service"]["executed"] == 6
+
+
+class TestRunnerMedian:
+    def test_median_duration_matches_statistics_median(self):
+        runner = JobRunner(len, 1, None, new_counters())
+        assert runner.median_duration() is None
+        rng = random.Random(23)
+        values = []
+        for _ in range(41):  # odd and even counts, and repeated values
+            value = rng.choice([rng.random(), 0.5])
+            values.append(value)
+            runner.record_duration(value)
+            assert runner.median_duration() == statistics.median(values)
+        assert runner.durations == sorted(values)
+
+
 class TestScratchCleanup:
     def test_faulted_durable_run_leaves_scratch_empty(self, tmp_path):
         plan = FaultPlan(actions=[FaultAction("svc-0", 1, "crash"),

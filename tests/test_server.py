@@ -5,8 +5,9 @@ is exercised against a real listening socket on an in-thread server:
 content-key deduplication, backpressure with structured ``retry_after``,
 queued-job cancellation, graceful drain vs forced stop, abrupt client
 disconnects, heartbeat-silence lease reclaim, and the restart/resubmit
-recovery loop — plus the wire protocol and the seeded network fault
-plan's determinism contract.
+recovery loop — plus the wire protocol, the seeded network fault plan's
+determinism contract, the imports a forked job is left to pay, and a
+scheduler woken by submits and worker exits rather than by its tick.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 
 from repro.common.addresses import MB
 from repro.experiments import protocol
+from repro.experiments import server as server_module
 from repro.experiments.client import (
     ExperimentClient,
     RemoteService,
@@ -416,42 +418,108 @@ class TestRemoteSweep:
 # --------------------------------------------------------------------- #
 # Worker start-up cost
 # --------------------------------------------------------------------- #
-#: Runs one sweep job the way a lease worker does: the server module is
-#: already loaded (the fork inherits it), everything else is imported by
-#: the job itself.  Prints the top-level packages the job pulled in.
+#: Runs one sweep job the way a lease worker does, in the parent of a
+#: runner that has just forked a ``sweep_point`` attempt: everything the
+#: server and the warm-up loaded is inherited, the rest is imported by the
+#: job itself.  ``warm`` gives the task the kind's modules, as the server
+#: does; ``cold`` drops them.  Prints the modules the job pulled in.
 WORKER_IMPORT_PROBE = """
 import json
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import repro.experiments.server as server
+from repro.experiments.runner import JobRunner, new_counters
 
 payload = {"point": {"name": "import-probe", "workload": "RND",
                      "workload_kwargs": {"footprint_bytes": 1 << 20,
                                          "memory_operations": 50,
                                          "prefault": True, "seed": 1}},
            "base_seed": 0}
-before = set(sys.modules)
-server._run_sweep_job(payload)
-loaded = {name.split(".")[0] for name in set(sys.modules) - before}
-print(json.dumps(sorted(loaded)))
+modules = (server.JOB_KINDS["sweep_point"].modules
+           if sys.argv[1] == "warm" else ())
+with tempfile.TemporaryDirectory() as scratch:
+    runner = JobRunner(server._run_job, 1, Path(scratch), new_counters())
+    runner.submit(server.ServerJob(key="probe", name="probe",
+                                   item=("sweep_point", payload),
+                                   modules=modules, kind="sweep_point"))
+    runner.step(time.monotonic())  # imports ``modules``, then forks
+    assert len(runner.running) == 1
+    before = set(sys.modules)
+    server._run_sweep_job(payload)
+    loaded = sorted(set(sys.modules) - before)
+    while runner.busy:
+        runner.step(time.monotonic())
+        time.sleep(0.01)
+print(json.dumps(loaded))
 """
 
 
+def probe_worker_imports(mode: str) -> list:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", WORKER_IMPORT_PROBE, mode],
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
 class TestWorkerImports:
-    def test_sweep_job_imports_only_stdlib_and_repro(self):
+    @pytest.fixture(scope="class")
+    def cold(self):
+        return probe_worker_imports("cold")
+
+    def test_sweep_job_imports_only_stdlib_and_repro(self, cold):
         """Every forked job pays for each module it imports that the server
         parent has not; a third-party import there (numpy once cost ~165 ms
         a job) would dominate a short job's latency."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parents[1] / "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        result = subprocess.run([sys.executable, "-c", WORKER_IMPORT_PROBE],
-                                env=env, capture_output=True, text=True,
-                                timeout=120)
-        assert result.returncode == 0, result.stderr
-        loaded = json.loads(result.stdout.strip().splitlines()[-1])
+        loaded = {name.split(".")[0] for name in cold}
         assert "repro" in loaded
         foreign = [name for name in loaded
                    if name != "repro" and name not in sys.stdlib_module_names]
         assert foreign == [], f"sweep job imported non-stdlib modules: {foreign}"
+
+    def test_warm_fork_leaves_the_sweep_job_nothing_to_import(self, cold):
+        """The server imports a kind's modules before its first fork, so a
+        sweep job starts its timer without importing anything."""
+        assert probe_worker_imports("warm") == []
+        # Sensitivity: without the warm-up the job imports the workloads.
+        assert "repro.workloads" in cold
+
+
+# --------------------------------------------------------------------- #
+# Event-driven supervision
+# --------------------------------------------------------------------- #
+#: A tick no job in these tests survives: only a wake-up finishes one.
+LONG_TICK_SECONDS = 30.0
+#: Loose per-job bound, far above a tiny job and far below the tick.
+PROMPT_SECONDS = 10.0
+
+
+class TestEventDrivenScheduler:
+    def test_submit_and_worker_exit_wake_the_scheduler(self, tmp_path,
+                                                       monkeypatch):
+        """Back-to-back jobs reuse sentinel fd numbers: each must still be
+        launched on its submit and reaped on its worker's exit, not on the
+        scheduler's tick."""
+        monkeypatch.setattr(server_module, "POLL_SECONDS", LONG_TICK_SECONDS)
+        server = ExperimentServer(tmp_path, workers=2, fsync=False)
+        with ServerThread(server) as harness:
+            watched = []
+            watch = server.runner.watch
+            server.runner.watch = lambda fd: (watched.append(fd), watch(fd))
+            with ExperimentClient(harness.address, client_id="c0") as client:
+                for point in net_grid(6, ops=100):
+                    start = time.monotonic()
+                    key = submit_point(client, point)
+                    response = client.result(key, wait_seconds=PROMPT_SECONDS)
+                    assert response["status"] == "done", point.name
+                    assert time.monotonic() - start < PROMPT_SECONDS
+        assert server.counters["executed"] == 6
+        assert len(watched) == 6
+        assert len(set(watched)) < len(watched), "no sentinel fd was reused"
