@@ -12,7 +12,7 @@ work actually done instead of being a fixed constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 
 @dataclass
@@ -100,6 +100,8 @@ class _DiscardedOp(KernelOp):
 
     ``touch`` records nothing and ``work_units`` ignores assignment, so
     ``op.work_units += n`` in a routine leaves the singleton unchanged.
+    The fault path does not lean on this: it checks ``trace.recording``
+    and builds no op at all under a discarded trace.
     """
 
     @property
@@ -121,10 +123,14 @@ class DiscardedTrace(KernelRoutineTrace):
     """A trace that records no kernel work, for routines run only for their
     side effects (e.g. pre-faulting before the measured region).
 
-    Routines still evaluate every ``touch(...)`` argument they pass, so
-    :meth:`KernelAddressSpace.entry_address` reserves the same regions in
-    the same order as under a recording trace; only the op records are
-    dropped.  ``disk_latency_cycles`` still accumulates.
+    A routine given a discarded trace may skip a touch only when computing
+    its address has no side effect.  A kernel-address region
+    (:meth:`KernelAddressSpace.region`) is still reserved at the same call
+    that would reserve it under a recording trace, so the regions keep
+    their order and every later kernel address is unchanged; the owners of
+    ``buddy_free_lists``, ``swap_map`` and ``page_cache_xarray`` reserve
+    theirs on the first traced call and cache the base.  Only the op
+    records are dropped; ``disk_latency_cycles`` still accumulates.
     """
 
     recording = False
@@ -146,9 +152,9 @@ class KernelAddressSpace:
     trees, swap maps, zero pages) live in physical memory in a real system
     and their accesses fight with application data for cache and DRAM
     resources.  MimicOS models this by giving every kernel structure a
-    deterministic address region carved out of the top of physical memory;
-    structure code asks this class for the address of "entry i of structure
-    X" when recording memory touches.
+    deterministic address region carved out of the top of physical memory.
+    Each structure's owner reserves its region here on first use, keeps the
+    base, and addresses entry *i* as ``base + (i * entry_size) % size``.
     """
 
     def __init__(self, base_address: int, size_bytes: int):
@@ -171,15 +177,3 @@ class KernelAddressSpace:
         self._regions[name] = (base, size_bytes)
         self._next_offset += size_bytes
         return base
-
-    def entry_address(self, region_name: str, index: int, entry_size: int = 64,
-                      region_size: Optional[int] = None) -> int:
-        """Address of entry ``index`` in region ``region_name``.
-
-        The region is created on first use with ``region_size`` bytes
-        (default 1 MB).  Indices wrap within the region.
-        """
-        size = region_size if region_size is not None else 1 << 20
-        base = self.region(region_name, size)
-        offset = (index * entry_size) % size
-        return base + offset

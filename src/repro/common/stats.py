@@ -92,24 +92,34 @@ class Counter:
     list index instead of a method call and dict hash.  Pending cell values
     are folded into the named counts on every read, so :meth:`get` /
     :meth:`as_dict` always observe exact totals regardless of which path
-    performed the increments.
+    performed the increments.  A cell that holds 0 folds nothing: its key
+    appears only once it has counted something, exactly like a key that
+    :meth:`add` only ever raises by at least 1.
     """
 
-    __slots__ = ("_counts", "_hot")
+    __slots__ = ("_counts", "_hot", "_zero_with")
 
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
         self._hot: Dict[str, List[int]] = {}
+        #: name -> key whose presence makes ``name`` present too (see :meth:`hot`).
+        self._zero_with: Dict[str, str] = {}
 
-    def hot(self, name: str) -> List[int]:
+    def hot(self, name: str, zero_with: Optional[str] = None) -> List[int]:
         """Return the mutable accumulator cell for counter ``name``.
 
         The same cell is returned for repeated calls, so models fetch it once
         at construction time and increment ``cell[0]`` in their hot loops.
+
+        ``zero_with`` names a counter that is counted every time ``name``
+        is, possibly by 0 (``add(name, 0)`` creates the key): ``name`` then
+        reads as present, with 0, whenever ``zero_with`` is present.
         """
         cell = self._hot.get(name)
         if cell is None:
             cell = self._hot[name] = [0]
+        if zero_with is not None:
+            self._zero_with[name] = zero_with
         return cell
 
     def _fold(self) -> None:
@@ -119,6 +129,9 @@ class Counter:
             if pending:
                 counts[name] = counts.get(name, 0) + pending
                 cell[0] = 0
+        for name, witness in self._zero_with.items():
+            if witness in counts and name not in counts:
+                counts[name] = 0
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""

@@ -27,6 +27,9 @@ ORDER_2M = 9
 #: Order of a 1 GB block (1 GB / 4 KB = 2**18).
 ORDER_1G = 18
 
+#: Size of the ``buddy_free_lists`` kernel region.
+_FREELIST_REGION_BYTES = 1 << 20
+
 
 @dataclass
 class AllocationResult:
@@ -54,7 +57,18 @@ class BuddyAllocator:
         self.base_address = base_address
         self.max_order = max_order
         self.kernel_space = kernel_space
+        #: Base of the free-list heads (64 bytes per order).  In a kernel's
+        #: address space the region is reserved by the first traced
+        #: allocation or free; without one, a synthetic address anchored
+        #: past the managed range.
+        self._freelist_base: Optional[int] = (
+            None if kernel_space is not None else base_address + total_bytes)
         self.counters = Counter()
+        self._c_allocations = self.counters.hot("allocations")
+        self._c_allocations_by_order = [self.counters.hot(f"allocations_order_{order}")
+                                        for order in range(max_order + 1)]
+        # Every allocation counts its splits, 0 included.
+        self._c_splits = self.counters.hot("splits", zero_with="allocations")
         # Each free list is an insertion-ordered dict used as an ordered set:
         # membership tests (coalescing) and popping the oldest block are both
         # O(1), which keeps allocation fast even with hundreds of thousands of
@@ -94,47 +108,54 @@ class BuddyAllocator:
         Raises :class:`OutOfMemoryError` if no block of this order (or any
         larger order that could be split) is free.
         """
-        if not 0 <= order <= self.max_order:
-            raise ValueError(f"order {order} out of range [0, {self.max_order}]")
+        max_order = self.max_order
+        if not 0 <= order <= max_order:
+            raise ValueError(f"order {order} out of range [0, {max_order}]")
+        free_lists = self._free_lists
+        found_order = order
+        while not free_lists[found_order]:
+            if found_order == max_order:
+                if trace is not None:
+                    if self._freelist_base is None:
+                        self._reserve_freelists()
+                    if trace.recording:
+                        self._record_allocation(trace, order, max_order, 0, 1)
+                self.counters.add("allocation_failures")
+                raise OutOfMemoryError(f"no free block of order >= {order}")
+            found_order += 1
 
-        op = trace.new_op("buddy_alloc", work_units=1) if trace is not None else None
-
-        scanned = 0
-        found_order = None
-        for candidate in range(order, self.max_order + 1):
-            scanned += 1
-            if op is not None:
-                op.touch(self._freelist_address(candidate), is_write=False)
-            if self._free_lists[candidate]:
-                found_order = candidate
-                break
-        if found_order is None:
-            self.counters.add("allocation_failures")
-            raise OutOfMemoryError(f"no free block of order >= {order}")
-
-        free_list = self._free_lists[found_order]
+        free_list = free_lists[found_order]
         address = next(iter(free_list))
         del free_list[address]
-
-        splits = 0
-        current_order = found_order
-        while current_order > order:
-            current_order -= 1
-            splits += 1
-            buddy = address + self._block_size(current_order)
-            self._free_lists[current_order][buddy] = None
-            if op is not None:
-                op.work_units += 1
-                op.touch(self._freelist_address(current_order), is_write=True)
+        for split_order in range(found_order - 1, order - 1, -1):
+            free_lists[split_order][address + (PAGE_SIZE_4K << split_order)] = None
 
         self._allocated[address] = order
-        self._free_bytes -= self._block_size(order)
-        self.counters.add("allocations")
-        self.counters.add(f"allocations_order_{order}")
-        self.counters.add("splits", splits)
-        if op is not None:
-            op.work_units += scanned
-        return AllocationResult(address=address, order=order, splits=splits, scanned_orders=scanned)
+        self._free_bytes -= PAGE_SIZE_4K << order
+        splits = found_order - order
+        self._c_allocations[0] += 1
+        self._c_allocations_by_order[order][0] += 1
+        self._c_splits[0] += splits
+        scanned = found_order - order + 1
+        if trace is not None:
+            if self._freelist_base is None:
+                self._reserve_freelists()
+            if trace.recording:
+                self._record_allocation(trace, order, found_order, splits, 1 + scanned + splits)
+        return AllocationResult(address=address, order=order, splits=splits,
+                                scanned_orders=scanned)
+
+    def _record_allocation(self, trace: KernelRoutineTrace, order: int, last_scanned: int,
+                           splits: int, work_units: int) -> None:
+        """Record the ``buddy_alloc`` op: a read of every free list scanned
+        from ``order`` up to ``last_scanned``, then a write of each list a
+        split fed, largest first."""
+        base = self._freelist_base
+        touches = [(base + (scanned << 6) % _FREELIST_REGION_BYTES, False)
+                   for scanned in range(order, last_scanned + 1)]
+        touches += [(base + (split << 6) % _FREELIST_REGION_BYTES, True)
+                    for split in range(order + splits - 1, order - 1, -1)]
+        trace.new_op("buddy_alloc", work_units=work_units).memory_touches = touches
 
     def allocate_bytes(self, size_bytes: int,
                        trace: Optional[KernelRoutineTrace] = None) -> AllocationResult:
@@ -173,7 +194,13 @@ class BuddyAllocator:
         self._free_bytes += self._block_size(order)
         self.counters.add("frees")
 
-        op = trace.new_op("buddy_free", work_units=1) if trace is not None else None
+        op = None
+        if trace is not None:
+            base = self._freelist_base
+            if base is None:
+                base = self._reserve_freelists()
+            if trace.recording:
+                op = trace.new_op("buddy_free", work_units=1)
 
         # Coalesce upwards while the buddy block is also free.
         while order < self.max_order:
@@ -186,20 +213,24 @@ class BuddyAllocator:
             self.counters.add("coalesces")
             if op is not None:
                 op.work_units += 1
-                op.touch(self._freelist_address(order), is_write=True)
+                op.touch(base + (order << 6) % _FREELIST_REGION_BYTES, is_write=True)
         self._free_lists[order][address] = None
         if op is not None:
-            op.touch(self._freelist_address(order), is_write=True)
+            op.touch(base + (order << 6) % _FREELIST_REGION_BYTES, is_write=True)
 
     def _buddy_of(self, address: int, order: int) -> int:
         offset = address - self.base_address
         return self.base_address + (offset ^ self._block_size(order))
 
-    def _freelist_address(self, order: int) -> int:
-        if self.kernel_space is None:
-            # Fall back to a synthetic address anchored past the managed range.
-            return self.base_address + self.total_bytes + order * 64
-        return self.kernel_space.entry_address("buddy_free_lists", order)
+    def _reserve_freelists(self) -> int:
+        """Reserve the ``buddy_free_lists`` kernel region and cache its base.
+
+        Called by the first allocation or free that gets a trace, recording
+        or not, so a discarded trace reserves the region at the same call.
+        """
+        base = self._freelist_base = self.kernel_space.region("buddy_free_lists",
+                                                              _FREELIST_REGION_BYTES)
+        return base
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -217,7 +248,7 @@ class BuddyAllocator:
     @property
     def usage(self) -> float:
         """Fraction of physical memory in use (drives the swap threshold)."""
-        return self.used_bytes / self.total_bytes
+        return (self.total_bytes - self._free_bytes) / self.total_bytes
 
     def has_block(self, order: int) -> bool:
         """True if a block of at least ``order`` can be allocated without failing."""

@@ -21,8 +21,11 @@ the variability Figs. 2, 15 and 16 measure.
 A caller that wants only the fault's side effects (pre-faulting before the
 measured region) passes a :class:`~repro.mimicos.ops.DiscardedTrace`.  The
 handler then takes the same path and leaves the same allocator, page-table,
-residency and kernel-address state; it just records no ops, and it skips the
-zero-page and bookkeeping loops, whose only effect is the touches they record.
+residency and kernel-address state.  Every step checks ``trace.recording``
+and, under a discarded trace, builds no op and computes no touch address
+whose only effect is the touch it records; the kernel-address regions are
+still reserved at the same calls.  The per-fault counters are hot cells
+(:meth:`~repro.common.stats.Counter.hot`).
 """
 
 from __future__ import annotations
@@ -92,6 +95,11 @@ class PageFaultHandler:
         #: room for the faulting one).
         self.tlb_shootdown = tlb_shootdown
         self.counters = Counter()
+        self._c_page_faults = self.counters.hot("page_faults")
+        self._c_minor_faults = self.counters.hot("minor_faults")
+        #: page size -> hot cell of its ``faults_<size>kb`` counter.
+        self._c_faults_by_size = {size: self.counters.hot(f"faults_{size >> 10}kb")
+                                  for size in (PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G)}
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -106,8 +114,9 @@ class PageFaultHandler:
         result = (PageFaultResult(virtual_address=virtual_address) if trace is None
                   else PageFaultResult(virtual_address=virtual_address, trace=trace))
         trace = result.trace
-        trace.new_op("fault_entry", work_units=12)
-        self.counters.add("page_faults")
+        if trace.recording:
+            trace.new_op("fault_entry", work_units=12)
+        self._c_page_faults[0] += 1
 
         # 1. Find the VMA.
         try:
@@ -126,8 +135,8 @@ class PageFaultHandler:
 
         # 3. Existing PTE: swapped-out anonymous page or write to existing mapping.
         existing = page_table.lookup(virtual_address) if page_table is not None else None
-        vpn = page_number(virtual_address)
-        if existing is None and self.swap.lookup_swap_cache(process.pid, vpn, trace):
+        if existing is None and self.swap.lookup_swap_cache(
+                process.pid, virtual_address // PAGE_SIZE_4K, trace):
             return self._handle_swap_in(process, vma, virtual_address, now_cycles, result)
 
         # 4. Translation schemes that own physical allocation (Utopia, RMM, DS).
@@ -232,7 +241,7 @@ class PageFaultHandler:
             except OutOfMemoryError:
                 pass
 
-        if vma.is_anonymous:
+        if vma.kind == VMAKind.ANONYMOUS:
             try:
                 return self.thp_policy.on_anonymous_fault(process.pid, virtual_address,
                                                           vma, trace, process.page_table)
@@ -261,8 +270,9 @@ class PageFaultHandler:
             result.disk_latency_cycles += disk_latency
             trace.disk_latency_cycles += disk_latency
             self.page_cache.insert(file_id, page_index, trace)
-        copy_op = trace.new_op("copy_from_page_cache", work_units=PAGE_SIZE_4K // 256)
-        copy_op.touch(frame.address, is_write=True)
+        if trace.recording:
+            copy_op = trace.new_op("copy_from_page_cache", work_units=PAGE_SIZE_4K // 256)
+            copy_op.touch(frame.address, is_write=True)
         return THPAllocation(address=frame.address, page_size=PAGE_SIZE_4K, zeroing_bytes=0)
 
     # ------------------------------------------------------------------ #
@@ -294,15 +304,18 @@ class PageFaultHandler:
                                   + index * 8, is_write=index % 2 == 0)
 
         if process.page_table is not None:
-            virtual_base = align_down(virtual_address, page_size)
-            process.page_table.insert(virtual_base, physical_base, page_size, trace)
+            process.page_table.insert(virtual_address, physical_base, page_size, trace)
 
         result.physical_base = align_down(physical_base, page_size)
         result.page_size = page_size
-        trace.new_op("fault_return", work_units=8)
-        self.counters.add("minor_faults" if not result.is_major else "resolved_major_faults")
-        self.counters.add(f"faults_{page_size >> 10}kb")
-        process.counters.add("page_faults")
+        if trace.recording:
+            trace.new_op("fault_return", work_units=8)
+        if result.is_major:
+            self.counters.add("resolved_major_faults")
+        else:
+            self._c_minor_faults[0] += 1
+        self._c_faults_by_size[page_size][0] += 1
+        process.fault_cell[0] += 1
 
     def _apply_promotion(self, process: Process, allocation: THPAllocation,
                          result: PageFaultResult) -> None:

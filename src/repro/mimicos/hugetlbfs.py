@@ -54,7 +54,7 @@ class HugeTLBFS:
 
     def allocate(self, trace: Optional[KernelRoutineTrace] = None) -> Optional[int]:
         """Hand out one reserved 2 MB page (None if the pool is empty)."""
-        if trace is not None:
+        if trace is not None and trace.recording:
             op = trace.new_op("hugetlb_alloc", work_units=2)
             op.touch(0xFFFF_8B00_0000_0000, is_write=True)
         if not self._free_pool:

@@ -58,6 +58,7 @@ class MimicOS:
         # lint-allow: R6 fixed fallback is model identity — callers pass a config-derived rng; the bare default must stay byte-stable or BENCH digests churn
         self.rng = rng or DeterministicRNG(seed=11)
         self.counters = Counter()
+        self._c_fault_requests = self.counters.hot("page_fault_requests")
 
         total = config.physical_memory_bytes
         if total <= KERNEL_RESERVED_BYTES:
@@ -264,7 +265,7 @@ class MimicOS:
         process = self.processes.get(pid)
         if process is None:
             raise KeyError(f"unknown pid {pid}")
-        self.counters.add("page_fault_requests")
+        self._c_fault_requests[0] += 1
 
         result = self.fault_handler.handle(process, virtual_address, now_cycles, trace)
 
@@ -280,7 +281,7 @@ class MimicOS:
         return result
 
     def _record_residency(self, pid: int, result: PageFaultResult) -> None:
-        key = (pid, align_down(result.virtual_address, result.page_size))
+        key = (pid, result.virtual_address & -result.page_size)
         from_buddy = result.physical_base < self.buddy.total_bytes
         self._resident[key] = (result.physical_base, result.page_size, from_buddy)
         # A re-faulted page (its stale entry survives restrictive-mapping

@@ -16,6 +16,11 @@ from repro.common.lru import LRU
 from repro.common.stats import Counter
 from repro.mimicos.ops import KernelAddressSpace, KernelRoutineTrace
 
+#: Size of the ``page_cache_xarray`` kernel region (64 bytes per node).
+_XARRAY_BYTES = 1 << 20
+#: Base of the xarray nodes when no kernel address space is wired up.
+_FALLBACK_XARRAY = 0xFFFF_8900_0000_0000
+
 
 class PageCache:
     """An LRU cache of (file id, page index) -> cached flag.
@@ -31,6 +36,8 @@ class PageCache:
             raise ValueError("page cache capacity must be positive")
         self.capacity_pages = max(1, capacity_bytes // PAGE_SIZE_4K)
         self.kernel_space = kernel_space
+        #: Base of the ``page_cache_xarray`` region (see :meth:`_reserve_xarray`).
+        self._xarray_base: Optional[int] = None
         #: (file id, page index) -> True, least recently used first.
         self._pages = LRU(self.capacity_pages)
         self.counters = Counter()
@@ -40,8 +47,11 @@ class PageCache:
         """Return True on a page-cache hit; records the radix-tree lookup work."""
         key = (file_id, page_index)
         if trace is not None:
-            op = trace.new_op("page_cache_lookup", work_units=3)
-            op.touch(self._node_address(file_id, page_index), is_write=False)
+            if trace.recording:
+                trace.new_op("page_cache_lookup", work_units=3).touch(
+                    self._node_address(file_id, page_index), is_write=False)
+            elif self._xarray_base is None:
+                self._reserve_xarray()
         hit = key in self._pages
         if hit:
             self._pages.move_to_end(key)
@@ -61,8 +71,11 @@ class PageCache:
             self.counters.add("evictions")
         self.counters.add("insertions")
         if trace is not None:
-            op = trace.new_op("page_cache_insert", work_units=2)
-            op.touch(self._node_address(file_id, page_index), is_write=True)
+            if trace.recording:
+                trace.new_op("page_cache_insert", work_units=2).touch(
+                    self._node_address(file_id, page_index), is_write=True)
+            elif self._xarray_base is None:
+                self._reserve_xarray()
 
     def populate_file(self, file_id: int, size_bytes: int) -> int:
         """Pre-populate the cache with every page of a file; returns pages inserted.
@@ -77,11 +90,22 @@ class PageCache:
             inserted += 1
         return inserted
 
+    def _reserve_xarray(self) -> Optional[int]:
+        """Reserve the ``page_cache_xarray`` kernel region and cache its base
+        (None without a kernel address space).
+
+        Every traced lookup and insert calls this, recording or not, so a
+        discarded trace reserves the region at the same call.
+        """
+        if self._xarray_base is None and self.kernel_space is not None:
+            self._xarray_base = self.kernel_space.region("page_cache_xarray", _XARRAY_BYTES)
+        return self._xarray_base
+
     def _node_address(self, file_id: int, page_index: int) -> int:
+        index = file_id * 4096 + page_index
         if self.kernel_space is None:
-            return 0xFFFF_8900_0000_0000 + (file_id * 4096 + page_index) * 64
-        return self.kernel_space.entry_address("page_cache_xarray",
-                                                file_id * 4096 + page_index)
+            return _FALLBACK_XARRAY + index * 64
+        return self._reserve_xarray() + index * 64 % _XARRAY_BYTES
 
     @property
     def cached_pages(self) -> int:

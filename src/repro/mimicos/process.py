@@ -10,7 +10,7 @@ process's trace will touch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.common.stats import Counter
 from repro.mimicos.vma import VMAKind, VMAManager, VirtualMemoryArea
@@ -30,6 +30,11 @@ class Process:
     #: multi-core orchestrator compares it against the scheduling core to
     #: detect migrations, which require a full TLB flush on the new core.
     last_core: Optional[int] = None
+    #: Hot cell of the ``page_faults`` counter, bumped by the fault handler.
+    fault_cell: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.fault_cell = self.counters.hot("page_faults")
 
     def note_scheduled(self, core_index: int) -> bool:
         """Record one scheduling-in on ``core_index``; True if it migrated.

@@ -48,7 +48,8 @@ class SlabCache:
 
     def allocate(self, trace: Optional[KernelRoutineTrace] = None) -> int:
         """Allocate one object, refilling from the buddy allocator if needed."""
-        op = trace.new_op(f"slab_alloc_{self.name}", work_units=1) if trace is not None else None
+        op = (trace.new_op(f"slab_alloc_{self.name}", work_units=1)
+              if trace is not None and trace.recording else None)
         if not self._partial:
             # Slow path: grab a fresh slab page from the buddy allocator.
             self.counters.add("slab_refills")
@@ -76,7 +77,7 @@ class SlabCache:
         if was_full:
             self._partial.append(slab)
         self.counters.add("frees")
-        if trace is not None:
+        if trace is not None and trace.recording:
             op = trace.new_op(f"slab_free_{self.name}", work_units=1)
             op.touch(address, is_write=True)
 

@@ -17,6 +17,13 @@ from repro.mimicos.ops import KernelAddressSpace, KernelRoutineTrace
 from repro.storage.ssd import SSDModel
 
 
+#: Size and entry size of the ``swap_map`` kernel region.
+_SWAP_MAP_BYTES = 1 << 20
+_SWAP_MAP_ENTRY = 8
+#: Base of the swap map when no kernel address space is wired up.
+_FALLBACK_SWAP_MAP = 0xFFFF_8A00_0000_0000
+
+
 class SwapFullError(RuntimeError):
     """Raised when the swap file has no free slots left."""
 
@@ -36,11 +43,14 @@ class SwapSubsystem:
         self.capacity_slots = swap_size_bytes // PAGE_SIZE_4K
         self.ssd = ssd
         self.kernel_space = kernel_space
+        #: Base of the ``swap_map`` region (see :meth:`_reserve_swap_map`).
+        self._swap_map_base: Optional[int] = None
         #: (pid, vpn) -> swap slot index
         self._slots: Dict[Tuple[int, int], int] = {}
         self._free_slot = 0
         self._recycled_slots: list = []
         self.counters = Counter()
+        self._c_lookups = self.counters.hot("swap_cache_lookups")
         #: Total cycles spent performing swap I/O (the Fig. 20 metric).
         self.swap_cycles = 0
 
@@ -84,8 +94,11 @@ class SwapSubsystem:
         self.swap_cycles += latency
 
         if trace is not None:
-            op = trace.new_op("swap_out", work_units=8)
-            op.touch(self._swap_map_address(slot), is_write=True)
+            if trace.recording:
+                trace.new_op("swap_out", work_units=8).touch(self._swap_map_address(slot),
+                                                             is_write=True)
+            elif self._swap_map_base is None:
+                self._reserve_swap_map()
         return latency
 
     def swap_in(self, pid: int, vpn: int, now_cycles: int = 0,
@@ -104,24 +117,41 @@ class SwapSubsystem:
         self.swap_cycles += latency
 
         if trace is not None:
-            op = trace.new_op("swap_in", work_units=8)
-            op.touch(self._swap_map_address(slot), is_write=False)
+            if trace.recording:
+                trace.new_op("swap_in", work_units=8).touch(self._swap_map_address(slot),
+                                                            is_write=False)
+            elif self._swap_map_base is None:
+                self._reserve_swap_map()
         return latency
 
     def lookup_swap_cache(self, pid: int, vpn: int,
                           trace: Optional[KernelRoutineTrace] = None) -> bool:
         """The swap-cache probe of Fig. 6 (step 6); returns True if swapped."""
         if trace is not None:
-            op = trace.new_op("swap_cache_lookup", work_units=2)
-            op.touch(self._swap_map_address(hash((pid, vpn)) % max(1, self.capacity_slots or 1)),
-                     is_write=False)
-        self.counters.add("swap_cache_lookups")
-        return self.is_swapped(pid, vpn)
+            if trace.recording:
+                slot = hash((pid, vpn)) % max(1, self.capacity_slots or 1)
+                trace.new_op("swap_cache_lookup", work_units=2).touch(
+                    self._swap_map_address(slot), is_write=False)
+            elif self._swap_map_base is None:
+                self._reserve_swap_map()
+        self._c_lookups[0] += 1
+        return (pid, vpn) in self._slots
+
+    def _reserve_swap_map(self) -> Optional[int]:
+        """Reserve the ``swap_map`` kernel region and cache its base (None
+        without a kernel address space).
+
+        Every traced swap operation calls this, recording or not, so a
+        discarded trace reserves the region at the same call.
+        """
+        if self._swap_map_base is None and self.kernel_space is not None:
+            self._swap_map_base = self.kernel_space.region("swap_map", _SWAP_MAP_BYTES)
+        return self._swap_map_base
 
     def _swap_map_address(self, slot: int) -> int:
         if self.kernel_space is None:
-            return 0xFFFF_8A00_0000_0000 + slot * 8
-        return self.kernel_space.entry_address("swap_map", slot, entry_size=8)
+            return _FALLBACK_SWAP_MAP + slot * _SWAP_MAP_ENTRY
+        return self._reserve_swap_map() + slot * _SWAP_MAP_ENTRY % _SWAP_MAP_BYTES
 
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot, plus the accumulated swap I/O cycles."""

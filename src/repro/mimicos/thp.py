@@ -54,6 +54,7 @@ class THPPolicyBase:
         self.buddy = buddy
         self.config = config
         self.counters = Counter()
+        self._c_small_allocations = self.counters.hot("small_allocations")
 
     def on_anonymous_fault(self, pid: int, vaddr: int, vma: VirtualMemoryArea,
                            trace: Optional[KernelRoutineTrace] = None,
@@ -68,7 +69,7 @@ class THPPolicyBase:
     def _allocate_small(self, trace: Optional[KernelRoutineTrace],
                         zero: bool = True) -> THPAllocation:
         result = self.buddy.allocate(0, trace)
-        self.counters.add("small_allocations")
+        self._c_small_allocations[0] += 1
         return THPAllocation(address=result.address, page_size=PAGE_SIZE_4K,
                              zeroing_bytes=PAGE_SIZE_4K if zero else 0)
 
@@ -202,7 +203,7 @@ class ReservationTHPPolicy(THPPolicyBase):
             reservation = _Reservation(physical_base=physical_base)
             self._reservations[key] = reservation
             self.counters.add("reservations")
-            if trace is not None:
+            if trace is not None and trace.recording:
                 op = trace.new_op("thp_reserve_region", work_units=16)
                 op.touch(self._reservation_table_address(region_va), is_write=True)
 
@@ -220,7 +221,7 @@ class ReservationTHPPolicy(THPPolicyBase):
             promoted_pages = len(reservation.touched_offsets)
             untouched = (PAGE_SIZE_2M // PAGE_SIZE_4K) - promoted_pages
             self.counters.add("promotions")
-            if trace is not None:
+            if trace is not None and trace.recording:
                 op = trace.new_op("thp_promote_region", work_units=64 + promoted_pages * 4)
                 for touched in sorted(reservation.touched_offsets):
                     op.touch(reservation.physical_base + touched * PAGE_SIZE_4K, is_write=True)

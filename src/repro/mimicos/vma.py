@@ -90,6 +90,11 @@ def vma_size_bucket(size: int) -> str:
     return ">1GB"
 
 
+#: Deterministic pseudo-address of the VMA tree's root node; a lookup
+#: touches one 64-byte node per tree level below it.
+_VMA_TREE_BASE = 0xFFFF_8800_0000_0000
+
+
 class VMANotFoundError(RuntimeError):
     """Raised when a faulting address belongs to no VMA (a segfault)."""
 
@@ -164,19 +169,17 @@ class VMAManager:
     def find_or_fault(self, address: int,
                       trace: Optional[KernelRoutineTrace] = None) -> VirtualMemoryArea:
         """The page-fault handler's VMA lookup; records the rb-tree walk work."""
-        if trace is not None:
-            depth = max(1, len(self._starts).bit_length())
+        starts = self._starts
+        if trace is not None and trace.recording:
+            depth = max(1, len(starts).bit_length())
             op = trace.new_op("find_vma", work_units=depth)
-            for level in range(depth):
-                op.touch(self._vma_node_address(level), is_write=False)
-        vma = self.find(address)
-        if vma is None:
-            raise VMANotFoundError(f"address {address:#x} is not mapped by any VMA")
-        return vma
-
-    def _vma_node_address(self, level: int) -> int:
-        # Deterministic pseudo-addresses for the VMA tree nodes touched by a lookup.
-        return 0xFFFF_8800_0000_0000 + level * 64
+            op.memory_touches = [(_VMA_TREE_BASE + level * 64, False) for level in range(depth)]
+        index = bisect_right(starts, address) - 1
+        if index >= 0:
+            vma = self._vmas[starts[index]]
+            if address < vma.end:
+                return vma
+        raise VMANotFoundError(f"address {address:#x} is not mapped by any VMA")
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -25,7 +25,6 @@ from repro.common.addresses import (
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
     PAGE_SIZE_4K,
-    align_down,
 )
 from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
@@ -126,6 +125,7 @@ class PageTableBase:
     def __init__(self, frame_allocator: Optional[Callable[..., int]] = None):
         self.frame_allocator = frame_allocator or _BumpFrameAllocator()
         self.counters = Counter()
+        self._c_insertions = self.counters.hot("insertions")
         #: Functional mapping store: virtual page base -> TranslationMapping.
         self._mappings: Dict[int, TranslationMapping] = {}
         #: Live mapping count per page size; lets walkers probe only page
@@ -146,18 +146,20 @@ class PageTableBase:
         """Install a mapping; subclasses add structure-specific update work."""
         if page_size not in self.SUPPORTED_PAGE_SIZES:
             raise ValueError(f"unsupported page size {page_size}")
-        virtual_base = align_down(virtual_address, page_size)
-        physical_base = align_down(physical_address, page_size)
+        # Every supported size is a power of two: ``& -size`` aligns down.
+        virtual_base = virtual_address & -page_size
+        physical_base = physical_address & -page_size
+        size_counts = self._size_counts
         previous = self._mappings.get(virtual_base)
         if previous is not None:
-            remaining = self._size_counts.get(previous.page_size, 0) - 1
+            remaining = size_counts.get(previous.page_size, 0) - 1
             if remaining > 0:
-                self._size_counts[previous.page_size] = remaining
+                size_counts[previous.page_size] = remaining
             else:
-                self._size_counts.pop(previous.page_size, None)
+                size_counts.pop(previous.page_size, None)
         self._mappings[virtual_base] = TranslationMapping(virtual_base, physical_base, page_size)
-        self._size_counts[page_size] = self._size_counts.get(page_size, 0) + 1
-        self.counters.add("insertions")
+        size_counts[page_size] = size_counts.get(page_size, 0) + 1
+        self._c_insertions[0] += 1
         self._insert_structure(virtual_base, physical_base, page_size, trace)
 
     def remove(self, virtual_address: int,
@@ -252,7 +254,7 @@ class PageTableBase:
     def _remove_structure(self, mapping: TranslationMapping,
                           trace: Optional[KernelRoutineTrace]) -> None:
         """Default removal cost: one metadata write."""
-        if trace is not None:
+        if trace is not None and trace.recording:
             trace.new_op(f"{self.kind}_pt_remove", work_units=2)
 
     # ------------------------------------------------------------------ #

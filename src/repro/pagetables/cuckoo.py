@@ -118,7 +118,8 @@ class ElasticCuckooPageTable(PageTableBase):
         self._cwc_regions.setdefault(region, set()).add(page_size)
         self._cwc_counts[(region, page_size)] = \
             self._cwc_counts.get((region, page_size), 0) + 1
-        op = trace.new_op("ech_insert", work_units=2) if trace is not None else None
+        op = (trace.new_op("ech_insert", work_units=2)
+              if trace is not None and trace.recording else None)
 
         relocations = 0
         current_key = key
@@ -152,7 +153,7 @@ class ElasticCuckooPageTable(PageTableBase):
 
         # Relocation chain too long: elastic resize, then place the pending key.
         self.counters.add("elastic_resizes")
-        if trace is not None:
+        if trace is not None and trace.recording:
             resize_op = trace.new_op("ech_resize",
                                      work_units=table.occupancy * 2 + 64)
             resize_op.touch(table.base_address, is_write=True)
@@ -188,7 +189,7 @@ class ElasticCuckooPageTable(PageTableBase):
                 sizes.discard(mapping.page_size)
                 if not sizes:
                     del self._cwc_regions[region]
-        if trace is not None:
+        if trace is not None and trace.recording:
             trace.new_op("ech_remove", work_units=2)
 
     # ------------------------------------------------------------------ #

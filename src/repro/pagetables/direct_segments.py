@@ -60,7 +60,7 @@ class DirectSegmentTable(PageTableBase):
             self.segment_limit = vma.start + block_bytes
             self.segment_offset = result.address - vma.start
             self.counters.add("segments_established")
-            if trace is not None:
+            if trace is not None and trace.recording:
                 trace.new_op("direct_segment_setup", work_units=64)
             return FaultAllocation(address=result.address, page_size=PAGE_SIZE_4K,
                                    zeroing_bytes=block_bytes)

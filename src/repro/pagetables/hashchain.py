@@ -61,7 +61,8 @@ class ChainedHashPageTable(PageTableBase):
         key = self._key(virtual_base, page_size)
         home = self._home_index(key)
         chain = self._chains.setdefault(home, [])
-        op = trace.new_op("ht_insert", work_units=1 + len(chain)) if trace is not None else None
+        op = (trace.new_op("ht_insert", work_units=1 + len(chain))
+              if trace is not None and trace.recording else None)
         if key not in chain:
             chain.append(key)
         if op is not None:
@@ -74,7 +75,7 @@ class ChainedHashPageTable(PageTableBase):
         # place; only the removal work is charged.
         key = self._key(mapping.virtual_base, mapping.page_size)
         home = self._home_index(key)
-        if trace is not None:
+        if trace is not None and trace.recording:
             chain = self._chains.get(home, [])
             op = trace.new_op("ht_remove", work_units=1 + len(chain))
             op.touch(self._node_address(home, 0), is_write=True)

@@ -64,7 +64,8 @@ class OpenAddressingHashPageTable(PageTableBase):
     def _insert_structure(self, virtual_base: int, physical_base: int, page_size: int,
                           trace: Optional[KernelRoutineTrace]) -> None:
         key = self._key(virtual_base, page_size)
-        op = trace.new_op("hdc_insert", work_units=1) if trace is not None else None
+        op = (trace.new_op("hdc_insert", work_units=1)
+              if trace is not None and trace.recording else None)
         for probes, index in enumerate(self._probe_sequence(key), start=1):
             occupant = self._buckets.get(index)
             if op is not None:
@@ -87,7 +88,7 @@ class OpenAddressingHashPageTable(PageTableBase):
         # The bucket is shared by the whole cluster, so it stays in place
         # until the table is rebuilt; only the removal work is charged.
         key = self._key(mapping.virtual_base, mapping.page_size)
-        if trace is not None:
+        if trace is not None and trace.recording:
             op = trace.new_op("hdc_remove", work_units=2)
             op.touch(self._bucket_address(bucket_index(key, self.num_buckets)), is_write=True)
 

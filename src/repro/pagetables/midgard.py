@@ -99,7 +99,7 @@ class MidgardTranslation(PageTableBase):
                                               self.BACKEND_PAGE_SIZE)
         self._vma_ranges.append(entry)
         self.counters.add("registered_vmas")
-        if trace is not None:
+        if trace is not None and trace.recording:
             op = trace.new_op("midgard_vma_register", work_units=8)
             op.touch(self._vma_node_address(len(self._vma_ranges)), is_write=True)
         return entry
@@ -123,7 +123,7 @@ class MidgardTranslation(PageTableBase):
         backend_base = align_down(midgard_address, self.BACKEND_PAGE_SIZE)
         physical_backend_base = align_down(physical_base, self.BACKEND_PAGE_SIZE)
         self._backend[backend_base] = physical_backend_base
-        if trace is not None:
+        if trace is not None and trace.recording:
             op = trace.new_op("midgard_backend_update", work_units=self.backend_levels)
             op.touch(self._backend_node_address(backend_base, self.backend_levels - 1),
                      is_write=True)
@@ -134,7 +134,7 @@ class MidgardTranslation(PageTableBase):
         if vma_range is not None:
             midgard_address = vma_range.translate(mapping.virtual_base)
             self._backend.pop(align_down(midgard_address, self.BACKEND_PAGE_SIZE), None)
-        if trace is not None:
+        if trace is not None and trace.recording:
             trace.new_op("midgard_remove", work_units=2)
 
     # ------------------------------------------------------------------ #

@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.addresses import (
-    PAGE_SIZE_1G,
-    PAGE_SIZE_2M,
-    PAGE_SIZE_4K,
-    split_vpn_radix,
-)
+from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.lru import LRU
 from repro.common.stats import Counter
 from repro.memhier.memory_system import MemoryAccessType
@@ -38,6 +33,10 @@ ENTRIES_PER_NODE = 512
 #: and the mask of one index (:func:`~repro.common.addresses.split_vpn_radix`).
 _INDEX_SHIFTS = (39, 30, 21, 12)
 _INDEX_MASK = ENTRIES_PER_NODE - 1
+#: Per page size: the index shifts of the interior levels above its leaf,
+#: and the shift of its leaf index (a 2 MB page is a PMD leaf, 1 GB a PUD leaf).
+_UPPER_SHIFTS = {PAGE_SIZE_4K: (39, 30, 21), PAGE_SIZE_2M: (39, 30), PAGE_SIZE_1G: (39,)}
+_LEAF_SHIFT = {PAGE_SIZE_4K: 12, PAGE_SIZE_2M: 21, PAGE_SIZE_1G: 30}
 
 
 class PageWalkCache:
@@ -105,18 +104,11 @@ class _RadixNode:
     #: index -> (physical base, page size) for leaf entries at this level.
     leaf_entries: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
-    def entry_address(self, index: int) -> int:
-        """Physical address of entry ``index`` in this node."""
-        return self.physical_base + index * PTE_SIZE
-
 
 class RadixPageTable(PageTableBase):
     """x86-64 4-level radix page table with three page-walk caches."""
 
     kind = "radix"
-
-    #: Leaf level per page size: number of indices consumed before the leaf entry.
-    _LEAF_DEPTH = {PAGE_SIZE_1G: 2, PAGE_SIZE_2M: 3, PAGE_SIZE_4K: 4}
 
     def __init__(self, frame_allocator: Optional[Callable[..., int]] = None,
                  pwc_entries: int = 32, pwc_associativity: int = 4, pwc_latency: int = 2,
@@ -133,6 +125,7 @@ class RadixPageTable(PageTableBase):
                                      pwc_latency, coverage_shift=39)
         #: Number of page-table frames allocated (root excluded).
         self.allocated_frames = 0
+        self._c_pt_frames = self.counters.hot("pt_frames_allocated")
         self._c_walks = self.counters.hot("walks")
         self._c_walk_hits = self.counters.hot("walk_hits")
         self._c_walk_faults = self.counters.hot("walk_faults")
@@ -143,48 +136,49 @@ class RadixPageTable(PageTableBase):
     # ------------------------------------------------------------------ #
     def _insert_structure(self, virtual_base: int, physical_base: int, page_size: int,
                           trace: Optional[KernelRoutineTrace]) -> None:
-        indices = split_vpn_radix(virtual_base)
-        leaf_depth = self._LEAF_DEPTH[page_size]
-        op = trace.new_op("radix_pt_update", work_units=leaf_depth) if trace is not None else None
+        upper_shifts = _UPPER_SHIFTS[page_size]
+        op = (trace.new_op("radix_pt_update", work_units=len(upper_shifts) + 1)
+              if trace is not None and trace.recording else None)
 
         node = self._root
-        for depth in range(leaf_depth - 1):
-            index = indices[depth]
+        for shift in upper_shifts:
+            index = virtual_base >> shift & _INDEX_MASK
             child = node.children.get(index)
             if child is None:
-                frame = self.frame_allocator(trace)
-                child = _RadixNode(physical_base=frame)
+                # The frame allocator gets the trace even when it records
+                # nothing: the slab and buddy reserve their regions there.
+                child = _RadixNode(physical_base=self.frame_allocator(trace))
                 node.children[index] = child
                 self.allocated_frames += 1
-                self.counters.add("pt_frames_allocated")
+                self._c_pt_frames[0] += 1
                 if op is not None:
                     op.work_units += 4
-                    op.touch(node.entry_address(index), is_write=True)
+                    op.touch(node.physical_base + index * PTE_SIZE, is_write=True)
             elif op is not None:
-                op.touch(node.entry_address(index), is_write=False)
+                op.touch(node.physical_base + index * PTE_SIZE, is_write=False)
             node = child
 
-        leaf_index = indices[leaf_depth - 1]
+        leaf_index = virtual_base >> _LEAF_SHIFT[page_size] & _INDEX_MASK
         node.leaf_entries[leaf_index] = (physical_base, page_size)
         if op is not None:
-            op.touch(node.entry_address(leaf_index), is_write=True)
+            op.touch(node.physical_base + leaf_index * PTE_SIZE, is_write=True)
 
     def _remove_structure(self, mapping: TranslationMapping,
                           trace: Optional[KernelRoutineTrace]) -> None:
-        indices = split_vpn_radix(mapping.virtual_base)
-        leaf_depth = self._LEAF_DEPTH[mapping.page_size]
+        virtual_base = mapping.virtual_base
+        upper_shifts = _UPPER_SHIFTS[mapping.page_size]
         node = self._root
-        for depth in range(leaf_depth - 1):
-            child = node.children.get(indices[depth])
-            if child is None:
+        for shift in upper_shifts:
+            node = node.children.get(virtual_base >> shift & _INDEX_MASK)
+            if node is None:
                 return
-            node = child
-        node.leaf_entries.pop(indices[leaf_depth - 1], None)
+        leaf_index = virtual_base >> _LEAF_SHIFT[mapping.page_size] & _INDEX_MASK
+        node.leaf_entries.pop(leaf_index, None)
         for pwc in (self.pwc_pmd, self.pwc_pud, self.pwc_pgd):
-            pwc.invalidate(mapping.virtual_base)
-        if trace is not None:
-            op = trace.new_op("radix_pt_remove", work_units=leaf_depth)
-            op.touch(node.entry_address(indices[leaf_depth - 1]), is_write=True)
+            pwc.invalidate(virtual_base)
+        if trace is not None and trace.recording:
+            op = trace.new_op("radix_pt_remove", work_units=len(upper_shifts) + 1)
+            op.touch(node.physical_base + leaf_index * PTE_SIZE, is_write=True)
 
     # ------------------------------------------------------------------ #
     # Hardware walk

@@ -122,7 +122,7 @@ class RangeMemoryMapping(PageTableBase):
                                  virtual_end=fault_page + block_bytes,
                                  physical_start=result.address)
         self._ranges.append(new_range)
-        if trace is not None:
+        if trace is not None and trace.recording:
             op = trace.new_op("rmm_range_insert", work_units=8 + order)
             op.touch(self._range_node_address(len(self._ranges)), is_write=True)
 

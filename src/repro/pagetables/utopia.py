@@ -121,10 +121,15 @@ class UtopiaTranslation(PageTableBase):
                            tag_array_base=tag_array_base)
             self._restsegs.append(seg)
             next_base += restseg_size_bytes
+        #: Segment indices, smallest page size first (the fault path's order).
+        self._segment_order = sorted(range(len(self._restsegs)),
+                                     key=lambda i: self._restsegs[i].page_size)
         #: (pid, virtual base) -> (segment index, set, way) for RestSeg-resident pages.
         self._restseg_residency: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
         #: physical frame address -> (pid, virtual base), the reverse index.
         self._frame_to_key: Dict[int, Tuple[int, int]] = {}
+        self._c_restseg_allocations = self.counters.hot("restseg_allocations")
+        self._c_flexseg_insertions = self.counters.hot("flexseg_insertions")
 
     # ------------------------------------------------------------------ #
     # Allocation override (the OS side of Utopia)
@@ -139,8 +144,7 @@ class UtopiaTranslation(PageTableBase):
         """
         # Prefer the 4 KB RestSeg for ordinary faults (the 2 MB RestSeg is
         # used by the THP-style huge allocations when the VMA is large).
-        segment_order = sorted(range(len(self._restsegs)),
-                               key=lambda i: self._restsegs[i].page_size)
+        segment_order = self._segment_order
         for seg_index in segment_order:
             seg = self._restsegs[seg_index]
             if seg.page_size != PAGE_SIZE_4K:
@@ -148,7 +152,8 @@ class UtopiaTranslation(PageTableBase):
             virtual_base = align_down(virtual_address, seg.page_size)
             set_index = seg.set_of(pid, virtual_base)
             ways = seg.sets.setdefault(set_index, {})
-            op = trace.new_op("utopia_restseg_alloc", work_units=4) if trace is not None else None
+            op = (trace.new_op("utopia_restseg_alloc", work_units=4)
+                  if trace is not None and trace.recording else None)
             if op is not None:
                 # The set's virtual tags fit in one or two cache lines; the
                 # scan reads those lines, not one word per way.
@@ -160,7 +165,7 @@ class UtopiaTranslation(PageTableBase):
                 ways[free_way] = (pid, virtual_base)
                 self._restseg_residency[(pid, virtual_base)] = (seg_index, set_index, free_way)
                 self._frame_to_key[seg.frame_address(set_index, free_way)] = (pid, virtual_base)
-                self.counters.add("restseg_allocations")
+                self._c_restseg_allocations[0] += 1
                 if op is not None:
                     op.touch(seg.tag_address(set_index, free_way), is_write=True)
                 zeroing = seg.page_size if getattr(vma, "is_anonymous", True) else 0
@@ -216,8 +221,8 @@ class UtopiaTranslation(PageTableBase):
         # and needs a conventional radix entry.
         if not self._frame_in_restseg(physical_base):
             self.flexseg.insert(virtual_base, physical_base, page_size, trace)
-            self.counters.add("flexseg_insertions")
-        elif trace is not None:
+            self._c_flexseg_insertions[0] += 1
+        elif trace is not None and trace.recording:
             op = trace.new_op("utopia_tag_update", work_units=2)
             op.touch(self._restsegs[0].tag_array_base, is_write=True)
 
@@ -240,7 +245,7 @@ class UtopiaTranslation(PageTableBase):
                         del ways[way]
         else:
             self.flexseg.remove(mapping.virtual_base, trace)
-        if trace is not None:
+        if trace is not None and trace.recording:
             trace.new_op("utopia_remove", work_units=2)
 
     def _frame_in_restseg(self, physical_address: int) -> bool:

@@ -61,14 +61,14 @@ class VirtualBlockInterface(PageTableBase):
                           trace: Optional[KernelRoutineTrace]) -> None:
         block_page = align_down(virtual_base, self.BLOCK_PAGE_SIZE)
         self._block_mappings[block_page] = align_down(physical_base, self.BLOCK_PAGE_SIZE)
-        if trace is not None:
+        if trace is not None and trace.recording:
             op = trace.new_op("vbi_block_table_update", work_units=2)
             op.touch(self._entry_address(block_page), is_write=True)
 
     def _remove_structure(self, mapping: TranslationMapping,
                           trace: Optional[KernelRoutineTrace]) -> None:
         self._block_mappings.pop(align_down(mapping.virtual_base, self.BLOCK_PAGE_SIZE), None)
-        if trace is not None:
+        if trace is not None and trace.recording:
             trace.new_op("vbi_remove", work_units=1)
 
     # ------------------------------------------------------------------ #

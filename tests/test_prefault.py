@@ -10,7 +10,9 @@ the live-size-only functional page-table lookup.
 
 from __future__ import annotations
 
+import inspect
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +24,11 @@ from repro.common.addresses import (
     align_down,
 )
 from repro.common.config import PageTableConfig
+from repro.common.stats import Counter
 from repro.core.virtuoso import Virtuoso
+from repro.mimicos.buddy import BuddyAllocator
 from repro.mimicos.ops import DiscardedTrace, KernelRoutineTrace
+from repro.mimicos.swap import SwapSubsystem
 from repro.pagetables.base import PageTableBase
 from repro.workloads import GraphWorkload, GUPSWorkload
 from tests.conftest import report_digest, tiny_system_config
@@ -210,3 +215,76 @@ class TestFindMapping:
             for probe in [address] + [rng.randrange(span) for _ in range(8)]:
                 assert table._find_mapping(probe) is three_probe_lookup(table, probe)
         assert set(table._size_counts) <= set(PageTableBase.SUPPORTED_PAGE_SIZES)
+
+
+# ---------------------------------------------------------------------- #
+# Sensitivity: breaks the state identity check must catch
+# ---------------------------------------------------------------------- #
+def _drop_discarded_trace(method):
+    """``method`` as if it got no trace whenever its trace records nothing:
+    whatever it does only for a trace (reserving a kernel-address region)
+    then happens only under a recording trace."""
+    signature = inspect.signature(method)
+
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        trace = bound.arguments.get("trace")
+        if trace is not None and not trace.recording:
+            bound.arguments["trace"] = None
+        return method(*bound.args, **bound.kwargs)
+    return wrapper
+
+
+def fragmented_state(prefault):
+    """Prefault 16 pages into a fragmented kernel whose buddy counters
+    restart at the prefault: its 4 KB faults take free 4 KB blocks, so no
+    allocation splits and the ``splits`` key holds 0."""
+    config = tiny_system_config()
+    config = config.with_mimicos(replace(config.mimicos, fragmentation_target=0.5,
+                                         thp_policy="never"))
+    system = Virtuoso(config, seed=11)
+    workload = GUPSWorkload(footprint_bytes=16 * PAGE_SIZE_4K, memory_operations=10,
+                            prefault=True, seed=5)
+    process = system.map_workload(workload)
+    system.kernel.buddy.counters.reset()
+    assert prefault(system, process, workload.prefault_addresses(process)) > 0
+    return system_state(system)
+
+
+class TestPrefaultIdentitySensitivity:
+    """Each break changes only the discarded prefault; ``kernel_state``
+    must then differ from the recording prefault's."""
+
+    def test_clean_fragmented_case_is_identical(self):
+        recorded = fragmented_state(recording_prefault)
+        assert recorded == fragmented_state(discarded_prefault)
+        buddy = recorded[0]["stats"]["buddy"]
+        assert buddy["allocations"] > 0 and buddy["splits"] == 0
+
+    def test_buddy_reserving_only_when_recording_is_caught(self, monkeypatch):
+        recorded = single_core(tiny_system_config(), gups, recording_prefault)
+        monkeypatch.setattr(BuddyAllocator, "allocate",
+                            _drop_discarded_trace(BuddyAllocator.allocate))
+        monkeypatch.setattr(BuddyAllocator, "free", _drop_discarded_trace(BuddyAllocator.free))
+        discarded = single_core(tiny_system_config(), gups, discarded_prefault)
+        assert discarded[0] != recorded[0]
+        regions = [name for name, _ in discarded[0][0]["regions"]]
+        assert "buddy_free_lists" not in regions
+
+    def test_swap_lookup_skipping_its_reservation_is_caught(self, monkeypatch):
+        recorded = single_core(tiny_system_config(), gups, recording_prefault)
+        monkeypatch.setattr(SwapSubsystem, "lookup_swap_cache",
+                            _drop_discarded_trace(SwapSubsystem.lookup_swap_cache))
+        discarded = single_core(tiny_system_config(), gups, discarded_prefault)
+        assert discarded[0] != recorded[0]
+        regions = [name for name, _ in discarded[0][0]["regions"]]
+        assert "swap_map" not in regions
+
+    def test_buddy_dropping_the_zero_splits_key_is_caught(self, monkeypatch):
+        recorded = fragmented_state(recording_prefault)
+        hot = Counter.hot
+        monkeypatch.setattr(Counter, "hot",
+                            lambda self, name, zero_with=None: hot(self, name))
+        discarded = fragmented_state(discarded_prefault)
+        assert discarded != recorded
+        assert "splits" not in discarded[0]["stats"]["buddy"]

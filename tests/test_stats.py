@@ -127,6 +127,108 @@ class TestCounter:
         assert counter.get("x") == 0
 
 
+class TestCounterHotCells:
+    def test_repeated_hot_returns_the_same_cell(self):
+        counter = Counter()
+        cell = counter.hot("faults")
+        assert counter.hot("faults") is cell
+        assert counter.hot("other") is not cell
+
+    def test_get_folds_pending_cells(self):
+        counter = Counter()
+        cell = counter.hot("faults")
+        cell[0] += 3
+        assert counter.get("faults") == 3
+        assert cell[0] == 0
+        cell[0] += 2
+        assert counter.get("faults") == 5
+
+    def test_as_dict_folds_pending_cells(self):
+        counter = Counter()
+        counter.add("plain", 4)
+        counter.hot("faults")[0] += 2
+        assert counter.as_dict() == {"plain": 4, "faults": 2}
+
+    def test_merge_folds_pending_cells_on_both_sides(self):
+        a, b = Counter(), Counter()
+        a.hot("faults")[0] += 2
+        b.hot("faults")[0] += 5
+        b.hot("walks")[0] += 1
+        a.merge(b)
+        assert a.as_dict() == {"faults": 7, "walks": 1}
+        assert b.as_dict() == {"faults": 5, "walks": 1}
+
+    def test_reset_drops_pending_cells(self):
+        counter = Counter()
+        cell = counter.hot("faults")
+        cell[0] += 3
+        counter.reset()
+        assert cell[0] == 0
+        assert counter.as_dict() == {}
+        cell[0] += 1
+        assert counter.as_dict() == {"faults": 1}
+
+    def test_key_stays_absent_while_its_cell_holds_zero(self):
+        counter = Counter()
+        cell = counter.hot("faults")
+        assert counter.as_dict() == {}
+        cell[0] += 0
+        assert "faults" not in counter.as_dict()
+        assert counter.get("faults") == 0
+        assert "faults" not in counter.as_dict()
+
+    def test_zero_with_key_appears_with_its_witness(self):
+        counter = Counter()
+        splits = counter.hot("splits", zero_with="allocations")
+        allocations = counter.hot("allocations")
+        assert counter.as_dict() == {}
+        allocations[0] += 1
+        splits[0] += 0
+        assert counter.as_dict() == {"allocations": 1, "splits": 0}
+        counter.reset()
+        assert counter.as_dict() == {}
+
+    #: One event of the fault path: ("count", name) bumps a plain per-fault
+    #: counter by 1, ("alloc", order, splits) is one buddy allocation,
+    #: ("read",) folds, ("reset",) zeroes.
+    _EVENTS = st.lists(st.one_of(
+        st.tuples(st.just("count"), st.sampled_from(
+            ["page_faults", "minor_faults", "faults_4kb", "faults_2048kb", "insertions"])),
+        st.tuples(st.just("alloc"), st.integers(0, 3), st.integers(0, 4)),
+        st.tuples(st.just("read")),
+        st.tuples(st.just("reset")),
+    ), max_size=40)
+
+    @given(_EVENTS)
+    def test_hot_cells_match_add_for_fault_path_sequences(self, events):
+        added, hot = Counter(), Counter()
+        cells = {}
+        splits = hot.hot("splits", zero_with="allocations")
+        allocations = hot.hot("allocations")
+        by_order = [hot.hot(f"allocations_order_{order}") for order in range(4)]
+        for event in events:
+            if event[0] == "count":
+                added.add(event[1])
+                if event[1] not in cells:
+                    cells[event[1]] = hot.hot(event[1])
+                cells[event[1]][0] += 1
+            elif event[0] == "alloc":
+                _, order, split_count = event
+                added.add("allocations")
+                added.add(f"allocations_order_{order}")
+                added.add("splits", split_count)
+                allocations[0] += 1
+                by_order[order][0] += 1
+                splits[0] += split_count
+            elif event[0] == "read":
+                assert hot.as_dict() == added.as_dict()
+            else:
+                added.reset()
+                hot.reset()
+        assert hot.as_dict() == added.as_dict()
+        assert all(hot.get(name) == added.get(name) for name in added.as_dict())
+
+
 class TestRunningStats:
     def test_mean_and_extremes(self):
         stats = RunningStats()
