@@ -17,6 +17,7 @@ simulator and not the host's load.  Regenerate the record with::
     PYTHONPATH=src python benchmarks/perf/prefault_bench.py
     PYTHONPATH=src python benchmarks/perf/memhier_bench.py
     PYTHONPATH=src python benchmarks/perf/translation_bench.py
+    PYTHONPATH=src python benchmarks/perf/workload_bench.py
     PYTHONPATH=src python benchmarks/perf/kernel_bench.py
     PYTHONPATH=src python benchmarks/perf/fuzz_bench.py
 
@@ -235,6 +236,27 @@ def test_translation_counters_match_record():
     for kind, row in digest["walks"].items():
         assert walk_digest(kind) == row["stats_sha256"], (
             f"{kind} walks: the page table's or the caches' counters changed")
+
+
+def test_workload_streams_match_record():
+    """A fresh pass of each recorded workload generator must yield exactly
+    the batches the record holds (no timing is checked here).
+
+    The ``workloads`` section is written by
+    ``benchmarks/perf/workload_bench.py``, which refuses a side whose
+    stream differs from the other side's record, so a changed digest means
+    a generator no longer emits what it did, or cuts it elsewhere.
+    """
+    from benchmarks.perf.workload_bench import WORKLOADS, stream_digest
+
+    digest = recorded_bench().get("workloads")
+    if digest is None:
+        pytest.skip("no workloads digest recorded yet; run "
+                    "benchmarks/perf/workload_bench.py")
+    assert set(digest["streams"]) == set(WORKLOADS)
+    for name, row in digest["streams"].items():
+        assert stream_digest(name) == (row["stats_sha256"], row["batches"]), (
+            f"workload {name}: the generated batches changed")
 
 
 def test_kernel_stream_counters_match_record():

@@ -8,7 +8,7 @@ both.
 
 Three fixed access mixes run through ``access_data_fast`` on the paper's
 ``SystemConfig()`` TLBs and caches, over a prefilled radix table of 4 KB
-pages (no faults), with the VPN cache on as the core model runs it:
+pages (no faults), as the core model runs it:
 
 * ``l1_tlb`` -- 48 pages, inside the 64-entry L1 4 KB data TLB;
 * ``l2_tlb`` -- 1,024 pages, past the L1 TLB's reach but inside the
@@ -243,7 +243,7 @@ def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
     section.update({
         "schema": "translation/v1",
         "layers": "mmu.access: MMU.access_data_fast; pagetables.walk: PageTableBase.walk",
-        "config": "SystemConfig() TLBs and caches, VPN cache on, radix 4 KB pages "
+        "config": "SystemConfig() TLBs and caches, radix 4 KB pages "
                   "(mixes); scaled 256 MB systems, 16 MB prefaulted GUPS (walks)",
         "accesses_per_mix": ACCESSES,
         "walks_per_backend": WALKS,

@@ -10,10 +10,12 @@ latency.  Sequences travel as parallel arrays:
   addresses for application instructions.  Batches avoid one object
   allocation per dynamic instruction, which dominates host time at
   figure-scale instruction budgets; :meth:`CoreModel.execute_batch
-  <repro.core.cpu.CoreModel.execute_batch>` consumes them directly.
-  Generators without an array-native override yield :class:`Instruction`
-  objects that :meth:`Workload.instruction_batches
-  <repro.workloads.base.Workload.instruction_batches>` packs into batches.
+  <repro.core.cpu.CoreModel.execute_batch>` consumes them directly, and
+  every workload's :meth:`Workload.instruction_batches
+  <repro.workloads.base.Workload.instruction_batches>` builds them
+  directly.  :class:`Instruction` objects remain only as a view of a batch
+  (:meth:`InstructionBatch.iter_instructions`) for trace frontends and
+  tests.
 * :class:`KernelInstructionBatch` — the kernel-path analogue as run-length
   records: one per load or store, one per run of plain compute, one per
   ``rep``-prefixed bulk instruction (page zeroing) and MAGIC terminators.
@@ -64,7 +66,7 @@ OP_TO_KIND = {op: kind for kind, op in KIND_TO_OP.items()}
 
 @dataclass(slots=True)
 class Instruction:
-    """One dynamic application instruction (object-generator workloads)."""
+    """One dynamic application instruction (a view of one batch entry)."""
 
     kind: InstructionKind
     pc: int = 0
@@ -94,10 +96,12 @@ class InstructionBatch:
 
     __slots__ = ("kinds", "pcs", "addresses")
 
-    def __init__(self) -> None:
-        self.kinds: List[int] = []
-        self.pcs: List[int] = []
-        self.addresses: List[Optional[int]] = []
+    def __init__(self, kinds: Optional[List[int]] = None, pcs: Optional[List[int]] = None,
+                 addresses: Optional[List[Optional[int]]] = None) -> None:
+        """An empty batch, or one that takes ownership of the given arrays."""
+        self.kinds: List[int] = [] if kinds is None else kinds
+        self.pcs: List[int] = [] if pcs is None else pcs
+        self.addresses: List[Optional[int]] = [] if addresses is None else addresses
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -107,12 +111,6 @@ class InstructionBatch:
         self.kinds.append(op)
         self.pcs.append(pc)
         self.addresses.append(address)
-
-    def append_instruction(self, instruction: Instruction) -> None:
-        """Add one :class:`Instruction` object (compatibility packing path)."""
-        self.kinds.append(KIND_TO_OP[instruction.kind])
-        self.pcs.append(instruction.pc)
-        self.addresses.append(instruction.memory_address)
 
     def iter_instructions(self) -> Iterator[Instruction]:
         """Yield equivalent :class:`Instruction` objects (test/debug helper)."""

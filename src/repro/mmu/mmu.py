@@ -24,10 +24,12 @@ data cache: it peeks the 4 KB L1 data TLB, then the 2 MB one, without
 counting anything; on a hit it applies exactly the counters, the LRU move
 and the latency sample that :meth:`TLBHierarchy.lookup` and
 :meth:`MMU._access` would apply, and performs the data access.  On a miss
-it falls into :meth:`MMU._access` unchanged.  Every translation a TLB
-serves is therefore one the TLB really holds, so the kernel's shootdowns
-(:meth:`MMU.invalidate_translation`) are the only thing keeping cached
-translations coherent; :func:`repro.validation.invariants.check_translations`
+it falls into :meth:`MMU._access`, which does not probe the L1 data TLBs
+again: :meth:`TLBHierarchy.lookup_after_l1d_miss` counts the two misses
+as a full lookup would and goes straight to the L2 TLB.  Every
+translation a TLB serves is therefore one the TLB really holds, so the
+kernel's shootdowns (:meth:`MMU.invalidate_translation`) are the only
+thing keeping cached translations coherent; :func:`repro.validation.invariants.check_translations`
 checks that they do.
 Results are returned in per-MMU scratch objects, and neither a TLB lookup
 nor a TLB fill builds a result object, so a translation allocates nothing
@@ -151,6 +153,7 @@ class MMU:
         self._c_tlb_misses = self.counters.hot("tlb_misses")
         self._c_page_walks = self.counters.hot("page_walks")
         self._c_ptw_memory_accesses = self.counters.hot("ptw_memory_accesses")
+        self._c_data_accesses_intermediate = self.counters.hot("data_accesses_intermediate")
 
         # The L1 data TLBs the in-place hit peeks: (page size, sets, set
         # count, hit in the 2 MB TLB) in probe order, 4 KB TLB first.
@@ -355,12 +358,20 @@ class MMU:
                 instruction: bool) -> MemoryOperationResult:
         """The translation path: TLBs, walk and faults, then the access itself.
 
+        A data access arrives here only after :meth:`access_data_fast`
+        found neither L1 data TLB holding it, so its lookup starts at the
+        L2 TLB (:meth:`TLBHierarchy.lookup_after_l1d_miss` counts the two
+        L1 misses); an instruction fetch takes the full lookup.
+
         The outcome stays in locals until the translation is done — the
         fault callback runs MimicOS, which may use the MMU again — and is
         then written into the scratch result objects.
         """
         tlbs = self.tlbs
-        entry = tlbs.lookup(virtual_address, instruction)
+        if instruction:
+            entry = tlbs.lookup(virtual_address, True)
+        else:
+            entry = tlbs.lookup_after_l1d_miss(virtual_address)
         latency = tlbs.last_latency
         level = tlbs.last_level
         walked = page_fault = segfault = False
@@ -545,7 +556,7 @@ class MMU:
             self.ptw_latency_stats.add(backend_latency)
         result.latency += backend_latency
 
-        self.counters.add("data_accesses_intermediate")
+        self._c_data_accesses_intermediate[0] += 1
         total = result.latency + data_latency
         return MemoryOperationResult(translation=result, data_latency=data_latency,
                                      served_by=served_by, total_latency=total)

@@ -156,6 +156,26 @@ class TLBHierarchy:
                 self.last_level = level
                 self.last_latency = latency
                 return entry
+        return self._lookup_l2(virtual_address, latency, instruction)
+
+    def lookup_after_l1d_miss(self, virtual_address: int) -> Optional[Tuple[int, int]]:
+        """A data lookup whose L1 data TLBs the caller has already probed.
+
+        For a caller that peeked both L1 data TLBs without counting and
+        found nothing: counts the data lookup and both L1 misses exactly
+        as :meth:`lookup` does, then goes straight to the L2 step.
+        """
+        self._c_data_lookups[0] += 1
+        l1d_4k, l1d_2m = self.l1d_4k, self.l1d_2m
+        l1d_4k._c_lookups[0] += 1
+        l1d_4k._c_misses[0] += 1
+        l1d_2m._c_lookups[0] += 1
+        l1d_2m._c_misses[0] += 1
+        return self._lookup_l2(virtual_address, l1d_4k.latency, False)
+
+    def _lookup_l2(self, virtual_address: int, latency: int,
+                   instruction: bool) -> Optional[Tuple[int, int]]:
+        """The L2 step both lookups end in, after ``latency`` cycles of L1."""
         l2 = self.l2
         self.last_latency = latency + l2.latency
         entry = l2.lookup(virtual_address)

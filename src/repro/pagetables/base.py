@@ -126,6 +126,14 @@ class PageTableBase:
         self.frame_allocator = frame_allocator or _BumpFrameAllocator()
         self.counters = Counter()
         self._c_insertions = self.counters.hot("insertions")
+        #: Hot cells of the hardware walk's counters, shared by every
+        #: walker.  A walker that counts its memory accesses on every walk,
+        #: possibly 0, registers ``walk_memory_accesses`` with ``zero_with``
+        #: so the key is present at 0 as ``add(name, 0)`` made it.
+        self._c_walks = self.counters.hot("walks")
+        self._c_walk_hits = self.counters.hot("walk_hits")
+        self._c_walk_faults = self.counters.hot("walk_faults")
+        self._c_walk_memory_accesses = self.counters.hot("walk_memory_accesses")
         #: Functional mapping store: virtual page base -> TranslationMapping.
         self._mappings: Dict[int, TranslationMapping] = {}
         #: Live mapping count per page size; lets walkers probe only page

@@ -80,6 +80,8 @@ class ElasticCuckooPageTable(PageTableBase):
                  ways: int = 4, initial_buckets_per_way: int = 8192,
                  cwc_latency: int = 2, table_base_address: Optional[int] = None):
         super().__init__(frame_allocator)
+        # Every walk counts its memory accesses, 0 with no table built yet.
+        self.counters.hot("walk_memory_accesses", zero_with="walks")
         self.ways = ways
         self.cwc_latency = cwc_latency
         base = (table_base_address if table_base_address is not None
@@ -201,7 +203,7 @@ class ElasticCuckooPageTable(PageTableBase):
         Latency is the maximum of the parallel probes (plus the CWC lookup);
         memory traffic is all of them, which is what perturbs DRAM.
         """
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         cwc_sizes = self._cwc_regions.get(virtual_address >> 21)
         candidate_sizes = sorted(cwc_sizes or self._tables.keys() or {PAGE_SIZE_4K},
                                  reverse=True)
@@ -231,14 +233,14 @@ class ElasticCuckooPageTable(PageTableBase):
                                         page_size=page_size)
 
         latency += max_probe_latency
-        self.counters.add("walk_memory_accesses", accesses)
+        self._c_walk_memory_accesses[0] += accesses
         if result is not None:
-            self.counters.add("walk_hits")
+            self._c_walk_hits[0] += 1
             result.latency = latency
             result.memory_accesses = accesses
             result.backend_latency = latency
             return result
-        self.counters.add("walk_faults")
+        self._c_walk_faults[0] += 1
         return WalkResult(found=False, latency=latency, memory_accesses=accesses,
                           backend_latency=latency)
 

@@ -33,6 +33,7 @@ class DirectSegmentTable(PageTableBase):
     def __init__(self, frame_allocator: Optional[Callable[..., int]] = None,
                  segment_size_bytes: int = 32 << 30):
         super().__init__(frame_allocator)
+        self._c_segment_hits = self.counters.hot("segment_hits")
         self.radix = RadixPageTable(self.frame_allocator)
         self.segment_size_bytes = segment_size_bytes
         # Segment registers; established lazily on the first fault of a VMA
@@ -103,17 +104,17 @@ class DirectSegmentTable(PageTableBase):
     # ------------------------------------------------------------------ #
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """Segment-register check (free), else a conventional radix walk."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         if self._in_segment(virtual_address):
-            self.counters.add("segment_hits")
-            self.counters.add("walk_hits")
+            self._c_segment_hits[0] += 1
+            self._c_walk_hits[0] += 1
             page = align_down(virtual_address, PAGE_SIZE_4K)
             return WalkResult(found=True, latency=1, memory_accesses=0,
                               physical_base=page + self.segment_offset,
                               page_size=PAGE_SIZE_4K)
         result = self.radix.walk(virtual_address, memory)
         if result.found:
-            self.counters.add("walk_hits")
+            self._c_walk_hits[0] += 1
         else:
-            self.counters.add("walk_faults")
+            self._c_walk_faults[0] += 1
         return result

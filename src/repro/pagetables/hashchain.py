@@ -85,7 +85,7 @@ class ChainedHashPageTable(PageTableBase):
     # ------------------------------------------------------------------ #
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """Read the home bucket, then chain nodes until the entry is found."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         latency = 0
         accesses = 0
         # Only page sizes with live mappings are probed (the base class
@@ -109,13 +109,13 @@ class ChainedHashPageTable(PageTableBase):
                                                      MemoryAccessType.PTW)
                     accesses += 1
                 if mapping is not None and mapping.page_size == page_size:
-                    self.counters.add("walk_hits")
-                    self.counters.add("walk_memory_accesses", accesses)
+                    self._c_walk_hits[0] += 1
+                    self._c_walk_memory_accesses[0] += accesses
                     return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                                       physical_base=mapping.physical_base,
                                       page_size=page_size, backend_latency=latency)
-        self.counters.add("walk_faults")
-        self.counters.add("walk_memory_accesses", accesses)
+        self._c_walk_faults[0] += 1
+        self._c_walk_memory_accesses[0] += accesses
         return WalkResult(found=False, latency=latency, memory_accesses=accesses,
                           backend_latency=latency)
 

@@ -34,6 +34,8 @@ class OpenAddressingHashPageTable(PageTableBase):
                  table_base_address: Optional[int] = None,
                  max_probe_length: int = 64):
         super().__init__(frame_allocator)
+        # Every walk counts its memory accesses, 0 with max_probe_length 0.
+        self.counters.hot("walk_memory_accesses", zero_with="walks")
         self.ptes_per_entry = ptes_per_entry
         self.num_buckets = max(1, table_size_bytes // BUCKET_SIZE)
         self.table_base_address = (table_base_address if table_base_address is not None
@@ -97,7 +99,7 @@ class OpenAddressingHashPageTable(PageTableBase):
     # ------------------------------------------------------------------ #
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """Probe buckets for each supported page size (largest first)."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         latency = 0
         accesses = 0
         # Probe only page sizes with live mappings (the base class shrinks
@@ -116,14 +118,14 @@ class OpenAddressingHashPageTable(PageTableBase):
                 if occupant == key:
                     if mapping is None or mapping.page_size != page_size:
                         break
-                    self.counters.add("walk_hits")
-                    self.counters.add("walk_memory_accesses", accesses)
+                    self._c_walk_hits[0] += 1
+                    self._c_walk_memory_accesses[0] += accesses
                     return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                                       physical_base=mapping.physical_base,
                                       page_size=page_size, backend_latency=latency)
                 if occupant is None:
                     break
-        self.counters.add("walk_faults")
-        self.counters.add("walk_memory_accesses", accesses)
+        self._c_walk_faults[0] += 1
+        self._c_walk_memory_accesses[0] += accesses
         return WalkResult(found=False, latency=latency, memory_accesses=accesses,
                           backend_latency=latency)

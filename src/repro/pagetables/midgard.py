@@ -68,6 +68,8 @@ class MidgardTranslation(PageTableBase):
                  vma_tree_base: Optional[int] = None,
                  backend_table_base: Optional[int] = None):
         super().__init__(frame_allocator)
+        self._c_frontend_translations = self.counters.hot("frontend_translations")
+        self._c_backend_translations = self.counters.hot("backend_translations")
         self.l1_vlb = RangeCache(l1_vlb_entries, l1_vlb_latency)
         self.l2_vlb = RangeCache(l2_vlb_entries, l2_vlb_latency)
         self.backend_levels = backend_levels
@@ -163,7 +165,7 @@ class MidgardTranslation(PageTableBase):
             else:
                 self.l1_vlb.fill(entry)
         self.frontend_cycles += latency
-        self.counters.add("frontend_translations")
+        self._c_frontend_translations[0] += 1
         if entry is None:
             return None, latency, accesses
         return entry.translate(virtual_address), latency, accesses
@@ -182,7 +184,7 @@ class MidgardTranslation(PageTableBase):
                 # Upper levels resolved; huge backend pages terminate early.
                 break
         self.backend_cycles += latency
-        self.counters.add("backend_translations")
+        self._c_backend_translations[0] += 1
         physical_backend = self._backend.get(backend_base)
         if physical_backend is None:
             return None, latency, accesses
@@ -190,11 +192,11 @@ class MidgardTranslation(PageTableBase):
 
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """Full two-step translation (used when the MMU cannot split the steps)."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         midgard_address, frontend_latency, frontend_accesses = \
             self.translate_frontend(virtual_address, memory)
         if midgard_address is None:
-            self.counters.add("walk_faults")
+            self._c_walk_faults[0] += 1
             return WalkResult(found=False, latency=frontend_latency,
                               memory_accesses=frontend_accesses,
                               frontend_latency=frontend_latency)
@@ -203,12 +205,12 @@ class MidgardTranslation(PageTableBase):
         total_latency = frontend_latency + backend_latency
         total_accesses = frontend_accesses + backend_accesses
         if physical is None:
-            self.counters.add("walk_faults")
+            self._c_walk_faults[0] += 1
             return WalkResult(found=False, latency=total_latency,
                               memory_accesses=total_accesses,
                               frontend_latency=frontend_latency,
                               backend_latency=backend_latency)
-        self.counters.add("walk_hits")
+        self._c_walk_hits[0] += 1
         return WalkResult(found=True, latency=total_latency, memory_accesses=total_accesses,
                           physical_base=align_down(physical, PAGE_SIZE_4K),
                           page_size=PAGE_SIZE_4K,

@@ -126,10 +126,6 @@ class RadixPageTable(PageTableBase):
         #: Number of page-table frames allocated (root excluded).
         self.allocated_frames = 0
         self._c_pt_frames = self.counters.hot("pt_frames_allocated")
-        self._c_walks = self.counters.hot("walks")
-        self._c_walk_hits = self.counters.hot("walk_hits")
-        self._c_walk_faults = self.counters.hot("walk_faults")
-        self._c_walk_memory_accesses = self.counters.hot("walk_memory_accesses")
 
     # ------------------------------------------------------------------ #
     # Software updates

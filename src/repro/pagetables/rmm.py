@@ -76,6 +76,8 @@ class RangeMemoryMapping(PageTableBase):
                  eager_paging_max_order: int = 18,
                  range_table_base: Optional[int] = None):
         super().__init__(frame_allocator)
+        self._c_rlb_hits = self.counters.hot("rlb_hits")
+        self._c_range_table_walks = self.counters.hot("range_table_walks")
         self.radix = RadixPageTable(self.frame_allocator)
         self.rlb = RangeLookasideBuffer(rlb_entries, rlb_latency)
         self.eager_paging_max_order = eager_paging_max_order
@@ -175,12 +177,12 @@ class RangeMemoryMapping(PageTableBase):
     # ------------------------------------------------------------------ #
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """RLB probe; on a miss, walk the range table, then fall back to radix."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
 
         cached = self.rlb.lookup(virtual_address)
         if cached is not None:
-            self.counters.add("rlb_hits")
-            self.counters.add("walk_hits")
+            self._c_rlb_hits[0] += 1
+            self._c_walk_hits[0] += 1
             page_base = align_down(virtual_address, PAGE_SIZE_4K)
             return WalkResult(found=True, latency=self.rlb.latency, memory_accesses=0,
                               physical_base=cached.translate(page_base),
@@ -197,9 +199,9 @@ class RangeMemoryMapping(PageTableBase):
                                                  MemoryAccessType.TRANSLATION)
                 accesses += 1
             self.rlb.fill(covering)
-            self.counters.add("range_table_walks")
-            self.counters.add("walk_hits")
-            self.counters.add("walk_memory_accesses", accesses)
+            self._c_range_table_walks[0] += 1
+            self._c_walk_hits[0] += 1
+            self._c_walk_memory_accesses[0] += accesses
             page_base = align_down(virtual_address, PAGE_SIZE_4K)
             return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                               physical_base=covering.translate(page_base),
@@ -211,10 +213,10 @@ class RangeMemoryMapping(PageTableBase):
         radix_result.memory_accesses += accesses
         radix_result.backend_latency += latency
         if radix_result.found:
-            self.counters.add("walk_hits")
+            self._c_walk_hits[0] += 1
         else:
-            self.counters.add("walk_faults")
-        self.counters.add("walk_memory_accesses", radix_result.memory_accesses)
+            self._c_walk_faults[0] += 1
+        self._c_walk_memory_accesses[0] += radix_result.memory_accesses
         return radix_result
 
     def _range_node_address(self, level: int) -> int:

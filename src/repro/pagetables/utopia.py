@@ -130,6 +130,10 @@ class UtopiaTranslation(PageTableBase):
         self._frame_to_key: Dict[int, Tuple[int, int]] = {}
         self._c_restseg_allocations = self.counters.hot("restseg_allocations")
         self._c_flexseg_insertions = self.counters.hot("flexseg_insertions")
+        self._c_restseg_walks = self.counters.hot("restseg_walks")
+        self._c_flexseg_walks = self.counters.hot("flexseg_walks")
+        # Every RestSeg walk counts its memory accesses, 0 on a TAR hit.
+        self.counters.hot("walk_memory_accesses", zero_with="restseg_walks")
 
     # ------------------------------------------------------------------ #
     # Allocation override (the OS side of Utopia)
@@ -259,7 +263,7 @@ class UtopiaTranslation(PageTableBase):
     # ------------------------------------------------------------------ #
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """SF-cache probe, then RestSeg tag read (RSW) or FlexSeg radix walk."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         latency = self.sf_cache.latency
         accesses = 0
 
@@ -287,21 +291,21 @@ class UtopiaTranslation(PageTableBase):
                                                      False, MemoryAccessType.TRANSLATION)
                     accesses += 1
                 self.tar_cache.fill(vpn)
-            self.counters.add("restseg_walks")
-            self.counters.add("walk_hits")
-            self.counters.add("walk_memory_accesses", accesses)
+            self._c_restseg_walks[0] += 1
+            self._c_walk_hits[0] += 1
+            self._c_walk_memory_accesses[0] += accesses
             return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                               physical_base=mapping.physical_base,
                               page_size=mapping.page_size, backend_latency=latency)
 
         # FlexSeg path: conventional radix walk.
-        self.counters.add("flexseg_walks")
+        self._c_flexseg_walks[0] += 1
         radix_result = self.flexseg.walk(virtual_address, memory)
         radix_result.latency += latency
         radix_result.backend_latency += latency
         radix_result.memory_accesses += accesses
         if radix_result.found:
-            self.counters.add("walk_hits")
+            self._c_walk_hits[0] += 1
         else:
             # The mapping may exist functionally (e.g. RestSeg residency known
             # to the OS but not yet inserted); report what the base class knows.
@@ -309,9 +313,9 @@ class UtopiaTranslation(PageTableBase):
                 radix_result.found = True
                 radix_result.physical_base = mapping.physical_base
                 radix_result.page_size = mapping.page_size
-                self.counters.add("walk_hits")
+                self._c_walk_hits[0] += 1
             else:
-                self.counters.add("walk_faults")
+                self._c_walk_faults[0] += 1
         return radix_result
 
     def _residency_key(self, virtual_address: int, mapping: TranslationMapping) -> Tuple[int, int]:

@@ -45,6 +45,8 @@ class VirtualBlockInterface(PageTableBase):
                  block_size_bytes: int = 1 << 30, block_table_latency: int = 1,
                  block_table_base: Optional[int] = None):
         super().__init__(frame_allocator)
+        self._c_frontend_translations = self.counters.hot("frontend_translations")
+        self._c_backend_translations = self.counters.hot("backend_translations")
         self.block_size_bytes = block_size_bytes
         self.block_table_latency = block_table_latency
         self.block_table_base = (block_table_base if block_table_base is not None
@@ -78,7 +80,7 @@ class VirtualBlockInterface(PageTableBase):
                            memory: MemoryInterface) -> Tuple[Optional[int], int, int]:
         """Block-id resolution: a fixed, cheap cost (block ids live in pointers)."""
         self.frontend_cycles += self.block_table_latency
-        self.counters.add("frontend_translations")
+        self._c_frontend_translations[0] += 1
         return virtual_address, self.block_table_latency, 0
 
     def translate_backend(self, intermediate_address: int,
@@ -88,7 +90,7 @@ class VirtualBlockInterface(PageTableBase):
         latency = memory.access_address(self._entry_address(block_page), False,
                                         MemoryAccessType.PTW)
         self.backend_cycles += latency
-        self.counters.add("backend_translations")
+        self._c_backend_translations[0] += 1
         physical_base = self._block_mappings.get(block_page)
         if physical_base is None:
             return None, latency, 1
@@ -96,19 +98,19 @@ class VirtualBlockInterface(PageTableBase):
 
     def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
         """Full translation when the MMU cannot split frontend/backend steps."""
-        self.counters.add("walks")
+        self._c_walks[0] += 1
         _, frontend_latency, _ = self.translate_frontend(virtual_address, memory)
         physical, backend_latency, accesses = self.translate_backend(virtual_address, memory)
         latency = frontend_latency + backend_latency
         if physical is None:
             mapping = self._find_mapping(virtual_address)
             if mapping is None:
-                self.counters.add("walk_faults")
+                self._c_walk_faults[0] += 1
                 return WalkResult(found=False, latency=latency, memory_accesses=accesses,
                                   frontend_latency=frontend_latency,
                                   backend_latency=backend_latency)
             physical = mapping.translate(align_down(virtual_address, PAGE_SIZE_4K))
-        self.counters.add("walk_hits")
+        self._c_walk_hits[0] += 1
         return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                           physical_base=align_down(physical, PAGE_SIZE_4K),
                           page_size=PAGE_SIZE_4K,

@@ -7,6 +7,16 @@ stream it executes (``instruction_batches`` yields array-backed
 synthetic but carry the memory-behaviour signature of the paper's benchmark
 suites: footprint, access irregularity, VMA layout and allocation pattern —
 the four properties the experiments depend on (see DESIGN.md §2).
+
+Every generator appends opcodes, PCs and operands straight into parallel
+lists; no per-instruction object is built.  The graph kernels, XSBench,
+the FaaS functions and the image kernels cut the lists with
+:func:`cut_batches` into batches of exactly ``batch_size`` instructions,
+even in the middle of an operation; :class:`StreamBuilder`, LLM inference
+and the microbenchmarks cut after the operation that fills a batch.  The
+boundaries are part of the simulated behaviour (each batch is one
+scheduling round), and either way a batch is built only when the core
+asks for it.
 """
 
 from __future__ import annotations
@@ -20,7 +30,6 @@ from repro.core.instructions import (
     OP_BRANCH,
     OP_LOAD,
     OP_STORE,
-    Instruction,
     InstructionBatch,
 )
 from repro.mimicos.kernel import MimicOS
@@ -44,35 +53,14 @@ class Workload:
         """Create the workload's VMAs (and any file-backed page-cache state)."""
         raise NotImplementedError
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        """Yield the dynamic instruction stream as :class:`Instruction` objects.
-
-        Only workloads that keep the default :meth:`instruction_batches`
-        implement this; array-native workloads override that instead.
-        """
-        raise NotImplementedError
-
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:
-        """Yield the instruction stream packed into array-backed batches.
+        """Yield the dynamic instruction stream as array-backed batches.
 
-        The default implementation packs :meth:`instructions`; hot
-        workloads override this to build the arrays directly and skip
-        per-instruction object allocation.
+        Every workload builds the arrays directly; see :func:`cut_batches`
+        for streams whose batches hold exactly ``batch_size`` instructions.
         """
-        batch = InstructionBatch()
-        append = batch.append_instruction
-        count = 0
-        for instruction in self.instructions(process):
-            append(instruction)
-            count += 1
-            if count >= batch_size:
-                yield batch
-                batch = InstructionBatch()
-                append = batch.append_instruction
-                count = 0
-        if count:
-            yield batch
+        raise NotImplementedError
 
     def prefault_addresses(self, process: Process) -> Iterator[int]:
         """Addresses to pre-fault when ``prefault`` is True (page-strided)."""
@@ -84,6 +72,30 @@ class Workload:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def cut_batches(kinds: List[int], pcs: List[int], addresses: List[Optional[int]],
+                batch_size: int, final: bool = False) -> Iterator[InstructionBatch]:
+    """Cut the stream built so far into batches of exactly ``batch_size``.
+
+    ``kinds``, ``pcs`` and ``addresses`` are the parallel lists a generator
+    appends to.  Every full batch is cut off their front, and the lists
+    keep the rest in place, so the generator goes on appending to the same
+    lists.  With ``final`` the rest follows as one shorter batch and the
+    lists end empty.
+    """
+    count = len(kinds)
+    start = 0
+    while count - start >= batch_size:
+        end = start + batch_size
+        yield InstructionBatch(kinds[start:end], pcs[start:end], addresses[start:end])
+        start = end
+    if final and start < count:
+        yield InstructionBatch(kinds[start:], pcs[start:], addresses[start:])
+        start = count
+    del kinds[:start]
+    del pcs[:start]
+    del addresses[:start]
 
 
 class StreamBuilder:

@@ -14,11 +14,11 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.common.addresses import KB, MB, PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
-from repro.core.instructions import Instruction, InstructionKind
+from repro.core.instructions import OP_ALU, OP_BRANCH, OP_LOAD, OP_STORE, InstructionBatch
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
-from repro.workloads.base import SHORT_RUNNING, Workload
+from repro.workloads.base import SHORT_RUNNING, Workload, cut_batches
 
 
 class FaaSWorkload(Workload):
@@ -52,25 +52,35 @@ class FaaSWorkload(Workload):
                               populate_page_cache=file_backed)
             self._vmas.append(vma)
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        rng = DeterministicRNG(self.seed)
+    def instruction_batches(self, process: Process,
+                            batch_size: int = 4096) -> Iterator[InstructionBatch]:
+        random = DeterministicRNG(self.seed).random
+        # Every touched line: COMPUTE_PER_LINE non-memory instructions (a
+        # branch first), then a load or a store, each at fixed PCs.
+        compute = self.COMPUTE_PER_LINE
+        compute_kinds = [OP_BRANCH if slot == 0 else OP_ALU for slot in range(compute)]
+        compute_pcs = [0x420000 + slot * 4 for slot in range(compute)]
+        no_operands = [None] * compute
+        touches = [(touch * 64, 0x421000 + touch * 4) for touch in range(self.TOUCHES_PER_PAGE)]
 
-        def stream() -> Iterator[Instruction]:
-            for vma in self._vmas:
-                pages = max(1, int((vma.size // PAGE_SIZE_4K) * self.TOUCH_FRACTION))
-                for page in range(pages):
-                    base = vma.start + page * PAGE_SIZE_4K
-                    for touch in range(self.TOUCHES_PER_PAGE):
-                        for compute in range(self.COMPUTE_PER_LINE):
-                            kind = (InstructionKind.BRANCH if compute == 0
-                                    else InstructionKind.ALU)
-                            yield Instruction(kind=kind, pc=0x420000 + compute * 4)
-                        is_write = rng.random() < 0.5
-                        kind = InstructionKind.STORE if is_write else InstructionKind.LOAD
-                        yield Instruction(kind=kind, pc=0x421000 + touch * 4,
-                                          memory_address=base + touch * 64)
-
-        return stream()
+        kinds: List[int] = []
+        pcs: List[int] = []
+        operands: List[Optional[int]] = []
+        kinds_append, pcs_append, operands_append = kinds.append, pcs.append, operands.append
+        for vma in self._vmas:
+            pages = max(1, int((vma.size // PAGE_SIZE_4K) * self.TOUCH_FRACTION))
+            for page in range(pages):
+                base = vma.start + page * PAGE_SIZE_4K
+                for offset, pc in touches:
+                    kinds += compute_kinds
+                    pcs += compute_pcs
+                    operands += no_operands
+                    kinds_append(OP_STORE if random() < 0.5 else OP_LOAD)
+                    pcs_append(pc)
+                    operands_append(base + offset)
+                if len(kinds) >= batch_size:
+                    yield from cut_batches(kinds, pcs, operands, batch_size)
+        yield from cut_batches(kinds, pcs, operands, batch_size, final=True)
 
 
 class JSONWorkload(FaaSWorkload):

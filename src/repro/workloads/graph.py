@@ -23,11 +23,11 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.common.addresses import KB, MB, PAGE_SIZE_4K
 from repro.common.rng import DeterministicRNG
-from repro.core.instructions import Instruction, InstructionKind
+from repro.core.instructions import OP_ALU, OP_BRANCH, OP_LOAD, OP_STORE, InstructionBatch
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
-from repro.workloads.base import LONG_RUNNING, StreamBuilder, Workload
+from repro.workloads.base import LONG_RUNNING, Workload, cut_batches
 
 
 @dataclass(frozen=True)
@@ -124,57 +124,68 @@ class GraphWorkload(Workload):
     # ------------------------------------------------------------------ #
     # Instruction stream
     # ------------------------------------------------------------------ #
-    def instructions(self, process: Process) -> Iterator[Instruction]:
+    def instruction_batches(self, process: Process,
+                            batch_size: int = 4096) -> Iterator[InstructionBatch]:
         rng = DeterministicRNG(self.seed + 1)
-        builder = StreamBuilder(rng.fork(2), self.profile.compute_per_memory,
-                                write_fraction=0.0)
+        random, zipf_index, randint = rng.random, rng.zipf_index, rng.randint
         profile = self.profile
+        skew = profile.zipf_skew
+        gather_fraction = profile.gather_fraction
+        write_bound = gather_fraction + profile.write_fraction
         vertex_vma, edge_vma, property_vma = self._vertex_vma, self._edge_vma, self._property_vma
         small_vmas = self._small_vmas
+        vertex_start, edge_start = vertex_vma.start, edge_vma.start
+        property_start = property_vma.start
+        vertex_slots = max(1, (vertex_vma.size - 64) // 64)
+        property_slots = max(1, (property_vma.size - 64) // 64)
+        edge_span = edge_vma.size - 64
+        last_small = len(small_vmas) - 1
 
         # BC touches its many small auxiliary VMAs constantly (per-source
         # bookkeeping structures), which is what overwhelms Midgard's VMA
         # lookaside buffers in the paper's Fig. 17; the other kernels only
         # touch theirs occasionally.
-        aux_fraction = 0.25 if self.name == "BC" else 0.02
+        aux_bound = 1.0 - (0.25 if self.name == "BC" else 0.02)
 
-        def accesses() -> Iterator[Instruction]:
-            edge_offset = 0
-            vertex_slots = max(1, (vertex_vma.size - 64) // 64)
-            for index in range(self.memory_operations):
-                draw = rng.random()
-                for compute in range(profile.compute_per_memory):
-                    kind = (InstructionKind.BRANCH if compute == 0 else InstructionKind.ALU)
-                    yield Instruction(kind=kind, pc=0x401000 + (index % 64) * 4)
-                if draw < profile.gather_fraction:
-                    # Random (Zipf) vertex gather: the TLB-hostile component.
-                    slot = rng.zipf_index(vertex_slots, skew=profile.zipf_skew)
-                    address = vertex_vma.start + slot * 64
-                    yield Instruction(kind=InstructionKind.LOAD,
-                                      pc=0x402000 + (index % 16) * 4,
-                                      memory_address=address)
-                elif draw < profile.gather_fraction + profile.write_fraction:
-                    slot = rng.zipf_index(max(1, (property_vma.size - 64) // 64),
-                                          skew=profile.zipf_skew)
-                    yield Instruction(kind=InstructionKind.STORE,
-                                      pc=0x403000 + (index % 16) * 4,
-                                      memory_address=property_vma.start + slot * 64)
-                elif small_vmas and draw > 1.0 - aux_fraction:
-                    # Metadata accesses into the small auxiliary VMAs.
-                    vma = small_vmas[rng.randint(0, len(small_vmas) - 1)]
-                    offset = rng.randint(0, max(0, vma.size - 64))
-                    yield Instruction(kind=InstructionKind.LOAD,
-                                      pc=0x405000, memory_address=vma.start + offset)
-                else:
-                    # Sequential edge scan.
-                    address = edge_vma.start + edge_offset
-                    edge_offset = (edge_offset + 64) % (edge_vma.size - 64)
-                    yield Instruction(kind=InstructionKind.LOAD,
-                                      pc=0x404000 + (index % 8) * 4,
-                                      memory_address=address)
+        # Each operation: compute_per_memory non-memory instructions (a
+        # branch first), then one memory access.
+        compute_per_memory = profile.compute_per_memory
+        compute_kinds = [OP_BRANCH if compute == 0 else OP_ALU
+                         for compute in range(compute_per_memory)]
+        compute_pcs = [[0x401000 + slot * 4] * compute_per_memory for slot in range(64)]
+        no_operands = [None] * compute_per_memory
 
-        # The builder is unused for interleaving here (the generator already
-        # interleaves compute), but keeping it constructed pins the RNG stream
-        # layout so adding builder-based phases later stays reproducible.
-        del builder
-        return accesses()
+        kinds: List[int] = []
+        pcs: List[int] = []
+        operands: List[Optional[int]] = []
+        kinds_append, pcs_append, operands_append = kinds.append, pcs.append, operands.append
+        edge_offset = 0
+        for index in range(self.memory_operations):
+            draw = random()
+            kinds += compute_kinds
+            pcs += compute_pcs[index % 64]
+            operands += no_operands
+            if draw < gather_fraction:
+                # Random (Zipf) vertex gather: the TLB-hostile component.
+                kinds_append(OP_LOAD)
+                pcs_append(0x402000 + (index % 16) * 4)
+                operands_append(vertex_start + zipf_index(vertex_slots, skew=skew) * 64)
+            elif draw < write_bound:
+                kinds_append(OP_STORE)
+                pcs_append(0x403000 + (index % 16) * 4)
+                operands_append(property_start + zipf_index(property_slots, skew=skew) * 64)
+            elif small_vmas and draw > aux_bound:
+                # Metadata accesses into the small auxiliary VMAs.
+                vma = small_vmas[randint(0, last_small)]
+                kinds_append(OP_LOAD)
+                pcs_append(0x405000)
+                operands_append(vma.start + randint(0, max(0, vma.size - 64)))
+            else:
+                # Sequential edge scan.
+                kinds_append(OP_LOAD)
+                pcs_append(0x404000 + (index % 8) * 4)
+                operands_append(edge_start + edge_offset)
+                edge_offset = (edge_offset + 64) % edge_span
+            if len(kinds) >= batch_size:
+                yield from cut_batches(kinds, pcs, operands, batch_size)
+        yield from cut_batches(kinds, pcs, operands, batch_size, final=True)

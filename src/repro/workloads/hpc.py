@@ -9,15 +9,15 @@ synthetic module because the paper treats it as a first-class workload.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List, Optional
 
 from repro.common.addresses import MB
 from repro.common.rng import DeterministicRNG
-from repro.core.instructions import Instruction, InstructionKind
+from repro.core.instructions import OP_ALU, OP_BRANCH, OP_LOAD, InstructionBatch
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
-from repro.workloads.base import LONG_RUNNING, Workload
+from repro.workloads.base import LONG_RUNNING, Workload, cut_batches
 from repro.workloads.synthetic import RandomAccessWorkload
 
 
@@ -46,34 +46,54 @@ class XSBenchWorkload(Workload):
         self._index_vma = kernel.mmap(process, index_bytes, kind=VMAKind.ANONYMOUS,
                                       name=f"{self.name}-energy-index")
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
+    def instruction_batches(self, process: Process,
+                            batch_size: int = 4096) -> Iterator[InstructionBatch]:
         rng = DeterministicRNG(self.seed)
+        random, randint = rng.random, rng.randint
         grid, index = self._grid_vma, self._index_vma
+        grid_start, index_start = grid.start, index.start
+        index_slots = max(1, (index.size - 64) // 64)
+        last_grid_slot = max(1, (grid.size - 64) // 64) - 1
+        gathers = self.gridpoints_per_lookup
 
-        def stream() -> Iterator[Instruction]:
-            index_slots = max(1, (index.size - 64) // 64)
-            grid_slots = max(1, (grid.size - 64) // 64)
-            for lookup in range(self.lookups):
-                # Binary search over the energy index: log2(slots) dependent loads.
-                probes = max(4, index_slots.bit_length())
-                position = index_slots // 2
-                step = max(1, index_slots // 4)
-                for probe in range(probes):
-                    yield Instruction(kind=InstructionKind.ALU, pc=0x410000 + probe * 4)
-                    yield Instruction(kind=InstructionKind.LOAD, pc=0x410100 + probe * 4,
-                                      memory_address=index.start + position * 64)
-                    position = (position + step) % index_slots if rng.random() < 0.5 \
-                        else abs(position - step) % index_slots
-                    step = max(1, step // 2)
-                # Gather the cross-section data for a handful of nuclides.
-                for gather in range(self.gridpoints_per_lookup):
-                    slot = rng.randint(0, grid_slots - 1)
-                    yield Instruction(kind=InstructionKind.ALU, pc=0x411000 + gather * 4)
-                    yield Instruction(kind=InstructionKind.LOAD, pc=0x411100 + gather * 4,
-                                      memory_address=grid.start + slot * 64)
-                yield Instruction(kind=InstructionKind.BRANCH, pc=0x412000)
+        # Binary search over the energy index: log2(slots) dependent loads,
+        # each after an address computation, at a fixed step schedule.
+        probes = max(4, index_slots.bit_length())
+        steps = []
+        step = max(1, index_slots // 4)
+        for _ in range(probes):
+            steps.append(step)
+            step = max(1, step // 2)
+        # Every lookup has the same opcodes and PCs: the probes, a gather
+        # of the cross-section data for a handful of nuclides, a branch.
+        lookup_kinds = [OP_ALU, OP_LOAD] * (probes + gathers) + [OP_BRANCH]
+        lookup_pcs: List[int] = []
+        for probe in range(probes):
+            lookup_pcs += (0x410000 + probe * 4, 0x410100 + probe * 4)
+        for gather in range(gathers):
+            lookup_pcs += (0x411000 + gather * 4, 0x411100 + gather * 4)
+        lookup_pcs.append(0x412000)
 
-        return stream()
+        kinds: List[int] = []
+        pcs: List[int] = []
+        operands: List[Optional[int]] = []
+        append = operands.append
+        for _ in range(self.lookups):
+            kinds += lookup_kinds
+            pcs += lookup_pcs
+            position = index_slots // 2
+            for step in steps:
+                append(None)
+                append(index_start + position * 64)
+                position = ((position + step) % index_slots if random() < 0.5
+                            else abs(position - step) % index_slots)
+            for _ in range(gathers):
+                append(None)
+                append(grid_start + randint(0, last_grid_slot) * 64)
+            append(None)
+            if len(kinds) >= batch_size:
+                yield from cut_batches(kinds, pcs, operands, batch_size)
+        yield from cut_batches(kinds, pcs, operands, batch_size, final=True)
 
 
 class GUPSWorkload(RandomAccessWorkload):

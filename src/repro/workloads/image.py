@@ -10,14 +10,14 @@ stream.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
-from repro.core.instructions import Instruction, InstructionKind
+from repro.core.instructions import OP_ALU, OP_LOAD, OP_STORE, InstructionBatch
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind
-from repro.workloads.base import SHORT_RUNNING, Workload
+from repro.workloads.base import SHORT_RUNNING, Workload, cut_batches
 
 
 class MatrixTranspose3DWorkload(Workload):
@@ -41,24 +41,25 @@ class MatrixTranspose3DWorkload(Workload):
         self._output_vma = kernel.mmap(process, half, kind=VMAKind.ANONYMOUS,
                                        name=f"{self.name}-out")
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        input_vma, output_vma = self._input_vma, self._output_vma
-
-        def stream() -> Iterator[Instruction]:
-            plane_stride = PAGE_SIZE_4K * 4  # jumping across planes of the 3-D array
-            read_offset = 0
-            write_offset = 0
-            for index in range(self.memory_operations // 2):
-                yield Instruction(kind=InstructionKind.ALU, pc=0x430000)
-                yield Instruction(kind=InstructionKind.LOAD, pc=0x430010,
-                                  memory_address=input_vma.start + read_offset)
-                read_offset = (read_offset + plane_stride) % (input_vma.size - 64)
-                yield Instruction(kind=InstructionKind.ALU, pc=0x430020)
-                yield Instruction(kind=InstructionKind.STORE, pc=0x430030,
-                                  memory_address=output_vma.start + write_offset)
-                write_offset = (write_offset + 64) % (output_vma.size - 64)
-
-        return stream()
+    def instruction_batches(self, process: Process,
+                            batch_size: int = 4096) -> Iterator[InstructionBatch]:
+        input_start, input_span = self._input_vma.start, self._input_vma.size - 64
+        output_start, output_span = self._output_vma.start, self._output_vma.size - 64
+        plane_stride = PAGE_SIZE_4K * 4  # jumping across planes of the 3-D array
+        kinds: List[int] = []
+        pcs: List[int] = []
+        operands: List[Optional[int]] = []
+        read_offset = 0
+        write_offset = 0
+        for _ in range(self.memory_operations // 2):
+            kinds += (OP_ALU, OP_LOAD, OP_ALU, OP_STORE)
+            pcs += (0x430000, 0x430010, 0x430020, 0x430030)
+            operands += (None, input_start + read_offset, None, output_start + write_offset)
+            read_offset = (read_offset + plane_stride) % input_span
+            write_offset = (write_offset + 64) % output_span
+            if len(kinds) >= batch_size:
+                yield from cut_batches(kinds, pcs, operands, batch_size)
+        yield from cut_batches(kinds, pcs, operands, batch_size, final=True)
 
 
 class HadamardWorkload(Workload):
@@ -80,22 +81,22 @@ class HadamardWorkload(Workload):
                                   name=f"{self.name}-{label}")
                       for label in ("a", "b", "out")]
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
+    def instruction_batches(self, process: Process,
+                            batch_size: int = 4096) -> Iterator[InstructionBatch]:
         a, b, out = self._vmas
-
-        def stream() -> Iterator[Instruction]:
-            offset = 0
-            for index in range(self.memory_operations // 3):
-                yield Instruction(kind=InstructionKind.LOAD, pc=0x440000,
-                                  memory_address=a.start + offset)
-                yield Instruction(kind=InstructionKind.LOAD, pc=0x440010,
-                                  memory_address=b.start + offset)
-                yield Instruction(kind=InstructionKind.ALU, pc=0x440020)
-                yield Instruction(kind=InstructionKind.STORE, pc=0x440030,
-                                  memory_address=out.start + offset)
-                offset = (offset + 64) % (min(a.size, b.size, out.size) - 64)
-
-        return stream()
+        span = min(a.size, b.size, out.size) - 64
+        kinds: List[int] = []
+        pcs: List[int] = []
+        operands: List[Optional[int]] = []
+        offset = 0
+        for _ in range(self.memory_operations // 3):
+            kinds += (OP_LOAD, OP_LOAD, OP_ALU, OP_STORE)
+            pcs += (0x440000, 0x440010, 0x440020, 0x440030)
+            operands += (a.start + offset, b.start + offset, None, out.start + offset)
+            offset = (offset + 64) % span
+            if len(kinds) >= batch_size:
+                yield from cut_batches(kinds, pcs, operands, batch_size)
+        yield from cut_batches(kinds, pcs, operands, batch_size, final=True)
 
 
 class MatrixSum2DWorkload(Workload):
@@ -115,15 +116,18 @@ class MatrixSum2DWorkload(Workload):
         self._vma = kernel.mmap(process, self.footprint_bytes, kind=VMAKind.ANONYMOUS,
                                 name=f"{self.name}-matrix")
 
-    def instructions(self, process: Process) -> Iterator[Instruction]:
-        vma = self._vma
-
-        def stream() -> Iterator[Instruction]:
-            offset = 0
-            for index in range(self.memory_operations):
-                yield Instruction(kind=InstructionKind.LOAD, pc=0x450000,
-                                  memory_address=vma.start + offset)
-                yield Instruction(kind=InstructionKind.ALU, pc=0x450010)
-                offset = (offset + 64) % (vma.size - 64)
-
-        return stream()
+    def instruction_batches(self, process: Process,
+                            batch_size: int = 4096) -> Iterator[InstructionBatch]:
+        start, span = self._vma.start, self._vma.size - 64
+        kinds: List[int] = []
+        pcs: List[int] = []
+        operands: List[Optional[int]] = []
+        offset = 0
+        for _ in range(self.memory_operations):
+            kinds += (OP_LOAD, OP_ALU)
+            pcs += (0x450000, 0x450010)
+            operands += (start + offset, None)
+            offset = (offset + 64) % span
+            if len(kinds) >= batch_size:
+                yield from cut_batches(kinds, pcs, operands, batch_size)
+        yield from cut_batches(kinds, pcs, operands, batch_size, final=True)

@@ -52,7 +52,7 @@ class TestInstructions:
     def test_batch_accounting(self):
         batch = InstructionBatch()
         batch.append(OP_ALU, 0)
-        batch.append_instruction(Instruction(InstructionKind.LOAD, memory_address=0x0))
+        batch.append(OP_LOAD, 0, 0x0)
         batch.append(OP_STORE, 0, 0x40)
         assert len(batch) == 3
         assert batch.kinds == [OP_ALU, OP_LOAD, OP_STORE]

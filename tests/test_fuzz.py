@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.rng import DeterministicRNG
-from repro.core.instructions import Instruction, InstructionKind
+from repro.core.instructions import OP_ALU, InstructionBatch
 from repro.mimicos.kernel import MimicOS
 from repro.validation import corpus, fuzz
 from repro.validation.invariants import TranslationIncoherence
@@ -84,9 +84,12 @@ class _FlatWorkload(Workload):
     def setup(self, kernel, process):
         pass
 
-    def instructions(self, process):
-        for pc in range(100):
-            yield Instruction(kind=InstructionKind.ALU, pc=pc)
+    def instruction_batches(self, process, batch_size=4096):
+        for first in range(0, 100, batch_size):
+            batch = InstructionBatch()
+            for pc in range(first, min(100, first + batch_size)):
+                batch.append(OP_ALU, pc)
+            yield batch
 
 
 class _Recorder:

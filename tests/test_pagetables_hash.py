@@ -186,3 +186,11 @@ class TestElasticCuckooSpecifics:
         assert table.load_factor(PAGE_SIZE_4K) == 0.0
         table.insert(0x7F00_0000_0000, 0, PAGE_SIZE_4K)
         assert table.load_factor(PAGE_SIZE_4K) > 0.0
+
+    def test_walk_of_an_empty_table_counts_zero_accesses(self):
+        """No nest is built yet, so the walk reads nothing, and
+        ``walk_memory_accesses`` is still present, at 0."""
+        table = ElasticCuckooPageTable()
+        result = table.walk(0x7F00_0000_0000, FlatMemory())
+        assert not result.found and result.memory_accesses == 0
+        assert table.stats() == {"walks": 1, "walk_faults": 1, "walk_memory_accesses": 0}

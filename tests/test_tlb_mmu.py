@@ -144,7 +144,8 @@ class TestTLBHierarchy:
 
 class TestInPlaceL1Hit:
     """``access_data_fast`` writes the L1 data-TLB hit out in place; it must
-    leave exactly what ``TLBHierarchy.lookup`` plus ``MMU._access`` leave."""
+    leave exactly what a full ``TLBHierarchy.lookup`` plus ``MMU._access``
+    leave."""
 
     @staticmethod
     def warmed(address, size):
@@ -164,6 +165,8 @@ class TestInPlaceL1Hit:
         got = in_place.access_data(address + 0x80, True, 7)
         assert in_place.fast_hits == hits + 1
         reference._c_data_accesses[0] += 1
+        # _access starts a data lookup at the L2 TLB; give it the full one.
+        reference.tlbs.lookup_after_l1d_miss = reference.tlbs.lookup
         want = reference._fresh(reference._access(address + 0x80, True, 7, False))
         assert got == want
         assert got.translation.tlb_level == "L1"

@@ -649,23 +649,37 @@ def _pwc_fill_without_refresh(monkeypatch):
 
 
 def _no_l1_fill_after_l2_hit(monkeypatch):
-    original = TLBHierarchy.lookup
+    original = TLBHierarchy._lookup_l2
 
-    def lookup(self, virtual_address, instruction=False):
+    def lookup_l2(self, virtual_address, latency, instruction):
         self._fill_l1 = lambda *args: None
         try:
-            return original(self, virtual_address, instruction)
+            return original(self, virtual_address, latency, instruction)
         finally:
             del self._fill_l1
 
-    monkeypatch.setattr(TLBHierarchy, "lookup", lookup)
+    monkeypatch.setattr(TLBHierarchy, "_lookup_l2", lookup_l2)
+
+
+def _l1_miss_skips_2m_count(monkeypatch):
+    """The data lookup after the in-place L1 peek counts the 4 KB TLB's
+    lookup and miss but forgets the 2 MB TLB's."""
+
+    def lookup_after_l1d_miss(self, virtual_address):
+        self._c_data_lookups[0] += 1
+        self.l1d_4k._c_lookups[0] += 1
+        self.l1d_4k._c_misses[0] += 1
+        return self._lookup_l2(virtual_address, self.l1d_4k.latency, False)
+
+    monkeypatch.setattr(TLBHierarchy, "lookup_after_l1d_miss", lookup_after_l1d_miss)
 
 
 #: Each break, and the runs it must fail in.  The L2 TLB's probe order
 #: only shows while a stale 4 KB translation and a 2 MB one of the same
 #: address are both in the L2 TLB, which the shootdown contract prevents.
 BREAKS = [(_probe_2m_before_4k_in_l2, "stale_tlbs")] + [
-    (break_path, run) for break_path in (_pwc_fill_without_refresh, _no_l1_fill_after_l2_hit)
+    (break_path, run) for break_path in (_pwc_fill_without_refresh, _no_l1_fill_after_l2_hit,
+                                         _l1_miss_skips_2m_count)
     for run in sorted(RUNS)]
 
 
