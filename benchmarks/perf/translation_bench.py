@@ -30,10 +30,16 @@ and per backend, and ``test_perf_smoke.py`` checks it without timing
 anything.  The record goes to ``benchmarks/perf/BENCH_perf.json`` under
 ``"translation"``; ``--side`` names which side of a change the imported
 ``repro`` is, and a side whose counters differ from the other side's
-record is refused.  Run from the repo root::
+record is refused.  One run on this host can be off by 20 %, so every run
+of a side is kept (``<side>_runs``, its per-repeat samples) and the
+side's median and quartiles are taken over all of them.  A side whose
+``repro`` sources differ from the ones its kept runs measured
+(``<side>_source``, a sha256 of the package's files) starts afresh.
+Alternate the sides from the repo root::
 
     PYTHONPATH=src python benchmarks/perf/translation_bench.py --side after
     PYTHONPATH=<parent checkout>/src python benchmarks/perf/translation_bench.py --side before
+    PYTHONPATH=src python benchmarks/perf/translation_bench.py --side after
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
+import repro
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import PageTableConfig, SystemConfig, scaled_system_config
 from repro.core.virtuoso import Virtuoso
@@ -206,7 +213,7 @@ def measure_mix(name: str, repeats: int = REPEATS) -> Dict[str, object]:
         raise AssertionError(f"{name}: repeats left different counters")
     return {"accesses": len(ops), "stats_sha256": digests.pop(),
             "walk_share": round(walks / len(ops), 3),
-            "ns_per_access": summary(per_access)}
+            "ns_per_access": [round(sample, 1) for sample in per_access]}
 
 
 def measure_walks(kind: str, repeats: int = REPEATS) -> Dict[str, object]:
@@ -218,28 +225,53 @@ def measure_walks(kind: str, repeats: int = REPEATS) -> Dict[str, object]:
         per_walk.append((seconds - overhead) * 1e9 / WALKS)
     if len(digests) != 1:
         raise AssertionError(f"{kind}: repeats left different counters")
-    return {"walks": WALKS, "stats_sha256": digests.pop(), "ns_per_walk": summary(per_walk)}
+    return {"walks": WALKS, "stats_sha256": digests.pop(),
+            "ns_per_walk": [round(sample, 1) for sample in per_walk]}
 
 
 def _merge(row: Dict[str, object], measured: Dict[str, object], side: str,
            metric: str, label: str) -> None:
+    """Add one run's samples to ``side`` of ``row`` and summarise the side
+    over every run it keeps."""
     recorded = row.get("stats_sha256")
     if recorded is not None and recorded != measured["stats_sha256"]:
         raise AssertionError(f"{label}: counters differ from the recorded side "
                              f"({measured['stats_sha256'][:12]} vs {recorded[:12]})")
     row.update({key: value for key, value in measured.items() if key != metric})
-    row[f"{side}_{metric}"] = measured[metric]
+    runs = row.setdefault(f"{side}_runs", [])
+    runs.append(measured[metric])
+    row[f"{side}_{metric}"] = summary([sample for run in runs for sample in run])
     if f"before_{metric}" in row and f"after_{metric}" in row:
         before, after = row[f"before_{metric}"], row[f"after_{metric}"]
         row["speedup"] = round(before["median"] / after["median"], 2)
         # A difference counts only when the medians are further apart
         # than the spread of the before runs.
         row["resolved"] = abs(before["median"] - after["median"]) > before["iqr"]
+    else:
+        row.pop("speedup", None)
+        row.pop("resolved", None)
+
+
+def source_digest() -> str:
+    """sha256 of the imported ``repro`` package's source files."""
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
     data = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
     section = data.get("translation") or {"mixes": {}, "walks": {}}
+    source = source_digest()
+    if section.get(f"{side}_source") != source:
+        # The side's kept runs measured other code: start it afresh.
+        for row in (*section["mixes"].values(), *section["walks"].values()):
+            for key in [key for key in row if key.startswith(f"{side}_")]:
+                del row[key]
+    section[f"{side}_source"] = source
     section.update({
         "schema": "translation/v1",
         "layers": "mmu.access: MMU.access_data_fast; pagetables.walk: PageTableBase.walk",
@@ -264,7 +296,7 @@ def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
 
 def _cells(row: Dict[str, object], metric: str) -> str:
     cells = [f"{side} {row[f'{side}_{metric}']['median']:.0f} ns "
-             f"(IQR {row[f'{side}_{metric}']['iqr']:.0f})"
+             f"(IQR {row[f'{side}_{metric}']['iqr']:.0f}, {len(row.get(f'{side}_runs', []))} runs)"
              for side in ("before", "after") if f"{side}_{metric}" in row]
     speedup = f"  {row['speedup']}x" if "speedup" in row else ""
     return f"{' -> '.join(cells)}{speedup}  {row['stats_sha256'][:12]}"

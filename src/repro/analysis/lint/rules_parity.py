@@ -4,9 +4,11 @@ A recorded report digest pins a report field that is a constant 0 just
 as well as a live one, so no digest shows the field is dead.  This rule
 checks the static precondition: each string literal fetched via
 ``.get("name")`` inside ``build_report`` must be written somewhere in the
-tree (a ``counters.add("name")`` / ``counters.hot("name")`` binding, or a
-key of a dict built by a ``stats()`` / ``latency_breakdown()`` method).  A
-renamed counter otherwise silently turns a report field into a constant 0.
+tree (a ``counters.add("name")`` / ``counters.hot("name")`` binding, a
+total named in a ``hot(..., part_of=("name", ...))`` binding, which the
+counter writes as the sum of its parts, or a key of a dict built by a
+``stats()`` / ``latency_breakdown()`` method).  A renamed counter otherwise
+silently turns a report field into a constant 0.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ class ParitySurfaceRule(Rule):
                         name = _string_arg(node)
                         if name is not None:
                             writers.add(name)
+                        for keyword in node.keywords:
+                            if keyword.arg == "part_of" \
+                                    and isinstance(keyword.value, (ast.Tuple, ast.List)):
+                                writers.update(
+                                    element.value for element in keyword.value.elts
+                                    if isinstance(element, ast.Constant)
+                                    and isinstance(element.value, str))
                 if func.name in _DICT_WRITER_FUNCTIONS:
                     for node in ast.walk(func.node):
                         if isinstance(node, ast.Dict):

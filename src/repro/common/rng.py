@@ -9,7 +9,7 @@ experiment is exactly reproducible from its configuration.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -110,18 +110,37 @@ class DeterministicRNG:
 
         Used by the graph-workload generators to produce the power-law vertex
         popularity that gives graph analytics their irregular, TLB-hostile
-        access patterns.
+        access patterns.  A loop drawing with one ``n`` and ``skew`` binds
+        :meth:`zipf_sampler` once instead.
         """
+        return self.zipf_sampler(n, skew)()
+
+    def zipf_sampler(self, n: int, skew: float = 1.0) -> Callable[[], int]:
+        """:meth:`zipf_index` for a fixed ``n`` and ``skew``: each call of the
+        returned function consumes the same draw and returns the same index
+        as ``zipf_index(n, skew)`` at that point of the stream."""
         if n <= 0:
             raise ValueError("n must be positive")
         if n == 1:
-            return 0
+            return _zero
+        random = self._random.random
+        last = n - 1
         # Inverse-CDF approximation of a bounded Zipf distribution.
-        u = self._random.random()
         if skew == 1.0:
             # Harmonic normalisation approximated with log(n).
-            value = int(n ** u)
+            def draw() -> int:
+                index = int(n ** random()) - 1
+                return 0 if index < 0 else last if index > last else index
         else:
             exponent = 1.0 - skew
-            value = int(((n ** exponent - 1.0) * u + 1.0) ** (1.0 / exponent))
-        return min(max(value - 1, 0), n - 1)
+            scale = n ** exponent - 1.0
+            inverse = 1.0 / exponent
+
+            def draw() -> int:
+                index = int((scale * random() + 1.0) ** inverse) - 1
+                return 0 if index < 0 else last if index > last else index
+        return draw
+
+
+def _zero() -> int:
+    return 0

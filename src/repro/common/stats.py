@@ -95,17 +95,26 @@ class Counter:
     performed the increments.  A cell that holds 0 folds nothing: its key
     appears only once it has counted something, exactly like a key that
     :meth:`add` only ever raises by at least 1.
+
+    A total that would be bumped together with one of several other
+    counters on every event (a cache level's ``accesses_<type>`` is its
+    ``hits_<type>`` plus its ``misses_<type>``) is not counted at all: each
+    part's cell names it in ``part_of``, and the fold writes the total as
+    the sum of its parts, present whenever one of them is.
     """
 
-    __slots__ = ("_counts", "_hot", "_zero_with")
+    __slots__ = ("_counts", "_hot", "_zero_with", "_totals")
 
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
         self._hot: Dict[str, List[int]] = {}
         #: name -> key whose presence makes ``name`` present too (see :meth:`hot`).
         self._zero_with: Dict[str, str] = {}
+        #: total -> the counters it is the sum of (see :meth:`hot`).
+        self._totals: Dict[str, List[str]] = {}
 
-    def hot(self, name: str, zero_with: Optional[str] = None) -> List[int]:
+    def hot(self, name: str, zero_with: Optional[str] = None,
+            part_of: Sequence[str] = ()) -> List[int]:
         """Return the mutable accumulator cell for counter ``name``.
 
         The same cell is returned for repeated calls, so models fetch it once
@@ -114,12 +123,19 @@ class Counter:
         ``zero_with`` names a counter that is counted every time ``name``
         is, possibly by 0 (``add(name, 0)`` creates the key): ``name`` then
         reads as present, with 0, whenever ``zero_with`` is present.
+
+        ``part_of`` names totals that ``name`` is one part of: each reads
+        as the sum of its parts, so no model counts it.
         """
         cell = self._hot.get(name)
         if cell is None:
             cell = self._hot[name] = [0]
         if zero_with is not None:
             self._zero_with[name] = zero_with
+        for total in part_of:
+            parts = self._totals.setdefault(total, [])
+            if name not in parts:
+                parts.append(name)
         return cell
 
     def _fold(self) -> None:
@@ -132,6 +148,10 @@ class Counter:
         for name, witness in self._zero_with.items():
             if witness in counts and name not in counts:
                 counts[name] = 0
+        for total, parts in self._totals.items():
+            present = [counts[part] for part in parts if part in counts]
+            if present:
+                counts[total] = sum(present)
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -151,6 +171,9 @@ class Counter:
         counts = self._counts
         for name, value in other._counts.items():
             counts[name] = counts.get(name, 0) + value
+        for total, parts in other._totals.items():
+            mine = self._totals.setdefault(total, [])
+            mine.extend(part for part in parts if part not in mine)
 
     def as_dict(self) -> Dict[str, int]:
         """Snapshot of all counters."""

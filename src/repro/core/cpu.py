@@ -22,9 +22,10 @@ injected MimicOS streams, run-length
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 from repro.common.config import CoreConfig
 from repro.common.stats import Counter
@@ -38,6 +39,74 @@ from repro.core.instructions import (
 )
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mmu.mmu import MMU
+
+#: A binade no sum lies in (``nan <= x`` is false even for an infinite
+#: ``x``): adding in it goes one step at a time.
+_NO_BINADE = (math.nan, math.nan, 0.0)
+
+
+def _binade(x: float, c: float) -> Tuple[float, float, float]:
+    """The binade ``[lo, hi)`` holding ``x`` and the step ``c`` adds in it.
+
+    Every float in ``[lo, hi)`` is a multiple of the binade's ulp, so
+    adding ``c`` to one of them rounds ``c`` to a multiple of the ulp, the
+    same ``step`` whatever the sum, as long as the sum does not pass
+    ``hi``.  The exception is a tie (``c`` is an odd multiple of half the
+    ulp), which rounds to even and so depends on the sum: such a binade,
+    like ``x < c`` (the first add leaves the binade), ``c`` not positive
+    and finite or ``x`` in the top binade, gives :data:`_NO_BINADE`.
+    """
+    if not 0.0 < c <= x < math.inf:
+        return _NO_BINADE
+    return _binade_of(math.frexp(x)[1], c)
+
+
+@lru_cache(maxsize=1024)
+def _binade_of(exponent: int, c: float) -> Tuple[float, float, float]:
+    """:func:`_binade` of the binade ``[2**(exponent-1), 2**exponent)``."""
+    if exponent > 1023:
+        return _NO_BINADE
+    hi = math.ldexp(1.0, exponent)
+    lo = hi * 0.5
+    ulp = math.ulp(lo)
+    units = c / ulp          # exact: c <= x < hi = 2**53 ulps
+    whole = math.floor(units)
+    if units - whole == 0.5:
+        return _NO_BINADE
+    return lo, hi, (whole + (units - whole > 0.5)) * ulp
+
+
+def add_repeated(x: float, n: int, c: float) -> Tuple[float, float, float, float]:
+    """``x`` after adding ``c`` to it ``n`` times in order, and its binade.
+
+    Returns ``(total, lo, hi, step)``: the float sum is exactly what ``n``
+    single ``+=`` give, and while ``lo <= total`` and ``total + k * step <
+    hi``, ``k`` further adds of ``c`` give ``total + k * step`` (see
+    :func:`_binade`; ``k * step`` is exact below ``hi``).  Within a binade
+    the adds are charged in one multiply; the add that crosses into the
+    next binade, and every add in a binade with no step, goes alone.
+    """
+    while n > 0:
+        lo, hi, step = _binade(x, c)
+        if lo <= x:
+            total = x + n * step
+            if total < hi:
+                return total, lo, hi, step
+            # Charge the adds that stay below hi; the next one crosses it.
+            k = int((hi - x) / step)
+            while x + k * step >= hi:
+                k -= 1
+            x += k * step
+            n -= k
+        x += c
+        n -= 1
+    return (x,) + _binade(x, c)
+
+
+#: :func:`add_repeated` for the kernel loop, memoised: a batch's total
+#: restarts at 0.0 and the same handlers recur, so about four in five of
+#: the runs that leave a binade repeat an earlier ``(x, n, c)`` exactly.
+_charge_run = lru_cache(maxsize=2048)(add_repeated)
 
 
 @dataclass(slots=True)
@@ -77,6 +146,9 @@ class CoreModel:
         self._c_page_fault_instructions = self.counters.hot("page_fault_instructions")
         self._c_kernel_instructions = self.counters.hot("kernel_instructions")
         self._c_magic_instructions = self.counters.hot("magic_instructions")
+        #: ``(base_cpi, lo, hi, step)``: the binade of ``breakdown.kernel_cycles``
+        #: the last kernel batch left (see :func:`add_repeated`).
+        self._kernel_binade = (self.config.base_cpi,) + _NO_BINADE
 
     # ------------------------------------------------------------------ #
     # Application execution
@@ -183,7 +255,9 @@ class CoreModel:
 
         A compute run of ``n`` adds ``base_cpi`` ``n`` times, in order, to
         both accumulators: ``n * base_cpi`` would round differently, and
-        the float sums are part of every report.
+        the float sums are part of every report.  Each accumulator keeps its
+        current binade ``(lo, hi, step)`` from :func:`add_repeated`, so a
+        run that stays inside it costs one multiply, one add and a compare.
 
         The cycles the batch consumed are *returned* but not added to the
         core's cycle count here: the MMU reports them back as the fault
@@ -196,12 +270,25 @@ class CoreModel:
         access_value = memory.access_value
         consumed_total = 0.0
         kernel_cycles = self.breakdown.kernel_cycles
+        total_lo, total_hi, total_step = _NO_BINADE
+        cpi, kernel_lo, kernel_hi, kernel_step = self._kernel_binade
+        if cpi != base_cpi:
+            kernel_lo, kernel_hi, kernel_step = _NO_BINADE
         magic_count = 0
         for op, value, pc in zip(batch.kinds, batch.values, batch.pcs):
             if op == OP_ALU:
-                for _ in repeat(None, value):
-                    consumed_total += base_cpi
-                    kernel_cycles += base_cpi
+                charged = consumed_total + value * total_step
+                if total_lo <= consumed_total and charged < total_hi:
+                    consumed_total = charged
+                else:
+                    consumed_total, total_lo, total_hi, total_step = \
+                        _charge_run(consumed_total, value, base_cpi)
+                charged = kernel_cycles + value * kernel_step
+                if kernel_lo <= kernel_cycles and charged < kernel_hi:
+                    kernel_cycles = charged
+                else:
+                    kernel_cycles, kernel_lo, kernel_hi, kernel_step = \
+                        _charge_run(kernel_cycles, value, base_cpi)
             elif op == OP_LOAD:
                 consumed = base_cpi
                 latency = access_value(value, False, "kernel", pc)
@@ -229,6 +316,7 @@ class CoreModel:
         kernel_count = len(batch) - magic_count
         self.kernel_instructions += kernel_count
         self.breakdown.kernel_cycles = kernel_cycles
+        self._kernel_binade = (base_cpi, kernel_lo, kernel_hi, kernel_step)
         self._c_kernel_instructions[0] += kernel_count
         self._c_magic_instructions[0] += magic_count
         return consumed_total

@@ -311,7 +311,8 @@ class Virtuoso:
         faults = 0
         for address in addresses:
             if process.page_table.lookup(address) is None:
-                if handler(process.pid, address, 0, trace).segfault:
+                # One lookup per page: the handler trusts it (``unmapped``).
+                if handler(process.pid, address, 0, trace, unmapped=True).segfault:
                     raise RuntimeError(f"prefault segfaulted at {address:#x}")
                 faults += 1
         self.counters.add("prefaulted_pages", faults)

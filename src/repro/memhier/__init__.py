@@ -8,7 +8,7 @@ updates hit/miss/row-buffer statistics that the experiments aggregate.
 
 from repro.memhier.cache import Cache, CacheAccessResult
 from repro.memhier.dram import DRAMModel, DRAMAccessResult
-from repro.memhier.memory_system import MemoryHierarchy, MemoryAccessType, MemoryRequest
+from repro.memhier.memory_system import MemoryHierarchy, MemoryAccessType
 from repro.memhier.prefetcher import IPStridePrefetcher, StreamPrefetcher, build_prefetcher
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "DRAMAccessResult",
     "MemoryHierarchy",
     "MemoryAccessType",
-    "MemoryRequest",
     "IPStridePrefetcher",
     "StreamPrefetcher",
     "build_prefetcher",

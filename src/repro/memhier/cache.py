@@ -61,16 +61,17 @@ class Cache:
         self._clear_sets()
         self._access_clock = 0
         self.counters = Counter()
-        #: request_type -> (accesses, hits, misses) hot counter cells;
-        #: populated lazily so only the request classes that actually reach
-        #: this level pay for cells (and no per-access f-string formatting).
-        self._type_cells: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+        #: request_type -> (hits, misses) hot counter cells; populated lazily
+        #: so only the request classes that actually reach this level pay for
+        #: cells (and no per-access f-string formatting).  ``accesses_<type>``
+        #: is their sum, written when the counters are read.
+        self._type_cells: Dict[str, Tuple[List[int], List[int]]] = {}
         self._fill_cells: Dict[str, List[int]] = {}
         self._pollution_cells: Dict[str, List[int]] = {}
         self._c_evictions = self.counters.hot("evictions")
-        #: Block of the line displaced by the most recent miss-fill.
-        self.last_evicted_tag: Optional[int] = None
-        self.last_evicted_dirty = False
+        #: Lines that have left the cache (evictions, invalidations, flushes):
+        #: while it stands still, every line present earlier still is.
+        self._removals = 0
 
     def _clear_sets(self) -> None:
         sets, ways = range(self.num_sets), self.associativity
@@ -81,10 +82,10 @@ class Cache:
         self._meta: List[List[int]] = [[0] * ways for _ in sets]
         self._age: List[int] = [0] * self.num_sets
 
-    def _cells_for(self, request_type: str) -> Tuple[List[int], List[int], List[int]]:
-        cells = (self.counters.hot("accesses_" + request_type),
-                 self.counters.hot("hits_" + request_type),
-                 self.counters.hot("misses_" + request_type))
+    def _cells_for(self, request_type: str) -> Tuple[List[int], List[int]]:
+        accesses = ("accesses_" + request_type,)
+        cells = (self.counters.hot("hits_" + request_type, part_of=accesses),
+                 self.counters.hot("misses_" + request_type, part_of=accesses))
         self._type_cells[request_type] = cells
         return cells
 
@@ -108,10 +109,9 @@ class Cache:
         cells = self._type_cells.get(request_type)
         if cells is None:
             cells = self._cells_for(request_type)
-        cells[0][0] += 1
         way = self._way_maps[set_index].get(block)
         if way is not None:
-            cells[1][0] += 1
+            cells[0][0] += 1
             if self._lru:
                 self._meta[set_index][way] = self._access_clock
             else:
@@ -120,7 +120,7 @@ class Cache:
                 self._dirty[set_index][way] = True
             return True
 
-        cells[2][0] += 1
+        cells[1][0] += 1
         self._fill(set_index, block, is_write, request_type)
         return False
 
@@ -129,13 +129,17 @@ class Cache:
         """Look up ``address``; on a miss the line is filled (allocate-on-miss).
 
         Object-returning wrapper around :meth:`access_bool` kept for callers
-        that need the evicted line's identity (write-back modelling, tests).
+        that need the evicted line's identity (write-back modelling, tests):
+        the way the miss fills held the evicted line before the access.
         """
+        block = address // self.line_size
+        set_index = block % self.num_sets
+        blocks, dirty = list(self._blocks[set_index]), list(self._dirty[set_index])
         if self.access_bool(address, is_write, request_type):
             return CacheAccessResult(hit=True, latency=self.latency)
-        return CacheAccessResult(hit=False, latency=self.latency,
-                                 evicted_tag=self.last_evicted_tag,
-                                 evicted_dirty=self.last_evicted_dirty)
+        way = self._way_maps[set_index][block]
+        return CacheAccessResult(hit=False, latency=self.latency, evicted_tag=blocks[way],
+                                 evicted_dirty=blocks[way] is not None and dirty[way])
 
     def probe(self, address: int) -> bool:
         """Return True if ``address`` is present without disturbing state."""
@@ -163,11 +167,13 @@ class Cache:
         if way is None:
             return False
         self._blocks[set_index][way] = None
+        self._removals += 1
         self.counters.add("invalidations")
         return True
 
     def flush(self) -> None:
         """Invalidate every line (used between simulation regions)."""
+        self._removals += 1
         self._clear_sets()
 
     # ------------------------------------------------------------------ #
@@ -181,14 +187,10 @@ class Cache:
         types = self._types[set_index]
         if len(way_map) < self.associativity:
             way = blocks.index(None)      # the first invalid way
-            self.last_evicted_tag = None
-            self.last_evicted_dirty = False
         else:
             way = self._choose_victim(set_index)
-            evicted = blocks[way]
-            del way_map[evicted]
-            self.last_evicted_tag = evicted
-            self.last_evicted_dirty = self._dirty[set_index][way]
+            del way_map[blocks[way]]
+            self._removals += 1
             self._c_evictions[0] += 1
             if types[way] != request_type:
                 # A fill from one request class displaced another class's data:

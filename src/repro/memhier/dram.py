@@ -60,18 +60,16 @@ class DRAMModel:
         self._open_rows: List[Optional[int]] = [None] * banks
         self._row_owners: List[str] = ["none"] * banks
         self.counters = Counter()
-        self._c_accesses = self.counters.hot("accesses")
         self._c_row_misses = self.counters.hot("row_misses")
-        self._c_row_hits = self.counters.hot("row_hits")
-        self._c_row_conflicts = self.counters.hot("row_conflicts")
         #: request_type -> hot counter cells (avoids per-access f-string
-        #: formatting and dict-update counter adds on the hot path).
+        #: formatting and dict-update counter adds on the hot path).  The
+        #: totals ``accesses``, ``row_hits``, ``row_conflicts`` and each
+        #: ``row_conflicts_<type>`` (every conflict a type causes) are sums
+        #: of these cells, written when the counters are read.
         self._type_cells: Dict[str, tuple] = {}
         self._victim_cells: Dict[str, list] = {}
-        #: Outcome details of the most recent :meth:`access_value` call.
-        self.last_row_hit = False
+        #: Whether the most recent :meth:`access_value` call met a conflict.
         self.last_row_conflict = False
-        self.last_location = (0, 0, 0)
 
     # ------------------------------------------------------------------ #
     # Address mapping
@@ -92,8 +90,8 @@ class DRAMModel:
     def access_value(self, address: int, request_type: str = "data") -> int:
         """Perform one DRAM access and return only its latency.
 
-        The row-buffer outcome is left in :attr:`last_row_hit` /
-        :attr:`last_row_conflict` so the hot path allocates nothing.
+        Whether the access met a row-buffer conflict is left in
+        :attr:`last_row_conflict`, so the hot path allocates nothing.
         ``request_type`` tags the request so row-buffer conflicts can be
         attributed (e.g. conflicts *caused by* page-table accesses, the metric
         of Figs. 14 and 21).
@@ -111,34 +109,28 @@ class DRAMModel:
 
         cells = self._type_cells.get(request_type)
         if cells is None:
-            hot = self.counters.hot
+            counters = self.counters
             cells = self._type_cells[request_type] = (
-                hot("accesses_" + request_type),
-                hot("row_hits_" + request_type),
-                hot("row_conflicts_" + request_type),
-                hot("row_conflicts_caused_by_" + request_type),
+                counters.hot("accesses_" + request_type, part_of=("accesses",)),
+                counters.hot("row_hits_" + request_type, part_of=("row_hits",)),
+                counters.hot("row_conflicts_caused_by_" + request_type,
+                             part_of=("row_conflicts_" + request_type, "row_conflicts")),
             )
-        self._c_accesses[0] += 1
         cells[0][0] += 1
 
-        row_hit = False
         row_conflict = False
         if open_row is None:
             latency = self._row_miss_latency
             self._c_row_misses[0] += 1
         elif open_row == row:
             latency = self._row_hit_latency
-            row_hit = True
-            self._c_row_hits[0] += 1
             cells[1][0] += 1
         else:
             latency = self._row_conflict_latency
             row_conflict = True
-            self._c_row_conflicts[0] += 1
-            cells[2][0] += 1
             # Attribute the conflict to the request class that caused the row
             # to be closed *and* the one whose row was evicted.
-            cells[3][0] += 1
+            cells[2][0] += 1
             owner = self._row_owners[index]
             victim_cell = self._victim_cells.get(owner)
             if victim_cell is None:
@@ -150,16 +142,15 @@ class DRAMModel:
             self._open_rows[index] = row
             self._row_owners[index] = request_type
 
-        self.last_row_hit = row_hit
         self.last_row_conflict = row_conflict
-        self.last_location = (channel, bank, row)
         return latency
 
     def access(self, address: int, request_type: str = "data") -> DRAMAccessResult:
         """Perform one DRAM access and return its latency and row-buffer outcome."""
+        channel, bank, row = self.map_address(address)
+        open_row = self._open_rows[channel * self.banks_per_channel + bank]
         latency = self.access_value(address, request_type)
-        channel, bank, row = self.last_location
-        return DRAMAccessResult(latency=latency, row_hit=self.last_row_hit,
+        return DRAMAccessResult(latency=latency, row_hit=open_row == row,
                                 row_conflict=self.last_row_conflict,
                                 channel=channel, bank=bank, row=row)
 

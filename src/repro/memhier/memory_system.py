@@ -1,7 +1,7 @@
 """The memory hierarchy: L1/L2/L3 caches in front of DRAM.
 
-`MemoryHierarchy.access` is the single entry point used by the core model,
-the page-table walker and the MimicOS instruction-stream injector.  Each
+`MemoryHierarchy.access_value` is the single entry point used by the core
+model, the page-table walker and the MimicOS instruction-stream injector.  Each
 access carries a *request type* so that cache pollution and DRAM row-buffer
 interference can be attributed to application data, page-table walks,
 translation metadata or kernel (MimicOS) activity — the attribution the
@@ -10,7 +10,6 @@ paper's case studies are built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -39,27 +38,8 @@ class MemoryAccessType(str, Enum):
 _TYPE_VALUES: Dict[str, str] = {member: member.value for member in MemoryAccessType}
 
 
-@dataclass(slots=True)
-class MemoryRequest:
-    """A single memory request travelling down the hierarchy."""
-
-    address: int
-    is_write: bool = False
-    access_type: MemoryAccessType = MemoryAccessType.DATA
-    pc: int = 0
-
-
-@dataclass(slots=True)
-class MemoryAccessOutcome:
-    """Latency and where in the hierarchy the request was satisfied."""
-
-    latency: int
-    served_by: str
-    row_conflict: bool = False
-
-
 #: A request type's hot cells, built on its first access (see ``_routes``).
-_Route = Tuple[List[int], List[int], List[int], List[int], bool]
+_Route = Tuple[List[int], List[int], List[int], bool]
 
 
 class MemoryHierarchy:
@@ -93,16 +73,15 @@ class MemoryHierarchy:
         self.l1_prefetcher = l1_prefetcher
         self.l2_prefetcher = l2_prefetcher
         self.counters = Counter()
-        self._c_requests = self.counters.hot("requests")
         self._c_l1_prefetches = self.counters.hot("l1_prefetches")
         self._c_l2_prefetches = self.counters.hot("l2_prefetches")
         #: request-type string -> (``requests_<type>`` cell, the L1's
-        #: ``accesses_<type>``/``hits_<type>``/``misses_<type>`` cells,
-        #: whether the type trains the prefetchers); one lookup per access.
+        #: ``hits_<type>``/``misses_<type>`` cells, whether the type trains
+        #: the prefetchers); one lookup per access.  ``requests`` is the sum
+        #: of the ``requests_<type>`` counters, written when they are read.
         self._routes: Dict[str, _Route] = {}
-        #: Outcome details of the most recent :meth:`access_value` call.
+        #: The level that served the most recent :meth:`access_value` call.
         self.last_served_by = "none"
-        self.last_row_conflict = False
 
     @classmethod
     def from_system_config(cls, config: SystemConfig) -> "MemoryHierarchy":
@@ -128,8 +107,8 @@ class MemoryHierarchy:
         on the DRAM row buffers exactly as the single-hierarchy model would
         charge one core.  Only the L1 cache and the L1 prefetcher are built;
         they and the request counters are private, giving per-core
-        attribution; ``last_served_by`` / ``last_row_conflict`` are per-view,
-        so each core reads its own outcome even though the levels are shared.
+        attribution; ``last_served_by`` is per-view, so each core reads its
+        own outcome even though the levels are shared.
         """
         view = cls.__new__(cls)
         l1 = Cache(config.l1d_cache)
@@ -141,21 +120,26 @@ class MemoryHierarchy:
     # Access path
     # ------------------------------------------------------------------ #
     def _route(self, access_type: str) -> _Route:
-        accesses, hits, misses = self.l1._cells_for(access_type)   # the cells access_bool uses
+        hits, misses = self.l1._cells_for(access_type)   # the cells access_bool uses
         route = self._routes[access_type] = (
-            self.counters.hot("requests_" + access_type), accesses, hits, misses,
+            self.counters.hot("requests_" + access_type, part_of=("requests",)), hits, misses,
             access_type != "prefetch")
         return route
+
+    @property
+    def last_row_conflict(self) -> bool:
+        """Whether the most recent :meth:`access_value` call met a DRAM
+        row-buffer conflict.  Read it before the next access to the DRAM,
+        which a per-core view shares with the other cores."""
+        return self.last_served_by == "DRAM" and self.dram.last_row_conflict
 
     def access_value(self, address: int, is_write: bool = False,
                      access_type: str = "data", pc: int = 0) -> int:
         """Allocation-free access: returns the total latency of the request.
 
         ``access_type`` is the request-type *string* (``MemoryAccessType.
-        <X>.value``).  Which level served the request and whether DRAM saw a
-        row-buffer conflict are left in :attr:`last_served_by` /
-        :attr:`last_row_conflict`; every counter a :meth:`access` call would
-        bump is bumped identically here.
+        <X>.value``).  Which level served the request is left in
+        :attr:`last_served_by`.
 
         The L1 lookup is :meth:`Cache.access_bool` written out in place
         (same clock, stamp, dirty bit and counter cells), so an L1 hit costs
@@ -167,15 +151,13 @@ class MemoryHierarchy:
         route = self._routes.get(access_type)
         if route is None:
             route = self._route(access_type)
-        requests, accesses, hits, misses, trains = route
-        self._c_requests[0] += 1
+        requests, hits, misses, trains = route
         requests[0] += 1
 
         l1 = self.l1
         clock = l1._access_clock = l1._access_clock + 1
         block = address // l1.line_size
         set_index = block % l1.num_sets
-        accesses[0] += 1
         way = l1._way_maps[set_index].get(block)
         if way is not None:
             hits[0] += 1
@@ -186,7 +168,6 @@ class MemoryHierarchy:
             if is_write:
                 l1._dirty[set_index][way] = True
             self.last_served_by = "L1"
-            self.last_row_conflict = False
             if trains:
                 if self.l1_prefetcher is not None:
                     self._c_l1_prefetches[0] += self.l1_prefetcher.train(address, pc)
@@ -200,7 +181,6 @@ class MemoryHierarchy:
         latency = l1.latency + l2.latency
         if l2.access_bool(address, is_write, access_type):
             self.last_served_by = "L2"
-            self.last_row_conflict = False
             if trains and self.l2_prefetcher is not None:
                 self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
             return latency
@@ -209,24 +189,13 @@ class MemoryHierarchy:
         latency += l3.latency
         if l3.access_bool(address, is_write, access_type):
             self.last_served_by = "L3"
-            self.last_row_conflict = False
             return latency
 
         latency += self.dram.access_value(address, access_type)
         self.last_served_by = "DRAM"
-        self.last_row_conflict = self.dram.last_row_conflict
         if trains and self.l2_prefetcher is not None:
             self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
         return latency
-
-    def access(self, request: MemoryRequest) -> MemoryAccessOutcome:
-        """Send one request through L1 -> L2 -> L3 -> DRAM and return its outcome."""
-        access_type = request.access_type
-        type_value = access_type.value if isinstance(access_type, MemoryAccessType) \
-            else str(access_type)
-        latency = self.access_value(request.address, request.is_write, type_value, request.pc)
-        return MemoryAccessOutcome(latency=latency, served_by=self.last_served_by,
-                                   row_conflict=self.last_row_conflict)
 
     def access_address(self, address: int, is_write: bool = False,
                        access_type: MemoryAccessType = MemoryAccessType.DATA,

@@ -87,43 +87,66 @@ class StreamPrefetcher(Prefetcher):
 
     Tracks active streams by 4 KB region; once two sequential line accesses
     are seen in a region, prefetches the next ``degree`` lines.
+
+    A call for the same line as the call before it changes no stream and
+    issues ascending candidates, as that call did unless its stream
+    descended.  If no line has left the cache since those candidates were
+    probed (``Cache._removals`` stands still), all of them are still
+    present, so the call returns the previous count unprobed.
     """
 
     REGION_SIZE = 4096
 
     def __init__(self, config: PrefetcherConfig, cache: Cache):
         super().__init__(config, cache)
+        if self.REGION_SIZE % cache.line_size:
+            raise ValueError(f"{cache.line_size}-byte lines do not tile "
+                             f"{self.REGION_SIZE}-byte stream regions")
         #: region -> [last_line, trained] (list entries; see IPStridePrefetcher).
         self._streams: Dict[int, List[int]] = {}
+        #: The previous call's line and issue count, and the cache's
+        #: removal count before that call probed.
+        self._last_line = -1
+        self._last_issued = 0
+        self._last_removals = -1
 
     def train(self, address: int, pc: int) -> int:
         cache = self.cache
-        line_size = cache.line_size
+        line = address // cache.line_size
+        removals = cache._removals
+        if line == self._last_line and removals == self._last_removals:
+            return self._last_issued
+        self._last_line = line
+        self._last_removals = removals
         region = address // self.REGION_SIZE
-        line = address // line_size
         stream = self._streams.get(region)
         if stream is None:
             if len(self._streams) >= self.table_entries:
                 self._streams.pop(next(iter(self._streams)))
             self._streams[region] = [line, 0]
+            self._last_issued = 0
             return 0
-        last_line = stream[0]
-        direction = 1 if line >= last_line else -1
-        delta = line - last_line
+        delta = line - stream[0]
         if delta == 1 or delta == -1:
             trained = stream[1] + 1
             stream[1] = 3 if trained > 3 else trained
         stream[0] = line
-        if stream[1] < 1:
-            return 0
         issued = 0
-        way_maps, sets = cache._way_maps, cache.num_sets
-        for block in range(line + direction, line + direction * (self.degree + 1), direction):
-            if block < 0:
-                break   # a descending stream: the rest are below zero too
-            issued += 1
-            if block not in way_maps[block % sets]:
-                cache.fill(block * line_size)
+        if stream[1] >= 1:
+            if delta >= 0:
+                direction = 1
+            else:
+                direction = -1
+                self._last_line = -1   # a repeat of this line ascends instead
+            way_maps, sets, line_size = cache._way_maps, cache.num_sets, cache.line_size
+            for block in range(line + direction, line + direction * (self.degree + 1),
+                               direction):
+                if block < 0:
+                    break   # a descending stream: the rest are below zero too
+                issued += 1
+                if block not in way_maps[block % sets]:
+                    cache.fill(block * line_size)
+        self._last_issued = issued
         return issued
 
 

@@ -105,11 +105,15 @@ class PageFaultHandler:
     # Entry point
     # ------------------------------------------------------------------ #
     def handle(self, process: Process, virtual_address: int, now_cycles: int = 0,
-               trace: Optional[KernelRoutineTrace] = None) -> PageFaultResult:
+               trace: Optional[KernelRoutineTrace] = None,
+               unmapped: bool = False) -> PageFaultResult:
         """Handle one page fault for ``process`` at ``virtual_address``.
 
         The kernel work is recorded into ``trace`` (default: a fresh
         ``do_page_fault`` trace), which becomes ``result.trace``.
+        ``unmapped`` says the caller has just looked the address up in the
+        process's page table and found no mapping, so the handler does not
+        look it up again.
         """
         result = (PageFaultResult(virtual_address=virtual_address) if trace is None
                   else PageFaultResult(virtual_address=virtual_address, trace=trace))
@@ -134,7 +138,8 @@ class PageFaultHandler:
             return self._handle_hugetlb(process, vma, virtual_address, result)
 
         # 3. Existing PTE: swapped-out anonymous page or write to existing mapping.
-        existing = page_table.lookup(virtual_address) if page_table is not None else None
+        existing = (None if unmapped or page_table is None
+                    else page_table.lookup(virtual_address))
         if existing is None and self.swap.lookup_swap_cache(
                 process.pid, virtual_address // PAGE_SIZE_4K, trace):
             return self._handle_swap_in(process, vma, virtual_address, now_cycles, result)

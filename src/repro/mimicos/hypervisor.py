@@ -132,8 +132,8 @@ class VirtualMachine:
         return self.guest.mmap(process, size, **kwargs)
 
     def handle_guest_page_fault(self, pid: int, guest_virtual: int, now_cycles: int = 0,
-                                trace: Optional[KernelRoutineTrace] = None
-                                ) -> NestedFaultResult:
+                                trace: Optional[KernelRoutineTrace] = None,
+                                unmapped: bool = False) -> NestedFaultResult:
         """Handle a guest fault, propagating to the hypervisor when needed.
 
         Two shapes, mirroring hardware virtualisation:
@@ -152,16 +152,21 @@ class VirtualMachine:
 
         ``trace``, when given, receives the kernel work of both the guest
         and the host fault (e.g. a ``DiscardedTrace`` when pre-faulting);
-        by default each fault records its own trace.
+        by default each fault records its own trace.  ``unmapped`` says the
+        caller found no guest translation (see
+        :meth:`~repro.mimicos.fault.PageFaultHandler.handle`).  A table looked
+        up here is not looked up again by the kernel whose fault follows.
         """
         self.counters.add("guest_page_faults")
         process = self.guest.processes.get(pid)
         mapping = (process.page_table.lookup(guest_virtual)
-                   if process is not None and process.page_table is not None else None)
+                   if not unmapped and process is not None and process.page_table is not None
+                   else None)
         if mapping is not None:
             return self._handle_ept_violation(guest_virtual, mapping, now_cycles, trace)
 
-        guest_result = self.guest.handle_page_fault(pid, guest_virtual, now_cycles, trace)
+        guest_result = self.guest.handle_page_fault(pid, guest_virtual, now_cycles, trace,
+                                                    unmapped=True)
         if guest_result.segfault:
             return NestedFaultResult(guest=guest_result)
 
@@ -185,7 +190,7 @@ class VirtualMachine:
         if self.host_process.page_table.lookup(host_virtual) is None:
             self.counters.add("hypervisor_backing_faults")
             host_result = self.host.handle_page_fault(self.host_process.pid, host_virtual,
-                                                      now_cycles, trace)
+                                                      now_cycles, trace, unmapped=True)
         return NestedFaultResult(guest=guest_result, host=host_result)
 
     def _handle_ept_violation(self, guest_virtual: int, mapping: Tuple[int, int],
@@ -211,7 +216,7 @@ class VirtualMachine:
         if self.host_process.page_table.lookup(host_virtual) is None:
             self.counters.add("hypervisor_backing_faults")
             host_result = self.host.handle_page_fault(self.host_process.pid, host_virtual,
-                                                      now_cycles, trace)
+                                                      now_cycles, trace, unmapped=True)
         return NestedFaultResult(guest=guest_result, host=host_result)
 
     # ------------------------------------------------------------------ #

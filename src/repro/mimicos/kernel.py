@@ -256,18 +256,21 @@ class MimicOS:
     # Page faults
     # ------------------------------------------------------------------ #
     def handle_page_fault(self, pid: int, virtual_address: int, now_cycles: int = 0,
-                          trace: Optional[KernelRoutineTrace] = None) -> PageFaultResult:
+                          trace: Optional[KernelRoutineTrace] = None,
+                          unmapped: bool = False) -> PageFaultResult:
         """Handle a page fault reported by the simulator's MMU model.
 
-        ``trace`` receives the fault's kernel work (see
-        :meth:`PageFaultHandler.handle`); the default records a fresh trace.
+        ``trace`` receives the fault's kernel work and ``unmapped`` says the
+        caller found no mapping (see :meth:`PageFaultHandler.handle`); the
+        default records a fresh trace.
         """
         process = self.processes.get(pid)
         if process is None:
             raise KeyError(f"unknown pid {pid}")
         self._c_fault_requests[0] += 1
 
-        result = self.fault_handler.handle(process, virtual_address, now_cycles, trace)
+        result = self.fault_handler.handle(process, virtual_address, now_cycles, trace,
+                                           unmapped)
 
         if not result.segfault:
             self._record_residency(pid, result)

@@ -40,9 +40,8 @@ class VictimaCacheTLB:
     def lookup(self, virtual_address: int) -> Tuple[Optional[Tuple[int, int]], int]:
         """Probe the L2 cache for a stored translation; returns (entry, latency)."""
         line = self._line_address(virtual_address)
-        result = self.l2_cache.access(line, False, request_type="translation")
-        latency = result.latency
-        if not result.hit:
+        latency = self.l2_cache.latency
+        if not self.l2_cache.access_bool(line, False, "translation"):
             self.counters.add("cache_misses")
             return None, latency
         for page_size in (PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G):

@@ -127,7 +127,7 @@ class GraphWorkload(Workload):
     def instruction_batches(self, process: Process,
                             batch_size: int = 4096) -> Iterator[InstructionBatch]:
         rng = DeterministicRNG(self.seed + 1)
-        random, zipf_index, randint = rng.random, rng.zipf_index, rng.randint
+        random, randint = rng.random, rng.randint
         profile = self.profile
         skew = profile.zipf_skew
         gather_fraction = profile.gather_fraction
@@ -138,6 +138,8 @@ class GraphWorkload(Workload):
         property_start = property_vma.start
         vertex_slots = max(1, (vertex_vma.size - 64) // 64)
         property_slots = max(1, (property_vma.size - 64) // 64)
+        vertex_slot = rng.zipf_sampler(vertex_slots, skew)
+        property_slot = rng.zipf_sampler(property_slots, skew)
         edge_span = edge_vma.size - 64
         last_small = len(small_vmas) - 1
 
@@ -169,11 +171,11 @@ class GraphWorkload(Workload):
                 # Random (Zipf) vertex gather: the TLB-hostile component.
                 kinds_append(OP_LOAD)
                 pcs_append(0x402000 + (index % 16) * 4)
-                operands_append(vertex_start + zipf_index(vertex_slots, skew=skew) * 64)
+                operands_append(vertex_start + vertex_slot() * 64)
             elif draw < write_bound:
                 kinds_append(OP_STORE)
                 pcs_append(0x403000 + (index % 16) * 4)
-                operands_append(property_start + zipf_index(property_slots, skew=skew) * 64)
+                operands_append(property_start + property_slot() * 64)
             elif small_vmas and draw > aux_bound:
                 # Metadata accesses into the small auxiliary VMAs.
                 vma = small_vmas[randint(0, last_small)]

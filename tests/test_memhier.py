@@ -7,11 +7,7 @@ from repro.common.config import CacheConfig, DRAMConfig, PrefetcherConfig
 from repro.common.lru import LRU
 from repro.memhier.cache import Cache
 from repro.memhier.dram import DRAMModel
-from repro.memhier.memory_system import (
-    MemoryAccessType,
-    MemoryHierarchy,
-    MemoryRequest,
-)
+from repro.memhier.memory_system import MemoryAccessType, MemoryHierarchy
 from repro.memhier.prefetcher import (
     IPStridePrefetcher,
     StreamPrefetcher,
@@ -181,6 +177,46 @@ class TestPrefetchers:
         assert cache.probe(0x2080) and cache.probe(0x20C0)
         assert cache.counters.get("fills_prefetch") == 2
 
+    @pytest.mark.parametrize("remove", ["invalidate", "flush"])
+    def test_stream_repeat_refills_a_removed_candidate(self, remove):
+        """A repeat access to the same line re-probes its candidates once a
+        line has left the cache by any route, not only by eviction."""
+        cache = small_cache()
+        prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=2), cache)
+        prefetcher.train(0x2000, 0)
+        assert prefetcher.train(0x2040, 0) == 2      # fills 0x2080 and 0x20C0
+        assert prefetcher.train(0x2040, 0) == 2      # a repeat: both present
+        assert cache.counters.get("fills_prefetch") == 2
+        if remove == "invalidate":
+            cache.invalidate(0x2080)
+        else:
+            cache.flush()
+        assert cache.counters.get("evictions") == 0
+        assert prefetcher.train(0x2040, 0) == 2
+        assert cache.probe(0x2080) and cache.probe(0x20C0)
+        assert cache.counters.get("fills_prefetch") == (3 if remove == "invalidate" else 4)
+
+    def test_stream_repeat_after_an_eviction_refills(self):
+        cache = small_cache(size=4 * 64, assoc=1)    # four sets of one way
+        prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=1), cache)
+        prefetcher.train(0x2000, 0)
+        assert prefetcher.train(0x2040, 0) == 1      # fills line 0x2080
+        cache.access(0x2080 + 4 * 64)                # evicts it from its set
+        assert not cache.probe(0x2080)
+        assert prefetcher.train(0x2040, 0) == 1
+        assert cache.probe(0x2080)
+
+    def test_stream_repeat_after_a_descent_issues_ascending(self):
+        """A descending call issues the lines below; repeating its line is a
+        delta of 0, which issues the lines above."""
+        cache = small_cache()
+        prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=1), cache)
+        prefetcher.train(0x2080, 0)
+        assert prefetcher.train(0x2040, 0) == 1      # descending: fills 0x2000
+        assert cache.probe(0x2000) and not cache.probe(0x2080)
+        assert prefetcher.train(0x2040, 0) == 1      # ascending: fills 0x2080
+        assert cache.probe(0x2080)
+
     @pytest.mark.parametrize("kind, addresses", [
         ("ip_stride", (0x100, 0xC0, 0x80, 0x40)),   # candidates 0x0 and -0x40
         ("stream", (0x80, 0x40)),                    # candidate lines 0 and -1
@@ -261,26 +297,26 @@ class TestMemoryHierarchy:
 
     def test_first_access_goes_to_dram(self):
         hierarchy = self.build()
-        outcome = hierarchy.access(MemoryRequest(0x12345))
-        assert outcome.served_by == "DRAM"
+        hierarchy.access_value(0x12345)
+        assert hierarchy.last_served_by == "DRAM"
 
     def test_second_access_hits_l1(self):
         hierarchy = self.build()
-        hierarchy.access(MemoryRequest(0x12345))
-        outcome = hierarchy.access(MemoryRequest(0x12345))
-        assert outcome.served_by == "L1"
-        assert outcome.latency == hierarchy.l1.latency
+        hierarchy.access_value(0x12345)
+        latency = hierarchy.access_value(0x12345)
+        assert hierarchy.last_served_by == "L1"
+        assert latency == hierarchy.l1.latency
 
     def test_latency_accumulates_down_the_hierarchy(self):
         hierarchy = self.build()
-        outcome = hierarchy.access(MemoryRequest(0x777000))
+        latency = hierarchy.access_value(0x777000)
         expected_minimum = (hierarchy.l1.latency + hierarchy.l2.latency
                             + hierarchy.l3.latency)
-        assert outcome.latency > expected_minimum
+        assert latency > expected_minimum
 
     def test_request_type_tracking(self):
         hierarchy = self.build()
-        hierarchy.access(MemoryRequest(0x1000, access_type=MemoryAccessType.PTW))
+        hierarchy.access_value(0x1000, access_type=MemoryAccessType.PTW.value)
         assert hierarchy.counters.get("requests_ptw") == 1
 
     def test_access_address_convenience(self):
@@ -290,13 +326,14 @@ class TestMemoryHierarchy:
 
     def test_flush_caches_forces_dram_again(self):
         hierarchy = self.build()
-        hierarchy.access(MemoryRequest(0x9000))
+        hierarchy.access_value(0x9000)
         hierarchy.flush_caches()
-        assert hierarchy.access(MemoryRequest(0x9000)).served_by == "DRAM"
+        hierarchy.access_value(0x9000)
+        assert hierarchy.last_served_by == "DRAM"
 
     def test_stats_structure(self):
         hierarchy = self.build()
-        hierarchy.access(MemoryRequest(0x1))
+        hierarchy.access_value(0x1)
         stats = hierarchy.stats()
         assert set(stats) == {"hierarchy", "l1", "l2", "l3", "dram"}
 

@@ -19,6 +19,20 @@ from repro.common.config import (
 from repro.common.rng import DeterministicRNG
 
 
+def reference_zipf_index(rng: DeterministicRNG, n: int, skew: float) -> int:
+    """``DeterministicRNG.zipf_index`` as it was before samplers: every call
+    re-checks ``n`` and recomputes ``n ** exponent`` and ``1 / exponent``."""
+    if n == 1:
+        return 0
+    u = rng.random()
+    if skew == 1.0:
+        value = int(n ** u)
+    else:
+        exponent = 1.0 - skew
+        value = int(((n ** exponent - 1.0) * u + 1.0) ** (1.0 / exponent))
+    return min(max(value - 1, 0), n - 1)
+
+
 class TestDeterministicRNG:
     def test_same_seed_same_stream(self):
         a, b = DeterministicRNG(42), DeterministicRNG(42)
@@ -60,6 +74,28 @@ class TestDeterministicRNG:
         draws = [rng.zipf_index(1000, 1.0) for _ in range(2000)]
         low = sum(1 for d in draws if d < 100)
         assert low > len(draws) * 0.4
+
+    @pytest.mark.parametrize("seed", [0, 5, 17, 2024])
+    def test_zipf_sampler_draws_what_zipf_index_drew(self, seed):
+        """A sampler bound once per ``(n, skew)`` consumes the same draws and
+        returns the same indices as the per-call function it replaced, also
+        interleaved with other draws on the same stream."""
+        shapes = [(1, 1.0), (2, 1.0), (10, 1.2), (1000, 1.0), (1000, 0.6),
+                  (4099, 0.9), (10 ** 6, 0.5), (300, 2.0)]
+        fast, slow = DeterministicRNG(seed), DeterministicRNG(seed)
+        samplers = [fast.zipf_sampler(n, skew) for n, skew in shapes]
+        for step in range(3000):
+            index = step % len(shapes)
+            n, skew = shapes[index]
+            assert samplers[index]() == reference_zipf_index(slow, n, skew)
+            if step % 7 == 0:
+                assert fast.random() == slow.random()
+        assert DeterministicRNG(seed).zipf_index(1000, 0.7) == \
+            reference_zipf_index(DeterministicRNG(seed), 1000, 0.7)
+
+    def test_zipf_sampler_rejects_an_empty_range(self):
+        with pytest.raises(ValueError):
+            DeterministicRNG(1).zipf_sampler(0)
 
     def test_choice_and_sample(self):
         rng = DeterministicRNG(9)

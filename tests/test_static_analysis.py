@@ -149,6 +149,8 @@ def test_r5_flags_orphan_read():
     got = keys(findings)
     assert ("R5", "core/engine.py", "build_report",
             "orphan:page_walks_typo") in got
+    # A total no ``part_of`` names is not written by its parts' cells.
+    assert ("R5", "core/engine.py", "build_report", "orphan:stores") in got
 
 
 def test_r5_clean_tree_is_clean():

@@ -315,3 +315,28 @@ class TestSmallHelpers:
     def test_safe_ratio(self):
         assert safe_ratio(1, 2) == 0.5
         assert safe_ratio(1, 0, default=-1.0) == -1.0
+
+    def test_a_total_reads_as_the_sum_of_its_parts(self):
+        counter = Counter()
+        hits = counter.hot("hits_data", part_of=("accesses_data", "accesses"))
+        misses = counter.hot("misses_data", part_of=("accesses_data", "accesses"))
+        ptw = counter.hot("misses_ptw", part_of=("accesses",))
+        assert counter.as_dict() == {}
+        misses[0] += 2
+        assert counter.as_dict() == {"misses_data": 2, "accesses_data": 2, "accesses": 2}
+        hits[0] += 3
+        ptw[0] += 1
+        assert counter.get("accesses_data") == 5
+        assert counter.get("accesses") == 6
+        assert "hits_ptw" not in counter.as_dict()
+        counter.reset()
+        assert counter.as_dict() == {}
+        hits[0] += 1
+        assert counter.as_dict() == {"hits_data": 1, "accesses_data": 1, "accesses": 1}
+
+    def test_a_merged_total_stays_the_sum_of_its_parts(self):
+        a, b = Counter(), Counter()
+        a.hot("requests_data", part_of=("requests",))[0] += 2
+        b.hot("requests_ptw", part_of=("requests",))[0] += 5
+        a.merge(b)
+        assert a.as_dict() == {"requests_data": 2, "requests": 7, "requests_ptw": 5}
