@@ -22,12 +22,13 @@ that time is subtracted.  Both are recorded as host ns per kernel
 instruction (``len(batch)`` summed over the set), median and quartiles
 over the repeats.
 
-``compute_share`` is the share of ``execute`` that plain compute still
-costs: the same batches are executed with their plain compute removed
-(run records, or the ALU/branch slots of a per-instruction stream), and
-the difference is divided by the full time.  This is the cost an exact
-integer cycle count, which could charge a run in one multiply, would
-remove.
+What charging plain compute still costs is given as counts, which do not
+drift with the host: ``<side>_slow_charges`` is the number of charges
+(runs of ``base_cpi`` adds, to either of the two accumulators) that left
+the accumulator's binade and went through ``repro.core.cpu._charge_run``,
+and ``<side>_slow_charges_computed`` how many of those its cache did not
+serve, so ``add_repeated`` added them one binade at a time.  Every other
+charge costs one multiply, one add and a compare.
 
 One pass from fresh state always leaves the same counters (the cycles each
 batch consumed, the core's and the hierarchy's statistics and the
@@ -36,10 +37,13 @@ per trace set, and ``test_perf_smoke.py`` checks it without timing
 anything.  The record goes to ``benchmarks/perf/BENCH_perf.json`` under
 ``"kernel_stream"``.  ``--side`` names which side of a change the imported
 ``repro`` is; a side whose counters differ from the other side's record is
-refused.  Run from the repo root::
+refused.  Every run of a side is kept, and a side whose ``repro`` sources
+changed starts afresh (see ``sides.py``).  Alternate the sides from the
+repo root::
 
     PYTHONPATH=src python benchmarks/perf/kernel_bench.py --side after
     PYTHONPATH=<parent checkout>/src python benchmarks/perf/kernel_bench.py --side before
+    PYTHONPATH=src python benchmarks/perf/kernel_bench.py --side after
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import argparse
 import hashlib
 import json
 import platform
-import statistics
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
@@ -56,14 +60,17 @@ from typing import Callable, Dict, List, Tuple
 from repro.common.addresses import MB
 from repro.common.config import CoreConfig, SystemConfig, scaled_system_config
 from repro.common.kernelops import KernelRoutineTrace
+from repro.core import cpu
 from repro.core.cpu import CoreModel
-from repro.core.instructions import OP_ALU, OP_BRANCH
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
 from repro.mmu.mmu import MMU
 from repro.mmu.tlb import TLBHierarchy
 from repro.workloads.registry import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from sides import check_counters, keep_run, start_side  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_perf.json"
 
@@ -107,28 +114,6 @@ def fresh_core() -> CoreModel:
     return CoreModel(CoreConfig(), MMU(tlbs, memory), memory)
 
 
-def without_compute(batch):
-    """A copy of ``batch`` with its plain compute removed.
-
-    Handles both stream layouts: run-length records (``values``) and one
-    slot per instruction (``addresses`` plus ``rep_values``).
-    """
-    copy = type(batch)(batch.name)
-    if hasattr(batch, "values"):
-        keep = [index for index, op in enumerate(batch.kinds) if op != OP_ALU]
-        columns = ("kinds", "values", "pcs")
-        copy.instructions = len(keep)
-    else:
-        keep = [index for index, (op, address) in enumerate(zip(batch.kinds, batch.addresses))
-                if address is not None or op > OP_BRANCH]
-        columns = ("kinds", "pcs", "addresses")
-        copy.rep_values = list(batch.rep_values)
-    for column in columns:
-        values = getattr(batch, column)
-        setattr(copy, column, [values[index] for index in keep])
-    return copy
-
-
 def _noop(argument) -> None:
     return None
 
@@ -161,45 +146,39 @@ def trace_set_digest(name: str) -> str:
     return stats_digest(tool, core, consumed)
 
 
-def summary(samples: List[float]) -> Dict[str, float]:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(median, 1), "q1": round(q1, 1), "q3": round(q3, 1),
-            "iqr": round(q3 - q1, 1)}
-
-
 def measure_set(name: str, repeats: int = REPEATS) -> Dict[str, object]:
     traces = capture(name)
     expand_ns: List[float] = []
     execute_ns: List[float] = []
-    shares: List[float] = []
     digests = set()
     instructions = 0
     for _ in range(repeats):
         overhead, _ = _timed(_noop, traces)
+        cpu._charge_run.cache_clear()
         tool, core, batches, consumed, expand_s, execute_s = one_pass(traces)
+        charges = cpu._charge_run.cache_info()
         digests.add(stats_digest(tool, core, consumed))
         instructions = sum(len(batch) for batch in batches)
-        stripped = [without_compute(batch) for batch in batches]
-        stripped_s, _ = _timed(fresh_core().execute_kernel_batch, stripped)
         expand_ns.append((expand_s - overhead) * 1e9 / instructions)
         execute_ns.append((execute_s - overhead) * 1e9 / instructions)
-        shares.append((execute_s - stripped_s) / (execute_s - overhead))
     if len(digests) != 1:
         raise AssertionError(f"{name}: repeats left different counters")
     memory_ops = sum(len(op.memory_touches) for trace in traces for op in trace.ops)
     return {"traces": len(traces), "kernel_instructions": instructions,
             "memory_share": round(memory_ops / instructions, 3),
             "stats_sha256": digests.pop(),
-            "expand_ns_per_instruction": summary(expand_ns),
-            "execute_ns_per_instruction": summary(execute_ns),
-            "compute_share": round(statistics.median(shares), 3)}
+            "slow_charges": charges.hits + charges.misses,
+            "slow_charges_computed": charges.misses,
+            "expand_ns_per_instruction": expand_ns,
+            "execute_ns_per_instruction": execute_ns}
 
 
 def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
     data = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
     section = data.get("kernel_stream") or {"sets": {}}
+    start_side(section, side, section["sets"].values())
     section.update({
-        "schema": "kernel_stream/v1",
+        "schema": "kernel_stream/v2",
         "layers": "instrumentation.expand: InstrumentationTool.expand_batch; "
                   "core.kernel: CoreModel.execute_kernel_batch",
         "config": "handler traces from seeded runs (THP never, imitation mode); "
@@ -211,24 +190,14 @@ def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
     for name in TRACE_SETS:
         measured = measure_set(name, repeats)
         row = section["sets"].setdefault(name, {})
-        recorded = row.get("stats_sha256")
-        if recorded is not None and recorded != measured["stats_sha256"]:
-            raise AssertionError(f"{name}: counters differ from the recorded side "
-                                 f"({measured['stats_sha256'][:12]} vs {recorded[:12]})")
+        check_counters(row, measured["stats_sha256"], name)
         row.update({key: measured[key] for key in
                     ("traces", "kernel_instructions", "memory_share", "stats_sha256")})
+        for count in ("slow_charges", "slow_charges_computed"):
+            row[f"{side}_{count}"] = measured[count]
         for phase in ("expand", "execute"):
-            row[f"{side}_{phase}_ns_per_instruction"] = measured[f"{phase}_ns_per_instruction"]
-        row[f"{side}_compute_share"] = measured["compute_share"]
-        for phase in ("expand", "execute"):
-            before = row.get(f"before_{phase}_ns_per_instruction")
-            after = row.get(f"after_{phase}_ns_per_instruction")
-            if before and after:
-                row[f"{phase}_speedup"] = round(before["median"] / after["median"], 2)
-                # A difference counts only when the medians are further
-                # apart than the spread of the before runs.
-                row[f"{phase}_resolved"] = (abs(before["median"] - after["median"])
-                                            > before["iqr"])
+            keep_run(row, side, f"{phase}_ns_per_instruction",
+                     measured[f"{phase}_ns_per_instruction"], prefix=f"{phase}_")
     data["kernel_stream"] = section
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
     return section
@@ -247,14 +216,16 @@ def main() -> None:
               f"{row['stats_sha256'][:12]}")
         for phase in ("expand", "execute"):
             cells = [f"{side} {row[f'{side}_{phase}_ns_per_instruction']['median']:.1f} ns "
-                     f"(IQR {row[f'{side}_{phase}_ns_per_instruction']['iqr']:.1f})"
+                     f"(IQR {row[f'{side}_{phase}_ns_per_instruction']['iqr']:.1f}, "
+                     f"{len(row.get(f'{side}_{phase}_runs', []))} runs)"
                      for side in ("before", "after")
                      if f"{side}_{phase}_ns_per_instruction" in row]
             speedup = f"  {row[phase + '_speedup']}x" if phase + "_speedup" in row else ""
             print(f"    {phase:8s} {' -> '.join(cells)}{speedup}")
-        shares = [f"{side} {row[side + '_compute_share']:.0%}"
-                  for side in ("before", "after") if side + "_compute_share" in row]
-        print(f"    compute share of execute: {', '.join(shares)}")
+        for side in ("before", "after"):
+            if f"{side}_slow_charges" in row:
+                print(f"    {side}: {row[f'{side}_slow_charges']} charges left a binade, "
+                      f"{row[f'{side}_slow_charges_computed']} not from the charge cache")
 
 
 if __name__ == "__main__":

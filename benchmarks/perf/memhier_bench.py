@@ -2,9 +2,10 @@
 
 Every application load, page-walk step and MimicOS kernel load/store ends
 in ``MemoryHierarchy.access_value`` (the ``memhier.access`` layer of
-``perfbench --trace 1``).  This tool runs three fixed access mixes through
-it on the paper's ``SystemConfig()`` hierarchy (32 KB L1 with an IP-stride
-prefetcher, 2 MB L2 with a stream prefetcher, 2 MB L3, DDR4 DRAM):
+``perfbench --trace 1``).  This tool runs five fixed access mixes through
+it.  Three are synthetic, on the paper's ``SystemConfig()`` hierarchy
+(32 KB L1 with an IP-stride prefetcher, 2 MB L2 with a stream prefetcher,
+2 MB L3, DDR4 DRAM):
 
 * ``l1_kernel`` -- a MimicOS-like kernel stream: loads and stores to a
   6 KB set of kernel structures, page zeroing and a few page-table reads;
@@ -14,6 +15,14 @@ prefetcher, 2 MB L2 with a stream prefetcher, 2 MB L3, DDR4 DRAM):
 * ``sequential`` -- an 8-byte-stride sweep: every access hits the L1 (the
   IP-stride prefetcher fills each next line ahead of it) and trains both
   prefetchers.
+
+Two replay what ``perfbench`` runs: the access stream of one round of its
+``faas_faults`` (``faas_trace``) or ``long_radix`` (``radix_trace``)
+segments, seed 1, recorded by wrapping ``access_value`` while each
+segment's measured region runs (``perfbench/simload.py``'s plan, read
+only), and replayed in order on those segments' scaled hierarchy (256 KB
+L2 and L3).  They carry the kernel stores, loads, walks and data accesses
+of those workloads in their real proportions and order.
 
 Each repeat builds a fresh hierarchy and times one pass of the mix.  The
 same loop is timed with a do-nothing function of the same signature, and
@@ -26,10 +35,13 @@ sha256 (``stats_sha256``) is recorded per mix, and
 The record goes to ``benchmarks/perf/BENCH_perf.json`` under
 ``"memhier"``.  ``--side`` names which side of a change the imported
 ``repro`` is; a side whose counters differ from the other side's record
-is refused.  Run from the repo root::
+is refused.  Every run of a side is kept, and a side whose ``repro``
+sources changed starts afresh (see ``sides.py``).  Alternate the sides
+from the repo root::
 
     PYTHONPATH=src python benchmarks/perf/memhier_bench.py --side after
     PYTHONPATH=<parent checkout>/src python benchmarks/perf/memhier_bench.py --side before
+    PYTHONPATH=src python benchmarks/perf/memhier_bench.py --side after
 """
 
 from __future__ import annotations
@@ -39,19 +51,29 @@ import hashlib
 import json
 import platform
 import random
-import statistics
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from repro.common.config import SystemConfig
+from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
+from repro.workloads.registry import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from sides import check_counters, keep_run, start_side  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_perf.json"
+PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 
-#: Accesses per mix and timed repeats per side.
+#: Accesses per synthetic mix and timed repeats per side.
 ACCESSES = 60_000
 REPEATS = 9
+
+#: Replay mix -> the perfbench workload whose seed-1 segments it replays.
+TRACE_WORKLOADS = {"faas_trace": "faas_faults", "radix_trace": "long_radix"}
+TRACE_SEED = 1
 
 Op = Tuple[int, bool, str, int]
 
@@ -87,15 +109,65 @@ def sequential_mix(rng: random.Random) -> List[Op]:
     return [(base + index * 8, False, "data", 0x500) for index in range(ACCESSES)]
 
 
+def _simload():
+    """``perfbench/simload.py``, imported as ``perfbench/run.py`` does."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import simload
+    return simload
+
+
+def trace_ops(workload: str) -> List[Op]:
+    """Every ``access_value`` call of the measured regions of one round of
+    ``workload``'s perfbench segments (seed 1), in order."""
+    simload = _simload()
+    ops: List[Op] = []
+    access_value = MemoryHierarchy.access_value
+    recording = False
+
+    def recorded(self, address, is_write=False, access_type="data", pc=0):
+        if recording:
+            ops.append((address, is_write, access_type, pc))
+        return access_value(self, address, is_write, access_type, pc)
+
+    MemoryHierarchy.access_value = recorded
+    try:
+        for segment in simload.plan(workload, TRACE_SEED, 1.0):
+            system = Virtuoso(simload.system_config(segment), seed=segment.seed)
+            program = build_workload(segment.workload, **segment.kwargs)
+            process = system.map_workload(program)
+            if segment.prefault:
+                system.prefault(process, program.prefault_addresses(process))
+            recording = True
+            system.run(program, process, setup=False)
+            recording = False
+    finally:
+        MemoryHierarchy.access_value = access_value
+    return ops
+
+
 MIXES: Dict[str, Callable[[random.Random], List[Op]]] = {
     "l1_kernel": l1_kernel_mix,
     "gups_random": gups_random_mix,
     "sequential": sequential_mix,
+    **{name: (lambda rng, workload=workload: trace_ops(workload))
+       for name, workload in TRACE_WORKLOADS.items()},
 }
 
 
 def mix_ops(name: str) -> List[Op]:
     return MIXES[name](random.Random(f"memhier-bench-{name}"))
+
+
+def mix_config(name: str) -> SystemConfig:
+    """The hierarchy mix ``name`` runs on: the paper's, or for a replay
+    its first perfbench segment's (the segments' hierarchies differ at
+    most in DRAM capacity, which the access path does not read)."""
+    workload = TRACE_WORKLOADS.get(name)
+    if workload is None:
+        return SystemConfig()
+    simload = _simload()
+    return simload.system_config(simload.plan(workload, TRACE_SEED, 1.0)[0])
 
 
 def _noop(address: int, is_write: bool, access_type: str, pc: int) -> int:
@@ -109,9 +181,9 @@ def _timed_pass(access: Callable[[int, bool, str, int], int], ops: List[Op]) -> 
     return time.perf_counter() - start
 
 
-def one_pass(ops: List[Op]) -> Tuple[MemoryHierarchy, float]:
+def one_pass(config: SystemConfig, ops: List[Op]) -> Tuple[MemoryHierarchy, float]:
     """A fresh hierarchy after one timed pass of ``ops``, and the pass time."""
-    hierarchy = MemoryHierarchy.from_system_config(SystemConfig())
+    hierarchy = MemoryHierarchy.from_system_config(config)
     return hierarchy, _timed_pass(hierarchy.access_value, ops)
 
 
@@ -122,23 +194,17 @@ def stats_digest(hierarchy: MemoryHierarchy) -> str:
 
 def mix_digest(name: str) -> str:
     """The counters one pass of mix ``name`` leaves, as a sha256."""
-    return stats_digest(one_pass(mix_ops(name))[0])
-
-
-def summary(samples: List[float]) -> Dict[str, float]:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(median, 1), "q1": round(q1, 1), "q3": round(q3, 1),
-            "iqr": round(q3 - q1, 1)}
+    return stats_digest(one_pass(mix_config(name), mix_ops(name))[0])
 
 
 def measure_mix(name: str, repeats: int = REPEATS) -> Dict[str, object]:
-    ops = mix_ops(name)
+    ops, config = mix_ops(name), mix_config(name)
     per_access: List[float] = []
     digests = set()
     hierarchy = None
     for _ in range(repeats):
         overhead = _timed_pass(_noop, ops)
-        hierarchy, seconds = one_pass(ops)
+        hierarchy, seconds = one_pass(config, ops)
         digests.add(stats_digest(hierarchy))
         per_access.append((seconds - overhead) * 1e9 / len(ops))
     if len(digests) != 1:
@@ -147,17 +213,19 @@ def measure_mix(name: str, repeats: int = REPEATS) -> Dict[str, object]:
     l1_hits = sum(value for key, value in hits.items() if key.startswith("hits_"))
     return {"accesses": len(ops), "stats_sha256": digests.pop(),
             "l1_hit_share": round(l1_hits / len(ops), 3),
-            "ns_per_access": summary(per_access)}
+            "ns_per_access": per_access}
 
 
 def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
     data = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
     section = data.get("memhier") or {"mixes": {}}
+    start_side(section, side, section["mixes"].values())
     section.update({
-        "schema": "memhier_access/v1",
+        "schema": "memhier_access/v2",
         "layer": "memhier.access: MemoryHierarchy.access_value (caches, prefetchers, DRAM)",
-        "config": "SystemConfig() L1/L2/L3, prefetchers and DRAM; fresh per repeat",
-        "accesses_per_mix": ACCESSES,
+        "config": "SystemConfig() L1/L2/L3, prefetchers and DRAM (synthetic mixes), "
+                  "the perfbench segments' scaled hierarchy (replays); fresh per repeat",
+        "accesses_per_synthetic_mix": ACCESSES,
         "repeats": repeats,
         "unit": "host ns per access, loop overhead subtracted",
         "host": {"python": platform.python_version(), "machine": platform.machine()},
@@ -165,20 +233,10 @@ def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
     for name in MIXES:
         measured = measure_mix(name, repeats)
         row = section["mixes"].setdefault(name, {})
-        recorded = row.get("stats_sha256")
-        if recorded is not None and recorded != measured["stats_sha256"]:
-            raise AssertionError(f"{name}: counters differ from the recorded side "
-                                 f"({measured['stats_sha256'][:12]} vs {recorded[:12]})")
-        row.update({"accesses": measured["accesses"],
-                    "stats_sha256": measured["stats_sha256"],
-                    "l1_hit_share": measured["l1_hit_share"],
-                    f"{side}_ns_per_access": measured["ns_per_access"]})
-        if "before_ns_per_access" in row and "after_ns_per_access" in row:
-            before, after = row["before_ns_per_access"], row["after_ns_per_access"]
-            row["speedup"] = round(before["median"] / after["median"], 2)
-            # A difference counts only when the medians are further apart
-            # than the spread of the before runs.
-            row["resolved"] = abs(before["median"] - after["median"]) > before["iqr"]
+        check_counters(row, measured["stats_sha256"], name)
+        row.update({key: measured[key]
+                    for key in ("accesses", "stats_sha256", "l1_hit_share")})
+        keep_run(row, side, "ns_per_access", measured["ns_per_access"])
     data["memhier"] = section
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
     return section
@@ -193,7 +251,8 @@ def main() -> None:
     print(f"wrote the memhier {args.side} side to {BENCH_PATH}")
     for name, row in section["mixes"].items():
         cells = [f"{side} {row[side + '_ns_per_access']['median']:.0f} ns "
-                 f"(IQR {row[side + '_ns_per_access']['iqr']:.0f})"
+                 f"(IQR {row[side + '_ns_per_access']['iqr']:.0f}, "
+                 f"{len(row.get(side + '_runs', []))} runs)"
                  for side in ("before", "after") if side + "_ns_per_access" in row]
         speedup = f"  {row['speedup']}x" if "speedup" in row else ""
         print(f"  {name:12s} L1 hits {row['l1_hit_share']:.0%}  "

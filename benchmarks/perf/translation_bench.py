@@ -31,11 +31,8 @@ anything.  The record goes to ``benchmarks/perf/BENCH_perf.json`` under
 ``"translation"``; ``--side`` names which side of a change the imported
 ``repro`` is, and a side whose counters differ from the other side's
 record is refused.  One run on this host can be off by 20 %, so every run
-of a side is kept (``<side>_runs``, its per-repeat samples) and the
-side's median and quartiles are taken over all of them.  A side whose
-``repro`` sources differ from the ones its kept runs measured
-(``<side>_source``, a sha256 of the package's files) starts afresh.
-Alternate the sides from the repo root::
+of a side is kept and a side whose ``repro`` sources changed starts
+afresh (see ``sides.py``).  Alternate the sides from the repo root::
 
     PYTHONPATH=src python benchmarks/perf/translation_bench.py --side after
     PYTHONPATH=<parent checkout>/src python benchmarks/perf/translation_bench.py --side before
@@ -49,12 +46,11 @@ import hashlib
 import json
 import platform
 import random
-import statistics
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-import repro
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import PageTableConfig, SystemConfig, scaled_system_config
 from repro.core.virtuoso import Virtuoso
@@ -63,6 +59,9 @@ from repro.mmu.mmu import MMU
 from repro.mmu.tlb import TLBHierarchy
 from repro.pagetables.radix import RadixPageTable
 from repro.workloads.registry import build_workload
+
+sys.path.insert(0, str(Path(__file__).parent))
+from sides import check_counters, keep_run, start_side  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_perf.json"
 
@@ -192,12 +191,6 @@ def walk_digest(kind: str) -> str:
     return walk_pass(kind)[0]
 
 
-def summary(samples: List[float]) -> Dict[str, float]:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": round(median, 1), "q1": round(q1, 1), "q3": round(q3, 1),
-            "iqr": round(q3 - q1, 1)}
-
-
 def measure_mix(name: str, repeats: int = REPEATS) -> Dict[str, object]:
     ops = mix_ops(name)
     per_access: List[float] = []
@@ -233,45 +226,15 @@ def _merge(row: Dict[str, object], measured: Dict[str, object], side: str,
            metric: str, label: str) -> None:
     """Add one run's samples to ``side`` of ``row`` and summarise the side
     over every run it keeps."""
-    recorded = row.get("stats_sha256")
-    if recorded is not None and recorded != measured["stats_sha256"]:
-        raise AssertionError(f"{label}: counters differ from the recorded side "
-                             f"({measured['stats_sha256'][:12]} vs {recorded[:12]})")
+    check_counters(row, measured["stats_sha256"], label)
     row.update({key: value for key, value in measured.items() if key != metric})
-    runs = row.setdefault(f"{side}_runs", [])
-    runs.append(measured[metric])
-    row[f"{side}_{metric}"] = summary([sample for run in runs for sample in run])
-    if f"before_{metric}" in row and f"after_{metric}" in row:
-        before, after = row[f"before_{metric}"], row[f"after_{metric}"]
-        row["speedup"] = round(before["median"] / after["median"], 2)
-        # A difference counts only when the medians are further apart
-        # than the spread of the before runs.
-        row["resolved"] = abs(before["median"] - after["median"]) > before["iqr"]
-    else:
-        row.pop("speedup", None)
-        row.pop("resolved", None)
-
-
-def source_digest() -> str:
-    """sha256 of the imported ``repro`` package's source files."""
-    root = Path(repro.__file__).parent
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+    keep_run(row, side, metric, measured[metric])
 
 
 def record(side: str, repeats: int = REPEATS) -> Dict[str, object]:
     data = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
     section = data.get("translation") or {"mixes": {}, "walks": {}}
-    source = source_digest()
-    if section.get(f"{side}_source") != source:
-        # The side's kept runs measured other code: start it afresh.
-        for row in (*section["mixes"].values(), *section["walks"].values()):
-            for key in [key for key in row if key.startswith(f"{side}_")]:
-                del row[key]
-    section[f"{side}_source"] = source
+    start_side(section, side, (*section["mixes"].values(), *section["walks"].values()))
     section.update({
         "schema": "translation/v1",
         "layers": "mmu.access: MMU.access_data_fast; pagetables.walk: PageTableBase.walk",

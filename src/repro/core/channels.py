@@ -10,7 +10,9 @@ answered with a response plus an injected instruction stream.  This keeps
 the methodology observable (the channel statistics are what Fig. 11/12's
 overhead analysis is based on) and lets tests exercise the protocol.
 Injected streams travel as run-length
-:class:`~repro.core.instructions.KernelInstructionBatch` records.
+:class:`~repro.core.instructions.KernelInstructionBatch` records: one per
+kernel op's memory touches, one per run of plain compute, one per bulk
+(rep-prefixed) instruction.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class InstructionStreamChannel:
     switch back to the application stream, mirroring §4.2's execution flow.
 
     Streams travel as run-length :class:`KernelInstructionBatch` records;
-    the ``instructions`` counter counts instructions, not records.
+    the ``instructions`` counter counts instructions (``len(batch)``: each
+    touch and every instruction of a compute run), not records.
 
     Every stream carries a *destination core index* (0 in single-core
     systems).  A multi-core coupling tags each handler stream with the core

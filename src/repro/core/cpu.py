@@ -34,6 +34,7 @@ from repro.core.instructions import (
     OP_LOAD,
     OP_REP,
     OP_STORE,
+    OP_TOUCHES,
     InstructionBatch,
     KernelInstructionBatch,
 )
@@ -104,9 +105,20 @@ def add_repeated(x: float, n: int, c: float) -> Tuple[float, float, float, float
 
 
 #: :func:`add_repeated` for the kernel loop, memoised: a batch's total
-#: restarts at 0.0 and the same handlers recur, so about four in five of
-#: the runs that leave a binade repeat an earlier ``(x, n, c)`` exactly.
+#: restarts at 0.0 and the same handlers recur, so most of the runs that
+#: leave a binade repeat an earlier ``(x, n, c)`` exactly.
 _charge_run = lru_cache(maxsize=2048)(add_repeated)
+
+
+def _charge(x: float, n: int, c: float, lo: float, hi: float,
+            step: float) -> Tuple[float, float, float, float]:
+    """:func:`add_repeated` for an ``x`` whose binade :func:`add_repeated`
+    last gave as ``(lo, hi, step)``: one multiply, one add and a compare
+    while the sum stays in it (and none for ``n == 0``)."""
+    charged = x + n * step
+    if lo <= x and charged < hi or n == 0:
+        return charged, lo, hi, step
+    return _charge_run(x, n, c)
 
 
 @dataclass(slots=True)
@@ -251,13 +263,21 @@ class CoreModel:
         Kernel instructions bypass the application's page table (the kernel
         runs out of the direct map) but share the caches and DRAM, so their
         memory accesses are issued straight into the memory hierarchy with
-        the ``KERNEL`` request type and the record's PC.
+        the ``kernel`` request type (``kernel_zero`` for a store) and the
+        touch's PC.
 
-        A compute run of ``n`` adds ``base_cpi`` ``n`` times, in order, to
+        A touch record's touches run in order, each after its compute run
+        and at the next PC slot.  A compute run of ``n`` (a touch's or an
+        ``OP_ALU`` record's) adds ``base_cpi`` ``n`` times, in order, to
         both accumulators: ``n * base_cpi`` would round differently, and
-        the float sums are part of every report.  Each accumulator keeps its
-        current binade ``(lo, hi, step)`` from :func:`add_repeated`, so a
-        run that stays inside it costs one multiply, one add and a compare.
+        the float sums are part of every report.  So does a store, and a
+        load whose latency the window hides; only a load's exposed latency
+        and a REP add anything else.  The ``base_cpi`` adds between two
+        such adds are counted (``pending``) and made as one run, through
+        :func:`add_repeated`, which gives exactly the in-order sum.  Each
+        accumulator keeps its current binade ``(lo, hi, step)`` from it,
+        so a run that stays inside costs one multiply, one add and a
+        compare.
 
         The cycles the batch consumed are *returned* but not added to the
         core's cycle count here: the MMU reports them back as the fault
@@ -275,44 +295,55 @@ class CoreModel:
         if cpi != base_cpi:
             kernel_lo, kernel_hi, kernel_step = _NO_BINADE
         magic_count = 0
+        #: ``base_cpi`` adds not yet made to the two accumulators.
+        pending = 0
         for op, value, pc in zip(batch.kinds, batch.values, batch.pcs):
             if op == OP_ALU:
-                charged = consumed_total + value * total_step
-                if total_lo <= consumed_total and charged < total_hi:
-                    consumed_total = charged
-                else:
-                    consumed_total, total_lo, total_hi, total_step = \
-                        _charge_run(consumed_total, value, base_cpi)
-                charged = kernel_cycles + value * kernel_step
-                if kernel_lo <= kernel_cycles and charged < kernel_hi:
-                    kernel_cycles = charged
-                else:
-                    kernel_cycles, kernel_lo, kernel_hi, kernel_step = \
-                        _charge_run(kernel_cycles, value, base_cpi)
-            elif op == OP_LOAD:
-                consumed = base_cpi
-                latency = access_value(value, False, "kernel", pc)
-                served_by = memory.last_served_by
-                if served_by != "L1" and served_by != "none":
-                    exposed = latency - 4
-                    if exposed > 0:
-                        consumed += exposed * exposed_fraction
-                consumed_total += consumed
-                kernel_cycles += consumed
-            elif op == OP_STORE:
-                # Page-zeroing stores stream through the write-combining
-                # path: the rep-counted zeroing instruction carries their
-                # cost; the access still pollutes the caches and DRAM.
-                access_value(value, True, "kernel_zero", pc)
-                consumed_total += base_cpi
-                kernel_cycles += base_cpi
+                pending += value
+            elif op == OP_TOUCHES:
+                touches, run = value
+                for address, is_write in touches:
+                    if is_write:
+                        # Page-zeroing stores stream through the
+                        # write-combining path: the rep-counted zeroing
+                        # instruction carries their cost; the access still
+                        # pollutes the caches and DRAM.
+                        access_value(address, True, "kernel_zero", pc)
+                        pending += run + 1
+                    else:
+                        latency = access_value(address, False, "kernel", pc)
+                        served_by = memory.last_served_by
+                        if latency <= 4 or served_by == "L1" or served_by == "none":
+                            pending += run + 1
+                        else:
+                            # The run, then the load's exposed latency.
+                            consumed_total, total_lo, total_hi, total_step = _charge(
+                                consumed_total, pending + run, base_cpi,
+                                total_lo, total_hi, total_step)
+                            kernel_cycles, kernel_lo, kernel_hi, kernel_step = _charge(
+                                kernel_cycles, pending + run, base_cpi,
+                                kernel_lo, kernel_hi, kernel_step)
+                            pending = 0
+                            consumed = base_cpi + (latency - 4) * exposed_fraction
+                            consumed_total += consumed
+                            kernel_cycles += consumed
+                    pc += 4
             elif op == OP_REP:
                 # Bulk (rep-prefixed) work: one cycle per repetition.
+                consumed_total, total_lo, total_hi, total_step = _charge(
+                    consumed_total, pending, base_cpi, total_lo, total_hi, total_step)
+                kernel_cycles, kernel_lo, kernel_hi, kernel_step = _charge(
+                    kernel_cycles, pending, base_cpi, kernel_lo, kernel_hi, kernel_step)
+                pending = 0
                 consumed = float(value)
                 consumed_total += consumed
                 kernel_cycles += consumed
             else:  # OP_MAGIC
                 magic_count += 1
+        consumed_total = _charge(consumed_total, pending, base_cpi,
+                                 total_lo, total_hi, total_step)[0]
+        kernel_cycles, kernel_lo, kernel_hi, kernel_step = _charge(
+            kernel_cycles, pending, base_cpi, kernel_lo, kernel_hi, kernel_step)
         kernel_count = len(batch) - magic_count
         self.kernel_instructions += kernel_count
         self.breakdown.kernel_cycles = kernel_cycles

@@ -17,7 +17,8 @@ latency.  Sequences travel as parallel arrays:
   (:meth:`InstructionBatch.iter_instructions`) for trace frontends and
   tests.
 * :class:`KernelInstructionBatch` — the kernel-path analogue as run-length
-  records: one per load or store, one per run of plain compute, one per
+  records: one per kernel op's memory touches (with the compute run
+  before each touch), one per run of plain compute, one per
   ``rep``-prefixed bulk instruction (page zeroing) and MAGIC terminators.
   :meth:`CoreModel.execute_kernel_batch
   <repro.core.cpu.CoreModel.execute_kernel_batch>` walks the records.
@@ -47,12 +48,15 @@ class InstructionKind(str, Enum):
 #: first four; ``OP_MAGIC`` (the stream terminator) and ``OP_REP`` (a
 #: repeat-counted bulk ALU instruction, e.g. ``rep stos`` page zeroing)
 #: appear in kernel batches only and never carry a memory operand.
+#: ``OP_TOUCHES`` is a kernel-batch record kind, not an instruction: the
+#: loads and stores of one kernel op (see :class:`KernelInstructionBatch`).
 OP_ALU = 0
 OP_BRANCH = 1
 OP_LOAD = 2
 OP_STORE = 3
 OP_MAGIC = 4
 OP_REP = 5
+OP_TOUCHES = 6
 
 KIND_TO_OP = {
     InstructionKind.ALU: OP_ALU,
@@ -128,18 +132,25 @@ class KernelInstructionBatch:
     """A MimicOS instruction stream stored as run-length records.
 
     Most kernel instructions are plain compute, which needs no PC or
-    operand, so the stream keeps one record per *run* of them.  Records sit
-    in program order in parallel lists; ``kinds[i]`` says what
-    ``values[i]`` holds:
+    operand, so the stream keeps one record per *run* of them, and one
+    record for all the loads and stores of a kernel op.  Records sit in
+    program order in parallel lists; ``kinds[i]`` says what ``values[i]``
+    holds:
 
-    * ``OP_LOAD``/``OP_STORE`` -- the address; ``pcs[i]`` is the PC the
-      prefetchers train on (0 in every other record);
+    * ``OP_TOUCHES`` -- ``(touches, run)``: the op's ``(address,
+      is_write)`` list (the op's own ``memory_touches``, shared, not
+      copied) and the length of the compute run before *each* touch;
+      ``pcs[i]`` is the first touch's PC and touch ``k`` has PC ``pcs[i]
+      + 4 * k``, the PC the prefetchers train on (0 in every other
+      record).  A write is a ``kernel_zero`` store, a read a ``kernel``
+      load;
     * ``OP_ALU`` -- the length of a run of ALU/branch instructions;
     * ``OP_REP`` -- the repeat count of one rep-prefixed bulk instruction;
     * ``OP_MAGIC`` -- nothing; it terminates the stream.
 
-    ``len(batch)`` counts instructions, not records: a run counts its
-    length, a REP or MAGIC record one.
+    ``len(batch)`` counts instructions, not records: a touch record counts
+    its touches and their runs, a run its length, a REP or MAGIC record
+    one.
     """
 
     __slots__ = ("name", "kinds", "values", "pcs", "instructions")
@@ -147,7 +158,7 @@ class KernelInstructionBatch:
     def __init__(self, name: str = "kernel") -> None:
         self.name = name
         self.kinds: List[int] = []
-        self.values: List[int] = []
+        self.values: List[object] = []
         self.pcs: List[int] = []
         self.instructions = 0
 
@@ -158,9 +169,10 @@ class KernelInstructionBatch:
                repeat: int = 1) -> None:
         """Add one kernel instruction given its integer opcode.
 
-        Exactly the loads and stores carry an ``address``; a ``repeat`` above
-        one makes an ALU/branch instruction an ``OP_REP`` record.  Anything
-        else raises ``ValueError``.
+        Exactly the loads and stores carry an ``address``, and each becomes
+        a one-touch ``OP_TOUCHES`` record with no compute run; a
+        ``repeat`` above one makes an ALU/branch instruction an ``OP_REP``
+        record.  Anything else raises ``ValueError``.
         """
         is_memory = op == OP_LOAD or op == OP_STORE
         if is_memory != (address is not None) or not OP_ALU <= op <= OP_MAGIC:
@@ -169,8 +181,10 @@ class KernelInstructionBatch:
             raise ValueError(f"repeat counts are compute-only, not for opcode {op}")
         if op <= OP_BRANCH:
             op, value, pc = (OP_REP, repeat, 0) if repeat > 1 else (OP_ALU, 1, 0)
+        elif is_memory:
+            op, value = OP_TOUCHES, ([(address, op == OP_STORE)], 0)
         else:
-            value, pc = (address, pc) if is_memory else (0, 0)
+            value, pc = 0, 0
         self.kinds.append(op)
         self.values.append(value)
         self.pcs.append(pc)
@@ -179,4 +193,5 @@ class KernelInstructionBatch:
     @property
     def memory_instructions(self) -> int:
         """Number of loads and stores in the batch."""
-        return self.kinds.count(OP_LOAD) + self.kinds.count(OP_STORE)
+        return sum(len(value[0]) for kind, value in zip(self.kinds, self.values)
+                   if kind == OP_TOUCHES)

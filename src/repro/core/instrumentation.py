@@ -23,16 +23,17 @@ reuse of the existing emulation frontend).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, Tuple
 
 from repro.common.stats import Counter
 from repro.core.instructions import (
     OP_ALU,
-    OP_LOAD,
-    OP_STORE,
+    OP_REP,
+    OP_TOUCHES,
     KernelInstructionBatch,
 )
-from repro.mimicos.ops import KernelOp, KernelRoutineTrace
+from repro.mimicos.ops import KernelRoutineTrace
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,10 @@ class InstrumentationTool:
     #: instruction charged a cycle per repeat.  It no longer bounds stream
     #: size (a run is one record); the digests depend on that charging.
     MAX_COMPUTE_PER_OP = 8192
+    #: Operations expanded as bulk (rep-prefixed) work: the sampled memory
+    #: touches are emitted normally and the compute cost is carried by a
+    #: single repeat-counted instruction, charged one cycle per repeat.
+    _BULK_OPERATIONS = frozenset({"zero_page"})
 
     def __init__(self, mode: str = "online", full_system_factor: float = 1.0):
         if mode not in ("online", "offline", "reuse_emulation"):
@@ -99,84 +104,44 @@ class InstrumentationTool:
         :class:`~repro.core.instructions.KernelInstructionBatch`), executed
         as-is by :meth:`CoreModel.execute_kernel_batch
         <repro.core.cpu.CoreModel.execute_kernel_batch>`.
+
+        Each op gives at most three records, in this order: its touches
+        (each after a compute run), the rest of its compute, and its bulk
+        (rep-prefixed) remainder.  Touch ``i`` of an op gets PC ``pc + 4 *
+        i``, and the PC after the last touch advances by one slot per
+        instruction of the rest of the compute (by one slot for a bulk op).
         """
         batch = KernelInstructionBatch(name=trace.routine)
-        pc = self.KERNEL_PC_BASE
-        for op in trace.ops:
-            pc = self._expand_op(op, batch, pc)
-        self.counters.add("routines_instrumented")
-        self.counters.add("instructions_generated", len(batch))
-        return batch
-
-    #: Operations expanded as bulk (rep-prefixed) work: the sampled memory
-    #: touches are emitted normally and the compute cost is carried by a
-    #: single repeat-counted instruction, charged one cycle per repeat.
-    _BULK_OPERATIONS = {"zero_page"}
-
-    def _expand_op(self, op: KernelOp, batch: KernelInstructionBatch, pc: int) -> int:
-        """Append one op's records and return the next op's PC: touch ``i``
-        gets PC ``pc + 4 * i``, and of the compute runs only the one after
-        the last touch advances the next op's start."""
-        if op.name in self._BULK_OPERATIONS:
-            return self._expand_bulk_op(op, batch, pc)
-        mix = _OPERATION_MIXES.get(op.name, _DEFAULT_MIX)
-        alu_count = int(round(mix.fixed_overhead
-                              + op.work_units * mix.alu_per_work_unit
-                              * self.full_system_factor))
-        branch_count = int(round(op.work_units * mix.branch_per_work_unit
-                                 * self.full_system_factor))
-        # Past the cap, the op's remaining compute is one repeat-counted
-        # instruction below, charged a cycle per repeat.
-        bulk_remainder = 0
-        if alu_count + branch_count > self.MAX_COMPUTE_PER_OP:
-            bulk_remainder = alu_count + branch_count - self.MAX_COMPUTE_PER_OP
-            scale = self.MAX_COMPUTE_PER_OP / (alu_count + branch_count)
-            alu_count = int(alu_count * scale)
-            branch_count = int(branch_count * scale)
-
-        # Interleave compute runs with the memory accesses so the injected
-        # stream looks like real kernel code rather than a burst.
-        total_compute = alu_count + branch_count
-        touches = op.memory_touches
-        run = max(0, total_compute // (len(touches) + 1)) if touches else 0
-        pc = self._emit_touches(batch, touches, pc, run)
-        remaining = total_compute - run * len(touches)
-        self._emit_compute(batch, remaining)
-        if bulk_remainder > 0:
-            batch.append(OP_ALU, pc, repeat=bulk_remainder)
-        return pc + 4 * max(0, remaining)
-
-    def _expand_bulk_op(self, op: KernelOp, batch: KernelInstructionBatch, pc: int) -> int:
-        """Expand a bulk operation (page zeroing) into touches + one rep instruction."""
-        pc = self._emit_touches(batch, op.memory_touches, pc, 0)
-        batch.append(OP_ALU, pc, repeat=max(1, int(op.work_units * self.full_system_factor)))
-        return pc + 4
-
-    @staticmethod
-    def _emit_touches(batch: KernelInstructionBatch, touches, pc: int, run: int) -> int:
-        """Append each touch at the next PC slot, after a compute run of
-        ``run`` instructions (none if zero); returns the next PC."""
         kinds, values, pcs = batch.kinds, batch.values, batch.pcs
-        for address, is_write in touches:
-            if run:
+        factor = self.full_system_factor
+        pc = self.KERNEL_PC_BASE
+        instructions = 0
+        for op in trace.ops:
+            touches = op.memory_touches
+            count = len(touches)
+            run, compute, repeat, advance = _op_plan(op.name, op.work_units, count, factor)
+            if count:
+                kinds.append(OP_TOUCHES)
+                values.append((touches, run))
+                pcs.append(pc)
+                pc += 4 * count
+                instructions += count * (run + 1)
+            if compute:
                 kinds.append(OP_ALU)
-                values.append(run)
+                values.append(compute)
                 pcs.append(0)
-            kinds.append(OP_STORE if is_write else OP_LOAD)
-            values.append(address)
-            pcs.append(pc)
-            pc += 4
-        batch.instructions += len(touches) * (run + 1)
-        return pc
-
-    @staticmethod
-    def _emit_compute(batch: KernelInstructionBatch, count: int) -> None:
-        """Append one run of ``count`` compute instructions (none if zero)."""
-        if count > 0:
-            batch.kinds.append(OP_ALU)
-            batch.values.append(count)
-            batch.pcs.append(0)
-            batch.instructions += count
+                instructions += compute
+            if repeat:
+                # A repeat of one is a plain compute run of one.
+                kinds.append(OP_REP if repeat > 1 else OP_ALU)
+                values.append(repeat)
+                pcs.append(0)
+                instructions += 1
+            pc += advance
+        batch.instructions = instructions
+        self.counters.add("routines_instrumented")
+        self.counters.add("instructions_generated", instructions)
+        return batch
 
     # ------------------------------------------------------------------ #
     # Host-cost accounting (used by the Fig. 11 overhead model)
@@ -197,3 +162,36 @@ class InstrumentationTool:
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()
+
+
+@lru_cache(maxsize=4096)
+def _op_plan(name: str, work_units: int, touches: int,
+             factor: float) -> Tuple[int, int, int, int]:
+    """How an op named ``name`` with ``touches`` memory touches expands:
+    ``(run, compute, repeat, advance)``, the compute run before each
+    touch, the compute run after the last touch (0: none), the repeat
+    count of the bulk instruction (0: none) and the PC slots, in bytes,
+    that the op's end advances past its last touch.
+
+    Past :attr:`InstrumentationTool.MAX_COMPUTE_PER_OP`, an op's remaining
+    compute is one repeat-counted instruction, charged a cycle per repeat.
+    Bulk operations (page zeroing) carry all their compute that way.
+    """
+    if name in InstrumentationTool._BULK_OPERATIONS:
+        return 0, 0, max(1, int(work_units * factor)), 4
+    mix = _OPERATION_MIXES.get(name, _DEFAULT_MIX)
+    alu_count = int(round(mix.fixed_overhead + work_units * mix.alu_per_work_unit * factor))
+    branch_count = int(round(work_units * mix.branch_per_work_unit * factor))
+    cap = InstrumentationTool.MAX_COMPUTE_PER_OP
+    bulk_remainder = 0
+    if alu_count + branch_count > cap:
+        bulk_remainder = alu_count + branch_count - cap
+        scale = cap / (alu_count + branch_count)
+        alu_count = int(alu_count * scale)
+        branch_count = int(branch_count * scale)
+    # Interleave compute runs with the memory accesses so the injected
+    # stream looks like real kernel code rather than a burst.
+    total_compute = alu_count + branch_count
+    run = max(0, total_compute // (touches + 1)) if touches else 0
+    compute = max(0, total_compute - run * touches)
+    return run, compute, bulk_remainder, 4 * compute

@@ -81,6 +81,13 @@ class Cache:
         self._types: List[List[Optional[str]]] = [[None] * ways for _ in sets]
         self._meta: List[List[int]] = [[0] * ways for _ in sets]
         self._age: List[int] = [0] * self.num_sets
+        #: SRRIP: per set, the way the last victim choice took and the
+        #: maximum stored value it found there (None: choose by a full scan).
+        self._victims: List[int] = [0] * self.num_sets
+        self._tops: List[Optional[int]] = [None] * self.num_sets
+        #: Whether a line was invalidated since the sets were cleared: until
+        #: one is, the valid ways of every set are exactly its first ones.
+        self._holes = False
 
     def _cells_for(self, request_type: str) -> Tuple[List[int], List[int]]:
         accesses = ("accesses_" + request_type,)
@@ -99,10 +106,13 @@ class Cache:
         The access latency is always ``self.latency`` for this level; the
         memory hierarchy adds the next level's latency on a miss.
         :meth:`repro.memhier.memory_system.MemoryHierarchy.access_value`
-        writes this path out in place for its L1, so a change here must be
-        made there too (``tests/test_cache_oracle.py`` checks both).
+        writes this path out in place for its L1 and again, in one loop,
+        for its L2 and L3, so a change here must be made in both places
+        there too (``tests/test_cache_oracle.py`` checks all three).  Only
+        LRU stamps read the access clock, so SRRIP does not advance it.
         """
-        self._access_clock += 1
+        if self._lru:
+            self._access_clock += 1
         block = address // self.line_size
         set_index = block % self.num_sets
 
@@ -167,6 +177,7 @@ class Cache:
         if way is None:
             return False
         self._blocks[set_index][way] = None
+        self._holes = True
         self._removals += 1
         self.counters.add("invalidations")
         return True
@@ -186,7 +197,8 @@ class Cache:
         meta = self._meta[set_index]
         types = self._types[set_index]
         if len(way_map) < self.associativity:
-            way = blocks.index(None)      # the first invalid way
+            # The first invalid way.
+            way = blocks.index(None) if self._holes else len(way_map)
         else:
             way = self._choose_victim(set_index)
             del way_map[blocks[way]]
@@ -210,16 +222,31 @@ class Cache:
             meta[way] = self.SRRIP_INSERT_RRPV - self._age[set_index]
 
     def _choose_victim(self, set_index: int) -> int:
-        """The way a miss-fill evicts from a full set (one C-level pass)."""
+        """The way a miss-fill evicts from a full set.
+
+        LRU takes the first way with the oldest stamp (one C-level pass).
+        SRRIP ages every line until one reaches the maximum RRPV and takes
+        the first such line: one offset update and a first-max, the *aging
+        epoch's* ``top``.  Until the next victim choice, every hit or fill
+        stores a value below ``top`` (the age is unchanged and neither
+        stores the maximum RRPV), and no way before the victim ``v`` held
+        ``top``.  So while a way still holds ``top``, the next victim is
+        the first one after ``v``, found without a scan of the set, and the
+        age stays; only when none is left does a new epoch scan.
+        """
         meta = self._meta[set_index]
         if self._lru:
             # Stamps, not repro.common.lru: fills reuse the clock, so ties go by way order.
             return meta.index(min(meta))
-        # SRRIP: aging every line until one reaches the maximum RRPV, then
-        # taking the first such line, is one offset update and a first-max.
-        top = max(meta)
-        self._age[set_index] = self.SRRIP_MAX_RRPV - top
-        return meta.index(top)
+        top = self._tops[set_index]
+        try:
+            way = meta.index(top, self._victims[set_index] + 1)
+        except ValueError:
+            top = self._tops[set_index] = max(meta)
+            self._age[set_index] = self.SRRIP_MAX_RRPV - top
+            way = meta.index(top)
+        self._victims[set_index] = way
+        return way
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -38,8 +38,14 @@ class MemoryAccessType(str, Enum):
 _TYPE_VALUES: Dict[str, str] = {member: member.value for member in MemoryAccessType}
 
 
+#: One level below the L1 on a request type's route: the cache, its
+#: ``hits_<type>``/``misses_<type>`` cells, the name :attr:`MemoryHierarchy.
+#: last_served_by` gives a hit there, and the prefetcher a hit trains (None:
+#: none).
+_Level = Tuple[Cache, List[int], List[int], str, Optional[Prefetcher]]
+
 #: A request type's hot cells, built on its first access (see ``_routes``).
-_Route = Tuple[List[int], List[int], List[int], bool]
+_Route = Tuple[List[int], List[int], List[int], bool, Tuple[_Level, _Level]]
 
 
 class MemoryHierarchy:
@@ -77,8 +83,9 @@ class MemoryHierarchy:
         self._c_l2_prefetches = self.counters.hot("l2_prefetches")
         #: request-type string -> (``requests_<type>`` cell, the L1's
         #: ``hits_<type>``/``misses_<type>`` cells, whether the type trains
-        #: the prefetchers); one lookup per access.  ``requests`` is the sum
-        #: of the ``requests_<type>`` counters, written when they are read.
+        #: the prefetchers, the L2 and L3 steps as :data:`_Level`); one
+        #: lookup per access.  ``requests`` is the sum of the
+        #: ``requests_<type>`` counters, written when they are read.
         self._routes: Dict[str, _Route] = {}
         #: The level that served the most recent :meth:`access_value` call.
         self.last_served_by = "none"
@@ -120,10 +127,14 @@ class MemoryHierarchy:
     # Access path
     # ------------------------------------------------------------------ #
     def _route(self, access_type: str) -> _Route:
-        hits, misses = self.l1._cells_for(access_type)   # the cells access_bool uses
+        trains = access_type != "prefetch"
+        # The cells access_bool uses; an L3 hit trains no prefetcher.
+        lower = ((self.l2, *self.l2._cells_for(access_type), "L2",
+                  self.l2_prefetcher if trains else None),
+                 (self.l3, *self.l3._cells_for(access_type), "L3", None))
         route = self._routes[access_type] = (
-            self.counters.hot("requests_" + access_type, part_of=("requests",)), hits, misses,
-            access_type != "prefetch")
+            self.counters.hot("requests_" + access_type, part_of=("requests",)),
+            *self.l1._cells_for(access_type), trains, lower)
         return route
 
     @property
@@ -144,14 +155,18 @@ class MemoryHierarchy:
         The L1 lookup is :meth:`Cache.access_bool` written out in place
         (same clock, stamp, dirty bit and counter cells), so an L1 hit costs
         this one call plus the prefetchers' training; a miss fills the L1
-        through :meth:`Cache._fill` and goes on to L2, L3 and DRAM.
-        Prefetch requests do not train the prefetchers, and an L3 hit
-        trains neither.
+        through :meth:`Cache._fill`.  The L2 and L3 lookups are
+        :meth:`Cache.access_bool` written out once more, as one loop over
+        the two levels of the route, and a miss in both goes to DRAM.
+        ``access_bool``, the L1 step and the loop must change together
+        (``tests/test_cache_oracle.py`` checks all three).  Prefetch
+        requests do not train the prefetchers, and an L3 hit trains
+        neither; a training that issues nothing adds nothing.
         """
         route = self._routes.get(access_type)
         if route is None:
             route = self._route(access_type)
-        requests, hits, misses, trains = route
+        requests, hits, misses, trains, lower = route
         requests[0] += 1
 
         l1 = self.l1
@@ -170,31 +185,49 @@ class MemoryHierarchy:
             self.last_served_by = "L1"
             if trains:
                 if self.l1_prefetcher is not None:
-                    self._c_l1_prefetches[0] += self.l1_prefetcher.train(address, pc)
+                    issued = self.l1_prefetcher.train(address, pc)
+                    if issued:
+                        self._c_l1_prefetches[0] += issued
                 if self.l2_prefetcher is not None:
-                    self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
+                    issued = self.l2_prefetcher.train(address, pc)
+                    if issued:
+                        self._c_l2_prefetches[0] += issued
             return l1.latency
         misses[0] += 1
         l1._fill(set_index, block, is_write, access_type)
 
-        l2 = self.l2
-        latency = l1.latency + l2.latency
-        if l2.access_bool(address, is_write, access_type):
-            self.last_served_by = "L2"
-            if trains and self.l2_prefetcher is not None:
-                self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
-            return latency
-
-        l3 = self.l3
-        latency += l3.latency
-        if l3.access_bool(address, is_write, access_type):
-            self.last_served_by = "L3"
-            return latency
+        latency = l1.latency
+        for cache, level_hits, level_misses, served_by, prefetcher in lower:
+            latency += cache.latency
+            block = address // cache.line_size
+            set_index = block % cache.num_sets
+            way = cache._way_maps[set_index].get(block)
+            if way is not None:
+                level_hits[0] += 1
+                if cache._lru:
+                    clock = cache._access_clock = cache._access_clock + 1
+                    cache._meta[set_index][way] = clock
+                else:
+                    cache._meta[set_index][way] = -cache._age[set_index]
+                if is_write:
+                    cache._dirty[set_index][way] = True
+                self.last_served_by = served_by
+                if prefetcher is not None:
+                    issued = prefetcher.train(address, pc)
+                    if issued:
+                        self._c_l2_prefetches[0] += issued
+                return latency
+            level_misses[0] += 1
+            if cache._lru:
+                cache._access_clock += 1
+            cache._fill(set_index, block, is_write, access_type)
 
         latency += self.dram.access_value(address, access_type)
         self.last_served_by = "DRAM"
         if trains and self.l2_prefetcher is not None:
-            self._c_l2_prefetches[0] += self.l2_prefetcher.train(address, pc)
+            issued = self.l2_prefetcher.train(address, pc)
+            if issued:
+                self._c_l2_prefetches[0] += issued
         return latency
 
     def access_address(self, address: int, is_write: bool = False,

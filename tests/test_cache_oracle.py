@@ -22,7 +22,7 @@ must every level's final lines and dirty bits.
 from collections import Counter as Tally
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.config import CacheConfig, DRAMConfig, PrefetcherConfig, SystemConfig
 from repro.memhier.cache import Cache
@@ -159,9 +159,18 @@ def divergence(replacement, ways, sets, ops):
     return None
 
 
+#: Four lines fill a four-way SRRIP set at the insert RRPV; the fifth ages
+#: them all to the maximum and evicts way 0; a hit takes way 1 out of that
+#: aging epoch, so the next miss must evict way 2, the next way still at
+#: the maximum, not way 1.  Random op lists rarely fill a set and then hit
+#: behind the victim before the next miss, so this one is always run.
+SRRIP_EPOCH_OPS = [("read", line, "data") for line in (0, 1, 2, 3, 4, 1, 5, 6)]
+
+
 @given(replacement=st.sampled_from(["lru", "srrip"]),
        ways=st.integers(min_value=1, max_value=16),
        sets=st.sampled_from([1, 2, 4]), ops=OPS)
+@example(replacement="srrip", ways=4, sets=1, ops=SRRIP_EPOCH_OPS)
 @settings(max_examples=300, deadline=None)
 def test_cache_matches_line_object_reference(replacement, ways, sets, ops):
     assert divergence(replacement, ways, sets, ops) is None

@@ -18,6 +18,7 @@ from repro.core.instructions import (
     OP_MAGIC,
     OP_REP,
     OP_STORE,
+    OP_TOUCHES,
     Instruction,
     InstructionBatch,
     InstructionKind,
@@ -59,11 +60,13 @@ class TestInstructions:
         assert batch.memory_instructions == 2
 
     def test_kernel_batch_counts_instructions_not_records(self):
-        batch = kernel_batch((OP_ALU, None, 1), (OP_LOAD, 0x40, 1), (OP_ALU, None, 7))
-        assert (len(batch), len(batch.kinds)) == (3, 3)
-        assert batch.kinds == [OP_ALU, OP_LOAD, OP_REP]
-        assert batch.values == [1, 0x40, 7]
-        assert batch.pcs == [0, 0, 0]
+        batch = kernel_batch((OP_ALU, None, 1), (OP_LOAD, 0x40, 1), (OP_ALU, None, 7),
+                             (OP_STORE, 0x80, 1))
+        assert (len(batch), len(batch.kinds)) == (4, 4)
+        assert batch.kinds == [OP_ALU, OP_TOUCHES, OP_REP, OP_TOUCHES]
+        assert batch.values == [1, ([(0x40, False)], 0), 7, ([(0x80, True)], 0)]
+        assert batch.pcs == [0, 0, 0, 0]
+        assert batch.memory_instructions == 2
 
     @pytest.mark.parametrize("op", [OP_ALU, OP_MAGIC, OP_REP])
     def test_kernel_batch_rejects_operand_on_non_memory_op(self, op):
@@ -156,9 +159,10 @@ class TestInstrumentation:
         op.touch(0x1000, is_write=True)
         op.touch(0x2000, is_write=False)
         batch = tool.expand_batch(trace)
-        memory_ops = [(op, address) for op, address in zip(batch.kinds, batch.values)
-                      if op in (OP_LOAD, OP_STORE)]
-        assert memory_ops == [(OP_STORE, 0x1000), (OP_LOAD, 0x2000)]
+        records = [(kind, value, pc) for kind, value, pc
+                   in zip(batch.kinds, batch.values, batch.pcs) if kind == OP_TOUCHES]
+        assert records == [(OP_TOUCHES, ([(0x1000, True), (0x2000, False)], 3),
+                            tool.KERNEL_PC_BASE)]
         assert batch.memory_instructions == 2
 
     def test_bulk_zeroing_stays_compact_but_expensive(self):

@@ -13,10 +13,14 @@ passing through an :class:`~repro.core.channels.InstructionStreamChannel`
 on both sides, and every observable must agree exactly: the cycles each
 batch consumed, ``kernel_cycles``, the core's and the channel's counters,
 ``instructions_generated``, the memory hierarchy's ``stats()`` and the
-``(kind, PC, address)`` sequence of the memory operations.
+``(kind, PC, address)`` sequence of the memory operations.  That sequence
+is read where the operations execute, at :meth:`MemoryHierarchy.
+access_value <repro.memhier.memory_system.MemoryHierarchy.access_value>`,
+not from the batch records, so it checks what runs whatever the record
+layout.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +36,7 @@ from repro.core.instructions import (
     OP_MAGIC,
     OP_REP,
     OP_STORE,
-    KernelInstructionBatch,
+    OP_TOUCHES,
 )
 from repro.core.instrumentation import (
     _DEFAULT_MIX,
@@ -228,23 +232,29 @@ def observe(core: CoreModel, channel: InstructionStreamChannel, tool, consumed: 
             "memory_ops": memory_ops}
 
 
-def memory_op_sequence(batch):
-    """The loads and stores as ``(kind, pc, address)``, in order, from
-    either stream layout."""
-    operands = batch.values if hasattr(batch, "values") else batch.addresses
-    return [(op, pc, address) for op, pc, address in zip(batch.kinds, batch.pcs, operands)
-            if op == OP_LOAD or op == OP_STORE]
+def record_memory_ops(memory: MemoryHierarchy) -> List[Tuple[int, int, int]]:
+    """Record every ``access_value`` call on ``memory`` as ``(kind, pc,
+    address)``, in order, into the returned list."""
+    memory_ops: List[Tuple[int, int, int]] = []
+    access_value = memory.access_value
+
+    def recording(address, is_write=False, access_type="data", pc=0):
+        memory_ops.append((OP_STORE if is_write else OP_LOAD, pc, address))
+        return access_value(address, is_write, access_type, pc)
+
+    memory.access_value = recording
+    return memory_ops
 
 
 def run_side(tool, execute, traces) -> List[Dict[str, object]]:
     core, channel = build_core(), InstructionStreamChannel()
+    memory_ops = record_memory_ops(core.memory)
     steps = []
     for trace in traces:
-        batch = tool.expand_batch(trace)
-        memory_ops = memory_op_sequence(batch)
-        channel.push_batch(batch)
+        channel.push_batch(tool.expand_batch(trace))
         consumed = execute(core, channel.pop())
-        steps.append(observe(core, channel, tool, consumed, memory_ops))
+        steps.append(observe(core, channel, tool, consumed, list(memory_ops)))
+        memory_ops.clear()
     return steps
 
 
@@ -315,25 +325,28 @@ def _charge_runs_by_multiply(execute):
 
 
 def _advance_pc_per_run(expand_batch):
-    """Move every memory op one PC slot further per compute run before it."""
+    """Move every touch record one PC slot further per compute run before it."""
     def patched(self, trace):
         batch = expand_batch(self, trace)
         shift = 0
-        for index, kind in enumerate(batch.kinds):
+        for index, (kind, value) in enumerate(zip(batch.kinds, batch.values)):
             if kind == OP_ALU:
                 shift += 4
-            elif kind == OP_LOAD or kind == OP_STORE:
+            elif kind == OP_TOUCHES:
                 batch.pcs[index] += shift
+                if value[1]:
+                    shift += 4
         return batch
     return patched
 
 
-def _count_rep_repeats(append):
+def _count_rep_repeats(expand_batch):
     """Count a REP record as its repeat count in ``len(batch)``."""
-    def patched(self, op, pc, address=None, repeat=1):
-        append(self, op, pc, address, repeat)
-        if repeat > 1:
-            self.instructions += repeat - 1
+    def patched(self, trace):
+        batch = expand_batch(self, trace)
+        batch.instructions += sum(value - 1 for kind, value in zip(batch.kinds, batch.values)
+                                  if kind == OP_REP)
+        return batch
     return patched
 
 
@@ -355,8 +368,8 @@ def test_oracle_catches_a_pc_slot_per_compute_run(monkeypatch):
 
 def test_oracle_catches_counting_rep_repeats_as_instructions(monkeypatch):
     assert divergence(SENSITIVE_TRACES) is None
-    monkeypatch.setattr(KernelInstructionBatch, "append",
-                        _count_rep_repeats(KernelInstructionBatch.append))
+    monkeypatch.setattr(InstrumentationTool, "expand_batch",
+                        _count_rep_repeats(InstrumentationTool.expand_batch))
     found = divergence(SENSITIVE_TRACES)
     assert found is not None and found[1] in ("kernel_instructions", "core", "channel",
                                               "instrumentation")
