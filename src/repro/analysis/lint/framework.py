@@ -25,8 +25,7 @@ The framework is name-based but **whole-program**:
   R2/R4/R5 blind exactly where the real bugs lived (the MimicOS→MMU
   shootdown broadcast, the service→store durability chain, the
   server↔client↔protocol surface); the whole-program graph removes
-  those blind spots.  The intra-module :meth:`RepoIndex.call_graph` is
-  kept for sensitivity tests and as the documented fallback.
+  those blind spots and is the only call graph.
 * every function gets a cached :class:`EffectSummary` (RNG
   constructions, durable writes, invalidations,
   resource acquire/release, fork-hygiene calls), and
@@ -698,12 +697,11 @@ def summarize_function(module: ModuleInfo, func: FunctionInfo) -> EffectSummary:
 
 
 class RepoIndex:
-    """Every parsed module under one scan root, plus shared call graphs."""
+    """Every parsed module under one scan root, plus the whole-program call graph."""
 
     def __init__(self, root: Path, modules: Dict[str, ModuleInfo]):
         self.root = root
         self.modules = modules
-        self._graphs: Dict[str, Dict[str, Set[str]]] = {}
         self._by_dotted: Dict[str, str] = {
             info.dotted: relpath for relpath, info in modules.items()
             if info.dotted}
@@ -795,66 +793,6 @@ class RepoIndex:
     def function(self, gid: GlobalId) -> Optional[FunctionInfo]:
         module = self.modules.get(gid[0])
         return module.functions.get(gid[1]) if module is not None else None
-
-    # -- intra-module call graph --------------------------------------- #
-    def call_graph(self, relpath: str) -> Dict[str, Set[str]]:
-        """qualname -> set of intra-module callee qualnames.
-
-        The PR 9 graph, kept for sensitivity tests and as the documented
-        fallback: ``self.m()`` resolves to the defining class's method
-        ``m`` (or an intra-module base class's), ``self.attr.m()``
-        resolves through the ``__init__`` attribute wiring, and bare
-        ``f()`` resolves to a module-level function — all within one
-        file.  Whole-program rules use :meth:`global_graph` instead.
-        """
-        cached = self._graphs.get(relpath)
-        if cached is not None:
-            return cached
-        module = self.modules[relpath]
-        graph: Dict[str, Set[str]] = {}
-        for qualname, func in module.functions.items():
-            callees: Set[str] = set()
-            for call in func.calls:
-                target = self._resolve(module, func, call)
-                if target is not None:
-                    callees.add(target)
-            graph[qualname] = callees
-        self._graphs[relpath] = graph
-        return graph
-
-    def _method_in_hierarchy(self, module: ModuleInfo, class_name: str,
-                             method: str) -> Optional[str]:
-        seen: Set[str] = set()
-        queue = [class_name]
-        while queue:
-            name = queue.pop(0)
-            if name in seen:
-                continue
-            seen.add(name)
-            cls = module.classes.get(name)
-            if cls is None:
-                continue
-            if method in cls.methods:
-                return f"{name}.{method}"
-            queue.extend(base for base in cls.bases if base in module.classes)
-        return None
-
-    def _resolve(self, module: ModuleInfo, func: FunctionInfo,
-                 call: CallSite) -> Optional[str]:
-        parts = call.dotted.split(".")
-        if parts[0] == "self" and func.class_name:
-            if len(parts) == 2:
-                return self._method_in_hierarchy(module, func.class_name,
-                                                 parts[1])
-            if len(parts) == 3:
-                cls = module.classes.get(func.class_name)
-                owner = cls.attr_classes.get(parts[1]) if cls else None
-                if owner is not None:
-                    return self._method_in_hierarchy(module, owner, parts[2])
-            return None
-        if len(parts) == 1 and parts[0] in module.functions:
-            return parts[0]
-        return None
 
     # -- whole-program call graph -------------------------------------- #
     def _method_global(self, module: ModuleInfo, class_name: str,
@@ -1110,33 +1048,6 @@ class RepoIndex:
                 for gid, comp in component_of.items()}
 
     # -- reachability -------------------------------------------------- #
-    def reaches(self, relpath: str, start: str,
-                predicate: Callable[[FunctionInfo], Optional[int]],
-                ) -> Optional[Tuple[str, int]]:
-        """BFS the intra-module call graph from ``start``.
-
-        ``predicate`` inspects one :class:`FunctionInfo` and returns a
-        witness line (or ``None``).  Returns ``(qualname, line)`` of the
-        first function satisfying it, or ``None`` if unreachable.
-        """
-        module = self.modules[relpath]
-        graph = self.call_graph(relpath)
-        seen: Set[str] = set()
-        queue = [start]
-        while queue:
-            qualname = queue.pop(0)
-            if qualname in seen:
-                continue
-            seen.add(qualname)
-            func = module.functions.get(qualname)
-            if func is None:
-                continue
-            witness = predicate(func)
-            if witness is not None:
-                return qualname, witness
-            queue.extend(graph.get(qualname, ()))
-        return None
-
     def reaches_global(self, relpath: str, start: str,
                        predicate: Callable[[ModuleInfo, FunctionInfo],
                                            Optional[int]],

@@ -10,7 +10,8 @@ top of the simulation's *measured* instruction counts:
   when online binary instrumentation is used);
 * host memory = the host simulator's baseline footprint x the
   instrumentation mode's memory factor (online Pin-style instrumentation
-  roughly doubles it), plus the resident trace if the frontend stores one.
+  roughly doubles it).  The model has no trace-size term: a trace
+  frontend's resident trace is left out.
 
 The *inputs* (how many kernel instructions MimicOS injected, how many
 application instructions ran) come from real simulation runs, so Fig. 12's

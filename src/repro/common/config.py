@@ -221,8 +221,6 @@ class SimulationConfig:
     os_mode: str = "imitation"
     fixed_ptw_latency: int = 50
     fixed_page_fault_latency: int = 3000
-    # Frontend style stands in for the host simulator (Fig. 11).
-    frontend: str = "trace"  # trace | execution | emulation | memory_only
     instrumentation: str = "online"  # online | offline | reuse_emulation
     max_instructions: Optional[int] = None
     # Instructions per chunk handed to CoreModel.execute_batch.

@@ -26,9 +26,7 @@ from repro.core.channels import (
 )
 from repro.core.cpu import CoreModel
 from repro.core.instructions import (
-    Instruction,
     InstructionBatch,
-    InstructionKind,
     KernelInstructionBatch,
 )
 from repro.core.instrumentation import InstrumentationTool
@@ -44,9 +42,7 @@ __all__ = [
     "FullSystemCoupling",
     "FunctionalChannel",
     "ImitationCoupling",
-    "Instruction",
     "InstructionBatch",
-    "InstructionKind",
     "InstructionStreamChannel",
     "InstrumentationTool",
     "KernelInstructionBatch",

@@ -1,7 +1,7 @@
 """Instruction representation shared by workload traces and kernel streams.
 
-The simulator is trace-driven: both the application frontends and the
-instrumentation tool produce instruction sequences.  An instruction is
+The simulator is trace-driven: both the workloads and the instrumentation
+tool produce instruction sequences.  An instruction is
 deliberately minimal — a kind, an optional memory operand and the PC —
 because the core model only needs enough to charge issue slots and memory
 latency.  Sequences travel as parallel arrays:
@@ -13,9 +13,8 @@ latency.  Sequences travel as parallel arrays:
   <repro.core.cpu.CoreModel.execute_batch>` consumes them directly, and
   every workload's :meth:`Workload.instruction_batches
   <repro.workloads.base.Workload.instruction_batches>` builds them
-  directly.  :class:`Instruction` objects remain only as a view of a batch
-  (:meth:`InstructionBatch.iter_instructions`) for trace frontends and
-  tests.
+  directly.  There is no per-instruction object: code that needs one
+  instruction reads index ``i`` of the three arrays.
 * :class:`KernelInstructionBatch` — the kernel-path analogue as run-length
   records: one per kernel op's memory touches (with the compute run
   before each touch), one per run of plain compute, one per
@@ -26,26 +25,11 @@ latency.  Sequences travel as parallel arrays:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 
-class InstructionKind(str, Enum):
-    """Coarse instruction classes the core model distinguishes."""
-
-    ALU = "alu"
-    BRANCH = "branch"
-    LOAD = "load"
-    STORE = "store"
-    #: Magic/synchronisation instruction (e.g. the xchg-based signal Sniper
-    #: uses); zero architectural work, used to switch instruction streams.
-    MAGIC = "magic"
-
-
-#: Integer opcodes used by the array-backed batches (cheaper than enum
-#: members in the hot loop).  Application batches only ever contain the
-#: first four; ``OP_MAGIC`` (the stream terminator) and ``OP_REP`` (a
+#: Integer opcodes used by the array-backed batches.  Application batches
+#: only ever contain the first four; ``OP_MAGIC`` (the stream terminator) and ``OP_REP`` (a
 #: repeat-counted bulk ALU instruction, e.g. ``rep stos`` page zeroing)
 #: appear in kernel batches only and never carry a memory operand.
 #: ``OP_TOUCHES`` is a kernel-batch record kind, not an instruction: the
@@ -57,35 +41,6 @@ OP_STORE = 3
 OP_MAGIC = 4
 OP_REP = 5
 OP_TOUCHES = 6
-
-KIND_TO_OP = {
-    InstructionKind.ALU: OP_ALU,
-    InstructionKind.BRANCH: OP_BRANCH,
-    InstructionKind.LOAD: OP_LOAD,
-    InstructionKind.STORE: OP_STORE,
-    InstructionKind.MAGIC: OP_MAGIC,
-}
-OP_TO_KIND = {op: kind for kind, op in KIND_TO_OP.items()}
-
-
-@dataclass(slots=True)
-class Instruction:
-    """One dynamic application instruction (a view of one batch entry)."""
-
-    kind: InstructionKind
-    pc: int = 0
-    #: Virtual address of the memory operand (None for non-memory work).
-    memory_address: Optional[int] = None
-
-    @property
-    def is_memory(self) -> bool:
-        """True for loads and stores."""
-        return self.kind in (InstructionKind.LOAD, InstructionKind.STORE)
-
-    @property
-    def is_write(self) -> bool:
-        """True for stores."""
-        return self.kind == InstructionKind.STORE
 
 
 class InstructionBatch:
@@ -115,17 +70,6 @@ class InstructionBatch:
         self.kinds.append(op)
         self.pcs.append(pc)
         self.addresses.append(address)
-
-    def iter_instructions(self) -> Iterator[Instruction]:
-        """Yield equivalent :class:`Instruction` objects (test/debug helper)."""
-        for op, pc, address in zip(self.kinds, self.pcs, self.addresses):
-            yield Instruction(kind=OP_TO_KIND[op], pc=pc, memory_address=address)
-
-    @property
-    def memory_instructions(self) -> int:
-        """Number of loads and stores in the batch."""
-        return sum(1 for op, address in zip(self.kinds, self.addresses)
-                   if address is not None and op >= OP_LOAD)
 
 
 class KernelInstructionBatch:
@@ -189,9 +133,3 @@ class KernelInstructionBatch:
         self.values.append(value)
         self.pcs.append(pc)
         self.instructions += 1
-
-    @property
-    def memory_instructions(self) -> int:
-        """Number of loads and stores in the batch."""
-        return sum(len(value[0]) for kind, value in zip(self.kinds, self.values)
-                   if kind == OP_TOUCHES)

@@ -16,7 +16,7 @@ memory allocation — the core observation of Fig. 2 in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import Counter
@@ -272,22 +272,6 @@ class BuddyAllocator:
         if total_slots == 0:
             return 0.0
         return self.free_blocks_at_least(order) / total_slots
-
-    def largest_free_segments(self, count: int) -> List[int]:
-        """Sizes (bytes) of the ``count`` largest free contiguous segments.
-
-        Used for the RMM fragmentation definition (ratio of the top-50
-        largest unallocated contiguous segments to total memory).
-        """
-        segments: List[int] = []
-        for order, blocks in self._free_lists.items():
-            segments.extend([self._block_size(order)] * len(blocks))
-        segments.sort(reverse=True)
-        return segments[:count]
-
-    def contiguity_score(self, top_n: int = 50) -> float:
-        """RMM-style fragmentation metric: top-N free segment bytes / total bytes."""
-        return sum(self.largest_free_segments(top_n)) / self.total_bytes
 
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""

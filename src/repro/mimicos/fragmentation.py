@@ -54,15 +54,6 @@ class FragmentationController:
             self.counters.add("pinned_pages")
         return self.buddy.fraction_free_huge_blocks(ORDER_2M)
 
-    def release_all(self) -> int:
-        """Free every pinned page; returns how many were released."""
-        released = 0
-        for address in self._pinned:
-            self.buddy.free(address)
-            released += 1
-        self._pinned.clear()
-        return released
-
     @property
     def pinned_pages(self) -> int:
         """Number of pages currently pinned by the controller."""

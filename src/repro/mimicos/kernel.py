@@ -430,11 +430,6 @@ class MimicOS:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def memory_usage(self) -> float:
-        """Fraction of user physical memory currently allocated."""
-        return self.buddy.usage
-
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Aggregated counter snapshot of every kernel module."""
         return {

@@ -107,11 +107,6 @@ class PageCache:
             return _FALLBACK_XARRAY + index * 64
         return self._reserve_xarray() + index * 64 % _XARRAY_BYTES
 
-    @property
-    def cached_pages(self) -> int:
-        """Number of pages currently cached."""
-        return len(self._pages)
-
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()

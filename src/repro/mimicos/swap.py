@@ -62,11 +62,6 @@ class SwapSubsystem:
         return (pid, vpn) in self._slots
 
     @property
-    def used_slots(self) -> int:
-        """Number of occupied swap slots."""
-        return len(self._slots)
-
-    @property
     def free_slots(self) -> int:
         """Number of free swap slots."""
         return self.capacity_slots - len(self._slots)

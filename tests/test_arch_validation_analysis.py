@@ -4,10 +4,8 @@ import pytest
 
 from repro.analysis.reporting import FigureSeries, format_figure, format_table, normalise_series
 from repro.arch.cost import SimulationCostModel
-from repro.arch.frontends import build_frontend
 from repro.arch.integrations import GEM5_FS, INTEGRATIONS, get_integration, integration_names
 from repro.common.addresses import MB
-from repro.core.instructions import Instruction, InstructionKind
 from repro.core.report import SimulationReport
 from repro.validation.reference import ValidationResult, run_validation
 from repro.workloads import JSONWorkload, RandomAccessWorkload
@@ -32,15 +30,6 @@ class TestIntegrations:
     def test_unknown_integration(self):
         with pytest.raises(KeyError):
             get_integration("simics")
-
-    def test_frontend_styles(self):
-        instructions = [Instruction(InstructionKind.ALU),
-                        Instruction(InstructionKind.LOAD, memory_address=0x10)]
-        assert len(list(build_frontend("trace").deliver(instructions))) == 2
-        assert len(list(build_frontend("execution").deliver(instructions))) == 2
-        assert len(list(build_frontend("memory_only").deliver(instructions))) == 1
-        with pytest.raises(ValueError):
-            build_frontend("quantum")
 
 
 def report_with(app_instructions, kernel_instructions):

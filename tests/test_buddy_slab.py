@@ -75,13 +75,12 @@ class TestBuddyAllocator:
         assert buddy.has_block(ORDER_2M)
         assert buddy.has_block(0)
 
-    def test_largest_free_segments_sorted(self, buddy):
+    def test_free_lists_hold_every_free_byte(self, buddy):
         buddy.allocate(0)
-        segments = buddy.largest_free_segments(10)
-        assert segments == sorted(segments, reverse=True)
-
-    def test_contiguity_score_bounds(self, buddy):
-        assert 0.0 < buddy.contiguity_score() <= 1.0
+        segments = [PAGE_SIZE_4K << order
+                    for order, blocks in buddy._free_lists.items() for _ in blocks]
+        assert sum(segments) == buddy.free_bytes == buddy.total_bytes - PAGE_SIZE_4K
+        assert max(segments) == buddy.total_bytes // 2
 
     def test_trace_records_kernel_work(self, buddy):
         trace = KernelRoutineTrace("alloc")

@@ -19,9 +19,7 @@ from repro.core.instructions import (
     OP_REP,
     OP_STORE,
     OP_TOUCHES,
-    Instruction,
     InstructionBatch,
-    InstructionKind,
     KernelInstructionBatch,
 )
 from repro.core.instrumentation import InstrumentationTool
@@ -42,14 +40,6 @@ from tests.conftest import FlatMemory, tiny_mimicos_config, tiny_system_config
 
 
 class TestInstructions:
-    def test_memory_predicates(self):
-        load = Instruction(InstructionKind.LOAD, memory_address=0x100)
-        store = Instruction(InstructionKind.STORE, memory_address=0x100)
-        alu = Instruction(InstructionKind.ALU)
-        assert load.is_memory and not load.is_write
-        assert store.is_memory and store.is_write
-        assert not alu.is_memory
-
     def test_batch_accounting(self):
         batch = InstructionBatch()
         batch.append(OP_ALU, 0)
@@ -57,7 +47,7 @@ class TestInstructions:
         batch.append(OP_STORE, 0, 0x40)
         assert len(batch) == 3
         assert batch.kinds == [OP_ALU, OP_LOAD, OP_STORE]
-        assert batch.memory_instructions == 2
+        assert batch.addresses == [None, 0x0, 0x40]
 
     def test_kernel_batch_counts_instructions_not_records(self):
         batch = kernel_batch((OP_ALU, None, 1), (OP_LOAD, 0x40, 1), (OP_ALU, None, 7),
@@ -66,7 +56,6 @@ class TestInstructions:
         assert batch.kinds == [OP_ALU, OP_TOUCHES, OP_REP, OP_TOUCHES]
         assert batch.values == [1, ([(0x40, False)], 0), 7, ([(0x80, True)], 0)]
         assert batch.pcs == [0, 0, 0, 0]
-        assert batch.memory_instructions == 2
 
     @pytest.mark.parametrize("op", [OP_ALU, OP_MAGIC, OP_REP])
     def test_kernel_batch_rejects_operand_on_non_memory_op(self, op):
@@ -163,7 +152,6 @@ class TestInstrumentation:
                    in zip(batch.kinds, batch.values, batch.pcs) if kind == OP_TOUCHES]
         assert records == [(OP_TOUCHES, ([(0x1000, True), (0x2000, False)], 3),
                             tool.KERNEL_PC_BASE)]
-        assert batch.memory_instructions == 2
 
     def test_bulk_zeroing_stays_compact_but_expensive(self):
         tool = InstrumentationTool()

@@ -46,6 +46,7 @@ from repro.experiments.sweep import (
     run_sweep,
     validate_points,
 )
+from repro.validation.parity import ParityPoint, parity_job_key
 
 
 def tiny_grid(count: int = 4) -> list:
@@ -245,6 +246,24 @@ class TestStore:
         assert sweep_job_key(point, 0) != sweep_job_key(point, 1)
         renamed = SweepPoint(**{**point.__dict__, "name": "other"})
         assert sweep_job_key(point, 0) != sweep_job_key(renamed, 0)
+
+    def test_store_keys_are_pinned(self):
+        """Keys recorded from a fixed sweep point and a fixed parity point.
+
+        A key that moves orphans every stored result under the old one, so
+        a change to the key schema, to a point's fields or to how configs
+        are hashed must show up here and be re-recorded on purpose.
+        """
+        sweep_point = SweepPoint(name="svc-0", workload="RND",
+                                 workload_kwargs={"footprint_bytes": 1 * MB,
+                                                  "memory_operations": 300,
+                                                  "prefault": True, "seed": 0})
+        assert sweep_job_key(sweep_point, 0) == (
+            "7916e0c84a8a8cb0c97fba9e35cb04d42b5008111059ad083f7cce270163e019")
+        parity_point = ParityPoint(page_table_kind="radix", family="gups", cores=2,
+                                   swap_pressure=True, virtualized=True, guest_kind="ecpt")
+        assert parity_job_key(parity_point) == (
+            "f8096f11d9b01948b248d17723b3832b91e6a1108c79a3671bbe8e36914054eb")
 
 
 # --------------------------------------------------------------------- #

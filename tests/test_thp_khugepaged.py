@@ -210,12 +210,13 @@ class TestFragmentationController:
         assert achieved <= 0.55
         assert controller.pinned_pages > 0
 
-    def test_release_all_restores_memory(self):
+    def test_pinned_pages_hold_all_the_memory_taken(self):
         buddy = make_buddy(64 * MB)
         controller = FragmentationController(buddy, DeterministicRNG(2))
         controller.fragment_to(0.7)
-        controller.release_all()
-        assert controller.pinned_pages == 0
+        assert buddy.total_bytes - buddy.free_bytes == controller.pinned_pages * PAGE_SIZE_4K
+        for address in controller._pinned:
+            buddy.free(address)
         assert buddy.free_bytes == buddy.total_bytes
 
     def test_invalid_target_rejected(self):

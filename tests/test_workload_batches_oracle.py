@@ -1,11 +1,12 @@
 """Differential oracle for the array-native workload generators.
 
 The graph kernels, XSBench, the FaaS functions and the image kernels once
-yielded one :class:`Instruction` object per dynamic instruction, and a
+yielded one ``Instruction`` object per dynamic instruction, and a
 default ``Workload.instruction_batches`` packed them into batches of
 exactly ``batch_size`` instructions, cutting in the middle of an
 operation when the count said so.  Those object generators and that
-packer are kept here, unchanged, as the reference.  Every workload's
+packer are kept here, unchanged, as the reference, with a private copy of
+the ``Instruction`` type they yield.  Every workload's
 array-native ``instruction_batches`` must yield the same batches: the
 same ``kinds``, ``pcs`` and ``addresses``, batch by batch, at several
 batch sizes and seeds (BC with its ~147 auxiliary VMAs included).
@@ -14,7 +15,9 @@ Two sensitivity breaks show the comparison can fail: a batch cut one
 instruction late, and two RNG draws swapped.
 """
 
-from typing import Callable, Iterator, List, Tuple
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import pytest
 
@@ -22,10 +25,11 @@ from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import PageTableConfig
 from repro.common.rng import DeterministicRNG
 from repro.core.instructions import (
-    KIND_TO_OP,
-    Instruction,
+    OP_ALU,
+    OP_BRANCH,
+    OP_LOAD,
+    OP_STORE,
     InstructionBatch,
-    InstructionKind,
 )
 from repro.mimicos.kernel import MimicOS
 from repro.workloads import base as workloads_base
@@ -54,6 +58,32 @@ SEEDS = (0, 5, 31)
 # --------------------------------------------------------------------- #
 # The reference: the object generators and the packer
 # --------------------------------------------------------------------- #
+class InstructionKind(str, Enum):
+    """The deleted object API's instruction classes (application ones)."""
+
+    ALU = "alu"
+    BRANCH = "branch"
+    LOAD = "load"
+    STORE = "store"
+
+
+KIND_TO_OP = {
+    InstructionKind.ALU: OP_ALU,
+    InstructionKind.BRANCH: OP_BRANCH,
+    InstructionKind.LOAD: OP_LOAD,
+    InstructionKind.STORE: OP_STORE,
+}
+
+
+@dataclass(slots=True)
+class Instruction:
+    """One dynamic instruction, as the deleted object generators yielded it."""
+
+    kind: InstructionKind
+    pc: int = 0
+    memory_address: Optional[int] = None
+
+
 def graph_instructions(workload: GraphWorkload) -> Iterator[Instruction]:
     rng = DeterministicRNG(workload.seed + 1)
     rng.fork(2)
@@ -271,7 +301,7 @@ def test_cases_cover_every_outcome():
                 aux_loads += batch.pcs.count(0x405000)
     assert len(set_up(CASES[0][1], 0)[0]._small_vmas) == 147
     assert aux_loads > 100
-    assert kinds_seen == set(KIND_TO_OP.values()) - {KIND_TO_OP[InstructionKind.MAGIC]}
+    assert kinds_seen == set(KIND_TO_OP.values())
     assert all(length > 4096 and length % 4096 for length in lengths.values()), lengths
 
 

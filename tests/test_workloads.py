@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import PageTableConfig
-from repro.core.instructions import InstructionKind
+from repro.core.instructions import OP_ALU, OP_LOAD, OP_STORE
 from repro.mimicos.kernel import MimicOS
 from repro.workloads import (
     GRAPH_KERNELS,
@@ -34,13 +34,19 @@ def kernel_and_process():
 
 
 def materialise(workload, kernel, process, limit=50_000):
+    """The first ``limit`` instructions as ``(opcode, pc, address)`` tuples."""
     workload.setup(kernel, process)
     instructions = []
     for batch in workload.instruction_batches(process):
-        instructions.extend(batch.iter_instructions())
+        instructions.extend(zip(batch.kinds, batch.pcs, batch.addresses))
         if len(instructions) >= limit:
             break
     return instructions[:limit]
+
+
+def memory_addresses(instructions, ops=(OP_LOAD, OP_STORE)):
+    """Operand addresses of the instructions whose opcode is in ``ops``."""
+    return [address for op, _, address in instructions if op in ops]
 
 
 class TestRegistry:
@@ -71,18 +77,17 @@ class TestWorkloadStreams:
         kernel, process = kernel_and_process
         workload = RandomAccessWorkload(footprint_bytes=4 * MB, memory_operations=500)
         instructions = materialise(workload, kernel, process)
-        for instruction in instructions:
-            if instruction.is_memory:
-                assert process.vmas.find(instruction.memory_address) is not None
+        for address in memory_addresses(instructions):
+            assert process.vmas.find(address) is not None
 
     def test_graph_workload_mixes_memory_and_compute(self, kernel_and_process):
         kernel, process = kernel_and_process
         workload = GraphWorkload("PR", footprint_bytes=8 * MB, memory_operations=500)
         instructions = materialise(workload, kernel, process)
-        kinds = {instruction.kind for instruction in instructions}
-        assert InstructionKind.LOAD in kinds
-        assert InstructionKind.ALU in kinds
-        memory_count = sum(1 for i in instructions if i.is_memory)
+        kinds = {op for op, _, _ in instructions}
+        assert OP_LOAD in kinds
+        assert OP_ALU in kinds
+        memory_count = len(memory_addresses(instructions))
         assert 0 < memory_count < len(instructions)
 
     def test_graph_workload_deterministic(self, kernel_and_process):
@@ -93,7 +98,7 @@ class TestWorkloadStreams:
         process2 = kernel2.create_process("wl2")
         second = materialise(GraphWorkload("BFS", footprint_bytes=4 * MB,
                                            memory_operations=200, seed=3), kernel2, process2)
-        assert [i.memory_address for i in first] == [i.memory_address for i in second]
+        assert [address for _, _, address in first] == [address for _, _, address in second]
 
     def test_bc_creates_many_small_vmas(self, kernel_and_process):
         kernel, process = kernel_and_process
@@ -108,7 +113,7 @@ class TestWorkloadStreams:
         kernel, process = kernel_and_process
         workload = JSONWorkload(scale=0.1)
         instructions = materialise(workload, kernel, process)
-        touched_pages = {i.memory_address // PAGE_SIZE_4K for i in instructions if i.is_memory}
+        touched_pages = {address // PAGE_SIZE_4K for address in memory_addresses(instructions)}
         mapped_pages = sum(vma.size // PAGE_SIZE_4K for vma in process.vmas)
         assert len(touched_pages) == mapped_pages
 
@@ -117,8 +122,8 @@ class TestWorkloadStreams:
         workload = LLMInferenceWorkload("Llama", scale=0.2)
         instructions = materialise(workload, kernel, process)
         kv_vma = next(vma for vma in process.vmas if "kv-cache" in vma.name)
-        kv_writes = [i.memory_address for i in instructions
-                     if i.is_write and kv_vma.contains(i.memory_address or 0)]
+        kv_writes = [address for address in memory_addresses(instructions, (OP_STORE,))
+                     if kv_vma.contains(address)]
         assert kv_writes == sorted(kv_writes)
         assert kv_writes, "the KV cache must be written"
 
@@ -130,13 +135,13 @@ class TestWorkloadStreams:
         kernel, process = kernel_and_process
         workload = XSBenchWorkload(footprint_bytes=8 * MB, lookups=20)
         instructions = materialise(workload, kernel, process)
-        assert sum(1 for i in instructions if i.is_memory) > 20
+        assert len(memory_addresses(instructions)) > 20
 
     def test_pointer_chase_addresses_are_serially_dependent(self, kernel_and_process):
         kernel, process = kernel_and_process
         workload = PointerChaseWorkload(footprint_bytes=4 * MB, memory_operations=50)
         instructions = materialise(workload, kernel, process)
-        addresses = [i.memory_address for i in instructions if i.is_memory]
+        addresses = memory_addresses(instructions)
         assert len(set(addresses)) > 10
 
     def test_intensity_sweep_scales_randomness(self, kernel_and_process):
@@ -149,8 +154,7 @@ class TestWorkloadStreams:
         high_instructions = materialise(high, kernel2, process2)
 
         def distinct_pages(instructions):
-            return len({i.memory_address // PAGE_SIZE_4K
-                        for i in instructions if i.is_memory})
+            return len({address // PAGE_SIZE_4K for address in memory_addresses(instructions)})
 
         assert distinct_pages(high_instructions) > distinct_pages(low_instructions)
         assert high.footprint_bytes > low.footprint_bytes
@@ -172,7 +176,7 @@ class TestWorkloadStreams:
         kernel, process = kernel_and_process
         high = KernelFractionMicrobenchmark(1.0, memory_operations=300)
         instructions = materialise(high, kernel, process)
-        pages = {i.memory_address // PAGE_SIZE_4K for i in instructions if i.is_memory}
+        pages = {address // PAGE_SIZE_4K for address in memory_addresses(instructions)}
         assert len(pages) > 200
 
     def test_prefault_addresses_cover_vmas(self, kernel_and_process):
