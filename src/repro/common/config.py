@@ -109,7 +109,6 @@ class CoreConfig:
     frequency_ghz: float = 2.9
     issue_width: int = 4
     base_cpi: float = 0.35
-    rob_entries: int = 224
     # Fraction of a long-latency miss that the out-of-order window can hide.
     mlp_factor: float = 0.45
 
@@ -126,7 +125,6 @@ class PageTableConfig:
     pwc_latency: int = 2
     # Hash-table parameters (ECH / HDC / HT).
     hash_table_size_bytes: int = 4 * GB
-    hash_ways: int = 4
     ptes_per_entry: int = 8
     cuckoo_ways: int = 4
     cwc_latency: int = 2
@@ -156,7 +154,6 @@ class SSDConfig:
     read_latency_us: float = 60.0
     write_latency_us: float = 15.0
     channels: int = 8
-    queue_depth: int = 64
     per_request_overhead_us: float = 5.0
 
 
@@ -166,13 +163,11 @@ class MimicOSConfig:
 
     physical_memory_bytes: int = 256 * GB
     thp_policy: str = "linux"  # never | linux | cr_thp | ar_thp | bd
-    thp_reservation_threshold: float = 0.5  # CR-THP: promote at >50 % utilisation
     hugetlbfs_reserved_bytes: int = 0
     swap_size_bytes: int = 4 * GB
     swap_threshold: float = 0.90  # start swapping above 90 % memory usage
     fragmentation_target: float = 0.80  # fraction of 2 MB blocks still free
     page_cache_size_bytes: int = 8 * GB
-    khugepaged_scan_pages: int = 512
     zeroing_bytes_per_cycle: int = 64
     kernel_modules: Tuple[str, ...] = (
         "page_fault",
@@ -245,8 +240,6 @@ class SystemConfig:
         page_sizes=(PAGE_SIZE_4K, PAGE_SIZE_2M)))
     l1d_cache: CacheConfig = field(default_factory=lambda: CacheConfig(
         "L1-D", size_bytes=32 * KB, associativity=8, latency=4))
-    l1i_cache: CacheConfig = field(default_factory=lambda: CacheConfig(
-        "L1-I", size_bytes=32 * KB, associativity=8, latency=4))
     l2_cache: CacheConfig = field(default_factory=lambda: CacheConfig(
         "L2", size_bytes=2 * MB, associativity=16, latency=16, replacement="srrip"))
     l3_cache: CacheConfig = field(default_factory=lambda: CacheConfig(
@@ -356,7 +349,7 @@ def scaled_system_config(name: str = "virtuoso-scaled",
 #: Page-table configurations of Table 4 used by the case studies (§7.4-§7.6).
 CASE_STUDY_PAGE_TABLES: Dict[str, PageTableConfig] = {
     "radix": PageTableConfig(kind="radix"),
-    "ech": PageTableConfig(kind="ech", hash_ways=4, cuckoo_ways=4),
+    "ech": PageTableConfig(kind="ech", cuckoo_ways=4),
     "hdc": PageTableConfig(kind="hdc", hash_table_size_bytes=4 * GB, ptes_per_entry=8),
     "ht": PageTableConfig(kind="ht", hash_table_size_bytes=4 * GB, ptes_per_entry=8),
     "utopia": PageTableConfig(kind="utopia", restseg_size_bytes=8 * GB),

@@ -216,23 +216,21 @@ class CoreModel:
             # the core (kernel-stream injection uses the current cycle count).
             self.cycles = cycles
             self.instructions = instructions
-            outcome = access_fast(address, op == OP_STORE, pcs[index])
-            translation = outcome.translation
-            translation_penalty = translation.latency - translation.fault_latency - 1
+            translation_latency, fault_penalty, page_fault, data_latency, served_by = \
+                access_fast(address, op == OP_STORE, pcs[index])
+            translation_penalty = translation_latency - fault_penalty - 1
             if translation_penalty < 0:
                 # Only a zero-latency translation (nothing to overlap with the
                 # issue cycle) may go below zero; a translation latency smaller
                 # than its own fault component is an accounting bug.
-                assert translation.latency >= translation.fault_latency, (
+                assert translation_latency >= fault_penalty, (
                     f"negative translation component for {address:#x}: "
-                    f"latency={translation.latency} fault_latency={translation.fault_latency}")
+                    f"latency={translation_latency} fault_latency={fault_penalty}")
                 translation_penalty = 0
-            fault_penalty = translation.fault_latency
-            served_by = outcome.served_by
             if served_by == "L1" or served_by == "none":
                 data_penalty = 0.0
             else:
-                exposed = outcome.data_latency - 4
+                exposed = data_latency - 4
                 data_penalty = exposed * exposed_fraction if exposed > 0 else 0.0
 
             cycles += base_cpi + (translation_penalty + fault_penalty + data_penalty)
@@ -240,7 +238,7 @@ class CoreModel:
             fault_cycles += fault_penalty
             data_stall_cycles += data_penalty
             memory_count += 1
-            if translation.page_fault:
+            if page_fault:
                 fault_count += 1
 
         self.cycles = cycles

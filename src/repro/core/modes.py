@@ -87,8 +87,7 @@ class FixedLatencyPageTable(PageTableBase):
         physical_base, page_size = mapping
         self.counters.add("walk_hits")
         return WalkResult(found=True, latency=self.fixed_latency, memory_accesses=0,
-                          physical_base=physical_base, page_size=page_size,
-                          backend_latency=self.fixed_latency)
+                          physical_base=physical_base, page_size=page_size)
 
     def _insert_structure(self, virtual_base, physical_base, page_size, trace):
         raise AssertionError("delegating wrapper never builds its own structure")

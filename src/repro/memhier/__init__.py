@@ -6,18 +6,15 @@ latency-producing: each access returns the number of core cycles it took and
 updates hit/miss/row-buffer statistics that the experiments aggregate.
 """
 
-from repro.memhier.cache import Cache, CacheAccessResult
-from repro.memhier.dram import DRAMModel, DRAMAccessResult
-from repro.memhier.memory_system import MemoryHierarchy, MemoryAccessType
+from repro.memhier.cache import Cache
+from repro.memhier.dram import DRAMModel
+from repro.memhier.memory_system import MemoryHierarchy
 from repro.memhier.prefetcher import IPStridePrefetcher, StreamPrefetcher, build_prefetcher
 
 __all__ = [
     "Cache",
-    "CacheAccessResult",
     "DRAMModel",
-    "DRAMAccessResult",
     "MemoryHierarchy",
-    "MemoryAccessType",
     "IPStridePrefetcher",
     "StreamPrefetcher",
     "build_prefetcher",

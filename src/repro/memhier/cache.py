@@ -9,21 +9,10 @@ pollution caused by OS routines and page-table accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheConfig
 from repro.common.stats import Counter
-
-
-@dataclass(slots=True)
-class CacheAccessResult:
-    """Outcome of a single cache lookup."""
-
-    hit: bool
-    latency: int
-    evicted_tag: Optional[int] = None
-    evicted_dirty: bool = False
 
 
 class Cache:
@@ -133,23 +122,6 @@ class Cache:
         cells[1][0] += 1
         self._fill(set_index, block, is_write, request_type)
         return False
-
-    def access(self, address: int, is_write: bool = False,
-               request_type: str = "data") -> CacheAccessResult:
-        """Look up ``address``; on a miss the line is filled (allocate-on-miss).
-
-        Object-returning wrapper around :meth:`access_bool` kept for callers
-        that need the evicted line's identity (write-back modelling, tests):
-        the way the miss fills held the evicted line before the access.
-        """
-        block = address // self.line_size
-        set_index = block % self.num_sets
-        blocks, dirty = list(self._blocks[set_index]), list(self._dirty[set_index])
-        if self.access_bool(address, is_write, request_type):
-            return CacheAccessResult(hit=True, latency=self.latency)
-        way = self._way_maps[set_index][block]
-        return CacheAccessResult(hit=False, latency=self.latency, evicted_tag=blocks[way],
-                                 evicted_dirty=blocks[way] is not None and dirty[way])
 
     def probe(self, address: int) -> bool:
         """Return True if ``address`` is present without disturbing state."""

@@ -10,23 +10,10 @@ plus a latency that reflects open-page locality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import Counter
-
-
-@dataclass(slots=True)
-class DRAMAccessResult:
-    """Outcome of a single DRAM access."""
-
-    latency: int
-    row_hit: bool
-    row_conflict: bool
-    channel: int
-    bank: int
-    row: int
 
 
 class DRAMModel:
@@ -144,15 +131,6 @@ class DRAMModel:
 
         self.last_row_conflict = row_conflict
         return latency
-
-    def access(self, address: int, request_type: str = "data") -> DRAMAccessResult:
-        """Perform one DRAM access and return its latency and row-buffer outcome."""
-        channel, bank, row = self.map_address(address)
-        open_row = self._open_rows[channel * self.banks_per_channel + bank]
-        latency = self.access_value(address, request_type)
-        return DRAMAccessResult(latency=latency, row_hit=open_row == row,
-                                row_conflict=self.last_row_conflict,
-                                channel=channel, bank=bank, row=row)
 
     # ------------------------------------------------------------------ #
     # Statistics

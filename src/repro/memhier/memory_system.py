@@ -1,16 +1,18 @@
 """The memory hierarchy: L1/L2/L3 caches in front of DRAM.
 
-`MemoryHierarchy.access_value` is the single entry point used by the core
-model, the page-table walker and the MimicOS instruction-stream injector.  Each
-access carries a *request type* so that cache pollution and DRAM row-buffer
-interference can be attributed to application data, page-table walks,
-translation metadata or kernel (MimicOS) activity — the attribution the
-paper's case studies are built on.
+`MemoryHierarchy.access_value` is the single entry point used by the MMU,
+the page-table walkers, the POM-TLB, the TLB prefetcher and the MimicOS
+instruction-stream injector.  It returns the access's latency and leaves the
+level that served it in ``last_served_by``.  Each access carries a *request
+type* string (``"data"``, ``"ptw"``, ``"translation"``, ``"kernel"``,
+``"kernel_zero"``, ``"prefetch"``) so that cache pollution and DRAM
+row-buffer interference can be attributed to application data, page-table
+walks, translation metadata or kernel (MimicOS) activity — the attribution
+the paper's case studies are built on.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheConfig, DRAMConfig, PrefetcherConfig, SystemConfig
@@ -18,24 +20,6 @@ from repro.common.stats import Counter
 from repro.memhier.cache import Cache
 from repro.memhier.dram import DRAMModel
 from repro.memhier.prefetcher import Prefetcher, build_prefetcher
-
-
-class MemoryAccessType(str, Enum):
-    """Who issued a memory request; used for attribution, not behaviour."""
-
-    DATA = "data"
-    INSTRUCTION = "instruction"
-    PTW = "ptw"
-    TRANSLATION = "translation"
-    KERNEL = "kernel"
-    KERNEL_ZERO = "kernel_zero"
-    PREFETCH = "prefetch"
-    SWAP = "swap"
-
-
-#: Request type -> its string, built once.  A member and its string are
-#: equal and hash alike, so a string argument finds itself here too.
-_TYPE_VALUES: Dict[str, str] = {member: member.value for member in MemoryAccessType}
 
 
 #: One level below the L1 on a request type's route: the cache, its
@@ -148,9 +132,8 @@ class MemoryHierarchy:
                      access_type: str = "data", pc: int = 0) -> int:
         """Allocation-free access: returns the total latency of the request.
 
-        ``access_type`` is the request-type *string* (``MemoryAccessType.
-        <X>.value``).  Which level served the request is left in
-        :attr:`last_served_by`.
+        ``access_type`` is the request-type string.  Which level served the
+        request is left in :attr:`last_served_by`.
 
         The L1 lookup is :meth:`Cache.access_bool` written out in place
         (same clock, stamp, dirty bit and counter cells), so an L1 hit costs
@@ -229,15 +212,6 @@ class MemoryHierarchy:
             if issued:
                 self._c_l2_prefetches[0] += issued
         return latency
-
-    def access_address(self, address: int, is_write: bool = False,
-                       access_type: MemoryAccessType = MemoryAccessType.DATA,
-                       pc: int = 0) -> int:
-        """Convenience wrapper returning only the latency of an access."""
-        type_value = _TYPE_VALUES.get(access_type)
-        if type_value is None:
-            type_value = str(access_type)
-        return self.access_value(address, is_write, type_value, pc)
 
     # ------------------------------------------------------------------ #
     # Statistics

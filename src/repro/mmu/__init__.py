@@ -11,7 +11,7 @@ guests) can be switched on per experiment.
 """
 
 from repro.mmu.extensions import MMUExtensions
-from repro.mmu.mmu import MMU, MemoryOperationResult, TranslationResult
+from repro.mmu.mmu import MMU
 from repro.mmu.nested import NestedTranslationUnit
 from repro.mmu.pom_tlb import PartOfMemoryTLB
 from repro.mmu.tlb import TLB, TLBHierarchy
@@ -21,12 +21,10 @@ from repro.mmu.victima import VictimaCacheTLB
 __all__ = [
     "MMU",
     "MMUExtensions",
-    "MemoryOperationResult",
     "NestedTranslationUnit",
     "PartOfMemoryTLB",
     "SequentialTLBPrefetcher",
     "TLB",
     "TLBHierarchy",
-    "TranslationResult",
     "VictimaCacheTLB",
 ]

@@ -2,43 +2,46 @@
 
 For every memory operand the core model calls :meth:`MMU.access_data_fast`.
 Unless the L1 data TLB hits, it falls straight into the one translation
-path, :meth:`MMU._access`, which instruction fetches share: it looks up the
-TLB hierarchy, walks the active translation structure on a miss (paying for the
-walk's memory accesses through the shared memory hierarchy), reports page
-faults to the OS through a fault callback installed by the Virtuoso
-orchestrator (which runs MimicOS and injects the handler's instruction
-stream, returning the fault's latency), retries the walk, and finally
-performs the data access.  :meth:`MMU.access_data` is the same path with
-the result copied out of the scratch objects.
+path, :meth:`MMU._access`: it looks up the TLB hierarchy, walks the active
+translation structure on a miss (paying for the walk's memory accesses
+through the shared memory hierarchy), reports page faults to the OS
+through a fault callback installed by the Virtuoso orchestrator (which
+runs MimicOS and injects the handler's instruction stream, returning the
+fault's latency), retries the walk, and finally performs the data access.
 
 Schemes that replace the TLBs (Midgard, VBI) follow their own path: a cheap
 frontend translation before the access and a backend translation charged
 only when the access reaches DRAM.
 
+Every path returns one :data:`Access` tuple, the five values the core
+model charges: translation latency, fault latency, whether the access
+faulted, data latency and the level that served the data.  Everything else
+an access decides (the TLB level that hit, the walk and its memory
+accesses, a segfault, the physical address) shows in the counters, the
+TLB contents and the memory hierarchy's statistics.
+
 L1 data-TLB hit
 ---------------
 
-:meth:`MMU.access_data_fast` is the core model's entry point.  It writes
-the L1 data-TLB hit out in place, as the memory hierarchy does for the L1
-data cache: it peeks the 4 KB L1 data TLB, then the 2 MB one, without
-counting anything; on a hit it applies exactly the counters, the LRU move
-and the latency sample that :meth:`TLBHierarchy.lookup` and
-:meth:`MMU._access` would apply, and performs the data access.  On a miss
-it falls into :meth:`MMU._access`, which does not probe the L1 data TLBs
-again: :meth:`TLBHierarchy.lookup_after_l1d_miss` counts the two misses
-as a full lookup would and goes straight to the L2 TLB.  Every
-translation a TLB serves is therefore one the TLB really holds, so the
-kernel's shootdowns (:meth:`MMU.invalidate_translation`) are the only
-thing keeping cached translations coherent; :func:`repro.validation.invariants.check_translations`
-checks that they do.
-Results are returned in per-MMU scratch objects, and neither a TLB lookup
-nor a TLB fill builds a result object, so a translation allocates nothing
-beyond the walk's ``WalkResult`` and the TLB keys.
+:meth:`MMU.access_data_fast` writes the L1 data-TLB hit out in place, as
+the memory hierarchy does for the L1 data cache: it peeks the 4 KB L1 data
+TLB, then the 2 MB one, without counting anything; on a hit it applies
+exactly the counters, the LRU move and the latency sample that
+:meth:`TLBHierarchy.lookup` and :meth:`MMU._access` would apply, and
+performs the data access.  On a miss it falls into :meth:`MMU._access`,
+which does not probe the L1 data TLBs again:
+:meth:`TLBHierarchy.lookup_after_l1d_miss` counts the two misses as a full
+lookup would and goes straight to the L2 TLB.  Every translation a TLB
+serves is therefore one the TLB really holds, so the kernel's shootdowns
+(:meth:`MMU.invalidate_translation`) are the only thing keeping cached
+translations coherent; :func:`repro.validation.invariants.check_translations`
+checks that they do.  Neither a TLB lookup nor a TLB fill builds a result
+object, so a translation allocates nothing beyond the walk's result, the
+TLB keys and the returned tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K
@@ -56,57 +59,9 @@ from repro.pagetables.base import PageTableBase
 FaultCallback = Callable[[int, int], Tuple[int, bool]]
 
 
-@dataclass(slots=True)
-class TranslationResult:
-    """Outcome of translating one virtual address."""
-
-    virtual_address: int
-    physical_address: int = 0
-    latency: int = 0
-    tlb_hit: bool = False
-    tlb_level: str = "miss"
-    walked: bool = False
-    walk_latency: int = 0
-    walk_memory_accesses: int = 0
-    page_fault: bool = False
-    fault_latency: int = 0
-    segfault: bool = False
-    frontend_latency: int = 0
-    backend_latency: int = 0
-    page_size: int = PAGE_SIZE_4K
-
-
-@dataclass(slots=True)
-class MemoryOperationResult:
-    """Translation plus data access for one memory operand."""
-
-    translation: TranslationResult
-    data_latency: int = 0
-    served_by: str = "none"
-    total_latency: int = 0
-
-
-class _NestedWalkAdapter:
-    """Adapts a nested (2-D) walk outcome to the ``WalkResult`` duck type.
-
-    The guest-dimension share of the walk is reported as ``frontend_latency``
-    and the host-dimension share as ``backend_latency`` — never the combined
-    2-D latency in one field, which would double-count the guest walk as
-    host (backend) time in per-backend attribution.  On a nested-TLB hit
-    both shares are zero: no table was walked in either dimension.
-    """
-
-    __slots__ = ("found", "latency", "memory_accesses", "physical_base",
-                 "page_size", "frontend_latency", "backend_latency")
-
-    def __init__(self, nested) -> None:
-        self.found = nested.found
-        self.latency = nested.latency
-        self.memory_accesses = nested.memory_accesses
-        self.physical_base = nested.host_physical_base
-        self.page_size = nested.page_size
-        self.frontend_latency = nested.guest_latency
-        self.backend_latency = nested.host_latency
+#: What one access returns: (translation latency, fault latency, page
+#: fault, data latency, the level that served the data or "none").
+Access = Tuple[int, int, bool, int, str]
 
 
 class MMU:
@@ -148,7 +103,6 @@ class MMU:
 
         # Hot counter cells (folded transparently on every Counter read).
         self._c_data_accesses = self.counters.hot("data_accesses")
-        self._c_instruction_accesses = self.counters.hot("instruction_accesses")
         self._c_tlb_hits = self.counters.hot("tlb_hits")
         self._c_tlb_misses = self.counters.hot("tlb_misses")
         self._c_page_walks = self.counters.hot("page_walks")
@@ -164,13 +118,6 @@ class MMU:
                                  for tlb in (self._l1d_4k, self._l1d_2m)
                                  for page_size in tlb.page_sizes)
 
-        # Scratch result objects reused by the allocation-free access path;
-        # the in-place hit has its own, whose constant fields stay set.
-        self._scratch_translation = TranslationResult(0)
-        self._scratch_op = MemoryOperationResult(translation=self._scratch_translation)
-        self._hit_translation = TranslationResult(0, latency=self._l1_latency,
-                                                  tlb_hit=True, tlb_level="L1")
-        self._hit_op = MemoryOperationResult(translation=self._hit_translation)
 
     # ------------------------------------------------------------------ #
     # Context management
@@ -270,21 +217,11 @@ class MMU:
     # ------------------------------------------------------------------ #
     # Main access path
     # ------------------------------------------------------------------ #
-    def access_data(self, virtual_address: int, is_write: bool = False,
-                    pc: int = 0) -> MemoryOperationResult:
+    def access_data_fast(self, virtual_address: int, is_write: bool = False,
+                         pc: int = 0) -> Access:
         """Translate ``virtual_address`` and perform the data access.
 
-        Runs :meth:`access_data_fast` and copies its result out of the
-        scratch objects, so the caller may keep it.
-        """
-        return self._fresh(self.access_data_fast(virtual_address, is_write, pc))
-
-    def access_data_fast(self, virtual_address: int, is_write: bool = False,
-                         pc: int = 0) -> MemoryOperationResult:
-        """Allocation-free :meth:`access_data` used by the core model.
-
-        Returns a scratch :class:`MemoryOperationResult` that is overwritten
-        by the next call — callers must consume it immediately.
+        Returns the :data:`Access` tuple the core model charges.
         """
         page_table = self.page_table
         if page_table is None:
@@ -317,19 +254,16 @@ class MMU:
             self.translation_latency_stats.add(latency)
 
             physical_base, page_size = entry
-            physical_address = physical_base + virtual_address % page_size
             memory = self.memory
-            data_latency = memory.access_value(physical_address, is_write, "data", pc)
-            translation = self._hit_translation
-            translation.virtual_address = virtual_address
-            translation.physical_address = physical_address
-            translation.page_size = page_size
-            operation = self._hit_op
-            operation.data_latency = data_latency
-            operation.served_by = memory.last_served_by
-            operation.total_latency = latency + data_latency
-            return operation
-        return self._access(virtual_address, is_write, pc, False)
+            data_latency = memory.access_value(physical_base + virtual_address % page_size,
+                                               is_write, "data", pc)
+            return latency, 0, False, data_latency, memory.last_served_by
+        return self._access(virtual_address, is_write, pc)
+
+    #: The same function under its older name.  ``perfbench/tracer.py``
+    #: wraps both names through ``vars(MMU)[name]``, and the benchmark's
+    #: files change only with the benchmark itself.
+    access_data = access_data_fast
 
     @property
     def fast_hits(self) -> int:
@@ -337,49 +271,26 @@ class MMU:
         :meth:`access_data_fast` served (diagnostics for host profiling)."""
         return self._l1d_4k.counters.get("hits") + self._l1d_2m.counters.get("hits")
 
-    def access_instruction(self, virtual_address: int, pc: int = 0) -> MemoryOperationResult:
-        """Instruction-fetch translation and access (used per fetched line)."""
-        if self.page_table is None:
-            raise RuntimeError("MMU has no page table; call set_context() first")
-        self._c_instruction_accesses[0] += 1
-        return self._fresh(self._access(virtual_address, False, pc, True))
-
-    def _fresh(self, operation: MemoryOperationResult) -> MemoryOperationResult:
-        """``operation``, copied if it is a scratch result."""
-        if operation is not self._scratch_op and operation is not self._hit_op:
-            return operation
-        return MemoryOperationResult(replace(operation.translation), operation.data_latency,
-                                     operation.served_by, operation.total_latency)
-
     # ------------------------------------------------------------------ #
     # Conventional (TLB + walk) translation
     # ------------------------------------------------------------------ #
-    def _access(self, virtual_address: int, is_write: bool, pc: int,
-                instruction: bool) -> MemoryOperationResult:
+    def _access(self, virtual_address: int, is_write: bool, pc: int) -> Access:
         """The translation path: TLBs, walk and faults, then the access itself.
 
-        A data access arrives here only after :meth:`access_data_fast`
-        found neither L1 data TLB holding it, so its lookup starts at the
-        L2 TLB (:meth:`TLBHierarchy.lookup_after_l1d_miss` counts the two
-        L1 misses); an instruction fetch takes the full lookup.
-
-        The outcome stays in locals until the translation is done — the
-        fault callback runs MimicOS, which may use the MMU again — and is
-        then written into the scratch result objects.
+        An access arrives here only after :meth:`access_data_fast` found
+        neither L1 data TLB holding it, so its lookup starts at the L2 TLB
+        (:meth:`TLBHierarchy.lookup_after_l1d_miss` counts the two L1
+        misses).  The outcome stays in locals: the fault callback runs
+        MimicOS, which may use the MMU again.
         """
         tlbs = self.tlbs
-        if instruction:
-            entry = tlbs.lookup(virtual_address, True)
-        else:
-            entry = tlbs.lookup_after_l1d_miss(virtual_address)
+        entry = tlbs.lookup_after_l1d_miss(virtual_address)
         latency = tlbs.last_latency
-        level = tlbs.last_level
-        walked = page_fault = segfault = False
-        walk_latency = walk_accesses = fault_latency = 0
+        page_fault = False
+        fault_latency = 0
         if entry is not None:
             physical_base, page_size = entry
             self._c_tlb_hits[0] += 1
-            self.translation_latency_stats.add(latency)
         else:
             self._c_tlb_misses[0] += 1
             if self.victima is not None or self.pom_tlb is not None:
@@ -388,60 +299,28 @@ class MMU:
             if entry is not None:
                 physical_base, page_size = entry
             else:
-                walked = True
                 walk = self._walk(virtual_address)
-                walk_latency = walk.latency
-                walk_accesses = walk.memory_accesses
-                latency += walk_latency
+                latency += walk.latency
                 if not walk.found:
                     page_fault = True
                     fault_latency, handled = self._raise_page_fault(virtual_address)
                     latency += fault_latency
                     if handled:
                         walk = self._walk(virtual_address)
-                        walk_latency += walk.latency
-                        walk_accesses += walk.memory_accesses
                         latency += walk.latency
-                    segfault = not walk.found
+                    if not walk.found:
+                        self.counters.add("segfaults")
+                        self.translation_latency_stats.add(latency)
+                        return latency, fault_latency, True, 0, "none"
                 physical_base = walk.physical_base
                 page_size = walk.page_size
-            if segfault:
-                self.counters.add("segfaults")
-            else:
-                self._fill_tlbs(virtual_address, physical_base, page_size, instruction)
-            self.translation_latency_stats.add(latency)
+            self._fill_tlbs(virtual_address, physical_base, page_size)
+        self.translation_latency_stats.add(latency)
 
-        translation = self._scratch_translation
-        translation.virtual_address = virtual_address
-        translation.latency = latency
-        translation.tlb_hit = level != "miss"
-        translation.tlb_level = level
-        translation.walked = walked
-        translation.walk_latency = walk_latency
-        translation.walk_memory_accesses = walk_accesses
-        translation.page_fault = page_fault
-        translation.fault_latency = fault_latency
-        translation.segfault = segfault
-        translation.frontend_latency = 0
-        translation.backend_latency = 0
-        operation = self._scratch_op
-        if segfault:
-            translation.physical_address = 0
-            translation.page_size = PAGE_SIZE_4K
-            operation.data_latency = 0
-            operation.served_by = "none"
-            operation.total_latency = latency
-            return operation
-        physical_address = physical_base + virtual_address % page_size
-        translation.physical_address = physical_address
-        translation.page_size = page_size
         memory = self.memory
-        data_latency = memory.access_value(physical_address, is_write,
-                                           "instruction" if instruction else "data", pc)
-        operation.data_latency = data_latency
-        operation.served_by = memory.last_served_by
-        operation.total_latency = latency + data_latency
-        return operation
+        data_latency = memory.access_value(physical_base + virtual_address % page_size,
+                                           is_write, "data", pc)
+        return latency, fault_latency, page_fault, data_latency, memory.last_served_by
 
     def _probe_before_walk(self, virtual_address: int) -> Tuple[Optional[Tuple[int, int]], int]:
         """Victima, then the POM-TLB: the hit's (physical base, page size)
@@ -474,15 +353,14 @@ class MMU:
             # walked neither table, so both shares are zero).
             self.guest_ptw_latency_stats.add(nested.guest_latency)
             self.host_ptw_latency_stats.add(nested.host_latency)
-            return _NestedWalkAdapter(nested)
+            return nested
         walk = self.page_table.walk(virtual_address, self.memory)
         self._c_page_walks[0] += 1
         self._c_ptw_memory_accesses[0] += walk.memory_accesses
         self.ptw_latency_stats.add(walk.latency)
         return walk
 
-    def _fill_tlbs(self, virtual_address: int, physical_base: int, page_size: int,
-                   instruction: bool) -> None:
+    def _fill_tlbs(self, virtual_address: int, physical_base: int, page_size: int) -> None:
         if self.victima is not None:
             # Capture the entry that the L2 TLB is about to evict (peeked
             # whenever the set is full, even if the fill refreshes a key).
@@ -492,7 +370,7 @@ class MMU:
             if victim_key is not None:
                 victim_base, victim_size = entries[victim_key]
                 self.victima.store_victim(victim_key[0] * victim_size, victim_base, victim_size)
-        self.tlbs.fill(virtual_address, physical_base, page_size, instruction=instruction)
+        self.tlbs.fill(virtual_address, physical_base, page_size)
         if self.pom_tlb is not None:
             self.pom_tlb.fill(virtual_address, physical_base, self.memory, page_size)
         if self.tlb_prefetcher is not None and self.page_table is not None:
@@ -511,55 +389,40 @@ class MMU:
     # Intermediate-address schemes (Midgard, VBI)
     # ------------------------------------------------------------------ #
     def _access_intermediate_scheme(self, virtual_address: int, is_write: bool,
-                                    pc: int) -> MemoryOperationResult:
+                                    pc: int) -> Access:
         page_table = self.page_table
-        result = TranslationResult(virtual_address=virtual_address)
-
-        intermediate, frontend_latency, _ = page_table.translate_frontend(virtual_address,
-                                                                          self.memory)
-        result.frontend_latency += frontend_latency
-        result.latency += frontend_latency
-
+        memory = self.memory
+        intermediate, latency, _ = page_table.translate_frontend(virtual_address, memory)
         functional = page_table.translate_functional(virtual_address)
+        page_fault = False
+        fault_latency = 0
         if intermediate is None or functional is None:
+            page_fault = True
             fault_latency, handled = self._raise_page_fault(virtual_address)
-            result.page_fault = True
-            result.fault_latency = fault_latency
-            result.latency += fault_latency
+            latency += fault_latency
             if not handled:
-                result.segfault = True
-                return MemoryOperationResult(translation=result, total_latency=result.latency)
+                return latency, fault_latency, True, 0, "none"
             intermediate, frontend_latency, _ = page_table.translate_frontend(virtual_address,
-                                                                              self.memory)
-            result.frontend_latency += frontend_latency
-            result.latency += frontend_latency
+                                                                              memory)
+            latency += frontend_latency
             functional = page_table.translate_functional(virtual_address)
             if functional is None:
-                result.segfault = True
-                return MemoryOperationResult(translation=result, total_latency=result.latency)
-
-        result.physical_address = functional
-        self.translation_latency_stats.add(result.latency)
+                return latency, fault_latency, True, 0, "none"
+        self.translation_latency_stats.add(latency)
 
         # The caches are indexed with the intermediate address in Midgard/VBI;
         # using the functional physical address as a proxy preserves hit/miss
         # behaviour because the mapping is one-to-one.
-        memory = self.memory
         data_latency = memory.access_value(functional, is_write, "data", pc)
         served_by = memory.last_served_by
-        backend_latency = 0
         if served_by == "DRAM" and intermediate is not None:
-            _, backend_latency, accesses = page_table.translate_backend(intermediate, self.memory)
-            result.backend_latency += backend_latency
-            result.walk_memory_accesses += accesses
+            _, backend_latency, _ = page_table.translate_backend(intermediate, memory)
             self._c_page_walks[0] += 1
             self.ptw_latency_stats.add(backend_latency)
-        result.latency += backend_latency
+            latency += backend_latency
 
         self._c_data_accesses_intermediate[0] += 1
-        total = result.latency + data_latency
-        return MemoryOperationResult(translation=result, data_latency=data_latency,
-                                     served_by=served_by, total_latency=total)
+        return latency, fault_latency, page_fault, data_latency, served_by
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -40,17 +40,16 @@ from repro.common.stats import Counter
 from repro.pagetables.base import MemoryInterface, PageTableBase, WalkResult
 
 
-@dataclass
+@dataclass(slots=True)
 class NestedWalkResult:
-    """Outcome of a two-dimensional walk."""
+    """Outcome of a two-dimensional walk: a :class:`WalkResult` whose
+    ``physical_base`` is host-physical, plus the latency of each dimension."""
 
     found: bool
     latency: int
     memory_accesses: int
-    host_physical_base: int = 0
+    physical_base: int = 0
     page_size: int = PAGE_SIZE_4K
-    guest_fault: bool = False
-    host_fault: bool = False
     #: The guest-dimension share of ``latency`` (the guest page-table walk).
     guest_latency: int = 0
     #: The host-dimension share of ``latency`` (the repeated host walks).
@@ -127,7 +126,7 @@ class NestedTranslationUnit:
             host_physical, page_size = cached
             self.counters.add("nested_tlb_hits")
             return NestedWalkResult(found=True, latency=self.nested_tlb.latency,
-                                    memory_accesses=0, host_physical_base=host_physical,
+                                    memory_accesses=0, physical_base=host_physical,
                                     page_size=page_size)
 
         # Dimension 1: the guest walk.  Every guest page-table access would in
@@ -142,7 +141,7 @@ class NestedTranslationUnit:
         if not guest_result.found:
             self.counters.add("guest_faults")
             return NestedWalkResult(found=False, latency=latency, memory_accesses=accesses,
-                                    guest_fault=True, guest_latency=guest_latency)
+                                    guest_latency=guest_latency)
 
         guest_physical = guest_result.physical_base + (guest_virtual % guest_result.page_size)
 
@@ -164,8 +163,7 @@ class NestedTranslationUnit:
         if host_result is None or not host_result.found:
             self.counters.add("host_faults")
             return NestedWalkResult(found=False, latency=latency, memory_accesses=accesses,
-                                    host_fault=True, guest_latency=guest_latency,
-                                    host_latency=host_latency)
+                                    guest_latency=guest_latency, host_latency=host_latency)
 
         host_physical = (host_result.physical_base
                          + (guest_physical % host_result.page_size))
@@ -174,7 +172,7 @@ class NestedTranslationUnit:
                              page_size)
         self.counters.add("nested_walk_hits")
         return NestedWalkResult(found=True, latency=latency, memory_accesses=accesses,
-                                host_physical_base=host_physical - (guest_virtual % page_size),
+                                physical_base=host_physical - (guest_virtual % page_size),
                                 page_size=page_size, guest_latency=guest_latency,
                                 host_latency=host_latency)
 

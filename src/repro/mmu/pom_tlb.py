@@ -18,7 +18,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import Counter
-from repro.memhier.memory_system import MemoryAccessType
 
 
 class PartOfMemoryTLB:
@@ -42,7 +41,7 @@ class PartOfMemoryTLB:
     def lookup(self, virtual_address: int, memory) -> Tuple[Optional[Tuple[int, int]], int]:
         """Probe the in-memory table; returns ((physical, size) or None, latency)."""
         slot = self._slot(virtual_address)
-        latency = memory.access_address(self._slot_address(slot), False, MemoryAccessType.PTW)
+        latency = memory.access_value(self._slot_address(slot), False, "ptw")
         entry = self._table.get(slot)
         vpn = virtual_address // PAGE_SIZE_4K
         if entry is not None and entry[0] // PAGE_SIZE_4K == vpn:
@@ -60,7 +59,7 @@ class PartOfMemoryTLB:
         offset = virtual_address % page_size
         frame = physical_base + offset - offset % PAGE_SIZE_4K
         self._table[slot] = (virtual_address, frame, virtual_address - offset, page_size)
-        memory.access_address(self._slot_address(slot), True, MemoryAccessType.PTW)
+        memory.access_value(self._slot_address(slot), True, "ptw")
         self.counters.add("fills")
 
     def invalidate(self, virtual_address: int, size: int = PAGE_SIZE_4K) -> None:

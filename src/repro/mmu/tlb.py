@@ -5,6 +5,11 @@ TLBs for 4 KB and 2 MB pages, and a 2048-entry 16-way unified L2 TLB holding
 both page sizes (1 GB translations are also accepted by the L2 TLB, which is
 how modern cores behave).  The L2 TLB's misses-per-kilo-instruction is one
 of the validation metrics of Fig. 10.
+
+The core model translates data accesses only (instruction fetches are not
+simulated), so the L1 instruction TLB is never looked up or filled.  It is
+kept because shootdowns and flushes reach it like every other TLB, and
+every report counts its flushes.
 """
 
 from __future__ import annotations
@@ -116,54 +121,41 @@ class TLBHierarchy:
         self.l2 = TLB(TLBConfig(l2.name, l2.entries, l2.associativity, l2.latency, l2_sizes))
         self.counters = Counter()
         self._c_data_lookups = self.counters.hot("data_lookups")
-        self._c_instruction_lookups = self.counters.hot("instruction_lookups")
         self._c_l2_misses = self.counters.hot("l2_misses")
-        #: The L1 TLBs one lookup probes: the instruction TLB, or both data
-        #: TLBs (4 KB first; they are probed in parallel, so the 4 KB TLB's
-        #: latency is the L1 latency).
-        self._l1_instruction = (self.l1i,)
+        #: The L1 data TLBs a lookup probes, 4 KB first (they are probed in
+        #: parallel, so the 4 KB TLB's latency is the L1 latency).
         self._l1_data = (self.l1d_4k, self.l1d_2m)
         #: The L1 data TLB a translation of each page size is filled into;
         #: 1 GB translations live only in the L2 TLB, as on real cores.
         self._l1_data_by_size = {PAGE_SIZE_4K: self.l1d_4k, PAGE_SIZE_2M: self.l1d_2m}
-        #: Outcome of the most recent :meth:`lookup`: the level that
-        #: answered ("L1", "L1I", "L2" or "miss") and the lookup latency.
-        self.last_level = "miss"
+        #: The latency of the most recent lookup.
         self.last_latency = 0
 
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
-    def lookup(self, virtual_address: int,
-               instruction: bool = False) -> Optional[Tuple[int, int]]:
-        """Probe the L1 TLB(s), then the unified L2 TLB.
+    def lookup(self, virtual_address: int) -> Optional[Tuple[int, int]]:
+        """Probe the L1 data TLBs, then the unified L2 TLB.
 
         Returns the (physical base, page size) of the hit, or None, and
-        leaves the level and the latency in :attr:`last_level` and
-        :attr:`last_latency`.  An L2 hit is copied into the L1 TLB that
-        holds its page size.
+        leaves the lookup latency in :attr:`last_latency`.  An L2 hit is
+        copied into the L1 TLB that holds its page size.
         """
-        if instruction:
-            self._c_instruction_lookups[0] += 1
-            l1_tlbs, level = self._l1_instruction, "L1I"
-        else:
-            self._c_data_lookups[0] += 1
-            l1_tlbs, level = self._l1_data, "L1"
-        latency = l1_tlbs[0].latency
-        for tlb in l1_tlbs:
+        self._c_data_lookups[0] += 1
+        latency = self.l1d_4k.latency
+        for tlb in self._l1_data:
             entry = tlb.lookup(virtual_address)
             if entry is not None:
-                self.last_level = level
                 self.last_latency = latency
                 return entry
-        return self._lookup_l2(virtual_address, latency, instruction)
+        return self._lookup_l2(virtual_address, latency)
 
     def lookup_after_l1d_miss(self, virtual_address: int) -> Optional[Tuple[int, int]]:
-        """A data lookup whose L1 data TLBs the caller has already probed.
+        """A lookup whose L1 data TLBs the caller has already probed.
 
         For a caller that peeked both L1 data TLBs without counting and
-        found nothing: counts the data lookup and both L1 misses exactly
-        as :meth:`lookup` does, then goes straight to the L2 step.
+        found nothing: counts the lookup and both L1 misses exactly as
+        :meth:`lookup` does, then goes straight to the L2 step.
         """
         self._c_data_lookups[0] += 1
         l1d_4k, l1d_2m = self.l1d_4k, self.l1d_2m
@@ -171,36 +163,28 @@ class TLBHierarchy:
         l1d_4k._c_misses[0] += 1
         l1d_2m._c_lookups[0] += 1
         l1d_2m._c_misses[0] += 1
-        return self._lookup_l2(virtual_address, l1d_4k.latency, False)
+        return self._lookup_l2(virtual_address, l1d_4k.latency)
 
-    def _lookup_l2(self, virtual_address: int, latency: int,
-                   instruction: bool) -> Optional[Tuple[int, int]]:
+    def _lookup_l2(self, virtual_address: int, latency: int) -> Optional[Tuple[int, int]]:
         """The L2 step both lookups end in, after ``latency`` cycles of L1."""
         l2 = self.l2
         self.last_latency = latency + l2.latency
         entry = l2.lookup(virtual_address)
         if entry is None:
             self._c_l2_misses[0] += 1
-            self.last_level = "miss"
             return None
-        self.last_level = "L2"
-        self._fill_l1(virtual_address, entry[0], entry[1], instruction)
+        self._fill_l1(virtual_address, entry[0], entry[1])
         return entry
 
     # ------------------------------------------------------------------ #
     # Fills / invalidations
     # ------------------------------------------------------------------ #
-    def fill(self, virtual_address: int, physical_base: int, page_size: int,
-             instruction: bool = False) -> None:
+    def fill(self, virtual_address: int, physical_base: int, page_size: int) -> None:
         """Install a translation after a successful walk."""
         self.l2.fill(virtual_address, physical_base, page_size)
-        self._fill_l1(virtual_address, physical_base, page_size, instruction)
+        self._fill_l1(virtual_address, physical_base, page_size)
 
-    def _fill_l1(self, virtual_address: int, physical_base: int, page_size: int,
-                 instruction: bool) -> None:
-        if instruction:
-            self.l1i.fill(virtual_address, physical_base, page_size)
-            return
+    def _fill_l1(self, virtual_address: int, physical_base: int, page_size: int) -> None:
         tlb = self._l1_data_by_size.get(page_size)
         if tlb is not None:
             tlb.fill(virtual_address, physical_base, page_size)

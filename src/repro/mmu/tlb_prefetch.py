@@ -37,8 +37,7 @@ class SequentialTLBPrefetcher:
             self.counters.add("prefetches")
             if memory is not None:
                 # The background walk still reads the page table in memory.
-                from repro.memhier.memory_system import MemoryAccessType
-                memory.access_address(physical_base, False, MemoryAccessType.PTW)
+                memory.access_value(physical_base, False, "ptw")
         return prefetched
 
     def stats(self) -> Dict[str, int]:

@@ -6,9 +6,14 @@ Two actors use a page table:
   recording the kernel work each update costs into a
   :class:`~repro.mimicos.ops.KernelRoutineTrace`.
 * **The MMU model** (hardware) walks the structure on TLB misses; every
-  probe of translation metadata is issued as a memory request through the
-  simulated memory hierarchy, so page-table accesses contend for cache
-  capacity and DRAM row buffers like any other access.
+  probe of translation metadata is issued through the simulated memory
+  hierarchy's ``access_value`` with the ``"ptw"`` or ``"translation"``
+  request type, so page-table accesses contend for cache capacity and DRAM
+  row buffers like any other access.  A walk returns a :class:`WalkResult`:
+  whether it found a mapping, its latency and memory accesses, and the
+  mapping's physical base and page size.  Schemes that split translation
+  (Midgard, VBI) keep their own frontend/backend cycle totals
+  (``latency_breakdown``).
 
 Some schemes (Utopia, RMM eager paging) also take over *physical frame
 allocation* from the THP policy; they advertise this with
@@ -27,7 +32,6 @@ from repro.common.addresses import (
     PAGE_SIZE_4K,
 )
 from repro.common.stats import Counter
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 
 
@@ -53,10 +57,6 @@ class WalkResult:
     memory_accesses: int
     physical_base: int = 0
     page_size: int = PAGE_SIZE_4K
-    #: Latency attributable to the scheme's frontend (Midgard) — 0 elsewhere.
-    frontend_latency: int = 0
-    #: Latency attributable to the backend / in-memory structure.
-    backend_latency: int = 0
 
 
 @dataclass
@@ -73,15 +73,16 @@ class FaultAllocation:
 
 
 class MemoryInterface:
-    """Minimal protocol the walker needs: ``access_address(addr, is_write, type)``.
+    """Minimal protocol the walker needs: ``access_value(addr, is_write,
+    type)`` with the request type a string (``"ptw"`` or ``"translation"``),
+    returning the access's latency.
 
     :class:`repro.memhier.memory_system.MemoryHierarchy` satisfies it; tests
     can pass a stub that returns a constant latency.
     """
 
-    def access_address(self, address: int, is_write: bool = False,
-                       access_type: MemoryAccessType = MemoryAccessType.PTW,
-                       pc: int = 0) -> int:
+    def access_value(self, address: int, is_write: bool = False,
+                     access_type: str = "data", pc: int = 0) -> int:
         raise NotImplementedError
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping, WalkResult
 from repro.pagetables.hashing import bucket_index
@@ -222,8 +221,7 @@ class ElasticCuckooPageTable(PageTableBase):
             mapping = self._mappings.get(virtual_base)
             for way in range(table.ways):
                 index = table.index_for(key, way)
-                probe_latency = memory.access_address(table.bucket_address(way, index), False,
-                                                      MemoryAccessType.PTW)
+                probe_latency = memory.access_value(table.bucket_address(way, index), False, "ptw")
                 accesses += 1
                 max_probe_latency = max(max_probe_latency, probe_latency)
                 if table.nests[way].get(index) == key and mapping is not None \
@@ -238,11 +236,9 @@ class ElasticCuckooPageTable(PageTableBase):
             self._c_walk_hits[0] += 1
             result.latency = latency
             result.memory_accesses = accesses
-            result.backend_latency = latency
             return result
         self._c_walk_faults[0] += 1
-        return WalkResult(found=False, latency=latency, memory_accesses=accesses,
-                          backend_latency=latency)
+        return WalkResult(found=False, latency=latency, memory_accesses=accesses)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping, WalkResult
 from repro.pagetables.hashing import bucket_index
@@ -99,25 +98,22 @@ class ChainedHashPageTable(PageTableBase):
             home = self._home_index(key)
             chain = self._chains.get(home, [])
             # Always read the home bucket.
-            latency += memory.access_address(self._node_address(home, 0), False,
-                                             MemoryAccessType.PTW)
+            latency += memory.access_value(self._node_address(home, 0), False, "ptw")
             accesses += 1
             if key in chain:
                 position = chain.index(key)
                 for node in range(1, position + 1):
-                    latency += memory.access_address(self._node_address(home, node), False,
-                                                     MemoryAccessType.PTW)
+                    latency += memory.access_value(self._node_address(home, node), False, "ptw")
                     accesses += 1
                 if mapping is not None and mapping.page_size == page_size:
                     self._c_walk_hits[0] += 1
                     self._c_walk_memory_accesses[0] += accesses
                     return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                                       physical_base=mapping.physical_base,
-                                      page_size=page_size, backend_latency=latency)
+                                      page_size=page_size)
         self._c_walk_faults[0] += 1
         self._c_walk_memory_accesses[0] += accesses
-        return WalkResult(found=False, latency=latency, memory_accesses=accesses,
-                          backend_latency=latency)
+        return WalkResult(found=False, latency=latency, memory_accesses=accesses)
 
     # ------------------------------------------------------------------ #
     # Introspection

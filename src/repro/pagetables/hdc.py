@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping, WalkResult
 from repro.pagetables.hashing import bucket_index
@@ -111,8 +110,7 @@ class OpenAddressingHashPageTable(PageTableBase):
             mapping = self._mappings.get(virtual_base)
             key = self._key(virtual_base, page_size)
             for index in self._probe_sequence(key):
-                latency += memory.access_address(self._bucket_address(index), False,
-                                                 MemoryAccessType.PTW)
+                latency += memory.access_value(self._bucket_address(index), False, "ptw")
                 accesses += 1
                 occupant = self._buckets.get(index)
                 if occupant == key:
@@ -122,10 +120,9 @@ class OpenAddressingHashPageTable(PageTableBase):
                     self._c_walk_memory_accesses[0] += accesses
                     return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                                       physical_base=mapping.physical_base,
-                                      page_size=page_size, backend_latency=latency)
+                                      page_size=page_size)
                 if occupant is None:
                     break
         self._c_walk_faults[0] += 1
         self._c_walk_memory_accesses[0] += accesses
-        return WalkResult(found=False, latency=latency, memory_accesses=accesses,
-                          backend_latency=latency)
+        return WalkResult(found=False, latency=latency, memory_accesses=accesses)

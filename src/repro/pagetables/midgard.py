@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import GB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_down, align_up
 from repro.common.lru import RangeCache
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
     MemoryInterface,
@@ -156,8 +155,8 @@ class MidgardTranslation(PageTableBase):
                 entry = self._find_vma_range(virtual_address)
                 depth = max(1, (max(1, len(self._vma_ranges)).bit_length() + 2) // 3)
                 for level in range(depth):
-                    latency += memory.access_address(self._vma_node_address(level), False,
-                                                     MemoryAccessType.TRANSLATION)
+                    latency += memory.access_value(self._vma_node_address(level), False,
+                                                   "translation")
                     accesses += 1
                 if entry is not None:
                     self.l2_vlb.fill(entry)
@@ -177,8 +176,8 @@ class MidgardTranslation(PageTableBase):
         latency = 0
         accesses = 0
         for level in range(self.backend_levels):
-            latency += memory.access_address(self._backend_node_address(backend_base, level),
-                                             False, MemoryAccessType.PTW)
+            latency += memory.access_value(self._backend_node_address(backend_base, level),
+                                           False, "ptw")
             accesses += 1
             if level >= 2 and backend_base in self._backend:
                 # Upper levels resolved; huge backend pages terminate early.
@@ -198,8 +197,7 @@ class MidgardTranslation(PageTableBase):
         if midgard_address is None:
             self._c_walk_faults[0] += 1
             return WalkResult(found=False, latency=frontend_latency,
-                              memory_accesses=frontend_accesses,
-                              frontend_latency=frontend_latency)
+                              memory_accesses=frontend_accesses)
         physical, backend_latency, backend_accesses = \
             self.translate_backend(midgard_address, memory)
         total_latency = frontend_latency + backend_latency
@@ -207,15 +205,11 @@ class MidgardTranslation(PageTableBase):
         if physical is None:
             self._c_walk_faults[0] += 1
             return WalkResult(found=False, latency=total_latency,
-                              memory_accesses=total_accesses,
-                              frontend_latency=frontend_latency,
-                              backend_latency=backend_latency)
+                              memory_accesses=total_accesses)
         self._c_walk_hits[0] += 1
         return WalkResult(found=True, latency=total_latency, memory_accesses=total_accesses,
                           physical_base=align_down(physical, PAGE_SIZE_4K),
-                          page_size=PAGE_SIZE_4K,
-                          frontend_latency=frontend_latency,
-                          backend_latency=backend_latency)
+                          page_size=PAGE_SIZE_4K)
 
     # ------------------------------------------------------------------ #
     # Address helpers

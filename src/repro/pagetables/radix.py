@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.lru import LRU
 from repro.common.stats import Counter
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping, WalkResult
 
@@ -207,8 +206,7 @@ class RadixPageTable(PageTableBase):
         accesses = 0
         while depth < 4:
             index = virtual_address >> _INDEX_SHIFTS[depth] & _INDEX_MASK
-            latency += memory.access_address(node.physical_base + index * PTE_SIZE, False,
-                                             MemoryAccessType.PTW)
+            latency += memory.access_value(node.physical_base + index * PTE_SIZE, False, "ptw")
             accesses += 1
             leaf = node.leaf_entries.get(index)
             if leaf is not None:
@@ -216,7 +214,7 @@ class RadixPageTable(PageTableBase):
                     self._fill_pwcs(virtual_address, depth + 1)
                 self._c_walk_hits[0] += 1
                 self._c_walk_memory_accesses[0] += accesses
-                return WalkResult(True, latency, accesses, leaf[0], leaf[1], 0, latency)
+                return WalkResult(True, latency, accesses, leaf[0], leaf[1])
             node = node.children.get(index)
             if node is None:
                 break
@@ -225,7 +223,7 @@ class RadixPageTable(PageTableBase):
         # A missing child, or all four levels descended without a leaf: fault.
         self._c_walk_faults[0] += 1
         self._c_walk_memory_accesses[0] += accesses
-        return WalkResult(False, latency, accesses, 0, PAGE_SIZE_4K, 0, latency)
+        return WalkResult(False, latency, accesses)
 
     def _fill_pwcs(self, virtual_address: int, resolved_depth: int) -> None:
         if resolved_depth >= 2:

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K, align_down
 from repro.common.lru import RangeCache
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
     FaultAllocation,
@@ -195,8 +194,8 @@ class RangeMemoryMapping(PageTableBase):
             # Range-table walk: a B-tree descent of depth ~log_8(#ranges).
             depth = max(1, (max(1, len(self._ranges)).bit_length() + 2) // 3)
             for level in range(depth):
-                latency += memory.access_address(self._range_node_address(level), False,
-                                                 MemoryAccessType.TRANSLATION)
+                latency += memory.access_value(self._range_node_address(level), False,
+                                               "translation")
                 accesses += 1
             self.rlb.fill(covering)
             self._c_range_table_walks[0] += 1
@@ -205,13 +204,12 @@ class RangeMemoryMapping(PageTableBase):
             page_base = align_down(virtual_address, PAGE_SIZE_4K)
             return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                               physical_base=covering.translate(page_base),
-                              page_size=PAGE_SIZE_4K, backend_latency=latency)
+                              page_size=PAGE_SIZE_4K)
 
         # No range covers the address: conventional radix walk.
         radix_result = self.radix.walk(virtual_address, memory)
         radix_result.latency += latency
         radix_result.memory_accesses += accesses
-        radix_result.backend_latency += latency
         if radix_result.found:
             self._c_walk_hits[0] += 1
         else:

@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, align_down
 from repro.common.lru import LRU
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
     FaultAllocation,
@@ -287,8 +286,8 @@ class UtopiaTranslation(PageTableBase):
                 # Tags of the whole set are read (they fit in one or two lines).
                 tag_lines = max(1, (seg.associativity * TAG_SIZE) // 64)
                 for line in range(tag_lines):
-                    latency += memory.access_address(seg.tag_address(set_index, 0) + line * 64,
-                                                     False, MemoryAccessType.TRANSLATION)
+                    latency += memory.access_value(seg.tag_address(set_index, 0) + line * 64,
+                                                   False, "translation")
                     accesses += 1
                 self.tar_cache.fill(vpn)
             self._c_restseg_walks[0] += 1
@@ -296,13 +295,12 @@ class UtopiaTranslation(PageTableBase):
             self._c_walk_memory_accesses[0] += accesses
             return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                               physical_base=mapping.physical_base,
-                              page_size=mapping.page_size, backend_latency=latency)
+                              page_size=mapping.page_size)
 
         # FlexSeg path: conventional radix walk.
         self._c_flexseg_walks[0] += 1
         radix_result = self.flexseg.walk(virtual_address, memory)
         radix_result.latency += latency
-        radix_result.backend_latency += latency
         radix_result.memory_accesses += accesses
         if radix_result.found:
             self._c_walk_hits[0] += 1

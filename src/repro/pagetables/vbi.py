@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, align_down
-from repro.memhier.memory_system import MemoryAccessType
 from repro.common.kernelops import KernelRoutineTrace
 from repro.pagetables.base import (
     MemoryInterface,
@@ -87,8 +86,7 @@ class VirtualBlockInterface(PageTableBase):
                           memory: MemoryInterface) -> Tuple[Optional[int], int, int]:
         """Memory-side translation: one block-translation-table read."""
         block_page = align_down(intermediate_address, self.BLOCK_PAGE_SIZE)
-        latency = memory.access_address(self._entry_address(block_page), False,
-                                        MemoryAccessType.PTW)
+        latency = memory.access_value(self._entry_address(block_page), False, "ptw")
         self.backend_cycles += latency
         self._c_backend_translations[0] += 1
         physical_base = self._block_mappings.get(block_page)
@@ -106,16 +104,12 @@ class VirtualBlockInterface(PageTableBase):
             mapping = self._find_mapping(virtual_address)
             if mapping is None:
                 self._c_walk_faults[0] += 1
-                return WalkResult(found=False, latency=latency, memory_accesses=accesses,
-                                  frontend_latency=frontend_latency,
-                                  backend_latency=backend_latency)
+                return WalkResult(found=False, latency=latency, memory_accesses=accesses)
             physical = mapping.translate(align_down(virtual_address, PAGE_SIZE_4K))
         self._c_walk_hits[0] += 1
         return WalkResult(found=True, latency=latency, memory_accesses=accesses,
                           physical_base=align_down(physical, PAGE_SIZE_4K),
-                          page_size=PAGE_SIZE_4K,
-                          frontend_latency=frontend_latency,
-                          backend_latency=backend_latency)
+                          page_size=PAGE_SIZE_4K)
 
     def _entry_address(self, block_page: int) -> int:
         return self.block_table_base + (block_page >> 21) * ENTRY_SIZE

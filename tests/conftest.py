@@ -92,7 +92,7 @@ class FlatMemory:
         self.latency = latency
         self.accesses = []
 
-    def access_address(self, address, is_write=False, access_type=None, pc=0):
+    def access_value(self, address, is_write=False, access_type="data", pc=0):
         self.accesses.append((address, is_write))
         return self.latency
 

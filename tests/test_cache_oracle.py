@@ -130,6 +130,18 @@ OPS = st.lists(st.tuples(
     st.sampled_from(["data", "ptw", "kernel"])), max_size=200)
 
 
+def access_with_victim(cache, address, is_write, request_type):
+    """``Cache.access_bool``, then the block and dirty bit of the line a
+    miss evicted ((None, False): none), read from the set before the fill."""
+    block = address // cache.line_size
+    set_index = block % cache.num_sets
+    blocks, dirty = list(cache._blocks[set_index]), list(cache._dirty[set_index])
+    if cache.access_bool(address, is_write, request_type):
+        return True, None, False
+    way = cache._way_maps[set_index][block]
+    return False, blocks[way], blocks[way] is not None and dirty[way]
+
+
 def divergence(replacement, ways, sets, ops):
     """First op on which ``Cache`` and the reference disagree, or None."""
     config = CacheConfig("oracle", size_bytes=sets * ways * 64,
@@ -139,8 +151,7 @@ def divergence(replacement, ways, sets, ops):
     for step, (op, line, request_type) in enumerate(ops):
         address = line % lines * 64 + step % 64
         if op in ("read", "write"):
-            result = cache.access(address, op == "write", request_type)
-            got = (result.hit, result.evicted_tag, result.evicted_dirty)
+            got = access_with_victim(cache, address, op == "write", request_type)
             want = reference.access(address, op == "write", request_type)
         elif op == "fill":
             got, want = cache.fill(address), reference.fill(address, "prefetch")
@@ -196,9 +207,8 @@ def test_oracle_catches_a_last_maximum_srrip_victim(monkeypatch):
 def test_eviction_reports_the_displaced_block(replacement):
     cache = Cache(CacheConfig("one", size_bytes=64, associativity=1, latency=1,
                               replacement=replacement))
-    cache.access(0x1234, is_write=True)
-    result = cache.access(0x5678)
-    assert (result.evicted_tag, result.evicted_dirty) == (0x1234 // 64, True)
+    access_with_victim(cache, 0x1234, True, "data")
+    assert access_with_victim(cache, 0x5678, False, "data") == (False, 0x1234 // 64, True)
 
 
 # --------------------------------------------------------------------------- #

@@ -34,7 +34,6 @@ from repro.core.instructions import OP_LOAD, OP_MAGIC, OP_REP, InstructionBatch
 from repro.core.instrumentation import InstrumentationTool
 from repro.core.virtuoso import Virtuoso
 from repro.mimicos.kernel import MimicOS
-from repro.mmu.mmu import MemoryOperationResult, TranslationResult
 from repro.validation.invariants import check_translations
 from repro.validation.parity import flatten_stats
 from repro.common.config import PageTableConfig
@@ -247,11 +246,8 @@ class TestTranslationPenaltyAccounting:
         system = Virtuoso(config, seed=7)
         core = system.core
 
-        bogus_translation = TranslationResult(virtual_address=0x1000, latency=3,
-                                              fault_latency=10, page_fault=True)
-        bogus = MemoryOperationResult(translation=bogus_translation, data_latency=0,
-                                      served_by="L1", total_latency=3)
-        core.mmu.access_data_fast = lambda *args, **kwargs: bogus
+        # Translation latency 3, fault latency 10, faulted, an L1 data hit.
+        core.mmu.access_data_fast = lambda *args, **kwargs: (3, 10, True, 0, "L1")
 
         with pytest.raises(AssertionError, match="negative translation component"):
             core.execute_batch(load_batch(0x1000))
@@ -261,10 +257,7 @@ class TestTranslationPenaltyAccounting:
         config = tiny_system_config()
         system = Virtuoso(config, seed=7)
         core = system.core
-        free_translation = TranslationResult(virtual_address=0x1000, latency=0)
-        free = MemoryOperationResult(translation=free_translation, data_latency=0,
-                                     served_by="L1", total_latency=0)
-        core.mmu.access_data_fast = lambda *args, **kwargs: free
+        core.mmu.access_data_fast = lambda *args, **kwargs: (0, 0, False, 0, "L1")
 
         before = core.cycles
         core.execute_batch(load_batch(0x1000))

@@ -140,8 +140,14 @@ class TestSwapReclaim:
                 break
         # The huge-page faults cross the 30 % threshold well before the VMA is
         # fully touched, so reclaim must have swapped something out.
-        assert kernel.buddy.usage <= 1.0
         assert swapped > 0
+        # Reclaim swaps out until usage is 5 % under the threshold, unless
+        # it runs out of swap slots or of resident pages other than the one
+        # the fault just mapped.
+        out_of_slots = kernel.swap.free_slots == 0
+        only_the_faulting_page_left = len(kernel._resident) <= 1
+        assert (kernel.buddy.usage <= kernel.config.swap_threshold - 0.05
+                or out_of_slots or only_the_faulting_page_left)
         assert kernel.swap.counters.get("swap_outs") > 0
 
     def test_swapped_page_faults_back_in(self):

@@ -7,7 +7,7 @@ from repro.common.config import CacheConfig, DRAMConfig, PrefetcherConfig
 from repro.common.lru import LRU
 from repro.memhier.cache import Cache
 from repro.memhier.dram import DRAMModel
-from repro.memhier.memory_system import MemoryAccessType, MemoryHierarchy
+from repro.memhier.memory_system import MemoryHierarchy
 from repro.memhier.prefetcher import (
     IPStridePrefetcher,
     StreamPrefetcher,
@@ -23,27 +23,23 @@ def small_cache(replacement="lru", size=4096, assoc=4, latency=2) -> Cache:
 class TestCache:
     def test_miss_then_hit(self):
         cache = small_cache()
-        first = cache.access(0x1000)
-        second = cache.access(0x1000)
-        assert not first.hit and second.hit
+        first = cache.access_bool(0x1000)
+        second = cache.access_bool(0x1000)
+        assert not first and second
         assert cache.hits() == 1
         assert cache.misses() == 1
 
     def test_same_line_different_offsets_hit(self):
         cache = small_cache()
-        cache.access(0x1000)
-        assert cache.access(0x1010).hit
-
-    def test_latency_reported(self):
-        cache = small_cache(latency=7)
-        assert cache.access(0x0).latency == 7
+        cache.access_bool(0x1000)
+        assert cache.access_bool(0x1010)
 
     def test_lru_eviction_order(self):
         cache = small_cache(size=4 * 64, assoc=4)  # one set of 4 ways
         for index in range(4):
-            cache.access(index * 64 * cache.num_sets)
-        cache.access(0)  # refresh line 0
-        cache.access(5 * 64 * cache.num_sets)  # evicts the LRU (line 1)
+            cache.access_bool(index * 64 * cache.num_sets)
+        cache.access_bool(0)  # refresh line 0
+        cache.access_bool(5 * 64 * cache.num_sets)  # evicts the LRU (line 1)
         assert cache.probe(0)
         assert not cache.probe(1 * 64 * cache.num_sets)
 
@@ -55,11 +51,11 @@ class TestCache:
         cache = small_cache(size=4 * 64, assoc=4)  # one set of 4 ways
         a, x, y, z, b, e = (index * 64 for index in range(6))
         for line in (a, x, y, z):
-            cache.access(line)
+            cache.access_bool(line)
         cache.invalidate(a)   # frees way 0
         cache.fill(b)         # prefetch into way 0, after z's demand access
-        cache.access(x)
-        cache.access(y)
+        cache.access_bool(x)
+        cache.access_bool(y)
         assert cache._blocks[0][0] == b // 64 and cache._blocks[0][3] == z // 64
         stamps = cache._meta[0]
         assert stamps[0] == stamps[3]   # b and z tie
@@ -74,25 +70,26 @@ class TestCache:
         recency.move_to_end(y)
         assert recency.peek_victim() == z
 
-        cache.access(e)
+        cache.access_bool(e)
         assert not cache.probe(b)   # the tie went to the lower way
         assert cache.probe(z)
 
     def test_srrip_eviction(self):
         cache = small_cache(replacement="srrip", size=4 * 64, assoc=4)
         for index in range(8):
-            cache.access(index * 64 * cache.num_sets)
+            cache.access_bool(index * 64 * cache.num_sets)
         assert cache.counters.get("evictions") == 4
 
-    def test_write_marks_dirty_and_eviction_reports_it(self):
+    def test_write_marks_the_line_dirty(self):
         cache = small_cache(size=1 * 64, assoc=1)
-        cache.access(0, is_write=True)
-        result = cache.access(64 * cache.num_sets)
-        assert result.evicted_dirty
+        cache.access_bool(0, is_write=True)
+        assert cache._dirty[0][0]
+        cache.access_bool(64 * cache.num_sets)
+        assert cache.counters.get("evictions") == 1 and not cache._dirty[0][0]
 
     def test_invalidate(self):
         cache = small_cache()
-        cache.access(0x2000)
+        cache.access_bool(0x2000)
         assert cache.invalidate(0x2000)
         assert not cache.probe(0x2000)
         assert not cache.invalidate(0x2000)
@@ -100,7 +97,7 @@ class TestCache:
     def test_flush(self):
         cache = small_cache()
         for address in range(0, 1024, 64):
-            cache.access(address)
+            cache.access_bool(address)
         cache.flush()
         assert not cache.probe(0)
 
@@ -112,14 +109,14 @@ class TestCache:
 
     def test_pollution_attribution(self):
         cache = small_cache(size=1 * 64, assoc=1)
-        cache.access(0, request_type="data")
-        cache.access(64 * cache.num_sets, request_type="ptw")
+        cache.access_bool(0, request_type="data")
+        cache.access_bool(64 * cache.num_sets, request_type="ptw")
         assert cache.counters.get("pollution_evictions_by_ptw") == 1
 
     def test_miss_rate(self):
         cache = small_cache()
-        cache.access(0)
-        cache.access(0)
+        cache.access_bool(0)
+        cache.access_bool(0)
         assert cache.miss_rate() == pytest.approx(0.5)
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=300))
@@ -127,7 +124,7 @@ class TestCache:
     def test_occupancy_never_exceeds_capacity_property(self, addresses):
         cache = small_cache(size=16 * 64, assoc=4)
         for address in addresses:
-            cache.access(address)
+            cache.access_bool(address)
         resident = sum(1 for blocks in cache._blocks for block in blocks
                        if block is not None)
         assert resident == sum(len(way_map) for way_map in cache._way_maps)
@@ -201,7 +198,7 @@ class TestPrefetchers:
         prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=1), cache)
         prefetcher.train(0x2000, 0)
         assert prefetcher.train(0x2040, 0) == 1      # fills line 0x2080
-        cache.access(0x2080 + 4 * 64)                # evicts it from its set
+        cache.access_bool(0x2080 + 4 * 64)                # evicts it from its set
         assert not cache.probe(0x2080)
         assert prefetcher.train(0x2040, 0) == 1
         assert cache.probe(0x2080)
@@ -246,38 +243,39 @@ class TestDRAM:
 
     def test_row_hit_after_first_access(self):
         dram = self.make()
-        first = dram.access(0x1000)
-        second = dram.access(0x1000)
-        assert not first.row_hit and second.row_hit
-        assert second.latency < first.latency
+        first = dram.access_value(0x1000)
+        second = dram.access_value(0x1000)
+        assert dram.counters.get("row_hits") == 1
+        assert second == dram.config.row_hit_latency < first
 
     def test_row_conflict_latency_is_highest(self):
         dram = self.make()
         base = 0x0
         conflicting = dram.config.row_size_bytes * dram.num_channels * dram.banks_per_channel * 8
-        dram.access(base)
-        result = dram.access(conflicting)
+        dram.access_value(base)
+        latency = dram.access_value(conflicting)
         # Same bank, different row -> conflict.
-        assert result.row_conflict
-        assert result.latency == dram.config.row_conflict_latency
+        assert dram.last_row_conflict
+        assert latency == dram.config.row_conflict_latency
 
     def test_closed_page_policy_never_hits(self):
         dram = self.make(policy="closed")
-        dram.access(0x1000)
-        assert not dram.access(0x1000).row_hit
+        dram.access_value(0x1000)
+        dram.access_value(0x1000)
+        assert dram.counters.get("row_hits") == 0
 
     def test_conflict_attribution_by_request_type(self):
         dram = self.make()
         stride = dram.config.row_size_bytes * dram.num_channels * dram.banks_per_channel * 4
-        dram.access(0x0, request_type="data")
-        dram.access(stride, request_type="ptw")
+        dram.access_value(0x0, request_type="data")
+        dram.access_value(stride, request_type="ptw")
         assert dram.row_conflicts(caused_by="ptw") == 1
         assert dram.translation_row_conflicts() == 1
 
     def test_hit_rate(self):
         dram = self.make()
-        dram.access(0)
-        dram.access(0)
+        dram.access_value(0)
+        dram.access_value(0)
         assert dram.row_buffer_hit_rate() == pytest.approx(0.5)
 
     def test_channel_interleaving(self):
@@ -316,13 +314,8 @@ class TestMemoryHierarchy:
 
     def test_request_type_tracking(self):
         hierarchy = self.build()
-        hierarchy.access_value(0x1000, access_type=MemoryAccessType.PTW.value)
+        hierarchy.access_value(0x1000, access_type="ptw")
         assert hierarchy.counters.get("requests_ptw") == 1
-
-    def test_access_address_convenience(self):
-        hierarchy = self.build()
-        latency = hierarchy.access_address(0x4000)
-        assert latency > 0
 
     def test_flush_caches_forces_dram_again(self):
         hierarchy = self.build()

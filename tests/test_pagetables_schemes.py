@@ -186,8 +186,9 @@ class TestMidgard:
         midgard.insert(0x1000_0000, 0x4000_0000, PAGE_SIZE_4K)
         result = midgard.walk(0x1000_0000 + 0x123, memory)
         assert result.found
-        assert result.frontend_latency > 0
-        assert result.backend_latency > 0
+        breakdown = midgard.latency_breakdown()
+        assert breakdown["frontend"] > 0 and breakdown["backend"] > 0
+        assert result.latency == breakdown["frontend"] + breakdown["backend"]
 
     def test_latency_breakdown_accumulates(self):
         midgard = MidgardTranslation()

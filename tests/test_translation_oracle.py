@@ -4,11 +4,11 @@
 :mod:`repro.mmu.mmu`, :mod:`repro.mmu.tlb` and :mod:`repro.pagetables.radix`
 promise, written with lists and dicts only (no :mod:`repro.common.lru`):
 
-* an L1 instruction TLB, split L1 data TLBs for 4 KB and 2 MB pages probed
-  4 KB first at the 4 KB TLB's latency, and a unified L2 TLB that also holds
-  1 GB translations and is probed 4 KB, 2 MB, 1 GB; every set is a list in
-  recency order, oldest first, and an L2 hit is copied into the L1 TLB for
-  its page size;
+* an L1 instruction TLB that only shootdowns and flushes reach, split L1
+  data TLBs for 4 KB and 2 MB pages probed 4 KB first at the 4 KB TLB's
+  latency, and a unified L2 TLB that also holds 1 GB translations and is
+  probed 4 KB, 2 MB, 1 GB; every set is a list in recency order, oldest
+  first, and an L2 hit is copied into the L1 TLB for its page size;
 * a 4-level radix tree walked from the deepest page-walk cache that hits
   (PMD, PUD, then PGD; all probed in parallel), one PTW memory access per
   level, leaves checked before children, and on a leaf the PGD, PUD and PMD
@@ -17,20 +17,23 @@ promise, written with lists and dicts only (no :mod:`repro.common.lru`):
 * a TLB miss walks, a fault goes to the OS callback, a handled fault walks
   again, and the translation is filled into the L2 and L1 TLBs.
 
-Seeded streams of data and instruction accesses, 4 KB/2 MB/1 GB inserts,
-removals, ``invalidate_translation`` shootdowns, flushes and faults through
-a stub callback drive it and a real ``MMU`` through ``access_data``,
-``access_data_fast`` (whose L1 data-TLB hit is written out in place) and
-``access_instruction``.  Each stream runs as it is, leaving stale TLB
-entries behind, and keeping MimicOS's shootdown contract.  Every
-``TranslationResult`` field, the data latency and serving level, and at
-the end ``mmu.stats()``, the PWC counters, the TLB contents in recency
-order and ``memory.stats()`` must agree.  After every step the
-translation check (:func:`repro.validation.invariants.check_mmu`) must
-trip exactly when some reference TLB entry differs from the reference
-table's mapping.  The data caches are the real
-``MemoryHierarchy`` on both sides: ``test_cache_oracle.py`` checks them,
-and sharing them here checks the address, type and order of every request.
+Seeded streams of data accesses, 4 KB/2 MB/1 GB inserts, removals,
+``invalidate_translation`` shootdowns, flushes and faults through a stub
+callback drive it and a real ``MMU`` through ``access_data_fast`` (whose
+L1 data-TLB hit is written out in place).  Each stream runs as it is,
+leaving stale TLB entries behind, and keeping MimicOS's shootdown
+contract.  Every access must return the reference's tuple (translation
+latency, fault latency, page fault, data latency, serving level), and
+after it ``mmu.stats()`` and ``memory.stats()`` must agree: the TLB level
+that hit, the walk, its memory accesses and a segfault show only in
+those counters, and the physical address only in the requests the caches
+count.  At the end the PWC counters and contents and the TLB contents in
+recency order must agree too.  After every step the translation check
+(:func:`repro.validation.invariants.check_mmu`) must trip exactly when
+some reference TLB entry differs from the reference table's mapping.  The
+data caches are the real ``MemoryHierarchy`` on both sides:
+``test_cache_oracle.py`` checks them, and sharing them here checks the
+address, type and order of every request.
 """
 
 import random
@@ -63,7 +66,9 @@ GEOMETRIES = {
                        l1d_2m=TLBConfig("L1D2M", 4, 2, 2, page_sizes=(PAGE_SIZE_2M,)),
                        l2=TLBConfig("L2", 6, 3, 9, page_sizes=(PAGE_SIZE_4K,))),
 }
-SEEDS = range(6)
+#: Random streams by seed, and one written out (``L2_PROBE_ORDER_OPS``).
+RANDOM_SEEDS = range(6)
+SEEDS = [*RANDOM_SEEDS, "l2_probe_order"]
 
 
 def make_memory():
@@ -284,31 +289,27 @@ class ReferenceMMU:
     def count(self, counts, name, amount=1):
         counts[name] = counts.get(name, 0) + amount
 
-    def fill_l1(self, address, physical_base, page_size, instruction):
-        if instruction:
-            self.l1i.fill(address, physical_base, page_size)
-        elif page_size == PAGE_SIZE_4K:
+    def fill_l1(self, address, physical_base, page_size):
+        if page_size == PAGE_SIZE_4K:
             self.l1d_4k.fill(address, physical_base, page_size)
         elif page_size == PAGE_SIZE_2M:
             self.l1d_2m.fill(address, physical_base, page_size)
 
-    def tlb_lookup(self, address, instruction):
-        """(entry, level, latency)."""
-        kind = "instruction_lookups" if instruction else "data_lookups"
-        self.count(self.hierarchy_counts, kind)
-        l1s = (self.l1i,) if instruction else (self.l1d_4k, self.l1d_2m)
-        latency = l1s[0].latency
-        for tlb in l1s:
+    def tlb_lookup(self, address):
+        """(entry, latency)."""
+        self.count(self.hierarchy_counts, "data_lookups")
+        latency = self.l1d_4k.latency
+        for tlb in (self.l1d_4k, self.l1d_2m):
             entry = tlb.lookup(address)
             if entry is not None:
-                return entry, "L1I" if instruction else "L1", latency
+                return entry, latency
         latency += self.l2.latency
         entry = self.l2.lookup(address)
         if entry is None:
             self.count(self.hierarchy_counts, "l2_misses")
-            return None, "miss", latency
-        self.fill_l1(address, entry[0], entry[1], instruction)
-        return entry, "L2", latency
+            return None, latency
+        self.fill_l1(address, entry[0], entry[1])
+        return entry, latency
 
     def walk(self, address):
         found, latency, accesses, base, size = self.table.walk(address, self.memory)
@@ -317,19 +318,19 @@ class ReferenceMMU:
         self.ptw.add(latency)
         return found, latency, accesses, base, size
 
-    def access(self, address, is_write, pc, instruction):
-        """Every TranslationResult field, then data latency, level, total."""
-        self.count(self.counts, "instruction_accesses" if instruction else "data_accesses")
-        entry, level, latency = self.tlb_lookup(address, instruction)
-        walked = fault = segfault = False
-        walk_latency = walk_accesses = fault_latency = 0
+    def access(self, address, is_write, pc):
+        """(translation latency, fault latency, page fault, data latency,
+        serving level)."""
+        self.count(self.counts, "data_accesses")
+        entry, latency = self.tlb_lookup(address)
+        fault = segfault = False
+        fault_latency = 0
         if entry is not None:
             base, size = entry
             self.count(self.counts, "tlb_hits")
         else:
             self.count(self.counts, "tlb_misses")
-            walked = True
-            found, walk_latency, walk_accesses, base, size = self.walk(address)
+            found, walk_latency, _, base, size = self.walk(address)
             latency += walk_latency
             if not found:
                 fault = True
@@ -337,26 +338,19 @@ class ReferenceMMU:
                 fault_latency, handled = self.callback(self.table, address)
                 latency += fault_latency
                 if handled:
-                    found, again, again_accesses, base, size = self.walk(address)
-                    walk_latency += again
-                    walk_accesses += again_accesses
+                    found, again, _, base, size = self.walk(address)
                     latency += again
                 segfault = not found
             if segfault:
                 self.count(self.counts, "segfaults")
             else:
                 self.l2.fill(address, base, size)
-                self.fill_l1(address, base, size, instruction)
+                self.fill_l1(address, base, size)
         self.translation.add(latency)
-        physical = 0 if segfault else base + address % size
-        translation = (address, physical, latency, level != "miss", level, walked,
-                       walk_latency, walk_accesses, fault, fault_latency, segfault,
-                       0, 0, PAGE_SIZE_4K if segfault else size)
         if segfault:
-            return translation + (0, "none", latency)
-        data = self.memory.access_value(physical, is_write,
-                                        "instruction" if instruction else "data", pc)
-        return translation + (data, self.memory.last_served_by, latency + data)
+            return latency, fault_latency, True, 0, "none"
+        data = self.memory.access_value(base + address % size, is_write, "data", pc)
+        return latency, fault_latency, fault, data, self.memory.last_served_by
 
     def invalidate(self, address):
         for tlb in self.tlbs:
@@ -402,7 +396,30 @@ def fault_callback(table, address):
     return FAULT_LATENCY + 1, page % 3 == 0
 
 
+#: The random streams rarely leave a stale 4 KB and a 2 MB translation of
+#: one address in the L2 TLB while both L1 data TLBs have lost them, the
+#: only moment the L2 TLB's probe order shows, so this stream does that on
+#: the "split" geometry: page T is walked as 4 KB and a 2 MB page mapped
+#: over it; pages A and B, in T's L1 set but another L2 set, push T out of
+#: the L1 TLB and its region out of the PMD walk cache; a walk from another
+#: 4 KB page of the 2 MB page then finds the 2 MB leaf, a second 2 MB page
+#: R empties the 2 MB L1 TLB, and T is accessed again.
+_T = (1 << 39) | (3 << 30) | (7 << 21)
+_A, _B = _T + 2 * PAGE_SIZE_2M + 2 * PAGE_SIZE_4K, _T + 4 * PAGE_SIZE_2M + 2 * PAGE_SIZE_4K
+_R = (5 << 39) + 2 * PAGE_SIZE_2M
+L2_PROBE_ORDER_OPS = [
+    ("insert", _T, PAGE_SIZE_4K), ("access", _T, False, 0), ("insert", _T, PAGE_SIZE_2M),
+    ("insert", _A, PAGE_SIZE_4K), ("access", _A, False, 0),
+    ("insert", _B, PAGE_SIZE_4K), ("access", _B, False, 0),
+    ("access", _T + 8 * PAGE_SIZE_4K, False, 0),
+    ("insert", _R, PAGE_SIZE_2M), ("access", _R, False, 0),
+    ("access", _T + 0x40, False, 0),
+]
+
+
 def stream(seed):
+    if seed == "l2_probe_order":
+        return L2_PROBE_ORDER_OPS
     rng = random.Random(f"translation-oracle-{seed}")
     recent = []
 
@@ -421,8 +438,7 @@ def stream(seed):
         if draw < 0.62:
             target = address()
             recent[:] = (recent + [target])[-12:]
-            ops.append((rng.choice(["data", "data", "fast", "fast", "fast", "instruction"]),
-                        target, rng.random() < 0.3, rng.randrange(4) * 4))
+            ops.append(("access", target, rng.random() < 0.3, rng.randrange(4) * 4))
         elif draw < 0.76:
             size = rng.choice([PAGE_SIZE_4K] * 6 + [PAGE_SIZE_2M] * 2 + [PAGE_SIZE_1G])
             ops.append(("insert", address(), size))
@@ -432,7 +448,7 @@ def stream(seed):
             # page, the L2 TLB now holds both translations of it.
             target = rng.choice(recent)
             ops.append(("insert", target, PAGE_SIZE_2M))
-            ops.append(("fast", target ^ PAGE_SIZE_4K * rng.randrange(8, 512), False, 0))
+            ops.append(("access", target ^ PAGE_SIZE_4K * rng.randrange(8, 512), False, 0))
         elif draw < 0.88:
             ops.append(("remove", address()))
         elif draw < 0.96:
@@ -452,13 +468,14 @@ def build_mmu(geometry):
     return mmu, table
 
 
-def outcome(operation):
-    t = operation.translation
-    return (t.virtual_address, t.physical_address, t.latency, t.tlb_hit, t.tlb_level,
-            t.walked, t.walk_latency, t.walk_memory_accesses, t.page_fault,
-            t.fault_latency, t.segfault, t.frontend_latency, t.backend_latency,
-            t.page_size, operation.data_latency, operation.served_by,
-            operation.total_latency)
+def mmu_stats(mmu):
+    """``mmu.stats()`` with the zero counters dropped, as the reference
+    leaves them out."""
+    stats = mmu.stats()
+    stats["counters"] = nonzero(stats["counters"])
+    stats["tlbs"] = {name: nonzero(counts) for name, counts in stats["tlbs"].items()}
+    stats["page_table"] = nonzero(stats["page_table"])
+    return stats
 
 
 def reference_incoherent(reference):
@@ -509,18 +526,17 @@ def divergence(geometry_name, seed, shootdowns):
 
     for step, op in enumerate(stream(seed)):
         kind = op[0]
-        if kind in ("data", "fast", "instruction"):
+        if kind == "access":
             _, address, is_write, pc = op
-            if kind == "data":
-                got = outcome(mmu.access_data(address, is_write, pc))
-            elif kind == "fast":
-                got = outcome(mmu.access_data_fast(address, is_write, pc))
-            else:
-                got = outcome(mmu.access_instruction(address, pc))
-            want = reference.access(address, is_write and kind != "instruction", pc,
-                                    kind == "instruction")
+            got = mmu.access_data_fast(address, is_write, pc)
+            want = reference.access(address, is_write, pc)
             if got != want:
                 return step, op, got, want
+            for name, got, want in (
+                    ("mmu.stats()", mmu_stats(mmu), reference.stats()),
+                    ("memory.stats()", mmu.memory.stats(), reference.memory.stats())):
+                if got != want:
+                    return step, op, name, got, want
         elif kind == "insert":
             _, address, size = op
             if shootdowns:
@@ -542,12 +558,8 @@ def divergence(geometry_name, seed, shootdowns):
             reference.flush()
         if check_trips(mmu) != reference_incoherent(reference):
             return step, op, "translation check", reference_incoherent(reference)
-    got_stats = mmu.stats()
-    got_stats["counters"] = nonzero(got_stats["counters"])
-    got_stats["tlbs"] = {name: nonzero(counts) for name, counts in got_stats["tlbs"].items()}
-    got_stats["page_table"] = nonzero(got_stats["page_table"])
     checks = [
-        ("mmu.stats()", got_stats, reference.stats()),
+        ("mmu.stats()", mmu_stats(mmu), reference.stats()),
         ("memory.stats()", mmu.memory.stats(), reference.memory.stats()),
         ("pwc counters",
          [nonzero(pwc.counters.as_dict()) for pwc in (table.pwc_pgd, table.pwc_pud, table.pwc_pmd)],
@@ -587,8 +599,8 @@ def test_stale_streams_leave_entries_the_check_finds(geometry):
     for seed in SEEDS:
         mmu, table = build_mmu(GEOMETRIES[geometry])
         for op in stream(seed):
-            if op[0] in ("data", "fast", "instruction"):
-                mmu.access_data(op[1], op[2], op[3])
+            if op[0] == "access":
+                mmu.access_data_fast(op[1], op[2], op[3])
             elif op[0] == "insert":
                 table.insert(op[1], physical_for(op[1], op[2]), op[2])
             elif op[0] == "remove":
@@ -597,20 +609,32 @@ def test_stale_streams_leave_entries_the_check_finds(geometry):
     assert tripped
 
 
+def answered(mmu):
+    """Lookups each TLB level has answered so far, and the segfaults."""
+    tlbs = mmu.tlbs
+    return {"L1": tlbs.l1d_4k.hits() + tlbs.l1d_2m.hits(), "L2": tlbs.l2.hits(),
+            "miss": tlbs.l2_misses(), "segfault": mmu.counters.get("segfaults")}
+
+
 def test_streams_exercise_every_outcome():
-    """The streams reach L1, L1I and L2 hits, 2 MB and 1 GB translations,
+    """The random streams reach L1 and L2 hits, 2 MB and 1 GB translations,
     handled faults and segfaults, and PWC hits at every level."""
     levels, sizes, faults, segfaults, fast_hits = set(), set(), 0, 0, 0
-    for seed in SEEDS:
+    for seed in RANDOM_SEEDS:
         mmu, table = build_mmu(GEOMETRIES["split"])
         for op in stream(seed):
-            if op[0] in ("data", "fast", "instruction"):
-                result = (mmu.access_instruction(op[1], op[3]) if op[0] == "instruction"
-                          else mmu.access_data_fast(op[1], op[2], op[3])).translation
-                levels.add(result.tlb_level)
-                sizes.add(result.page_size)
-                faults += result.page_fault and not result.segfault
-                segfaults += result.segfault
+            if op[0] == "access":
+                before = answered(mmu)
+                page_fault = mmu.access_data_fast(op[1], op[2], op[3])[2]
+                rose = {name for name, count in answered(mmu).items() if count > before[name]}
+                levels |= rose - {"segfault"}
+                if "segfault" in rose:
+                    segfaults += 1
+                else:
+                    faults += page_fault
+                    mapping = table.lookup(op[1])
+                    if mapping is not None:   # None: a stale TLB entry served it
+                        sizes.add(mapping[1])
             elif op[0] == "insert":
                 table.insert(op[1], physical_for(op[1], op[2]), op[2])
             elif op[0] == "remove":
@@ -618,7 +642,7 @@ def test_streams_exercise_every_outcome():
         assert all(pwc.counters.get("hits") for pwc in
                    (table.pwc_pgd, table.pwc_pud, table.pwc_pmd))
         fast_hits += mmu.fast_hits
-    assert levels == {"L1", "L1I", "L2", "miss"}
+    assert levels == {"L1", "L2", "miss"}
     assert sizes == {PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G}
     assert faults and segfaults and fast_hits
 
@@ -651,10 +675,10 @@ def _pwc_fill_without_refresh(monkeypatch):
 def _no_l1_fill_after_l2_hit(monkeypatch):
     original = TLBHierarchy._lookup_l2
 
-    def lookup_l2(self, virtual_address, latency, instruction):
+    def lookup_l2(self, virtual_address, latency):
         self._fill_l1 = lambda *args: None
         try:
-            return original(self, virtual_address, latency, instruction)
+            return original(self, virtual_address, latency)
         finally:
             del self._fill_l1
 
@@ -669,7 +693,7 @@ def _l1_miss_skips_2m_count(monkeypatch):
         self._c_data_lookups[0] += 1
         self.l1d_4k._c_lookups[0] += 1
         self.l1d_4k._c_misses[0] += 1
-        return self._lookup_l2(virtual_address, self.l1d_4k.latency, False)
+        return self._lookup_l2(virtual_address, self.l1d_4k.latency)
 
     monkeypatch.setattr(TLBHierarchy, "lookup_after_l1d_miss", lookup_after_l1d_miss)
 

@@ -16,8 +16,8 @@ Four families:
   two-level shootdown wiring (``MMU.invalidate_nested_translations``) is
   removed;
 * 2-D accounting — the guest and host walk dimensions are attributed
-  separately (``_NestedWalkAdapter`` no longer reports the combined 2-D
-  latency as backend time).
+  separately, and every walk's latency is its guest share plus its host
+  share.
 """
 
 from dataclasses import replace
@@ -134,7 +134,7 @@ class TestHypervisorRemapStalenessRegression:
         address = vma.start + 0x1000
 
         access = system.mmu.access_data_fast
-        assert access(address).translation.page_fault  # fault both levels in
+        assert access(address)[2]  # page fault: fault both levels in
         access(address)
         access(address)
         assert system.mmu.fast_hits == 2
@@ -142,14 +142,14 @@ class TestHypervisorRemapStalenessRegression:
         swapped = _hypervisor_swap_out_backing(system, process, address)
         assert swapped > 0
 
-        outcome = access(address)
-        return system, outcome
+        _, _, page_fault, _, _ = access(address)
+        return system, page_fault
 
     def test_next_access_refaults(self):
-        system, outcome = self.run()
+        system, page_fault = self.run()
         # The guest translation is intact, so the re-fault is an EPT
         # violation resolved purely by the hypervisor: a host swap-in.
-        assert outcome.translation.page_fault, (
+        assert page_fault, (
             "access after hypervisor remap translated through a stale "
             "combined mapping instead of re-faulting")
         assert system.vm.counters.get("ept_violations") == 1
@@ -163,8 +163,8 @@ class TestHypervisorRemapStalenessRegression:
         is exactly what the regression test above would catch)."""
         monkeypatch.setattr(MMU, "invalidate_nested_translations",
                             lambda self: None)
-        system, outcome = self.run()
-        assert not outcome.translation.page_fault
+        system, page_fault = self.run()
+        assert not page_fault
         assert system.hypervisor.swap.counters.get("swap_ins") == 0
         with pytest.raises(TranslationIncoherence, match="cached as"):
             check_translations(system)
@@ -188,17 +188,3 @@ class TestTwoDimensionalAccounting:
         # except nested-TLB hits which walk neither dimension.
         assert mmu.ptw_latency_stats.total == pytest.approx(
             guest_total + host_total + hits * hit_latency)
-
-    def test_adapter_reports_split_not_combined_latency(self):
-        from repro.mmu.mmu import _NestedWalkAdapter
-        from repro.mmu.nested import NestedWalkResult
-
-        nested = NestedWalkResult(found=True, latency=100, memory_accesses=8,
-                                  host_physical_base=0x1000,
-                                  guest_latency=30, host_latency=70)
-        adapter = _NestedWalkAdapter(nested)
-        assert adapter.frontend_latency == 30
-        assert adapter.backend_latency == 70
-        # The old bug: backend_latency == nested.latency (the combined 2-D
-        # cost counted wholesale as host/backend time).
-        assert adapter.backend_latency != nested.latency
