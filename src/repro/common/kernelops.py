@@ -12,7 +12,7 @@ work actually done instead of being a fixed constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass
@@ -83,12 +83,6 @@ class KernelRoutineTrace:
     def total_memory_touches(self) -> int:
         """Total number of kernel memory accesses recorded."""
         return sum(len(op.memory_touches) for op in self.ops)
-
-    def iter_memory_touches(self) -> Iterable[Tuple[int, bool]]:
-        """Yield every (address, is_write) pair in program order."""
-        for op in self.ops:
-            for touch in op.memory_touches:
-                yield touch
 
     def op_names(self) -> List[str]:
         """Names of the operations in order (useful for tests and debugging)."""

@@ -38,12 +38,6 @@ class LRU(OrderedDict):
         self[key] = value
         return evicted
 
-    def peek_victim(self) -> Optional[Hashable]:
-        """The key a :meth:`put` of a new key would evict (None while not full)."""
-        if len(self) < self.capacity:
-            return None
-        return next(iter(self))
-
 
 class RangeCache:
     """A small fully-associative cache of ranges: RMM's RLB, Midgard's VLBs.

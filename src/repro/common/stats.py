@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
@@ -194,12 +194,11 @@ class Counter:
 
 @dataclass
 class RunningStats:
-    """Streaming mean/variance/min/max without storing samples."""
+    """Streaming mean/variance/max without storing samples."""
 
     count: int = 0
     mean: float = 0.0
     _m2: float = 0.0
-    minimum: float = math.inf
     maximum: float = -math.inf
     total: float = 0.0
 
@@ -212,8 +211,6 @@ class RunningStats:
         self._m2 += delta * (value - self.mean)
         # On a tie the value already held stays (an int and an equal float
         # print differently in reports).
-        if value < self.minimum:
-            self.minimum = value
         if value > self.maximum:
             self.maximum = value
 
@@ -228,27 +225,6 @@ class RunningStats:
     def stddev(self) -> float:
         """Population standard deviation."""
         return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStats") -> None:
-        """Combine another RunningStats into this one."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            self.total = other.total
-            return
-        combined = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 = self._m2 + other._m2 + delta * delta * self.count * other.count / combined
-        self.mean = (self.mean * self.count + other.mean * other.count) / combined
-        self.count = combined
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
 
 
 class Histogram:

@@ -10,7 +10,7 @@ metrics (row-buffer conflicts by requester) and the simulation-cost metrics
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.common.stats import LatencyDistribution, mpki, safe_ratio
 
@@ -93,10 +93,6 @@ class SimulationReport:
     def allocation_fraction_of_cycles(self) -> float:
         """Fraction of execution time spent in physical memory allocation (Fig. 1)."""
         return safe_ratio(self.fault_stall_cycles, self.cycles)
-
-    def cycles_to_microseconds(self, cycles: float, frequency_ghz: float = 2.9) -> float:
-        """Convert core cycles to microseconds at the configured frequency."""
-        return cycles / (frequency_ghz * 1000.0)
 
     def summary(self) -> Dict[str, float]:
         """A flat digest convenient for table rendering."""

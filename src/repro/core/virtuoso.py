@@ -44,7 +44,7 @@ every RNG is explicitly seeded, so a run is bit-identical across repeats
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -60,7 +60,6 @@ from repro.mimicos.hypervisor import VirtualMachine
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.ops import DiscardedTrace
 from repro.mimicos.process import Process
-from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
 from repro.mmu.tlb import TLBHierarchy
 from repro.storage.ssd import SSDModel
@@ -148,9 +147,7 @@ class Virtuoso:
     ``memory``, ``mmu``, ``core`` and ``tlbs`` name core 0's parts.
     """
 
-    def __init__(self, config: SystemConfig, seed: int = 0,
-                 mmu_extensions: Optional[MMUExtensions] = None,
-                 num_cores: int = 1):
+    def __init__(self, config: SystemConfig, seed: int = 0, num_cores: int = 1):
         if num_cores < 1:
             raise ValueError("num_cores must be at least 1")
         self.config = config
@@ -165,7 +162,6 @@ class Virtuoso:
         self.ssd = SSDModel(config.ssd, config.core.frequency_ghz)
         self.hypervisor: Optional[MimicOS] = None
         self.vm: Optional[VirtualMachine] = None
-        extensions = mmu_extensions or MMUExtensions()
         if config.virtualization.enabled:
             self.hypervisor = MimicOS(config.mimicos, config.page_table, ssd=self.ssd,
                                       rng=self.rng.fork(3))
@@ -173,9 +169,6 @@ class Virtuoso:
                 self.hypervisor, config.virtualization, name=f"{config.name}-vm",
                 rng=self.rng.fork(5))
             self.kernel = self.vm.guest
-            # The 2-D walk *is* the translation hardware of a virtualised
-            # core, not an optional add-on.
-            extensions = replace(extensions, nested_translation=True)
         else:
             self.kernel = MimicOS(config.mimicos, config.page_table, ssd=self.ssd,
                                   rng=self.rng.fork(3))
@@ -189,7 +182,7 @@ class Virtuoso:
                 MemoryHierarchy.per_core_view(self.memory, config)
             tlbs = TLBHierarchy(config.l1i_tlb, config.l1d_tlb_4k,
                                 config.l1d_tlb_2m, config.l2_tlb)
-            mmu = MMU(tlbs, memory, extensions, core_index=index)
+            mmu = MMU(tlbs, memory, core_index=index)
             core = CoreModel(config.core, mmu, memory, core_index=index)
             self.cores.append(SimulatedCore(index, core, mmu, tlbs, memory))
         first = self.cores[0]

@@ -86,43 +86,9 @@ class Cache:
         return cells
 
     # ------------------------------------------------------------------ #
-    # Main access path
+    # Probes, fills and invalidations (demand accesses are
+    # MemoryHierarchy.access_value, which updates the state in place)
     # ------------------------------------------------------------------ #
-    def access_bool(self, address: int, is_write: bool = False,
-                    request_type: str = "data") -> bool:
-        """Allocation-free access: True on a hit, False on a miss-and-fill.
-
-        The access latency is always ``self.latency`` for this level; the
-        memory hierarchy adds the next level's latency on a miss.
-        :meth:`repro.memhier.memory_system.MemoryHierarchy.access_value`
-        writes this path out in place for its L1 and again, in one loop,
-        for its L2 and L3, so a change here must be made in both places
-        there too (``tests/test_cache_oracle.py`` checks all three).  Only
-        LRU stamps read the access clock, so SRRIP does not advance it.
-        """
-        if self._lru:
-            self._access_clock += 1
-        block = address // self.line_size
-        set_index = block % self.num_sets
-
-        cells = self._type_cells.get(request_type)
-        if cells is None:
-            cells = self._cells_for(request_type)
-        way = self._way_maps[set_index].get(block)
-        if way is not None:
-            cells[0][0] += 1
-            if self._lru:
-                self._meta[set_index][way] = self._access_clock
-            else:
-                self._meta[set_index][way] = -self._age[set_index]
-            if is_write:
-                self._dirty[set_index][way] = True
-            return True
-
-        cells[1][0] += 1
-        self._fill(set_index, block, is_write, request_type)
-        return False
-
     def probe(self, address: int) -> bool:
         """Return True if ``address`` is present without disturbing state."""
         block = address // self.line_size

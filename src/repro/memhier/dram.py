@@ -10,7 +10,7 @@ plus a latency that reflects open-page locality.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import Counter
@@ -59,19 +59,6 @@ class DRAMModel:
         self.last_row_conflict = False
 
     # ------------------------------------------------------------------ #
-    # Address mapping
-    # ------------------------------------------------------------------ #
-    def map_address(self, address: int) -> Tuple[int, int, int]:
-        """Map a physical address to (channel, bank, row)."""
-        line = address // self.LINE_SIZE
-        channel = line % self.num_channels
-        line //= self.num_channels
-        bank = line % self.banks_per_channel
-        line //= self.banks_per_channel
-        row = line // (self.row_size // self.LINE_SIZE)
-        return channel, bank, row
-
-    # ------------------------------------------------------------------ #
     # Access path
     # ------------------------------------------------------------------ #
     def access_value(self, address: int, request_type: str = "data") -> int:
@@ -83,7 +70,8 @@ class DRAMModel:
         attributed (e.g. conflicts *caused by* page-table accesses, the metric
         of Figs. 14 and 21).
         """
-        # map_address, written out: channel, then bank, then row.
+        # The address mapping: lines interleave across channels, then banks;
+        # the rest of the line number picks the row.
         line = address // self.LINE_SIZE
         channels = self.num_channels
         channel = line % channels
@@ -135,13 +123,6 @@ class DRAMModel:
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
-    def row_buffer_hit_rate(self) -> float:
-        """Fraction of accesses that hit an open row."""
-        total = self.counters.get("accesses")
-        if total == 0:
-            return 0.0
-        return self.counters.get("row_hits") / total
-
     def row_conflicts(self, caused_by: Optional[str] = None) -> int:
         """Total row-buffer conflicts, optionally those caused by one request class."""
         if caused_by is None:

@@ -1,9 +1,9 @@
 """The memory hierarchy: L1/L2/L3 caches in front of DRAM.
 
 `MemoryHierarchy.access_value` is the single entry point used by the MMU,
-the page-table walkers, the POM-TLB, the TLB prefetcher and the MimicOS
-instruction-stream injector.  It returns the access's latency and leaves the
-level that served it in ``last_served_by``.  Each access carries a *request
+the page-table walkers and the MimicOS instruction-stream injector.  It
+returns the access's latency and leaves the level that served it in
+``last_served_by``.  Each access carries a *request
 type* string (``"data"``, ``"ptw"``, ``"translation"``, ``"kernel"``,
 ``"kernel_zero"``, ``"prefetch"``) so that cache pollution and DRAM
 row-buffer interference can be attributed to application data, page-table
@@ -112,7 +112,7 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------ #
     def _route(self, access_type: str) -> _Route:
         trains = access_type != "prefetch"
-        # The cells access_bool uses; an L3 hit trains no prefetcher.
+        # Each level's hit and miss cells; an L3 hit trains no prefetcher.
         lower = ((self.l2, *self.l2._cells_for(access_type), "L2",
                   self.l2_prefetcher if trains else None),
                  (self.l3, *self.l3._cells_for(access_type), "L3", None))
@@ -135,16 +135,15 @@ class MemoryHierarchy:
         ``access_type`` is the request-type string.  Which level served the
         request is left in :attr:`last_served_by`.
 
-        The L1 lookup is :meth:`Cache.access_bool` written out in place
-        (same clock, stamp, dirty bit and counter cells), so an L1 hit costs
-        this one call plus the prefetchers' training; a miss fills the L1
-        through :meth:`Cache._fill`.  The L2 and L3 lookups are
-        :meth:`Cache.access_bool` written out once more, as one loop over
-        the two levels of the route, and a miss in both goes to DRAM.
-        ``access_bool``, the L1 step and the loop must change together
-        (``tests/test_cache_oracle.py`` checks all three).  Prefetch
-        requests do not train the prefetchers, and an L3 hit trains
-        neither; a training that issues nothing adds nothing.
+        The L1 lookup reads and writes the :class:`Cache` state in place
+        (clock, stamp, dirty bit and counter cells), so an L1 hit costs this
+        one call plus the prefetchers' training; a miss fills the L1 through
+        :meth:`Cache._fill`.  The L2 and L3 lookups do the same, as one loop
+        over the two levels of the route, and a miss in both goes to DRAM
+        (``tests/test_cache_oracle.py`` checks the whole path against a
+        line-object reference hierarchy).  Prefetch requests do not train
+        the prefetchers, and an L3 hit trains neither; a training that
+        issues nothing adds nothing.
         """
         route = self._routes.get(access_type)
         if route is None:
@@ -225,9 +224,3 @@ class MemoryHierarchy:
             "l3": self.l3.stats(),
             "dram": self.dram.stats(),
         }
-
-    def flush_caches(self) -> None:
-        """Invalidate all cache levels (keeps DRAM row-buffer state)."""
-        self.l1.flush()
-        self.l2.flush()
-        self.l3.flush()

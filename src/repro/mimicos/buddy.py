@@ -157,16 +157,6 @@ class BuddyAllocator:
                     for split in range(order + splits - 1, order - 1, -1)]
         trace.new_op("buddy_alloc", work_units=work_units).memory_touches = touches
 
-    def allocate_bytes(self, size_bytes: int,
-                       trace: Optional[KernelRoutineTrace] = None) -> AllocationResult:
-        """Allocate the smallest block that covers ``size_bytes``."""
-        order = 0
-        while self._block_size(order) < size_bytes:
-            order += 1
-            if order > self.max_order:
-                raise OutOfMemoryError(f"request of {size_bytes} bytes exceeds max block size")
-        return self.allocate(order, trace)
-
     def splinter(self, order: int = ORDER_2M) -> int:
         """Break one free block of ``order`` so it no longer exists as a unit.
 
@@ -239,11 +229,6 @@ class BuddyAllocator:
     def free_bytes(self) -> int:
         """Bytes currently free."""
         return self._free_bytes
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently allocated."""
-        return self.total_bytes - self._free_bytes
 
     @property
     def usage(self) -> float:

@@ -54,11 +54,6 @@ class FragmentationController:
             self.counters.add("pinned_pages")
         return self.buddy.fraction_free_huge_blocks(ORDER_2M)
 
-    @property
-    def pinned_pages(self) -> int:
-        """Number of pages currently pinned by the controller."""
-        return len(self._pinned)
-
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()

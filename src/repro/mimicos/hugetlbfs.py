@@ -43,11 +43,6 @@ class HugeTLBFS:
         return reserved
 
     @property
-    def free_pages(self) -> int:
-        """Reserved huge pages not yet handed to a mapping."""
-        return len(self._free_pool)
-
-    @property
     def reserved_pages(self) -> int:
         """Total huge pages ever reserved into the pool."""
         return self._reserved_pages

@@ -27,6 +27,7 @@ from repro.mimicos.ops import KernelRoutineTrace
 from repro.mimicos.process import Process
 from repro.mimicos.vma import VMAKind, VirtualMemoryArea
 from repro.mmu.nested import NestedTranslationUnit
+from repro.pagetables.factory import nested_capable_kinds
 
 
 @dataclass
@@ -60,7 +61,8 @@ class VirtualMachine:
     KVM backs guest RAM with anonymous host memory: the first guest fault
     that touches a guest-physical frame triggers a host fault that allocates
     the backing host frame (a nested, two-level fault — the case §6.1
-    describes).
+    describes).  Both page tables must be designs a nested walk can use as
+    a dimension (:func:`~repro.pagetables.factory.nested_capable_kinds`).
     """
 
     def __init__(self, host: MimicOS, guest_memory_bytes: int,
@@ -69,6 +71,13 @@ class VirtualMachine:
                  name: str = "vm",
                  nested_tlb_entries: int = 64,
                  rng: Optional[DeterministicRNG] = None):
+        guest_page_table_config = guest_page_table_config or PageTableConfig()
+        capable = nested_capable_kinds()
+        for side, kind in (("host", host.page_table_config.kind),
+                           ("guest", guest_page_table_config.kind)):
+            if kind not in capable:
+                raise ValueError(f"a {kind!r} page table cannot be the {side} dimension "
+                                 f"of a nested walk; use one of {capable}")
         self.host = host
         self.name = name
         self.nested_tlb_entries = nested_tlb_entries
@@ -81,8 +90,7 @@ class VirtualMachine:
             page_cache_size_bytes=min(guest_memory_bytes // 8, 64 << 20),
             fragmentation_target=1.0,
         )
-        self.guest = MimicOS(guest_config, guest_page_table_config or PageTableConfig(),
-                             rng=rng)
+        self.guest = MimicOS(guest_config, guest_page_table_config, rng=rng)
 
         # The hypervisor process that owns the guest's RAM backing.
         self.host_process: Process = host.create_process(f"{name}-vmm")

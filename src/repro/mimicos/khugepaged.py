@@ -66,11 +66,6 @@ class Khugepaged:
         self._hints.append(key)
         self.counters.add("hints")
 
-    @property
-    def pending_hints(self) -> int:
-        """Number of regions waiting to be scanned."""
-        return len(self._hints)
-
     def scan(self, page_tables: Dict[int, object],
              max_regions: Optional[int] = None) -> CollapseResult:
         """Scan up to ``max_regions`` hinted regions and collapse eligible ones.

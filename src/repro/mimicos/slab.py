@@ -81,11 +81,6 @@ class SlabCache:
             op = trace.new_op(f"slab_free_{self.name}", work_units=1)
             op.touch(address, is_write=True)
 
-    @property
-    def allocated_objects(self) -> int:
-        """Number of currently live objects."""
-        return len(self._object_to_slab)
-
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()

@@ -57,10 +57,6 @@ class SwapSubsystem:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def is_swapped(self, pid: int, vpn: int) -> bool:
-        """True if the page is currently in the swap file."""
-        return (pid, vpn) in self._slots
-
     @property
     def free_slots(self) -> int:
         """Number of free swap slots."""

@@ -238,11 +238,6 @@ class ReservationTHPPolicy(THPPolicyBase):
     def _reservation_table_address(self, region_va: int) -> int:
         return 0xFFFF_8C00_0000_0000 + (region_va >> 21) * 64
 
-    @property
-    def active_reservations(self) -> int:
-        """Reservations that have not been promoted yet."""
-        return sum(1 for r in self._reservations.values() if not r.promoted)
-
 
 class ConservativeReservationTHP(ReservationTHPPolicy):
     """``CR-THP``: promote once more than 50 % of the region is touched."""

@@ -47,12 +47,8 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.stats import Counter, RunningStats
 from repro.memhier.memory_system import MemoryHierarchy
-from repro.mmu.extensions import MMUExtensions
 from repro.mmu.nested import NestedTranslationUnit
-from repro.mmu.pom_tlb import PartOfMemoryTLB
 from repro.mmu.tlb import TLBHierarchy
-from repro.mmu.tlb_prefetch import SequentialTLBPrefetcher
-from repro.mmu.victima import VictimaCacheTLB
 from repro.pagetables.base import PageTableBase
 
 #: Signature of the page-fault callback: (pid, virtual address) -> (latency, handled).
@@ -75,11 +71,9 @@ class MMU:
     """
 
     def __init__(self, tlb_hierarchy: TLBHierarchy, memory: MemoryHierarchy,
-                 extensions: Optional[MMUExtensions] = None,
                  core_index: int = 0):
         self.tlbs = tlb_hierarchy
         self.memory = memory
-        self.extensions = extensions or MMUExtensions()
         self.core_index = core_index
         self.counters = Counter()
         self.ptw_latency_stats = RunningStats()
@@ -96,10 +90,6 @@ class MMU:
         self.page_table: Optional[PageTableBase] = None
         self.fault_callback: Optional[FaultCallback] = None
         self.nested_unit: Optional[NestedTranslationUnit] = None
-
-        self.tlb_prefetcher = SequentialTLBPrefetcher() if self.extensions.tlb_prefetch else None
-        self.pom_tlb = PartOfMemoryTLB() if self.extensions.pom_tlb else None
-        self.victima = VictimaCacheTLB(memory.l2) if self.extensions.victima else None
 
         # Hot counter cells (folded transparently on every Counter read).
         self._c_data_accesses = self.counters.hot("data_accesses")
@@ -128,7 +118,7 @@ class MMU:
         self.pid = pid
         self.page_table = page_table
         if flush_tlbs:
-            self._flush_translations()
+            self.tlbs.flush()
             # Without VPID/EPT tagging a context switch also loses the
             # combined (guest-virtual -> host-physical) translations.
             if self.nested_unit is not None:
@@ -160,19 +150,14 @@ class MMU:
         munmap, restrictive-mapping evictions — so no stale translation
         survives in this core's TLBs.  Like a real IPI shootdown, only cores
         currently running ``pid``'s address space act (context switches flush
-        the TLBs, so other address spaces cannot be resident here).  The
-        POM-TLB and Victima, which hold translations past the TLBs, drop
-        theirs too.  Every entry overlapping the extent goes: a combined
-        translation of a guest huge page backed by smaller host pages is
-        held as several smaller entries.
+        the TLBs, so other address spaces cannot be resident here).  Every
+        entry overlapping the extent goes: a combined translation of a guest
+        huge page backed by smaller host pages is held as several smaller
+        entries.
         """
         if pid != self.pid:
             return
         self.tlbs.invalidate(virtual_address, size)
-        if self.pom_tlb is not None:
-            self.pom_tlb.invalidate(virtual_address, size)
-        if self.victima is not None:
-            self.victima.invalidate(virtual_address, size)
         if self.nested_unit is not None:
             # A guest-side remap also kills the combined translation the
             # nested TLB caches for this guest-virtual page.
@@ -190,25 +175,16 @@ class MMU:
         swap-out, restrictive-mapping eviction, host khugepaged collapse):
         the guest-physical -> host-physical dimension changed without naming
         any guest-virtual address, so every *combined* translation this core
-        holds is suspect — the nested TLB and the L1/L2 TLBs, POM-TLB and
-        Victima (filled with host-physical bases by nested walks) are all
-        dropped, exactly as an INVEPT-triggered combined-mapping flush
-        behaves on real hardware.  No-op on cores not running a virtualised
-        context.
+        holds is suspect — the nested TLB and the L1/L2 TLBs (filled with
+        host-physical bases by nested walks) are all dropped, exactly as an
+        INVEPT-triggered combined-mapping flush behaves on real hardware.
+        No-op on cores not running a virtualised context.
         """
         if self.nested_unit is None:
             return
         self.nested_unit.flush()
-        self._flush_translations()
-        self.counters.add("nested_shootdowns")
-
-    def _flush_translations(self) -> None:
-        """Drop every translation this core caches outside the nested unit."""
         self.tlbs.flush()
-        if self.pom_tlb is not None:
-            self.pom_tlb.flush()
-        if self.victima is not None:
-            self.victima.flush()
+        self.counters.add("nested_shootdowns")
 
     def set_nested_unit(self, nested_unit: Optional[NestedTranslationUnit]) -> None:
         """Enable two-dimensional translation through ``nested_unit``."""
@@ -293,28 +269,22 @@ class MMU:
             self._c_tlb_hits[0] += 1
         else:
             self._c_tlb_misses[0] += 1
-            if self.victima is not None or self.pom_tlb is not None:
-                entry, probe_latency = self._probe_before_walk(virtual_address)
-                latency += probe_latency
-            if entry is not None:
-                physical_base, page_size = entry
-            else:
-                walk = self._walk(virtual_address)
-                latency += walk.latency
+            walk = self._walk(virtual_address)
+            latency += walk.latency
+            if not walk.found:
+                page_fault = True
+                fault_latency, handled = self._raise_page_fault(virtual_address)
+                latency += fault_latency
+                if handled:
+                    walk = self._walk(virtual_address)
+                    latency += walk.latency
                 if not walk.found:
-                    page_fault = True
-                    fault_latency, handled = self._raise_page_fault(virtual_address)
-                    latency += fault_latency
-                    if handled:
-                        walk = self._walk(virtual_address)
-                        latency += walk.latency
-                    if not walk.found:
-                        self.counters.add("segfaults")
-                        self.translation_latency_stats.add(latency)
-                        return latency, fault_latency, True, 0, "none"
-                physical_base = walk.physical_base
-                page_size = walk.page_size
-            self._fill_tlbs(virtual_address, physical_base, page_size)
+                    self.counters.add("segfaults")
+                    self.translation_latency_stats.add(latency)
+                    return latency, fault_latency, True, 0, "none"
+            physical_base = walk.physical_base
+            page_size = walk.page_size
+            tlbs.fill(virtual_address, physical_base, page_size)
         self.translation_latency_stats.add(latency)
 
         memory = self.memory
@@ -322,29 +292,11 @@ class MMU:
                                            is_write, "data", pc)
         return latency, fault_latency, page_fault, data_latency, memory.last_served_by
 
-    def _probe_before_walk(self, virtual_address: int) -> Tuple[Optional[Tuple[int, int]], int]:
-        """Victima, then the POM-TLB: the hit's (physical base, page size)
-        or None, and the latency of the probes."""
-        latency = 0
-        if self.victima is not None:
-            entry, probe_latency = self.victima.lookup(virtual_address)
-            latency += probe_latency
-            if entry is not None:
-                self.counters.add("victima_hits")
-                return entry, latency
-        if self.pom_tlb is not None:
-            entry, probe_latency = self.pom_tlb.lookup(virtual_address, self.memory)
-            latency += probe_latency
-            if entry is not None:
-                self.counters.add("pom_tlb_hits")
-                return entry, latency
-        return None, latency
-
     # ------------------------------------------------------------------ #
-    # Walks, fills and faults
+    # Walks and faults
     # ------------------------------------------------------------------ #
     def _walk(self, virtual_address: int):
-        if self.nested_unit is not None and self.extensions.nested_translation:
+        if self.nested_unit is not None:
             nested = self.nested_unit.walk(virtual_address, self.memory)
             self._c_page_walks[0] += 1
             self._c_ptw_memory_accesses[0] += nested.memory_accesses
@@ -359,23 +311,6 @@ class MMU:
         self._c_ptw_memory_accesses[0] += walk.memory_accesses
         self.ptw_latency_stats.add(walk.latency)
         return walk
-
-    def _fill_tlbs(self, virtual_address: int, physical_base: int, page_size: int) -> None:
-        if self.victima is not None:
-            # Capture the entry that the L2 TLB is about to evict (peeked
-            # whenever the set is full, even if the fill refreshes a key).
-            l2 = self.tlbs.l2
-            entries = l2._sets[virtual_address // page_size % l2.num_sets]
-            victim_key = entries.peek_victim()
-            if victim_key is not None:
-                victim_base, victim_size = entries[victim_key]
-                self.victima.store_victim(victim_key[0] * victim_size, victim_base, victim_size)
-        self.tlbs.fill(virtual_address, physical_base, page_size)
-        if self.pom_tlb is not None:
-            self.pom_tlb.fill(virtual_address, physical_base, self.memory, page_size)
-        if self.tlb_prefetcher is not None and self.page_table is not None:
-            self.tlb_prefetcher.on_fill(virtual_address, page_size, self.page_table,
-                                        self.tlbs, self.memory)
 
     def _raise_page_fault(self, virtual_address: int) -> Tuple[int, bool]:
         self.counters.add("page_faults")

@@ -115,12 +115,3 @@ class ChainedHashPageTable(PageTableBase):
         self._c_walk_memory_accesses[0] += accesses
         return WalkResult(found=False, latency=latency, memory_accesses=accesses)
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def average_chain_length(self) -> float:
-        """Mean occupied-chain length (1.0 means no collisions)."""
-        chains = [len(chain) for chain in self._chains.values() if chain]
-        if not chains:
-            return 0.0
-        return sum(chains) / len(chains)

@@ -14,7 +14,7 @@ Midgard (Gupta et al., ISCA 2021) translates in two steps:
 
 The MMU model treats Midgard specially (``replaces_tlbs``): it performs the
 frontend translation before the data access and charges the backend only
-when the data access reaches DRAM.
+when the data access reaches DRAM.  There is no single-step ``walk``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.common.addresses import GB, PAGE_SIZE_2M, PAGE_SIZE_4K, align_down, align_up
 from repro.common.lru import RangeCache
 from repro.common.kernelops import KernelRoutineTrace
-from repro.pagetables.base import (
-    MemoryInterface,
-    PageTableBase,
-    TranslationMapping,
-    WalkResult,
-)
+from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping
 
 #: Bytes per VMA B+-tree node / backend radix node entry.
 NODE_SIZE = 64
@@ -188,28 +183,6 @@ class MidgardTranslation(PageTableBase):
         if physical_backend is None:
             return None, latency, accesses
         return physical_backend + (midgard_address - backend_base), latency, accesses
-
-    def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
-        """Full two-step translation (used when the MMU cannot split the steps)."""
-        self._c_walks[0] += 1
-        midgard_address, frontend_latency, frontend_accesses = \
-            self.translate_frontend(virtual_address, memory)
-        if midgard_address is None:
-            self._c_walk_faults[0] += 1
-            return WalkResult(found=False, latency=frontend_latency,
-                              memory_accesses=frontend_accesses)
-        physical, backend_latency, backend_accesses = \
-            self.translate_backend(midgard_address, memory)
-        total_latency = frontend_latency + backend_latency
-        total_accesses = frontend_accesses + backend_accesses
-        if physical is None:
-            self._c_walk_faults[0] += 1
-            return WalkResult(found=False, latency=total_latency,
-                              memory_accesses=total_accesses)
-        self._c_walk_hits[0] += 1
-        return WalkResult(found=True, latency=total_latency, memory_accesses=total_accesses,
-                          physical_base=align_down(physical, PAGE_SIZE_4K),
-                          page_size=PAGE_SIZE_4K)
 
     # ------------------------------------------------------------------ #
     # Address helpers

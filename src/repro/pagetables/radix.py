@@ -122,8 +122,7 @@ class RadixPageTable(PageTableBase):
                                      pwc_latency, coverage_shift=30)
         self.pwc_pgd = PageWalkCache("PWC-PGD", pwc_entries, pwc_associativity,
                                      pwc_latency, coverage_shift=39)
-        #: Number of page-table frames allocated (root excluded).
-        self.allocated_frames = 0
+        #: Page-table frames allocated (root excluded).
         self._c_pt_frames = self.counters.hot("pt_frames_allocated")
 
     # ------------------------------------------------------------------ #
@@ -144,7 +143,6 @@ class RadixPageTable(PageTableBase):
                 # nothing: the slab and buddy reserve their regions there.
                 child = _RadixNode(physical_base=self.frame_allocator(trace))
                 node.children[index] = child
-                self.allocated_frames += 1
                 self._c_pt_frames[0] += 1
                 if op is not None:
                     op.work_units += 4
@@ -233,9 +231,3 @@ class RadixPageTable(PageTableBase):
         if resolved_depth >= 4:
             self.pwc_pmd.fill(virtual_address)
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def page_table_frames(self) -> int:
-        """Number of interior/leaf page-table frames allocated (root excluded)."""
-        return self.allocated_frames

@@ -220,10 +220,3 @@ class RangeMemoryMapping(PageTableBase):
     def _range_node_address(self, level: int) -> int:
         return self.range_table_base + level * RANGE_NODE_SIZE
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def range_count(self) -> int:
-        """Number of live eager-paging ranges."""
-        return len(self._ranges)

@@ -322,14 +322,3 @@ class UtopiaTranslation(PageTableBase):
             return key
         return (0, align_down(virtual_address, PAGE_SIZE_4K))
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def restseg_utilisation(self) -> float:
-        """Occupied fraction of all RestSeg frames."""
-        total = 0
-        used = 0
-        for seg in self._restsegs:
-            total += seg.num_sets * seg.associativity
-            used += sum(len(ways) for ways in seg.sets.values())
-        return used / total if total else 0.0

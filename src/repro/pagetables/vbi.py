@@ -11,21 +11,17 @@ translation at all.
 The model mirrors that behaviour: the frontend cost is a (cheap) block-table
 lookup kept in a small cache, and the memory-side translation cost is only
 charged when the MMU reports that the data access reached DRAM (the same
-special-casing the MMU applies to Midgard).
+special-casing the MMU applies to Midgard).  There is no single-step
+``walk``: the MMU composes the two steps itself.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K, align_down
+from repro.common.addresses import PAGE_SIZE_2M, align_down
 from repro.common.kernelops import KernelRoutineTrace
-from repro.pagetables.base import (
-    MemoryInterface,
-    PageTableBase,
-    TranslationMapping,
-    WalkResult,
-)
+from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping
 
 #: Bytes per block-translation-table entry.
 ENTRY_SIZE = 64
@@ -93,23 +89,6 @@ class VirtualBlockInterface(PageTableBase):
         if physical_base is None:
             return None, latency, 1
         return physical_base + (intermediate_address - block_page), latency, 1
-
-    def walk(self, virtual_address: int, memory: MemoryInterface) -> WalkResult:
-        """Full translation when the MMU cannot split frontend/backend steps."""
-        self._c_walks[0] += 1
-        _, frontend_latency, _ = self.translate_frontend(virtual_address, memory)
-        physical, backend_latency, accesses = self.translate_backend(virtual_address, memory)
-        latency = frontend_latency + backend_latency
-        if physical is None:
-            mapping = self._find_mapping(virtual_address)
-            if mapping is None:
-                self._c_walk_faults[0] += 1
-                return WalkResult(found=False, latency=latency, memory_accesses=accesses)
-            physical = mapping.translate(align_down(virtual_address, PAGE_SIZE_4K))
-        self._c_walk_hits[0] += 1
-        return WalkResult(found=True, latency=latency, memory_accesses=accesses,
-                          physical_base=align_down(physical, PAGE_SIZE_4K),
-                          page_size=PAGE_SIZE_4K)
 
     def _entry_address(self, block_page: int) -> int:
         return self.block_table_base + (block_page >> 21) * ENTRY_SIZE

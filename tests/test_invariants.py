@@ -3,10 +3,10 @@
 Two families:
 
 * the check — :func:`repro.validation.invariants.check_translations` is
-  clean on healthy runs, names a stale TLB, nested-TLB, POM-TLB or Victima
-  entry (core, structure, address, cached and live translation), accepts a
-  smaller entry under a live huge mapping but not a larger one, and leaves
-  a checked run's statistics exactly those of an unchecked one;
+  clean on healthy runs, names a stale TLB or nested-TLB entry (core,
+  structure, address, cached and live translation), accepts a smaller
+  entry under a live huge mapping but not a larger one, and leaves a
+  checked run's statistics exactly those of an unchecked one;
 * the defects — each shootdown the check showed missing: an RMM range torn
   down by removing one of its pages, a guest huge page whose combined
   translations the TLBs hold as 4 KB pieces; and each page the check found
@@ -22,7 +22,6 @@ from repro.common.config import PageTableConfig, VirtualizationConfig
 from repro.core.virtuoso import Virtuoso
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.thp import LinuxTHPPolicy
-from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
 from repro.pagetables.radix import RadixPageTable
 from repro.validation.invariants import (
@@ -112,23 +111,6 @@ class TestCheck:
             check_mmu(mmu)
         assert caught.value.cached == (0x40_0000, PAGE_SIZE_2M)
         assert caught.value.live == (0x40_0000, PAGE_SIZE_4K)
-
-    @pytest.mark.parametrize("extension", ["pom_tlb", "victima"])
-    def test_translations_past_the_tlbs_are_checked(self, extension):
-        mmu = MMU(make_hierarchy(), make_memory(), MMUExtensions(**{extension: True}))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        for index in range(80):
-            table.insert(index * PAGE_SIZE_4K, 0x10_0000 + index * PAGE_SIZE_4K,
-                         PAGE_SIZE_4K)
-            mmu.access_data(index * PAGE_SIZE_4K)
-        assert check_mmu(mmu) > 0
-        mmu.tlbs.flush()
-        for index in range(80):
-            table.remove(index * PAGE_SIZE_4K)
-        with pytest.raises(TranslationIncoherence) as caught:
-            check_mmu(mmu)
-        assert caught.value.structure == extension
 
     def test_nested_entries_are_checked_through_both_dimensions(self):
         config = tiny_system_config().with_virtualization(VirtualizationConfig(

@@ -13,6 +13,7 @@ from repro.memhier.prefetcher import (
     StreamPrefetcher,
     build_prefetcher,
 )
+from tests.test_cache_oracle import access_bool
 
 
 def small_cache(replacement="lru", size=4096, assoc=4, latency=2) -> Cache:
@@ -23,23 +24,23 @@ def small_cache(replacement="lru", size=4096, assoc=4, latency=2) -> Cache:
 class TestCache:
     def test_miss_then_hit(self):
         cache = small_cache()
-        first = cache.access_bool(0x1000)
-        second = cache.access_bool(0x1000)
+        first = access_bool(cache, 0x1000)
+        second = access_bool(cache, 0x1000)
         assert not first and second
         assert cache.hits() == 1
         assert cache.misses() == 1
 
     def test_same_line_different_offsets_hit(self):
         cache = small_cache()
-        cache.access_bool(0x1000)
-        assert cache.access_bool(0x1010)
+        access_bool(cache, 0x1000)
+        assert access_bool(cache, 0x1010)
 
     def test_lru_eviction_order(self):
         cache = small_cache(size=4 * 64, assoc=4)  # one set of 4 ways
         for index in range(4):
-            cache.access_bool(index * 64 * cache.num_sets)
-        cache.access_bool(0)  # refresh line 0
-        cache.access_bool(5 * 64 * cache.num_sets)  # evicts the LRU (line 1)
+            access_bool(cache, index * 64 * cache.num_sets)
+        access_bool(cache, 0)  # refresh line 0
+        access_bool(cache, 5 * 64 * cache.num_sets)  # evicts the LRU (line 1)
         assert cache.probe(0)
         assert not cache.probe(1 * 64 * cache.num_sets)
 
@@ -51,11 +52,11 @@ class TestCache:
         cache = small_cache(size=4 * 64, assoc=4)  # one set of 4 ways
         a, x, y, z, b, e = (index * 64 for index in range(6))
         for line in (a, x, y, z):
-            cache.access_bool(line)
+            access_bool(cache, line)
         cache.invalidate(a)   # frees way 0
         cache.fill(b)         # prefetch into way 0, after z's demand access
-        cache.access_bool(x)
-        cache.access_bool(y)
+        access_bool(cache, x)
+        access_bool(cache, y)
         assert cache._blocks[0][0] == b // 64 and cache._blocks[0][3] == z // 64
         stamps = cache._meta[0]
         assert stamps[0] == stamps[3]   # b and z tie
@@ -68,28 +69,28 @@ class TestCache:
         recency.put(b, None)
         recency.move_to_end(x)
         recency.move_to_end(y)
-        assert recency.peek_victim() == z
+        assert next(iter(recency)) == z
 
-        cache.access_bool(e)
+        access_bool(cache, e)
         assert not cache.probe(b)   # the tie went to the lower way
         assert cache.probe(z)
 
     def test_srrip_eviction(self):
         cache = small_cache(replacement="srrip", size=4 * 64, assoc=4)
         for index in range(8):
-            cache.access_bool(index * 64 * cache.num_sets)
+            access_bool(cache, index * 64 * cache.num_sets)
         assert cache.counters.get("evictions") == 4
 
     def test_write_marks_the_line_dirty(self):
         cache = small_cache(size=1 * 64, assoc=1)
-        cache.access_bool(0, is_write=True)
+        access_bool(cache, 0, is_write=True)
         assert cache._dirty[0][0]
-        cache.access_bool(64 * cache.num_sets)
+        access_bool(cache, 64 * cache.num_sets)
         assert cache.counters.get("evictions") == 1 and not cache._dirty[0][0]
 
     def test_invalidate(self):
         cache = small_cache()
-        cache.access_bool(0x2000)
+        access_bool(cache, 0x2000)
         assert cache.invalidate(0x2000)
         assert not cache.probe(0x2000)
         assert not cache.invalidate(0x2000)
@@ -97,7 +98,7 @@ class TestCache:
     def test_flush(self):
         cache = small_cache()
         for address in range(0, 1024, 64):
-            cache.access_bool(address)
+            access_bool(cache, address)
         cache.flush()
         assert not cache.probe(0)
 
@@ -109,14 +110,14 @@ class TestCache:
 
     def test_pollution_attribution(self):
         cache = small_cache(size=1 * 64, assoc=1)
-        cache.access_bool(0, request_type="data")
-        cache.access_bool(64 * cache.num_sets, request_type="ptw")
+        access_bool(cache, 0, request_type="data")
+        access_bool(cache, 64 * cache.num_sets, request_type="ptw")
         assert cache.counters.get("pollution_evictions_by_ptw") == 1
 
     def test_miss_rate(self):
         cache = small_cache()
-        cache.access_bool(0)
-        cache.access_bool(0)
+        access_bool(cache, 0)
+        access_bool(cache, 0)
         assert cache.miss_rate() == pytest.approx(0.5)
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=300))
@@ -124,7 +125,7 @@ class TestCache:
     def test_occupancy_never_exceeds_capacity_property(self, addresses):
         cache = small_cache(size=16 * 64, assoc=4)
         for address in addresses:
-            cache.access_bool(address)
+            access_bool(cache, address)
         resident = sum(1 for blocks in cache._blocks for block in blocks
                        if block is not None)
         assert resident == sum(len(way_map) for way_map in cache._way_maps)
@@ -198,7 +199,7 @@ class TestPrefetchers:
         prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=1), cache)
         prefetcher.train(0x2000, 0)
         assert prefetcher.train(0x2040, 0) == 1      # fills line 0x2080
-        cache.access_bool(0x2080 + 4 * 64)                # evicts it from its set
+        access_bool(cache, 0x2080 + 4 * 64)     # evicts it from its set
         assert not cache.probe(0x2080)
         assert prefetcher.train(0x2040, 0) == 1
         assert cache.probe(0x2080)
@@ -272,16 +273,24 @@ class TestDRAM:
         assert dram.row_conflicts(caused_by="ptw") == 1
         assert dram.translation_row_conflicts() == 1
 
-    def test_hit_rate(self):
+    def test_hit_and_access_counts(self):
         dram = self.make()
         dram.access_value(0)
         dram.access_value(0)
-        assert dram.row_buffer_hit_rate() == pytest.approx(0.5)
+        assert (dram.counters.get("row_hits"), dram.counters.get("accesses")) == (1, 2)
 
     def test_channel_interleaving(self):
-        dram = self.make()
-        channels = {dram.map_address(line * 64)[0] for line in range(8)}
-        assert channels == {0, 1}
+        """Consecutive lines alternate channels: with one bank per channel,
+        the line one row further on in channel 0 conflicts with line 0, and
+        its neighbour, in channel 1, does not."""
+        dram = DRAMModel(DRAMConfig(capacity_bytes=1 << 30, channels=2, ranks_per_channel=1,
+                                    banks_per_rank=1))
+        span = dram.config.row_size_bytes * dram.num_channels
+        dram.access_value(0)
+        dram.access_value(span + 64)
+        assert dram.row_conflicts() == 0
+        dram.access_value(span)
+        assert dram.row_conflicts() == 1
 
 
 class TestMemoryHierarchy:
@@ -317,10 +326,11 @@ class TestMemoryHierarchy:
         hierarchy.access_value(0x1000, access_type="ptw")
         assert hierarchy.counters.get("requests_ptw") == 1
 
-    def test_flush_caches_forces_dram_again(self):
+    def test_flushed_caches_force_dram_again(self):
         hierarchy = self.build()
         hierarchy.access_value(0x9000)
-        hierarchy.flush_caches()
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            cache.flush()
         hierarchy.access_value(0x9000)
         assert hierarchy.last_served_by == "DRAM"
 

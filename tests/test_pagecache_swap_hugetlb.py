@@ -47,9 +47,11 @@ class TestSwapSubsystem:
     def test_swap_out_and_in_roundtrip(self):
         swap = SwapSubsystem(16 * MB)
         swap.swap_out(pid=1, vpn=100)
-        assert swap.is_swapped(1, 100)
+        assert swap.free_slots == swap.capacity_slots - 1
         swap.swap_in(pid=1, vpn=100)
-        assert not swap.is_swapped(1, 100)
+        assert swap.free_slots == swap.capacity_slots
+        with pytest.raises(KeyError):
+            swap.swap_in(pid=1, vpn=100)
 
     def test_swap_full(self):
         swap = SwapSubsystem(2 * PAGE_SIZE_4K)
@@ -69,7 +71,9 @@ class TestSwapSubsystem:
         swap.swap_in(1, 1)
         swap.swap_out(1, 2)
         swap.swap_out(1, 3)
-        assert (swap.is_swapped(1, 2), swap.is_swapped(1, 3), swap.free_slots) == (True, True, 0)
+        assert swap.free_slots == 0
+        swap.swap_in(1, 2)
+        swap.swap_in(1, 3)
 
     def test_ssd_latency_accumulates(self):
         ssd = SSDModel(SSDConfig())
@@ -91,10 +95,10 @@ class TestHugeTLBFS:
     def test_reserve_and_allocate(self):
         buddy = BuddyAllocator(64 * MB)
         pool = HugeTLBFS(buddy, reserved_bytes=8 * MB)
-        assert pool.free_pages == 4
+        assert pool.reserved_pages == 4
         page = pool.allocate()
         assert page is not None and page % PAGE_SIZE_2M == 0
-        assert pool.free_pages == 3
+        assert [pool.allocate() is not None for _ in range(4)] == [True] * 3 + [False]
 
     def test_empty_pool_returns_none(self):
         buddy = BuddyAllocator(64 * MB)
@@ -106,7 +110,7 @@ class TestHugeTLBFS:
         pool = HugeTLBFS(buddy, reserved_bytes=2 * MB)
         page = pool.allocate()
         pool.free(page)
-        assert pool.free_pages == 1
+        assert pool.allocate() == page
 
     def test_reserve_bounded_by_memory(self):
         buddy = BuddyAllocator(8 * MB)

@@ -108,9 +108,9 @@ class TestRadixPageTable:
     def test_pt_frame_allocation_counted(self):
         table = RadixPageTable()
         table.insert(0x7F00_0000_0000, 0x10_0000, PAGE_SIZE_4K)
-        assert table.page_table_frames() == 3  # PUD, PMD, PTE nodes
+        assert table.counters.get("pt_frames_allocated") == 3  # PUD, PMD, PTE nodes
         table.insert(0x7F00_0000_1000, 0x11_0000, PAGE_SIZE_4K)
-        assert table.page_table_frames() == 3  # shares all interior nodes
+        assert table.counters.get("pt_frames_allocated") == 3  # shares all interior nodes
 
     def test_insert_records_kernel_work(self):
         table = RadixPageTable()

@@ -7,6 +7,7 @@ from repro.common.config import PageTableConfig
 from repro.common.kernelops import KernelRoutineTrace
 from repro.mimicos.buddy import BuddyAllocator
 from repro.mimicos.vma import VMAKind, VirtualMemoryArea
+from repro.mmu.mmu import MMU
 from repro.pagetables.base import PageTableBase
 from repro.pagetables.cuckoo import ElasticCuckooPageTable
 from repro.pagetables.direct_segments import DirectSegmentTable
@@ -19,10 +20,20 @@ from repro.pagetables.rmm import RangeMemoryMapping
 from repro.pagetables.utopia import UtopiaTranslation
 from repro.pagetables.vbi import VirtualBlockInterface
 from tests.conftest import FlatMemory
+from tests.test_tlb_mmu import make_hierarchy, make_memory
 
 
 def anon_vma(size=16 * MB, start=0x7F00_0000_0000):
     return VirtualMemoryArea(start=start, end=start + size, kind=VMAKind.ANONYMOUS)
+
+
+def mmu_on(page_table):
+    """An MMU translating through ``page_table`` (no fault handler), and
+    its memory hierarchy."""
+    memory = make_memory()
+    mmu = MMU(make_hierarchy(), memory)
+    mmu.set_context(1, page_table)
+    return mmu, memory
 
 
 class TestUtopia:
@@ -38,7 +49,7 @@ class TestUtopia:
         assert allocation.page_size == PAGE_SIZE_4K
         assert allocation.address >= 1 << 40
         assert utopia.counters.get("restseg_allocations") == 1
-        assert buddy.used_bytes == 0  # the RestSeg frame is not a buddy frame
+        assert buddy.free_bytes == buddy.total_bytes  # the RestSeg frame is not a buddy frame
 
     def test_translation_of_restseg_page_uses_tag_walk(self):
         utopia = self.make()
@@ -63,7 +74,7 @@ class TestUtopia:
             placed.append(allocation)
         assert utopia.counters.get("restseg_set_conflicts") > 0
         assert utopia.counters.get("flexseg_allocations") > 0
-        assert buddy.used_bytes > 0
+        assert buddy.free_bytes < buddy.total_bytes
 
     def test_exhausted_flexseg_evicts_and_reports_swap_victims(self):
         utopia = self.make(restseg_bytes=4 * PAGE_SIZE_4K, associativity=1)
@@ -94,13 +105,6 @@ class TestUtopia:
         assert result.found
         assert utopia.counters.get("flexseg_walks") >= 1
 
-    def test_restseg_utilisation(self):
-        utopia = self.make()
-        buddy = BuddyAllocator(64 * MB)
-        assert utopia.restseg_utilisation() == 0.0
-        utopia.allocate_for_fault(1, 0x7F00_0000_0000, anon_vma(), buddy)
-        assert utopia.restseg_utilisation() > 0.0
-
 
 class TestRMM:
     def test_eager_allocation_creates_range(self):
@@ -108,7 +112,7 @@ class TestRMM:
         buddy = BuddyAllocator(64 * MB)
         vma = anon_vma()
         allocation = rmm.allocate_for_fault(1, vma.start, vma, buddy)
-        assert rmm.range_count == 1
+        assert rmm.counters.get("eager_allocations") == 1
         covering = rmm.covering_range(vma.start + PAGE_SIZE_4K)
         assert covering is not None
         assert covering.size == PAGE_SIZE_4K << 6
@@ -179,30 +183,38 @@ class TestMidgard:
         assert second_accesses == 0         # L1 VLB hit
         assert second_latency < first_latency
 
-    def test_walk_end_to_end(self):
+    def test_mmu_translation_end_to_end(self):
+        """A cold access takes both steps: the frontend before the data
+        access and the backend because the data came from DRAM."""
         midgard = MidgardTranslation()
-        memory = FlatMemory()
         midgard.register_vma(0x1000_0000, 0x1000_0000 + 4 * MB)
         midgard.insert(0x1000_0000, 0x4000_0000, PAGE_SIZE_4K)
-        result = midgard.walk(0x1000_0000 + 0x123, memory)
-        assert result.found
+        mmu, memory = mmu_on(midgard)
+        latency, _, faulted, _, served_by = mmu.access_data_fast(0x1000_0000 + 0x123)
+        assert not faulted and served_by == "DRAM"
+        assert memory.l1.probe(0x4000_0123)
         breakdown = midgard.latency_breakdown()
         assert breakdown["frontend"] > 0 and breakdown["backend"] > 0
-        assert result.latency == breakdown["frontend"] + breakdown["backend"]
+        assert latency == breakdown["frontend"] + breakdown["backend"]
 
-    def test_latency_breakdown_accumulates(self):
+    def test_cache_hit_skips_the_backend(self):
         midgard = MidgardTranslation()
-        memory = FlatMemory()
         midgard.register_vma(0x1000_0000, 0x1000_0000 + 4 * MB)
         midgard.insert(0x1000_0000, 0x4000_0000, PAGE_SIZE_4K)
-        midgard.walk(0x1000_0000, memory)
-        breakdown = midgard.latency_breakdown()
-        assert breakdown["frontend"] > 0 and breakdown["backend"] > 0
+        mmu, _ = mmu_on(midgard)
+        mmu.access_data_fast(0x1000_0000)
+        first = midgard.latency_breakdown()
+        _, _, _, _, served_by = mmu.access_data_fast(0x1000_0000)
+        second = midgard.latency_breakdown()
+        assert served_by == "L1"
+        assert second["frontend"] > first["frontend"]
+        assert second["backend"] == first["backend"]
 
     def test_unregistered_address_faults(self):
-        midgard = MidgardTranslation()
-        result = midgard.walk(0x9999_0000, FlatMemory())
-        assert not result.found
+        mmu, _ = mmu_on(MidgardTranslation())
+        _, _, faulted, _, served_by = mmu.access_data_fast(0x9999_0000)
+        assert faulted and served_by == "none"
+        assert mmu.counters.get("page_faults") == 1
 
     def test_replaces_tlbs_flag(self):
         assert MidgardTranslation.replaces_tlbs
@@ -257,11 +269,16 @@ class TestVBI:
         assert latency == vbi.block_table_latency
         assert accesses == 0
 
-    def test_walk_end_to_end(self):
+    def test_mmu_translation_end_to_end(self):
         vbi = VirtualBlockInterface()
         vbi.insert(0x4000_0000, 0x8000_0000, PAGE_SIZE_4K)
-        result = vbi.walk(0x4000_0000, FlatMemory())
-        assert result.found
+        mmu, memory = mmu_on(vbi)
+        latency, _, faulted, _, served_by = mmu.access_data_fast(0x4000_0000)
+        assert not faulted and served_by == "DRAM"
+        assert memory.l1.probe(0x8000_0000)
+        breakdown = vbi.latency_breakdown()
+        assert breakdown["frontend"] == vbi.block_table_latency
+        assert latency == breakdown["frontend"] + breakdown["backend"]
 
 
 class TestFactory:

@@ -177,7 +177,7 @@ class TestKhugepaged:
         daemon = Khugepaged(make_buddy())
         daemon.enqueue_hint(1, 0x1000_0000)
         daemon.enqueue_hint(1, 0x1000_0000)
-        assert daemon.pending_hints == 1
+        assert daemon.counters.get("hints") == 1
 
     def test_scan_limit_respected(self):
         buddy = make_buddy()
@@ -186,7 +186,7 @@ class TestKhugepaged:
             daemon.enqueue_hint(1, 0x1000_0000 + index * PAGE_SIZE_2M)
         result = daemon.scan({1: RadixPageTable()})
         assert result.regions_scanned == 2
-        assert daemon.pending_hints == 3
+        assert daemon.scan({1: RadixPageTable()}, max_regions=10).regions_scanned == 3
 
     def test_no_collapse_when_memory_exhausted(self):
         buddy = make_buddy(8 * MB)
@@ -208,13 +208,14 @@ class TestFragmentationController:
         controller = FragmentationController(buddy, DeterministicRNG(1))
         achieved = controller.fragment_to(0.5)
         assert achieved <= 0.55
-        assert controller.pinned_pages > 0
+        assert controller.counters.get("pinned_pages") > 0
 
     def test_pinned_pages_hold_all_the_memory_taken(self):
         buddy = make_buddy(64 * MB)
         controller = FragmentationController(buddy, DeterministicRNG(2))
         controller.fragment_to(0.7)
-        assert buddy.total_bytes - buddy.free_bytes == controller.pinned_pages * PAGE_SIZE_4K
+        assert (buddy.total_bytes - buddy.free_bytes
+                == controller.counters.get("pinned_pages") * PAGE_SIZE_4K)
         for address in controller._pinned:
             buddy.free(address)
         assert buddy.free_bytes == buddy.total_bytes
@@ -229,4 +230,4 @@ class TestFragmentationController:
         controller = FragmentationController(buddy)
         achieved = controller.fragment_to(1.0)
         assert achieved == pytest.approx(1.0)
-        assert controller.pinned_pages == 0
+        assert controller.counters.get("pinned_pages") == 0

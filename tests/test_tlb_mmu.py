@@ -1,22 +1,15 @@
-"""Tests for the TLBs, the MMU, its extensions and nested translation."""
+"""Tests for the TLBs, the MMU and nested translation."""
 
 import pytest
 
-from repro.common.addresses import MB, PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
+from repro.common.addresses import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.config import CacheConfig, DRAMConfig, TLBConfig
-from repro.core.virtuoso import Virtuoso
 from repro.memhier.memory_system import MemoryHierarchy
-from repro.mmu.extensions import MMUExtensions
 from repro.mmu.mmu import MMU
 from repro.mmu.nested import NestedTranslationUnit
-from repro.mmu.pom_tlb import PartOfMemoryTLB
 from repro.mmu.tlb import TLB, TLBHierarchy
-from repro.mmu.tlb_prefetch import SequentialTLBPrefetcher
-from repro.mmu.victima import VictimaCacheTLB
 from repro.pagetables.radix import RadixPageTable
-from repro.validation.parity import ParityPoint, build_config, point_seed
-from repro.workloads.registry import build_workload
-from tests.conftest import FlatMemory, assert_report_digest
+from tests.conftest import FlatMemory
 
 
 def make_tlb(entries=16, associativity=4, latency=1, page_sizes=(PAGE_SIZE_4K,)):
@@ -243,160 +236,6 @@ class TestMMU:
         assert "counters" in stats and "tlbs" in stats and "avg_ptw_latency" in stats
 
 
-class TestMMUExtensions:
-    def test_pom_tlb_hit_avoids_walk(self):
-        memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(pom_tlb=True))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        mmu.access_data(0x1000)            # walk, fills POM-TLB and L2 TLB
-        mmu.tlbs.flush()                   # force on-chip TLB misses
-        mmu.access_data(0x1000)
-        assert mmu.counters.get("pom_tlb_hits") == 1
-        assert mmu.counters.get("page_walks") == 1
-
-    def test_victima_stores_and_serves_victims(self):
-        memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(victima=True))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        # Install far more translations than the (64-entry) L2 TLB holds.
-        for index in range(200):
-            virtual = 0x7F00_0000_0000 + index * PAGE_SIZE_4K
-            table.insert(virtual, index * PAGE_SIZE_4K, PAGE_SIZE_4K)
-            mmu.access_data(virtual)
-        assert mmu.victima.counters.get("victims_stored") > 0
-
-    def test_tlb_prefetch_installs_next_page(self):
-        memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(tlb_prefetch=True))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        table.insert(0x2000, 0xB000, PAGE_SIZE_4K)
-        mmu.access_data(0x1000)
-        # The next page's translation was prefetched into the L2 TLB.
-        assert mmu.tlbs.l2.lookup(0x2000) is not None
-
-    def test_prefetcher_standalone(self):
-        prefetcher = SequentialTLBPrefetcher(degree=2)
-        table = RadixPageTable()
-        hierarchy = make_hierarchy()
-        table.insert(0x2000, 0xB000, PAGE_SIZE_4K)
-        count = prefetcher.on_fill(0x1000, PAGE_SIZE_4K, table, hierarchy)
-        assert count == 1
-
-    def test_pom_tlb_standalone(self):
-        memory = make_memory()
-        pom = PartOfMemoryTLB(entries=1024)
-        pom.fill(0x1000, 0xA000, memory)
-        entry, latency = pom.lookup(0x1000, memory)
-        assert entry == (0xA000, PAGE_SIZE_4K)
-        assert latency > 0
-        assert pom.hit_rate() == 1.0
-
-    def test_victima_standalone(self):
-        memory = make_memory()
-        victima = VictimaCacheTLB(memory.l2)
-        victima.store_victim(0x1000, 0xA000, PAGE_SIZE_4K)
-        entry, _ = victima.lookup(0x1000)
-        assert entry == (0xA000, PAGE_SIZE_4K)
-
-
-def remap(mmu, table, virtual_address, physical_address):
-    """What MimicOS does to move a page: unmap, shoot down, map again."""
-    table.remove(virtual_address)
-    mmu.invalidate_translation(1, virtual_address)
-    table.insert(virtual_address, physical_address, PAGE_SIZE_4K)
-
-
-class TestTranslationsPastTheTLBsAreShotDown:
-    """The POM-TLB and Victima hold translations the TLBs no longer do, so
-    a shootdown and a flushing context switch must reach them too."""
-
-    def test_pom_tlb_forgets_a_remapped_page(self):
-        memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(pom_tlb=True))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        table.insert(0x1000, 0xA000, PAGE_SIZE_4K)
-        mmu.access_data(0x1000)
-        remap(mmu, table, 0x1000, 0xB000)
-        mmu.access_data(0x1040)
-        assert memory.l1.probe(0xB040) and not memory.l1.probe(0xA040)
-        assert mmu.counters.get("pom_tlb_hits") == 0
-
-    def test_victima_forgets_a_remapped_page(self):
-        memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(victima=True))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        # Pages whose VPNs share the L2 TLB's (8-set) and the L1 TLB's
-        # (4-set) set with 0x1000, enough to push it out of both.
-        pages = [0x1000 + index * 8 * PAGE_SIZE_4K for index in range(10)]
-        for page in pages:
-            table.insert(page, 0xA000 + (page - 0x1000), PAGE_SIZE_4K)
-            mmu.access_data(page)
-        assert mmu.tlbs.l2.lookup(0x1000) is None
-        assert mmu.victima.lookup(0x1000)[0] == (0xA000, PAGE_SIZE_4K)
-        remap(mmu, table, 0x1000, 0xB000)
-        mmu.access_data(0x1040)
-        assert memory.l1.probe(0xB040) and not memory.l1.probe(0xA040)
-        assert mmu.counters.get("victima_hits") == 0
-
-    def test_victima_shootdown_of_a_huge_page_drops_its_pieces(self):
-        victima = VictimaCacheTLB(make_memory().l2)
-        victima.store_victim(0x20_1000, 0xA000, PAGE_SIZE_4K)
-        victima.store_victim(0x20_0000, 0x40_0000, PAGE_SIZE_2M)
-        victima.store_victim(0x60_0000, 0xB000, PAGE_SIZE_4K)
-        victima.invalidate(0x20_0000, PAGE_SIZE_2M)
-        assert set(victima._entries) == {(0x60_0000 // PAGE_SIZE_4K, PAGE_SIZE_4K)}
-
-    def test_flushing_context_switch_empties_both(self):
-        memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(pom_tlb=True, victima=True))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        for index in range(80):
-            table.insert(index * PAGE_SIZE_4K, 0x10_0000 + index * PAGE_SIZE_4K, PAGE_SIZE_4K)
-            mmu.access_data(index * PAGE_SIZE_4K)
-        assert mmu.pom_tlb._table and mmu.victima._entries
-        mmu.set_context(2, RadixPageTable(), flush_tlbs=True)
-        assert not mmu.pom_tlb._table and not mmu.victima._entries
-
-    def test_pom_tlb_holds_the_4k_piece_of_a_huge_page(self):
-        memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(pom_tlb=True))
-        table = RadixPageTable()
-        mmu.set_context(1, table)
-        table.insert(0x20_0000, 0x40_0000, PAGE_SIZE_2M)
-        mmu.access_data(0x20_5123)
-        mmu.tlbs.flush()
-        memory.flush_caches()
-        mmu.access_data(0x20_5123)
-        assert mmu.counters.get("pom_tlb_hits") == 1
-        assert memory.l1.probe(0x40_5123)
-
-
-class TestVictimaRecordedDigest:
-    """A Victima run: every L2-TLB fill into a full set first hands the
-    entry the set is about to evict to Victima, so the report pins which
-    entry the L2 TLB's LRU names as its victim."""
-
-    #: Recorded while the L2 TLB still kept its own clock and LRU stamps.
-    RECORDED_DIGEST = "cfec7633908e4ee50f9e0d839b220aa1885ca313ed042492c2558c6074d6b026"
-
-    def test_gups_report_matches_recorded_digest(self):
-        point = ParityPoint("radix", "gups", thp=False)
-        system = Virtuoso(build_config(point), seed=point_seed(point),
-                          mmu_extensions=MMUExtensions(victima=True))
-        report = system.run(build_workload("RND", footprint_bytes=2 * MB,
-                                           memory_operations=3000, prefault=True, seed=3))
-        assert system.mmu.counters.get("victima_hits") > 1000
-        assert_report_digest(report, self.RECORDED_DIGEST)
-
-
 class TestNestedTranslation:
     def test_two_dimensional_walk(self):
         guest = RadixPageTable()
@@ -432,7 +271,7 @@ class TestNestedTranslation:
 
     def test_mmu_uses_nested_unit(self):
         memory = make_memory()
-        mmu = MMU(make_hierarchy(), memory, MMUExtensions(nested_translation=True))
+        mmu = MMU(make_hierarchy(), memory)
         guest, host = RadixPageTable(), RadixPageTable()
         guest.insert(0x1000, 0x20_0000, PAGE_SIZE_4K)
         host.insert(0x20_0000, 0x30_0000, PAGE_SIZE_4K)

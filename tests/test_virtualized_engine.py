@@ -3,7 +3,8 @@
 Four families:
 
 * construction and coupling — the virtualized system wires a guest MimicOS
-  over the hypervisor, routes application faults through the guest and
+  over the hypervisor, rejects a guest or host page table no nested walk
+  can use as a dimension, routes application faults through the guest and
   guest-RAM backing faults through the hypervisor, and injects *both*
   kernels' instruction streams into the faulting core;
 * recorded reports — virtualized runs reproduce the report digests
@@ -25,9 +26,10 @@ from dataclasses import replace
 import pytest
 
 from repro.common.addresses import MB, PAGE_SIZE_4K, align_down, page_number
-from repro.common.config import VirtualizationConfig
+from repro.common.config import PageTableConfig, VirtualizationConfig
 from repro.core.virtuoso import Virtuoso
 from repro.mmu.mmu import MMU
+from repro.pagetables.factory import nested_capable_kinds
 from repro.validation.invariants import TranslationIncoherence, check_translations
 from repro.workloads.multiproc import GuestMixWorkload, virtualized_guests
 from tests.conftest import assert_report_digest, tiny_system_config
@@ -55,7 +57,6 @@ class TestVirtualizedConstruction:
         process = system.create_process("guest-app")
         assert process.pid in system.vm.guest.processes
         assert system.mmu.nested_unit is not None
-        assert system.mmu.extensions.nested_translation
 
     def test_virtualization_requires_imitation_mode(self):
         config = virtualized_config()
@@ -63,6 +64,45 @@ class TestVirtualizedConstruction:
                                                 os_mode="emulation"))
         with pytest.raises(ValueError, match="imitation"):
             Virtuoso(config, seed=7)
+
+    @pytest.mark.parametrize("kind", ["midgard", "vbi"])
+    def test_intermediate_address_host_table_is_rejected(self, kind):
+        """Midgard and VBI replace the TLBs, so no nested walk can use
+        them as its host (extended) page table."""
+        config = virtualized_config().with_page_table(PageTableConfig(kind=kind))
+        with pytest.raises(ValueError, match="host dimension"):
+            Virtuoso(config, seed=7)
+
+    @pytest.mark.parametrize("kind", ["midgard", "vbi"])
+    def test_intermediate_address_guest_table_is_rejected(self, kind):
+        """A Midgard or VBI guest table would take the intermediate path
+        and skip the host dimension altogether."""
+        config = virtualized_config(guest_page_table=PageTableConfig(kind=kind))
+        with pytest.raises(ValueError, match="guest dimension"):
+            Virtuoso(config, seed=7)
+
+    @pytest.mark.parametrize("kind", nested_capable_kinds())
+    def test_nested_capable_host_table_is_accepted(self, kind):
+        """Every design a nested walk can use serves as the host dimension:
+        the run takes guest and hypervisor faults and its translations
+        stay coherent."""
+        config = virtualized_config().with_page_table(PageTableConfig(kind=kind))
+        system = Virtuoso(config, seed=7)
+        assert system.hypervisor.page_table_config.kind == kind
+        system.run(GuestMixWorkload(footprint_bytes=1 * MB, hot_operations=100, seed=3))
+        assert system.vm.counters.get("hypervisor_backing_faults") > 0
+        assert check_translations(system) > 0
+
+    @pytest.mark.parametrize("kind", nested_capable_kinds())
+    def test_nested_capable_guest_table_is_accepted(self, kind):
+        """Every design a nested walk can use serves as the guest dimension,
+        and the walk still reaches the host dimension."""
+        config = virtualized_config(guest_page_table=PageTableConfig(kind=kind))
+        system = Virtuoso(config, seed=7)
+        assert system.kernel.page_table_config.kind == kind
+        system.run(GuestMixWorkload(footprint_bytes=1 * MB, hot_operations=100, seed=3))
+        assert system.vm.counters.get("hypervisor_backing_faults") > 0
+        assert check_translations(system) > 0
 
     def test_both_kernel_streams_injected_into_core(self):
         system = Virtuoso(virtualized_config(), seed=7)

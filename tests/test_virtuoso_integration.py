@@ -7,7 +7,6 @@ import pytest
 from repro.common.addresses import MB, PAGE_SIZE_4K
 from repro.common.config import PageTableConfig, SimulationConfig
 from repro.core.virtuoso import Virtuoso
-from repro.mmu.extensions import MMUExtensions
 from repro.workloads import (
     GraphWorkload,
     JSONWorkload,
@@ -81,14 +80,6 @@ class TestVirtuosoRuns:
         assert set(report.details) >= {"mmu", "core", "kernel", "coupling", "memory"}
         summary = report.summary()
         assert summary["workload"] == "BFS"
-
-    def test_mmu_extensions_can_be_enabled(self):
-        system = Virtuoso(tiny_system_config(), seed=1,
-                          mmu_extensions=MMUExtensions(tlb_prefetch=True))
-        report = system.run(SequentialWorkload(footprint_bytes=4 * MB,
-                                               memory_operations=2000, prefault=True))
-        assert report.instructions > 0
-        assert system.mmu.tlb_prefetcher is not None
 
 
 class TestPageTableVariants:
