@@ -5,6 +5,10 @@ only needs hit/miss behaviour and latency.  Each cache level tracks hits,
 misses, evictions and fills per request type (application data, page-table
 walk, kernel/MimicOS data), which the experiments use to quantify the cache
 pollution caused by OS routines and page-table accesses.
+
+Demand accesses, with their victim choice and fill, are written out in
+:meth:`repro.memhier.memory_system.MemoryHierarchy.access_value`, one loop
+over the levels; :meth:`Cache.fill` is the prefetchers' way in.
 """
 
 from __future__ import annotations
@@ -13,6 +17,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheConfig
 from repro.common.stats import Counter
+
+#: SRRIP re-reference prediction values: the eviction threshold and the
+#: value a fill inserts (a hit stores 0).
+SRRIP_MAX_RRPV = 3
+SRRIP_INSERT_RRPV = 2
 
 
 class Cache:
@@ -29,14 +38,16 @@ class Cache:
     * ``_way_maps[s]``: block -> way of the valid lines (the hit probe),
       where a block is ``address // line_size``;
     * ``_blocks[s]``: the block held by each way, ``None`` when invalid;
-    * ``_dirty[s]`` / ``_types[s]``: dirty bit and filling request class;
+    * ``_types[s]``: the request class that filled each way;
     * ``_meta[s]``: the replacement state, the LRU stamp or the SRRIP
       RRPV minus the set's age offset ``_age[s]`` (aging every line is
       one add to the offset).
-    """
 
-    SRRIP_MAX_RRPV = 3
-    SRRIP_INSERT_RRPV = 2
+    No line ever leaves except by eviction, so the valid ways of a set are
+    always its first ``len(_way_maps[s])``.  The containers are built once:
+    :class:`repro.memhier.memory_system.MemoryHierarchy` binds them into
+    its routes.  No writeback is modelled, so there are no dirty bits.
+    """
 
     def __init__(self, config: CacheConfig):
         self.config = config
@@ -47,26 +58,9 @@ class Cache:
         self.associativity = config.associativity
         self.replacement = config.replacement
         self._lru = config.replacement == "lru"
-        self._clear_sets()
-        self._access_clock = 0
-        self.counters = Counter()
-        #: request_type -> (hits, misses) hot counter cells; populated lazily
-        #: so only the request classes that actually reach this level pay for
-        #: cells (and no per-access f-string formatting).  ``accesses_<type>``
-        #: is their sum, written when the counters are read.
-        self._type_cells: Dict[str, Tuple[List[int], List[int]]] = {}
-        self._fill_cells: Dict[str, List[int]] = {}
-        self._pollution_cells: Dict[str, List[int]] = {}
-        self._c_evictions = self.counters.hot("evictions")
-        #: Lines that have left the cache (evictions, invalidations, flushes):
-        #: while it stands still, every line present earlier still is.
-        self._removals = 0
-
-    def _clear_sets(self) -> None:
         sets, ways = range(self.num_sets), self.associativity
         self._way_maps: List[Dict[int, int]] = [{} for _ in sets]
         self._blocks: List[List[Optional[int]]] = [[None] * ways for _ in sets]
-        self._dirty: List[List[bool]] = [[False] * ways for _ in sets]
         self._types: List[List[Optional[str]]] = [[None] * ways for _ in sets]
         self._meta: List[List[int]] = [[0] * ways for _ in sets]
         self._age: List[int] = [0] * self.num_sets
@@ -74,117 +68,100 @@ class Cache:
         #: maximum stored value it found there (None: choose by a full scan).
         self._victims: List[int] = [0] * self.num_sets
         self._tops: List[Optional[int]] = [None] * self.num_sets
-        #: Whether a line was invalidated since the sets were cleared: until
-        #: one is, the valid ways of every set are exactly its first ones.
-        self._holes = False
+        #: LRU: the ways an oldest-stamp scan compares with way 0.
+        self._later_ways = tuple(range(1, ways))
+        self._access_clock = 0
+        self.counters = Counter()
+        self._pollution_cells: Dict[str, List[int]] = {}
+        self._c_evictions = self.counters.hot("evictions")
+        self._c_prefetch_fills = self.counters.hot("fills_prefetch")
+        #: Lines that have left the cache (evictions): while it stands
+        #: still, every line present earlier still is.
+        self._removals = 0
 
     def _cells_for(self, request_type: str) -> Tuple[List[int], List[int]]:
+        """The ``hits_<type>`` and ``misses_<type>`` cells (a route binds
+        them once); ``accesses_<type>`` is their sum, written when the
+        counters are read."""
         accesses = ("accesses_" + request_type,)
-        cells = (self.counters.hot("hits_" + request_type, part_of=accesses),
-                 self.counters.hot("misses_" + request_type, part_of=accesses))
-        self._type_cells[request_type] = cells
-        return cells
+        return (self.counters.hot("hits_" + request_type, part_of=accesses),
+                self.counters.hot("misses_" + request_type, part_of=accesses))
 
     # ------------------------------------------------------------------ #
-    # Probes, fills and invalidations (demand accesses are
+    # Prefetch fills (demand accesses and their fills are
     # MemoryHierarchy.access_value, which updates the state in place)
     # ------------------------------------------------------------------ #
-    def probe(self, address: int) -> bool:
-        """Return True if ``address`` is present without disturbing state."""
-        block = address // self.line_size
-        return block in self._way_maps[block % self.num_sets]
-
-    def fill(self, address: int, request_type: str = "prefetch") -> None:
+    def fill(self, address: int) -> None:
         """Insert a line without counting it as a demand access (prefetch fill)."""
         block = address // self.line_size
         set_index = block % self.num_sets
-        if block in self._way_maps[set_index]:
-            return
-        cell = self._fill_cells.get(request_type)
-        if cell is None:
-            cell = self._fill_cells[request_type] = \
-                self.counters.hot("fills_" + request_type)
-        cell[0] += 1
-        self._fill(set_index, block, False, request_type)
+        if block not in self._way_maps[set_index]:
+            self._c_prefetch_fills[0] += 1
+            self._fill(set_index, block, "prefetch")
 
-    def invalidate(self, address: int) -> bool:
-        """Invalidate the line holding ``address``; returns True if it was present."""
-        block = address // self.line_size
-        set_index = block % self.num_sets
-        way = self._way_maps[set_index].pop(block, None)
-        if way is None:
-            return False
-        self._blocks[set_index][way] = None
-        self._holes = True
-        self._removals += 1
-        self.counters.add("invalidations")
-        return True
+    def _fill(self, set_index: int, block: int, request_type: str) -> None:
+        """Put ``block`` in the first invalid way of its set, or in the way
+        the replacement policy evicts when the set is full.
 
-    def flush(self) -> None:
-        """Invalidate every line (used between simulation regions)."""
-        self._removals += 1
-        self._clear_sets()
+        LRU evicts the first way with the oldest stamp.  SRRIP ages every
+        line until one reaches the maximum RRPV and evicts the first such
+        line: one offset update and a first-max, the *aging epoch's*
+        ``top``.  Until the next victim choice, every hit or fill stores a
+        value below ``top`` (the age is unchanged and neither stores the
+        maximum RRPV), and no way before the victim ``v`` held ``top``.  So
+        while a way still holds ``top``, the next victim is the first one
+        after ``v``, found without a scan of the set, and the age stays;
+        only when none is left does a new epoch scan.
 
-    # ------------------------------------------------------------------ #
-    # Replacement
-    # ------------------------------------------------------------------ #
-    def _fill(self, set_index: int, block: int, is_write: bool,
-              request_type: str) -> None:
+        :meth:`MemoryHierarchy.access_value` writes out the same steps for
+        a demand miss: the two must change together.
+        """
         way_map = self._way_maps[set_index]
         blocks = self._blocks[set_index]
         meta = self._meta[set_index]
         types = self._types[set_index]
-        if len(way_map) < self.associativity:
-            # The first invalid way.
-            way = blocks.index(None) if self._holes else len(way_map)
-        else:
-            way = self._choose_victim(set_index)
+        way = len(way_map)
+        if way == self.associativity:
+            if self._lru:
+                # Stamps, not repro.common.lru: fills reuse the clock, so
+                # ties go by way order.
+                oldest = meta[0]
+                way = 0
+                for other in self._later_ways:
+                    if meta[other] < oldest:
+                        oldest = meta[other]
+                        way = other
+            else:
+                top = self._tops[set_index]
+                try:
+                    way = meta.index(top, self._victims[set_index] + 1)
+                except ValueError:
+                    top = self._tops[set_index] = max(meta)
+                    self._age[set_index] = SRRIP_MAX_RRPV - top
+                    way = meta.index(top)
+                self._victims[set_index] = way
             del way_map[blocks[way]]
             self._removals += 1
             self._c_evictions[0] += 1
             if types[way] != request_type:
                 # A fill from one request class displaced another class's data:
                 # this is the cache-pollution effect the paper highlights.
-                cell = self._pollution_cells.get(request_type)
-                if cell is None:
-                    cell = self._pollution_cells[request_type] = \
-                        self.counters.hot("pollution_evictions_by_" + request_type)
-                cell[0] += 1
+                self._pollution_cell(request_type)[0] += 1
         way_map[block] = way
         blocks[way] = block
-        self._dirty[set_index][way] = is_write
         types[way] = request_type
         if self._lru:
             meta[way] = self._access_clock
         else:
-            meta[way] = self.SRRIP_INSERT_RRPV - self._age[set_index]
+            meta[way] = SRRIP_INSERT_RRPV - self._age[set_index]
 
-    def _choose_victim(self, set_index: int) -> int:
-        """The way a miss-fill evicts from a full set.
-
-        LRU takes the first way with the oldest stamp (one C-level pass).
-        SRRIP ages every line until one reaches the maximum RRPV and takes
-        the first such line: one offset update and a first-max, the *aging
-        epoch's* ``top``.  Until the next victim choice, every hit or fill
-        stores a value below ``top`` (the age is unchanged and neither
-        stores the maximum RRPV), and no way before the victim ``v`` held
-        ``top``.  So while a way still holds ``top``, the next victim is
-        the first one after ``v``, found without a scan of the set, and the
-        age stays; only when none is left does a new epoch scan.
-        """
-        meta = self._meta[set_index]
-        if self._lru:
-            # Stamps, not repro.common.lru: fills reuse the clock, so ties go by way order.
-            return meta.index(min(meta))
-        top = self._tops[set_index]
-        try:
-            way = meta.index(top, self._victims[set_index] + 1)
-        except ValueError:
-            top = self._tops[set_index] = max(meta)
-            self._age[set_index] = self.SRRIP_MAX_RRPV - top
-            way = meta.index(top)
-        self._victims[set_index] = way
-        return way
+    def _pollution_cell(self, request_type: str) -> List[int]:
+        """The ``pollution_evictions_by_<type>`` cell, made on first use."""
+        cell = self._pollution_cells.get(request_type)
+        if cell is None:
+            cell = self._pollution_cells[request_type] = \
+                self.counters.hot("pollution_evictions_by_" + request_type)
+        return cell
 
     # ------------------------------------------------------------------ #
     # Statistics

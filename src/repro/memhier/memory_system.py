@@ -17,19 +17,26 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheConfig, DRAMConfig, PrefetcherConfig, SystemConfig
 from repro.common.stats import Counter
-from repro.memhier.cache import Cache
+from repro.memhier.cache import SRRIP_INSERT_RRPV, SRRIP_MAX_RRPV, Cache
 from repro.memhier.dram import DRAMModel
 from repro.memhier.prefetcher import Prefetcher, build_prefetcher
 
 
-#: One level below the L1 on a request type's route: the cache, its
-#: ``hits_<type>``/``misses_<type>`` cells, the name :attr:`MemoryHierarchy.
-#: last_served_by` gives a hit there, and the prefetcher a hit trains (None:
-#: none).
-_Level = Tuple[Cache, List[int], List[int], str, Optional[Prefetcher]]
+#: A prefetcher a request trains and the hierarchy's ``l1_prefetches`` or
+#: ``l2_prefetches`` cell that counts what it issues.
+_Training = Tuple[Prefetcher, List[int]]
 
-#: A request type's hot cells, built on its first access (see ``_routes``).
-_Route = Tuple[List[int], List[int], List[int], bool, Tuple[_Level, _Level]]
+#: One cache level of a request type's route, as :func:`_level` builds it:
+#: the cache's latency, geometry, per-set containers and policy, its
+#: counter cells for the type, the name :attr:`MemoryHierarchy.
+#: last_served_by` gives a hit there, and the prefetchers such a hit trains.
+_Level = Tuple[Cache, int, int, int, List[Dict[int, int]], List[List[int]],
+               List[List[Optional[int]]], List[List[Optional[str]]], List[int], bool,
+               List[int], List[int], List[int], List[int], str, Tuple[_Training, ...]]
+
+#: A request type's ``requests_<type>`` cell, its L1, L2 and L3 levels and
+#: the prefetchers a DRAM access trains, built on its first access.
+_Route = Tuple[List[int], Tuple[_Level, _Level, _Level], Tuple[_Training, ...]]
 
 
 class MemoryHierarchy:
@@ -65,11 +72,9 @@ class MemoryHierarchy:
         self.counters = Counter()
         self._c_l1_prefetches = self.counters.hot("l1_prefetches")
         self._c_l2_prefetches = self.counters.hot("l2_prefetches")
-        #: request-type string -> (``requests_<type>`` cell, the L1's
-        #: ``hits_<type>``/``misses_<type>`` cells, whether the type trains
-        #: the prefetchers, the L2 and L3 steps as :data:`_Level`); one
-        #: lookup per access.  ``requests`` is the sum of the
-        #: ``requests_<type>`` counters, written when they are read.
+        #: request-type string -> its :data:`_Route`; one lookup per
+        #: access.  ``requests`` is the sum of the ``requests_<type>``
+        #: counters, written when they are read.
         self._routes: Dict[str, _Route] = {}
         #: The level that served the most recent :meth:`access_value` call.
         self.last_served_by = "none"
@@ -111,14 +116,19 @@ class MemoryHierarchy:
     # Access path
     # ------------------------------------------------------------------ #
     def _route(self, access_type: str) -> _Route:
-        trains = access_type != "prefetch"
-        # Each level's hit and miss cells; an L3 hit trains no prefetcher.
-        lower = ((self.l2, *self.l2._cells_for(access_type), "L2",
-                  self.l2_prefetcher if trains else None),
-                 (self.l3, *self.l3._cells_for(access_type), "L3", None))
+        # A prefetch trains nothing; an L1 hit trains both prefetchers, an L2
+        # hit or a DRAM access the L2 one, an L3 hit none.
+        l1_training = l2_training = ()
+        if access_type != "prefetch" and self.l1_prefetcher is not None:
+            l1_training = ((self.l1_prefetcher, self._c_l1_prefetches),)
+        if access_type != "prefetch" and self.l2_prefetcher is not None:
+            l2_training = ((self.l2_prefetcher, self._c_l2_prefetches),)
+        levels = (_level(self.l1, access_type, "L1", l1_training + l2_training),
+                  _level(self.l2, access_type, "L2", l2_training),
+                  _level(self.l3, access_type, "L3", ()))
         route = self._routes[access_type] = (
             self.counters.hot("requests_" + access_type, part_of=("requests",)),
-            *self.l1._cells_for(access_type), trains, lower)
+            levels, l2_training)
         return route
 
     @property
@@ -133,83 +143,79 @@ class MemoryHierarchy:
         """Allocation-free access: returns the total latency of the request.
 
         ``access_type`` is the request-type string.  Which level served the
-        request is left in :attr:`last_served_by`.
+        request is left in :attr:`last_served_by`.  A write costs what a
+        read does (no writeback is modelled), so ``is_write`` changes
+        nothing.
 
-        The L1 lookup reads and writes the :class:`Cache` state in place
-        (clock, stamp, dirty bit and counter cells), so an L1 hit costs this
-        one call plus the prefetchers' training; a miss fills the L1 through
-        :meth:`Cache._fill`.  The L2 and L3 lookups do the same, as one loop
-        over the two levels of the route, and a miss in both goes to DRAM
-        (``tests/test_cache_oracle.py`` checks the whole path against a
-        line-object reference hierarchy).  Prefetch requests do not train
-        the prefetchers, and an L3 hit trains neither; a training that
-        issues nothing adds nothing.
+        One loop walks the route's L1, L2 and L3 levels and reads and
+        writes each :class:`Cache`'s state in place: a hit stamps the line
+        and stops; a miss picks the victim and fills the line as
+        :meth:`Cache._fill` would, then goes on to the next level, and a
+        miss in all three goes to DRAM (``tests/test_cache_oracle.py``
+        checks the whole path against a line-object reference hierarchy).
+        Then each prefetcher the serving level trains gets one
+        :meth:`Prefetcher.train` call.
         """
         route = self._routes.get(access_type)
         if route is None:
             route = self._route(access_type)
-        requests, hits, misses, trains, lower = route
+        requests, levels, dram_training = route
         requests[0] += 1
-
-        l1 = self.l1
-        clock = l1._access_clock = l1._access_clock + 1
-        block = address // l1.line_size
-        set_index = block % l1.num_sets
-        way = l1._way_maps[set_index].get(block)
-        if way is not None:
-            hits[0] += 1
-            if l1._lru:
-                l1._meta[set_index][way] = clock
-            else:
-                l1._meta[set_index][way] = -l1._age[set_index]
-            if is_write:
-                l1._dirty[set_index][way] = True
-            self.last_served_by = "L1"
-            if trains:
-                if self.l1_prefetcher is not None:
-                    issued = self.l1_prefetcher.train(address, pc)
-                    if issued:
-                        self._c_l1_prefetches[0] += issued
-                if self.l2_prefetcher is not None:
-                    issued = self.l2_prefetcher.train(address, pc)
-                    if issued:
-                        self._c_l2_prefetches[0] += issued
-            return l1.latency
-        misses[0] += 1
-        l1._fill(set_index, block, is_write, access_type)
-
-        latency = l1.latency
-        for cache, level_hits, level_misses, served_by, prefetcher in lower:
-            latency += cache.latency
-            block = address // cache.line_size
-            set_index = block % cache.num_sets
-            way = cache._way_maps[set_index].get(block)
+        latency = 0
+        for (cache, level_latency, line_size, num_sets, way_maps, metas, blocks_by_set,
+             types_by_set, ages, lru, hits, misses, evictions, pollution, served_by,
+             training) in levels:
+            latency += level_latency
+            block = address // line_size
+            set_index = block % num_sets
+            way_map = way_maps[set_index]
+            way = way_map.get(block)
+            meta = metas[set_index]
+            if lru:
+                clock = cache._access_clock = cache._access_clock + 1
             if way is not None:
-                level_hits[0] += 1
-                if cache._lru:
-                    clock = cache._access_clock = cache._access_clock + 1
-                    cache._meta[set_index][way] = clock
+                hits[0] += 1
+                meta[way] = clock if lru else -ages[set_index]
+                break
+            misses[0] += 1
+            blocks = blocks_by_set[set_index]
+            types = types_by_set[set_index]
+            way = len(way_map)
+            if way == cache.associativity:
+                if lru:
+                    oldest = meta[0]
+                    way = 0
+                    for other in cache._later_ways:
+                        if meta[other] < oldest:
+                            oldest = meta[other]
+                            way = other
                 else:
-                    cache._meta[set_index][way] = -cache._age[set_index]
-                if is_write:
-                    cache._dirty[set_index][way] = True
-                self.last_served_by = served_by
-                if prefetcher is not None:
-                    issued = prefetcher.train(address, pc)
-                    if issued:
-                        self._c_l2_prefetches[0] += issued
-                return latency
-            level_misses[0] += 1
-            if cache._lru:
-                cache._access_clock += 1
-            cache._fill(set_index, block, is_write, access_type)
-
-        latency += self.dram.access_value(address, access_type)
-        self.last_served_by = "DRAM"
-        if trains and self.l2_prefetcher is not None:
-            issued = self.l2_prefetcher.train(address, pc)
+                    top = cache._tops[set_index]
+                    try:
+                        way = meta.index(top, cache._victims[set_index] + 1)
+                    except ValueError:
+                        top = cache._tops[set_index] = max(meta)
+                        ages[set_index] = SRRIP_MAX_RRPV - top
+                        way = meta.index(top)
+                    cache._victims[set_index] = way
+                del way_map[blocks[way]]
+                cache._removals += 1
+                evictions[0] += 1
+                if types[way] != access_type:
+                    pollution[0] += 1
+            way_map[block] = way
+            blocks[way] = block
+            types[way] = access_type
+            meta[way] = clock if lru else SRRIP_INSERT_RRPV - ages[set_index]
+        else:
+            latency += self.dram.access_value(address, access_type)
+            served_by = "DRAM"
+            training = dram_training
+        self.last_served_by = served_by
+        for prefetcher, issued_cell in training:
+            issued = prefetcher.train(address, pc)
             if issued:
-                self._c_l2_prefetches[0] += issued
+                issued_cell[0] += issued
         return latency
 
     # ------------------------------------------------------------------ #
@@ -224,3 +230,12 @@ class MemoryHierarchy:
             "l3": self.l3.stats(),
             "dram": self.dram.stats(),
         }
+
+
+def _level(cache: Cache, access_type: str, served_by: str,
+           training: Tuple[_Training, ...]) -> _Level:
+    """``cache``'s step of ``access_type``'s route (see :data:`_Level`)."""
+    return (cache, cache.latency, cache.line_size, cache.num_sets, cache._way_maps,
+            cache._meta, cache._blocks, cache._types, cache._age, cache._lru,
+            *cache._cells_for(access_type), cache._c_evictions,
+            cache._pollution_cell(access_type), served_by, training)

@@ -9,9 +9,11 @@ row-buffer state, which is the effect the row-buffer-conflict experiments
 care about).
 
 A candidate counts as issued whether or not its line is already present;
-candidates below address 0 are dropped uncounted.  A present line is
-skipped with an inline way-map test, so only lines that are really missing
-pay for a :meth:`repro.memhier.cache.Cache.fill`.
+candidates below address 0 are dropped uncounted.  The candidates are
+walked over a tuple of distances built once (1 .. degree, in strides or
+lines), and a present line is skipped with an inline way-map test, so only
+lines that are really missing pay for a
+:meth:`repro.memhier.cache.Cache.fill`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class Prefetcher:
         self.degree = config.degree
         self.table_entries = config.table_entries
         self.cache = cache
+        #: 1 .. degree: the candidates' distances, in strides or lines.
+        self._ahead = tuple(range(1, config.degree + 1))
 
     def train(self, address: int, pc: int) -> int:
         """Observe one demand access, fill missing candidate lines into the
@@ -67,8 +71,8 @@ class IPStridePrefetcher(Prefetcher):
             if confidence >= 2:
                 cache = self.cache
                 way_maps, sets, line_size = cache._way_maps, cache.num_sets, cache.line_size
-                for candidate in range(address + stride, address + stride * (self.degree + 1),
-                                       stride):
+                for ahead in self._ahead:
+                    candidate = address + stride * ahead
                     if candidate < 0:
                         break   # a descending run: the rest are below zero too
                     issued += 1
@@ -104,6 +108,7 @@ class StreamPrefetcher(Prefetcher):
                              f"{self.REGION_SIZE}-byte stream regions")
         #: region -> [last_line, trained] (list entries; see IPStridePrefetcher).
         self._streams: Dict[int, List[int]] = {}
+        self._behind = tuple(-ahead for ahead in self._ahead)
         #: The previous call's line and issue count, and the cache's
         #: removal count before that call probed.
         self._last_line = -1
@@ -134,13 +139,13 @@ class StreamPrefetcher(Prefetcher):
         issued = 0
         if stream[1] >= 1:
             if delta >= 0:
-                direction = 1
+                offsets = self._ahead
             else:
-                direction = -1
+                offsets = self._behind
                 self._last_line = -1   # a repeat of this line ascends instead
             way_maps, sets, line_size = cache._way_maps, cache.num_sets, cache.line_size
-            for block in range(line + direction, line + direction * (self.degree + 1),
-                               direction):
+            for offset in offsets:
+                block = line + offset
                 if block < 0:
                     break   # a descending stream: the rest are below zero too
                 issued += 1

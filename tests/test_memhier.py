@@ -13,7 +13,7 @@ from repro.memhier.prefetcher import (
     StreamPrefetcher,
     build_prefetcher,
 )
-from tests.test_cache_oracle import access_bool
+from tests.test_cache_oracle import access_bool, cached
 
 
 def small_cache(replacement="lru", size=4096, assoc=4, latency=2) -> Cache:
@@ -41,8 +41,8 @@ class TestCache:
             access_bool(cache, index * 64 * cache.num_sets)
         access_bool(cache, 0)  # refresh line 0
         access_bool(cache, 5 * 64 * cache.num_sets)  # evicts the LRU (line 1)
-        assert cache.probe(0)
-        assert not cache.probe(1 * 64 * cache.num_sets)
+        assert cached(cache, 0)
+        assert not cached(cache, 1 * 64 * cache.num_sets)
 
     def test_lru_stamp_tie_breaks_by_way_order(self):
         """A prefetch fill does not advance the clock, so it can share a
@@ -53,8 +53,7 @@ class TestCache:
         a, x, y, z, b, e = (index * 64 for index in range(6))
         for line in (a, x, y, z):
             access_bool(cache, line)
-        cache.invalidate(a)   # frees way 0
-        cache.fill(b)         # prefetch into way 0, after z's demand access
+        cache.fill(b)         # prefetch into way 0: evicts a, takes z's stamp
         access_bool(cache, x)
         access_bool(cache, y)
         assert cache._blocks[0][0] == b // 64 and cache._blocks[0][3] == z // 64
@@ -65,15 +64,15 @@ class TestCache:
         recency = LRU(4)
         for line in (a, x, y, z):
             recency.put(line, None)
-        recency.pop(a)
+        recency.pop(a)        # b's fill evicts the least recent line
         recency.put(b, None)
         recency.move_to_end(x)
         recency.move_to_end(y)
         assert next(iter(recency)) == z
 
         access_bool(cache, e)
-        assert not cache.probe(b)   # the tie went to the lower way
-        assert cache.probe(z)
+        assert not cached(cache, b)   # the tie went to the lower way
+        assert cached(cache, z)
 
     def test_srrip_eviction(self):
         cache = small_cache(replacement="srrip", size=4 * 64, assoc=4)
@@ -81,32 +80,11 @@ class TestCache:
             access_bool(cache, index * 64 * cache.num_sets)
         assert cache.counters.get("evictions") == 4
 
-    def test_write_marks_the_line_dirty(self):
-        cache = small_cache(size=1 * 64, assoc=1)
-        access_bool(cache, 0, is_write=True)
-        assert cache._dirty[0][0]
-        access_bool(cache, 64 * cache.num_sets)
-        assert cache.counters.get("evictions") == 1 and not cache._dirty[0][0]
-
-    def test_invalidate(self):
-        cache = small_cache()
-        access_bool(cache, 0x2000)
-        assert cache.invalidate(0x2000)
-        assert not cache.probe(0x2000)
-        assert not cache.invalidate(0x2000)
-
-    def test_flush(self):
-        cache = small_cache()
-        for address in range(0, 1024, 64):
-            access_bool(cache, address)
-        cache.flush()
-        assert not cache.probe(0)
-
     def test_fill_does_not_count_as_demand(self):
         cache = small_cache()
         cache.fill(0x3000)
         assert cache.accesses() == 0
-        assert cache.probe(0x3000)
+        assert cached(cache, 0x3000)
 
     def test_pollution_attribution(self):
         cache = small_cache(size=1 * 64, assoc=1)
@@ -150,12 +128,12 @@ class TestPrefetchers:
         assert prefetcher.train(0x1040, pc) == 0
         assert prefetcher.train(0x1080, pc) == 0
         assert prefetcher.train(0x10C0, pc) == 2
-        assert cache.probe(0x1100) and cache.probe(0x1140)
+        assert cached(cache, 0x1100) and cached(cache, 0x1140)
         assert cache.counters.get("fills_prefetch") == 2
         assert cache.accesses() == 0
         # 0x1140 is already present: it counts as issued but is not refilled.
         assert prefetcher.train(0x1100, pc) == 2
-        assert cache.probe(0x1180)
+        assert cached(cache, 0x1180)
         assert cache.counters.get("fills_prefetch") == 3
 
     def test_ip_stride_resets_on_irregular_pattern(self):
@@ -172,27 +150,8 @@ class TestPrefetchers:
         prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=2), cache)
         assert prefetcher.train(0x2000, 0) == 0
         assert prefetcher.train(0x2040, 0) == 2
-        assert cache.probe(0x2080) and cache.probe(0x20C0)
+        assert cached(cache, 0x2080) and cached(cache, 0x20C0)
         assert cache.counters.get("fills_prefetch") == 2
-
-    @pytest.mark.parametrize("remove", ["invalidate", "flush"])
-    def test_stream_repeat_refills_a_removed_candidate(self, remove):
-        """A repeat access to the same line re-probes its candidates once a
-        line has left the cache by any route, not only by eviction."""
-        cache = small_cache()
-        prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=2), cache)
-        prefetcher.train(0x2000, 0)
-        assert prefetcher.train(0x2040, 0) == 2      # fills 0x2080 and 0x20C0
-        assert prefetcher.train(0x2040, 0) == 2      # a repeat: both present
-        assert cache.counters.get("fills_prefetch") == 2
-        if remove == "invalidate":
-            cache.invalidate(0x2080)
-        else:
-            cache.flush()
-        assert cache.counters.get("evictions") == 0
-        assert prefetcher.train(0x2040, 0) == 2
-        assert cache.probe(0x2080) and cache.probe(0x20C0)
-        assert cache.counters.get("fills_prefetch") == (3 if remove == "invalidate" else 4)
 
     def test_stream_repeat_after_an_eviction_refills(self):
         cache = small_cache(size=4 * 64, assoc=1)    # four sets of one way
@@ -200,9 +159,9 @@ class TestPrefetchers:
         prefetcher.train(0x2000, 0)
         assert prefetcher.train(0x2040, 0) == 1      # fills line 0x2080
         access_bool(cache, 0x2080 + 4 * 64)     # evicts it from its set
-        assert not cache.probe(0x2080)
+        assert not cached(cache, 0x2080)
         assert prefetcher.train(0x2040, 0) == 1
-        assert cache.probe(0x2080)
+        assert cached(cache, 0x2080)
 
     def test_stream_repeat_after_a_descent_issues_ascending(self):
         """A descending call issues the lines below; repeating its line is a
@@ -211,9 +170,9 @@ class TestPrefetchers:
         prefetcher = StreamPrefetcher(PrefetcherConfig("stream", degree=1), cache)
         prefetcher.train(0x2080, 0)
         assert prefetcher.train(0x2040, 0) == 1      # descending: fills 0x2000
-        assert cache.probe(0x2000) and not cache.probe(0x2080)
+        assert cached(cache, 0x2000) and not cached(cache, 0x2080)
         assert prefetcher.train(0x2040, 0) == 1      # ascending: fills 0x2080
-        assert cache.probe(0x2080)
+        assert cached(cache, 0x2080)
 
     @pytest.mark.parametrize("kind, addresses", [
         ("ip_stride", (0x100, 0xC0, 0x80, 0x40)),   # candidates 0x0 and -0x40
@@ -224,7 +183,7 @@ class TestPrefetchers:
         prefetcher = build_prefetcher(PrefetcherConfig(kind, degree=2), cache)
         issued = [prefetcher.train(address, 0x400) for address in addresses]
         assert issued[-1] == 1
-        assert cache.probe(0x0)
+        assert cached(cache, 0x0)
         assert cache.counters.get("fills_prefetch") == 1
 
     def test_build_prefetcher_factory(self):
@@ -326,19 +285,75 @@ class TestMemoryHierarchy:
         hierarchy.access_value(0x1000, access_type="ptw")
         assert hierarchy.counters.get("requests_ptw") == 1
 
-    def test_flushed_caches_force_dram_again(self):
-        hierarchy = self.build()
-        hierarchy.access_value(0x9000)
-        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
-            cache.flush()
-        hierarchy.access_value(0x9000)
-        assert hierarchy.last_served_by == "DRAM"
-
     def test_stats_structure(self):
         hierarchy = self.build()
         hierarchy.access_value(0x1)
         stats = hierarchy.stats()
         assert set(stats) == {"hierarchy", "l1", "l2", "l3", "dram"}
+
+    def test_access_value_stays_a_class_method(self):
+        """The per-layer tracer wraps ``vars(MemoryHierarchy)["access_value"]``:
+        a bound closure stored on the instance would hide the layer."""
+        hierarchy = self.build()
+        hierarchy.access_value(0x1000)
+        assert "access_value" in vars(MemoryHierarchy)
+        assert "access_value" not in vars(hierarchy)
+
+    def test_write_costs_what_a_read_does(self):
+        reads, writes = self.build(), self.build()
+        addresses = [line * 4096 + 64 * (line % 3) for line in range(40)] * 2
+        for address in addresses:
+            assert reads.access_value(address) == writes.access_value(address, True)
+            assert reads.last_served_by == writes.last_served_by
+        assert reads.stats() == writes.stats()
+
+    @staticmethod
+    def one_line_levels(replacement) -> MemoryHierarchy:
+        """Every level one set of one way, so every miss evicts."""
+        return MemoryHierarchy(
+            *(CacheConfig(name, 64, 1, latency, replacement=replacement)
+              for name, latency in (("L1", 2), ("L2", 5), ("L3", 11))),
+            dram_config=DRAMConfig(capacity_bytes=1 << 30))
+
+    @pytest.mark.parametrize("replacement", ["lru", "srrip"])
+    def test_demand_eviction_is_counted_at_every_level(self, replacement):
+        hierarchy = self.one_line_levels(replacement)
+        hierarchy.access_value(0x0, access_type="data")
+        hierarchy.access_value(0x40, access_type="kernel")
+        assert hierarchy.last_served_by == "DRAM"
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            assert cache._removals == 1
+            assert cache.counters.get("evictions") == 1
+            assert cache.counters.get("pollution_evictions_by_kernel") == 1
+            assert cached(cache, 0x40) and not cached(cache, 0x0)
+        hierarchy.access_value(0x80, access_type="kernel")   # same class: no pollution
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            assert cache.counters.get("evictions") == 2
+            assert cache.counters.get("pollution_evictions_by_kernel") == 1
+
+    @pytest.mark.parametrize("level", ["L1", "L2", "L3"])
+    def test_lru_demand_miss_breaks_a_stamp_tie_by_way_order(self, level):
+        """The demand-miss victim loop at each level: a prefetch fill into
+        the level's full set evicts ``a`` and shares ``z``'s stamp (fills do
+        not advance the clock); once ``x`` and ``y`` are touched again, the
+        next miss must evict the lower way, ``b``, not ``z``.  The levels
+        above have one way, so every access here reaches ``level``."""
+        configs = {name: CacheConfig(name, (4 if name == level else 1) * 64,
+                                     4 if name == level else 1, latency)
+                   for name, latency in (("L1", 2), ("L2", 5), ("L3", 11))}
+        hierarchy = MemoryHierarchy(configs["L1"], configs["L2"], configs["L3"],
+                                    DRAMConfig(capacity_bytes=1 << 30))
+        cache = {"L1": hierarchy.l1, "L2": hierarchy.l2, "L3": hierarchy.l3}[level]
+        a, x, y, z, b, e = (index * 64 for index in range(6))
+        for line in (a, x, y, z):
+            hierarchy.access_value(line)
+        cache.fill(b)
+        assert cache._blocks[0] == [b // 64, x // 64, y // 64, z // 64]
+        for line in (x, y):
+            hierarchy.access_value(line)
+            assert hierarchy.last_served_by == level
+        hierarchy.access_value(e)
+        assert not cached(cache, b) and cached(cache, z)
 
     def test_from_system_config(self, system_config):
         hierarchy = MemoryHierarchy.from_system_config(system_config)

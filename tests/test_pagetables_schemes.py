@@ -20,6 +20,7 @@ from repro.pagetables.rmm import RangeMemoryMapping
 from repro.pagetables.utopia import UtopiaTranslation
 from repro.pagetables.vbi import VirtualBlockInterface
 from tests.conftest import FlatMemory
+from tests.test_cache_oracle import cached
 from tests.test_tlb_mmu import make_hierarchy, make_memory
 
 
@@ -192,7 +193,7 @@ class TestMidgard:
         mmu, memory = mmu_on(midgard)
         latency, _, faulted, _, served_by = mmu.access_data_fast(0x1000_0000 + 0x123)
         assert not faulted and served_by == "DRAM"
-        assert memory.l1.probe(0x4000_0123)
+        assert cached(memory.l1, 0x4000_0123)
         breakdown = midgard.latency_breakdown()
         assert breakdown["frontend"] > 0 and breakdown["backend"] > 0
         assert latency == breakdown["frontend"] + breakdown["backend"]
@@ -275,7 +276,7 @@ class TestVBI:
         mmu, memory = mmu_on(vbi)
         latency, _, faulted, _, served_by = mmu.access_data_fast(0x4000_0000)
         assert not faulted and served_by == "DRAM"
-        assert memory.l1.probe(0x8000_0000)
+        assert cached(memory.l1, 0x8000_0000)
         breakdown = vbi.latency_breakdown()
         assert breakdown["frontend"] == vbi.block_table_latency
         assert latency == breakdown["frontend"] + breakdown["backend"]

@@ -10,6 +10,7 @@ from repro.mmu.nested import NestedTranslationUnit
 from repro.mmu.tlb import TLB, TLBHierarchy
 from repro.pagetables.radix import RadixPageTable
 from tests.conftest import FlatMemory
+from tests.test_cache_oracle import cached
 
 
 def make_tlb(entries=16, associativity=4, latency=1, page_sizes=(PAGE_SIZE_4K,)):
@@ -182,13 +183,13 @@ class TestMMU:
         mmu.access_data(0x1000)   # walk + fill
         mmu.access_data(0x1040)
         assert mmu.counters.get("tlb_hits") == 1
-        assert mmu.memory.l1.probe(0xA040)
+        assert cached(mmu.memory.l1, 0xA040)
 
     def test_walk_on_tlb_miss(self):
         mmu, table, _ = self.make_mmu()
         table.insert(0x2000, 0xB000, PAGE_SIZE_4K)
         mmu.access_data(0x2000)
-        assert mmu.memory.l1.probe(0xB000)
+        assert cached(mmu.memory.l1, 0xB000)
         assert mmu.counters.get("page_walks") == 1
         assert mmu.average_ptw_latency() > 0
 
@@ -206,7 +207,7 @@ class TestMMU:
         assert calls == [(1, 0x3000)]
         assert page_fault
         assert fault_latency == 500
-        assert mmu.memory.l1.probe(0xC000)
+        assert cached(mmu.memory.l1, 0xC000)
 
     def test_unhandled_fault_is_segfault(self):
         mmu, _, _ = self.make_mmu()
@@ -278,4 +279,4 @@ class TestNestedTranslation:
         mmu.set_context(1, guest)
         mmu.set_nested_unit(NestedTranslationUnit(guest, host))
         mmu.access_data(0x1000)
-        assert memory.l1.probe(0x30_0000)
+        assert cached(memory.l1, 0x30_0000)
