@@ -135,7 +135,7 @@ def one_pass(traces: List[KernelRoutineTrace]):
 
 def stats_digest(tool: InstrumentationTool, core: CoreModel, consumed: List[float]) -> str:
     state = {"consumed": consumed, "core": core.stats(), "memory": core.memory.stats(),
-             "instrumentation": tool.stats()}
+             "instrumentation": tool.counters.as_dict()}
     encoded = json.dumps(state, sort_keys=True, default=repr).encode()
     return hashlib.sha256(encoded).hexdigest()
 

@@ -34,7 +34,6 @@ from repro.common.config import (
     SystemConfig,
     VirtualizationConfig,
     baseline_system_config,
-    real_system_reference_config,
     scaled_system_config,
 )
 from repro.core.report import SimulationReport
@@ -55,7 +54,6 @@ __all__ = [
     "VirtualizationConfig",
     "Virtuoso",
     "baseline_system_config",
-    "real_system_reference_config",
     "scaled_system_config",
     "__version__",
 ]

@@ -19,11 +19,7 @@ from repro.common.addresses import (
     PageSize,
     align_down,
     align_up,
-    is_aligned,
     page_number,
-    page_offset,
-    pages_spanned,
-    split_vpn_radix,
 )
 from repro.common.config import (
     CacheConfig,
@@ -36,19 +32,16 @@ from repro.common.config import (
     SystemConfig,
     TLBConfig,
     baseline_system_config,
-    real_system_reference_config,
     scaled_system_config,
 )
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import (
     Counter,
-    Histogram,
     LatencyDistribution,
     RunningStats,
     accuracy,
     cosine_similarity,
     geometric_mean,
-    normalize,
     percentile,
 )
 
@@ -64,11 +57,7 @@ __all__ = [
     "PageSize",
     "align_down",
     "align_up",
-    "is_aligned",
     "page_number",
-    "page_offset",
-    "pages_spanned",
-    "split_vpn_radix",
     "CacheConfig",
     "CoreConfig",
     "DRAMConfig",
@@ -79,16 +68,13 @@ __all__ = [
     "SystemConfig",
     "TLBConfig",
     "baseline_system_config",
-    "real_system_reference_config",
     "scaled_system_config",
     "DeterministicRNG",
     "Counter",
-    "Histogram",
     "LatencyDistribution",
     "RunningStats",
     "accuracy",
     "cosine_similarity",
     "geometric_mean",
-    "normalize",
     "percentile",
 ]

@@ -1,11 +1,11 @@
 """Configuration dataclasses mirroring Table 4 of the paper.
 
 Every simulated component is constructed from one of these configuration
-objects; the two factory functions at the bottom build (i) the baseline
-Virtuoso+Sniper configuration and (ii) the "real system" reference
-configuration used as the validation target (the paper validates against an
-Intel Xeon Gold 6226R; we substitute a high-fidelity reference configuration
-of the same simulator, see DESIGN.md §2).
+objects; the factory functions at the bottom build the baseline
+Virtuoso+Sniper configuration and the scaled-down one the experiments run.
+The validation target (the paper's Intel Xeon Gold 6226R) is the same
+configuration run with ``SimulationConfig(os_mode="reference")``, see
+DESIGN.md §2.
 """
 
 from __future__ import annotations
@@ -286,21 +286,6 @@ def baseline_system_config(physical_memory_bytes: int = 16 * GB,
             fragmentation_target=fragmentation_target,
         ),
         dram=DRAMConfig(capacity_bytes=physical_memory_bytes),
-    )
-
-
-def real_system_reference_config(physical_memory_bytes: int = 16 * GB) -> SystemConfig:
-    """The high-fidelity reference configuration standing in for the real CPU.
-
-    Mirrors the baseline but with the reference (validation-target) simulation
-    mode and slightly richer structures, matching the role the Xeon Gold 6226R
-    plays in the paper's validation (§7.2).
-    """
-    base = baseline_system_config(physical_memory_bytes)
-    return replace(
-        base,
-        name="real-system-reference",
-        simulation=SimulationConfig(os_mode="reference"),
     )
 
 

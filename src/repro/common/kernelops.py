@@ -58,11 +58,6 @@ class KernelRoutineTrace:
     ops: List[KernelOp] = field(default_factory=list)
     disk_latency_cycles: int = 0
 
-    def add(self, op: KernelOp) -> KernelOp:
-        """Append an operation and return it for further annotation."""
-        self.ops.append(op)
-        return self
-
     def new_op(self, name: str, work_units: int = 1) -> KernelOp:
         """Create, append and return a new operation."""
         op = KernelOp(name=name, work_units=work_units)
@@ -73,20 +68,6 @@ class KernelRoutineTrace:
         """Inline another routine's trace (callee ops become part of this trace)."""
         self.ops.extend(other.ops)
         self.disk_latency_cycles += other.disk_latency_cycles
-
-    @property
-    def total_work_units(self) -> int:
-        """Sum of work units over all operations."""
-        return sum(op.work_units for op in self.ops)
-
-    @property
-    def total_memory_touches(self) -> int:
-        """Total number of kernel memory accesses recorded."""
-        return sum(len(op.memory_touches) for op in self.ops)
-
-    def op_names(self) -> List[str]:
-        """Names of the operations in order (useful for tests and debugging)."""
-        return [op.name for op in self.ops]
 
 
 class _DiscardedOp(KernelOp):
@@ -128,9 +109,6 @@ class DiscardedTrace(KernelRoutineTrace):
     """
 
     recording = False
-
-    def add(self, op: KernelOp) -> "DiscardedTrace":
-        return self
 
     def new_op(self, name: str, work_units: int = 1) -> KernelOp:
         return _DISCARDED_OP

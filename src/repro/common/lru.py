@@ -73,8 +73,3 @@ class RangeCache:
         if evicted is not None:
             del self._ranges[evicted[0]]
         self._ranges[key] = entry
-
-    def hit_rate(self) -> float:
-        """Hit fraction over all lookups."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

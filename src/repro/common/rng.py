@@ -77,14 +77,6 @@ class DeterministicRNG:
         randint = self._random.randint
         return [randint(low, high) for _ in range(count)]
 
-    def uniform(self, low: float, high: float) -> float:
-        """Uniform float in ``[low, high]``."""
-        return self._random.uniform(low, high)
-
-    def expovariate(self, rate: float) -> float:
-        """Exponentially distributed float with the given rate."""
-        return self._random.expovariate(rate)
-
     def lognormvariate(self, mu: float, sigma: float) -> float:
         """Log-normally distributed float."""
         return self._random.lognormvariate(mu, sigma)

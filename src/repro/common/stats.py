@@ -55,13 +55,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(log_sum / len(values))
 
 
-def normalize(values: Sequence[float], reference: float) -> List[float]:
-    """Divide every value by ``reference`` (used for 'normalized to Radix' plots)."""
-    if reference == 0.0:
-        raise ValueError("cannot normalize to a zero reference")
-    return [v / reference for v in values]
-
-
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of ``values`` at ``fraction`` in [0, 1]."""
     if not values:
@@ -164,32 +157,11 @@ class Counter:
             self._fold()
         return self._counts.get(name, 0)
 
-    def merge(self, other: "Counter") -> None:
-        """Add all of ``other``'s counts into this counter."""
-        self._fold()
-        other._fold()
-        counts = self._counts
-        for name, value in other._counts.items():
-            counts[name] = counts.get(name, 0) + value
-        for total, parts in other._totals.items():
-            mine = self._totals.setdefault(total, [])
-            mine.extend(part for part in parts if part not in mine)
-
     def as_dict(self) -> Dict[str, int]:
         """Snapshot of all counters."""
         if self._hot:
             self._fold()
         return dict(self._counts)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self._counts.clear()
-        for cell in self._hot.values():
-            cell[0] = 0
-
-    def __repr__(self) -> str:
-        self._fold()
-        return f"Counter({self._counts!r})"
 
 
 @dataclass
@@ -225,30 +197,6 @@ class RunningStats:
     def stddev(self) -> float:
         """Population standard deviation."""
         return math.sqrt(self.variance)
-
-
-class Histogram:
-    """Fixed-bucket histogram keyed by arbitrary hashable labels."""
-
-    def __init__(self) -> None:
-        self._buckets: Dict[object, int] = {}
-
-    def add(self, bucket: object, amount: int = 1) -> None:
-        """Add ``amount`` observations to ``bucket``."""
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + amount
-
-    def get(self, bucket: object) -> int:
-        """Count in ``bucket`` (zero if empty)."""
-        return self._buckets.get(bucket, 0)
-
-    def as_dict(self) -> Dict[object, int]:
-        """Snapshot of the histogram."""
-        return dict(self._buckets)
-
-    @property
-    def total(self) -> int:
-        """Total number of observations."""
-        return sum(self._buckets.values())
 
 
 @dataclass

@@ -1,15 +1,18 @@
 """Virtuoso's imitation-based simulation methodology.
 
 This package couples the architectural simulator (core + memory models) with
-MimicOS the way §4 of the paper describes:
+MimicOS the way §4 of the paper describes.  Both sides live in one process,
+so the paper's two channels are direct calls in the OS coupling
+(:mod:`repro.core.modes`), which counts their traffic:
 
-* the **functional channel** carries VM events (page faults, mmap) from the
-  simulator's MMU model to MimicOS and the functional outcome back;
-* the **instruction-stream channel** carries the dynamically generated
-  instruction stream of the kernel routine that handled the event, produced
-  by the :mod:`instrumentation <repro.core.instrumentation>` layer, into the
-  simulator's core model, which executes it and thereby charges realistic,
-  workload-dependent latency and memory interference for OS work.
+* the **functional channel**: the MMU's page fault goes to MimicOS and the
+  functional outcome comes back (``requests`` and ``responses``);
+* the **instruction-stream channel**: the dynamically generated instruction
+  stream of the kernel routine that handled the fault, produced by the
+  :mod:`instrumentation <repro.core.instrumentation>` layer and ended by a
+  magic instruction, runs on the faulting core, which thereby charges
+  realistic, workload-dependent latency and memory interference for OS
+  work (``streams`` and ``instructions``).
 
 The package also provides the two comparison couplings used throughout the
 evaluation: the fixed-latency *emulation* baseline (how Sniper/ChampSim model
@@ -18,12 +21,6 @@ kernel rather than only the relevant modules (the gem5-FS comparison point),
 plus the *reference* mode that stands in for the real validation machine.
 """
 
-from repro.core.channels import (
-    FunctionalChannel,
-    InstructionStreamChannel,
-    PageFaultRequest,
-    PageFaultResponse,
-)
 from repro.core.cpu import CoreModel
 from repro.core.instructions import (
     InstructionBatch,
@@ -40,15 +37,11 @@ __all__ = [
     "SimulatedCore",
     "EmulationCoupling",
     "FullSystemCoupling",
-    "FunctionalChannel",
     "ImitationCoupling",
     "InstructionBatch",
-    "InstructionStreamChannel",
     "InstrumentationTool",
     "KernelInstructionBatch",
     "OSCoupling",
-    "PageFaultRequest",
-    "PageFaultResponse",
     "SimulationReport",
     "Virtuoso",
 ]

@@ -360,18 +360,6 @@ class CoreModel:
             return 0.0
         return self.instructions / self.cycles
 
-    @property
-    def total_instructions(self) -> int:
-        """Application plus kernel instructions executed."""
-        return self.instructions + self.kernel_instructions
-
-    def kernel_instruction_fraction(self) -> float:
-        """Fraction of all executed instructions that came from MimicOS."""
-        total = self.total_instructions
-        if total == 0:
-            return 0.0
-        return self.kernel_instructions / total
-
     def stats(self) -> Dict[str, object]:
         """Counter snapshot plus the cycle breakdown."""
         return {

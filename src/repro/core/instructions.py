@@ -65,12 +65,6 @@ class InstructionBatch:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def append(self, op: int, pc: int, address: Optional[int] = None) -> None:
-        """Add one instruction given its integer opcode."""
-        self.kinds.append(op)
-        self.pcs.append(pc)
-        self.addresses.append(address)
-
 
 class KernelInstructionBatch:
     """A MimicOS instruction stream stored as run-length records.

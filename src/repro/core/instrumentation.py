@@ -159,10 +159,6 @@ class InstrumentationTool:
             return 1.02
         return 1.05
 
-    def stats(self) -> Dict[str, int]:
-        """Raw counter snapshot."""
-        return self.counters.as_dict()
-
 
 @lru_cache(maxsize=4096)
 def _op_plan(name: str, work_units: int, touches: int,

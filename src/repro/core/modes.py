@@ -1,10 +1,13 @@
 """OS-coupling modes: imitation (Virtuoso), emulation, full-system, reference.
 
 The coupling is the piece of Virtuoso that owns the protocol of §4.2: it
-receives page-fault events from the MMU, drives MimicOS through the
-functional channel, turns the resulting kernel trace into an instruction
-stream (imitation/full-system modes), has the core model execute it, and
-reports the resulting latency back to the MMU.
+receives page-fault events from the MMU, calls MimicOS's fault handler (the
+functional channel), turns the resulting kernel trace into an instruction
+stream ended by a magic instruction (imitation/full-system modes), has the
+core model execute it (the instruction-stream channel), and reports the
+resulting latency back to the MMU.  Both channels are direct calls; the
+coupling counts their traffic under ``functional_channel`` and
+``instruction_channel`` in its statistics.
 
 Four modes are provided:
 
@@ -28,13 +31,8 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.common.config import SimulationConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter, LatencyDistribution
-from repro.core.channels import (
-    FunctionalChannel,
-    InstructionStreamChannel,
-    PageFaultRequest,
-    PageFaultResponse,
-)
 from repro.core.cpu import CoreModel
+from repro.core.instructions import OP_MAGIC
 from repro.core.instrumentation import InstrumentationTool
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.ops import KernelRoutineTrace
@@ -72,9 +70,6 @@ class FixedLatencyPageTable(PageTableBase):
     def translate_functional(self, virtual_address):
         return self.inner.translate_functional(virtual_address)
 
-    def mapped_pages(self):
-        return self.inner.mapped_pages()
-
     def allocate_for_fault(self, pid, virtual_address, vma, buddy, trace=None):
         return self.inner.allocate_for_fault(pid, virtual_address, vma, buddy, trace)
 
@@ -108,14 +103,15 @@ class OSCoupling:
         self.kernel = kernel
         self.core = core
         self.simulation_config = simulation_config
-        self.functional_channel = FunctionalChannel()
-        self.instruction_channel = InstructionStreamChannel()
+        #: Page faults sent to MimicOS and answered (``requests``,
+        #: ``responses``): the paper's functional channel.
+        self.functional_channel = Counter()
+        #: Kernel streams injected into the core and their instructions,
+        #: terminators excluded: the instruction-stream channel.
+        self.instruction_channel = Counter()
         self.counters = Counter()
         #: Per-fault latency in cycles (the Fig. 2 / 9 / 16 distributions).
         self.fault_latency = LatencyDistribution()
-        #: Core the next kernel stream is routed to (Virtuoso rebinds this
-        #: to the faulting core before dispatching the fault).
-        self._active_core_index = 0
         #: Clock the kernel sees for time-dependent state (SSD channel
         #: queues, swap aging).  Defaults to the active core's cycles;
         #: Virtuoso installs its system clock (the leading core's cycles),
@@ -133,7 +129,7 @@ class OSCoupling:
             return int(self._clock())
         return int(self.core.cycles)
 
-    def bind_core(self, core: CoreModel, core_index: int = 0) -> None:
+    def bind_core(self, core: CoreModel) -> None:
         """Route subsequent kernel work to ``core``.
 
         Virtuoso calls this from each core's fault callback before
@@ -143,56 +139,29 @@ class OSCoupling:
         core passed at construction.
         """
         self.core = core
-        self._active_core_index = core_index
 
     def handle_page_fault(self, pid: int, virtual_address: int) -> Tuple[int, bool]:
         """MMU fault callback: returns (latency in cycles, handled)."""
         raise NotImplementedError
 
     def _dispatch_to_kernel(self, pid: int, virtual_address: int):
-        """Run the functional-channel protocol and return the kernel's result."""
-        return self._fault_protocol(
-            pid, virtual_address,
-            resolve=lambda now: self.kernel.handle_page_fault(pid, virtual_address,
-                                                              now_cycles=now),
-            describe=lambda result: PageFaultResponse(
-                sequence=0, handled=not result.segfault,
-                physical_base=result.physical_base,
-                page_size=result.page_size,
-                is_major=result.is_major,
-                disk_latency_cycles=result.disk_latency_cycles))
-
-    def _fault_protocol(self, pid: int, virtual_address: int, resolve, describe):
-        """The functional-channel request/response round trip.
-
-        ``resolve(now_cycles)`` performs the kernel-side work and returns its
-        result object; ``describe(result)`` renders it as the
-        :class:`PageFaultResponse` to post (the sequence number is stamped
-        here).  Shared by the single-kernel and virtualized dispatch paths
-        so the protocol exists exactly once.
-        """
-        request = PageFaultRequest(pid=pid, virtual_address=virtual_address)
-        sequence = self.functional_channel.send_request(request)
-        received = self.functional_channel.receive_request()
-        assert received is request, "functional channel delivered the wrong request"
-        result = resolve(self._now_cycles())
-        response = describe(result)
-        response.sequence = sequence
-        self.functional_channel.send_response(response)
-        answer = self.functional_channel.receive_response(sequence)
-        assert answer is response
+        """Hand one fault to MimicOS and return the kernel's result."""
+        self.functional_channel.add("requests")
+        result = self.kernel.handle_page_fault(pid, virtual_address,
+                                               now_cycles=self._now_cycles())
+        self.functional_channel.add("responses")
         return result
 
     def kernel_instructions_injected(self) -> int:
         """Total MimicOS instructions streamed into the core model."""
-        return self.instruction_channel.total_instructions
+        return self.instruction_channel.get("instructions")
 
     def stats(self) -> Dict[str, object]:
         """Coupling-level statistics."""
         return {
             "counters": self.counters.as_dict(),
-            "functional_channel": self.functional_channel.stats(),
-            "instruction_channel": self.instruction_channel.stats(),
+            "functional_channel": self.functional_channel.as_dict(),
+            "instruction_channel": self.instruction_channel.as_dict(),
             "fault_latency": self.fault_latency.summary(),
         }
 
@@ -212,7 +181,7 @@ class ImitationCoupling(OSCoupling):
     def handle_page_fault(self, pid: int, virtual_address: int) -> Tuple[int, bool]:
         self.counters.add("page_faults")
         result = self._dispatch_to_kernel(pid, virtual_address)
-        execution_cycles = self._execute_trace(result.trace, self._active_core_index)
+        execution_cycles = self._execute_trace(result.trace)
         latency = int(execution_cycles) + result.disk_latency_cycles
         latency = self._post_process_latency(latency, result)
         self.fault_latency.add(latency)
@@ -221,16 +190,18 @@ class ImitationCoupling(OSCoupling):
             self.counters.add("major_faults")
         return latency, not result.segfault
 
-    def _execute_trace(self, trace: KernelRoutineTrace, core_index: int) -> float:
+    def _execute_trace(self, trace: KernelRoutineTrace) -> float:
         """Expand one kernel trace and execute it on the bound core.
 
-        The batch is routed through the instruction channel to
-        ``core_index``; returns the cycles it consumed.
+        The magic instruction that ends the stream (§4.2: the core switches
+        back to the application) is appended after the stream is counted.
+        Returns the cycles the stream consumed.
         """
         batch = self.instrumentation.expand_batch(trace)
-        self.instruction_channel.push_batch(batch, destination=core_index)
-        return self.core.execute_kernel_batch(
-            self.instruction_channel.pop_for(core_index))
+        self.instruction_channel.add("streams")
+        self.instruction_channel.add("instructions", len(batch))
+        batch.append(OP_MAGIC, 0)
+        return self.core.execute_kernel_batch(batch)
 
     def _post_process_latency(self, latency: int, result) -> int:
         """Hook for subclasses (the reference coupling adds measured noise)."""
@@ -323,12 +294,14 @@ class VirtualizedCoupling(ImitationCoupling):
 
     def handle_page_fault(self, pid: int, virtual_address: int) -> Tuple[int, bool]:
         self.counters.add("page_faults")
-        result = self._dispatch_to_vm(pid, virtual_address)
-        core_index = self._active_core_index
-        execution_cycles = self._execute_trace(result.guest.trace, core_index)
+        self.functional_channel.add("requests")
+        result = self.vm.handle_guest_page_fault(pid, virtual_address,
+                                                 now_cycles=self._now_cycles())
+        self.functional_channel.add("responses")
+        execution_cycles = self._execute_trace(result.guest.trace)
         if result.host is not None:
             self.counters.add("hypervisor_faults")
-            execution_cycles += self._execute_trace(result.host.trace, core_index)
+            execution_cycles += self._execute_trace(result.host.trace)
         latency = int(execution_cycles) + result.total_disk_latency_cycles
         latency = self._post_process_latency(latency, result.guest)
         self.fault_latency.add(latency)
@@ -336,19 +309,6 @@ class VirtualizedCoupling(ImitationCoupling):
         if result.guest.is_major or (result.host is not None and result.host.is_major):
             self.counters.add("major_faults")
         return latency, not result.segfault
-
-    def _dispatch_to_vm(self, pid: int, virtual_address: int):
-        """Functional-channel protocol against the VM's two-level fault path."""
-        return self._fault_protocol(
-            pid, virtual_address,
-            resolve=lambda now: self.vm.handle_guest_page_fault(pid, virtual_address,
-                                                                now_cycles=now),
-            describe=lambda result: PageFaultResponse(
-                sequence=0, handled=not result.segfault,
-                physical_base=result.guest.physical_base,
-                page_size=result.guest.page_size,
-                is_major=result.guest.is_major,
-                disk_latency_cycles=result.total_disk_latency_cycles))
 
 
 class ReferenceCoupling(ImitationCoupling):

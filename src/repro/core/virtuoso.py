@@ -30,8 +30,7 @@ through the MimicOS run queue and puts task *i* on core *i* mod N.  A core
 with several tasks round-robins between them, with a full context switch
 (MimicOS bookkeeping, then ``MMU.set_context`` with a TLB flush) whenever
 the incoming process differs from the current one or last ran on another
-core (there are no cross-core shootdowns to rely on); ``migrate_every``
-rotates the task→core assignment to exercise migrations.
+core (there are no cross-core shootdowns to rely on).
 :meth:`~Virtuoso.run` switches its one process in with
 :meth:`~Virtuoso.activate_process` (the flush alone), so a single workload
 adds no scheduler bookkeeping to the kernel's statistics.
@@ -229,7 +228,7 @@ class Virtuoso:
     def _handle_page_fault(self, core_index: int, pid: int, virtual_address: int):
         """Core ``core_index``'s fault callback: run the fault on that core."""
         unit = self.cores[core_index]
-        self.coupling.bind_core(unit.core, unit.index)
+        self.coupling.bind_core(unit.core)
         return self.coupling.handle_page_fault(pid, virtual_address)
 
     # ------------------------------------------------------------------ #
@@ -343,7 +342,7 @@ class Virtuoso:
         task = self._admit(workload, process, setup, max_instructions)
         self._assign([task])
         self.activate_process(task.process)
-        host_seconds = self._run_chunks(None)
+        host_seconds = self._run_chunks()
         self.counters.add("workloads_run")
         report = self._core_report(self.cores[0], host_seconds)
         if self.vm is not None:
@@ -353,14 +352,11 @@ class Virtuoso:
     def run_tasks(self, workloads: Sequence[object],
                   processes: Optional[Sequence[Process]] = None,
                   max_instructions: Optional[int] = None,
-                  setup: bool = True,
-                  migrate_every: Optional[int] = None) -> MultiCoreRunResult:
+                  setup: bool = True) -> MultiCoreRunResult:
         """Co-run ``workloads`` (task *i* on core *i* mod N) and report.
 
         ``max_instructions`` bounds each task individually (falling back to
-        ``SimulationConfig.max_instructions``).  ``migrate_every`` rotates
-        the task→core assignment every that-many scheduling rounds; the
-        default (None) keeps static affinity.
+        ``SimulationConfig.max_instructions``).
         """
         if not workloads:
             raise ValueError("need at least one workload")
@@ -381,22 +377,20 @@ class Virtuoso:
             process = self.kernel.next_runnable()
         self._assign(tasks)
 
-        host_seconds = self._run_chunks(migrate_every)
+        host_seconds = self._run_chunks()
         self.counters.add("workloads_run", len(tasks))
         core_reports = [self._core_report(unit, host_seconds) for unit in self.cores]
         return MultiCoreRunResult(core_reports=core_reports,
                                   merged=self._merge_reports(core_reports, host_seconds),
                                   host_seconds=host_seconds)
 
-    def _run_chunks(self, migrate_every: Optional[int]) -> float:
+    def _run_chunks(self) -> float:
         """The chunk loop: run every assigned task to completion, one chunk
         per core per scheduling round; returns the host seconds it took."""
         batch_size = self.config.simulation.batch_size
         start_wall = time.perf_counter()
         rounds = 0
         while True:
-            if migrate_every and rounds and rounds % migrate_every == 0:
-                self._rotate_assignment(1)
             progressed = False
             for unit in self.cores:
                 while True:
@@ -455,20 +449,6 @@ class Virtuoso:
         task.executed += unit.core.execute_batch(batch, remaining)
         if task.limit is not None and task.executed >= task.limit:
             task.done = True
-
-    def _rotate_assignment(self, rotation: int) -> None:
-        """Shift every task one core to the right (the migration policy)."""
-        all_tasks: List[CoreTask] = []
-        for unit in self.cores:
-            all_tasks.extend(unit.tasks)
-            unit.tasks = []
-        for position, task in enumerate(all_tasks):
-            target = self.cores[(position + rotation) % self.num_cores]
-            target.tasks.append(task)
-            # Per-core reports list every task that ran on the core, so a
-            # migrated-in workload is attributed to its new core too.
-            if task.name not in target.task_names:
-                target.task_names.append(task.name)
 
     # ------------------------------------------------------------------ #
     # Report assembly

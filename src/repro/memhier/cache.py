@@ -166,35 +166,11 @@ class Cache:
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
-    def hits(self, request_type: Optional[str] = None) -> int:
-        """Total hits, optionally restricted to one request class."""
-        return self._sum_counter("hits", request_type)
-
-    def misses(self, request_type: Optional[str] = None) -> int:
-        """Total misses, optionally restricted to one request class."""
-        return self._sum_counter("misses", request_type)
-
-    def accesses(self, request_type: Optional[str] = None) -> int:
-        """Total demand accesses, optionally restricted to one request class."""
-        return self._sum_counter("accesses", request_type)
-
-    def miss_rate(self) -> float:
-        """Demand miss rate across all request classes."""
-        total = self.accesses()
-        if total == 0:
-            return 0.0
-        return self.misses() / total
-
-    def _sum_counter(self, prefix: str, request_type: Optional[str]) -> int:
-        counts = self.counters.as_dict()
-        if request_type is not None:
-            return counts.get(f"{prefix}_{request_type}", 0)
-        return sum(v for k, v in counts.items() if k.startswith(prefix + "_"))
+    def misses(self) -> int:
+        """Demand misses over all request classes."""
+        return sum(count for name, count in self.counters.as_dict().items()
+                   if name.startswith("misses_"))
 
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()
-
-    def __repr__(self) -> str:
-        return (f"Cache({self.name}, {self.config.size_bytes // 1024}KB, "
-                f"{self.associativity}-way, {self.replacement})")

@@ -55,8 +55,6 @@ class DRAMModel:
         #: of these cells, written when the counters are read.
         self._type_cells: Dict[str, tuple] = {}
         self._victim_cells: Dict[str, list] = {}
-        #: Whether the most recent :meth:`access_value` call met a conflict.
-        self.last_row_conflict = False
 
     # ------------------------------------------------------------------ #
     # Access path
@@ -64,8 +62,6 @@ class DRAMModel:
     def access_value(self, address: int, request_type: str = "data") -> int:
         """Perform one DRAM access and return only its latency.
 
-        Whether the access met a row-buffer conflict is left in
-        :attr:`last_row_conflict`, so the hot path allocates nothing.
         ``request_type`` tags the request so row-buffer conflicts can be
         attributed (e.g. conflicts *caused by* page-table accesses, the metric
         of Figs. 14 and 21).
@@ -93,7 +89,6 @@ class DRAMModel:
             )
         cells[0][0] += 1
 
-        row_conflict = False
         if open_row is None:
             latency = self._row_miss_latency
             self._c_row_misses[0] += 1
@@ -102,7 +97,6 @@ class DRAMModel:
             cells[1][0] += 1
         else:
             latency = self._row_conflict_latency
-            row_conflict = True
             # Attribute the conflict to the request class that caused the row
             # to be closed *and* the one whose row was evicted.
             cells[2][0] += 1
@@ -117,18 +111,11 @@ class DRAMModel:
             self._open_rows[index] = row
             self._row_owners[index] = request_type
 
-        self.last_row_conflict = row_conflict
         return latency
 
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
-    def row_conflicts(self, caused_by: Optional[str] = None) -> int:
-        """Total row-buffer conflicts, optionally those caused by one request class."""
-        if caused_by is None:
-            return self.counters.get("row_conflicts")
-        return self.counters.get(f"row_conflicts_caused_by_{caused_by}")
-
     def translation_row_conflicts(self) -> int:
         """Row-buffer conflicts caused by address-translation metadata accesses.
 
@@ -147,8 +134,3 @@ class DRAMModel:
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()
-
-    def __repr__(self) -> str:
-        return (f"DRAMModel({self.capacity // (1024 ** 3)}GB, "
-                f"{self.num_channels}ch x {self.banks_per_channel}banks, "
-                f"{self.page_policy}-page)")

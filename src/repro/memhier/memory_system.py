@@ -131,13 +131,6 @@ class MemoryHierarchy:
             levels, l2_training)
         return route
 
-    @property
-    def last_row_conflict(self) -> bool:
-        """Whether the most recent :meth:`access_value` call met a DRAM
-        row-buffer conflict.  Read it before the next access to the DRAM,
-        which a per-core view shares with the other cores."""
-        return self.last_served_by == "DRAM" and self.dram.last_row_conflict
-
     def access_value(self, address: int, is_write: bool = False,
                      access_type: str = "data", pc: int = 0) -> int:
         """Allocation-free access: returns the total latency of the request.

@@ -261,7 +261,3 @@ class BuddyAllocator:
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()
-
-    def __repr__(self) -> str:
-        return (f"BuddyAllocator({self.total_bytes >> 30}GB, "
-                f"free={self._free_bytes >> 20}MB)")

@@ -11,7 +11,7 @@ by prior VM papers (and by the Virtuoso artifact's fragmentation tool).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.rng import DeterministicRNG
 from repro.common.stats import Counter
@@ -53,7 +53,3 @@ class FragmentationController:
             self._pinned.append(pinned)
             self.counters.add("pinned_pages")
         return self.buddy.fraction_free_huge_blocks(ORDER_2M)
-
-    def stats(self) -> Dict[str, int]:
-        """Raw counter snapshot."""
-        return self.counters.as_dict()

@@ -135,10 +135,6 @@ class VirtualMachine:
         """Create a process inside the guest OS."""
         return self.guest.create_process(name or f"{self.name}-app")
 
-    def guest_mmap(self, process: Process, size: int, **kwargs) -> VirtualMemoryArea:
-        """mmap() inside the guest."""
-        return self.guest.mmap(process, size, **kwargs)
-
     def handle_guest_page_fault(self, pid: int, guest_virtual: int, now_cycles: int = 0,
                                 trace: Optional[KernelRoutineTrace] = None,
                                 unmapped: bool = False) -> NestedFaultResult:
@@ -209,8 +205,8 @@ class VirtualMachine:
 
         The guest-side result is a synthetic no-work record (an EPT
         violation VM-exits straight into the hypervisor; no guest kernel
-        code runs), carrying the existing guest translation so the coupling
-        can answer the functional channel.
+        code runs), carrying the existing guest translation back to the
+        coupling.
         """
         self.counters.add("ept_violations")
         guest_base, page_size = mapping

@@ -3,7 +3,7 @@
 A :class:`MimicOS` instance owns physical memory (buddy + slab allocators),
 the THP policy, hugetlbfs, the page cache, the swap subsystem, khugepaged
 and one page table per process.  The architectural simulator talks to it
-through the functional channel (see :mod:`repro.core.channels`): the only
+through the functional channel (the OS coupling, :mod:`repro.core.modes`): the only
 requests MimicOS receives are VM events — page faults, mmap/munmap system
 calls — and its replies carry both the functional outcome (new translation)
 and the :class:`~repro.mimicos.ops.KernelRoutineTrace` describing the work
@@ -103,8 +103,6 @@ class MimicOS:
         self._next_pid = 1
         #: Runnable pids awaiting a core (FIFO, round-robin service).
         self.run_queue: Deque[int] = deque()
-        #: Core index -> pid of the process currently switched in there.
-        self._running: Dict[int, int] = {}
         #: Resident anonymous pages in fault order, for kswapd-style reclaim:
         #: (pid, virtual base) -> (physical base, page size, frame owned by buddy)
         self._resident: "OrderedDict[Tuple[int, int], Tuple[int, int, bool]]" = OrderedDict()
@@ -237,20 +235,15 @@ class MimicOS:
         """Switch ``process`` in on ``core_index``; True if it migrated.
 
         Pure bookkeeping — the hardware side of the switch (MMU context,
-        TLB flush) is the orchestrator's job; the kernel records which
-        process occupies which core, stamps the process's scheduling state
-        and counts switches and cross-core migrations.
+        TLB flush) is the orchestrator's job; the kernel stamps the
+        process's scheduling state and counts switches and cross-core
+        migrations.
         """
-        self._running[core_index] = process.pid
         migrated = process.note_scheduled(core_index)
         self.counters.add("context_switches")
         if migrated:
             self.counters.add("process_migrations")
         return migrated
-
-    def current_pid(self, core_index: int) -> Optional[int]:
-        """Pid of the process currently switched in on ``core_index``."""
-        return self._running.get(core_index)
 
     # ------------------------------------------------------------------ #
     # Page faults

@@ -10,7 +10,7 @@ process's trace will touch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.stats import Counter
 from repro.mimicos.vma import VMAKind, VMAManager, VirtualMemoryArea
@@ -64,15 +64,3 @@ class Process:
         """Remove a mapping."""
         self.counters.add("munmap_calls")
         self.vmas.munmap(vma)
-
-    @property
-    def mapped_bytes(self) -> int:
-        """Total bytes mapped by this process."""
-        return self.vmas.total_mapped_bytes
-
-    def stats(self) -> Dict[str, int]:
-        """Raw counter snapshot."""
-        return self.counters.as_dict()
-
-    def __repr__(self) -> str:
-        return f"Process(pid={self.pid}, name={self.name!r}, vmas={len(self.vmas)})"

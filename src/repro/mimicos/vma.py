@@ -63,10 +63,6 @@ class VirtualMemoryArea:
         """True for file-backed memory (page-cache path on faults)."""
         return self.kind in (VMAKind.FILE_BACKED, VMAKind.DAX)
 
-    def __repr__(self) -> str:
-        return (f"VMA({self.start:#x}-{self.end:#x}, {self.size >> 10}KB, "
-                f"{self.kind.value}{', ' + self.name if self.name else ''})")
-
 
 #: Histogram buckets of Fig. 18 (VMA size -> bucket label), ordered.
 VMA_SIZE_BUCKETS: Tuple[Tuple[int, str], ...] = (
@@ -190,11 +186,6 @@ class VMAManager:
     def __iter__(self) -> Iterable[VirtualMemoryArea]:
         for start in self._starts:
             yield self._vmas[start]
-
-    @property
-    def total_mapped_bytes(self) -> int:
-        """Sum of all VMA sizes."""
-        return sum(vma.size for vma in self)
 
     def size_histogram(self) -> Dict[str, int]:
         """VMA-count histogram over the Fig. 18 size buckets."""

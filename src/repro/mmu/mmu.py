@@ -26,12 +26,12 @@ L1 data-TLB hit
 :meth:`MMU.access_data_fast` writes the L1 data-TLB hit out in place, as
 the memory hierarchy does for the L1 data cache: it peeks the 4 KB L1 data
 TLB, then the 2 MB one, without counting anything; on a hit it applies
-exactly the counters, the LRU move and the latency sample that
-:meth:`TLBHierarchy.lookup` and :meth:`MMU._access` would apply, and
-performs the data access.  On a miss it falls into :meth:`MMU._access`,
-which does not probe the L1 data TLBs again:
-:meth:`TLBHierarchy.lookup_after_l1d_miss` counts the two misses as a full
-lookup would and goes straight to the L2 TLB.  Every translation a TLB
+exactly the counters, the LRU move and the latency sample that a full
+TLB lookup followed by :meth:`MMU._access` would apply, and performs the
+data access.  On a miss it falls into :meth:`MMU._access`, which does not
+probe the L1 data TLBs again:
+:meth:`TLBHierarchy.lookup_after_l1d_miss` counts the lookup and the two
+misses and goes straight to the L2 TLB.  Every translation a TLB
 serves is therefore one the TLB really holds, so the kernel's shootdowns
 (:meth:`MMU.invalidate_translation`) are the only thing keeping cached
 translations coherent; :func:`repro.validation.invariants.check_translations`
@@ -362,10 +362,6 @@ class MMU:
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
-    def l2_tlb_misses(self) -> int:
-        """L2 TLB misses (numerator of the Fig. 10 MPKI metric)."""
-        return self.tlbs.l2_misses()
-
     def average_ptw_latency(self) -> float:
         """Mean page-table-walk latency in cycles (Fig. 3 / Fig. 10 metric)."""
         return self.ptw_latency_stats.mean

@@ -64,9 +64,6 @@ class _NestedTLB:
         #: Faulting 4 KB VPN -> (host physical base, page size), LRU order.
         self._store = LRU(entries)
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     def lookup(self, guest_virtual: int) -> Optional[Tuple[int, int]]:
         vpn = guest_virtual // PAGE_SIZE_4K
         entry = self._store.get(vpn)

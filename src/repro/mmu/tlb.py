@@ -90,19 +90,6 @@ class TLB:
             entries.clear()
         self.counters.add("flushes")
 
-    def hits(self) -> int:
-        """Total hits."""
-        return self.counters.get("hits")
-
-    def misses(self) -> int:
-        """Total misses."""
-        return self.counters.get("misses")
-
-    def miss_rate(self) -> float:
-        """Miss fraction over all lookups."""
-        lookups = self.counters.get("lookups")
-        return self.misses() / lookups if lookups else 0.0
-
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()
@@ -134,22 +121,6 @@ class TLBHierarchy:
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
-    def lookup(self, virtual_address: int) -> Optional[Tuple[int, int]]:
-        """Probe the L1 data TLBs, then the unified L2 TLB.
-
-        Returns the (physical base, page size) of the hit, or None, and
-        leaves the lookup latency in :attr:`last_latency`.  An L2 hit is
-        copied into the L1 TLB that holds its page size.
-        """
-        self._c_data_lookups[0] += 1
-        latency = self.l1d_4k.latency
-        for tlb in self._l1_data:
-            entry = tlb.lookup(virtual_address)
-            if entry is not None:
-                self.last_latency = latency
-                return entry
-        return self._lookup_l2(virtual_address, latency)
-
     def lookup_after_l1d_miss(self, virtual_address: int) -> Optional[Tuple[int, int]]:
         """A lookup whose L1 data TLBs the caller has already probed.
 

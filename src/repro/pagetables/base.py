@@ -219,14 +219,6 @@ class PageTableBase:
         """Page sizes with at least one live mapping, largest first."""
         return tuple(sorted(self._size_counts, reverse=True))
 
-    def mapped_pages(self) -> int:
-        """Number of installed mappings (of any size)."""
-        return len(self._mappings)
-
-    def mapped_bytes(self) -> int:
-        """Total bytes covered by installed mappings."""
-        return sum(m.page_size for m in self._mappings.values())
-
     def _find_mapping(self, virtual_address: int) -> Optional[TranslationMapping]:
         # Only insert() and remove() write _mappings and both keep
         # _size_counts in step, so a size with no live mapping cannot match.
@@ -272,6 +264,3 @@ class PageTableBase:
     def stats(self) -> Dict[str, int]:
         """Raw counter snapshot."""
         return self.counters.as_dict()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(mappings={len(self._mappings)})"

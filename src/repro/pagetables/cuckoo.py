@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addresses import PAGE_SIZE_4K
-from repro.common.kernelops import KernelRoutineTrace
+from repro.common.kernelops import KernelOp, KernelRoutineTrace
 from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMapping, WalkResult
 from repro.pagetables.hashing import bucket_index
 
@@ -48,24 +48,50 @@ class _CuckooTable:
         """Bucket index of ``key`` in nest ``way``."""
         return bucket_index(key, self.buckets_per_way, salt=way + 1)
 
-    @property
-    def load_factor(self) -> float:
-        """Occupied fraction of the table."""
-        return self.occupancy / max(1, self.ways * self.buckets_per_way)
+    def place(self, key: int, max_relocations: int,
+              op: Optional[KernelOp] = None) -> Tuple[Optional[int], int]:
+        """Cuckoo insertion of ``key``, recording its bucket touches on ``op``.
 
-    def grow(self) -> None:
-        """Elastic resize: double each nest and rehash every occupant."""
-        old_entries = [key for nest in self.nests for key in nest.values()]
-        self.buckets_per_way *= 2
-        self.nests = [dict() for _ in range(self.ways)]
-        self.occupancy = 0
-        for key in old_entries:
+        When every nest's bucket for the key is taken, the occupant of one
+        is evicted and re-inserted in turn.  Returns ``(None, relocations)``
+        once every key has a bucket, or ``(key, relocations)`` with the key
+        left without one when the chain exceeds ``max_relocations``.
+        """
+        relocations = 0
+        for _ in range(max_relocations + 1):
             for way in range(self.ways):
                 index = self.index_for(key, way)
-                if index not in self.nests[way]:
-                    self.nests[way][index] = key
-                    self.occupancy += 1
-                    break
+                nest = self.nests[way]
+                if op is not None:
+                    op.touch(self.bucket_address(way, index), is_write=False)
+                if index not in nest or nest[index] == key:
+                    if index not in nest:
+                        self.occupancy += 1
+                    nest[index] = key
+                    if op is not None:
+                        op.touch(self.bucket_address(way, index), is_write=True)
+                    return None, relocations
+            # Every nest is full: displace one occupant, rotating the nests.
+            way = relocations % self.ways
+            index = self.index_for(key, way)
+            nest = self.nests[way]
+            evicted = nest[index]
+            nest[index] = key
+            if op is not None:
+                op.touch(self.bucket_address(way, index), is_write=True)
+            key = evicted
+            relocations += 1
+        return key, relocations
+
+    def grow(self, keys: List[int], base_address: int, max_relocations: int) -> bool:
+        """Elastic resize: double every nest into the range at
+        ``base_address`` and place ``keys`` through the relocation loop.
+        False if a relocation chain overflowed (some key has no bucket)."""
+        self.buckets_per_way *= 2
+        self.base_address = base_address
+        self.nests = [dict() for _ in range(self.ways)]
+        self.occupancy = 0
+        return all(self.place(key, max_relocations)[0] is None for key in keys)
 
 
 class ElasticCuckooPageTable(PageTableBase):
@@ -122,48 +148,26 @@ class ElasticCuckooPageTable(PageTableBase):
         op = (trace.new_op("ech_insert", work_units=2)
               if trace is not None and trace.recording else None)
 
-        relocations = 0
-        current_key = key
-        for _ in range(self.MAX_RELOCATIONS + 1):
-            placed = False
-            for way in range(table.ways):
-                index = table.index_for(current_key, way)
-                if op is not None:
-                    op.touch(table.bucket_address(way, index), is_write=False)
-                if index not in table.nests[way] or table.nests[way][index] == current_key:
-                    if index not in table.nests[way]:
-                        table.occupancy += 1
-                    table.nests[way][index] = current_key
-                    if op is not None:
-                        op.touch(table.bucket_address(way, index), is_write=True)
-                        op.work_units += relocations
-                    self.counters.add("insert_relocations", relocations)
-                    placed = True
-                    break
-            if placed:
-                return
-            # All nests full: evict the occupant of way 0 and re-insert it.
-            way = relocations % table.ways
-            index = table.index_for(current_key, way)
-            evicted = table.nests[way][index]
-            table.nests[way][index] = current_key
+        pending, relocations = table.place(key, self.MAX_RELOCATIONS, op)
+        if pending is None:
             if op is not None:
-                op.touch(table.bucket_address(way, index), is_write=True)
-            current_key = evicted
-            relocations += 1
-
-        # Relocation chain too long: elastic resize, then place the pending key.
-        self.counters.add("elastic_resizes")
+                op.work_units += relocations
+            self.counters.add("insert_relocations", relocations)
+            return
+        # Relocation chain too long: elastic resize into a fresh range, then
+        # place every key and the pending one, doubling again while a
+        # relocation chain overflows.
         if trace is not None and trace.recording:
             resize_op = trace.new_op("ech_resize",
                                      work_units=table.occupancy * 2 + 64)
             resize_op.touch(table.base_address, is_write=True)
-        table.grow()
-        for way in range(table.ways):
-            index = table.index_for(current_key, way)
-            if index not in table.nests[way]:
-                table.nests[way][index] = current_key
-                table.occupancy += 1
+        keys = [key for nest in table.nests for key in nest.values()]
+        keys.append(pending)
+        while True:
+            self.counters.add("elastic_resizes")
+            base = self._next_table_base
+            self._next_table_base += table.ways * table.buckets_per_way * 2 * BUCKET_SIZE
+            if table.grow(keys, base, self.MAX_RELOCATIONS):
                 return
 
     def _remove_structure(self, mapping: TranslationMapping,
@@ -239,11 +243,3 @@ class ElasticCuckooPageTable(PageTableBase):
             return result
         self._c_walk_faults[0] += 1
         return WalkResult(found=False, latency=latency, memory_accesses=accesses)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def load_factor(self, page_size: int = PAGE_SIZE_4K) -> float:
-        """Load factor of the table for ``page_size`` (0 if absent)."""
-        table = self._tables.get(page_size)
-        return table.load_factor if table is not None else 0.0

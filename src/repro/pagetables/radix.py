@@ -28,8 +28,8 @@ from repro.pagetables.base import MemoryInterface, PageTableBase, TranslationMap
 PTE_SIZE = 8
 #: Entries per 4 KB page-table node.
 ENTRIES_PER_NODE = 512
-#: Right shift of each level's index in a virtual address, root (PGD) first,
-#: and the mask of one index (:func:`~repro.common.addresses.split_vpn_radix`).
+#: Right shift of each level's index in a virtual address, root (PGD) first
+#: (9 bits per level above the 4 KB page offset), and the mask of one index.
 _INDEX_SHIFTS = (39, 30, 21, 12)
 _INDEX_MASK = ENTRIES_PER_NODE - 1
 #: Per page size: the index shifts of the interior levels above its leaf,
@@ -85,12 +85,6 @@ class PageWalkCache:
         """Drop the entry covering ``virtual_address`` if present."""
         tag = virtual_address >> self.coverage_shift
         self._sets[tag % self.num_sets].pop(tag, None)
-
-    def hit_rate(self) -> float:
-        """Hit fraction over all lookups."""
-        hits = self.counters.get("hits")
-        total = hits + self.counters.get("misses")
-        return hits / total if total else 0.0
 
 
 @dataclass

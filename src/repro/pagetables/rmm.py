@@ -50,10 +50,6 @@ class VirtualRange:
     def translate(self, virtual_address: int) -> int:
         return self.physical_start + (virtual_address - self.virtual_start)
 
-    @property
-    def size(self) -> int:
-        return self.virtual_end - self.virtual_start
-
 
 class RangeLookasideBuffer(RangeCache):
     """The RLB: a small fully-associative cache of ranges (64 entries, 9 cycles)."""

@@ -10,7 +10,7 @@ delay under bursts — not wear levelling or garbage collection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.common.config import SSDConfig
 from repro.common.stats import Counter
@@ -68,7 +68,3 @@ class SSDModel:
     def write(self, logical_block: int, now_cycles: int = 0) -> SSDRequestResult:
         """4 KB write."""
         return self.access(logical_block, is_write=True, now_cycles=now_cycles)
-
-    def stats(self) -> Dict[str, int]:
-        """Raw counter snapshot."""
-        return self.counters.as_dict()

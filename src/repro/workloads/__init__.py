@@ -36,22 +36,17 @@ from repro.workloads.multiproc import (
     GuestMixWorkload,
     build_multiprocess_scenario,
     contention_pair,
-    fault_storm,
-    streaming_mix,
     virtualized_guests,
 )
 from repro.workloads.registry import (
     LONG_RUNNING_WORKLOADS,
     SHORT_RUNNING_WORKLOADS,
-    build_suite,
     build_workload,
     workload_names,
 )
 from repro.workloads.synthetic import (
-    PointerChaseWorkload,
     RandomAccessWorkload,
     SequentialWorkload,
-    StridedWorkload,
 )
 
 __all__ = [
@@ -64,8 +59,6 @@ __all__ = [
     "MULTIPROCESS_SCENARIOS",
     "build_multiprocess_scenario",
     "contention_pair",
-    "fault_storm",
-    "streaming_mix",
     "virtualized_guests",
     "GuestMixWorkload",
     "Workload",
@@ -87,9 +80,6 @@ __all__ = [
     "KernelFractionMicrobenchmark",
     "RandomAccessWorkload",
     "SequentialWorkload",
-    "StridedWorkload",
-    "PointerChaseWorkload",
     "build_workload",
-    "build_suite",
     "workload_names",
 ]

@@ -9,12 +9,6 @@ chosen so the co-runners stress a specific shared resource:
   combined footprint exceeds the shared LLC, so they evict each other's
   lines and conflict in the DRAM row buffers (the classic multi-programmed
   interference setup, and the ``multicore_contention`` KIPS scenario);
-* :func:`streaming_mix` — a random-access process co-running with a
-  streaming sequential process: the stream pollutes the LLC while the
-  random co-runner disrupts the stream's DRAM row locality;
-* :func:`fault_storm` — allocation-heavy LLM-inference processes that
-  contend on MimicOS itself (one kernel arbitrates every core's faults) as
-  much as on memory;
 * :func:`virtualized_guests` — guest processes for a *virtualised* system
   (``SystemConfig.virtualization.enabled``): each co-runner cold-faults its
   footprint (guest handler + hypervisor backing fault per page) and then
@@ -42,8 +36,6 @@ from repro.workloads.base import (
     span_mapped_addresses,
 )
 from repro.workloads.hpc import GUPSWorkload
-from repro.workloads.llm import LLMInferenceWorkload
-from repro.workloads.synthetic import SequentialWorkload
 
 
 def contention_pair(footprint_bytes: int = 8 * MB,
@@ -58,29 +50,6 @@ def contention_pair(footprint_bytes: int = 8 * MB,
         GUPSWorkload(footprint_bytes=footprint_bytes,
                      memory_operations=memory_operations,
                      prefault=prefault, seed=seed + 101),
-    ]
-
-
-def streaming_mix(footprint_bytes: int = 8 * MB,
-                  memory_operations: int = 5000,
-                  prefault: bool = True,
-                  seed: int = 1) -> List[Workload]:
-    """A random-access process co-running with a streaming process."""
-    return [
-        GUPSWorkload(footprint_bytes=footprint_bytes,
-                     memory_operations=memory_operations,
-                     prefault=prefault, seed=seed),
-        SequentialWorkload(footprint_bytes=footprint_bytes,
-                           memory_operations=memory_operations,
-                           prefault=prefault, seed=seed + 101),
-    ]
-
-
-def fault_storm(scale: float = 0.2, seed: int = 1) -> List[Workload]:
-    """Two allocation-bound LLM-inference processes hammering one MimicOS."""
-    return [
-        LLMInferenceWorkload("Bagel", scale=scale, seed=seed),
-        LLMInferenceWorkload("Mistral", scale=scale, seed=seed + 101),
     ]
 
 
@@ -181,8 +150,6 @@ def virtualized_guests(count: int = 2, footprint_bytes: int = 4 * MB,
 #: Scenario name -> builder, for harnesses that select by name.
 MULTIPROCESS_SCENARIOS: Dict[str, Callable[..., List[Workload]]] = {
     "contention_pair": contention_pair,
-    "streaming_mix": streaming_mix,
-    "fault_storm": fault_storm,
     "virtualized_guests": virtualized_guests,
 }
 

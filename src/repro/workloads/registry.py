@@ -70,8 +70,3 @@ def build_workload(name: str, **kwargs) -> Workload:
     if factory is None:
         raise KeyError(f"unknown workload {name!r}; known: {workload_names()}")
     return factory(**kwargs)
-
-
-def build_suite(names: List[str], **kwargs) -> List[Workload]:
-    """Instantiate a list of workloads with shared keyword arguments."""
-    return [build_workload(name, **kwargs) for name in names]

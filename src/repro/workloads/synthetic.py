@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from repro.common.addresses import MB, PAGE_SIZE_4K
+from repro.common.addresses import MB
 from repro.common.rng import DeterministicRNG
 from repro.mimicos.kernel import MimicOS
 from repro.mimicos.process import Process
@@ -93,57 +93,6 @@ class SequentialWorkload(Workload):
     def _builder(self) -> StreamBuilder:
         return StreamBuilder(DeterministicRNG(self.seed), self.compute_per_memory,
                              write_fraction=0.2)
-
-    def instruction_batches(self, process: Process, batch_size: int = 4096):
-        return self._builder().emit_batches(self._address_stream(), batch_size=batch_size)
-
-
-class StridedWorkload(SequentialWorkload):
-    """Large-stride access (one touch per page), the worst case for TLB reach."""
-
-    def __init__(self, name: str = "STRIDE", footprint_bytes: int = 64 * MB,
-                 memory_operations: int = 20_000, stride: int = PAGE_SIZE_4K,
-                 compute_per_memory: int = 2, prefault: bool = False, seed: int = 3):
-        super().__init__(name=name, footprint_bytes=footprint_bytes,
-                         memory_operations=memory_operations, stride=stride,
-                         compute_per_memory=compute_per_memory, prefault=prefault,
-                         seed=seed)
-
-
-class PointerChaseWorkload(Workload):
-    """Dependent random accesses (linked-list traversal): no MLP, TLB-hostile."""
-
-    category = LONG_RUNNING
-
-    def __init__(self, name: str = "CHASE", footprint_bytes: int = 32 * MB,
-                 memory_operations: int = 15_000, compute_per_memory: int = 3,
-                 prefault: bool = False, seed: int = 4):
-        self.name = name
-        self.footprint_bytes = footprint_bytes
-        self.memory_operations = memory_operations
-        self.compute_per_memory = compute_per_memory
-        self.prefault = prefault
-        self.seed = seed
-        self._vma = None
-
-    def setup(self, kernel: MimicOS, process: Process) -> None:
-        self._vma = kernel.mmap(process, self.footprint_bytes, kind=VMAKind.ANONYMOUS,
-                                name=f"{self.name}-nodes")
-
-    def _address_stream(self) -> Iterator[int]:
-        # A deterministic pseudo-random permutation walk: the next node is
-        # a hash of the current one, so accesses are serially dependent.
-        vma = self._vma
-        start = vma.start
-        current = 0
-        span_nodes = max(1, (vma.size - 64) // 64)
-        for _ in range(self.memory_operations):
-            yield start + current * 64
-            current = (current * 0x9E3779B1 + 0x7F4A7C15) % span_nodes
-
-    def _builder(self) -> StreamBuilder:
-        return StreamBuilder(DeterministicRNG(self.seed).fork(1),
-                             self.compute_per_memory, write_fraction=0.05)
 
     def instruction_batches(self, process: Process, batch_size: int = 4096):
         return self._builder().emit_batches(self._address_stream(), batch_size=batch_size)

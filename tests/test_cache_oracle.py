@@ -446,8 +446,11 @@ def hierarchy_divergence(config, runs, cores=1):
             address = start + stride * k
             if address < 0:
                 break
+            dram = systems[core].dram
+            conflicts = dram.counters.get("row_conflicts")
             latency = systems[core].access_value(address, write, request_type, pc)
-            got = (latency, systems[core].last_served_by, systems[core].last_row_conflict)
+            got = (latency, systems[core].last_served_by,
+                   dram.counters.get("row_conflicts") > conflicts)
             want = references[core].access(address, request_type, pc)
             got_stats = [hierarchy_snapshot(system) for system in systems]
             want_stats = [ref.snapshot() for ref in references]

@@ -1,16 +1,10 @@
-"""Tests for instructions, channels, instrumentation, the core model and couplings."""
+"""Tests for instructions, instrumentation, the core model and couplings."""
 
 import pytest
 
 from repro.common.addresses import MB, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.config import CoreConfig, PageTableConfig, SimulationConfig
 from repro.common.kernelops import KernelOp, KernelRoutineTrace
-from repro.core.channels import (
-    FunctionalChannel,
-    InstructionStreamChannel,
-    PageFaultRequest,
-    PageFaultResponse,
-)
 from repro.core.cpu import CoreModel
 from repro.core.instructions import (
     OP_ALU,
@@ -32,6 +26,7 @@ from repro.core.modes import (
     build_coupling,
 )
 from repro.memhier.memory_system import MemoryHierarchy
+from repro.mimicos.hypervisor import VirtualMachine
 from repro.mimicos.kernel import MimicOS
 from repro.mmu.mmu import MMU
 from repro.mmu.tlb import TLBHierarchy
@@ -41,10 +36,7 @@ from tests.conftest import FlatMemory, tiny_mimicos_config, tiny_system_config
 
 class TestInstructions:
     def test_batch_accounting(self):
-        batch = InstructionBatch()
-        batch.append(OP_ALU, 0)
-        batch.append(OP_LOAD, 0, 0x0)
-        batch.append(OP_STORE, 0, 0x40)
+        batch = InstructionBatch([OP_ALU, OP_LOAD, OP_STORE], [0, 0, 0], [None, 0x0, 0x40])
         assert len(batch) == 3
         assert batch.kinds == [OP_ALU, OP_LOAD, OP_STORE]
         assert batch.addresses == [None, 0x0, 0x40]
@@ -85,8 +77,8 @@ class TestKernelTrace:
         trace = KernelRoutineTrace("do_page_fault")
         op = trace.new_op("buddy_alloc", work_units=3)
         op.touch(0x1000, is_write=True)
-        assert trace.total_work_units == 3
-        assert trace.total_memory_touches == 1
+        assert trace.ops == [op]
+        assert op.work_units == 3
         assert op.memory_touches == [(0x1000, True)]
 
     def test_extend_inlines_callee(self):
@@ -95,41 +87,8 @@ class TestKernelTrace:
         inner.new_op("child", work_units=2)
         inner.disk_latency_cycles = 50
         outer.extend(inner)
-        assert outer.total_work_units == 2
+        assert [(op.name, op.work_units) for op in outer.ops] == [("child", 2)]
         assert outer.disk_latency_cycles == 50
-
-
-class TestChannels:
-    def test_functional_channel_roundtrip(self):
-        channel = FunctionalChannel()
-        request = PageFaultRequest(pid=1, virtual_address=0x1000)
-        sequence = channel.send_request(request)
-        received = channel.receive_request()
-        assert received is request
-        channel.send_response(PageFaultResponse(sequence=sequence, handled=True))
-        response = channel.receive_response(sequence)
-        assert response.handled
-        assert channel.receive_response(sequence) is None
-
-    def test_functional_channel_fifo_order(self):
-        channel = FunctionalChannel()
-        first = PageFaultRequest(pid=1, virtual_address=1)
-        second = PageFaultRequest(pid=1, virtual_address=2)
-        channel.send_request(first)
-        channel.send_request(second)
-        assert channel.receive_request() is first
-        assert channel.receive_request() is second
-        assert channel.receive_request() is None
-
-    def test_instruction_channel_appends_magic_terminator(self):
-        channel = InstructionStreamChannel()
-        batch = KernelInstructionBatch("pf")
-        batch.append(OP_ALU, 0)
-        channel.push_batch(batch)
-        delivered = channel.pop()
-        assert delivered.kinds[-1] == OP_MAGIC
-        assert channel.total_instructions == 1
-        assert channel.pop() is None
 
 
 class TestInstrumentation:
@@ -200,8 +159,7 @@ def build_core(config=None):
 
 def execute_one(core, op, address=None):
     """Execute one application instruction; returns the cycles it consumed."""
-    batch = InstructionBatch()
-    batch.append(op, 0, address)
+    batch = InstructionBatch([op], [0], [address])
     before = core.cycles
     assert core.execute_batch(batch) == 1
     return core.cycles - before
@@ -245,8 +203,7 @@ class TestCoreModel:
         consumed = core.execute_kernel_batch(kernel_batch(*[(OP_ALU, None, 1)] * 10))
         assert consumed > 0
         assert core.cycles == 0
-        assert core.kernel_instructions == 10
-        assert core.kernel_instruction_fraction() == 1.0
+        assert (core.kernel_instructions, core.instructions) == (10, 0)
 
     def test_kernel_memory_accesses_pollute_caches(self):
         core, _, _, memory = build_core()
@@ -279,6 +236,27 @@ def build_kernel_and_core(os_mode="imitation", thp_policy="linux"):
     return kernel, core, coupling
 
 
+def record_streams(monkeypatch, coupling):
+    """Record the length of every batch ``coupling`` expands and the opcodes
+    of every batch its core executes."""
+    expanded, executed = [], []
+    expand = type(coupling.instrumentation).expand_batch
+    execute = type(coupling.core).execute_kernel_batch
+
+    def expand_batch(trace):
+        batch = expand(coupling.instrumentation, trace)
+        expanded.append(len(batch))
+        return batch
+
+    def execute_kernel_batch(batch):
+        executed.append(list(batch.kinds))
+        return execute(coupling.core, batch)
+
+    monkeypatch.setattr(coupling.instrumentation, "expand_batch", expand_batch)
+    monkeypatch.setattr(coupling.core, "execute_kernel_batch", execute_kernel_batch)
+    return expanded, executed
+
+
 class TestCouplings:
     def test_build_coupling_factory(self):
         kernel, core, _ = build_kernel_and_core()
@@ -303,6 +281,31 @@ class TestCouplings:
         assert core.kernel_instructions > 0
         assert coupling.kernel_instructions_injected() > 0
         assert coupling.fault_latency.count == 1
+
+    def test_fault_dispatch_counts_channel_traffic(self, monkeypatch):
+        """A handled fault, then a virtualised fault that also takes a
+        hypervisor fault: every request is answered, every kernel trace
+        is one stream, ``instructions`` counts the expanded streams without
+        their terminators, and each executed stream ends in one MAGIC."""
+        kernel, core, imitation = build_kernel_and_core("imitation")
+        process = kernel.create_process("app")
+        vma = kernel.mmap(process, 4 * MB)
+        host = MimicOS(tiny_mimicos_config(), PageTableConfig())
+        vm = VirtualMachine(host, guest_memory_bytes=128 * MB, name="vm0")
+        guest = vm.create_guest_process("guest-app")
+        guest_vma = vm.guest.mmap(guest, 4 * MB)
+        virtualized = build_coupling(SimulationConfig(), vm.guest, core, vm=vm)
+        for coupling, pid, address, traces in ((imitation, process.pid, vma.start, 1),
+                                               (virtualized, guest.pid, guest_vma.start, 2)):
+            expanded, executed = record_streams(monkeypatch, coupling)
+            assert coupling.handle_page_fault(pid, address)[1]
+            assert coupling.stats()["functional_channel"] == {"requests": 1, "responses": 1}
+            assert coupling.stats()["instruction_channel"] == {
+                "streams": traces, "instructions": sum(expanded)}
+            assert len(expanded) == len(executed) == traces
+            assert all(kinds.count(OP_MAGIC) == 1 and kinds[-1] == OP_MAGIC
+                       for kinds in executed)
+        assert virtualized.counters.get("hypervisor_faults") == 1
 
     def test_emulation_charges_fixed_latency_without_injection(self):
         kernel, core, coupling = build_kernel_and_core("emulation")
@@ -356,6 +359,61 @@ class TestCouplings:
                      for i in range(4)]
         assert all(latency > 0 for latency in latencies)
         assert len(set(latencies)) > 1
+
+
+class TestChannelCounters:
+    """The coupling's channel counters: one request and one response per
+    fault, one stream per injected kernel trace, terminators excluded."""
+
+    MODES = ["imitation", "emulation", "full_system", "reference"]
+
+    @pytest.mark.parametrize("os_mode", MODES)
+    def test_no_channel_traffic_before_the_first_fault(self, os_mode):
+        _, _, coupling = build_kernel_and_core(os_mode)
+        stats = coupling.stats()
+        assert (stats["functional_channel"], stats["instruction_channel"]) == ({}, {})
+        assert coupling.kernel_instructions_injected() == 0
+
+    @pytest.mark.parametrize("os_mode", MODES)
+    def test_every_fault_is_one_request_answered_by_one_response(self, os_mode):
+        kernel, core, coupling = build_kernel_and_core(os_mode)
+        process = kernel.create_process("app")
+        vma = kernel.mmap(process, 16 * MB)
+        faults = 5
+        for index in range(faults):
+            assert coupling.handle_page_fault(process.pid, vma.start + index * PAGE_SIZE_2M)[1]
+        stats = coupling.stats()
+        assert list(stats["functional_channel"].items()) == [
+            ("requests", faults), ("responses", faults)]
+        injected = coupling.kernel_instructions_injected()
+        if os_mode == "emulation":
+            assert stats["instruction_channel"] == {}
+            assert injected == core.kernel_instructions == 0
+        else:
+            assert list(stats["instruction_channel"].items()) == [
+                ("streams", faults), ("instructions", injected)]
+            # The core executed every counted instruction plus one MAGIC
+            # terminator per stream, which the channel does not count.
+            assert core.kernel_instructions == injected > 0
+            assert core.counters.get("magic_instructions") == faults
+
+    @pytest.mark.parametrize("clock, expected", [(None, 0), (lambda: 12345.7, 12345)])
+    def test_kernel_sees_the_coupling_clock(self, monkeypatch, clock, expected):
+        kernel, core, coupling = build_kernel_and_core("imitation")
+        process = kernel.create_process("app")
+        vma = kernel.mmap(process, 4 * MB)
+        if clock is not None:
+            coupling.set_clock(clock)
+        seen = []
+        handle = kernel.handle_page_fault
+
+        def handle_page_fault(pid, virtual_address, now_cycles):
+            seen.append(now_cycles)
+            return handle(pid, virtual_address, now_cycles=now_cycles)
+
+        monkeypatch.setattr(kernel, "handle_page_fault", handle_page_fault)
+        coupling.handle_page_fault(process.pid, vma.start)
+        assert seen == [expected]
 
 
 class TestFixedLatencyPageTable:

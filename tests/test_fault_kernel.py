@@ -39,7 +39,7 @@ class TestPageFaultHandling:
         process = kernel.create_process("app")
         result = kernel.handle_page_fault(process.pid, 0x1234_5678)
         assert result.segfault
-        assert "deliver_sigsegv" in result.trace.op_names()
+        assert "deliver_sigsegv" in [op.name for op in result.trace.ops]
 
     def test_unknown_pid_rejected(self):
         kernel = make_kernel()
@@ -65,7 +65,7 @@ class TestPageFaultHandling:
         process = kernel.create_process("app")
         vma = kernel.mmap(process, 1 * MB)
         result = kernel.handle_page_fault(process.pid, vma.start)
-        names = result.trace.op_names()
+        names = [op.name for op in result.trace.ops]
         assert "fault_entry" in names
         assert "find_vma" in names
         assert "buddy_alloc" in names
@@ -81,7 +81,8 @@ class TestPageFaultHandling:
         vma_huge = kernel_huge.mmap(process_huge, 8 * MB)
         small = kernel_small.handle_page_fault(process_small.pid, vma_small.start)
         huge = kernel_huge.handle_page_fault(process_huge.pid, vma_huge.start)
-        assert huge.trace.total_work_units > small.trace.total_work_units * 10
+        work = [sum(op.work_units for op in result.trace.ops) for result in (small, huge)]
+        assert work[1] > work[0] * 10
 
     def test_hugetlb_vma_served_from_pool(self):
         kernel = make_kernel(hugetlbfs_reserved_bytes=8 * MB)
@@ -114,7 +115,7 @@ class TestPageFaultHandling:
         vma = kernel.mmap(process, 64 * PAGE_SIZE_4K)
         for index in range(16):
             kernel.handle_page_fault(process.pid, vma.start + index * PAGE_SIZE_4K)
-        assert process.page_table.mapped_pages() == 16
+        assert len(process.page_table._mappings) == 16
 
     def test_fault_counters(self):
         kernel = make_kernel(thp_policy="bd")
@@ -200,7 +201,7 @@ class TestKernelConfiguration:
             kernel.handle_page_fault(process.pid, vma.start + index * PAGE_SIZE_4K)
         removed = kernel.munmap(process, vma)
         assert removed == 4
-        assert process.page_table.mapped_pages() == 0
+        assert len(process.page_table._mappings) == 0
 
     def test_stats_cover_all_modules(self):
         kernel = make_kernel()
@@ -283,7 +284,7 @@ def _virtualized_faults():
     host = MimicOS(tiny_mimicos_config(), PageTableConfig())
     vm = VirtualMachine(host, guest_memory_bytes=128 * MB, name="vm0")
     process = vm.create_guest_process("guest-app")
-    vma = vm.guest_mmap(process, 8 * MB)
+    vma = vm.guest.mmap(process, 8 * MB)
     rng = random.Random(25)
     for page in rng.sample(range(8 * MB // PAGE_SIZE_4K), 24):
         address = vma.start + page * PAGE_SIZE_4K
@@ -306,7 +307,7 @@ TRACE_SCENARIOS = {
 
 def fault_trace_digests(scenario):
     """``[(faulting address, trace sha256, op names)]`` of one scenario."""
-    return [(address, trace_sha256(trace), trace.op_names())
+    return [(address, trace_sha256(trace), [op.name for op in trace.ops])
             for address, trace in TRACE_SCENARIOS[scenario]()]
 
 

@@ -65,7 +65,7 @@ class TestRNGSnapshot:
 
     def test_snapshot_survives_json_round_trip_into_fresh_rng(self):
         rng = DeterministicRNG(99)
-        rng.uniform(0.0, 5.0)
+        rng.lognormvariate(0.0, 1.0)
         cursor = json.loads(json.dumps(rng.snapshot()))
         expected = [rng.random() for _ in range(10)]
         other = DeterministicRNG(0)  # different seed: state fully overwritten
@@ -86,10 +86,8 @@ class _FlatWorkload(Workload):
 
     def instruction_batches(self, process, batch_size=4096):
         for first in range(0, 100, batch_size):
-            batch = InstructionBatch()
-            for pc in range(first, min(100, first + batch_size)):
-                batch.append(OP_ALU, pc)
-            yield batch
+            pcs = list(range(first, min(100, first + batch_size)))
+            yield InstructionBatch([OP_ALU] * len(pcs), pcs, [None] * len(pcs))
 
 
 class _Recorder:

@@ -26,7 +26,7 @@ class TestVirtualMachine:
 
     def test_guest_fault_allocates_guest_and_host_frames(self, vm):
         process = vm.create_guest_process("guest-app")
-        vma = vm.guest_mmap(process, 8 * MB)
+        vma = vm.guest.mmap(process, 8 * MB)
         result = vm.handle_guest_page_fault(process.pid, vma.start)
         assert not result.segfault
         assert process.page_table.lookup(vma.start) is not None
@@ -37,7 +37,7 @@ class TestVirtualMachine:
 
     def test_second_fault_on_backed_frame_skips_hypervisor(self, vm):
         process = vm.create_guest_process()
-        vma = vm.guest_mmap(process, 8 * MB)
+        vma = vm.guest.mmap(process, 8 * MB)
         first = vm.handle_guest_page_fault(process.pid, vma.start)
         backing_faults = vm.counters.get("hypervisor_backing_faults")
         # A fault on a different guest page of the same (already backed)
@@ -55,16 +55,16 @@ class TestVirtualMachine:
 
     def test_nested_fault_combines_both_kernels_work(self, vm):
         process = vm.create_guest_process()
-        vma = vm.guest_mmap(process, 8 * MB)
+        vma = vm.guest.mmap(process, 8 * MB)
         result = vm.handle_guest_page_fault(process.pid, vma.start)
-        assert result.guest.trace.total_work_units > 0
+        assert sum(op.work_units for op in result.guest.trace.ops) > 0
         assert result.host is not None
-        assert result.host.trace.total_work_units > 0
+        assert sum(op.work_units for op in result.host.trace.ops) > 0
         assert result.total_disk_latency_cycles >= 0
 
     def test_nested_translation_unit_resolves_guest_virtual(self, vm):
         process = vm.create_guest_process()
-        vma = vm.guest_mmap(process, 8 * MB)
+        vma = vm.guest.mmap(process, 8 * MB)
         vm.handle_guest_page_fault(process.pid, vma.start)
         unit = vm.nested_translation_unit(process)
         walk = unit.walk(vma.start, FlatMemory())
@@ -82,7 +82,7 @@ class TestVirtualMachine:
         """A 2 MB guest frame backed at 4 KB granularity must be backed under
         the faulting address, not just the frame base."""
         process = vm.create_guest_process()
-        vma = vm.guest_mmap(process, 8 * MB)
+        vma = vm.guest.mmap(process, 8 * MB)
         address = vma.start + 0x5000
         result = vm.handle_guest_page_fault(process.pid, address)
         assert not result.segfault
@@ -95,7 +95,7 @@ class TestVirtualMachine:
         """Guest translation intact + backing missing = EPT violation: only
         the hypervisor's fault runs, the guest trace carries no work."""
         process = vm.create_guest_process()
-        vma = vm.guest_mmap(process, 8 * MB)
+        vma = vm.guest.mmap(process, 8 * MB)
         vm.handle_guest_page_fault(process.pid, vma.start)
         guest_faults = vm.guest.counters.get("page_fault_requests")
 
@@ -110,29 +110,29 @@ class TestVirtualMachine:
         result = vm.handle_guest_page_fault(process.pid, vma.start)
         assert not result.segfault
         assert result.host is not None
-        assert result.guest.trace.total_work_units == 0   # no guest kernel work
+        assert sum(op.work_units for op in result.guest.trace.ops) == 0   # no guest kernel work
         assert vm.counters.get("ept_violations") == 1
         assert vm.guest.counters.get("page_fault_requests") == guest_faults
         assert host_table.lookup(host_virtual) is not None  # re-backed
 
     def test_host_shootdown_of_guest_ram_flushes_nested_units(self, vm):
         process = vm.create_guest_process()
-        vma = vm.guest_mmap(process, 8 * MB)
+        vma = vm.guest.mmap(process, 8 * MB)
         vm.handle_guest_page_fault(process.pid, vma.start)
         unit = vm.nested_unit_for(process)
         from tests.conftest import FlatMemory
         unit.walk(vma.start, FlatMemory())
-        assert len(unit.nested_tlb) > 0
+        assert len(unit.nested_tlb._store) > 0
 
         fired = []
         vm.register_nested_invalidation_listener(fired.append)
         # A shootdown for an unrelated host process must be ignored.
         vm.host.tlb_shootdown(vm.host_process.pid + 999, vm.guest_ram_vma.start)
-        assert not fired and len(unit.nested_tlb) > 0
+        assert not fired and len(unit.nested_tlb._store) > 0
         # A shootdown inside the guest-RAM VMA flushes and notifies.
         vm.host.tlb_shootdown(vm.host_process.pid, vm.guest_ram_vma.start)
         assert fired == [vm.guest_ram_vma.start]
-        assert len(unit.nested_tlb) == 0
+        assert len(unit.nested_tlb._store) == 0
         assert vm.counters.get("nested_shootdowns") == 1
 
     def test_from_virtualization_config(self, host):
@@ -154,8 +154,8 @@ class TestVirtualMachine:
         second = VirtualMachine(host, guest_memory_bytes=128 * MB, name="vm2")
         process_a = first.create_guest_process()
         process_b = second.create_guest_process()
-        vma_a = first.guest_mmap(process_a, 4 * MB)
-        vma_b = second.guest_mmap(process_b, 4 * MB)
+        vma_a = first.guest.mmap(process_a, 4 * MB)
+        vma_b = second.guest.mmap(process_b, 4 * MB)
         result_a = first.handle_guest_page_fault(process_a.pid, vma_a.start)
         result_b = second.handle_guest_page_fault(process_b.pid, vma_b.start)
         assert not result_a.segfault and not result_b.segfault

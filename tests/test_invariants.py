@@ -197,9 +197,9 @@ class TestShootdownsTheCheckFoundMissing:
             system.mmu.access_data(address)
         assert process.page_table.lookup(base)[1] == PAGE_SIZE_2M
         # Served by the 4 KB L1 TLB: the combined translation is 4 KB.
-        hits = system.tlbs.l1d_4k.hits()
+        hits = system.tlbs.l1d_4k.counters.get("hits")
         system.mmu.access_data(pieces[2])
-        assert system.tlbs.l1d_4k.hits() == hits + 1
+        assert system.tlbs.l1d_4k.counters.get("hits") == hits + 1
         assert system.kernel.reclaim_cold_pages(1) == 1
         check_translations(system)
         _, _, page_fault, _, _ = system.mmu.access_data(pieces[2])

@@ -9,10 +9,11 @@ branches sprinkled through each run at a fixed interval), a side list of
 own.  Hypothesis drives it and :meth:`repro.core.instrumentation.
 InstrumentationTool.expand_batch` plus :meth:`repro.core.cpu.CoreModel.
 execute_kernel_batch` with the same MimicOS routine traces, each batch
-passing through an :class:`~repro.core.channels.InstructionStreamChannel`
-on both sides, and every observable must agree exactly: the cycles each
-batch consumed, ``kernel_cycles``, the core's and the channel's counters,
-``instructions_generated``, the memory hierarchy's ``stats()`` and the
+ended by the MAGIC terminator the OS coupling appends, and every
+observable must agree exactly: the cycles each batch consumed, the
+stream's length before its terminator, ``kernel_cycles``, the core's
+counters, ``instructions_generated``, the memory hierarchy's ``stats()``
+and the
 ``(kind, PC, address)`` sequence of the memory operations.  That sequence
 is read where the operations execute, at :meth:`MemoryHierarchy.
 access_value <repro.memhier.memory_system.MemoryHierarchy.access_value>`,
@@ -27,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from repro.common.config import CoreConfig
 from repro.common.kernelops import KernelOp, KernelRoutineTrace
 from repro.common.stats import Counter
-from repro.core.channels import InstructionStreamChannel
 from repro.core.cpu import CoreModel
 from repro.core.instructions import (
     OP_ALU,
@@ -220,13 +220,13 @@ def build_core() -> CoreModel:
     return CoreModel(CoreConfig(), MMU(tlbs, memory), memory)
 
 
-def observe(core: CoreModel, channel: InstructionStreamChannel, tool, consumed: float,
+def observe(core: CoreModel, length: int, tool, consumed: float,
             memory_ops) -> Dict[str, object]:
     return {"consumed": consumed,
             "kernel_cycles": core.breakdown.kernel_cycles,
             "kernel_instructions": core.kernel_instructions,
             "core": core.counters.as_dict(),
-            "channel": channel.stats(),
+            "length": length,
             "instrumentation": tool.counters.as_dict(),
             "memory": core.memory.stats(),
             "memory_ops": memory_ops}
@@ -247,13 +247,15 @@ def record_memory_ops(memory: MemoryHierarchy) -> List[Tuple[int, int, int]]:
 
 
 def run_side(tool, execute, traces) -> List[Dict[str, object]]:
-    core, channel = build_core(), InstructionStreamChannel()
+    core = build_core()
     memory_ops = record_memory_ops(core.memory)
     steps = []
     for trace in traces:
-        channel.push_batch(tool.expand_batch(trace))
-        consumed = execute(core, channel.pop())
-        steps.append(observe(core, channel, tool, consumed, list(memory_ops)))
+        batch = tool.expand_batch(trace)
+        length = len(batch)
+        batch.append(OP_MAGIC, 0)
+        consumed = execute(core, batch)
+        steps.append(observe(core, length, tool, consumed, list(memory_ops)))
         memory_ops.clear()
     return steps
 
@@ -371,5 +373,5 @@ def test_oracle_catches_counting_rep_repeats_as_instructions(monkeypatch):
     monkeypatch.setattr(InstrumentationTool, "expand_batch",
                         _count_rep_repeats(InstrumentationTool.expand_batch))
     found = divergence(SENSITIVE_TRACES)
-    assert found is not None and found[1] in ("kernel_instructions", "core", "channel",
+    assert found is not None and found[1] in ("kernel_instructions", "core", "length",
                                               "instrumentation")

@@ -27,7 +27,7 @@ class TestCache:
         first = access_bool(cache, 0x1000)
         second = access_bool(cache, 0x1000)
         assert not first and second
-        assert cache.hits() == 1
+        assert cache.counters.get("hits_data") == 1
         assert cache.misses() == 1
 
     def test_same_line_different_offsets_hit(self):
@@ -83,7 +83,7 @@ class TestCache:
     def test_fill_does_not_count_as_demand(self):
         cache = small_cache()
         cache.fill(0x3000)
-        assert cache.accesses() == 0
+        assert cache.counters.get("accesses_data") == 0
         assert cached(cache, 0x3000)
 
     def test_pollution_attribution(self):
@@ -96,7 +96,7 @@ class TestCache:
         cache = small_cache()
         access_bool(cache, 0)
         access_bool(cache, 0)
-        assert cache.miss_rate() == pytest.approx(0.5)
+        assert cache.misses() / cache.counters.get("accesses_data") == pytest.approx(0.5)
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=300))
     @settings(max_examples=25, deadline=None)
@@ -108,7 +108,7 @@ class TestCache:
                        if block is not None)
         assert resident == sum(len(way_map) for way_map in cache._way_maps)
         assert resident <= 16
-        assert cache.hits() + cache.misses() == len(addresses)
+        assert cache.counters.get("hits_data") + cache.misses() == len(addresses)
 
 
 class TestPrefetchers:
@@ -130,7 +130,7 @@ class TestPrefetchers:
         assert prefetcher.train(0x10C0, pc) == 2
         assert cached(cache, 0x1100) and cached(cache, 0x1140)
         assert cache.counters.get("fills_prefetch") == 2
-        assert cache.accesses() == 0
+        assert cache.counters.get("accesses_data") == 0
         # 0x1140 is already present: it counts as issued but is not refilled.
         assert prefetcher.train(0x1100, pc) == 2
         assert cached(cache, 0x1180)
@@ -215,7 +215,7 @@ class TestDRAM:
         dram.access_value(base)
         latency = dram.access_value(conflicting)
         # Same bank, different row -> conflict.
-        assert dram.last_row_conflict
+        assert dram.counters.get("row_conflicts") == 1
         assert latency == dram.config.row_conflict_latency
 
     def test_closed_page_policy_never_hits(self):
@@ -229,7 +229,7 @@ class TestDRAM:
         stride = dram.config.row_size_bytes * dram.num_channels * dram.banks_per_channel * 4
         dram.access_value(0x0, request_type="data")
         dram.access_value(stride, request_type="ptw")
-        assert dram.row_conflicts(caused_by="ptw") == 1
+        assert dram.counters.get("row_conflicts_caused_by_ptw") == 1
         assert dram.translation_row_conflicts() == 1
 
     def test_hit_and_access_counts(self):
@@ -247,9 +247,9 @@ class TestDRAM:
         span = dram.config.row_size_bytes * dram.num_channels
         dram.access_value(0)
         dram.access_value(span + 64)
-        assert dram.row_conflicts() == 0
+        assert dram.counters.get("row_conflicts") == 0
         dram.access_value(span)
-        assert dram.row_conflicts() == 1
+        assert dram.counters.get("row_conflicts") == 1
 
 
 class TestMemoryHierarchy:

@@ -40,7 +40,7 @@ class TestPageCache:
         cache = PageCache(1 * MB)
         trace = KernelRoutineTrace("fault")
         cache.lookup(1, 2, trace)
-        assert "page_cache_lookup" in trace.op_names()
+        assert "page_cache_lookup" in [op.name for op in trace.ops]
 
 
 class TestSwapSubsystem:
@@ -142,5 +142,4 @@ class TestSSDModel:
         ssd = SSDModel(SSDConfig())
         ssd.read(0)
         ssd.write(0)
-        stats = ssd.stats()
-        assert stats["reads"] == 1 and stats["writes"] == 1
+        assert (ssd.counters.get("reads"), ssd.counters.get("writes")) == (1, 1)

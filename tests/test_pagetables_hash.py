@@ -1,11 +1,13 @@
 """Tests for the hash-based page tables: HDC, the chained HT and elastic cuckoo."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.addresses import PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.kernelops import KernelRoutineTrace
-from repro.pagetables.cuckoo import ElasticCuckooPageTable
+from repro.pagetables.cuckoo import BUCKET_SIZE, ElasticCuckooPageTable
 from repro.pagetables.hashchain import ChainedHashPageTable
 from repro.pagetables.hashing import bucket_index, mix64
 from repro.pagetables.hdc import OpenAddressingHashPageTable
@@ -183,11 +185,38 @@ class TestElasticCuckooSpecifics:
             virtual = 0x7F00_0000_0000 + index * PAGE_SIZE_4K
             assert table.lookup(virtual) == (index * PAGE_SIZE_4K, PAGE_SIZE_4K)
 
-    def test_load_factor_reported(self):
+    def test_occupancy_counts_inserts(self):
         table = ElasticCuckooPageTable(initial_buckets_per_way=128)
-        assert table.load_factor(PAGE_SIZE_4K) == 0.0
+        assert PAGE_SIZE_4K not in table._tables
         table.insert(0x7F00_0000_0000, 0, PAGE_SIZE_4K)
-        assert table.load_factor(PAGE_SIZE_4K) > 0.0
+        assert table._tables[PAGE_SIZE_4K].occupancy == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_resizes_keep_every_mapping_walkable(self, seed):
+        """An elastic resize re-places every key through the relocation
+        loop and moves the grown table to a fresh range: every page still
+        walks, occupancy counts every mapping, and the 4 KB and 2 MB
+        tables' bucket ranges stay disjoint."""
+        table = ElasticCuckooPageTable(ways=2, initial_buckets_per_way=1)
+        pages = [page * PAGE_SIZE_4K for page in random.Random(seed).sample(range(1 << 20), 300)]
+        huge = [(1 << 40) + index * PAGE_SIZE_2M for index in range(4)]
+        # The 2 MB table is laid out right after the first 4 KB one.
+        table.insert(pages[0], pages[0], PAGE_SIZE_4K)
+        for virtual in huge:
+            table.insert(virtual, virtual, PAGE_SIZE_2M)
+        for virtual in pages[1:]:
+            table.insert(virtual, virtual, PAGE_SIZE_4K)
+        assert table.counters.get("elastic_resizes") > 0
+        memory = FlatMemory()
+        for virtual in pages + huge:
+            assert table.walk(virtual, memory).found, hex(virtual)
+        tables = table._tables.values()
+        assert sum(nests.occupancy for nests in tables) == len(pages) + len(huge)
+        assert all(nests.occupancy == sum(map(len, nests.nests)) for nests in tables)
+        ranges = sorted((nests.base_address,
+                         nests.base_address + nests.ways * nests.buckets_per_way * BUCKET_SIZE)
+                        for nests in tables)
+        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:])), ranges
 
     def test_walk_of_an_empty_table_counts_zero_accesses(self):
         """No nest is built yet, so the walk reads nothing, and

@@ -116,8 +116,9 @@ class TestRMM:
         assert rmm.counters.get("eager_allocations") == 1
         covering = rmm.covering_range(vma.start + PAGE_SIZE_4K)
         assert covering is not None
-        assert covering.size == PAGE_SIZE_4K << 6
-        assert allocation.zeroing_bytes == covering.size
+        size = covering.virtual_end - covering.virtual_start
+        assert size == PAGE_SIZE_4K << 6
+        assert allocation.zeroing_bytes == size
 
     def test_rlb_hit_avoids_memory_accesses(self):
         rmm = RangeMemoryMapping(eager_paging_max_order=6)
@@ -144,8 +145,10 @@ class TestRMM:
         rmm = RangeMemoryMapping(eager_paging_max_order=12)
         vma = anon_vma()
         rmm.allocate_for_fault(1, vma.start, vma, buddy)
-        assert rmm.covering_range(vma.start).size <= PAGE_SIZE_2M
-        assert rmm.covering_range(vma.start).size < (PAGE_SIZE_4K << 12)
+        covering = rmm.covering_range(vma.start)
+        size = covering.virtual_end - covering.virtual_start
+        assert size <= PAGE_SIZE_2M
+        assert size < (PAGE_SIZE_4K << 12)
 
     def test_functional_lookup_through_range(self):
         rmm = RangeMemoryMapping(eager_paging_max_order=4)

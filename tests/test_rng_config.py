@@ -13,7 +13,6 @@ from repro.common.config import (
     SystemConfig,
     TLBConfig,
     baseline_system_config,
-    real_system_reference_config,
     scaled_system_config,
 )
 from repro.common.rng import DeterministicRNG
@@ -142,10 +141,6 @@ class TestSystemConfigs:
         assert config.l2_tlb.associativity == 16
         assert config.l1d_cache.size_bytes == 32 * 1024
         assert config.mimicos.thp_policy == "linux"
-
-    def test_reference_config_uses_reference_mode(self):
-        config = real_system_reference_config()
-        assert config.simulation.os_mode == "reference"
 
     def test_scaled_config_shrinks_structures(self):
         base = baseline_system_config()

@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 
 from repro.common.stats import (
     Counter,
-    Histogram,
     LatencyDistribution,
     RunningStats,
     accuracy,
     cosine_similarity,
     geometric_mean,
     mpki,
-    normalize,
     percentile,
     safe_ratio,
 )
@@ -94,15 +92,6 @@ class TestPercentile:
             percentile([1], 1.5)
 
 
-class TestNormalize:
-    def test_normalize(self):
-        assert normalize([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_zero_reference_raises(self):
-        with pytest.raises(ValueError):
-            normalize([1.0], 0.0)
-
-
 class TestCounter:
     def test_add_and_get(self):
         counter = Counter()
@@ -111,20 +100,14 @@ class TestCounter:
         assert counter.get("hits") == 5
         assert counter.get("missing") == 0
 
-    def test_merge(self):
-        a, b = Counter(), Counter()
-        a.add("x", 2)
-        b.add("x", 3)
-        b.add("y", 1)
-        a.merge(b)
-        assert a.get("x") == 5
-        assert a.get("y") == 1
-
-    def test_reset(self):
+    def test_keys_keep_the_order_they_were_first_counted(self):
+        """Reports list a counter's keys in first-count order (the coupling's
+        ``requests`` before ``responses``)."""
         counter = Counter()
-        counter.add("x")
-        counter.reset()
-        assert counter.get("x") == 0
+        counter.add("requests")
+        counter.add("responses")
+        counter.add("requests", 2)
+        assert list(counter.as_dict().items()) == [("requests", 3), ("responses", 1)]
 
 
 class TestCounterHotCells:
@@ -149,25 +132,6 @@ class TestCounterHotCells:
         counter.hot("faults")[0] += 2
         assert counter.as_dict() == {"plain": 4, "faults": 2}
 
-    def test_merge_folds_pending_cells_on_both_sides(self):
-        a, b = Counter(), Counter()
-        a.hot("faults")[0] += 2
-        b.hot("faults")[0] += 5
-        b.hot("walks")[0] += 1
-        a.merge(b)
-        assert a.as_dict() == {"faults": 7, "walks": 1}
-        assert b.as_dict() == {"faults": 5, "walks": 1}
-
-    def test_reset_drops_pending_cells(self):
-        counter = Counter()
-        cell = counter.hot("faults")
-        cell[0] += 3
-        counter.reset()
-        assert cell[0] == 0
-        assert counter.as_dict() == {}
-        cell[0] += 1
-        assert counter.as_dict() == {"faults": 1}
-
     def test_key_stays_absent_while_its_cell_holds_zero(self):
         counter = Counter()
         cell = counter.hot("faults")
@@ -185,18 +149,15 @@ class TestCounterHotCells:
         allocations[0] += 1
         splits[0] += 0
         assert counter.as_dict() == {"allocations": 1, "splits": 0}
-        counter.reset()
-        assert counter.as_dict() == {}
 
     #: One event of the fault path: ("count", name) bumps a plain per-fault
     #: counter by 1, ("alloc", order, splits) is one buddy allocation,
-    #: ("read",) folds, ("reset",) zeroes.
+    #: ("read",) folds.
     _EVENTS = st.lists(st.one_of(
         st.tuples(st.just("count"), st.sampled_from(
             ["page_faults", "minor_faults", "faults_4kb", "faults_2048kb", "insertions"])),
         st.tuples(st.just("alloc"), st.integers(0, 3), st.integers(0, 4)),
         st.tuples(st.just("read")),
-        st.tuples(st.just("reset")),
     ), max_size=40)
 
     @given(_EVENTS)
@@ -220,11 +181,8 @@ class TestCounterHotCells:
                 allocations[0] += 1
                 by_order[order][0] += 1
                 splits[0] += split_count
-            elif event[0] == "read":
-                assert hot.as_dict() == added.as_dict()
             else:
-                added.reset()
-                hot.reset()
+                assert hot.as_dict() == added.as_dict()
         assert hot.as_dict() == added.as_dict()
         assert all(hot.get(name) == added.get(name) for name in added.as_dict())
 
@@ -262,16 +220,6 @@ class TestRunningStats:
         naive = sum((value - mean) ** 2 for value in values) / len(values)
         assert stats.variance == pytest.approx(naive, rel=1e-6, abs=1e-3)
         assert stats.stddev == pytest.approx(math.sqrt(stats.variance))
-
-class TestHistogram:
-    def test_add_and_total(self):
-        histogram = Histogram()
-        histogram.add("a")
-        histogram.add("a", 2)
-        histogram.add("b")
-        assert histogram.get("a") == 3
-        assert histogram.total == 4
-
 
 class TestLatencyDistribution:
     def test_summary_of_empty(self):
@@ -324,14 +272,3 @@ class TestSmallHelpers:
         assert counter.get("accesses_data") == 5
         assert counter.get("accesses") == 6
         assert "hits_ptw" not in counter.as_dict()
-        counter.reset()
-        assert counter.as_dict() == {}
-        hits[0] += 1
-        assert counter.as_dict() == {"hits_data": 1, "accesses_data": 1, "accesses": 1}
-
-    def test_a_merged_total_stays_the_sum_of_its_parts(self):
-        a, b = Counter(), Counter()
-        a.hot("requests_data", part_of=("requests",))[0] += 2
-        b.hot("requests_ptw", part_of=("requests",))[0] += 5
-        a.merge(b)
-        assert a.as_dict() == {"requests_data": 2, "requests": 7, "requests_ptw": 5}

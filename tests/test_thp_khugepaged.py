@@ -130,7 +130,7 @@ class TestReservationPolicies:
                 promotion = allocation
                 break
         assert promotion is not None
-        assert "thp_promote_region" in trace.op_names()
+        assert "thp_promote_region" in [op.name for op in trace.ops]
 
 
 class TestPolicyFactory:

@@ -612,7 +612,8 @@ def test_stale_streams_leave_entries_the_check_finds(geometry):
 def answered(mmu):
     """Lookups each TLB level has answered so far, and the segfaults."""
     tlbs = mmu.tlbs
-    return {"L1": tlbs.l1d_4k.hits() + tlbs.l1d_2m.hits(), "L2": tlbs.l2.hits(),
+    return {"L1": tlbs.l1d_4k.counters.get("hits") + tlbs.l1d_2m.counters.get("hits"),
+            "L2": tlbs.l2.counters.get("hits"),
             "miss": tlbs.l2_misses(), "segfault": mmu.counters.get("segfaults")}
 
 

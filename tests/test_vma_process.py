@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.addresses import GB, KB, MB, PAGE_SIZE_4K
+from repro.common.addresses import GB, KB, MB, PAGE_SIZE_2M, PAGE_SIZE_4K
 from repro.common.kernelops import KernelRoutineTrace
 from repro.mimicos.process import Process
 from repro.mimicos.vma import (
@@ -51,6 +51,23 @@ class TestVMAManager:
         vma = manager.mmap(10_000)
         assert vma.size == 12 * KB
         assert vma.start % PAGE_SIZE_4K == 0
+
+    @given(st.integers(min_value=1, max_value=64 * MB))
+    def test_mmap_spans_the_fewest_whole_pages_property(self, size):
+        vma = VMAManager().mmap(size)
+        assert vma.size % PAGE_SIZE_4K == 0
+        assert size <= vma.size < size + PAGE_SIZE_4K
+
+    @given(st.lists(st.integers(min_value=1, max_value=8 * MB), min_size=1, max_size=20))
+    @settings(max_examples=25, deadline=None)
+    def test_large_mmaps_are_thp_aligned_property(self, sizes):
+        """Mappings of 2 MB or more start on a 2 MB boundary, whatever
+        smaller mappings were placed before them."""
+        manager = VMAManager()
+        for size in sizes:
+            vma = manager.mmap(size)
+            if size >= PAGE_SIZE_2M:
+                assert vma.start % PAGE_SIZE_2M == 0
 
     def test_mmap_rejects_non_positive_size(self):
         with pytest.raises(ValueError):
@@ -104,13 +121,13 @@ class TestVMAManager:
         trace = KernelRoutineTrace("fault")
         found = manager.find_or_fault(vma.start + 100, trace)
         assert found is vma
-        assert "find_vma" in trace.op_names()
+        assert "find_vma" in [op.name for op in trace.ops]
 
     def test_total_mapped_bytes(self):
         manager = VMAManager()
         manager.mmap(64 * KB)
         manager.mmap(128 * KB)
-        assert manager.total_mapped_bytes == 192 * KB
+        assert sum(vma.size for vma in manager) == 192 * KB
 
     def test_size_histogram_counts_all_vmas(self):
         manager = VMAManager()
@@ -145,11 +162,11 @@ class TestProcess:
         process = Process(pid=1)
         process.mmap(64 * KB)
         process.mmap(64 * KB)
-        assert process.stats()["mmap_calls"] == 2
-        assert process.mapped_bytes == 128 * KB
+        assert process.counters.get("mmap_calls") == 2
+        assert sum(vma.size for vma in process.vmas) == 128 * KB
 
     def test_munmap(self):
         process = Process(pid=2)
         vma = process.mmap(64 * KB)
         process.munmap(vma)
-        assert process.mapped_bytes == 0
+        assert sum(vma.size for vma in process.vmas) == 0

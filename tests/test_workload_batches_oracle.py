@@ -210,8 +210,9 @@ def packed(instructions: Iterator[Instruction], batch_size: int) -> Iterator[Ins
     batch = InstructionBatch()
     count = 0
     for instruction in instructions:
-        batch.append(KIND_TO_OP[instruction.kind], instruction.pc,
-                     instruction.memory_address)
+        batch.kinds.append(KIND_TO_OP[instruction.kind])
+        batch.pcs.append(instruction.pc)
+        batch.addresses.append(instruction.memory_address)
         count += 1
         if count >= batch_size:
             yield batch

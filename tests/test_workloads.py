@@ -16,11 +16,9 @@ from repro.workloads import (
     JSONWorkload,
     KernelFractionMicrobenchmark,
     LLMInferenceWorkload,
-    PointerChaseWorkload,
     RandomAccessWorkload,
     SequentialWorkload,
     XSBenchWorkload,
-    build_suite,
     build_workload,
     workload_names,
 )
@@ -59,9 +57,9 @@ class TestRegistry:
         with pytest.raises(KeyError):
             build_workload("NOPE")
 
-    def test_build_suite(self):
-        suite = build_suite(["BFS", "RND"], memory_operations=10)
-        assert [w.name for w in suite] == ["BFS", "RND"]
+    def test_every_figure_name_builds_the_workload_it_names(self):
+        for name in LONG_RUNNING_WORKLOADS + SHORT_RUNNING_WORKLOADS:
+            assert build_workload(name).name == name
 
     def test_aliases(self):
         assert build_workload("SP").name == "SSSP"
@@ -136,13 +134,6 @@ class TestWorkloadStreams:
         workload = XSBenchWorkload(footprint_bytes=8 * MB, lookups=20)
         instructions = materialise(workload, kernel, process)
         assert len(memory_addresses(instructions)) > 20
-
-    def test_pointer_chase_addresses_are_serially_dependent(self, kernel_and_process):
-        kernel, process = kernel_and_process
-        workload = PointerChaseWorkload(footprint_bytes=4 * MB, memory_operations=50)
-        instructions = materialise(workload, kernel, process)
-        addresses = memory_addresses(instructions)
-        assert len(set(addresses)) > 10
 
     def test_intensity_sweep_scales_randomness(self, kernel_and_process):
         kernel, process = kernel_and_process
